@@ -28,10 +28,9 @@
 //! reproducer.
 //!
 //! The proxy is frame-*aware* but protocol-*agnostic*: a [`FrameFormat`]
-//! tells it how many prelude bytes to pass through verbatim and where
-//! the declared payload length sits in the header. It never validates
-//! checksums — that is the receiver's job, and exactly what the fuzzer
-//! and chaos tests are checking.
+//! tells it where the declared payload length sits in the header. It
+//! never validates checksums — that is the receiver's job, and exactly
+//! what the fuzzer and chaos tests are checking.
 
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -59,10 +58,6 @@ const IDLE_POLL: Duration = Duration::from_millis(20);
 /// Byte layout the proxy needs to slice a stream into whole frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameFormat {
-    /// Bytes at the start of each direction forwarded verbatim (version
-    /// preambles, hellos). Faults never touch the prelude: chaos tests
-    /// target the framing layer, not the bootstrap.
-    pub prelude: usize,
     /// Fixed header size in bytes.
     pub header_len: usize,
     /// Offset of the u64 little-endian payload length inside the header.
@@ -74,10 +69,9 @@ pub struct FrameFormat {
 }
 
 impl FrameFormat {
-    /// The mplite/netpipe v2 wire: 4-byte `MPv` preamble per direction,
-    /// 24-byte header with the payload length at bytes 12..20.
+    /// The mplite/netpipe v2 wire: 24-byte header with the payload
+    /// length at bytes 12..20.
     pub const MPLITE_V2: FrameFormat = FrameFormat {
-        prelude: 4,
         header_len: 24,
         len_at: 12,
         max_frame: 1 << 28,
@@ -302,18 +296,6 @@ fn pump(
         });
     };
 
-    // Prelude: pass through verbatim, no faults, no clock ticks.
-    if fmt.prelude > 0 {
-        let mut pre = vec![0u8; fmt.prelude];
-        if read_exact_deadline(&mut from, &mut pre, deadline).is_err()
-            || write_all_deadline(&mut to, &pre, deadline).is_err()
-        {
-            let _ = from.shutdown(Shutdown::Both);
-            let _ = to.shutdown(Shutdown::Both);
-            return;
-        }
-    }
-
     loop {
         // Idle wait for the next frame's first byte: short read timeouts
         // so shutdown is honoured, EOF ends the direction cleanly.
@@ -478,8 +460,8 @@ mod tests {
 
     const DL: Duration = Duration::from_secs(5);
 
-    /// Build a valid MPLITE_V2-shaped frame: 4-byte prelude is NOT
-    /// included; header is 24 bytes with len at 12..20. The CRC field is
+    /// Build a valid MPLITE_V2-shaped frame: header is 24 bytes with
+    /// len at 12..20. The CRC field is
     /// arbitrary — the proxy never checks it.
     fn test_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
         let mut f = vec![0u8; 24];
@@ -519,7 +501,6 @@ mod tests {
         let proxy = ChaosProxy::new(plan, FrameFormat::MPLITE_V2);
         let front = proxy.front(0, 1, up_addr).expect("front");
         let mut client = TcpStream::connect(front).expect("connect front");
-        write_all_deadline(&mut client, b"MPv\x02", DL).expect("prelude");
         for f in frames {
             if write_all_deadline(&mut client, f, DL).is_err() {
                 break; // truncation killed the connection mid-run
@@ -535,10 +516,7 @@ mod tests {
     fn lossless_plan_is_a_transparent_pipe() {
         let frames = vec![test_frame(1, b"hello"), test_frame(2, &[0xAA; 300])];
         let (got, counters, log) = run_one_direction("seed=1", &frames);
-        let mut want = b"MPv\x02".to_vec();
-        for f in &frames {
-            want.extend_from_slice(f);
-        }
+        let want = frames.concat();
         assert_eq!(got, want, "bytes must pass through unharmed");
         assert!(!counters.any(), "{counters}");
         assert!(log.is_empty());
@@ -550,10 +528,7 @@ mod tests {
         let (got, counters, log) = run_one_direction("seed=7,corrupt=0.3", &frames);
         assert!(counters.corrupted > 0, "{counters}");
         assert_eq!(counters.corrupted as usize, log.len());
-        let mut want = b"MPv\x02".to_vec();
-        for f in &frames {
-            want.extend_from_slice(f);
-        }
+        let want = frames.concat();
         assert_eq!(got.len(), want.len(), "corruption never changes length");
         let flipped: u32 = got
             .iter()
@@ -568,7 +543,7 @@ mod tests {
         let frames: Vec<_> = (0..200).map(|i| test_frame(i as u8, &[7; 32])).collect();
         let (got, counters, _log) = run_one_direction("seed=3,truncate=0.05", &frames);
         assert_eq!(counters.truncated, 1, "first hit ends the run: {counters}");
-        let full: usize = 4 + frames.iter().map(Vec::len).sum::<usize>();
+        let full: usize = frames.iter().map(Vec::len).sum::<usize>();
         assert!(got.len() < full, "{} of {full} bytes arrived", got.len());
     }
 
@@ -578,10 +553,7 @@ mod tests {
         let frames: Vec<_> = (0..6).map(|i| test_frame(i, &[i; 8])).collect();
         let (got, counters, log) = run_one_direction("seed=5,partition=0|1@0us..300us", &frames);
         assert_eq!(counters.partitioned, 3, "{counters}\n{log:?}");
-        let mut want = b"MPv\x02".to_vec();
-        for f in &frames[3..] {
-            want.extend_from_slice(f);
-        }
+        let want = frames[3..].concat();
         assert_eq!(got, want, "frames after the window pass untouched");
     }
 
@@ -590,9 +562,7 @@ mod tests {
         let frames = vec![test_frame(1, b"first"), test_frame(2, b"second")];
         let (got, counters, _log) = run_one_direction("seed=1,reorder-frame", &frames);
         assert_eq!(counters.reordered, 1);
-        let mut want = b"MPv\x02".to_vec();
-        want.extend_from_slice(&frames[1]);
-        want.extend_from_slice(&frames[0]);
+        let want = [&frames[1][..], &frames[0][..]].concat();
         assert_eq!(got, want, "frame 1 overtakes frame 0");
     }
 
@@ -601,9 +571,7 @@ mod tests {
         let frames = vec![test_frame(1, b"slow")];
         let (got, counters, _log) = run_one_direction("seed=2,stall=10ms@1", &frames);
         assert_eq!(counters.stalled, 1);
-        let mut want = b"MPv\x02".to_vec();
-        want.extend_from_slice(&frames[0]);
-        assert_eq!(got, want, "stalled frames still arrive intact");
+        assert_eq!(got, frames[0], "stalled frames still arrive intact");
     }
 
     #[test]
@@ -658,15 +626,12 @@ mod tests {
         let front = proxy.front(0, 1, up_addr).expect("front");
         let mut client = TcpStream::connect(front).expect("connect");
         let big = test_frame(1, &[0x5A; 64]); // 64 > max_frame of 16
-        write_all_deadline(&mut client, b"MPv\x02", DL).expect("prelude");
         write_all_deadline(&mut client, &big, DL).expect("frame");
         client.flush().expect("flush");
         let _ = client.shutdown(Shutdown::Write);
         let got = sink.join().expect("sink");
         let (counters, _log) = proxy.finish();
-        let mut want = b"MPv\x02".to_vec();
-        want.extend_from_slice(&big);
-        assert_eq!(got, want, "oversized frames pass through byte-exact");
+        assert_eq!(got, big, "oversized frames pass through byte-exact");
         assert_eq!(counters.corrupted, 0, "no faults on refused frames");
     }
 }

@@ -219,68 +219,6 @@ impl Health {
     }
 }
 
-/// Per-peer negotiated wire version, published by each reader thread
-/// once it has parsed the peer's `MPv<n>` preamble. The writer thread
-/// blocks on [`WireTable::wait`] before its first frame to a peer, so it
-/// never guesses a byte format. `0` means "not yet negotiated".
-struct WireTable {
-    versions: Mutex<Vec<u8>>,
-    cv: Condvar,
-}
-
-impl WireTable {
-    fn new(nprocs: usize) -> WireTable {
-        WireTable {
-            versions: Mutex::new(vec![0; nprocs]),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// First publication wins; the readers' exit-path fallback uses this
-    /// so a real negotiation is never overwritten.
-    fn publish(&self, peer: usize, version: u8) {
-        let mut v = self.versions.lock();
-        if v[peer] == 0 {
-            v[peer] = version;
-        }
-        self.cv.notify_all();
-    }
-
-    /// The negotiated version for `peer`, waiting up to `deadline` for
-    /// the reader to publish it. `None` means the peer never completed
-    /// the preamble exchange in time.
-    fn wait(&self, peer: usize, deadline: Duration) -> Option<u8> {
-        let start = std::time::Instant::now(); // lint:allow(nondet-wall-clock) -- real-mode negotiation deadline; the table owns its wait clock
-        let mut v = self.versions.lock();
-        loop {
-            if v[peer] != 0 {
-                return Some(v[peer]);
-            }
-            let left = deadline.checked_sub(start.elapsed())?;
-            if left.is_zero() {
-                return None;
-            }
-            self.cv.wait_timeout(&mut v, left);
-        }
-    }
-}
-
-/// Reader-exit insurance: publish our own preference as the fallback
-/// version so the writer thread can never stall waiting on a verdict a
-/// dead reader will no longer deliver. First-publication-wins makes this
-/// a no-op after a real negotiation.
-struct PublishOnExit<'a> {
-    wire: &'a WireTable,
-    peer: usize,
-    prefer: u8,
-}
-
-impl Drop for PublishOnExit<'_> {
-    fn drop(&mut self) {
-        self.wire.publish(self.peer, self.prefer);
-    }
-}
-
 /// Declare `dead` dead exactly once: poison the local engine and
 /// broadcast the verdict to every other live peer. Idempotent — the
 /// `swap` dedups repeat verdicts, so propagation cannot storm.
@@ -352,9 +290,7 @@ impl Comm {
         let engine = Arc::new(MatchEngine::new());
         let shutting_down = Arc::new(AtomicBool::new(false));
         let health = Arc::new(Health::new(nprocs));
-        let prefer = frame::wire_version_default();
         let max_msg = frame::max_message_size();
-        let wire = Arc::new(WireTable::new(nprocs));
         let (tx, rx) = channel::<SendJob>();
 
         // Reader thread per peer.
@@ -367,15 +303,6 @@ impl Comm {
             // clamps to net.core.{r,w}mem_max exactly as the paper
             // describes).
             let _ = raise_socket_buffers(s, sockbuf_request());
-            // Version negotiation, sending side: our `MPv<n>` preamble is
-            // the first thing on every connection. Written inline — four
-            // bytes always fit in the socket buffer, so this cannot
-            // block even though peers construct their Comms one at a
-            // time. The peer's preamble is consumed by our reader thread
-            // below, which publishes the negotiated version for the
-            // writer to pick up.
-            let mut pre = s.try_clone()?;
-            write_all_deadline(&mut pre, &frame::preamble(prefer), deadline)?;
             let stream = s.try_clone()?;
             let ctx = ReaderCtx {
                 rank,
@@ -385,9 +312,7 @@ impl Comm {
                 deadline,
                 health: Arc::clone(&health),
                 tx: tx.clone(),
-                prefer,
                 max_msg,
-                wire: Arc::clone(&wire),
             };
             readers.push(
                 std::thread::Builder::new()
@@ -405,13 +330,9 @@ impl Comm {
             });
         }
         let my_rank = rank as u32;
-        let writer_wire = Arc::clone(&wire);
         let writer = std::thread::Builder::new()
             .name(format!("mplite-w{rank}"))
             .spawn(move || {
-                // Cache of negotiated versions so steady-state sends
-                // skip the table lock; 0 = not yet looked up.
-                let mut versions = vec![0u8; write_halves.len()];
                 while let Ok(job) = rx.recv() {
                     match job {
                         SendJob::Quit => break,
@@ -429,19 +350,8 @@ impl Comm {
                                         "no socket to destination",
                                     )
                                 })?;
-                                if versions[dst] == 0 {
-                                    versions[dst] =
-                                        writer_wire.wait(dst, deadline).ok_or_else(|| {
-                                            std::io::Error::new(
-                                                std::io::ErrorKind::TimedOut,
-                                                format!(
-                                                    "wire negotiation with rank {dst} timed out"
-                                                ),
-                                            )
-                                        })?;
-                                }
                                 let (hdr, n) =
-                                    frame::build_header(versions[dst], my_rank, tag, &data);
+                                    frame::build_header(frame::WIRE_V2, my_rank, tag, &data);
                                 write_all_deadline(s, &hdr[..n], deadline)?;
                                 write_all_deadline(s, &data, deadline)?;
                                 Ok(())
@@ -791,12 +701,8 @@ struct ReaderCtx {
     deadline: Duration,
     health: Arc<Health>,
     tx: Sender<SendJob>,
-    /// Our preferred wire version (the one our preamble announced).
-    prefer: u8,
     /// Payload cap enforced before any allocation.
     max_msg: u64,
-    /// Where the negotiated version is published for the writer.
-    wire: Arc<WireTable>,
 }
 
 /// Wait for the first byte of `buf` with no deadline — an idle link is
@@ -866,52 +772,21 @@ fn read_rest_or_condemn(
 }
 
 fn reader_loop(mut stream: TcpStream, ctx: ReaderCtx) {
-    // Insurance against every exit path below: publish *some* version so
-    // the writer thread never deadlocks on a negotiation that will no
-    // longer happen (first-publication-wins keeps real verdicts intact).
-    let _fallback = PublishOnExit {
-        wire: &ctx.wire,
-        peer: ctx.peer,
-        prefer: ctx.prefer,
-    };
-
-    // Version negotiation, receiving side: the peer's `MPv<n>` preamble
-    // is its first four bytes. Block without a deadline for the first
-    // byte — the peer's Comm may not be constructed yet.
-    let mut pre = [0u8; frame::PREAMBLE_LEN];
-    if !read_first_byte_idle(&mut stream, &ctx, &mut pre) {
-        return;
-    }
-    if !read_rest_or_condemn(&mut stream, &ctx, &mut pre[1..], 1, "preamble") {
-        return;
-    }
-    let peer_version = match frame::parse_preamble(&pre) {
-        Ok(v) => v,
-        Err(fe) => {
-            if !ctx.shutting_down.load(Ordering::Acquire) {
-                fail_frame(&ctx.engine, &ctx.health, &ctx.tx, ctx.rank, ctx.peer, fe);
-            }
-            return;
-        }
-    };
-    let version = frame::negotiate(ctx.prefer, peer_version);
-    ctx.wire.publish(ctx.peer, version);
-    let hdr_len = frame::header_len(version);
-
     loop {
-        // Idle wait for the next frame, then the rest of the header
-        // under the deadline: a peer that stalls mid-frame is dead, not
-        // idle.
+        // Idle wait for the next frame — before the first one the peer's
+        // Comm may not even be constructed yet — then the rest of the
+        // header under the deadline: a peer that stalls mid-frame is
+        // dead, not idle.
         let mut hdr = [0u8; frame::V2_HEADER_LEN];
         if !read_first_byte_idle(&mut stream, &ctx, &mut hdr) {
             return;
         }
-        if !read_rest_or_condemn(&mut stream, &ctx, &mut hdr[1..hdr_len], 1, "header") {
+        if !read_rest_or_condemn(&mut stream, &ctx, &mut hdr[1..], 1, "header") {
             return;
         }
         // Validate everything — magic, version, flags, and the length
         // against the cap — *before* allocating a payload buffer.
-        let pf = match frame::decode_any_header(version, &hdr[..hdr_len], ctx.max_msg) {
+        let pf = match frame::decode_any_header(&hdr, ctx.max_msg) {
             Ok(pf) => pf,
             Err(fe) => {
                 if !ctx.shutting_down.load(Ordering::Acquire) {
@@ -920,46 +795,12 @@ fn reader_loop(mut stream: TcpStream, ctx: ReaderCtx) {
                 return;
             }
         };
-        if pf.tag == FIN_TAG || pf.tag == POISON_TAG {
-            // Control frames never reach the matching engine — but a
-            // membership verdict is only trusted once its checksum
-            // holds.
-            let mut buf = vec![0u8; pf.len as usize];
-            if !read_rest_or_condemn(&mut stream, &ctx, &mut buf, hdr_len, "control") {
-                return;
-            }
-            if let Err(fe) = pf.verify(&buf) {
-                if !ctx.shutting_down.load(Ordering::Acquire) {
-                    fail_frame(&ctx.engine, &ctx.health, &ctx.tx, ctx.rank, ctx.peer, fe);
-                }
-                return;
-            }
-            match parse_control(pf.tag, &buf) {
-                Some(Control::Fin) => {
-                    ctx.health.fin[ctx.peer].store(true, Ordering::Release);
-                }
-                Some(Control::Poison { dead }) => {
-                    if dead < ctx.health.dead.len() && dead != ctx.rank {
-                        announce_death(
-                            &ctx.engine,
-                            &ctx.health,
-                            &ctx.tx,
-                            ctx.rank,
-                            dead,
-                            &format!("rank {dead} dead (reported by peer {})", ctx.peer),
-                        );
-                    }
-                }
-                None => {}
-            }
-            continue;
-        }
         // The progress-thread span covers pulling the payload out of the
         // socket *and* handing it to the matching engine — the work the
         // paper's §3.4 progress discussion attributes to the library.
         let t0 = trace::installed().map(|t| t.now_wall());
         let mut buf = vec![0u8; pf.len as usize];
-        if !read_rest_or_condemn(&mut stream, &ctx, &mut buf, hdr_len, "message") {
+        if !read_rest_or_condemn(&mut stream, &ctx, &mut buf, hdr.len(), "message") {
             return;
         }
         if let Err(fe) = pf.verify(&buf) {
@@ -968,7 +809,30 @@ fn reader_loop(mut stream: TcpStream, ctx: ReaderCtx) {
             }
             return;
         }
-        engine_deliver(&ctx, pf.src, pf.tag, buf, t0);
+        // Control frames never reach the matching engine — and a
+        // membership verdict is only trusted now that its checksum held.
+        match pf.tag {
+            FIN_TAG | POISON_TAG => match parse_control(pf.tag, &buf) {
+                Some(Control::Fin) => {
+                    ctx.health.fin[ctx.peer].store(true, Ordering::Release);
+                }
+                Some(Control::Poison { dead })
+                    if dead < ctx.health.dead.len() && dead != ctx.rank =>
+                {
+                    announce_death(
+                        &ctx.engine,
+                        &ctx.health,
+                        &ctx.tx,
+                        ctx.rank,
+                        dead,
+                        &format!("rank {dead} dead (reported by peer {})", ctx.peer),
+                    );
+                }
+                // An unusable or out-of-range verdict is ignored.
+                _ => {}
+            },
+            _ => engine_deliver(&ctx, pf.src, pf.tag, buf, t0),
+        }
     }
 }
 
@@ -1044,16 +908,6 @@ mod tests {
         (client, server)
     }
 
-    /// What a well-behaved v2 peer sends first.
-    fn send_preamble(client: &mut TcpStream) {
-        write_all_deadline(
-            client,
-            &frame::preamble(frame::WIRE_V2),
-            Duration::from_secs(1),
-        )
-        .expect("preamble");
-    }
-
     /// A complete, checksummed v2 frame as raw wire bytes.
     fn v2_frame(src: u32, tag: i32, payload: &[u8]) -> Vec<u8> {
         let (h, n) = frame::build_header(frame::WIRE_V2, src, tag, payload);
@@ -1064,12 +918,10 @@ mod tests {
 
     #[test]
     fn writer_deadline_times_out_on_stalled_peer() {
-        let (client, mut peer_side) = socket_pair();
+        let (client, peer_side) = socket_pair();
         let comm =
             Comm::from_mesh_with_deadline(0, vec![None, Some(client)], Duration::from_millis(150))
                 .expect("mesh");
-        // The peer completes negotiation but never reads afterwards.
-        send_preamble(&mut peer_side);
         // Far more than the kernel buffers absorb; the peer never reads,
         // so the writer thread must hit its deadline, not hang forever.
         let req = comm.isend(1, 0, vec![0u8; 64 << 20]).expect("queued");
@@ -1080,11 +932,10 @@ mod tests {
 
     #[test]
     fn oversized_send_is_rejected_before_queueing() {
-        let (client, mut peer_side) = socket_pair();
+        let (client, _peer_side) = socket_pair();
         let comm =
             Comm::from_mesh_with_deadline(0, vec![None, Some(client)], Duration::from_secs(1))
                 .expect("mesh");
-        send_preamble(&mut peer_side);
         let too_big = (comm.max_message() + 1) as usize;
         let err = match comm.isend(1, 0, vec![0u8; too_big]) {
             Err(e) => e,
@@ -1102,6 +953,55 @@ mod tests {
         );
     }
 
+    #[test]
+    fn first_send_needs_nothing_from_the_peer() {
+        let (client, mut peer_side) = socket_pair();
+        let comm =
+            Comm::from_mesh_with_deadline(0, vec![None, Some(client)], Duration::from_millis(150))
+                .expect("mesh");
+        // The peer has connected but never written a byte: there is no
+        // boot exchange to wait for, so a small send completes at once.
+        comm.isend(1, 7, b"hi".to_vec())
+            .expect("queued")
+            .wait()
+            .expect("no handshake to time out on");
+        // And the connection begins directly with that v2 frame.
+        let mut wire = vec![0u8; frame::V2_HEADER_LEN + 2];
+        read_exact_counted(&mut peer_side, &mut wire, Duration::from_secs(1)).expect("frame");
+        assert_eq!(wire, v2_frame(0, 7, b"hi"));
+    }
+
+    #[test]
+    fn other_wire_versions_are_condemned_on_their_first_frame() {
+        // A v2-shaped frame stamped version 1, and a legacy 16-byte
+        // (src, tag, len) header followed by its 8 payload bytes.
+        let (stamped_v1, _) = frame::build_header(1, 1, 0, b"");
+        let mut legacy = Vec::new();
+        legacy.extend_from_slice(&1u32.to_le_bytes());
+        legacy.extend_from_slice(&0i32.to_le_bytes());
+        legacy.extend_from_slice(&8u64.to_le_bytes());
+        legacy.extend_from_slice(&[0xAB; 8]);
+        let cases: [(&[u8], FrameError); 2] = [
+            (&stamped_v1, FrameError::VersionMismatch { got: 1 }),
+            (&legacy, FrameError::BadMagic { got: [1, 0] }),
+        ];
+        for (bytes, want) in cases {
+            let (client, mut peer_side) = socket_pair();
+            let comm =
+                Comm::from_mesh_with_deadline(0, vec![None, Some(client)], Duration::from_secs(5))
+                    .expect("mesh");
+            write_all_deadline(&mut peer_side, bytes, Duration::from_secs(1)).expect("first frame");
+            let err = comm
+                .recv(ANY_SOURCE, ANY_TAG)
+                .expect_err("nothing valid ever arrives");
+            match comm.classify_peer_error(err) {
+                MpError::Frame { peer: 1, err } => assert_eq!(err, want),
+                other => panic!("want a typed frame verdict, got {other}"),
+            }
+            assert_eq!(comm.engine.unexpected_len(), 0, "nothing was delivered");
+        }
+    }
+
     fn test_ctx(engine: &Arc<MatchEngine>, deadline: Duration) -> (ReaderCtx, Arc<Health>) {
         let health = Arc::new(Health::new(2));
         let (tx, _rx) = channel::<SendJob>();
@@ -1114,9 +1014,7 @@ mod tests {
                 deadline,
                 health: Arc::clone(&health),
                 tx,
-                prefer: frame::WIRE_V2,
                 max_msg: frame::DEFAULT_MAX_MESSAGE,
-                wire: Arc::new(WireTable::new(2)),
             },
             health,
         )
@@ -1131,7 +1029,6 @@ mod tests {
             reader_loop(server, ctx);
         });
         // Header promises 100 payload bytes; only 10 ever arrive.
-        send_preamble(&mut client);
         let wire = v2_frame(1, 0, &[7u8; 100]);
         write_all_deadline(
             &mut client,
@@ -1155,7 +1052,6 @@ mod tests {
         let reader = std::thread::spawn(move || {
             reader_loop(server, ctx);
         });
-        send_preamble(&mut client);
         let wire = v2_frame(1, 0, &[7u8; 100]);
         write_all_deadline(
             &mut client,
@@ -1180,14 +1076,16 @@ mod tests {
     }
 
     #[test]
-    fn garbage_preamble_is_a_typed_frame_error() {
+    fn garbage_first_frame_is_a_typed_frame_error() {
         let (mut client, server) = socket_pair();
         let engine = Arc::new(MatchEngine::new());
         let (ctx, health) = test_ctx(&engine, Duration::from_secs(5));
         let reader = std::thread::spawn(move || {
             reader_loop(server, ctx);
         });
-        write_all_deadline(&mut client, b"HTTP", Duration::from_secs(1)).expect("garbage");
+        // A non-mplite peer: a full header's worth of something else.
+        let garbage = b"GET /index.html HTTP/1.1\r\n";
+        write_all_deadline(&mut client, garbage, Duration::from_secs(1)).expect("garbage");
         reader.join().expect("reader exits");
         let (peer, fe) = health.first_frame_err().expect("verdict recorded");
         assert_eq!(peer, 1);
@@ -1202,7 +1100,6 @@ mod tests {
         let reader = std::thread::spawn(move || {
             reader_loop(server, ctx);
         });
-        send_preamble(&mut client);
         // A syntactically valid header declaring an absurd length. The
         // length check fires before the checksum is even consulted, so
         // no payload buffer is ever allocated.
@@ -1222,7 +1119,6 @@ mod tests {
         let reader = std::thread::spawn(move || {
             reader_loop(server, ctx);
         });
-        send_preamble(&mut client);
         let mut wire = v2_frame(1, 0, b"integrity matters");
         let last = wire.len() - 1;
         wire[last] ^= 0x40; // one flipped bit in the payload
@@ -1259,7 +1155,6 @@ mod tests {
         let reader = std::thread::spawn(move || {
             reader_loop(server, ctx);
         });
-        send_preamble(&mut client);
         let fin = v2_frame(1, FIN_TAG, &[]);
         write_all_deadline(&mut client, &fin, Duration::from_secs(1)).expect("fin");
         drop(client);
@@ -1283,16 +1178,13 @@ mod tests {
             deadline: Duration::from_secs(5),
             health: Arc::clone(&health),
             tx,
-            prefer: frame::WIRE_V2,
             max_msg: frame::DEFAULT_MAX_MESSAGE,
-            wire: Arc::new(WireTable::new(4)),
         };
         let reader = std::thread::spawn(move || {
             reader_loop(server, ctx);
         });
         let pending = engine.post(ANY_SOURCE, ANY_TAG);
         // Peer 1 reports rank 3 dead, then shuts down cleanly.
-        send_preamble(&mut client);
         let poison = v2_frame(1, POISON_TAG, &3u64.to_le_bytes());
         write_all_deadline(&mut client, &poison, Duration::from_secs(1)).expect("poison");
         let fin = v2_frame(1, FIN_TAG, &[]);

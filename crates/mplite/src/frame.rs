@@ -1,10 +1,6 @@
-//! Wire v2 framing: versioned, checksummed, bounded frames.
-//!
-//! The v1 wire format ([`crate::message::encode_header`]) trusts the
-//! network completely: no magic, no version, no checksum, and an
-//! unbounded `len` field that was allocated before validation. One
-//! flipped bit meant a silent wrong answer, a multi-gigabyte
-//! allocation, or a hang. Wire v2 fixes all three:
+//! Wire v2 framing: versioned, checksummed, bounded frames — the one
+//! format `mplite` and `netpipe` speak. A connection begins directly
+//! with its first frame:
 //!
 //! ```text
 //!  offset  size  field
@@ -20,10 +16,10 @@
 //! ```
 //!
 //! Every decode failure is a typed [`FrameError`], so survivors can name
-//! the malformed peer instead of hanging or OOMing. A 4-byte `MPv<n>`
-//! preamble exchanged at boot negotiates the version per connection
-//! (`min` of the two preferences), which keeps v1 peers — and old
-//! byte-level goldens — interoperable.
+//! the malformed peer instead of hanging or OOMing. There is no
+//! negotiation: [`check_prologue`] runs on every header, so a peer
+//! speaking any other version is a [`FrameError::VersionMismatch`] and
+//! a non-mplite peer is a [`FrameError::BadMagic`], on its first frame.
 //!
 //! The push-based [`FrameDecoder`] steps the `mplite.frame_decoder`
 //! protocol machine (`Magic → Header → Payload → Verified`), declared
@@ -32,28 +28,17 @@
 //! ([`crate::fuzz`]) hammers this exact decoder.
 
 use std::fmt;
-use std::io;
-use std::net::TcpStream;
-use std::time::Duration;
-
-use faultlab::io::{read_exact_deadline, write_all_deadline};
 
 use crate::message;
 
 /// First two bytes of every v2 frame.
 pub const MAGIC: [u8; 2] = *b"MP";
 
-/// The legacy 16-byte header format (no magic, no checksum).
-pub const WIRE_V1: u8 = 1;
-
-/// The current framed format described in the module docs.
+/// The framed format described in the module docs.
 pub const WIRE_V2: u8 = 2;
 
 /// Size of a v2 frame header.
 pub const V2_HEADER_LEN: usize = 24;
-
-/// Size of the boot-time `MPv<n>` negotiation preamble.
-pub const PREAMBLE_LEN: usize = 4;
 
 /// Default cap on a single message's payload: 256 MiB. Anything larger
 /// is rejected *before* allocation with [`FrameError::Oversized`].
@@ -66,28 +51,6 @@ pub fn max_message_size() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(DEFAULT_MAX_MESSAGE)
-}
-
-/// Preferred wire version for new connections:
-/// `MPLITE_WIRE_VERSION` (1 or 2) or [`WIRE_V2`]. The negotiated
-/// version of a connection is the `min` of the two ends' preferences.
-pub fn wire_version_default() -> u8 {
-    match std::env::var("MPLITE_WIRE_VERSION")
-        .ok()
-        .and_then(|v| v.parse::<u8>().ok())
-    {
-        Some(1) => WIRE_V1,
-        _ => WIRE_V2,
-    }
-}
-
-/// Header size of the given wire version.
-pub fn header_len(version: u8) -> usize {
-    if version <= WIRE_V1 {
-        message::HEADER_LEN
-    } else {
-        V2_HEADER_LEN
-    }
 }
 
 // ---------------------------------------------------------------- CRC32C
@@ -216,10 +179,7 @@ impl fmt::Display for FrameError {
                 )
             }
             FrameError::VersionMismatch { got } => {
-                write!(
-                    f,
-                    "unsupported wire version {got} (speak {WIRE_V1} or {WIRE_V2})"
-                )
+                write!(f, "unsupported wire version {got} (speak {WIRE_V2})")
             }
             FrameError::BadFlags { got } => {
                 write!(f, "reserved frame flags set: {got:#04x}")
@@ -263,8 +223,9 @@ impl FrameError {
 
 // ------------------------------------------------------------- encoding
 
-/// Encode a frame header for `version`. Returns the header buffer and
-/// the number of valid bytes in it (16 for v1, 24 for v2). For v2 the
+/// Encode a frame header. `version` is stamped verbatim into byte 2
+/// (receivers accept only [`WIRE_V2`]). Returns the header buffer and
+/// the number of valid bytes in it (always [`V2_HEADER_LEN`]). The
 /// trailing CRC32C covers the header prefix chained with `payload`.
 // analyze: hot
 pub fn build_header(
@@ -274,13 +235,8 @@ pub fn build_header(
     payload: &[u8],
 ) -> ([u8; V2_HEADER_LEN], usize) {
     let mut h = [0u8; V2_HEADER_LEN];
-    if version <= WIRE_V1 {
-        let legacy = message::encode_header(src, tag, payload.len() as u64);
-        h[..message::HEADER_LEN].copy_from_slice(&legacy);
-        return (h, message::HEADER_LEN);
-    }
     h[0..2].copy_from_slice(&MAGIC);
-    h[2] = WIRE_V2;
+    h[2] = version;
     h[3] = 0;
     h[4..8].copy_from_slice(&src.to_le_bytes());
     h[8..12].copy_from_slice(&tag.to_le_bytes());
@@ -325,40 +281,17 @@ pub struct PendingFrame {
     pub tag: i32,
     /// Payload length, already checked against the cap.
     pub len: u64,
-    version: u8,
-    /// CRC state after folding the header prefix (v2 only).
+    /// CRC state after folding the header prefix.
     crc: Crc32c,
-    /// Checksum the header declared (v2 only).
+    /// Checksum the header declared.
     expect: u32,
 }
 
-/// Decode and validate a header of the negotiated `version`, bounding
-/// the declared length against `max` *before* the caller allocates
-/// anything. `hdr` must hold at least [`header_len`]`(version)` bytes.
+/// Decode and validate a header, bounding the declared length against
+/// `max` *before* the caller allocates anything. `hdr` must hold at
+/// least [`V2_HEADER_LEN`] bytes.
 // analyze: hot
-pub fn decode_any_header(version: u8, hdr: &[u8], max: u64) -> Result<PendingFrame, FrameError> {
-    if version <= WIRE_V1 {
-        if hdr.len() < message::HEADER_LEN {
-            return Err(FrameError::Truncated {
-                got: hdr.len(),
-                want: message::HEADER_LEN,
-            });
-        }
-        let mut fixed = [0u8; message::HEADER_LEN];
-        fixed.copy_from_slice(&hdr[..message::HEADER_LEN]);
-        let (src, tag, len) = message::decode_header(&fixed);
-        if len > max {
-            return Err(FrameError::Oversized { len, max });
-        }
-        return Ok(PendingFrame {
-            src,
-            tag,
-            len,
-            version: WIRE_V1,
-            crc: Crc32c::new(),
-            expect: 0,
-        });
-    }
+pub fn decode_any_header(hdr: &[u8], max: u64) -> Result<PendingFrame, FrameError> {
     if hdr.len() < V2_HEADER_LEN {
         return Err(FrameError::Truncated {
             got: hdr.len(),
@@ -379,7 +312,6 @@ pub fn decode_any_header(version: u8, hdr: &[u8], max: u64) -> Result<PendingFra
         src,
         tag,
         len,
-        version: WIRE_V2,
         crc,
         expect,
     })
@@ -387,11 +319,8 @@ pub fn decode_any_header(version: u8, hdr: &[u8], max: u64) -> Result<PendingFra
 
 impl PendingFrame {
     /// Check the received payload against the header's declared length
-    /// and checksum. A no-op under v1, which carries no checksum.
+    /// and checksum.
     pub fn verify(&self, payload: &[u8]) -> Result<(), FrameError> {
-        if self.version <= WIRE_V1 {
-            return Ok(());
-        }
         if payload.len() as u64 != self.len {
             return Err(FrameError::Truncated {
                 got: payload.len(),
@@ -409,43 +338,6 @@ impl PendingFrame {
         }
         Ok(())
     }
-}
-
-// ----------------------------------------------------------- negotiation
-
-/// The `MPv<n>` preamble a connection sends before its first frame.
-pub fn preamble(version: u8) -> [u8; PREAMBLE_LEN] {
-    [b'M', b'P', b'v', version]
-}
-
-/// Parse a received preamble into the peer's preferred version.
-pub fn parse_preamble(p: &[u8; PREAMBLE_LEN]) -> Result<u8, FrameError> {
-    if p[0..3] != [b'M', b'P', b'v'] {
-        return Err(FrameError::BadMagic { got: [p[0], p[1]] });
-    }
-    if !(WIRE_V1..=WIRE_V2).contains(&p[3]) {
-        return Err(FrameError::VersionMismatch { got: p[3] });
-    }
-    Ok(p[3])
-}
-
-/// The version a connection speaks, given both ends' preferences: the
-/// older of the two, so a v1 peer keeps its byte format.
-pub fn negotiate(local: u8, peer: u8) -> u8 {
-    local.min(peer)
-}
-
-/// Symmetric boot-time exchange on an established stream: send our
-/// preamble, read the peer's, return the negotiated version. Both ends
-/// write first (4 bytes always fit in the socket buffer), so the
-/// exchange cannot deadlock regardless of construction order.
-pub fn negotiate_wire(stream: &mut TcpStream, deadline: Duration, prefer: u8) -> io::Result<u8> {
-    write_all_deadline(stream, &preamble(prefer), deadline)?;
-    let mut buf = [0u8; PREAMBLE_LEN];
-    read_exact_deadline(stream, &mut buf, deadline)?;
-    let peer = parse_preamble(&buf)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(negotiate(prefer, peer))
 }
 
 // --------------------------------------------------------- FrameDecoder
@@ -537,7 +429,7 @@ impl FrameDecoder {
                     if self.buf.len() < V2_HEADER_LEN {
                         break;
                     }
-                    let pf = decode_any_header(WIRE_V2, &self.buf[..V2_HEADER_LEN], self.max)?;
+                    let pf = decode_any_header(&self.buf[..V2_HEADER_LEN], self.max)?;
                     self.pending = Some(pf);
                     self.step("fields");
                 }
@@ -616,19 +508,9 @@ mod tests {
         let payload = b"hello wire";
         let (h, n) = build_header(WIRE_V2, 7, -3, payload);
         assert_eq!(n, V2_HEADER_LEN);
-        let pf = decode_any_header(WIRE_V2, &h, DEFAULT_MAX_MESSAGE).expect("valid header");
+        let pf = decode_any_header(&h, DEFAULT_MAX_MESSAGE).expect("valid header");
         assert_eq!((pf.src, pf.tag, pf.len), (7, -3, payload.len() as u64));
         pf.verify(payload).expect("checksum holds");
-    }
-
-    #[test]
-    fn v1_header_is_byte_identical_to_legacy() {
-        let (h, n) = build_header(WIRE_V1, 9, 42, &[0u8; 100]);
-        assert_eq!(n, message::HEADER_LEN);
-        assert_eq!(h[..n], message::encode_header(9, 42, 100));
-        let pf = decode_any_header(WIRE_V1, &h[..n], DEFAULT_MAX_MESSAGE).expect("valid");
-        assert_eq!((pf.src, pf.tag, pf.len), (9, 42, 100));
-        pf.verify(&[1, 2, 3]).expect("v1 carries no checksum");
     }
 
     #[test]
@@ -637,7 +519,7 @@ mod tests {
         h[0..2].copy_from_slice(&MAGIC);
         h[2] = WIRE_V2;
         h[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = decode_any_header(WIRE_V2, &h, 1024).expect_err("must reject");
+        let err = decode_any_header(&h, 1024).expect_err("must reject");
         assert_eq!(
             err,
             FrameError::Oversized {
@@ -651,7 +533,7 @@ mod tests {
     fn corrupted_payload_is_a_checksum_mismatch() {
         let payload = b"payload".to_vec();
         let (h, _) = build_header(WIRE_V2, 0, 0, &payload);
-        let pf = decode_any_header(WIRE_V2, &h, 1 << 20).expect("header ok");
+        let pf = decode_any_header(&h, 1 << 20).expect("header ok");
         let mut bad = payload.clone();
         bad[3] ^= 0x10;
         assert!(matches!(
@@ -674,16 +556,6 @@ mod tests {
             check_prologue(&[b'M', b'P', WIRE_V2, 1]),
             Err(FrameError::BadFlags { got: 1 })
         ));
-    }
-
-    #[test]
-    fn preamble_round_trips_and_negotiates_down() {
-        assert_eq!(parse_preamble(&preamble(WIRE_V2)), Ok(WIRE_V2));
-        assert_eq!(parse_preamble(&preamble(WIRE_V1)), Ok(WIRE_V1));
-        assert!(parse_preamble(b"MPv\x09").is_err());
-        assert!(parse_preamble(b"XXv\x02").is_err());
-        assert_eq!(negotiate(WIRE_V2, WIRE_V1), WIRE_V1);
-        assert_eq!(negotiate(WIRE_V2, WIRE_V2), WIRE_V2);
     }
 
     #[test]
@@ -730,22 +602,5 @@ mod tests {
         assert!(spec.check().is_empty(), "{:?}", spec.check());
         assert_eq!(FrameDecodeState::initial(), FrameDecodeState::Magic);
         assert!(FrameDecodeState::Verified.is_terminal());
-    }
-
-    #[test]
-    fn negotiate_wire_exchanges_preambles() {
-        use faultlab::io::accept_deadline;
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let t = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).expect("connect");
-            negotiate_wire(&mut c, Duration::from_secs(2), WIRE_V1).expect("client side")
-        });
-        let mut s = accept_deadline(&listener, Duration::from_secs(2), || true).expect("accept");
-        let server_v =
-            negotiate_wire(&mut s, Duration::from_secs(2), WIRE_V2).expect("server side");
-        let client_v = t.join().expect("client thread");
-        assert_eq!(server_v, WIRE_V1);
-        assert_eq!(client_v, WIRE_V1);
     }
 }

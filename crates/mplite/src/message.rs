@@ -1,7 +1,5 @@
-//! Wire format and tag matching.
-//!
-//! Every message carries a fixed 16-byte header — source rank, tag,
-//! payload length — followed by the payload. The matching engine pairs
+//! Tag matching. The wire format lives in [`crate::frame`]; this module
+//! takes over once a frame is verified. The matching engine pairs
 //! incoming messages with posted receives the way MP_Lite (and MPI) do:
 //! a receive may name a specific source or [`ANY_SOURCE`], a specific tag
 //! or [`ANY_TAG`]; unmatched arrivals queue as *unexpected* messages and
@@ -20,26 +18,6 @@ use crate::lifecycle::ConnLifeState;
 pub const ANY_SOURCE: i32 = -1;
 /// Wildcard tag for receives.
 pub const ANY_TAG: i32 = -1;
-
-/// Size of the wire header.
-pub const HEADER_LEN: usize = 16;
-
-/// Encode a message header.
-pub fn encode_header(src: u32, tag: i32, len: u64) -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[0..4].copy_from_slice(&src.to_le_bytes());
-    h[4..8].copy_from_slice(&tag.to_le_bytes());
-    h[8..16].copy_from_slice(&len.to_le_bytes());
-    h
-}
-
-/// Decode a message header into `(src, tag, len)`.
-pub fn decode_header(h: &[u8; HEADER_LEN]) -> (u32, i32, u64) {
-    let src = u32::from_le_bytes(le_bytes(&h[0..4]));
-    let tag = i32::from_le_bytes(le_bytes(&h[4..8]));
-    let len = u64::from_le_bytes(le_bytes(&h[8..16]));
-    (src, tag, len)
-}
 
 /// Copy the first `N` bytes of a slice into a fixed array. Callers index
 /// with a range of at least `N` bytes, so the copy cannot fail.
@@ -317,12 +295,6 @@ mod tests {
             tag,
             data: Bytes::copy_from_slice(data),
         }
-    }
-
-    #[test]
-    fn header_round_trips() {
-        let h = encode_header(7, -3, 123_456_789);
-        assert_eq!(decode_header(&h), (7, -3, 123_456_789));
     }
 
     #[test]

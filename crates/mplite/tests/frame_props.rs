@@ -25,7 +25,7 @@ fn header_round_trips_across_the_extremes() {
             for &payload in &payloads {
                 let (hdr, n) = build_header(WIRE_V2, src, tag, payload);
                 assert_eq!(n, V2_HEADER_LEN);
-                let pf = decode_any_header(WIRE_V2, &hdr[..n], DEFAULT_MAX_MESSAGE)
+                let pf = decode_any_header(&hdr[..n], DEFAULT_MAX_MESSAGE)
                     .unwrap_or_else(|e| panic!("src={src} tag={tag}: {e}"));
                 assert_eq!(pf.src, src);
                 assert_eq!(pf.tag, tag);
@@ -59,7 +59,7 @@ fn whole_frames_round_trip_through_the_decoder() {
 fn absurd_length_is_rejected_before_any_allocation() {
     let (mut hdr, n) = build_header(WIRE_V2, 1, 2, b"abc");
     hdr[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-    match decode_any_header(WIRE_V2, &hdr[..n], DEFAULT_MAX_MESSAGE) {
+    match decode_any_header(&hdr[..n], DEFAULT_MAX_MESSAGE) {
         Err(FrameError::Oversized { len, max }) => {
             assert_eq!(len, u64::MAX);
             assert_eq!(max, DEFAULT_MAX_MESSAGE);

@@ -200,7 +200,9 @@ impl RealTcpOptions {
 pub struct RealTcpDriver {
     addr: SocketAddr,
     stream: Option<TcpStream>,
-    version: u8,
+    /// Payload cap ([`frame::max_message_size`]), frozen at construction
+    /// so the timed round trip never touches the environment.
+    max_msg: u64,
     buf: Vec<u8>,
     effective_bufs: (u32, u32),
     opts: RealTcpOptions,
@@ -222,11 +224,12 @@ impl RealTcpDriver {
             .local_addr()
             .map_err(|e| NetpipeError::from_io("bind", e))?;
         let stop = Arc::new(AtomicBool::new(false));
+        let max_msg = frame::max_message_size();
         let server_opts = opts.clone();
         let server_stop = Arc::clone(&stop);
         let server = std::thread::Builder::new()
             .name("netpipe-echo".into())
-            .spawn(move || serve(listener, server_opts, server_stop))
+            .spawn(move || serve(listener, server_opts, max_msg, server_stop))
             .map_err(|e| NetpipeError::from_io("spawn", e))?;
         let proxy = match opts.plan.as_ref().filter(|p| p.has_byte_faults()) {
             Some(plan) => {
@@ -242,7 +245,7 @@ impl RealTcpDriver {
         let mut driver = RealTcpDriver {
             addr,
             stream: None,
-            version: frame::wire_version_default(),
+            max_msg,
             buf: Vec::new(),
             effective_bufs: (0, 0),
             opts,
@@ -292,23 +295,16 @@ impl RealTcpDriver {
         }
     }
 
-    /// (Re)establish the client connection under the retry policy, then
-    /// negotiate the wire version (symmetric preamble exchange).
+    /// (Re)establish the client connection under the retry policy.
     fn connect(&mut self) -> Result<(), DriverError> {
         let per_attempt = self.opts.deadline.min(Duration::from_secs(1));
-        let mut stream = connect_retry(self.addr, per_attempt, &self.opts.retry)
+        let stream = connect_retry(self.addr, per_attempt, &self.opts.retry)
             .map_err(|e| NetpipeError::from_io("connect", e))?;
         stream
             .set_nodelay(self.opts.nodelay)
             .map_err(|e| NetpipeError::from_io("connect", e))?;
         self.effective_bufs = set_socket_buffers(&stream, self.opts.sockbuf, self.opts.sockbuf)
             .map_err(|e| NetpipeError::from_io("setsockopt", e))?;
-        self.version = frame::negotiate_wire(
-            &mut stream,
-            self.opts.deadline,
-            frame::wire_version_default(),
-        )
-        .map_err(|e| NetpipeError::from_io("negotiate", e))?;
         self.stream = Some(stream);
         Ok(())
     }
@@ -334,20 +330,18 @@ impl RealTcpDriver {
                 })
             }
         };
-        let version = self.version;
         let start = Instant::now();
-        let (hdr, hn) = frame::build_header(version, 0, 0, &self.buf[..n]);
+        let (hdr, hn) = frame::build_header(frame::WIRE_V2, 0, 0, &self.buf[..n]);
         write_all_deadline(stream, &hdr[..hn], deadline)
             .map_err(|e| NetpipeError::from_io("write", e))?;
         write_all_deadline(stream, &self.buf[..n], deadline)
             .map_err(|e| NetpipeError::from_io("write", e))?;
-        let hl = frame::header_len(version);
         let mut rhdr = [0u8; frame::V2_HEADER_LEN];
-        read_exact_deadline(stream, &mut rhdr[..hl], deadline)
+        read_exact_deadline(stream, &mut rhdr, deadline)
             .map_err(|e| NetpipeError::from_io("read", e))?;
         // Length is bound-checked against the message cap BEFORE the
         // allocation below — a tampered header cannot ask for memory.
-        let pf = frame::decode_any_header(version, &rhdr[..hl], frame::max_message_size())
+        let pf = frame::decode_any_header(&rhdr, self.max_msg)
             .map_err(|err| NetpipeError::Frame { op: "read", err })?;
         // Read and CRC-verify the declared (bound-checked) length BEFORE
         // comparing it to what was sent: a corrupted length bit must
@@ -377,7 +371,7 @@ impl RealTcpDriver {
     fn close(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(mut stream) = self.stream.take() {
-            let (hdr, hn) = frame::build_header(self.version, 0, ECHO_SHUTDOWN_TAG, &[]);
+            let (hdr, hn) = frame::build_header(frame::WIRE_V2, 0, ECHO_SHUTDOWN_TAG, &[]);
             let _ = write_all_deadline(&mut stream, &hdr[..hn], Duration::from_secs(1));
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
@@ -401,21 +395,13 @@ enum EchoEnd {
 
 /// Accept loop: serve echo connections until shut down (or until chaos
 /// retires the listener).
-fn serve(listener: TcpListener, opts: RealTcpOptions, stop: Arc<AtomicBool>) {
+fn serve(listener: TcpListener, opts: RealTcpOptions, max_msg: u64, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::Relaxed) {
         match accept_deadline(&listener, SERVER_POLL, || !stop.load(Ordering::Relaxed)) {
             Ok(mut s) => {
                 let _ = s.set_nodelay(opts.nodelay);
                 let _ = set_socket_buffers(&s, opts.sockbuf, opts.sockbuf);
-                let version = match frame::negotiate_wire(
-                    &mut s,
-                    opts.deadline,
-                    frame::wire_version_default(),
-                ) {
-                    Ok(v) => v,
-                    Err(_) => continue, // bad preamble: drop, keep serving
-                };
-                match echo_loop(&mut s, version, &opts, &stop) {
+                match echo_loop(&mut s, max_msg, &opts, &stop) {
                     EchoEnd::Clean => return,
                     EchoEnd::Killed if opts.chaos.kill_listener => return,
                     EchoEnd::Killed | EchoEnd::PeerGone => {}
@@ -427,16 +413,14 @@ fn serve(listener: TcpListener, opts: RealTcpOptions, stop: Arc<AtomicBool>) {
     }
 }
 
-/// Echo protocol: one v2 frame per message (negotiated header + CRC'd
+/// Echo protocol: one v2 frame per message (header + CRC'd
 /// payload), echoed back verbatim. A frame tagged [`ECHO_SHUTDOWN_TAG`]
 /// is the clean-shutdown signal. All reads and writes are
 /// deadline-bounded; the idle wait for the next header polls in short
 /// slices so shutdown stays responsive. Any framing violation —
 /// tampered magic, bad CRC, oversized declared length — drops the
 /// connection before a single payload byte is trusted.
-fn echo_loop(s: &mut TcpStream, version: u8, opts: &RealTcpOptions, stop: &AtomicBool) -> EchoEnd {
-    let hl = frame::header_len(version);
-    let max = frame::max_message_size();
+fn echo_loop(s: &mut TcpStream, max_msg: u64, opts: &RealTcpOptions, stop: &AtomicBool) -> EchoEnd {
     let mut buf = Vec::new();
     let mut echoed = 0u64;
     loop {
@@ -462,11 +446,11 @@ fn echo_loop(s: &mut TcpStream, version: u8, opts: &RealTcpOptions, stop: &Atomi
                 Err(_) => return EchoEnd::PeerGone,
             }
         }
-        if read_exact_deadline(s, &mut hdr[1..hl], opts.deadline).is_err() {
+        if read_exact_deadline(s, &mut hdr[1..], opts.deadline).is_err() {
             return EchoEnd::PeerGone;
         }
         // The length bound is enforced here, before the resize below.
-        let pf = match frame::decode_any_header(version, &hdr[..hl], max) {
+        let pf = match frame::decode_any_header(&hdr, max_msg) {
             Ok(pf) => pf,
             Err(_) => return EchoEnd::PeerGone,
         };
@@ -481,7 +465,7 @@ fn echo_loop(s: &mut TcpStream, version: u8, opts: &RealTcpOptions, stop: &Atomi
             return EchoEnd::Clean;
         }
         // Echo the exact bytes back: header included, CRC and all.
-        if write_all_deadline(s, &hdr[..hl], opts.deadline).is_err()
+        if write_all_deadline(s, &hdr, opts.deadline).is_err()
             || write_all_deadline(s, &buf, opts.deadline).is_err()
         {
             return EchoEnd::PeerGone;

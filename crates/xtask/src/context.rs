@@ -116,17 +116,6 @@ impl FileCtx {
         self.kind == FileKind::Lib && REAL_CRATES.contains(&self.crate_name.as_str())
     }
 
-    /// Does the `frame-hygiene` rule apply to this file? Real-mode
-    /// library code must not hand-roll the raw v1 header codec
-    /// (`encode_header`/`decode_header`): the CRC and pre-allocation
-    /// length bound live in `mplite::frame`, and bypassing them puts
-    /// unchecked bytes on a kernel socket. The two codec owners
-    /// (`mplite::message`, `mplite::frame`) are exempted by path inside
-    /// the rule itself.
-    pub fn frame_scope(&self) -> bool {
-        self.kind == FileKind::Lib && REAL_CRATES.contains(&self.crate_name.as_str())
-    }
-
     /// Does the no-print rule apply to this file?
     pub fn print_scope(&self) -> bool {
         self.kind == FileKind::Lib && !PRINT_EXEMPT_CRATES.contains(&self.crate_name.as_str())

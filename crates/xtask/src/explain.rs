@@ -47,17 +47,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              when a peer dies. Use the bounded faultlab::io wrappers\n\
              (read_exact_deadline, write_all_deadline, accept_deadline)."
         }
-        "frame-hygiene" => {
-            "frame-hygiene (lint)\n\
-             scope: library code of real-mode crates, minus the codec owners\n\
-             (mplite::message, mplite::frame)\n\n\
-             The raw v1 header codec (encode_header/decode_header) carries no\n\
-             checksum and no length bound, so calling it near a kernel socket\n\
-             puts unchecked bytes on the wire or trusts an attacker-sized\n\
-             allocation. Go through mplite::frame — build_header on the send\n\
-             side, decode_any_header + PendingFrame::verify on the receive\n\
-             side — so the CRC and the pre-allocation cap always apply."
-        }
         "unwrap" | "expect" | "panic" => {
             "unwrap / expect / panic (lint, panic-hygiene family; budgeted)\n\
              scope: library code of library crates\n\n\
@@ -261,7 +250,6 @@ pub fn summary(rule: &str) -> &'static str {
         "hash-container" => "HashMap/HashSet in sim code; iteration order is nondeterministic",
         "trace-hygiene" => "wall-clock tracing API in sim code; stamp records with SimTime",
         "blocking-hygiene" => "deadline-free read/write/accept; use the faultlab::io wrappers",
-        "frame-hygiene" => "raw v1 header codec outside the framing layer; use mplite::frame",
         "unwrap" => "unwrap() in library code (budgeted); propagate the error",
         "expect" => "expect() in library code (budgeted); propagate the error",
         "panic" => "panic-family macro in library code (budgeted); return an error",

@@ -33,7 +33,6 @@ pub const RULES: &[&str] = &[
     "hash-container",
     "trace-hygiene",
     "blocking-hygiene",
-    "frame-hygiene",
     "unwrap",
     "expect",
     "panic",
@@ -86,12 +85,6 @@ pub const ANALYZE_ONLY_RULES: &[&str] = &[
     "race-guarded-field",
     "marker-hygiene",
 ];
-
-/// The two files that own the raw v1 header codec; everywhere else in
-/// real-mode library code must go through `mplite::frame` so the CRC
-/// and pre-allocation length bound apply (`frame-hygiene`).
-pub const FRAME_CODEC_OWNERS: &[&str] =
-    &["crates/mplite/src/message.rs", "crates/mplite/src/frame.rs"];
 
 /// A raw (pre-annotation) finding inside one file.
 #[derive(Debug)]
@@ -231,22 +224,6 @@ pub fn file_findings(model: &FileModel, ctx: &FileCtx) -> Vec<RawFinding> {
                     );
                 }
                 _ => {}
-            }
-        }
-
-        if ctx.frame_scope() && !FRAME_CODEC_OWNERS.contains(&model.rel.as_str()) {
-            if let Some(name @ ("encode_header" | "decode_header")) = ident {
-                if toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-                    push(
-                        t.line,
-                        "frame-hygiene",
-                        format!(
-                            "raw v1 header codec `{name}` outside mplite::message/frame; \
-                             use mplite::frame (build_header / decode_any_header) so the \
-                             CRC and length bound apply"
-                        ),
-                    );
-                }
             }
         }
 
@@ -406,39 +383,6 @@ mod tests {
         let clean = "faultlab::io::read_exact_deadline(s, &mut buf, d)?;\n\
                      faultlab::io::accept_deadline(l, d, || true)?;\n";
         assert!(check("crates/mplite/src/x.rs", clean)
-            .diagnostics
-            .is_empty());
-    }
-
-    #[test]
-    fn frame_hygiene_bans_raw_codec_outside_owners() {
-        let src = "let h = message::encode_header(0, 7, 64);\nlet t = decode_header(&hdr);\n";
-        for path in [
-            "crates/mplite/src/comm.rs",
-            "crates/netpipe/src/real_tcp.rs",
-        ] {
-            let r = check(path, src);
-            let rules: Vec<_> = r.diagnostics.iter().map(|d| d.rule).collect();
-            assert_eq!(rules, ["frame-hygiene"; 2], "{path}: {rules:?}");
-        }
-        // The codec owners keep their own functions; sim code and tests
-        // are out of scope entirely.
-        assert!(check("crates/mplite/src/message.rs", src)
-            .diagnostics
-            .is_empty());
-        assert!(check("crates/mplite/src/frame.rs", src)
-            .diagnostics
-            .is_empty());
-        assert!(check("crates/protosim/src/x.rs", src)
-            .diagnostics
-            .is_empty());
-        assert!(check("crates/mplite/tests/x.rs", src)
-            .diagnostics
-            .is_empty());
-        // The v2 entry points never match the banned names.
-        let clean = "let (h, n) = frame::build_header(v, 0, 7, p);\n\
-                     let pf = frame::decode_any_header(v, &hdr, max)?;\n";
-        assert!(check("crates/mplite/src/comm.rs", clean)
             .diagnostics
             .is_empty());
     }

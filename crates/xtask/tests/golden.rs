@@ -116,45 +116,6 @@ fn blocking_rule_ignores_sim_crates() {
 }
 
 #[test]
-fn frame_violations_golden() {
-    let rel = "crates/netpipe/src/fixture.rs";
-    let got = diags_for(rel, "unit/frame_violations.rs");
-    let msg = |name: &str| {
-        format!(
-            "frame-hygiene: raw v1 header codec `{name}` outside mplite::message/frame; \
-             use mplite::frame (build_header / decode_any_header) so the CRC and length \
-             bound apply"
-        )
-    };
-    let want = vec![
-        format!("{rel}:3: {}", msg("encode_header")),
-        format!("{rel}:4: {}", msg("decode_header")),
-        format!("{rel}:5: {}", msg("encode_header")),
-    ];
-    assert_eq!(got, want);
-}
-
-#[test]
-fn frame_clean_is_silent() {
-    let got = diags_for("crates/mplite/src/fixture.rs", "unit/frame_clean.rs");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn frame_rule_exempts_the_codec_owners() {
-    for rel in ["crates/mplite/src/message.rs", "crates/mplite/src/frame.rs"] {
-        let got = diags_for(rel, "unit/frame_violations.rs");
-        // The allow inside the fixture goes stale where the rule cannot
-        // fire; what matters is that no frame-hygiene finding appears in
-        // the files that implement the codec itself.
-        assert!(
-            got.iter().all(|d| !d.contains("frame-hygiene:")),
-            "{rel}: {got:?}"
-        );
-    }
-}
-
-#[test]
 fn panic_violations_golden() {
     let rel = "crates/mplite/src/fixture.rs";
     let got = diags_for(rel, "unit/panic_violations.rs");
