@@ -6,6 +6,8 @@
 //! receives in listed order — so any transport that preserves per-pair
 //! FIFO order produces byte-identical results.
 
+use mpsim::multirank::PairTable;
+
 use crate::lifecycle::{step, CollRound};
 use crate::schedule::Schedule;
 use crate::state::{CollOutput, RankState, Reduction};
@@ -132,7 +134,7 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
         })
         .collect();
     // Per ordered actual-rank pair, FIFO of in-flight payloads.
-    let mut wires: Vec<VecDeque<Vec<u8>>> = (0..n * n).map(|_| VecDeque::new()).collect();
+    let mut wires: PairTable<VecDeque<Vec<u8>>> = PairTable::new(n);
 
     loop {
         let mut progressed = false;
@@ -149,7 +151,7 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
                     let s = &round.sends[ranks[me].next_send];
                     let payload = ranks[me].state.payload(&s.what);
                     let to = actual_rank(s.to as usize, ctx.root, n);
-                    wires[me * n + to].push_back(payload);
+                    wires.pair(me, to).push_back(payload);
                     ranks[me].life = step(ranks[me].life, "send");
                     ranks[me].next_send += 1;
                     progressed = true;
@@ -164,7 +166,7 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
                 if ranks[me].next_recv < round.recvs.len() {
                     let r = &round.recvs[ranks[me].next_recv];
                     let from = actual_rank(r.from as usize, ctx.root, n);
-                    let Some(bytes) = wires[from * n + me].pop_front() else {
+                    let Some(bytes) = wires.pair(from, me).pop_front() else {
                         break; // blocked on this recv; let others run
                     };
                     ranks[me].state.apply(&r.what, &bytes, ctx.reduction);

@@ -12,6 +12,8 @@
 //! rank 0; executors rotate peers by the actual root, so one plan
 //! serves every root.
 
+use mpsim::multirank::PairTable;
+
 use crate::op::CollOp;
 use crate::plan::Algorithm;
 
@@ -119,8 +121,7 @@ impl Schedule {
             return Err(format!("{} plans for {} ranks", self.plans.len(), n));
         }
         // Per ordered pair (from,to): classes sent and classes expected.
-        let mut sent: Vec<Vec<&SendWhat>> = vec![Vec::new(); n * n];
-        let mut expected: Vec<Vec<&RecvWhat>> = vec![Vec::new(); n * n];
+        let mut pairs: PairTable<(Vec<&SendWhat>, Vec<&RecvWhat>)> = PairTable::new(n);
         for (me, plan) in self.plans.iter().enumerate() {
             for round in &plan.rounds {
                 for s in &round.sends {
@@ -131,7 +132,7 @@ impl Schedule {
                     if to == me {
                         return Err(format!("rank {me} sends to itself"));
                     }
-                    sent[me * n + to].push(&s.what);
+                    pairs.pair(me, to).0.push(&s.what);
                 }
                 for r in &round.recvs {
                     let from = r.from as usize;
@@ -141,27 +142,23 @@ impl Schedule {
                     if from == me {
                         return Err(format!("rank {me} receives from itself"));
                     }
-                    expected[from * n + me].push(&r.what);
+                    pairs.pair(from, me).1.push(&r.what);
                 }
             }
         }
-        for from in 0..n {
-            for to in 0..n {
-                let s = &sent[from * n + to];
-                let e = &expected[from * n + to];
-                if s.len() != e.len() {
+        for ((from, to), (s, e)) in pairs.iter() {
+            if s.len() != e.len() {
+                return Err(format!(
+                    "pair {from}->{to}: {} sends vs {} receives",
+                    s.len(),
+                    e.len()
+                ));
+            }
+            for (i, (sw, rw)) in s.iter().zip(e.iter()).enumerate() {
+                if !classes_match(sw, rw) {
                     return Err(format!(
-                        "pair {from}->{to}: {} sends vs {} receives",
-                        s.len(),
-                        e.len()
+                        "pair {from}->{to} message {i}: send {sw:?} vs recv {rw:?}"
                     ));
-                }
-                for (i, (sw, rw)) in s.iter().zip(e.iter()).enumerate() {
-                    if !classes_match(sw, rw) {
-                        return Err(format!(
-                            "pair {from}->{to} message {i}: send {sw:?} vs recv {rw:?}"
-                        ));
-                    }
                 }
             }
         }

@@ -20,6 +20,7 @@ use std::rc::Rc;
 
 use faultlab::{DegradeWindow, FaultPlan};
 use hwmodel::ClusterSpec;
+use mpsim::multirank::Payload;
 use mpsim::{LibProfile, MultiSession};
 use protosim::multinode::{MultiEngine, MultiNet};
 use simcore::trace::{stages, SharedSink, SpanRec};
@@ -123,8 +124,9 @@ struct RankRun {
     round: usize,
     /// Receives still outstanding in the current round.
     waiting: usize,
-    /// Arrived payloads for the current round, recv-step indexed.
-    arrived: Vec<Option<Vec<u8>>>,
+    /// Arrived payloads for the current round, recv-step indexed: the
+    /// session's own buffers, shared rather than copied.
+    arrived: Vec<Option<Payload>>,
     round_start: SimTime,
     finish: Option<SimTime>,
 }
@@ -160,7 +162,7 @@ impl RecoveryRt {
 const MAX_DEADLINE_REARMS: u32 = 64;
 
 struct Driver {
-    schedule: Schedule,
+    schedule: Rc<Schedule>,
     ctx: ExecCtx,
     sess: MultiSession,
     ranks: Vec<RefCell<RankRun>>,
@@ -229,7 +231,8 @@ impl Driver {
                 }
                 r.life = step(r.life, "drain");
                 r.waiting = round.recvs.len();
-                r.arrived = vec![None; round.recvs.len()];
+                r.arrived.clear();
+                r.arrived.resize(round.recvs.len(), None);
                 (sends, round.recvs.len())
             };
             for (slot, recv) in self.schedule.plans[vrank].rounds[self.ranks[rank].borrow().round]
@@ -266,7 +269,7 @@ impl Driver {
         eng: &mut MultiEngine,
         rank: usize,
         slot: usize,
-        payload: Rc<Vec<u8>>,
+        payload: Payload,
     ) {
         if self.dead(rank) || self.aborted() {
             return;
@@ -285,7 +288,7 @@ impl Driver {
         let done = {
             let mut r = self.ranks[rank].borrow_mut();
             r.life = step(r.life, "recv");
-            r.arrived[slot] = Some(payload.to_vec());
+            r.arrived[slot] = Some(payload);
             r.waiting -= 1;
             r.waiting == 0
         };
@@ -300,11 +303,10 @@ impl Driver {
     fn complete_round(self: &Rc<Self>, eng: &mut MultiEngine, rank: usize) {
         let n = self.schedule.nranks;
         let vrank = virtual_rank(rank, self.ctx.root, n);
-        let mut r = self.ranks[rank].borrow_mut();
+        let r = &mut *self.ranks[rank].borrow_mut();
         let round = &self.schedule.plans[vrank].rounds[r.round];
         let mut bytes = 0u64;
-        let arrived = std::mem::take(&mut r.arrived);
-        for (recv, payload) in round.recvs.iter().zip(arrived) {
+        for (recv, payload) in round.recvs.iter().zip(r.arrived.drain(..)) {
             let payload = payload.expect("round completed with a receive slot empty"); // lint:allow(expect) -- complete_round only runs once waiting hits zero, so every slot is filled
             bytes += payload.len() as u64;
             r.state.apply(&recv.what, &payload, self.ctx.reduction);
@@ -482,9 +484,9 @@ impl FaultSet {
 fn run_epoch(
     spec: &ClusterSpec,
     profile: &LibProfile,
-    schedule: &Schedule,
+    schedule: &Rc<Schedule>,
     ctx: ExecCtx,
-    contributions: &[Vec<u8>],
+    contributions: &[&[u8]],
     trace: &Option<SharedSink>,
     base_us: f64,
     world: Vec<usize>,
@@ -530,14 +532,14 @@ fn run_epoch(
         }
     }
     let driver = Rc::new(Driver {
-        schedule: schedule.clone(),
+        schedule: Rc::clone(schedule),
         ctx,
         sess,
         ranks: (0..m)
             .map(|g| {
                 let vrank = virtual_rank(g, ctx.root, m);
                 RefCell::new(RankRun {
-                    state: RankState::init(schedule.op, m, vrank, &contributions[g]),
+                    state: RankState::init(schedule.op, m, vrank, contributions[g]),
                     life: CollRound::initial(),
                     round: 0,
                     waiting: 0,
@@ -571,11 +573,17 @@ fn run_epoch(
     let events = eng.events_executed();
     let rt = driver.recovery.as_ref();
     let aborted = rt.is_some_and(|rt| rt.aborted.get());
+    debug_assert!(
+        aborted || (0..m).any(|g| driver.dead(g)) || !driver.sess.has_unmatched(),
+        "fault-free {:?} epoch over {m} ranks left unmatched sends or receives",
+        schedule.op
+    );
     let mut finished = Vec::with_capacity(m);
     let mut bcast_hold = Vec::with_capacity(m);
     for g in 0..m {
         let mut r = driver.ranks[g].borrow_mut();
-        bcast_hold.push(if schedule.op == CollOp::Bcast {
+        // Only a replan reads the carry, so a clean epoch copies nothing.
+        bcast_hold.push(if aborted && schedule.op == CollOp::Bcast {
             r.state.bcast_payload().map(<[u8]>::to_vec)
         } else {
             None
@@ -638,14 +646,13 @@ pub fn run_sim(
     let faults = FaultSet::from_options(opts);
     let killed = Rc::new(RefCell::new(vec![false; n]));
     let member = Rc::new(RefCell::new(vec![Membership::initial(); n]));
-    let originals: Vec<Vec<u8>> = contributions.to_vec();
     let mut alive = vec![true; n];
     let mut bcast_hold: Vec<Option<Vec<u8>>> = vec![None; n];
     if schedule.op == CollOp::Bcast {
-        bcast_hold[ctx.root] = Some(originals[ctx.root].clone());
+        bcast_hold[ctx.root] = Some(contributions[ctx.root].clone());
     }
     let mut root_world = ctx.root;
-    let mut cur_schedule = schedule.clone();
+    let mut cur_schedule = Rc::new(schedule.clone());
     let mut cur_world: Vec<usize> = (0..n).collect();
     let mut base_us = 0.0f64;
     let mut events = 0u64;
@@ -666,17 +673,15 @@ pub fn run_sim(
             root: groot,
             reduction: ctx.reduction,
         };
-        let contribs: Vec<Vec<u8>> = cur_world
+        let contribs: Vec<&[u8]> = cur_world
             .iter()
             .map(|&w| {
-                if schedule.op == CollOp::Bcast {
-                    if w == root_world {
-                        bcast_hold[w].clone().unwrap_or_default()
-                    } else {
-                        Vec::new()
-                    }
+                if schedule.op != CollOp::Bcast {
+                    contributions[w].as_slice()
+                } else if w == root_world {
+                    bcast_hold[w].as_deref().unwrap_or_default()
                 } else {
-                    originals[w].clone()
+                    &[]
                 }
             })
             .collect();
@@ -764,18 +769,20 @@ pub fn run_sim(
             // own data (for bcast, the payload it already holds).
             let w = survivors[0];
             let contribution = if schedule.op == CollOp::Bcast {
-                bcast_hold[w].clone().unwrap_or_default()
+                bcast_hold[w].as_deref().unwrap_or_default()
             } else {
-                originals[w].clone()
+                &contributions[w]
             };
             outputs[w] =
-                Some(RankState::init(schedule.op, 1, 0, &contribution).into_output(schedule.op, 0));
+                Some(RankState::init(schedule.op, 1, 0, contribution).into_output(schedule.op, 0));
             finish_secs[w] = Some(us_to_secs(base_us));
             report.retries += 1;
             break;
         }
-        cur_schedule = build(schedule.op, algorithm, m)
-            .expect("replanned schedule builds for the survivor group"); // lint:allow(expect) -- algorithm falls back to auto_algorithm, which plans every group size
+        cur_schedule = Rc::new(
+            build(schedule.op, algorithm, m)
+                .expect("replanned schedule builds for the survivor group"), // lint:allow(expect) -- algorithm falls back to auto_algorithm, which plans every group size
+        );
         cur_world = survivors;
         report.retries += 1;
     }
@@ -796,7 +803,8 @@ pub fn run_sim(
 mod tests {
     use super::*;
     use crate::op::{CollOp, Dtype, ReduceOp};
-    use crate::plan::{build, Algorithm};
+    use crate::plan::{algorithms_for, build, Algorithm};
+    use crate::schedule::SendWhat;
     use crate::state::Reduction;
 
     fn sum_ctx() -> ExecCtx {
@@ -839,6 +847,100 @@ mod tests {
                 assert_eq!(out.unwrap().acc, 21u64.to_le_bytes(), "{alg:?}");
             }
         }
+    }
+
+    #[test]
+    fn every_fault_free_plan_leaves_the_session_drained() {
+        // `run_epoch` debug-asserts the drained session; this sweeps the
+        // whole planner matrix through it.
+        for op in CollOp::all() {
+            for n in [2usize, 5, 16] {
+                for alg in algorithms_for(op, n) {
+                    let s = build(op, alg, n).unwrap();
+                    let report = run_sim(
+                        &hwmodel::presets::pcs_ga620(),
+                        &mpsim::libs::mpich(Default::default()).profile,
+                        &s,
+                        sum_ctx(),
+                        &u64s(n),
+                        &SimOptions::default(),
+                    );
+                    assert!(report.all_completed(), "{op:?} {alg:?} {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unmatched sends or receives")]
+    fn a_send_nobody_receives_fails_the_epoch() {
+        // Rank 0 sends a token rank 1 never posts for: every rank
+        // "finishes", and only the drained-session check can tell.
+        let mut s = build(CollOp::Barrier, Algorithm::Linear, 2).unwrap();
+        s.plans[1].rounds.clear();
+        s.plans[0].rounds.remove(0);
+        run_sim(
+            &hwmodel::presets::pcs_ga620(),
+            &mpsim::libs::mpich(Default::default()).profile,
+            &s,
+            ExecCtx {
+                root: 0,
+                reduction: None,
+            },
+            &vec![Vec::new(); 2],
+            &SimOptions::default(),
+        );
+    }
+
+    #[test]
+    fn arrivals_are_held_by_reference_and_released_once_applied() {
+        // Linear reduce over 3 ranks: the root's only round receives from
+        // both peers, so the first arrival has to wait in `arrived`.
+        let n = 3;
+        let schedule = Rc::new(build(CollOp::Reduce, Algorithm::Linear, n).unwrap());
+        let mut eng = MultiNet::engine(hwmodel::presets::pcs_ga620(), n);
+        let driver = Rc::new(Driver {
+            schedule: Rc::clone(&schedule),
+            ctx: sum_ctx(),
+            sess: MultiSession::new(mpsim::libs::mpich(Default::default()).profile, n),
+            ranks: u64s(n)
+                .iter()
+                .enumerate()
+                .map(|(g, c)| {
+                    RefCell::new(RankRun {
+                        state: RankState::init(schedule.op, n, g, c),
+                        life: CollRound::initial(),
+                        round: 0,
+                        waiting: 0,
+                        arrived: Vec::new(),
+                        round_start: SimTime::ZERO,
+                        finish: None,
+                    })
+                })
+                .collect(),
+            trace: None,
+            world: (0..n).collect(),
+            killed: Rc::new(RefCell::new(vec![false; n])),
+            base: SimDuration::ZERO,
+            recovery: None,
+        });
+        driver.start_round(&mut eng, 0);
+        let first: Payload = Rc::new(5u64.to_le_bytes().to_vec());
+        driver.on_arrival(&mut eng, 0, 0, Rc::clone(&first));
+        {
+            let root = driver.ranks[0].borrow();
+            let held = root.arrived[0].as_ref().expect("the slot is filled");
+            assert!(Rc::ptr_eq(held, &first), "the arrival was copied");
+        }
+        assert_eq!(Rc::strong_count(&first), 2);
+        driver.on_arrival(&mut eng, 0, 1, Rc::new(7u64.to_le_bytes().to_vec()));
+        // The round completed: `complete_round` folded the shared buffer
+        // in (1 + 5 + 7) and let go of it.
+        assert_eq!(Rc::strong_count(&first), 1);
+        let root = driver.ranks[0].borrow();
+        assert_eq!(root.round, 1);
+        assert_eq!(root.state.payload(&SendWhat::Acc), 13u64.to_le_bytes());
     }
 
     #[test]

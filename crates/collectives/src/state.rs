@@ -101,7 +101,8 @@ impl RankState {
                 combine_bytes(r.dtype, r.op, &mut self.acc, bytes);
             }
             RecvWhat::ReplaceAcc => {
-                self.acc = bytes.to_vec();
+                self.acc.clear();
+                self.acc.extend_from_slice(bytes);
             }
             RecvWhat::Blocks(idxs) => {
                 if let [only] = idxs.as_slice() {

@@ -11,7 +11,7 @@
 //! the eager→rendezvous handshake — charged on the endpoint CPUs.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use faultlab::DegradeWindow;
@@ -27,6 +27,49 @@ pub type Payload = Rc<Vec<u8>>;
 /// Completion callback for a posted receive.
 pub type RecvContinuation = Box<dyn FnOnce(&mut MultiEngine, Payload)>;
 
+/// Per-ordered-pair state of an N-rank world, allocated on first use:
+/// a collective touches O(log n) peers per rank, so a dense n-by-n
+/// table is nearly all empty slots and at 1024 ranks costs more to
+/// build than the run it serves. `new` is O(n).
+pub struct PairTable<Q> {
+    /// Indexed by receiver; keyed by sender.
+    by_receiver: Vec<BTreeMap<u32, Q>>,
+}
+
+impl<Q: Default> PairTable<Q> {
+    /// An empty table for `n` ranks.
+    pub fn new(n: usize) -> PairTable<Q> {
+        PairTable {
+            by_receiver: (0..n).map(|_| BTreeMap::new()).collect(),
+        }
+    }
+
+    /// The state of pair `from → to`, created empty on first use.
+    /// Panics if either rank is outside the world.
+    pub fn pair(&mut self, from: usize, to: usize) -> &mut Q {
+        let n = self.by_receiver.len();
+        assert!(
+            from < n && to < n,
+            "rank pair {from} -> {to} is outside the {n}-rank world"
+        );
+        self.by_receiver[to].entry(from as u32).or_default()
+    }
+
+    /// Every pair touched so far as `((from, to), state)`, in
+    /// (receiver, sender) order.
+    pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), &Q)> {
+        self.by_receiver
+            .iter()
+            .enumerate()
+            .flat_map(|(to, senders)| {
+                senders
+                    .iter()
+                    .map(move |(&from, q)| ((from as usize, to), q))
+            })
+    }
+}
+
+#[derive(Default)]
 struct PairQueues {
     /// Arrived-but-unclaimed messages, FIFO.
     arrived: VecDeque<(i32, Payload)>,
@@ -37,8 +80,7 @@ struct PairQueues {
 struct Inner {
     profile: LibProfile,
     n: usize,
-    /// Indexed `from * n + to`.
-    pairs: RefCell<Vec<PairQueues>>,
+    pairs: RefCell<PairTable<PairQueues>>,
     /// Extra per-send CPU microseconds per rank (degradation studies).
     extra_send_us: RefCell<Vec<f64>>,
     /// Timed degradation windows from a fault plan: sends issued while
@@ -60,14 +102,7 @@ impl MultiSession {
             inner: Rc::new(Inner {
                 profile,
                 n,
-                pairs: RefCell::new(
-                    (0..n * n)
-                        .map(|_| PairQueues {
-                            arrived: VecDeque::new(),
-                            posted: VecDeque::new(),
-                        })
-                        .collect(),
-                ),
+                pairs: RefCell::new(PairTable::new(n)),
                 extra_send_us: RefCell::new(vec![0.0; n]),
                 degrade: RefCell::new(Vec::new()),
             }),
@@ -112,7 +147,11 @@ impl MultiSession {
     /// arrival, after which the payload matches a posted receive.
     // analyze: hot
     pub fn send(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
-        assert!(from != to, "collective schedules never self-send");
+        let n = self.inner.n;
+        assert!(
+            from != to && from < n && to < n,
+            "send {from} -> {to}: never to self, never outside the {n}-rank world"
+        );
         let bytes = payload.len() as u64;
         let p = &self.inner.profile;
         let memcpy = eng.world.spec.host.cpu.memcpy_bps;
@@ -132,7 +171,6 @@ impl MultiSession {
         let ctrl = p.ctrl_bytes.max(1);
         eng.schedule_at(ready, move |e| {
             if needs_handshake {
-                let this2 = this.clone();
                 // RTS to the receiver, CTS back, then the payload.
                 multinode::send(
                     e,
@@ -140,13 +178,12 @@ impl MultiSession {
                     to,
                     ctrl,
                     Box::new(move |e| {
-                        let this3 = this2.clone();
                         multinode::send(
                             e,
                             to,
                             from,
                             ctrl,
-                            Box::new(move |e| this3.send_data(e, from, to, tag, payload)),
+                            Box::new(move |e| this.send_data(e, from, to, tag, payload)),
                         );
                     }),
                 );
@@ -175,17 +212,15 @@ impl MultiSession {
                     + SimDuration::for_bytes(bytes, p.byte_check_bps);
                 let now = e.now();
                 let done = e.world.nodes[to].cpu.serve_for(now, recv_work, bytes);
-                let this2 = this.clone();
-                e.schedule_at(done, move |e| this2.deliver(e, from, to, tag, payload));
+                e.schedule_at(done, move |e| this.deliver(e, from, to, tag, payload));
             }),
         );
     }
 
     // analyze: hot
     fn deliver(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
-        let n = self.inner.n;
         let mut pairs = self.inner.pairs.borrow_mut();
-        let q = &mut pairs[from * n + to];
+        let q = pairs.pair(from, to);
         if let Some((want, k)) = q.posted.pop_front() {
             assert_eq!(
                 want, tag,
@@ -211,9 +246,8 @@ impl MultiSession {
         tag: i32,
         k: RecvContinuation,
     ) {
-        let n = self.inner.n;
         let mut pairs = self.inner.pairs.borrow_mut();
-        let q = &mut pairs[from * n + to];
+        let q = pairs.pair(from, to);
         if let Some((got, payload)) = q.arrived.pop_front() {
             assert_eq!(
                 got, tag,
@@ -234,7 +268,7 @@ impl MultiSession {
             .pairs
             .borrow()
             .iter()
-            .any(|q| !q.arrived.is_empty() || !q.posted.is_empty())
+            .any(|(_, q)| !q.arrived.is_empty() || !q.posted.is_empty())
     }
 }
 
@@ -305,6 +339,38 @@ mod tests {
         eng.run();
         assert_eq!(*got.borrow(), vec![0, 1, 2, 3]);
         assert!(!sess.has_unmatched());
+    }
+
+    #[test]
+    #[should_panic(expected = "rank pair 0 -> 3 is outside the 3-rank world")]
+    fn post_recv_rejects_a_rank_outside_the_world() {
+        // With dense `from * n + to` indexing this silently aliased the
+        // queues of pair 1 -> 0.
+        let mut eng = engine(3);
+        let sess = MultiSession::new(crate::libs::mpich(Default::default()).profile, 3);
+        sess.post_recv(&mut eng, 3, 0, 7, Box::new(|_, _| {}));
+    }
+
+    #[test]
+    #[should_panic(expected = "send 3 -> 0: never to self, never outside the 3-rank world")]
+    fn send_rejects_a_rank_outside_the_world() {
+        let mut eng = engine(3);
+        let sess = MultiSession::new(crate::libs::mpich(Default::default()).profile, 3);
+        sess.send(&mut eng, 3, 0, 7, Rc::new(Vec::new()));
+    }
+
+    #[test]
+    fn pair_state_is_allocated_on_first_use_only() {
+        let mut table: PairTable<Vec<u8>> = PairTable::new(1 << 16);
+        assert_eq!(table.iter().count(), 0);
+        table.pair(65_535, 0).push(1);
+        table.pair(2, 65_535).push(2);
+        table.pair(65_535, 0).push(3);
+        let touched: Vec<_> = table.iter().collect();
+        assert_eq!(
+            touched,
+            [((65_535, 0), &vec![1, 3]), ((2, 65_535), &vec![2])]
+        );
     }
 
     #[test]

@@ -1,0 +1,146 @@
+//! The N-rank world pays per message, not per rank pair.
+//!
+//! `MultiSession` and `run_local` keep their per-pair queues in a
+//! sparse table (`mpsim::multirank::PairTable`), so building a world is
+//! O(ranks) and a pair costs memory only once a message uses it. These
+//! witnesses would need gigabytes with a dense `n * n` table; they also
+//! pin what the table must not change: per-pair FIFO matching and
+//! byte-identical results across executors.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use collectives::{
+    build, run_local, run_sim, Algorithm, CollOp, Dtype, ExecCtx, ReduceOp, Reduction, SimOptions,
+};
+use hwmodel::presets::pcs_ga620;
+use mpsim::libs::{mpich, MpichConfig};
+use mpsim::MultiSession;
+use protosim::multinode::MultiNet;
+use simcore::{SimDuration, SimRng};
+
+/// Per `(from, to)` pair, the sequence numbers in the order received.
+type PairLog = BTreeMap<(usize, usize), Vec<u64>>;
+
+#[test]
+fn a_65536_rank_session_builds_empty() {
+    // Dense, this is 2^32 pair slots of 64 bytes: 256 GiB.
+    let sess = MultiSession::new(mpich(MpichConfig::tuned()).profile, 1 << 16);
+    assert_eq!(sess.nranks(), 1 << 16);
+    assert!(!sess.has_unmatched());
+}
+
+#[test]
+fn tree_allreduce_over_4096_ranks_agrees_between_sim_and_local() {
+    const N: usize = 4096;
+    let schedule = build(CollOp::Allreduce, Algorithm::Tree, N).expect("plan");
+    let ctx = ExecCtx {
+        root: 0,
+        reduction: Some(Reduction {
+            dtype: Dtype::U64,
+            op: ReduceOp::Sum,
+        }),
+    };
+    let contributions: Vec<Vec<u8>> = (0..N as u64)
+        .map(|r| {
+            (0..4u64)
+                .flat_map(|i| (r.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i).to_le_bytes())
+                .collect()
+        })
+        .collect();
+    let local = run_local(&schedule, ctx, &contributions);
+    let report = run_sim(
+        &pcs_ga620(),
+        &mpich(MpichConfig::tuned()).profile,
+        &schedule,
+        ctx,
+        &contributions,
+        &SimOptions::default(),
+    );
+    assert!(report.all_completed());
+    assert_eq!(local.len(), N);
+    for (rank, (sim, local)) in report.outputs.iter().zip(&local).enumerate() {
+        assert_eq!(sim.as_ref(), Some(local), "rank {rank}");
+    }
+}
+
+/// Sends and posts over random pairs, in a seeded random interleaving
+/// and spread over simulated time so that they race deliveries: every
+/// pair must hand its messages over in send order, nothing may cross
+/// pairs, and the session must end drained.
+#[test]
+fn interleaved_sends_and_posts_keep_per_pair_fifo_and_drain() {
+    const N: usize = 24;
+    const MSGS: usize = 1500;
+    for seed in [1u64, 7, 42] {
+        let mut rng = SimRng::new(seed);
+        // One send and one post per message, shuffled together.
+        let mut ops: Vec<(bool, usize, usize)> = Vec::with_capacity(2 * MSGS);
+        for _ in 0..MSGS {
+            let from = rng.next_below(N as u64) as usize;
+            let to = (from + 1 + rng.next_below(N as u64 - 1) as usize) % N;
+            ops.push((true, from, to));
+            ops.push((false, from, to));
+        }
+        for i in (1..ops.len()).rev() {
+            ops.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+
+        let mut eng = MultiNet::engine(pcs_ga620(), N);
+        let sess = MultiSession::new(mpich(MpichConfig::tuned()).profile, N);
+        let got: Rc<RefCell<PairLog>> = Rc::default();
+        let mut sent: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        // Same-instant events run in insertion order, so the ops execute
+        // in list order and per-pair sequence numbers can be dealt here.
+        let mut at = SimDuration::ZERO;
+        for (is_send, from, to) in ops {
+            if rng.next_below(2) == 0 {
+                at += SimDuration::from_micros_f64(rng.uniform(0.0, 30.0));
+            }
+            let sess = sess.clone();
+            if is_send {
+                let seq = sent.entry((from, to)).or_default();
+                let mut body = vec![0u8; 24 + rng.next_below(40) as usize];
+                for (field, v) in body.chunks_exact_mut(8).zip([from as u64, to as u64, *seq]) {
+                    field.copy_from_slice(&v.to_le_bytes());
+                }
+                *seq += 1;
+                eng.schedule_in(at, move |e| sess.send(e, from, to, 0, Rc::new(body)));
+            } else {
+                let got = Rc::clone(&got);
+                eng.schedule_in(at, move |e| {
+                    sess.post_recv(
+                        e,
+                        to,
+                        from,
+                        0,
+                        Box::new(move |_, p| {
+                            let field = |i: usize| {
+                                u64::from_le_bytes(p[8 * i..8 * i + 8].try_into().unwrap())
+                            };
+                            assert_eq!((field(0), field(1)), (from as u64, to as u64));
+                            got.borrow_mut()
+                                .entry((from, to))
+                                .or_default()
+                                .push(field(2));
+                        }),
+                    );
+                });
+            }
+        }
+        eng.run();
+
+        assert!(!sess.has_unmatched(), "seed {seed}");
+        let got = got.borrow();
+        assert_eq!(
+            got.values().map(Vec::len).sum::<usize>(),
+            MSGS,
+            "seed {seed}"
+        );
+        for (pair, seqs) in got.iter() {
+            let in_order: Vec<u64> = (0..sent[pair]).collect();
+            assert_eq!(seqs, &in_order, "seed {seed}, pair {pair:?}");
+        }
+    }
+}
