@@ -42,7 +42,6 @@ pub mod lifecycle;
 pub mod message;
 pub mod sync;
 pub mod trace;
-pub mod typed;
 pub mod universe;
 
 pub use crate::collectives::{Algorithm, ReduceElem, ReduceOp};
@@ -52,5 +51,4 @@ pub use error::{MpError, Result};
 pub use frame::{FrameDecodeState, FrameDecoder, FrameError};
 pub use lifecycle::ConnLifeState;
 pub use message::{ANY_SOURCE, ANY_TAG};
-pub use typed::{wait_all_recvs, wait_all_sends, wait_any_recv};
 pub use universe::Universe;

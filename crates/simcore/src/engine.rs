@@ -128,7 +128,7 @@ impl<W> Engine<W> {
         self.queue.push(Scheduled {
             time,
             seq,
-            // analyze: allow(hot-alloc) -- one boxed closure per event is the current storage model; slab-allocated event records are ROADMAP item 1
+            // lint:allow(hot-cost) -- one boxed closure per event is the current storage model; slab-allocated event records are ROADMAP item 1
             f: Box::new(f),
         });
     }

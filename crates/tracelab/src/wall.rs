@@ -6,7 +6,7 @@
 //! `mplite`'s writer/reader threads can record concurrently.
 //!
 //! This module is the *only* place in the workspace where trace records
-//! may be stamped from the wall clock — the `xtask lint` `trace-hygiene`
+//! may be stamped from the wall clock — the `xtask analyze` `trace-hygiene`
 //! rule rejects use of this API from simulation crates, which must stamp
 //! records with `SimTime` via [`crate::Tracer`] instead.
 

@@ -1,5 +1,5 @@
-// A well-formed hot-alloc allow marker whose allocation has since
-// been removed: stale, and must be reported under marker-hygiene.
+// A well-formed hot-cost allow whose allocation has since been
+// removed: stale, and must be reported like any other stale allow.
 
 // analyze: hot
 pub fn entry() {
@@ -7,7 +7,7 @@ pub fn entry() {
 }
 
 fn work() {
-    // analyze: allow(hot-alloc) -- covers an allocation that no longer exists
+    // lint:allow(hot-cost) -- covers an allocation that no longer exists
     let n = 1;
     let _ = n;
 }

@@ -1,7 +1,8 @@
-//! The workspace analyze pass: everything `lint` checks, plus the
-//! cross-file passes (lock-order, units hygiene, nondeterminism
+//! The workspace analyze pass: the per-file rules, the manifest check,
+//! and the cross-file passes (lock-order, units hygiene, nondeterminism
 //! dataflow, protocol conformance, hot-path cost, guarded-field
-//! consistency), with a machine-readable JSON report for CI.
+//! consistency) under one annotation grammar and one burn-down budget,
+//! with a machine-readable JSON report for CI.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -9,16 +10,19 @@ use std::path::Path;
 
 use crate::budget::Budget;
 use crate::diag::Diagnostic;
+use crate::flow::Flow;
 use crate::hotpath::hotpath_findings;
-use crate::lint::{has_workspace_lints, BUDGET_FILE};
 use crate::locks::lock_findings;
 use crate::model::WorkspaceModel;
 use crate::nondet::nondet_findings;
 use crate::protocol::{protocol_findings, protocol_inventory};
 use crate::races::race_findings;
-use crate::rules::{file_findings, resolve, RawFinding, ANALYZE_BUDGETED_RULES, RULES};
+use crate::rules::{file_findings, resolve, RawFinding, RULES};
 use crate::units::units_findings;
 use crate::walk::{collect_files, rel_str};
+
+/// Name of the burn-down budget file at the workspace root.
+pub const BUDGET_FILE: &str = "lint-budget.toml";
 
 /// Result of analyzing a workspace.
 #[derive(Debug, Default)]
@@ -76,7 +80,8 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeOutcome, String> {
         }
     }
 
-    // Budget: read, enforce, ratchet — over the analyze rule set.
+    // Budget: read, enforce, ratchet. Over budget: every un-annotated
+    // violation in that (crate, rule) is reported, plus a summary line.
     let budget_text = fs::read_to_string(root.join(BUDGET_FILE)).unwrap_or_default();
     let budget = Budget::parse(&budget_text).map_err(|e| format!("{BUDGET_FILE}: {e}"))?;
     for ((krate, rule), &count) in &out.budget_counts {
@@ -136,18 +141,16 @@ fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic
     };
     let mut budgeted: Vec<(String, Diagnostic)> = Vec::new();
 
-    // Cross-file passes first, findings keyed per file.
+    // Cross-file passes first, findings keyed per file. The three body
+    // passes share one walk and one call graph.
+    let flow = Flow::build(w);
     let mut per_file: Vec<Vec<RawFinding>> = w.files.iter().map(|_| Vec::new()).collect();
-    for (fi, finding) in lock_findings(w) {
-        per_file[fi].push(finding);
-    }
-    for (fi, finding) in protocol_findings(w) {
-        per_file[fi].push(finding);
-    }
-    for (fi, finding) in hotpath_findings(w) {
-        per_file[fi].push(finding);
-    }
-    for (fi, finding) in race_findings(w) {
+    let cross_file = lock_findings(w, &flow)
+        .into_iter()
+        .chain(protocol_findings(w))
+        .chain(hotpath_findings(w, &flow))
+        .chain(race_findings(w, &flow));
+    for (fi, finding) in cross_file {
         per_file[fi].push(finding);
     }
 
@@ -157,8 +160,7 @@ fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic
         findings.extend(nondet_findings(&wf.model, &wf.ctx));
         findings.append(&mut per_file[fi]);
 
-        // Analyze resolves *every* annotation: none are stale-exempt.
-        let report = resolve(&wf.model, findings, ANALYZE_BUDGETED_RULES, &[]);
+        let report = resolve(&wf.model, findings);
         out.diagnostics.extend(report.diagnostics);
         for d in report.budgeted {
             *out.budget_counts
@@ -170,7 +172,21 @@ fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic
     (out, budgeted)
 }
 
-/// Write a fresh budget file matching the live analyze counts.
+/// Does a manifest declare `[lints]` with `workspace = true`?
+fn has_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for raw in manifest.lines() {
+        let line = raw.trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
+}
+
+/// Write a fresh budget file matching the live counts.
 pub fn write_budget(root: &Path, outcome: &AnalyzeOutcome) -> Result<(), String> {
     let text = Budget::render(&outcome.budget_counts);
     fs::write(root.join(BUDGET_FILE), text).map_err(|e| format!("writing {BUDGET_FILE}: {e}"))
@@ -260,6 +276,15 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn manifest_lints_detection() {
+        assert!(has_workspace_lints(
+            "[package]\nname=\"x\"\n[lints]\nworkspace = true\n"
+        ));
+        assert!(!has_workspace_lints("[package]\nname=\"x\"\n"));
+        assert!(!has_workspace_lints("[lints.rust]\nworkspace = true\n"));
+    }
 
     #[test]
     fn report_renders_valid_shape() {

@@ -1,7 +1,8 @@
 //! The burn-down budget file (`lint-budget.toml`).
 //!
-//! Budget entries cap the number of *un-annotated* panic-hygiene
-//! violations per `(crate, rule)`. The linter enforces a ratchet: a
+//! Budget entries cap the number of *un-annotated* findings of the
+//! budgeted rules (`rules::BUDGETED_RULES`: panic hygiene, `units`,
+//! `hot-cost`) per `(crate, rule)`. The analyzer enforces a ratchet: a
 //! count above its budget is a violation, and a count *below* its
 //! budget is also an error telling you to lower the number — so the
 //! checked-in budget can only go down over time.
@@ -10,7 +11,7 @@
 //! `"crate/rule" = N` pairs):
 //!
 //! ```toml
-//! # xtask lint burn-down budget
+//! # xtask analyze burn-down budget
 //! "netpipe/unwrap" = 12
 //! "protosim/expect" = 0
 //! ```
@@ -25,7 +26,7 @@ pub struct Budget {
 
 impl Budget {
     /// Parse the budget file text. Unknown or malformed lines are
-    /// errors — the budget is part of the lint gate.
+    /// errors — the budget is part of the gate.
     pub fn parse(text: &str) -> Result<Budget, String> {
         let mut entries = BTreeMap::new();
         for (i, raw) in text.lines().enumerate() {
@@ -72,10 +73,10 @@ impl Budget {
     /// Render counts as a fresh budget file.
     pub fn render(counts: &BTreeMap<(String, String), usize>) -> String {
         let mut out = String::from(
-            "# xtask lint burn-down budget: un-annotated panic-hygiene violations\n\
-             # per crate/rule. The linter fails if a count rises above its entry\n\
-             # AND if it falls below (ratchet) — lower the number as you clean up.\n\
-             # Regenerate with: cargo run -p xtask -- lint --write-budget\n",
+            "# xtask analyze burn-down budget: un-annotated findings of the budgeted\n\
+             # rules per crate/rule. The analyzer fails if a count rises above its\n\
+             # entry AND if it falls below (ratchet) — lower the number as you clean up.\n\
+             # Regenerate with: cargo run -p xtask -- analyze --write-budget\n",
         );
         for ((krate, rule), n) in counts {
             if *n > 0 {

@@ -4,51 +4,50 @@
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
         "wall-clock" => {
-            "wall-clock (lint, determinism family)\n\
+            "wall-clock (determinism family)\n\
              scope: library code of sim crates\n\n\
              Reading std::time::Instant or SystemTime makes a simulated result\n\
              depend on the host's clock, so two runs of the same scenario stop\n\
              being bit-identical. Use the simulated clock (Engine::now) instead.\n\
-             Real-mode crates are governed by the analyze-only rule\n\
-             nondet-wall-clock."
+             Real-mode crates are governed by nondet-wall-clock."
         }
         "sleep" => {
-            "sleep (lint, determinism family)\n\
+            "sleep (determinism family)\n\
              scope: library code of sim crates\n\n\
              thread::sleep stalls the host thread, not simulated time. Schedule\n\
              an event at `now + delta` on the engine instead."
         }
         "ambient-rng" => {
-            "ambient-rng (lint, determinism family)\n\
+            "ambient-rng (determinism family)\n\
              scope: library code of sim crates\n\n\
              thread_rng / rand::random / from_entropy seed from the OS, so runs\n\
              are not reproducible. Route all randomness through SimRng, which is\n\
              seeded explicitly by the scenario."
         }
         "hash-container" => {
-            "hash-container (lint, determinism family)\n\
+            "hash-container (determinism family)\n\
              scope: library code of sim crates\n\n\
              HashMap/HashSet iteration order varies run to run (SipHash keys are\n\
              randomized). Use BTreeMap/BTreeSet, or sort before iterating. In\n\
-             non-sim crates the weaker analyze-only rule nondet-hash-iter flags\n\
-             only the iteration, not the type."
+             non-sim crates the weaker rule nondet-hash-iter flags only the\n\
+             iteration, not the type."
         }
         "trace-hygiene" => {
-            "trace-hygiene (lint, determinism family)\n\
+            "trace-hygiene (determinism family)\n\
              scope: library code of sim crates except tracelab\n\n\
              Sim crates must stamp trace records with SimTime via\n\
              tracelab::Tracer. The wall-clock tracing API (WallTracer, WallStamp,\n\
              span_wall, instant_wall, now_wall) is for real runs only."
         }
         "blocking-hygiene" => {
-            "blocking-hygiene (lint)\n\
+            "blocking-hygiene (real-mode hygiene)\n\
              scope: library code of real-mode crates (faultlab, mplite, netpipe)\n\n\
              A deadline-free read_exact/write_all/accept hangs the whole sweep\n\
              when a peer dies. Use the bounded faultlab::io wrappers\n\
              (read_exact_deadline, write_all_deadline, accept_deadline)."
         }
         "unwrap" | "expect" | "panic" => {
-            "unwrap / expect / panic (lint, panic-hygiene family; budgeted)\n\
+            "unwrap / expect / panic (panic-hygiene family; budgeted)\n\
              scope: library code of library crates\n\n\
              Library code must propagate errors, not abort the process: a panic\n\
              inside mplite tears down a rank mid-collective. Counts are governed\n\
@@ -56,44 +55,44 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              few deliberate sites: // lint:allow(panic) -- <reason>."
         }
         "print" => {
-            "print (lint)\n\
+            "print (workspace-hygiene family)\n\
              scope: library code, except reporting crates (bench, xtask)\n\n\
              Libraries return strings or take a writer; only binaries and the\n\
              reporting crates print."
         }
         "dbg" => {
-            "dbg (lint)\n\
+            "dbg (workspace-hygiene family)\n\
              scope: all non-test code\n\n\
              dbg! is a debugging leftover; remove it before committing."
         }
         "lints-table" => {
-            "lints-table (lint)\n\
+            "lints-table (workspace-hygiene family)\n\
              scope: every crate manifest\n\n\
              Each [package] manifest must declare `[lints] workspace = true` so\n\
              rustc/clippy lint policy is set once, at the workspace root."
         }
         "bad-allow" => {
-            "bad-allow (lint)\n\n\
+            "bad-allow (annotation grammar)\n\n\
              An annotation must carry a reason:\n\
              // lint:allow(<rule>) -- <reason>\n\
              The reason is the reviewable artifact; an allow without one is\n\
              rejected."
         }
         "stale-allow" => {
-            "stale-allow (lint)\n\n\
+            "stale-allow (annotation grammar)\n\n\
              A lint:allow annotation whose violation no longer exists on that\n\
              line (or the line below) must be removed, or it will silently mask\n\
              a future regression."
         }
         "budget" => {
-            "budget (lint)\n\n\
-             lint-budget.toml caps un-annotated unwrap/expect/panic (and, under\n\
-             analyze, units) counts per crate/rule. Counts above an entry fail;\n\
+            "budget (burn-down ratchet)\n\n\
+             lint-budget.toml caps un-annotated unwrap/expect/panic, units and\n\
+             hot-cost counts per crate/rule. Counts above an entry fail;\n\
              counts below fail too (ratchet) so the entry is lowered as debt is\n\
              paid. Regenerate with --write-budget."
         }
         "lock-order" => {
-            "lock-order (analyze, cross-file)\n\
+            "lock-order (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              The analyzer collects every `.lock()` site, tracks held guards\n\
              through function bodies (scope ends, drop(), statement-end for\n\
@@ -106,7 +105,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              name qualified by crate — `self.state.lock()` is `mplite::state`."
         }
         "lock-across-blocking" => {
-            "lock-across-blocking (analyze, cross-file)\n\
+            "lock-across-blocking (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              Holding a mutex guard across wait / read_exact_deadline /\n\
              write_all_deadline / accept_deadline stalls every thread contending\n\
@@ -116,7 +115,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              into the wait — is recognized and exempt."
         }
         "units" => {
-            "units (analyze; budgeted)\n\
+            "units (units hygiene; budgeted)\n\
              scope: library code outside simcore::{time,units}\n\n\
              Two shapes are flagged: (1) a magic conversion constant (1e6, 8.0,\n\
              125_000.0, 1_000_000, ...) directly multiplied or divided —\n\
@@ -127,7 +126,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              use SimDuration::for_bytes / units::bytes_at_rate instead."
         }
         "nondet-wall-clock" => {
-            "nondet-wall-clock (analyze)\n\
+            "nondet-wall-clock (nondeterminism dataflow)\n\
              scope: library code of real-mode crates, minus the clock owners\n\
              (netpipe::real_tcp, netpipe::mplite_driver, faultlab::io)\n\n\
              Real-mode code outside the driver/deadline layer must take\n\
@@ -135,14 +134,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              replay and fault sweeps stay reproducible."
         }
         "nondet-hash-iter" => {
-            "nondet-hash-iter (analyze)\n\
+            "nondet-hash-iter (nondeterminism dataflow)\n\
              scope: library code of non-sim crates\n\n\
              Iterating a HashMap/HashSet binding leaks SipHash ordering into\n\
              results and reports. Keyed access is fine; iteration needs\n\
              BTreeMap/BTreeSet or an explicit sort."
         }
         "nondet-float-reduction" => {
-            "nondet-float-reduction (analyze)\n\
+            "nondet-float-reduction (nondeterminism dataflow)\n\
              scope: library code of sim crates\n\n\
              Float addition is not associative: `.sum()` / `.fold(..)` over f64\n\
              makes accumulation order part of the result. Use\n\
@@ -151,7 +150,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (f64::max / f64::min) are exempt."
         }
         "protocol-transition" => {
-            "protocol-transition (analyze, cross-file)\n\
+            "protocol-transition (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              A match arm over a protocol's runtime enum (declared via\n\
              protospec::protocol!) names a next state the spec does not\n\
@@ -162,7 +161,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              spec — or fix the arm."
         }
         "protocol-undeclared" => {
-            "protocol-undeclared (analyze, cross-file)\n\
+            "protocol-undeclared (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              A state name that does not exist in the protocol! table: a\n\
              transition endpoint or terminal in the spec itself, or an\n\
@@ -171,7 +170,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              initial(), step()) never match."
         }
         "protocol-unreachable" => {
-            "protocol-unreachable (analyze, spec-level)\n\
+            "protocol-unreachable (spec-level)\n\
              scope: every protocol! invocation\n\n\
              A declared state with no transition path from the initial state\n\
              (the first declared state) is dead weight: the typestate API can\n\
@@ -179,7 +178,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              the missing transitions."
         }
         "protocol-terminal" => {
-            "protocol-terminal (analyze, spec-level)\n\
+            "protocol-terminal (spec-level)\n\
              scope: every protocol! invocation\n\n\
              Terminal states are where a machine may rest (quiescence —\n\
              outgoing transitions are allowed, e.g. a rendezvous sender's\n\
@@ -188,7 +187,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              machine can still move but can never finish."
         }
         "protocol-duality" => {
-            "protocol-duality (analyze, cross-file)\n\
+            "protocol-duality (cross-file)\n\
              scope: every protocol! invocation declaring a dual\n\n\
              Dual roles must mirror message sets exactly: every event one\n\
              side sends (ev!) the other receives (ev?) and vice versa;\n\
@@ -198,7 +197,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              — the check is cross-file."
         }
         "hot-cost" => {
-            "hot-cost (analyze, cross-file; budgeted)\n\
+            "hot-cost (cross-file; budgeted)\n\
              scope: library code, workspace-wide (markers seeded in the sim\n\
              dispatch, wire, matching, framing, and collective-executor crates)\n\n\
              Functions marked `// analyze: hot` are per-message / per-event\n\
@@ -207,13 +206,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              String::from, .to_vec(), .clone() on non-Copy receivers), lock\n\
              acquisitions, and blocking primitives — and propagates the\n\
              summaries over same-crate calls, reporting each cost site\n\
-             reachable from a hot entry with its full call chain. Counts are\n\
-             governed by the hot-cost sections of lint-budget.toml (ratchet:\n\
-             they only go down). A deliberate site is annotated in place:\n\
-             // analyze: allow(hot-alloc) -- <reason>."
+             reachable from a hot entry with its full call chain. Calls resolve\n\
+             by shape: Type::f( exactly, .m( to methods named m, f( and\n\
+             module::f( to free functions only. Counts are governed by the\n\
+             hot-cost sections of lint-budget.toml (ratchet: they only go\n\
+             down). A deliberate site is annotated in place:\n\
+             // lint:allow(hot-cost) -- <reason>."
         }
         "race-guarded-field" => {
-            "race-guarded-field (analyze, cross-file)\n\
+            "race-guarded-field (cross-file)\n\
              scope: library code, workspace-wide\n\n\
              A struct field accessed both under a mutex guard and bare, from\n\
              code reachable from a thread root (thread::spawn, thread::scope,\n\
@@ -228,14 +229,12 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              // lint:allow(race-guarded-field) -- <reason>."
         }
         "marker-hygiene" => {
-            "marker-hygiene (analyze)\n\
+            "marker-hygiene (marker grammar)\n\
              scope: library code, workspace-wide\n\n\
-             The `analyze:` marker grammar is itself checked, so markers\n\
-             cannot silently rot: a hot marker must attach to a function (the\n\
-             `fn` line or within five lines below), an allow marker must name\n\
-             a known rule (`hot-alloc`) and carry a `-- <reason>` tail, and an\n\
-             allow with no matching finding on its line (or the next) is\n\
-             stale and must be removed."
+             The one marker, `// analyze: hot`, is itself checked so it cannot\n\
+             silently rot: it must attach to a library function (the `fn` line\n\
+             or within five lines below). Suppressions are not markers — they\n\
+             use the ordinary lint:allow grammar and its stale/bad-allow checks."
         }
         _ => return None,
     })
@@ -272,7 +271,7 @@ pub fn summary(rule: &str) -> &'static str {
         "protocol-duality" => "dual protocols' send/receive message sets do not mirror",
         "hot-cost" => "allocation/lock/blocking site reachable from a hot entry (budgeted)",
         "race-guarded-field" => "field accessed both under a guard and bare on threaded paths",
-        "marker-hygiene" => "malformed, unattached, or stale `analyze:` marker",
+        "marker-hygiene" => "`analyze: hot` marker attached to no library function",
         _ => "",
     }
 }

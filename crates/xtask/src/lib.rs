@@ -1,26 +1,28 @@
 //! Workspace-native static analysis for the CLUSTER 2002 reproduction.
 //!
-//! Two passes share one engine:
+//! One command, `cargo run -p xtask -- analyze`, runs one pipeline:
 //!
-//! * `cargo run -p xtask -- lint` enforces the repo's two load-bearing
-//!   invariants mechanically — **sim determinism** (sim crates must not
-//!   read wall clocks, sleep, use ambient RNGs, or iterate hash
-//!   containers; the discrete-event results are only meaningful because
-//!   runs are exactly reproducible) and **panic hygiene** (`mplite` and
-//!   friends are real libraries, so `unwrap`/`expect`/`panic!` in
-//!   library code is burned down via a checked-in ratcheting budget);
-//! * `cargo run -p xtask -- analyze` runs everything lint runs *plus*
-//!   the cross-file passes: lock-order deadlock detection, units
-//!   hygiene, nondeterminism dataflow, protocol conformance
-//!   (declared `protospec::protocol!` tables vs. the match arms that
-//!   step them), hot-path cost analysis ([`hotpath`], marker-declared
+//! * the per-file rules enforce the repo's two load-bearing invariants
+//!   mechanically — **sim determinism** (sim crates must not read wall
+//!   clocks, sleep, use ambient RNGs, or iterate hash containers; the
+//!   discrete-event results are only meaningful because runs are
+//!   exactly reproducible) and **panic hygiene** (`mplite` and friends
+//!   are real libraries, so `unwrap`/`expect`/`panic!` in library code
+//!   is burned down via a checked-in ratcheting budget);
+//! * the cross-file passes add units hygiene, nondeterminism dataflow,
+//!   protocol conformance (declared `protospec::protocol!` tables vs.
+//!   the match arms that step them), and — over one shared body walk
+//!   and call graph ([`flow`]) — lock-order deadlock detection
+//!   ([`locks`]), hot-path cost analysis ([`hotpath`], marker-declared
 //!   hot entries with interprocedural allocation/lock/blocking
-//!   inventories), and guarded-field consistency ([`races`]). It can
-//!   emit a JSON report
-//!   (`--report OUT.json`) for CI and documents every rule via
-//!   `--explain RULE`.
+//!   inventories), and guarded-field consistency ([`races`]).
 //!
-//! Both are built on an in-tree lexer ([`lex`]) feeding a token-stream
+//! Every finding flows through one annotation grammar and one budget
+//! ([`rules::resolve`]). The command can emit a JSON report
+//! (`--report OUT.json`) for CI and documents every rule via
+//! `--explain RULE`.
+//!
+//! It is built on an in-tree lexer ([`lex`]) feeding a token-stream
 //! file model ([`model`]) — no syn, no regex, no external dependencies
 //! — so the tool builds instantly and works offline. String and char
 //! literals are blanked and comments are side-channeled during lexing,
@@ -35,9 +37,9 @@ pub mod budget;
 pub mod context;
 pub mod diag;
 pub mod explain;
+pub mod flow;
 pub mod hotpath;
 pub mod lex;
-pub mod lint;
 pub mod locks;
 pub mod model;
 pub mod nondet;

@@ -1,11 +1,10 @@
 //! Cross-file lock-order analysis.
 //!
-//! Collects every `.lock()` acquisition site in library code, tracks
-//! which guards are held at each point of a function body (bound guards
-//! release at scope close or `drop(g)`, temporaries at the end of their
-//! statement), and propagates acquisition/blocking summaries across
-//! same-crate calls by name to a fixpoint. From the per-function event
-//! streams it derives:
+//! Consumes the shared body walk ([`crate::flow`]): every `.lock()`
+//! acquisition with the guards held before it, every blocking primitive
+//! with the guards still held, and every resolved call. Acquisition and
+//! blocking summaries propagate across calls to a fixpoint. From the
+//! per-function event streams it derives:
 //!
 //! * the **acquisition-order graph** — an edge `A -> B` whenever lock
 //!   `B` is taken (directly or transitively through a call) while `A`
@@ -18,86 +17,12 @@
 //!   contending for that lock for the full deadline. The one legitimate
 //!   shape, passing the guard *into* `Condvar::wait`, is recognized and
 //!   exempt.
-//!
-//! Lock identity is syntactic: the field or binding the guard came from
-//! (`self.state.lock()` → `state`), qualified by crate; a bare
-//! `self.lock()` uses the `impl` type. This is deliberately coarse —
-//! every `RecvSlot.state` is one node — which over-approximates *per
-//! instance* but is exactly right for order discipline, where all
-//! instances of a field class must be ranked consistently anyway.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::context::FileKind;
-use crate::lex::TokKind;
-use crate::model::{fn_items, FnItem, WorkspaceModel};
+use crate::flow::{EvKind, Flow};
+use crate::model::WorkspaceModel;
 use crate::rules::RawFinding;
-
-/// Files implementing the lock primitives themselves: their internals
-/// (poison recovery, condvar re-lock) are not acquisition *sites*.
-/// Shared with the hot-path and guarded-field passes.
-pub(crate) const PRIMITIVE_FILES: &[&str] = &["crates/mplite/src/sync.rs"];
-
-/// Blocking primitives a guard must never be held across. The hot-path
-/// cost pass reuses this table for its blocking-call summaries.
-pub(crate) const BLOCKING: &[&str] = &[
-    "wait",
-    "read_exact_deadline",
-    "write_all_deadline",
-    "accept_deadline",
-];
-
-/// Keywords that look like calls when followed by `(` but are not.
-pub(crate) const NON_CALL: &[&str] = &[
-    "if", "while", "for", "match", "return", "loop", "in", "as", "let", "fn", "pub", "use", "impl",
-    "move", "ref", "mut", "where", "unsafe", "dyn", "else", "enum", "struct", "trait", "type",
-    "const", "static", "continue", "break", "self", "Self", "super", "crate", "drop",
-];
-
-/// A held guard during the body scan.
-struct Guard {
-    id: String,
-    line: u32,
-    /// Binding name (`None` = temporary).
-    name: Option<String>,
-    /// Brace depth of the binding statement; the guard dies when a `}`
-    /// brings the depth below this.
-    depth: u32,
-    /// Nesting level of the statement; a temporary dies at the first
-    /// `;` at or below it.
-    nest: u32,
-}
-
-/// One event observed in a function body.
-enum Ev {
-    /// `.lock()` taken; `held` is the snapshot before this acquisition.
-    Acquire {
-        id: String,
-        line: u32,
-        held: Vec<(String, u32)>,
-    },
-    /// A blocking primitive with guards still held (post-exemption).
-    Block {
-        name: String,
-        line: u32,
-        held: Vec<(String, u32)>,
-    },
-    /// A call by bare name (resolved against same-crate functions).
-    Call {
-        name: String,
-        line: u32,
-        held: Vec<(String, u32)>,
-    },
-}
-
-/// Acquisition/blocking summary of a function name within one crate.
-#[derive(Default, Clone)]
-struct Summary {
-    /// Lock id → first acquisition site (rel path, line).
-    acquires: BTreeMap<String, (String, u32)>,
-    /// Blocking primitive → first site (rel path, line).
-    blocks: BTreeMap<String, (String, u32)>,
-}
 
 /// An edge in the acquisition-order graph.
 struct Edge {
@@ -110,59 +35,37 @@ struct Edge {
     hold_line: u32,
 }
 
+/// What a function acquires and blocks on, itself or through callees.
+#[derive(Default, Clone)]
+struct Summary {
+    acquires: BTreeSet<String>,
+    blocks: BTreeSet<String>,
+}
+
 /// Run the lock-order pass; findings are keyed by file index for the
 /// per-file annotation resolution.
-pub fn lock_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
-    let items = fn_items(w);
-    let mut scans: Vec<(usize, Vec<Ev>)> = Vec::new(); // (item idx, events)
-    for (ii, f) in items.items_in_scope(w) {
-        scans.push((ii, scan_fn(w, f, &items)));
-    }
-
-    // Per-(crate, name) summaries, propagated across calls to fixpoint.
-    let mut summaries: BTreeMap<(String, String), Summary> = BTreeMap::new();
-    for (ii, evs) in &scans {
-        let f = &items[*ii];
-        let rel = w.files[f.file].model.rel.clone();
-        let s = summaries
-            .entry((f.krate.clone(), f.name.clone()))
-            .or_default();
+pub fn lock_findings(w: &WorkspaceModel, flow: &Flow) -> Vec<(usize, RawFinding)> {
+    // Per-function summaries, propagated across calls to fixpoint.
+    let mut summaries = vec![Summary::default(); flow.items.len()];
+    for (ii, _, evs) in flow.scanned() {
         for ev in evs {
-            match ev {
-                Ev::Acquire { id, line, .. } => {
-                    s.acquires.entry(id.clone()).or_insert((rel.clone(), *line));
-                }
-                Ev::Block { name, line, .. } => {
-                    s.blocks.entry(name.clone()).or_insert((rel.clone(), *line));
-                }
-                Ev::Call { .. } => {}
-            }
+            match &ev.kind {
+                EvKind::Acquire { id } => summaries[ii].acquires.insert(id.clone()),
+                EvKind::Block { name } => summaries[ii].blocks.insert(name.clone()),
+                _ => false,
+            };
         }
     }
     loop {
         let mut changed = false;
-        for (ii, evs) in &scans {
-            let f = &items[*ii];
-            let key = (f.krate.clone(), f.name.clone());
-            for ev in evs {
-                let Ev::Call { name, .. } = ev else { continue };
-                let callee_key = (f.krate.clone(), name.clone());
-                let Some(callee) = summaries.get(&callee_key).cloned() else {
-                    continue;
-                };
-                let s = summaries.entry(key.clone()).or_default();
-                for (id, site) in callee.acquires {
-                    if !s.acquires.contains_key(&id) {
-                        s.acquires.insert(id, site);
-                        changed = true;
-                    }
-                }
-                for (b, site) in callee.blocks {
-                    if !s.blocks.contains_key(&b) {
-                        s.blocks.insert(b, site);
-                        changed = true;
-                    }
-                }
+        for (ii, _, _) in flow.scanned() {
+            for callee in flow.callees(ii) {
+                let Summary { acquires, blocks } = summaries[callee].clone();
+                let s = &mut summaries[ii];
+                let before = s.acquires.len() + s.blocks.len();
+                s.acquires.extend(acquires);
+                s.blocks.extend(blocks);
+                changed |= s.acquires.len() + s.blocks.len() > before;
             }
         }
         if !changed {
@@ -173,65 +76,48 @@ pub fn lock_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
     // Edges + blocking findings.
     let mut edges: BTreeMap<(String, String), Edge> = BTreeMap::new();
     let mut findings: Vec<(usize, RawFinding)> = Vec::new();
-    for (ii, evs) in &scans {
-        let f = &items[*ii];
+    for (_, f, evs) in flow.scanned() {
         for ev in evs {
-            match ev {
-                Ev::Acquire { id, line, held } => {
-                    for (hid, hline) in held {
-                        edges.entry((hid.clone(), id.clone())).or_insert(Edge {
-                            file: f.file,
-                            line: *line,
-                            hold_line: *hline,
-                        });
+            let mut edge_to = |id: &String| {
+                for (hid, hline) in &ev.held {
+                    edges.entry((hid.clone(), id.clone())).or_insert(Edge {
+                        file: f.file,
+                        line: ev.line,
+                        hold_line: *hline,
+                    });
+                }
+            };
+            let mut blocked = |how: String| {
+                for (hid, hline) in &ev.held {
+                    let message = format!(
+                        "guard on `{hid}` (acquired line {hline}) held across {how}; \
+                         drop the guard first"
+                    );
+                    findings.push((
+                        f.file,
+                        RawFinding {
+                            line: ev.line,
+                            rule: "lock-across-blocking",
+                            message,
+                        },
+                    ));
+                }
+            };
+            match &ev.kind {
+                EvKind::Acquire { id } => edge_to(id),
+                EvKind::Block { name } => blocked(format!("blocking `{name}`")),
+                EvKind::Call { name, targets } if !ev.held.is_empty() => {
+                    let mut reach = Summary::default();
+                    for &t in targets {
+                        reach.acquires.extend(summaries[t].acquires.iter().cloned());
+                        reach.blocks.extend(summaries[t].blocks.iter().cloned());
+                    }
+                    reach.acquires.iter().for_each(&mut edge_to);
+                    for b in &reach.blocks {
+                        blocked(format!("call to `{name}`, which blocks on `{b}`"));
                     }
                 }
-                Ev::Block { name, line, held } => {
-                    for (hid, hline) in held {
-                        findings.push((
-                            f.file,
-                            RawFinding {
-                                line: *line,
-                                rule: "lock-across-blocking",
-                                message: format!(
-                                    "guard on `{hid}` (acquired line {hline}) held across \
-                                     blocking `{name}`; drop the guard first"
-                                ),
-                            },
-                        ));
-                    }
-                }
-                Ev::Call { name, line, held } => {
-                    if held.is_empty() {
-                        continue;
-                    }
-                    let Some(s) = summaries.get(&(f.krate.clone(), name.clone())) else {
-                        continue;
-                    };
-                    for (hid, hline) in held {
-                        for lid in s.acquires.keys() {
-                            edges.entry((hid.clone(), lid.clone())).or_insert(Edge {
-                                file: f.file,
-                                line: *line,
-                                hold_line: *hline,
-                            });
-                        }
-                        for b in s.blocks.keys() {
-                            findings.push((
-                                f.file,
-                                RawFinding {
-                                    line: *line,
-                                    rule: "lock-across-blocking",
-                                    message: format!(
-                                        "guard on `{hid}` (acquired line {hline}) held across \
-                                         call to `{name}`, which blocks on `{b}`; drop the \
-                                         guard first"
-                                    ),
-                                },
-                            ));
-                        }
-                    }
-                }
+                _ => {}
             }
         }
     }
@@ -340,231 +226,6 @@ fn shortest_path<'a>(
     None
 }
 
-/// Helper trait: iterate items the pass governs.
-trait InScope {
-    fn items_in_scope<'a>(
-        &'a self,
-        w: &WorkspaceModel,
-    ) -> Box<dyn Iterator<Item = (usize, &'a FnItem)> + 'a>;
-}
-
-impl InScope for Vec<FnItem> {
-    fn items_in_scope<'a>(
-        &'a self,
-        w: &WorkspaceModel,
-    ) -> Box<dyn Iterator<Item = (usize, &'a FnItem)> + 'a> {
-        let keep: Vec<bool> = self
-            .iter()
-            .map(|f| {
-                let wf = &w.files[f.file];
-                wf.ctx.kind == FileKind::Lib
-                    && !PRIMITIVE_FILES.contains(&wf.model.rel.as_str())
-                    && !wf.model.masked(f.line)
-            })
-            .collect();
-        Box::new(self.iter().enumerate().filter(move |(i, _)| keep[*i]))
-    }
-}
-
-/// Scan one function body into its event stream.
-fn scan_fn(w: &WorkspaceModel, f: &FnItem, items: &[FnItem]) -> Vec<Ev> {
-    let wf = &w.files[f.file];
-    let model = &wf.model;
-    let toks = &model.toks;
-    let (open, close) = f.body;
-
-    // Token ranges of *other* functions nested inside this body.
-    let nested: Vec<(usize, usize)> = items
-        .iter()
-        .filter(|g| g.file == f.file && g.body.0 > open && g.body.1 < close)
-        .map(|g| g.body)
-        .collect();
-
-    let mut evs = Vec::new();
-    let mut held: Vec<Guard> = Vec::new();
-    let mut stmt_start = open + 1;
-    let mut i = open + 1;
-    while i < close {
-        if let Some(&(_, end)) = nested.iter().find(|(s, _)| *s == i) {
-            i = end + 1;
-            stmt_start = i;
-            continue;
-        }
-        let t = &toks[i];
-
-        // Releases first.
-        if t.kind == TokKind::Close && t.text == "}" {
-            held.retain(|g| t.depth >= g.depth);
-        }
-        if t.is_punct(";") {
-            held.retain(|g| g.name.is_some() || t.nest > g.nest);
-        }
-
-        // Skip nested `fn` headers (their bodies are range-skipped).
-        if t.is_ident("fn") {
-            let mut j = i + 1;
-            while j < close
-                && !(toks[j].is_punct(";")
-                    || (toks[j].kind == TokKind::Open && toks[j].text == "{"))
-            {
-                j += 1;
-            }
-            i = j;
-            continue;
-        }
-
-        if t.kind == TokKind::Ident && !model.masked(t.line) {
-            let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-            let next_open = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-
-            // `drop(g)` releases a bound guard.
-            if t.text == "drop"
-                && next_open
-                && toks.get(i + 2).is_some_and(|n| n.kind == TokKind::Ident)
-                && toks.get(i + 3).is_some_and(|n| n.is_punct(")"))
-            {
-                let name = toks[i + 2].text.clone();
-                held.retain(|g| g.name.as_deref() != Some(&name));
-                i += 4;
-                continue;
-            }
-
-            // Acquisition: `<expr>.lock()`.
-            if t.text == "lock"
-                && prev_dot
-                && next_open
-                && toks.get(i + 2).is_some_and(|n| n.is_punct(")"))
-            {
-                let base = match toks.get(i.wrapping_sub(2)) {
-                    Some(p) if p.kind == TokKind::Ident && p.text != "self" => p.text.clone(),
-                    Some(p) if p.is_ident("self") => {
-                        f.self_type.clone().unwrap_or_else(|| f.name.clone())
-                    }
-                    _ => "<anon>".to_string(),
-                };
-                let id = format!("{}::{}", f.krate, base);
-                evs.push(Ev::Acquire {
-                    id: id.clone(),
-                    line: t.line,
-                    held: held.iter().map(|g| (g.id.clone(), g.line)).collect(),
-                });
-                // A guard is *bound* only when the `.lock()` call is the
-                // whole initializer (`let g = x.lock();`); with further
-                // chained calls (`let n = x.lock().len();`) the guard is
-                // a temporary that dies at the statement's end.
-                let whole_init = toks.get(i + 3).is_some_and(|n| n.is_punct(";"));
-                let (name, depth, nest) = binding_of(toks, stmt_start, i, whole_init);
-                held.push(Guard {
-                    id,
-                    line: t.line,
-                    name,
-                    depth,
-                    nest,
-                });
-                i += 3;
-                continue;
-            }
-
-            // Blocking primitives.
-            if BLOCKING.contains(&t.text.as_str()) && next_open {
-                // Condvar idiom: the guard passed into `wait` is exempt.
-                let args = arg_idents(toks, i + 1, close);
-                let held_now: Vec<(String, u32)> = held
-                    .iter()
-                    .filter(|g| {
-                        g.name
-                            .as_deref()
-                            .is_none_or(|n| !args.contains(&n.to_string()))
-                    })
-                    .map(|g| (g.id.clone(), g.line))
-                    .collect();
-                // Recorded even with nothing held: the *summary* must
-                // still say this function blocks, so callers holding
-                // guards across a call to it are caught transitively.
-                evs.push(Ev::Block {
-                    name: t.text.clone(),
-                    line: t.line,
-                    held: held_now,
-                });
-                i += 1;
-                continue;
-            }
-
-            // Calls by bare name. A call sharing the enclosing function's
-            // name is almost always delegation to an inner object
-            // (`fn events() { self.lock().events() }`) — resolving it
-            // through the by-name summary would manufacture a bogus
-            // self-cycle, so it is skipped.
-            if next_open
-                && !NON_CALL.contains(&t.text.as_str())
-                && t.text != "lock"
-                && t.text != f.name
-                && !(i > 0 && toks[i - 1].is_ident("fn"))
-            {
-                evs.push(Ev::Call {
-                    name: t.text.clone(),
-                    line: t.line,
-                    held: held.iter().map(|g| (g.id.clone(), g.line)).collect(),
-                });
-            }
-        }
-
-        if t.is_punct(";") || t.is_punct("=>") || t.text == "{" || t.text == "}" {
-            stmt_start = i + 1;
-        }
-        i += 1;
-    }
-    evs
-}
-
-/// Was the acquisition at `at` bound by its statement (`let [mut] name =`)?
-/// Returns `(binding name, statement depth, statement nest)`.
-fn binding_of(
-    toks: &[crate::lex::Tok],
-    stmt_start: usize,
-    at: usize,
-    whole_init: bool,
-) -> (Option<String>, u32, u32) {
-    let stmt = &toks[stmt_start.min(at)..at];
-    let depth = stmt.first().map_or(toks[at].depth, |t| t.depth);
-    let nest = stmt.first().map_or(toks[at].nest, |t| t.nest);
-    let mut it = stmt.iter();
-    if whole_init && it.next().is_some_and(|t| t.is_ident("let")) {
-        let mut t = it.next();
-        if t.is_some_and(|t| t.is_ident("mut")) {
-            t = it.next();
-        }
-        if let (Some(name), Some(eq)) = (t, it.next()) {
-            if name.kind == TokKind::Ident && eq.is_punct("=") {
-                return (Some(name.text.clone()), depth, nest);
-            }
-        }
-    }
-    (None, depth, nest)
-}
-
-/// Identifiers appearing in a call's argument list; `open_at` is the
-/// index of the `(`.
-fn arg_idents(toks: &[crate::lex::Tok], open_at: usize, limit: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    if toks.get(open_at).is_none_or(|t| !t.is_punct("(")) {
-        return out;
-    }
-    let base = toks[open_at].nest;
-    let mut j = open_at + 1;
-    while j < limit {
-        let t = &toks[j];
-        if t.kind == TokKind::Close && t.nest == base {
-            break;
-        }
-        if t.kind == TokKind::Ident {
-            out.push(t.text.clone());
-        }
-        j += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,7 +233,7 @@ mod tests {
 
     fn findings(files: &[(&str, &str)]) -> Vec<(String, u32, String)> {
         let w = WorkspaceModel::from_sources(files);
-        lock_findings(&w)
+        lock_findings(&w, &Flow::build(&w))
             .into_iter()
             .map(|(fi, f)| (w.files[fi].model.rel.clone(), f.line, f.message))
             .collect()

@@ -3,92 +3,35 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::analyze::{analyze_workspace, render_report};
+use xtask::analyze::{analyze_workspace, render_report, write_budget};
 use xtask::explain::explain;
-use xtask::lint::{lint_workspace, write_budget};
 
 const USAGE: &str = "\
-usage: cargo run -p xtask -- <command> [options]
+usage: cargo run -p xtask -- analyze [options]
 
-commands:
-  lint            run the per-file static-analysis pass
-    --root <dir>      lint a different tree (default: this workspace)
-    --write-budget    rewrite lint-budget.toml to match live counts
-
-  analyze         lint plus the cross-file passes: lock-order deadlock
-                  detection, units hygiene, nondeterminism dataflow,
-                  protocol conformance (protospec::protocol! tables)
+  analyze         the static-analysis pipeline: per-file determinism,
+                  panic-hygiene and workspace-hygiene rules, plus the
+                  cross-file passes (lock order, units hygiene,
+                  nondeterminism dataflow, protocol conformance,
+                  hot-path cost, guarded-field consistency)
     --root <dir>      analyze a different tree (default: this workspace)
     --report <file>   also write a machine-readable JSON report
     --write-budget    rewrite lint-budget.toml to match live counts
     --explain [rule]  print one rule's documentation page; with no rule,
                       list every rule with a one-line summary
 
-Both passes exit 0 when clean, 1 on violations, 2 on usage/IO errors.
-Rule ids, scopes, and the annotation grammar are documented in DESIGN.md
+Exits 0 when clean, 1 on violations, 2 on usage/IO errors. Rule ids,
+scopes, and the annotation grammar are documented in DESIGN.md
 (\"Static analysis & invariants\" and \"Cross-file analysis\").";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint_cmd(&args[1..]),
         Some("analyze") => analyze_cmd(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
-    }
-}
-
-fn lint_cmd(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut write = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--root needs a path\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-budget" => write = true,
-            other => {
-                eprintln!("unknown option {other}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let root = root.unwrap_or_else(workspace_root);
-
-    let outcome = match lint_workspace(&root) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("xtask lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if write {
-        if let Err(e) = write_budget(&root, &outcome) {
-            eprintln!("xtask lint: {e}");
-            return ExitCode::from(2);
-        }
-        println!("lint-budget.toml updated");
-    }
-    for d in &outcome.diagnostics {
-        println!("{d}");
-    }
-    if outcome.clean() {
-        println!("xtask lint: {} files clean", outcome.files_checked);
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "xtask lint: {} violation(s) in {} files checked",
-            outcome.diagnostics.len(),
-            outcome.files_checked
-        );
-        ExitCode::FAILURE
     }
 }
 
@@ -99,17 +42,11 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--root needs a path\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--report" => match it.next() {
+            opt @ ("--root" | "--report") => match it.next() {
+                Some(p) if opt == "--root" => root = Some(PathBuf::from(p)),
                 Some(p) => report = Some(PathBuf::from(p)),
                 None => {
-                    eprintln!("--report needs a path\n{USAGE}");
+                    eprintln!("{opt} needs a path\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -151,7 +88,7 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
         }
     };
     if write {
-        if let Err(e) = xtask::analyze::write_budget(&root, &outcome) {
+        if let Err(e) = write_budget(&root, &outcome) {
             eprintln!("xtask analyze: {e}");
             return ExitCode::from(2);
         }

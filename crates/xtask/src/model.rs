@@ -5,7 +5,8 @@
 //! comment channel, and the parsed `lint:allow` annotations.
 //! [`WorkspaceModel`] holds every classified file plus the cross-file
 //! item index (free functions and methods with body token ranges) that
-//! the lock-order pass walks for call edges.
+//! the shared body walk ([`crate::flow`]) turns into events and call
+//! edges.
 
 use std::fs;
 use std::path::Path;
@@ -218,6 +219,17 @@ impl WorkspaceModel {
     }
 }
 
+/// How a function borrows its receiver.
+#[derive(Debug, PartialEq, Clone, Copy)]
+pub enum Receiver {
+    /// `&self`: shared borrow — bare field accesses can race.
+    Shared,
+    /// `&mut self` / `self` / `mut self`: exclusive — cannot race.
+    Exclusive,
+    /// No `self` parameter: `self.field` cannot occur.
+    None,
+}
+
 /// A function item (free function or method) with its body token range.
 #[derive(Debug)]
 pub struct FnItem {
@@ -234,6 +246,8 @@ pub struct FnItem {
     pub line: u32,
     /// Enclosing `impl` type, when the item is a method.
     pub self_type: Option<String>,
+    /// Receiver kind parsed from the header.
+    pub receiver: Receiver,
 }
 
 /// Extract every function item in the workspace.
@@ -266,7 +280,12 @@ pub fn fn_items(w: &WorkspaceModel) -> Vec<FnItem> {
                                 file: fi,
                                 body: (open, close),
                                 line: t.line,
-                                self_type: impls.last().map(|(_, n)| n.clone()),
+                                // A fn nested in a method body is a free fn.
+                                self_type: impls
+                                    .last()
+                                    .filter(|(d, _)| *d == t.depth)
+                                    .map(|(_, n)| n.clone()),
+                                receiver: receiver_kind(toks, i + 1),
                             });
                             // Nested fns inside the body are still found:
                             // continue scanning from just after the header.
@@ -311,24 +330,8 @@ pub fn field_decls(w: &WorkspaceModel) -> Vec<FieldDecl> {
                 continue;
             }
             let strukt = toks[i + 1].text.clone();
-            let mut j = i + 2;
             // Skip a generic parameter list on the struct itself.
-            if toks.get(j).is_some_and(|t| t.is_punct("<")) {
-                let mut angle = 0i32;
-                while j < toks.len() {
-                    match toks[j].text.as_str() {
-                        "<" => angle += 1,
-                        "<<" => angle += 2,
-                        ">" => angle -= 1,
-                        ">>" => angle -= 2,
-                        _ => {}
-                    }
-                    j += 1;
-                    if angle <= 0 {
-                        break;
-                    }
-                }
-            }
+            let mut j = skip_generics(toks, i + 2);
             // Skip any `where` clause; stop at the body delimiter. Tuple
             // structs (`(`) and unit structs (`;`) declare no named fields.
             while j < toks.len()
@@ -432,15 +435,9 @@ pub fn copy_types(w: &WorkspaceModel) -> std::collections::BTreeSet<String> {
     out
 }
 
-/// Parse an `impl` header starting at token `at` (the `impl` ident).
-/// Returns `(type_name, index_of_open_brace)`.
-fn impl_header(toks: &[Tok], at: usize) -> Option<(String, usize)> {
-    let mut idents: Vec<&str> = Vec::new();
-    let mut after_for: Option<&str> = None;
-    let mut saw_for = false;
-    let mut j = at + 1;
-    // Skip the generic parameter list (`impl<T: Bound> …`) so `T`
-    // is not mistaken for the self type.
+/// Index just past a generic parameter list opening at `j` (`j` itself
+/// when there is none).
+fn skip_generics(toks: &[Tok], mut j: usize) -> usize {
     if toks.get(j).is_some_and(|t| t.is_punct("<")) {
         let mut angle = 0i32;
         while j < toks.len() {
@@ -457,6 +454,46 @@ fn impl_header(toks: &[Tok], at: usize) -> Option<(String, usize)> {
             }
         }
     }
+    j
+}
+
+/// How the function whose name token sits at `name_at` borrows its
+/// receiver.
+fn receiver_kind(toks: &[Tok], name_at: usize) -> Receiver {
+    let j = skip_generics(toks, name_at + 1);
+    if toks.get(j).is_none_or(|t| !t.is_punct("(")) {
+        return Receiver::None;
+    }
+    let mut m = j + 1;
+    let amp = toks.get(m).is_some_and(|t| t.is_punct("&"));
+    if amp {
+        m += 1;
+        if toks.get(m).is_some_and(|t| t.kind == TokKind::Lifetime) {
+            m += 1;
+        }
+    }
+    let mutt = toks.get(m).is_some_and(|t| t.is_ident("mut"));
+    if mutt {
+        m += 1;
+    }
+    if !toks.get(m).is_some_and(|t| t.is_ident("self")) {
+        Receiver::None
+    } else if amp && !mutt {
+        Receiver::Shared
+    } else {
+        Receiver::Exclusive
+    }
+}
+
+/// Parse an `impl` header starting at token `at` (the `impl` ident).
+/// Returns `(type_name, index_of_open_brace)`.
+fn impl_header(toks: &[Tok], at: usize) -> Option<(String, usize)> {
+    let mut idents: Vec<&str> = Vec::new();
+    let mut after_for: Option<&str> = None;
+    let mut saw_for = false;
+    // Skip the generic parameter list (`impl<T: Bound> …`) so `T`
+    // is not mistaken for the self type.
+    let mut j = skip_generics(toks, at + 1);
     while j < toks.len() {
         let t = &toks[j];
         match t.kind {
@@ -541,7 +578,7 @@ mod tests {
     fn fn_items_capture_methods_and_free_fns() {
         let w = WorkspaceModel::from_sources(&[(
             "crates/mplite/src/x.rs",
-            "impl<T> Engine<T> {\n    fn deliver(&self) { let g = self.inner.lock(); }\n}\n\
+            "impl<T> Engine<T> {\n    fn deliver(&self) { fn inner() {} let g = self.inner.lock(); }\n}\n\
              impl fmt::Display for Diag {\n    fn fmt(&self) {}\n}\n\
              fn free(x: u32) -> u32 { x }\n\
              trait T { fn decl(&self); }\n",
@@ -555,6 +592,7 @@ mod tests {
             names,
             [
                 ("deliver", Some("Engine")),
+                ("inner", None),
                 ("fmt", Some("Diag")),
                 ("free", None),
             ]

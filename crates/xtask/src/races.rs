@@ -27,15 +27,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::context::FileKind;
-use crate::lex::{Tok, TokKind};
-use crate::locks::{NON_CALL, PRIMITIVE_FILES};
-use crate::model::{field_decls, fn_items, FnItem, WorkspaceModel};
+use crate::flow::{EvKind, Flow};
+use crate::model::{Receiver, WorkspaceModel};
 use crate::rules::RawFinding;
-
-/// Crates the pass never governs (the analyzer's own prose would trip
-/// it; shared rationale with the hot-path pass).
-const EXEMPT_CRATES: &[&str] = &["xtask"];
 
 /// Methods that make a field access a synchronization operation rather
 /// than a data access: the primitive serializes internally.
@@ -64,350 +58,82 @@ const SYNC_METHODS: &[&str] = &[
     "try_recv",
 ];
 
-/// How a method borrows its receiver.
-#[derive(PartialEq, Clone, Copy)]
-enum Receiver {
-    /// `&self`: shared borrow — bare field accesses can race.
-    Shared,
-    /// `&mut self` / `self` / `mut self`: exclusive — cannot race.
-    Exclusive,
-    /// Free function: `self.field` cannot occur.
-    None,
-}
-
 /// One classified field access.
 struct Access {
-    /// `(krate, fn name)` of the enclosing function.
-    fn_key: (String, String),
-    file: usize,
+    /// Index of the enclosing function.
+    item: usize,
     line: u32,
-    guarded: bool,
-    /// Lock id live at a guarded access (for the message).
+    /// Lock id live at a guarded access (`None` = bare).
     lock: Option<String>,
 }
 
-/// A live guard during the body scan (subset of the lock-order pass's
-/// tracking: identity + binding + scope).
-struct Guard {
-    id: String,
-    name: Option<String>,
-    depth: u32,
-    nest: u32,
-}
-
-/// Is this item in the pass's scope?
-fn in_scope(w: &WorkspaceModel, f: &FnItem) -> bool {
-    let wf = &w.files[f.file];
-    wf.ctx.kind == FileKind::Lib
-        && !EXEMPT_CRATES.contains(&wf.ctx.crate_name.as_str())
-        && !PRIMITIVE_FILES.contains(&wf.model.rel.as_str())
-        && !wf.model.masked(f.line)
-}
-
-/// Parse the receiver kind from the function header. Walks back from
-/// the body to the `fn` keyword, then forward through the name and any
-/// generic parameter list to the first parameter.
-fn receiver_kind(toks: &[Tok], f: &FnItem) -> Receiver {
-    let mut k = f.body.0;
-    loop {
-        if k == 0 {
-            return Receiver::None;
-        }
-        k -= 1;
-        if toks[k].is_ident("fn") && toks.get(k + 1).is_some_and(|n| n.is_ident(&f.name)) {
-            break;
-        }
-    }
-    let mut j = k + 2;
-    if toks.get(j).is_some_and(|t| t.is_punct("<")) {
-        let mut angle = 0i32;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "<" => angle += 1,
-                "<<" => angle += 2,
-                ">" => angle -= 1,
-                ">>" => angle -= 2,
-                _ => {}
-            }
-            j += 1;
-            if angle <= 0 {
-                break;
-            }
-        }
-    }
-    if toks.get(j).is_none_or(|t| !t.is_punct("(")) {
-        return Receiver::None;
-    }
-    let mut m = j + 1;
-    let amp = toks.get(m).is_some_and(|t| t.is_punct("&"));
-    if amp {
-        m += 1;
-        if toks.get(m).is_some_and(|t| t.kind == TokKind::Lifetime) {
-            m += 1;
-        }
-    }
-    let mutt = toks.get(m).is_some_and(|t| t.is_ident("mut"));
-    if mutt {
-        m += 1;
-    }
-    if !toks.get(m).is_some_and(|t| t.is_ident("self")) {
-        return Receiver::None;
-    }
-    if amp && !mutt {
-        Receiver::Shared
-    } else {
-        Receiver::Exclusive
-    }
-}
-
-/// Scan one function body: collect field accesses, call edges, and
-/// whether the body contains a thread-root spawn site.
-fn scan_fn(
-    w: &WorkspaceModel,
-    f: &FnItem,
-    items: &[FnItem],
-    fields: &BTreeSet<(String, String)>,
-    accesses: &mut BTreeMap<(String, String), Vec<Access>>,
-    calls: &mut BTreeSet<String>,
-) -> bool {
-    let wf = &w.files[f.file];
-    let model = &wf.model;
-    let toks = &model.toks;
-    let (open, close) = f.body;
-    let recv = receiver_kind(toks, f);
-
-    let nested: Vec<(usize, usize)> = items
-        .iter()
-        .filter(|g| g.file == f.file && g.body.0 > open && g.body.1 < close)
-        .map(|g| g.body)
-        .collect();
-
-    let mut is_root = false;
-    let mut held: Vec<Guard> = Vec::new();
-    let mut stmt_start = open + 1;
-    let mut i = open + 1;
-    while i < close {
-        if let Some(&(_, end)) = nested.iter().find(|(s, _)| *s == i) {
-            i = end + 1;
-            stmt_start = i;
-            continue;
-        }
-        let t = &toks[i];
-
-        if t.kind == TokKind::Close && t.text == "}" {
-            held.retain(|g| t.depth >= g.depth);
-        }
-        if t.is_punct(";") {
-            held.retain(|g| g.name.is_some() || t.nest > g.nest);
-        }
-        if t.is_ident("fn") {
-            let mut j = i + 1;
-            while j < close
-                && !(toks[j].is_punct(";")
-                    || (toks[j].kind == TokKind::Open && toks[j].text == "{"))
-            {
-                j += 1;
-            }
-            i = j;
-            continue;
-        }
-
-        if t.kind == TokKind::Ident && !model.masked(t.line) {
-            let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-            let next_open = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-
-            // Thread roots.
-            if (t.text == "spawn" || t.text == "scope")
-                && i >= 2
-                && toks[i - 1].is_punct("::")
-                && toks[i - 2].is_ident("thread")
-            {
-                is_root = true;
-            }
-            if t.text == "spawn" && prev_dot && next_open {
-                is_root = true;
-            }
-
-            // `drop(g)` releases a bound guard.
-            if t.text == "drop"
-                && next_open
-                && toks.get(i + 2).is_some_and(|n| n.kind == TokKind::Ident)
-                && toks.get(i + 3).is_some_and(|n| n.is_punct(")"))
-            {
-                let name = toks[i + 2].text.clone();
-                held.retain(|g| g.name.as_deref() != Some(&name));
-                i += 4;
-                continue;
-            }
-
-            // Acquisition: `<expr>.lock()` — same tracking as locks.rs.
-            if t.text == "lock"
-                && prev_dot
-                && next_open
-                && toks.get(i + 2).is_some_and(|n| n.is_punct(")"))
-            {
-                let base = match toks.get(i.wrapping_sub(2)) {
-                    Some(p) if p.kind == TokKind::Ident && p.text != "self" => p.text.clone(),
-                    Some(p) if p.is_ident("self") => {
-                        f.self_type.clone().unwrap_or_else(|| f.name.clone())
-                    }
-                    _ => "<anon>".to_string(),
-                };
-                let id = format!("{}::{}", f.krate, base);
-                let whole_init = toks.get(i + 3).is_some_and(|n| n.is_punct(";"));
-                let (name, depth, nest) = binding_of(toks, stmt_start, i, whole_init);
-                held.push(Guard {
-                    id,
-                    name,
-                    depth,
-                    nest,
-                });
-                i += 3;
-                continue;
-            }
-
-            // Field access: `self.field` or `<guard>.field`, not a call.
-            if prev_dot && !next_open {
-                let via_guard = toks.get(i.wrapping_sub(2)).and_then(|r| {
-                    (r.kind == TokKind::Ident)
-                        .then(|| {
-                            held.iter()
-                                .find(|g| g.name.as_deref() == Some(r.text.as_str()))
-                        })
-                        .flatten()
-                });
-                let via_self = toks
-                    .get(i.wrapping_sub(2))
-                    .is_some_and(|r| r.is_ident("self"))
-                    && !(i >= 3 && toks[i - 3].is_punct("."));
-                // `x.f.sync_op(…)` is a synchronization op, not data.
-                let sync_next = toks.get(i + 1).is_some_and(|n| n.is_punct("."))
-                    && toks
-                        .get(i + 2)
-                        .is_some_and(|n| SYNC_METHODS.contains(&n.text.as_str()))
-                    && toks.get(i + 3).is_some_and(|n| n.is_punct("("));
-                if (via_guard.is_some() || via_self)
-                    && !sync_next
-                    && fields.contains(&(f.krate.clone(), t.text.clone()))
-                {
-                    let guarded = via_guard.is_some() || !held.is_empty();
-                    let lock = via_guard
-                        .map(|g| g.id.clone())
-                        .or_else(|| held.last().map(|g| g.id.clone()));
-                    if guarded || recv == Receiver::Shared {
-                        accesses
-                            .entry((f.krate.clone(), t.text.clone()))
-                            .or_default()
-                            .push(Access {
-                                fn_key: (f.krate.clone(), f.name.clone()),
-                                file: f.file,
-                                line: t.line,
-                                guarded,
-                                lock,
-                            });
-                    }
-                }
-            }
-
-            // Calls by bare name for thread-reachability propagation.
-            if next_open
-                && !NON_CALL.contains(&t.text.as_str())
-                && t.text != "lock"
-                && t.text != f.name
-                && !(i > 0 && toks[i - 1].is_ident("fn"))
-            {
-                calls.insert(t.text.clone());
-            }
-        }
-
-        if t.is_punct(";") || t.is_punct("=>") || t.text == "{" || t.text == "}" {
-            stmt_start = i + 1;
-        }
-        i += 1;
-    }
-    is_root
-}
-
-/// Was the acquisition bound by its statement (`let [mut] name = …;`)?
-fn binding_of(
-    toks: &[Tok],
-    stmt_start: usize,
-    at: usize,
-    whole_init: bool,
-) -> (Option<String>, u32, u32) {
-    let stmt = &toks[stmt_start.min(at)..at];
-    let depth = stmt.first().map_or(toks[at].depth, |t| t.depth);
-    let nest = stmt.first().map_or(toks[at].nest, |t| t.nest);
-    let mut it = stmt.iter();
-    if whole_init && it.next().is_some_and(|t| t.is_ident("let")) {
-        let mut t = it.next();
-        if t.is_some_and(|t| t.is_ident("mut")) {
-            t = it.next();
-        }
-        if let (Some(name), Some(eq)) = (t, it.next()) {
-            if name.kind == TokKind::Ident && eq.is_punct("=") {
-                return (Some(name.text.clone()), depth, nest);
-            }
-        }
-    }
-    (None, depth, nest)
-}
-
 /// Run the guarded-field pass; findings are keyed by file index.
-pub fn race_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
-    let items = fn_items(w);
-    let fields: BTreeSet<(String, String)> = field_decls(w)
-        .into_iter()
-        .map(|d| (d.krate, d.name))
+pub fn race_findings(w: &WorkspaceModel, flow: &Flow) -> Vec<(usize, RawFinding)> {
+    let fields: BTreeSet<(&str, &str)> = flow
+        .fields
+        .iter()
+        .map(|d| (d.krate.as_str(), d.name.as_str()))
         .collect();
 
-    let mut accesses: BTreeMap<(String, String), Vec<Access>> = BTreeMap::new();
-    let mut adj: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
-    let mut roots: BTreeSet<(String, String)> = BTreeSet::new();
-    for f in &items {
-        if !in_scope(w, f) {
-            continue;
+    // Classify every data access; collect the thread roots.
+    let mut accesses: BTreeMap<(&str, &str), Vec<Access>> = BTreeMap::new();
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    for (ii, f, evs) in flow.scanned() {
+        if evs.iter().any(|ev| matches!(ev.kind, EvKind::Spawn)) {
+            queue.push_back(ii);
         }
-        let mut calls = BTreeSet::new();
-        let is_root = scan_fn(w, f, &items, &fields, &mut accesses, &mut calls);
-        let key = (f.krate.clone(), f.name.clone());
-        if is_root {
-            roots.insert(key.clone());
+        for ev in evs {
+            let EvKind::Field {
+                name,
+                via_guard,
+                then,
+            } = &ev.kind
+            else {
+                continue;
+            };
+            // `x.f.sync_op(…)` is a synchronization op, not data.
+            let sync = then.as_deref().is_some_and(|m| SYNC_METHODS.contains(&m));
+            let key = (f.krate.as_str(), name.as_str());
+            if sync || !fields.contains(&key) {
+                continue;
+            }
+            let lock = via_guard
+                .clone()
+                .or_else(|| ev.held.last().map(|(id, _)| id.clone()));
+            if lock.is_some() || f.receiver == Receiver::Shared {
+                accesses.entry(key).or_default().push(Access {
+                    item: ii,
+                    line: ev.line,
+                    lock,
+                });
+            }
         }
-        adj.entry(key).or_default().extend(calls);
     }
 
     // Thread-reachable set: the roots plus everything they call,
-    // transitively, within the same crate.
-    let mut mt: BTreeSet<(String, String)> = roots.clone();
-    let mut queue: VecDeque<(String, String)> = roots.into_iter().collect();
-    while let Some(key) = queue.pop_front() {
-        let Some(callees) = adj.get(&key) else {
-            continue;
-        };
-        for callee in callees {
-            let next = (key.0.clone(), callee.clone());
-            if adj.contains_key(&next) && mt.insert(next.clone()) {
-                queue.push_back(next);
+    // transitively, over the shared call graph.
+    let mut mt: BTreeSet<usize> = queue.iter().copied().collect();
+    while let Some(ii) = queue.pop_front() {
+        for callee in flow.callees(ii) {
+            if mt.insert(callee) {
+                queue.push_back(callee);
             }
         }
     }
 
     let mut findings: Vec<(usize, RawFinding)> = Vec::new();
     for ((krate, field), accs) in &accesses {
-        let guarded = accs
-            .iter()
-            .filter(|a| a.guarded && mt.contains(&a.fn_key))
-            .min_by_key(|a| (a.file, a.line));
-        let bare = accs
-            .iter()
-            .filter(|a| !a.guarded && mt.contains(&a.fn_key))
-            .min_by_key(|a| (a.file, a.line));
-        let (Some(g), Some(b)) = (guarded, bare) else {
+        let first = |guarded: bool| {
+            accs.iter()
+                .filter(|a| a.lock.is_some() == guarded && mt.contains(&a.item))
+                .min_by_key(|a| (flow.items[a.item].file, a.line))
+        };
+        let (Some(g), Some(b)) = (first(true), first(false)) else {
             continue;
         };
+        let (gf, bf) = (&flow.items[g.item], &flow.items[b.item]);
         findings.push((
-            b.file,
+            bf.file,
             RawFinding {
                 line: b.line,
                 rule: "race-guarded-field",
@@ -416,11 +142,11 @@ pub fn race_findings(w: &WorkspaceModel) -> Vec<(usize, RawFinding)> {
                      `{}` at {}:{} in `{}`; both are reachable from thread spawn sites — \
                      take the lock here too, or annotate \
                      `lint:allow(race-guarded-field) -- <reason>`",
-                    b.fn_key.1,
+                    bf.name,
                     g.lock.as_deref().unwrap_or("?"),
-                    w.files[g.file].model.rel,
+                    w.files[gf.file].model.rel,
                     g.line,
-                    g.fn_key.1,
+                    gf.name,
                 ),
             },
         ));
@@ -435,7 +161,7 @@ mod tests {
 
     fn findings(files: &[(&str, &str)]) -> Vec<(String, u32, String)> {
         let w = WorkspaceModel::from_sources(files);
-        race_findings(&w)
+        race_findings(&w, &Flow::build(&w))
             .into_iter()
             .map(|(fi, f)| (w.files[fi].model.rel.clone(), f.line, f.message))
             .collect()

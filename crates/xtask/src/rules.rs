@@ -10,11 +10,11 @@
 //! * **panic-hygiene** (library crates' library code): `unwrap`,
 //!   `expect`, `panic`;
 //! * **workspace-hygiene** (everywhere it makes sense): `print`, `dbg`,
-//!   plus the manifest-level `lints-table` check in `lint.rs`.
+//!   plus the manifest-level `lints-table` check in `analyze.rs`.
 //!
-//! The cross-file passes (`locks`, `units`, `nondet`) add their rules on
-//! top under `cargo run -p xtask -- analyze`; their findings flow
-//! through the same [`resolve`] engine, so the
+//! Every other pass (`units`, `nondet`, `locks`, `protocol`, `hotpath`,
+//! `races`) adds its rules on top; all findings flow through the same
+//! [`resolve`] engine, so the
 //! `// lint:allow(<rule>) -- <reason>` annotation grammar covers every
 //! rule uniformly. Annotations without a reason (`bad-allow`) or
 //! without a matching violation (`stale-allow`) are themselves errors.
@@ -59,32 +59,9 @@ pub const RULES: &[&str] = &[
 ];
 
 /// Rules whose counts are governed by the burn-down budget file rather
-/// than zero tolerance (`lint` subset).
-pub const BUDGETED_RULES: &[&str] = &["unwrap", "expect", "panic"];
-
-/// Budgeted rules under `analyze` (the lint set plus `units` and
-/// `hot-cost`, so legacy conversion debt and the hot-path cost
-/// inventory can ratchet down instead of blocking).
-pub const ANALYZE_BUDGETED_RULES: &[&str] = &["unwrap", "expect", "panic", "units", "hot-cost"];
-
-/// Rules only checked by `analyze`; `lint` must not report their
-/// annotations as stale and must ignore their budget entries.
-pub const ANALYZE_ONLY_RULES: &[&str] = &[
-    "lock-order",
-    "lock-across-blocking",
-    "units",
-    "nondet-wall-clock",
-    "nondet-hash-iter",
-    "nondet-float-reduction",
-    "protocol-transition",
-    "protocol-undeclared",
-    "protocol-unreachable",
-    "protocol-terminal",
-    "protocol-duality",
-    "hot-cost",
-    "race-guarded-field",
-    "marker-hygiene",
-];
+/// than zero tolerance, so panic debt, legacy conversion debt and the
+/// hot-path cost inventory can ratchet down instead of blocking.
+pub const BUDGETED_RULES: &[&str] = &["unwrap", "expect", "panic", "units", "hot-cost"];
 
 /// A raw (pre-annotation) finding inside one file.
 #[derive(Debug)]
@@ -105,13 +82,6 @@ pub struct FileReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Un-annotated budget-eligible findings, keyed by rule.
     pub budgeted: Vec<Diagnostic>,
-}
-
-/// Check one source file with the `lint` rule set (lexes internally).
-pub fn check_file(rel_path: &str, source: &str, ctx: &FileCtx) -> FileReport {
-    let model = FileModel::parse(rel_path, source);
-    let findings = file_findings(&model, ctx);
-    resolve(&model, findings, BUDGETED_RULES, ANALYZE_ONLY_RULES)
 }
 
 /// Run the per-file lint rules over an already-lexed model.
@@ -285,15 +255,9 @@ pub fn file_findings(model: &FileModel, ctx: &FileCtx) -> Vec<RawFinding> {
 /// Resolve findings against the file's annotations.
 ///
 /// An allow on line N covers a finding on line N or line N+1
-/// (comment-above style). `budgeted_rules` routes surviving findings to
-/// the budget channel; allows naming a rule in `stale_exempt` are never
-/// reported stale (they belong to a checker that is not running).
-pub fn resolve(
-    model: &FileModel,
-    findings: Vec<RawFinding>,
-    budgeted_rules: &[&str],
-    stale_exempt: &[&str],
-) -> FileReport {
+/// (comment-above style). Surviving findings of a [`BUDGETED_RULES`]
+/// rule go to the budget channel.
+pub fn resolve(model: &FileModel, findings: Vec<RawFinding>) -> FileReport {
     let mut used = vec![false; model.allows.len()];
     let mut report = FileReport::default();
     for f in findings {
@@ -308,7 +272,7 @@ pub fn resolve(
             continue;
         }
         let d = Diagnostic::new(&model.rel, line, f.rule, f.message);
-        if budgeted_rules.contains(&f.rule) {
+        if BUDGETED_RULES.contains(&f.rule) {
             report.budgeted.push(d);
         } else {
             report.diagnostics.push(d);
@@ -322,7 +286,7 @@ pub fn resolve(
                 "bad-allow",
                 "malformed annotation; use `lint:allow(<rule>) -- <reason>`",
             ));
-        } else if !used[ai] && !stale_exempt.contains(&a.rule.as_str()) {
+        } else if !used[ai] {
             report.diagnostics.push(Diagnostic::new(
                 &model.rel,
                 a.line,
@@ -344,7 +308,9 @@ mod tests {
 
     fn check(path: &str, src: &str) -> FileReport {
         let ctx = classify(path).expect("classifiable path");
-        check_file(path, src, &ctx)
+        let model = FileModel::parse(path, src);
+        let findings = file_findings(&model, &ctx);
+        resolve(&model, findings)
     }
 
     #[test]
@@ -423,17 +389,6 @@ mod tests {
             "let y = 1; // lint:allow(unwrap) -- nothing here\n",
         );
         assert!(r.diagnostics.iter().any(|d| d.rule == "stale-allow"));
-    }
-
-    #[test]
-    fn analyze_rule_allows_are_not_stale_under_lint() {
-        // `lint` does not run the cross-file passes, so an annotation
-        // carrying an analyze-only finding must not be reported stale.
-        let r = check(
-            "crates/mplite/src/x.rs",
-            "let y = 1; // lint:allow(lock-across-blocking) -- guard is private to this thread\n",
-        );
-        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Golden tests for `xtask analyze`: the cross-file passes must produce
-//! exactly the expected diagnostics on seeded fixtures, the lexer
-//! edge-case fixture must trip nothing anywhere, the real workspace
-//! must analyze clean, and the checked-in budget may never rise above
-//! its seed values.
+//! Golden tests for `xtask analyze`: seeded fixture files must produce
+//! exactly the expected `file:line: rule-id: message` output from the
+//! per-file rules and the cross-file passes alike, clean counterparts
+//! and the lexer edge-case fixture must trip nothing, the real workspace
+//! must analyze clean (which also proves the checked-in budget matches
+//! the live counts), and that budget may never rise above its seed
+//! values.
 
 use std::path::{Path, PathBuf};
 
@@ -30,6 +32,149 @@ fn diags(files: &[(&str, &str)]) -> Vec<String> {
         .iter()
         .map(ToString::to_string)
         .collect()
+}
+
+/// Run a unit fixture as if it lived at `rel_path` in the real tree.
+fn diags_for(rel_path: &str, fixture_name: &str) -> Vec<String> {
+    diags(&[(rel_path, &fixture(fixture_name))])
+}
+
+#[test]
+fn sim_violations_golden() {
+    let rel = "crates/simcore/src/fixture.rs";
+    let got = diags_for(rel, "unit/sim_violations.rs");
+    let want = vec![
+        format!("{rel}:2: wall-clock: wall-clock read in sim code; use the simulated clock (Engine::now)"),
+        format!("{rel}:3: hash-container: HashMap/HashSet in sim code has nondeterministic iteration order; use BTreeMap/BTreeSet or sort explicitly"),
+        format!("{rel}:6: wall-clock: wall-clock read in sim code; use the simulated clock (Engine::now)"),
+        format!("{rel}:7: sleep: thread::sleep in sim code; schedule an event instead"),
+        format!("{rel}:8: hash-container: HashMap/HashSet in sim code has nondeterministic iteration order; use BTreeMap/BTreeSet or sort explicitly"),
+        format!("{rel}:9: ambient-rng: ambient RNG in sim code; route randomness through SimRng"),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn sim_clean_is_silent() {
+    let got = diags_for("crates/simcore/src/fixture.rs", "unit/sim_clean.rs");
+    assert!(got.is_empty(), "{got:?}");
+}
+
+#[test]
+fn trace_violations_golden() {
+    let rel = "crates/mpsim/src/fixture.rs";
+    let got = diags_for(rel, "unit/trace_violations.rs");
+    let msg = "trace-hygiene: wall-clock tracing API in sim code; \
+               stamp trace records with SimTime (tracelab::Tracer)";
+    let want = vec![
+        format!("{rel}:3: {msg}"),
+        format!("{rel}:5: {msg}"),
+        format!("{rel}:6: {msg}"),
+        format!("{rel}:7: {msg}"),
+        format!("{rel}:8: {msg}"),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn trace_clean_is_silent() {
+    let got = diags_for("crates/mpsim/src/fixture.rs", "unit/trace_clean.rs");
+    assert!(got.is_empty(), "{got:?}");
+}
+
+#[test]
+fn tracelab_itself_is_exempt_from_trace_hygiene() {
+    // The crate that implements the wall-clock recorder must be able to
+    // name its own API without tripping the rule meant for everyone else.
+    let got = diags_for("crates/tracelab/src/fixture.rs", "unit/trace_violations.rs");
+    assert!(got.is_empty(), "{got:?}");
+}
+
+#[test]
+fn blocking_violations_golden() {
+    let rel = "crates/netpipe/src/fixture.rs";
+    let got = diags_for(rel, "unit/blocking_violations.rs");
+    let want = vec![
+        format!("{rel}:3: blocking-hygiene: deadline-free blocking `read_exact` in real-mode code; use faultlab::io::read_exact_deadline"),
+        format!("{rel}:4: blocking-hygiene: deadline-free blocking `write_all` in real-mode code; use faultlab::io::write_all_deadline"),
+        format!("{rel}:5: blocking-hygiene: deadline-free blocking `accept` in real-mode code; use faultlab::io::accept_deadline"),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn blocking_clean_is_silent() {
+    let got = diags_for("crates/mplite/src/fixture.rs", "unit/blocking_clean.rs");
+    assert!(got.is_empty(), "{got:?}");
+}
+
+#[test]
+fn blocking_rule_ignores_sim_crates() {
+    let got = diags_for(
+        "crates/protosim/src/fixture.rs",
+        "unit/blocking_violations.rs",
+    );
+    // The annotated allow is stale there (the rule never fires), which is
+    // exactly why the fixture must not be linted under a sim path in the
+    // real tree — but the blocking findings themselves must be absent.
+    assert!(
+        got.iter().all(|d| !d.contains("blocking-hygiene:")),
+        "{got:?}"
+    );
+}
+
+#[test]
+fn panic_violations_golden() {
+    let rel = "crates/mplite/src/fixture.rs";
+    let got = diags_for(rel, "unit/panic_violations.rs");
+    let want = vec![
+        format!("{rel}:3: unwrap: unwrap() in library code; propagate the error instead"),
+        format!("{rel}:6: expect: expect() in library code; propagate the error instead"),
+        format!("{rel}:9: panic: panic! in library code; return an error instead"),
+        format!("{rel}:11: stale-allow: lint:allow(unwrap) has no matching violation; remove it"),
+        format!("{rel}:13: bad-allow: malformed annotation; use `lint:allow(<rule>) -- <reason>`"),
+        format!("{rel}:13: unwrap: unwrap() in library code; propagate the error instead"),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn panic_clean_is_silent() {
+    let got = diags_for("crates/mplite/src/fixture.rs", "unit/panic_clean.rs");
+    assert!(got.is_empty(), "{got:?}");
+}
+
+#[test]
+fn fixture_tree_end_to_end() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/tree");
+    let outcome = analyze_workspace(&root).expect("analyze runs");
+    assert!(!outcome.clean());
+    assert_eq!(outcome.files_checked, 2);
+    // mplite/unwrap: live count 1 is inside its budget of 1.
+    assert_eq!(
+        outcome
+            .budget_counts
+            .get(&("mplite".into(), "unwrap".into())),
+        Some(&1)
+    );
+    let got: Vec<String> = outcome
+        .diagnostics
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    let want = vec![
+        "crates/mplite/Cargo.toml:0: lints-table: crate does not declare `[lints] workspace = true`"
+            .to_string(),
+        "crates/simcore/src/lib.rs:3: trace-hygiene: wall-clock tracing API in sim code; stamp trace records with SimTime (tracelab::Tracer)"
+            .to_string(),
+        "crates/simcore/src/lib.rs:3: wall-clock: wall-clock read in sim code; use the simulated clock (Engine::now)"
+            .to_string(),
+        "crates/simcore/src/lib.rs:4: wall-clock: wall-clock read in sim code; use the simulated clock (Engine::now)"
+            .to_string(),
+        "lint-budget.toml:0: budget: mplite/expect: budget 2 is stale, live count is 0; remove the entry"
+            .to_string(),
+    ];
+    assert_eq!(got, want);
 }
 
 #[test]
@@ -195,21 +340,37 @@ fn hot_chain_three_deep_golden_reports_once_with_full_path() {
     let want = vec![format!(
         "{rel}:16: hot-cost: hot-path allocation `Vec::new` reachable from `entry` via \
          entry -> middle -> leaf; hoist it off the hot path or annotate \
-         `analyze: allow(hot-alloc) -- <reason>`"
+         `lint:allow(hot-cost) -- <reason>`"
     )];
     assert_eq!(got, want);
 }
 
-/// A well-formed `analyze: allow(hot-alloc)` with no finding on its
-/// line or the next is stale: marker-hygiene, not silence.
+/// The call graph resolves by shape, not by bare name: `wire::send(` is
+/// the free function in module `wire`, never the method `Other::send`
+/// that shares its name (nor, through it, `Other::new`). Only the free
+/// function's allocation is reported, with the true chain.
+#[test]
+fn hot_free_fn_call_never_resolves_to_a_method_golden() {
+    let src = fixture("unit/hot_resolver.rs");
+    let rel = "crates/mplite/src/hot_resolver.rs";
+    let got = diags(&[(rel, &src)]);
+    let want = vec![format!(
+        "{rel}:12: hot-cost: hot-path allocation `.to_vec()` reachable from `entry` via \
+         entry -> send; hoist it off the hot path or annotate \
+         `lint:allow(hot-cost) -- <reason>`"
+    )];
+    assert_eq!(got, want);
+}
+
+/// A well-formed hot-cost allow with no finding on its line or the
+/// next is stale like any other annotation: `stale-allow`, not silence.
 #[test]
 fn stale_hot_alloc_allow_golden() {
     let src = fixture("unit/hot_stale_allow.rs");
     let rel = "crates/mplite/src/hot_stale_allow.rs";
     let got = diags(&[(rel, &src)]);
     let want = vec![format!(
-        "{rel}:10: marker-hygiene: `analyze: allow(hot-alloc)` has no matching hot-cost \
-         finding on this line or the next; remove it"
+        "{rel}:10: stale-allow: lint:allow(hot-cost) has no matching violation; remove it"
     )];
     assert_eq!(got, want);
 }
@@ -329,9 +490,21 @@ fn analyze_binary_report_and_exit_codes() {
     assert!(json.contains("\"tool\": \"xtask-analyze\""), "{json}");
     assert!(json.contains("\"clean\": false"), "{json}");
     assert!(json.contains("\"rule\": \"lints-table\""), "{json}");
-    // The rule inventory must list the protocol conformance family, so
-    // CI can assert the pass ran.
+    // The rule inventory must list every family — the former `lint`
+    // rules included — so CI can assert each pass ran.
     for rule in [
+        "wall-clock",
+        "sleep",
+        "ambient-rng",
+        "hash-container",
+        "trace-hygiene",
+        "blocking-hygiene",
+        "unwrap",
+        "expect",
+        "panic",
+        "print",
+        "dbg",
+        "lints-table",
         "protocol-transition",
         "protocol-undeclared",
         "protocol-unreachable",
@@ -348,6 +521,23 @@ fn analyze_binary_report_and_exit_codes() {
         json.matches('}').count(),
         "balanced braces: {json}"
     );
+
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("violation(s)"), "{stdout}");
+
+    // `analyze` is the only command: the retired `lint` spelling, like
+    // any unknown command, and a missing root are usage/IO errors.
+    for args in [
+        &["lint"][..],
+        &["no-such-command"],
+        &["analyze", "--root", "/nonexistent"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
+            .args(args)
+            .output()
+            .expect("xtask binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?} exits 2");
+    }
 
     let explain = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
         .args(["analyze", "--explain", "lock-order"])
