@@ -2,8 +2,20 @@
 //!
 //! Message payloads are handed from application threads to the writer
 //! thread and from reader threads to application threads; an
-//! `Arc<[u8]>`-backed buffer makes every hand-off a refcount bump
-//! instead of a copy, which is what keeps `isend` O(1) in payload size.
+//! `Arc<Vec<u8>>`-backed buffer makes every hand-off a refcount bump
+//! and lets [`Bytes::from`] *adopt* a `Vec`'s allocation instead of
+//! copying it (`Arc<[u8]>` cannot: its header lives in front of the
+//! bytes, so `Arc::from(vec)` reallocates and memcpys).
+//!
+//! The copy contract, per entry point — user-space copies of the
+//! payload the library makes (checksum passes read, they do not move):
+//!
+//! * `Comm::send(&[u8])`: **1** — a borrowed slice cannot outlive the
+//!   call, so its hand-off to the writer thread needs an owned copy;
+//! * `Comm::isend(Bytes)` / `isend(Vec<u8>)` and the collectives'
+//!   internal sends: **0**;
+//! * receive (`recv`, `irecv(..).wait()`): **0** — the buffer the reader
+//!   thread filled from the socket is the buffer the caller gets.
 
 use std::fmt;
 use std::ops::Deref;
@@ -12,27 +24,18 @@ use std::sync::Arc;
 /// An immutable, reference-counted byte buffer (clone is O(1)).
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
 }
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Bytes {
-        Bytes {
-            data: Arc::from(&[][..]),
-        }
+        Bytes::default()
     }
 
     /// Copy a slice into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(data),
-        }
-    }
-
-    /// Wrap a static slice (copies; kept for API familiarity).
-    pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes::copy_from_slice(data)
+        Bytes::from(data.to_vec())
     }
 
     /// Length in bytes.
@@ -43,6 +46,13 @@ impl Bytes {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// Whether this handle is the only one to its allocation — how the
+    /// no-copy contract tests see a clone the library failed to drop.
+    #[cfg(test)]
+    pub(crate) fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
     }
 }
 
@@ -59,9 +69,10 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Adopts the allocation: O(1), the bytes do not move.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes { data: Arc::from(v) }
+        Bytes { data: Arc::new(v) }
     }
 }
 
@@ -102,9 +113,17 @@ mod tests {
     }
 
     #[test]
+    fn from_vec_adopts_the_allocation() {
+        let v = vec![7u8; 1 << 20];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "the bytes must not move");
+        assert_eq!(b.clone().as_ptr(), ptr);
+    }
+
+    #[test]
     fn conversions() {
         assert_eq!(&Bytes::from("hi")[..], b"hi");
-        assert_eq!(&Bytes::from_static(b"s")[..], b"s");
         assert_eq!(Bytes::new().len(), 0);
         assert!(Bytes::new().is_empty());
         assert_eq!(&Bytes::copy_from_slice(&[9])[..], &[9]);

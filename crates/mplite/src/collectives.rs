@@ -653,7 +653,7 @@ mod tests {
     fn single_rank_collectives_are_identity() {
         Universe::run(1, |comm| {
             comm.barrier().unwrap();
-            let b = comm.bcast(0, Some(Bytes::from_static(b"solo"))).unwrap();
+            let b = comm.bcast(0, Some(Bytes::from("solo"))).unwrap();
             assert_eq!(&b[..], b"solo");
             let r = comm.allreduce(&[5.0f64], ReduceOp::Sum).unwrap();
             assert_eq!(r, vec![5.0]);

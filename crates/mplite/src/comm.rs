@@ -127,32 +127,24 @@ pub struct RecvRequest {
 impl RecvRequest {
     /// Block until a matching message arrives; returns payload and status.
     pub fn wait(self) -> Result<(Bytes, Status)> {
-        let msg = self.slot.wait()?;
-        Ok((
-            msg.data.clone(),
-            Status {
-                src: msg.src,
-                tag: msg.tag,
-                len: msg.data.len(),
-            },
-        ))
+        self.slot.wait().map(unpack)
     }
 
     /// Non-blocking test; returns the message if it has arrived.
     pub fn test(&self) -> Option<Result<(Bytes, Status)>> {
-        self.slot.try_take().map(|r| {
-            r.map(|msg| {
-                (
-                    msg.data.clone(),
-                    Status {
-                        src: msg.src,
-                        tag: msg.tag,
-                        len: msg.data.len(),
-                    },
-                )
-            })
-        })
+        self.slot.try_take().map(|r| r.map(unpack))
     }
+}
+
+/// Split a matched message into what `recv` returns, moving the payload
+/// out: the caller's `Bytes` is the only handle to the receive buffer.
+fn unpack(msg: InMsg) -> (Bytes, Status) {
+    let status = Status {
+        src: msg.src,
+        tag: msg.tag,
+        len: msg.data.len(),
+    };
+    (msg.data, status)
 }
 
 enum SendJob {
@@ -365,6 +357,10 @@ impl Comm {
                                     trace::next_msg(),
                                 );
                             }
+                            // Release the payload before announcing
+                            // completion: once `wait()` returns, the
+                            // caller's handle is the only one left.
+                            drop(data);
                             slot.complete(result.map_err(|e| e.to_string()));
                         }
                     }
@@ -558,15 +554,7 @@ impl Comm {
     }
 
     pub(crate) fn recv_internal(&self, src: i32, tag: i32) -> Result<(Bytes, Status)> {
-        let msg = self.engine.post(src, tag).wait()?;
-        Ok((
-            msg.data.clone(),
-            Status {
-                src: msg.src,
-                tag: msg.tag,
-                len: msg.data.len(),
-            },
-        ))
+        self.engine.post(src, tag).wait().map(unpack)
     }
 }
 
@@ -1073,6 +1061,91 @@ mod tests {
         assert_eq!(peer, 1);
         assert!(matches!(fe, FrameError::Truncated { .. }), "{fe}");
         assert!(health.dead[1].load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn header_split_across_writes_is_reassembled() {
+        // However a header is cut across segments — after the byte the
+        // idle read waits for, or mid-way through the deadline read —
+        // the frame is reassembled. The pause lets the first part be
+        // consumed before the second exists.
+        for cut in [1, 13] {
+            let (mut client, server) = socket_pair();
+            client.set_nodelay(true).expect("nodelay");
+            let engine = Arc::new(MatchEngine::new());
+            let (ctx, _health) = test_ctx(&engine, Duration::from_secs(5));
+            let reader = std::thread::spawn(move || {
+                reader_loop(server, ctx);
+            });
+            let wire = v2_frame(1, 9, b"split header");
+            write_all_deadline(&mut client, &wire[..cut], Duration::from_secs(1)).expect("head");
+            std::thread::sleep(Duration::from_millis(30));
+            write_all_deadline(&mut client, &wire[cut..], Duration::from_secs(1)).expect("rest");
+            let msg = engine.post(1, 9).wait().expect("frame delivered");
+            assert_eq!(&msg.data[..], b"split header", "cut at {cut}");
+            let fin = v2_frame(1, FIN_TAG, &[]);
+            write_all_deadline(&mut client, &fin, Duration::from_secs(1)).expect("fin");
+            drop(client);
+            reader.join().expect("reader exits");
+        }
+    }
+
+    #[test]
+    fn midheader_failures_keep_their_exact_verdicts() {
+        // EOF after 13 of 24 header bytes: a truncation that says so.
+        let (mut client, server) = socket_pair();
+        let engine = Arc::new(MatchEngine::new());
+        let (ctx, health) = test_ctx(&engine, Duration::from_secs(5));
+        let reader = std::thread::spawn(move || {
+            reader_loop(server, ctx);
+        });
+        let wire = v2_frame(1, 0, b"never arrives");
+        write_all_deadline(&mut client, &wire[..13], Duration::from_secs(1)).expect("head");
+        drop(client);
+        reader.join().expect("reader exits");
+        let (peer, fe) = health.first_frame_err().expect("verdict recorded");
+        assert_eq!((peer, fe), (1, FrameError::Truncated { got: 13, want: 24 }));
+
+        // A stall after 13 bytes: the link is not idle any more, so the
+        // deadline applies and the peer is condemned, not waited for.
+        let (mut client, server) = socket_pair();
+        let engine = Arc::new(MatchEngine::new());
+        let (ctx, _health) = test_ctx(&engine, Duration::from_millis(80));
+        let reader = std::thread::spawn(move || {
+            reader_loop(server, ctx);
+        });
+        write_all_deadline(&mut client, &wire[..13], Duration::from_secs(1)).expect("head");
+        let err = engine
+            .post(ANY_SOURCE, ANY_TAG)
+            .wait()
+            .expect_err("header can never complete");
+        assert!(err.to_string().contains("timed out mid-header"), "{err}");
+        reader.join().expect("reader exits");
+    }
+
+    #[test]
+    fn owned_payloads_cross_the_library_without_a_copy() {
+        let mut comms = crate::Universe::local(2).expect("mesh");
+        let (c1, c0) = (comms.pop().expect("rank 1"), comms.pop().expect("rank 0"));
+        let data = Bytes::from(
+            (0..1usize << 20)
+                .map(|i| (i % 253) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        let at = data.as_ptr();
+        c0.isend(1, 3, data.clone())
+            .expect("queued")
+            .wait()
+            .expect("sent");
+        // No hidden clone survives the send, and nothing moved.
+        assert!(data.is_unique(), "the library kept a handle past wait()");
+        assert_eq!(data.as_ptr(), at);
+        let (got, st) = c1.recv(0, 3).expect("received");
+        assert_eq!((st.src, st.tag, st.len), (0, 3, 1 << 20));
+        assert!(got == data, "payload differs");
+        // The buffer the reader thread filled is the one handed back,
+        // and the engine let go of it.
+        assert!(got.is_unique(), "the engine kept a handle past recv()");
     }
 
     #[test]

@@ -59,8 +59,11 @@ pub fn max_message_size() -> u64 {
 /// ext4 and SCTP — better error-detection spectrum than CRC-32/zlib).
 const CRC32C_POLY: u32 = 0x82F6_3B78;
 
-const fn crc32c_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `t[0]` is the classic one-byte table, and
+/// `t[k][b]` is the state `t[0][b]` reaches after `k` further zero
+/// bytes, so eight input bytes fold with eight independent lookups.
+const fn crc32c_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -73,13 +76,157 @@ const fn crc32c_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32c_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32c_tables();
+
+/// The portable kernel: slice-by-8 over whole 8-byte words, one table
+/// step per trailing byte. Works on the raw (un-inverted) state.
+fn update_slice8(mut s: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let (words, tail) = data.as_chunks::<8>();
+    for w in words {
+        let lo = s ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        s = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in tail {
+        s = (s >> 8) ^ t[0][((s ^ b as u32) & 0xFF) as usize];
+    }
+    s
+}
+
+/// Product of two polynomials modulo the CRC32C polynomial, both in the
+/// reflected form the running state uses (bit 31 is x^0).
+#[cfg(target_arch = "x86_64")]
+const fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC32C_POLY
+        } else {
+            b >> 1
+        };
+        bit >>= 1;
+    }
+    p
+}
+
+/// Bytes per lane of the hardware kernel's three-lane blocks.
+#[cfg(target_arch = "x86_64")]
+const LANE: usize = 1024;
+
+/// Folding `n` zero bytes into a state multiplies it by x^(8n); this
+/// is that multiplication for `n = LANE`, as four byte-indexed lookups
+/// (the map is linear, so the state's bytes shift independently).
+#[cfg(target_arch = "x86_64")]
+const fn lane_shift_table() -> [[u32; 256]; 4] {
+    // x^(8 * LANE) by squaring x^8 up: LANE is a power of two.
+    let mut x_pow = 1u32 << 23;
+    let mut n = 1;
+    while n < LANE {
+        x_pow = gf2_mul(x_pow, x_pow);
+        n *= 2;
+    }
+    let mut t = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            t[k][b] = gf2_mul(x_pow, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+#[cfg(target_arch = "x86_64")]
+static LANE_SHIFT: [[u32; 256]; 4] = lane_shift_table();
+
+/// The x86-64 kernel: the SSE4.2 `crc32` instruction implements exactly
+/// this polynomial, eight bytes per issue — but with a three-cycle
+/// latency, so one dependent chain runs at a third of what the unit can
+/// do. Each `3 * LANE`-byte block is therefore folded as three
+/// independent chains (the first continues the running state, the other
+/// two start from zero) and recombined through [`LANE_SHIFT`]; what is
+/// left over runs as a single chain.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn update_sse42(s: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let shift = |v: u64| -> u32 {
+        let t = &LANE_SHIFT;
+        t[0][(v & 0xFF) as usize]
+            ^ t[1][((v >> 8) & 0xFF) as usize]
+            ^ t[2][((v >> 16) & 0xFF) as usize]
+            ^ t[3][((v >> 24) & 0xFF) as usize]
+    };
+    let (blocks, rest) = data.as_chunks::<{ 3 * LANE }>();
+    let mut s = s as u64;
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        let (a, bc) = words.split_at(LANE / 8);
+        let (b, c) = bc.split_at(LANE / 8);
+        let (mut sb, mut sc) = (0u64, 0u64);
+        for ((wa, wb), wc) in a.iter().zip(b).zip(c) {
+            s = _mm_crc32_u64(s, u64::from_le_bytes(*wa));
+            sb = _mm_crc32_u64(sb, u64::from_le_bytes(*wb));
+            sc = _mm_crc32_u64(sc, u64::from_le_bytes(*wc));
+        }
+        s = (shift((shift(s) ^ sb as u32) as u64) ^ sc as u32) as u64;
+    }
+    let (words, tail) = rest.as_chunks::<8>();
+    for w in words {
+        s = _mm_crc32_u64(s, u64::from_le_bytes(*w));
+    }
+    let mut s = s as u32;
+    for &b in tail {
+        s = _mm_crc32_u8(s, b);
+    }
+    s
+}
+
+/// Run the hardware kernel if this CPU has one. Detection is std's
+/// cached CPUID probe (one relaxed load per call), so there is nothing
+/// to configure and nothing to get wrong: the answer is a property of
+/// the machine. `None` sends the caller to [`update_slice8`].
+#[inline]
+fn update_hw(s: u32, data: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `update_sse42`'s only requirement is that the CPU
+        // executes SSE4.2, which the line above just established.
+        return Some(unsafe { update_sse42(s, data) });
+    }
+    // Unused where no hardware kernel is compiled in.
+    let _ = (s, data);
+    None
+}
 
 /// Incremental CRC32C state, so header and payload can be chained
 /// without concatenating them in memory.
@@ -94,13 +241,14 @@ impl Crc32c {
         Crc32c { state: 0xFFFF_FFFF }
     }
 
-    /// Fold `data` into the running checksum.
+    /// Fold `data` into the running checksum: on the hardware kernel
+    /// where the CPU has one, on slice-by-8 everywhere else. Every
+    /// kernel computes the same function, bit for bit.
     pub fn update(&mut self, data: &[u8]) {
-        let mut s = self.state;
-        for &b in data {
-            s = (s >> 8) ^ CRC_TABLE[((s ^ b as u32) & 0xFF) as usize];
-        }
-        self.state = s;
+        self.state = match update_hw(self.state, data) {
+            Some(s) => s,
+            None => update_slice8(self.state, data),
+        };
     }
 
     /// The final checksum value.
@@ -487,11 +635,98 @@ mod tests {
         out
     }
 
+    /// The reference oracle: the one-byte-at-a-time table loop every
+    /// release before this one shipped as *the* kernel.
+    fn update_bytewise(mut s: u32, data: &[u8]) -> u32 {
+        for &b in data {
+            s = (s >> 8) ^ CRC_TABLES[0][((s ^ b as u32) & 0xFF) as usize];
+        }
+        s
+    }
+
+    type Kernel = fn(u32, &[u8]) -> Option<u32>;
+
+    /// Every kernel, by direct call (the hardware one answers `None`
+    /// where the CPU lacks it, and is skipped).
+    const KERNELS: [(&str, Kernel); 3] = [
+        ("bytewise", |s, d| Some(update_bytewise(s, d))),
+        ("slice8", |s, d| Some(update_slice8(s, d))),
+        ("hw", update_hw),
+    ];
+
     #[test]
-    fn crc32c_known_vector() {
-        // The canonical CRC-32C check value ("123456789").
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(b""), 0);
+    fn every_kernel_passes_the_rfc3720_vectors() {
+        let ascending: Vec<u8> = (0x00..=0x1F).collect();
+        let descending: Vec<u8> = (0x00..=0x1F).rev().collect();
+        // RFC 3720 §B.4, plus the canonical check value and the empty
+        // message.
+        let vectors: [(&[u8], u32); 6] = [
+            (&[0x00; 32], 0x8A91_36AA),
+            (&[0xFF; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+            (b"123456789", 0xE306_9283),
+            (b"", 0),
+        ];
+        for (name, kernel) in KERNELS {
+            for (data, want) in vectors {
+                let Some(s) = kernel(!0, data) else { continue };
+                assert_eq!(!s, want, "{name} over {data:02x?}");
+            }
+        }
+        for (data, want) in vectors {
+            assert_eq!(crc32c(data), want, "dispatched over {data:02x?}");
+        }
+    }
+
+    #[test]
+    fn every_kernel_equals_the_bytewise_oracle() {
+        let mut rng = simcore::SimRng::new(0xC4C3_2C00);
+        let mut lens: Vec<usize> = (0..=1100).collect();
+        // Either side of one and of two of the hardware kernel's
+        // three-lane blocks, then the issue's large sizes.
+        lens.extend((3072 - 9)..=(3072 + 9));
+        lens.extend((6144 - 9)..=(6144 + 9));
+        lens.extend((65_536 - 9)..=(65_536 + 9));
+        lens.push((1 << 20) + 3);
+        let max = (1 << 20) + 3 + 16;
+        let mut pool = vec![0u8; max];
+        for chunk in pool.chunks_mut(8) {
+            let word = rng.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+        for (i, &len) in lens.iter().enumerate() {
+            // Every start misalignment is visited many times over.
+            let data = &pool[i % 16..i % 16 + len];
+            let init = rng.next_u64() as u32;
+            let want = update_bytewise(init, data);
+            // One random split point: chained `update`s must agree
+            // with the one-shot value.
+            let cut = (rng.next_u64() % (len as u64 + 1)) as usize;
+            for (name, kernel) in &KERNELS[1..] {
+                let Some(one_shot) = kernel(init, data) else {
+                    continue;
+                };
+                assert_eq!(one_shot, want, "{name}: len {len} at offset {}", i % 16);
+                let chained = kernel(init, &data[..cut]).and_then(|s| kernel(s, &data[cut..]));
+                assert_eq!(chained, Some(want), "{name}: len {len} cut at {cut}");
+            }
+            let mut c = Crc32c { state: init };
+            c.update(&data[..cut]);
+            c.update(&data[cut..]);
+            assert_eq!(c.state, want, "dispatched: len {len} cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn the_hardware_kernel_is_selected_whenever_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        let has_hw = std::arch::is_x86_feature_detected!("sse4.2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_hw = false;
+        // A silent fall-back to the portable kernel must fail here, not
+        // show up months later as a slow plateau.
+        assert_eq!(update_hw(!0, b"dispatch").is_some(), has_hw);
     }
 
     #[test]

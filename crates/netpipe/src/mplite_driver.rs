@@ -45,7 +45,9 @@ fn echo_rank(comm: Comm) {
     loop {
         match comm.recv(0, mplite::ANY_TAG) {
             Ok((data, st)) if st.tag == PP_TAG => {
-                if comm.send(0, PP_TAG, &data).is_err() {
+                // Resend the `Bytes` the receive handed over: `send`
+                // would copy the payload into a fresh buffer first.
+                if comm.isend(0, PP_TAG, data).and_then(|r| r.wait()).is_err() {
                     return;
                 }
             }

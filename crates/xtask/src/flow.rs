@@ -21,10 +21,12 @@
 //!
 //! **Call resolution** stays inside one crate and is by shape:
 //! `Type::f(` / `Self::f(` resolves exactly to that type's `f`; `.m(`
-//! resolves to every *method* named `m`; `f(` and `module::f(` resolve
-//! to *free functions* named `f` only. A call sharing the enclosing
-//! function's name is almost always delegation to an inner object
-//! (`fn events() { self.lock().events() }`) and is not a call edge.
+//! resolves to every *method* named `m` that takes `self` (a
+//! receiver-less associated function cannot be called that way); `f(`
+//! and `module::f(` resolve to *free functions* named `f` only. A call
+//! sharing the enclosing function's name is almost always delegation to
+//! an inner object (`fn events() { self.lock().events() }`) and is not a
+//! call edge.
 //! Blocking primitives and allocation constructors are events of their
 //! own kind, never call edges.
 
@@ -32,7 +34,7 @@ use std::collections::BTreeMap;
 
 use crate::context::FileKind;
 use crate::lex::{Tok, TokKind};
-use crate::model::{field_decls, fn_items, FieldDecl, FnItem, WFile, WorkspaceModel};
+use crate::model::{field_decls, fn_items, FieldDecl, FnItem, Receiver, WFile, WorkspaceModel};
 
 /// Files implementing the lock primitives themselves: their internals
 /// (poison recovery, condvar re-lock) are not acquisition *sites*.
@@ -218,7 +220,9 @@ impl Index<'_> {
             .copied()
             .filter(|&ii| match (callee, self.items[ii].self_type.as_deref()) {
                 (Callee::Of(t), owner) => owner == Some(t),
-                (Callee::Method, owner) => owner.is_some(),
+                (Callee::Method, owner) => {
+                    owner.is_some() && self.items[ii].receiver != Receiver::None
+                }
                 (Callee::Free, owner) => owner.is_none(),
             })
             .collect()
@@ -519,12 +523,16 @@ mod tests {
                    impl B {\n    fn own(&self) { Self::make(); }\n}\n\
                    fn method(a: &A) { a.go(); }\n\
                    fn free() { go(); util::make(); }\n\
-                   fn foreign() { Vec::<u8>::make(); Other::make(); }\n";
+                   fn foreign() { Vec::<u8>::make(); Other::make(); }\n\
+                   fn slice(h: &mut [u8]) { h.make(); }\n";
         assert_eq!(callees_of(src, "typed"), ["A::make"]);
         assert_eq!(callees_of(src, "B::own"), ["B::make"]);
         assert_eq!(callees_of(src, "method"), ["A::go", "B::go"]);
         assert_eq!(callees_of(src, "free"), ["go", "make"]);
         assert!(callees_of(src, "foreign").is_empty());
+        // `.make(` needs a receiver: `A::make()` / `B::make()` take none,
+        // so a foreign method of the same name is not an edge to them.
+        assert!(callees_of(src, "slice").is_empty());
     }
 
     #[test]
