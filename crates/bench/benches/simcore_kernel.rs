@@ -5,7 +5,36 @@
 use std::hint::black_box;
 
 use bench::microbench;
-use simcore::{Engine, Resource, SimDuration, SimRng, SimTime};
+use simcore::{Engine, Event, Resource, SimDuration, SimRng, SimTime};
+
+/// A typed hold event the size of `protosim::NetEvent` (12 bytes).
+struct RandomHold([u32; 3]);
+
+impl Event<SimRng> for RandomHold {
+    fn dispatch(self, e: &mut Engine<SimRng, RandomHold>) {
+        let d = 1 + e.world.next_below(1000);
+        let [a, b, c] = self.0;
+        e.schedule_event_in(SimDuration(d), RandomHold([a.wrapping_add(d as u32), b, c]));
+    }
+}
+
+/// Reschedules itself `world` ns ahead: behind every pending event.
+struct OrderedHold([u32; 3]);
+
+impl Event<u64> for OrderedHold {
+    fn dispatch(self, e: &mut Engine<u64, OrderedHold>) {
+        let behind_all = SimDuration(e.world);
+        let [a, b, c] = self.0;
+        e.schedule_event_in(behind_all, OrderedHold([a.wrapping_add(1), b, c]));
+    }
+}
+
+fn steps<W, E: Event<W>>(eng: &mut Engine<W, E>, ops: u64) -> usize {
+    for _ in 0..ops {
+        eng.step();
+    }
+    eng.pending()
+}
 
 fn main() {
     let g = microbench::group("event_queue");
@@ -34,6 +63,59 @@ fn main() {
         eng.run();
         eng.world
     });
+
+    // The hold model (each event reschedules itself a random distance
+    // ahead, population constant), closure and typed, and its ordered
+    // twin: each event reschedules itself behind everything pending — a
+    // transport's in-order segment stream, which the engine's sorted run
+    // takes in O(1). 350 and 2 048 pending are a 512 kB TCP window of
+    // 1 500-byte segments and an 8 MiB GM message of 4 kB packets.
+    const OPS: u64 = 200_000;
+    let g = microbench::group("hold");
+    for pending in [350u64, 2_048, 100_000] {
+        g.bench(&format!("closure_random/{pending}"), || {
+            fn hold(e: &mut Engine<SimRng>, words: [u64; 3]) {
+                let d = 1 + e.world.next_below(1000);
+                let words = [words[0].wrapping_add(d), words[1], words[2]];
+                e.schedule_in(SimDuration(d), move |e| hold(e, words));
+            }
+            let mut eng = Engine::new(SimRng::new(pending));
+            for i in 0..pending {
+                let at = SimTime(eng.world.next_below(1000));
+                eng.schedule_at(at, move |e| hold(e, [i, at.0, 0]));
+            }
+            steps(&mut eng, OPS)
+        });
+        g.bench(&format!("typed_random/{pending}"), || {
+            let mut eng = Engine::with_events(SimRng::new(pending));
+            for i in 0..pending {
+                let at = SimTime(eng.world.next_below(1000));
+                eng.schedule_event_at(at, RandomHold([i as u32, 0, 0]));
+            }
+            steps(&mut eng, OPS)
+        });
+    }
+    for pending in [350u64, 2_048] {
+        g.bench(&format!("closure_ordered/{pending}"), || {
+            fn hold(e: &mut Engine<u64>, words: [u64; 3]) {
+                let behind_all = SimDuration(e.world);
+                let words = [words[0].wrapping_add(1), words[1], words[2]];
+                e.schedule_in(behind_all, move |e| hold(e, words));
+            }
+            let mut eng = Engine::new(pending);
+            for i in 0..pending {
+                eng.schedule_at(SimTime(i), move |e| hold(e, [i, 0, 0]));
+            }
+            steps(&mut eng, OPS)
+        });
+        g.bench(&format!("typed_ordered/{pending}"), || {
+            let mut eng = Engine::with_events(pending);
+            for i in 0..pending {
+                eng.schedule_event_at(SimTime(i), OrderedHold([i as u32, 0, 0]));
+            }
+            steps(&mut eng, OPS)
+        });
+    }
 
     let g = microbench::group("resource");
     g.bench("resource_serve_1m", || {

@@ -12,7 +12,7 @@
 use faultlab::{FaultCounters, FaultLottery, FaultPlan};
 use hwmodel::ClusterSpec;
 use simcore::trace::{SharedSink, SpanRec};
-use simcore::{Engine, Resource, SimDuration, SimTime};
+use simcore::{Engine, Event, Resource, SimDuration, SimTime};
 
 use crate::local::LocalConn;
 use crate::raw::RawConn;
@@ -142,10 +142,94 @@ pub struct Fabric {
     /// Monotonic message-id allocator (advances identically whether or
     /// not a tracer is installed, preserving determinism).
     next_msg: u64,
+    /// `(delivery time, segment bytes)` of the segments a transport has
+    /// resolved but not yet scheduled: filled while the resources are
+    /// borrowed, drained into the engine right after, and kept for its
+    /// capacity so the per-segment path never allocates.
+    pub(crate) scratch: Vec<(SimTime, u32)>,
 }
 
 /// Shorthand for the engine type every transport event runs on.
-pub type Net = Engine<Fabric>;
+pub type Net = Engine<Fabric, NetEvent>;
+
+/// The per-segment events of the two-node transports, held in the engine's
+/// queue as plain data. The fields are sized so an event is 8 bytes (a
+/// segment is bounded by a `u32` MSS or packet size; a two-node fabric
+/// opens a handful of connections): the typed arm then shares the closure
+/// arm's 16 bytes and the queue record stays at 32, which measured +5 % on
+/// the figure sweep over a 12-byte event's 40. Per-message continuations
+/// remain [`Continuation`] closures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NetEvent {
+    /// A TCP segment reached the receiver's socket buffer.
+    TcpDeliver {
+        /// Connection index.
+        conn: u16,
+        /// Sending endpoint.
+        dir: u8,
+        /// Segment payload bytes.
+        seg: u32,
+    },
+    /// The window update for a drained window reached a stalled sender.
+    TcpReopen {
+        /// Connection index.
+        conn: u16,
+        /// Sending endpoint.
+        dir: u8,
+    },
+    /// An OS-bypass packet landed in the receiver's memory.
+    RawDeliver {
+        /// Connection index.
+        conn: u16,
+        /// Sending endpoint.
+        dir: u8,
+        /// Packet payload bytes.
+        seg: u32,
+    },
+}
+
+impl Event<Fabric> for NetEvent {
+    #[inline]
+    fn dispatch(self, eng: &mut Net) {
+        match self {
+            NetEvent::TcpDeliver { conn, dir, seg } => {
+                crate::tcp::on_deliver(eng, ConnId(conn.into()), dir.into(), seg.into());
+            }
+            NetEvent::TcpReopen { conn, dir } => {
+                crate::tcp::on_reopen(eng, ConnId(conn.into()), dir.into());
+            }
+            NetEvent::RawDeliver { conn, dir, seg } => {
+                crate::raw::on_deliver(eng, ConnId(conn.into()), dir.into(), seg.into());
+            }
+        }
+    }
+}
+
+/// Narrow a connection id and endpoint for a [`NetEvent`].
+pub(crate) fn event_addr(conn: ConnId, dir: usize) -> (u16, u8) {
+    // lint:allow(expect) -- a fabric holds a handful of connections and two endpoints; overflowing either is a caller bug
+    let conn = u16::try_from(conn.0).expect("more than u16::MAX connections");
+    // lint:allow(expect) -- as above: endpoints are 0 and 1
+    let dir = u8::try_from(dir).expect("endpoint index is 0 or 1");
+    (conn, dir)
+}
+
+/// Schedule every segment a transport left in [`Fabric::scratch`] as the
+/// typed event `make(segment bytes)` at its delivery time, in order.
+pub(crate) fn schedule_deliveries(eng: &mut Net, make: impl Fn(u32) -> NetEvent) {
+    let mut due = std::mem::take(&mut eng.world.scratch);
+    for (t, seg) in due.drain(..) {
+        eng.schedule_event_at(t, make(seg));
+    }
+    eng.world.scratch = due;
+}
+
+/// Narrow a segment length for a [`NetEvent`] or the scratch buffer.
+#[inline]
+pub(crate) fn seg_len(seg: u64) -> u32 {
+    // lint:allow(expect) -- segments are cut at an MSS or packet size that is itself a u32
+    u32::try_from(seg).expect("segment longer than its u32 MSS")
+}
 
 /// A message-completion continuation.
 pub type Continuation = Box<dyn FnOnce(&mut Net)>;
@@ -192,12 +276,13 @@ impl Fabric {
             tracer: None,
             faults: None,
             next_msg: 0,
+            scratch: Vec::new(),
         }
     }
 
     /// Create an engine over a fresh fabric for `spec`.
     pub fn engine(spec: ClusterSpec) -> Net {
-        Engine::new(Fabric::new(spec))
+        Engine::with_events(Fabric::new(spec))
     }
 
     /// Register a connection and return its id.
@@ -363,6 +448,11 @@ mod tests {
         assert!(fab.hosts[0].nics[0].rate().is_finite());
         let ge = Fabric::new(pcs_ga620());
         assert!(ge.hosts[0].nics[0].rate().is_infinite());
+    }
+
+    #[test]
+    fn net_event_stays_eight_bytes() {
+        assert_eq!(std::mem::size_of::<NetEvent>(), 8);
     }
 
     #[test]

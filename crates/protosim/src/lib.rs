@@ -27,7 +27,7 @@ pub mod tcp;
 
 pub use fabric::{
     cpu_track, flow_track, instrument, is_hw_track, lib_track, nic_track, pci_track, send,
-    track_label, wire_track, Conn, ConnId, Continuation, Fabric, Net,
+    track_label, wire_track, Conn, ConnId, Continuation, Fabric, Net, NetEvent,
 };
 pub use multinode::{ring_halo_steps, MultiEngine, MultiNet};
 pub use raw::{RawParams, RecvMode};

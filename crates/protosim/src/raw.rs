@@ -18,9 +18,12 @@
 use std::collections::VecDeque;
 
 use simcore::trace::{stages, SpanRec};
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 
-use crate::fabric::{flow_track, Conn, ConnId, Continuation, Fabric, Net};
+use crate::fabric::{
+    event_addr, flow_track, schedule_deliveries, seg_len, Conn, ConnId, Continuation, Fabric, Net,
+    NetEvent,
+};
 
 /// How the receiving process learns of a completed message (GM's
 /// `--gm-recv` flag, §5).
@@ -142,7 +145,6 @@ pub fn open_on_channel(fabric: &mut Fabric, params: RawParams, channel: usize) -
 pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: Continuation) {
     let now = eng.now();
     let msg = eng.world.alloc_msg();
-    let mut deliveries: Vec<(SimTime, u64)> = Vec::new();
     {
         let Fabric {
             spec,
@@ -150,6 +152,7 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
             wires,
             conns,
             tracer,
+            scratch,
             ..
         } = &mut eng.world;
         let raw = match &mut conns[conn.0] {
@@ -157,7 +160,10 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
             // lint:allow(panic) -- ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition
             _ => panic!("connection {conn:?} is not a raw transport"),
         };
-        let p = raw.params.clone();
+        let pkt_bytes = u64::from(raw.params.pkt_bytes);
+        let header_bytes = u64::from(raw.params.header_bytes);
+        let sw_pkt = SimDuration::from_micros_f64(raw.params.sw_pkt_us);
+        let send_overhead = SimDuration::from_micros_f64(raw.params.send_overhead_us);
         let channel = raw.channel;
         raw.dirs[from].push_back(RawJob {
             delivered: 0,
@@ -175,15 +181,15 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
         let mut remaining = bytes.max(1);
         let mut first = true;
         while remaining > 0 {
-            let seg = remaining.min(u64::from(p.pkt_bytes));
-            let mut sw = SimDuration::from_micros_f64(p.sw_pkt_us);
+            let seg = remaining.min(pkt_bytes);
+            let mut sw = sw_pkt;
             if first {
-                sw += SimDuration::from_micros_f64(p.send_overhead_us);
+                sw += send_overhead;
                 first = false;
             }
             // Host library work (no kernel copy: registered memory DMA).
             let t1 = hosts[sender].cpu.serve_for(now, sw, seg);
-            let on_bus = seg + u64::from(p.header_bytes);
+            let on_bus = seg + header_bytes;
             let t2 = hosts[sender].pci.serve(t1, on_bus);
             // The NIC-processor stage (LANai on Myrinet) is charged once
             // per packet; it covers the tx+rx firmware work in aggregate,
@@ -203,16 +209,15 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
                     });
                 }
             }
-            deliveries.push((t5, seg));
+            scratch.push((t5, seg_len(seg)));
             remaining -= seg;
         }
     }
-    for (t, seg) in deliveries {
-        eng.schedule_at(t, move |e| on_deliver(e, conn, from, seg));
-    }
+    let (conn, dir) = event_addr(conn, from);
+    schedule_deliveries(eng, |seg| NetEvent::RawDeliver { conn, dir, seg });
 }
 
-fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
+pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
     let now = eng.now();
     let mut completion: Option<(Continuation, SimDuration)> = None;
     let mut done = (0u64, 0u64); // (msg, total)

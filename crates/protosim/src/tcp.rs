@@ -36,9 +36,12 @@ use std::collections::VecDeque;
 use faultlab::{SegFault, SegLifeState};
 use hwmodel::nic::TCPIP_HEADERS;
 use simcore::trace::{stages, SpanRec};
-use simcore::{units, SimDuration, SimTime};
+use simcore::{units, SimDuration};
 
-use crate::fabric::{flow_track, Conn, ConnId, Continuation, Fabric, Net};
+use crate::fabric::{
+    event_addr, flow_track, schedule_deliveries, seg_len, Conn, ConnId, Continuation, Fabric, Net,
+    NetEvent,
+};
 
 /// Per-connection TCP tuning, the knobs the paper turns.
 #[derive(Debug, Clone)]
@@ -91,6 +94,39 @@ struct TcpDir {
     stalled: bool,
 }
 
+/// What one segment costs on this connection, apart from its size: derived
+/// from the spec once at [`open_on_channel`], like `window` and `smooth`,
+/// so the per-segment path converts no microseconds and divides no rates.
+struct SegCosts {
+    mss: u32,
+    /// Ethernet framing added to every frame on the wire.
+    framing: u32,
+    tx_pkt: SimDuration,
+    rx_pkt: SimDuration,
+    syscall: SimDuration,
+    coalesce: SimDuration,
+    path: SimDuration,
+    /// Receiver wakeup + `recv()` return once a message is complete.
+    wakeup: SimDuration,
+    /// How long a stalled sender waits for the window update after its
+    /// outstanding window has drained.
+    reopen_stall: SimDuration,
+    kernel_copy_bps: f64,
+    /// The last `(bytes, kernel copy time)`; all but a message's final
+    /// segment are the same size.
+    copy_memo: (u64, SimDuration),
+}
+
+impl SegCosts {
+    #[inline]
+    fn kernel_copy(&mut self, seg: u64) -> SimDuration {
+        if self.copy_memo.0 != seg {
+            self.copy_memo = (seg, SimDuration::for_bytes(seg, self.kernel_copy_bps));
+        }
+        self.copy_memo.1
+    }
+}
+
 /// A TCP connection between host 0 and host 1.
 pub struct TcpConn {
     /// Effective (kernel-clamped) parameters.
@@ -104,6 +140,7 @@ pub struct TcpConn {
     /// Which NIC/wire pair this connection is routed over (channel
     /// bonding installs one connection per card).
     pub channel: usize,
+    costs: SegCosts,
     dirs: [TcpDir; 2],
     /// Total bytes delivered on this connection (both directions).
     pub bytes_delivered: u64,
@@ -145,7 +182,7 @@ pub fn open_on_channel(fabric: &mut Fabric, mut params: TcpParams, channel: usiz
     // control (MPICH/p4) forfeits smoothness below the delayed-ACK bound
     // no matter what.
     let spec = &fabric.spec;
-    let mss = u64::from(spec.nic.mss(TCPIP_HEADERS));
+    let mss = spec.nic.mss(TCPIP_HEADERS);
     let mut payload_rate = spec.nic.wire_payload_rate(TCPIP_HEADERS);
     if let Some(cap) = spec.nic.driver_cap_bps {
         payload_rate = payload_rate.min(cap);
@@ -154,14 +191,33 @@ pub fn open_on_channel(fabric: &mut Fabric, mut params: TcpParams, channel: usiz
         payload_rate,
         SimDuration::from_micros_f64(2.0 * spec.nic.ack_delay_us),
     );
-    let min_smooth = (8 * mss).max(burst_bytes);
+    let min_smooth = (8 * u64::from(mss)).max(burst_bytes);
     let p4_rough = params.block_sync_writes && window < spec.kernel.delack_window_bytes;
     let smooth = !p4_rough && window >= min_smooth;
+    let cpu = &spec.host.cpu;
+    let costs = SegCosts {
+        mss,
+        framing: spec.nic.framing_bytes,
+        tx_pkt: SimDuration::from_micros_f64(cpu.kernel_pkt_tx_us),
+        rx_pkt: SimDuration::from_micros_f64(cpu.kernel_pkt_rx_us),
+        syscall: SimDuration::from_micros_f64(cpu.syscall_us),
+        coalesce: SimDuration::from_micros_f64(spec.nic.rx_coalesce_us),
+        path: SimDuration::from_micros_f64(spec.path_latency_us()),
+        wakeup: SimDuration::from_micros_f64(spec.kernel.rx_extra_us + cpu.syscall_us),
+        reopen_stall: SimDuration::from_micros_f64(if p4_rough {
+            spec.kernel.delack_stall_us
+        } else {
+            spec.nic.ack_delay_us
+        }),
+        kernel_copy_bps: cpu.kernel_copy_bps,
+        copy_memo: (0, SimDuration::ZERO),
+    };
     fabric.push_conn(Conn::Tcp(TcpConn {
         params,
         window,
         smooth,
         channel,
+        costs,
         dirs: [TcpDir::default(), TcpDir::default()],
         bytes_delivered: 0,
         dead: false,
@@ -209,16 +265,14 @@ fn tcp_mut(fabric: &mut Fabric, conn: ConnId) -> &mut TcpConn {
 // analyze: hot
 fn pump(eng: &mut Net, conn: ConnId, dir: usize) {
     let now = eng.now();
-    // (delivery_time, segment_bytes) pairs to schedule.
-    let mut deliveries: Vec<(SimTime, u64)> = Vec::new();
     {
         let Fabric {
-            spec,
             hosts,
             wires,
             conns,
             tracer,
             faults,
+            scratch,
             ..
         } = &mut eng.world;
         let tcp = match &mut conns[conn.0] {
@@ -232,16 +286,14 @@ fn pump(eng: &mut Net, conn: ConnId, dir: usize) {
         let window = tcp.window;
         let channel = tcp.channel;
         let mut conn_died = false;
+        let costs = &mut tcp.costs;
         let d = &mut tcp.dirs[dir];
         if d.stalled {
             return;
         }
         let (sender, receiver) = (dir, 1 - dir);
-        let mss = u64::from(spec.nic.mss(TCPIP_HEADERS));
-        let cpu = &spec.host.cpu;
-        let kernel_copy = cpu.kernel_copy_bps;
-        let coalesce = SimDuration::from_micros_f64(spec.nic.rx_coalesce_us);
-        let path = SimDuration::from_micros_f64(spec.path_latency_us());
+        let (mss, framing) = (u64::from(costs.mss), u64::from(costs.framing));
+        let (coalesce, path) = (costs.coalesce, costs.path);
         let ft = flow_track(dir);
 
         'jobs: for job in d.jobs.iter_mut() {
@@ -265,16 +317,16 @@ fn pump(eng: &mut Net, conn: ConnId, dir: usize) {
                 }
                 let seg = want.min(avail.max(1)).min(window);
                 // --- sender side ---
-                let mut tx = SimDuration::from_micros_f64(cpu.kernel_pkt_tx_us)
-                    + SimDuration::for_bytes(seg, kernel_copy);
+                let copy = costs.kernel_copy(seg);
+                let mut tx = costs.tx_pkt + copy;
                 if !job.started {
-                    tx += SimDuration::from_micros_f64(cpu.syscall_us);
+                    tx += costs.syscall;
                     job.started = true;
                 }
                 let t1 = hosts[sender].cpu.serve_for(now, tx, seg);
                 let on_bus = seg + u64::from(TCPIP_HEADERS);
                 let t2 = hosts[sender].pci.serve(t1, on_bus);
-                let frame = seg + u64::from(TCPIP_HEADERS) + u64::from(spec.nic.framing_bytes);
+                let frame = on_bus + framing;
                 let t3 = hosts[sender].nics[channel].serve(t2, frame);
                 let mut t4 = wires[channel][dir].serve(t3, frame);
                 // --- fault injection on the wire ---
@@ -397,8 +449,7 @@ fn pump(eng: &mut Net, conn: ConnId, dir: usize) {
                 }
                 // --- receiver side ---
                 let t5 = hosts[receiver].pci.serve(t4 + path, on_bus);
-                let rx = SimDuration::from_micros_f64(cpu.kernel_pkt_rx_us)
-                    + SimDuration::for_bytes(seg, kernel_copy);
+                let rx = costs.rx_pkt + copy;
                 let t6 = hosts[receiver].cpu.serve_for(t5 + coalesce, rx, seg);
                 if let Some(t) = tracer.as_ref() {
                     // Protocol gaps between resource spans, on the flow
@@ -424,7 +475,7 @@ fn pump(eng: &mut Net, conn: ConnId, dir: usize) {
                         });
                     }
                 }
-                deliveries.push((t6, seg));
+                scratch.push((t6, seg_len(seg)));
                 d.in_flight += seg;
                 d.undelivered += seg;
                 job.remaining -= seg;
@@ -434,30 +485,25 @@ fn pump(eng: &mut Net, conn: ConnId, dir: usize) {
             tcp.dead = true;
         }
     }
-    for (t, seg) in deliveries {
-        eng.schedule_at(t, move |e| on_deliver(e, conn, dir, seg));
-    }
+    let (conn, dir) = event_addr(conn, dir);
+    schedule_deliveries(eng, |seg| NetEvent::TcpDeliver { conn, dir, seg });
 }
 
 /// A segment reached the receiver's socket buffer and was copied out.
 // analyze: hot
-fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
+pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
     let now = eng.now();
-    enum Next {
-        Reopen(SimDuration),
+    /// What a delivery does to a stalled sender.
+    enum Wake {
         Pump,
-        Complete(Continuation, SimDuration),
+        Reopen(SimDuration),
     }
-    let mut actions: Vec<Next> = Vec::new();
+    let mut wake = None;
+    // (continuation, wakeup cost, message bytes) of a completed message.
+    let mut complete = None;
     let front_msg;
-    let mut done_total = 0u64;
     {
-        let Fabric { spec, conns, .. } = &mut eng.world;
-        let tcp = match &mut conns[conn.0] {
-            Conn::Tcp(t) => t,
-            // lint:allow(panic) -- delivery events on this conn are only scheduled by TCP code paths
-            _ => unreachable!(),
-        };
+        let tcp = tcp_mut(&mut eng.world, conn);
         if tcp.dead {
             // Segments already in flight when the connection died still
             // land, but drive no further progress.
@@ -465,27 +511,20 @@ fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
         }
         tcp.bytes_delivered += seg;
         let window = tcp.window;
-        let block_sync = tcp.params.block_sync_writes;
-        let smooth = tcp.smooth;
         let d = &mut tcp.dirs[dir];
         d.undelivered -= seg;
-        if smooth {
+        if tcp.smooth {
             // Continuous acking: window space recycles per delivery.
             d.in_flight = d.in_flight.saturating_sub(seg);
             if d.stalled && d.in_flight < window {
                 d.stalled = false;
-                actions.push(Next::Pump);
+                wake = Some(Wake::Pump);
             }
         } else if d.stalled {
             if d.undelivered == 0 {
                 // Whole outstanding window drained; the sender wakes after
                 // the (coalesced) window update arrives.
-                let stall = if block_sync && window < spec.kernel.delack_window_bytes {
-                    spec.kernel.delack_stall_us
-                } else {
-                    spec.nic.ack_delay_us
-                };
-                actions.push(Next::Reopen(SimDuration::from_micros_f64(stall)));
+                wake = Some(Wake::Reopen(tcp.costs.reopen_stall));
             }
         } else {
             d.in_flight = d.in_flight.saturating_sub(seg);
@@ -502,56 +541,53 @@ fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
         if job.delivered == job.total {
             // lint:allow(expect) -- front_mut() above proved the queue is non-empty under the same borrow
             let mut job = d.jobs.pop_front().expect("front job vanished");
-            done_total = job.total;
-            let wakeup =
-                SimDuration::from_micros_f64(spec.kernel.rx_extra_us + spec.host.cpu.syscall_us);
             if let Some(k) = job.on_delivered.take() {
-                actions.push(Next::Complete(k, wakeup));
+                complete = Some((k, tcp.costs.wakeup, job.total));
             }
         }
     }
-    for a in actions {
-        match a {
-            Next::Pump => pump(eng, conn, dir),
-            Next::Reopen(stall) => {
-                eng.world.trace_span(
-                    stages::WINDOW_STALL,
-                    flow_track(dir),
-                    now,
-                    now + stall,
-                    0,
-                    front_msg,
-                );
-                eng.schedule_at(now + stall, move |e| {
-                    {
-                        let tcp = tcp_mut(&mut e.world, conn);
-                        let d = &mut tcp.dirs[dir];
-                        d.in_flight = 0;
-                        d.stalled = false;
-                    }
-                    pump(e, conn, dir);
-                });
-            }
-            Next::Complete(k, wakeup) => {
-                eng.world.trace_span(
-                    stages::WAKEUP,
-                    flow_track(dir),
-                    now,
-                    now + wakeup,
-                    0,
-                    front_msg,
-                );
-                eng.world.trace_instant(
-                    stages::RECV,
-                    flow_track(dir),
-                    now + wakeup,
-                    done_total,
-                    front_msg,
-                );
-                eng.schedule_at(now + wakeup, k);
-            }
+    match wake {
+        Some(Wake::Pump) => pump(eng, conn, dir),
+        Some(Wake::Reopen(stall)) => {
+            eng.world.trace_span(
+                stages::WINDOW_STALL,
+                flow_track(dir),
+                now,
+                now + stall,
+                0,
+                front_msg,
+            );
+            let (conn, dir) = event_addr(conn, dir);
+            eng.schedule_event_at(now + stall, NetEvent::TcpReopen { conn, dir });
         }
+        None => {}
     }
+    if let Some((k, wakeup, done_total)) = complete {
+        eng.world.trace_span(
+            stages::WAKEUP,
+            flow_track(dir),
+            now,
+            now + wakeup,
+            0,
+            front_msg,
+        );
+        eng.world.trace_instant(
+            stages::RECV,
+            flow_track(dir),
+            now + wakeup,
+            done_total,
+            front_msg,
+        );
+        eng.schedule_at(now + wakeup, k);
+    }
+}
+
+/// The window update reached a sender that had filled its window.
+pub(crate) fn on_reopen(eng: &mut Net, conn: ConnId, dir: usize) {
+    let d = &mut tcp_mut(&mut eng.world, conn).dirs[dir];
+    d.in_flight = 0;
+    d.stalled = false;
+    pump(eng, conn, dir);
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! The discrete-event engine.
 //!
 //! An [`Engine`] owns a user-supplied *world* (the mutable simulation
-//! state) and a priority queue of scheduled events. Each event is a
-//! one-shot closure receiving `&mut Engine<W>`, so it can inspect and
-//! mutate the world and schedule further events.
+//! state) and a priority queue of scheduled events. An event is either a
+//! one-shot closure receiving `&mut Engine<W, E>`, or a plain-data value
+//! of the world's own event type `E` (see [`Event`]); both can inspect
+//! and mutate the world and schedule further events.
 //!
 //! # Determinism
 //!
@@ -13,50 +14,147 @@
 //! a property the test suite checks with property tests.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
 use crate::trace::SharedSink;
 
-/// A one-shot event callback.
-pub type EventFn<W> = Box<dyn FnOnce(&mut Engine<W>)>;
-
-struct Scheduled<W> {
-    time: SimTime,
-    seq: u64,
-    f: EventFn<W>,
+/// A world's own event vocabulary: plain data the engine stores inline
+/// in its queue and hands back to [`dispatch`](Event::dispatch) when due.
+/// The per-segment events of a transport are scheduled this way — no
+/// allocation, one static call — while rare per-message continuations
+/// stay closures ([`Engine::schedule_at`]).
+pub trait Event<W>: Sized {
+    /// Run the event against the engine that held it.
+    fn dispatch(self, eng: &mut Engine<W, Self>);
 }
 
-impl<W> PartialEq for Scheduled<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+/// The event type of an engine that schedules closures only (the default,
+/// as `RandomState` is `HashMap`'s). Uninhabited, so its arm of the queue
+/// record costs no space and no branch.
+pub enum NoEvent {}
+
+impl<W> Event<W> for NoEvent {
+    fn dispatch(self, _: &mut Engine<W, NoEvent>) {
+        match self {}
     }
 }
-impl<W> Eq for Scheduled<W> {}
 
-impl<W> PartialOrd for Scheduled<W> {
+/// A one-shot event callback.
+pub type EventFn<W, E = NoEvent> = Box<dyn FnOnce(&mut Engine<W, E>)>;
+
+enum Payload<W, E> {
+    Call(EventFn<W, E>),
+    Data(E),
+}
+
+/// The one queue record: key plus either kind of event.
+struct Scheduled<W, E> {
+    time: SimTime,
+    seq: u64,
+    what: Payload<W, E>,
+}
+
+impl<W, E> Scheduled<W, E> {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl<W, E> PartialEq for Scheduled<W, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<W, E> Eq for Scheduled<W, E> {}
+
+impl<W, E> PartialOrd for Scheduled<W, E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<W> Ord for Scheduled<W> {
+impl<W, E> Ord for Scheduled<W, E> {
     // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
-/// Discrete-event simulation engine over a world `W`.
-pub struct Engine<W> {
+/// The pending-event set: a sorted run in front of a binary heap.
+///
+/// Transports schedule a message's segments in the order they will
+/// arrive, so most pushes are not earlier than the latest one pending.
+/// Those append to `run` in O(1); anything earlier than the run's back
+/// goes to `heap`. `seq` rises with every push, so `run` is sorted by
+/// `(time, seq)`; the heap yields its own minimum; keys are unique; hence
+/// the lesser of the two heads is the global minimum and `pop` returns
+/// events in exactly the order one heap over all of them would.
+struct Queue<W, E> {
+    run: VecDeque<Scheduled<W, E>>,
+    heap: BinaryHeap<Scheduled<W, E>>,
+}
+
+impl<W, E> Queue<W, E> {
+    fn new() -> Self {
+        Queue {
+            run: VecDeque::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.run.len() + self.heap.len()
+    }
+
+    #[inline]
+    fn push(&mut self, ev: Scheduled<W, E>) {
+        match self.run.back() {
+            Some(back) if ev.time < back.time => self.heap.push(ev),
+            _ => self.run.push_back(ev),
+        }
+    }
+
+    /// Whether the next event is the run's front (else the heap's top);
+    /// `None` when both are empty.
+    #[inline]
+    fn next_is_run(&self) -> Option<bool> {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => Some(r.key() < h.key()),
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (None, None) => None,
+        }
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        let head = if self.next_is_run()? {
+            self.run.front()
+        } else {
+            self.heap.peek()
+        };
+        head.map(|ev| ev.time)
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Scheduled<W, E>> {
+        if self.next_is_run()? {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }
+    }
+}
+
+/// Discrete-event simulation engine over a world `W` whose typed events
+/// are `E` ([`NoEvent`] for a world that schedules closures only).
+pub struct Engine<W, E = NoEvent> {
     /// The simulation state shared by all events.
     pub world: W,
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Scheduled<W>>,
+    queue: Queue<W, E>,
     executed: u64,
     /// Hard cap on executed events; guards against runaway event loops in
     /// buggy models. `u64::MAX` by default.
@@ -64,14 +162,22 @@ pub struct Engine<W> {
     trace: Option<SharedSink>,
 }
 
-impl<W> Engine<W> {
+impl<W> Engine<W, NoEvent> {
     /// Create an engine at time zero wrapping `world`.
     pub fn new(world: W) -> Self {
+        Engine::with_events(world)
+    }
+}
+
+impl<W, E: Event<W>> Engine<W, E> {
+    /// Create an engine at time zero wrapping a `world` that declares its
+    /// own event type `E`.
+    pub fn with_events(world: W) -> Self {
         Engine {
             world,
             now: SimTime::ZERO,
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: Queue::new(),
             executed: 0,
             event_limit: u64::MAX,
             trace: None,
@@ -108,15 +214,8 @@ impl<W> Engine<W> {
         self.queue.len()
     }
 
-    /// Schedule `f` to run at absolute time `t`.
-    ///
-    /// Scheduling in the past is a model bug; it panics in debug builds and
-    /// clamps to `now` in release builds.
-    // analyze: hot
-    pub fn schedule_at<F>(&mut self, t: SimTime, f: F)
-    where
-        F: FnOnce(&mut Engine<W>) + 'static,
-    {
+    #[inline]
+    fn push(&mut self, t: SimTime, what: Payload<W, E>) {
         debug_assert!(
             t >= self.now,
             "scheduled event in the past: {t} < {}",
@@ -125,22 +224,48 @@ impl<W> Engine<W> {
         let time = t.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled {
-            time,
-            seq,
-            // lint:allow(hot-cost) -- one boxed closure per event is the current storage model; slab-allocated event records are ROADMAP item 1
-            f: Box::new(f),
-        });
+        self.queue.push(Scheduled { time, seq, what });
+    }
+
+    /// Schedule `f` to run at absolute time `t`.
+    ///
+    /// Scheduling in the past is a model bug; it panics in debug builds and
+    /// clamps to `now` in release builds.
+    // analyze: hot
+    pub fn schedule_at<F>(&mut self, t: SimTime, f: F)
+    where
+        F: FnOnce(&mut Engine<W, E>) + 'static,
+    {
+        // lint:allow(hot-cost) -- the closure arm boxes; per-segment events are typed data (schedule_event_at), per-message continuations stay closures until ROADMAP item 3/4 rewrites those worlds
+        let f: EventFn<W, E> = Box::new(f);
+        self.push(t, Payload::Call(f));
     }
 
     /// Schedule `f` to run `d` after the current instant.
     #[inline]
     pub fn schedule_in<F>(&mut self, d: SimDuration, f: F)
     where
-        F: FnOnce(&mut Engine<W>) + 'static,
+        F: FnOnce(&mut Engine<W, E>) + 'static,
     {
         let t = self.now + d;
         self.schedule_at(t, f);
+    }
+
+    /// Schedule the typed event `ev` at absolute time `t`: stored inline
+    /// in the queue record, no allocation. Same past-time rule and the
+    /// same `(time, seq)` order as [`schedule_at`](Engine::schedule_at) —
+    /// the two kinds share one sequence counter and one queue.
+    // analyze: hot
+    #[inline]
+    pub fn schedule_event_at(&mut self, t: SimTime, ev: E) {
+        self.push(t, Payload::Data(ev));
+    }
+
+    /// Schedule the typed event `ev` to run `d` after the current instant.
+    #[inline]
+    pub fn schedule_event_in(&mut self, d: SimDuration, ev: E) {
+        let t = self.now + d;
+        self.schedule_event_at(t, ev);
     }
 
     /// Pop and run the next event. Returns `false` when the queue is empty
@@ -159,7 +284,10 @@ impl<W> Engine<W> {
         if let Some(sink) = &self.trace {
             sink.event_dispatched(ev.time);
         }
-        (ev.f)(self);
+        match ev.what {
+            Payload::Call(f) => f(self),
+            Payload::Data(e) => e.dispatch(self),
+        }
         true
     }
 
@@ -173,8 +301,8 @@ impl<W> Engine<W> {
     /// The clock is left at `min(t, time of last executed event)` — it does
     /// not jump forward past the last event.
     pub fn run_until(&mut self, t: SimTime) -> SimTime {
-        while let Some(head) = self.queue.peek() {
-            if head.time > t {
+        while let Some(head) = self.queue.peek_time() {
+            if head > t {
                 break;
             }
             if !self.step() {
@@ -272,6 +400,43 @@ mod tests {
         }
         eng.run();
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn typed_and_closure_events_share_one_order() {
+        struct Push(u32);
+        impl Event<Vec<u32>> for Push {
+            fn dispatch(self, eng: &mut Engine<Vec<u32>, Push>) {
+                eng.world.push(self.0);
+                if self.0 == 1 {
+                    // A typed event schedules both kinds in turn.
+                    eng.schedule_event_in(SimDuration(5), Push(4));
+                    eng.schedule_in(SimDuration(5), |e| e.world.push(5));
+                }
+            }
+        }
+        let mut eng = Engine::with_events(Vec::new());
+        eng.schedule_event_at(SimTime(20), Push(3));
+        eng.schedule_at(SimTime(10), |e| e.world.push(0));
+        eng.schedule_event_at(SimTime(10), Push(1));
+        eng.schedule_at(SimTime(10), |e| e.world.push(2));
+        assert_eq!(eng.pending(), 4);
+        assert_eq!(eng.run(), SimTime(20));
+        // 4 and 5 land at t=15: before Push(3) at t=20, in schedule order.
+        assert_eq!(eng.world, vec![0, 1, 2, 4, 5, 3]);
+    }
+
+    #[test]
+    fn queue_record_stays_small() {
+        use std::mem::size_of;
+        // Closure-only engines pay nothing for the typed arm...
+        assert_eq!(size_of::<Scheduled<(), NoEvent>>(), 32);
+        // ...an 8-byte event (protosim's NetEvent) shares the closure
+        // arm's bytes, and a 12-byte one stays within 40: every byte here
+        // is moved twice per event, and a 56-byte record cost the hold
+        // model +40 % when measured.
+        assert_eq!(size_of::<Scheduled<(), [u32; 2]>>(), 32);
+        assert!(size_of::<Scheduled<(), [u32; 3]>>() <= 40);
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod time;
 pub mod trace;
 pub mod units;
 
-pub use engine::{Engine, EventFn};
+pub use engine::{Engine, Event, EventFn, NoEvent};
 pub use resource::Resource;
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats};

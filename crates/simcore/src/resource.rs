@@ -29,6 +29,11 @@ pub struct Resource {
     /// Fixed cost charged to every service request (arbitration, setup).
     per_item: SimDuration,
     busy_until: SimTime,
+    /// The last `(bytes, service_time(bytes))` [`serve`](Resource::serve)
+    /// computed. Segments of one message are the same size, and the rate
+    /// and per-item cost never change after construction, so the entry
+    /// stays valid across `reset()` and `clone()`.
+    memo: (u64, SimDuration),
     // --- accounting ---
     items_served: u64,
     bytes_served: u64,
@@ -74,6 +79,7 @@ impl Resource {
             rate_bytes_per_sec,
             per_item,
             busy_until: SimTime::ZERO,
+            memo: (0, per_item), // == service_time(0)
             items_served: 0,
             bytes_served: 0,
             busy_time: SimDuration::ZERO,
@@ -144,15 +150,10 @@ impl Resource {
     /// previously accepted request.
     // analyze: hot
     pub fn serve(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let start = now.max(self.busy_until);
-        let dur = self.service_time(bytes);
-        let done = start + dur;
-        self.busy_until = done;
-        self.items_served += 1;
-        self.bytes_served += bytes;
-        self.busy_time += dur;
-        self.record(start, done, bytes);
-        done
+        if self.memo.0 != bytes {
+            self.memo = (bytes, self.service_time(bytes));
+        }
+        self.serve_for(now, self.memo.1, bytes)
     }
 
     /// Like [`serve`](Resource::serve) but only charges the per-item
@@ -276,6 +277,41 @@ mod tests {
         assert_eq!(r.busy_until(), SimTime::ZERO);
         assert_eq!(r.items_served(), 0);
         assert_eq!(r.serve(SimTime(0), 125), SimTime(1_000));
+    }
+
+    #[test]
+    fn memoised_serve_equals_service_time_recomputed() {
+        // Interleaved sizes (repeats, 0, a jumbo frame), a finite and an
+        // infinite rate, with and without a per-item cost: every `serve`
+        // must advance by exactly `service_time`, through `reset()` and
+        // on a `clone()` taken with a warm memo.
+        let sizes = [1500u64, 1500, 0, 1500, 9000, 0, 0, 64, 1500, 9000, 9000, 1];
+        for rate in [GBPS, 33e6, f64::INFINITY] {
+            for per_item in [SimDuration::ZERO, SimDuration(700)] {
+                let mut r = Resource::with_overhead("probe", rate, per_item);
+                let mut now = SimTime::ZERO;
+                for round in 0..3 {
+                    for &b in &sizes {
+                        let want = now + r.service_time(b);
+                        now = r.serve(now, b);
+                        assert_eq!(now, want, "rate {rate} bytes {b}");
+                    }
+                    let mut twin = r.clone();
+                    for &b in &[1u64, 1, 1500] {
+                        let want = twin.busy_until() + twin.service_time(b);
+                        assert_eq!(twin.serve(SimTime::ZERO, b), want);
+                    }
+                    if round == 1 {
+                        r.reset();
+                        now = SimTime::ZERO;
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            Resource::new("w", GBPS).serve(SimTime::ZERO, 0),
+            SimTime::ZERO
+        );
     }
 
     #[test]

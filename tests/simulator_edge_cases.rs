@@ -159,3 +159,38 @@ fn scaling_model_orders_interconnects_correctly() {
         "Myrinet must scale far beyond Fast Ethernet: {e_gm} vs {e_fe}"
     );
 }
+
+/// Witness for the engine's queue and the transports' memoised costs:
+/// the event count and the final simulated instant of three one-way
+/// transfers, recorded at the commit before `simcore` gained its sorted
+/// run and typed events. Any change to dispatch order, rounding or a
+/// per-segment cost moves one of these six numbers.
+#[test]
+fn transfer_event_counts_and_end_times_are_pinned() {
+    use netpipe_rs::proto::{raw, tcp, Fabric};
+    use netpipe_rs::sim::SimTime;
+
+    // 8 MiB over tuned GA620 TCP: the steady in-order delivery stream.
+    let mut eng = Fabric::engine(pcs_ga620());
+    let conn = tcp::open(&mut eng.world, TcpParams::with_bufs(kib(512)));
+    tcp::send(&mut eng, conn, 0, mib(8), Box::new(|_| {}));
+    let end = eng.run();
+    assert_eq!((eng.events_executed(), end), (5795, SimTime(110_226_491)));
+
+    // 4 MiB over TrendNet with the kernel's default buffers: the window
+    // fills, so the stall/reopen path runs.
+    let mut spec = pcs_trendnet();
+    spec.kernel = netpipe_rs::hw::presets::linux_2_4();
+    let mut eng = Fabric::engine(spec);
+    let conn = tcp::open_default(&mut eng.world);
+    tcp::send(&mut eng, conn, 0, mib(4), Box::new(|_| {}));
+    let end = eng.run();
+    assert_eq!((eng.events_executed(), end), (2962, SimTime(117_293_926)));
+
+    // 8 MiB over Myrinet GM: the windowless OS-bypass path.
+    let mut eng = Fabric::engine(pcs_myrinet());
+    let conn = raw::open(&mut eng.world, RawParams::gm(RecvMode::Polling));
+    raw::send(&mut eng, conn, 0, mib(8), Box::new(|_| {}));
+    let end = eng.run();
+    assert_eq!((eng.events_executed(), end), (2049, SimTime(81_908_028)));
+}
