@@ -17,7 +17,8 @@ fn main() {
          Linux Clusters* (Turner & Chen, IEEE CLUSTER 2002). Every figure and\n\
          narrative table of the paper's evaluation, regenerated on the\n\
          simulated testbed (see DESIGN.md for the substitution rationale and\n\
-         calibration). `ratio` is measured/paper peak throughput; values the\n\
+         calibration). `ratio` is measured/paper plateau throughput (the\n\
+         measured value is the 8 MB point the shape checks read); values the\n\
          scraped paper text truncated are marked (†) and reconstructed in\n\
          DESIGN.md. Shape checks are the machine-checked reproduction\n\
          criteria from `clusterlab::calibration` (also enforced by\n\

@@ -12,9 +12,13 @@ use crate::sweep::ExperimentResult;
 pub struct ComparisonRow {
     /// Library name.
     pub name: String,
-    /// Paper's throughput, Mbps (if quoted).
+    /// Paper's throughput, Mbps (if quoted): the plateau of its curve.
     pub paper_mbps: Option<f64>,
-    /// Measured peak throughput, Mbps.
+    /// Measured throughput at the largest message size, Mbps — the same
+    /// 8 MB point the calibration checks read, so it sets plateau against
+    /// plateau. A curve's peak would not: a window-limited curve peaks
+    /// where a whole message still fits the window (p4 with 32 kB
+    /// buffers: 350 Mbps there, against the 75 Mbps the paper reports).
     pub measured_mbps: f64,
     /// Paper's latency, µs (if quoted).
     pub paper_lat_us: Option<f64>,
@@ -43,7 +47,7 @@ pub fn compare(exp: &Experiment, res: &ExperimentResult) -> Vec<ComparisonRow> {
         .map(|(e, s)| ComparisonRow {
             name: s.name.clone(),
             paper_mbps: e.paper.max_mbps,
-            measured_mbps: s.max_mbps,
+            measured_mbps: s.final_mbps(),
             paper_lat_us: e.paper.latency_us,
             measured_lat_us: s.latency_us,
             note: e.paper.note,

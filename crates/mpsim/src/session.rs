@@ -288,13 +288,14 @@ impl Session {
             total_frags,
             k: Some(k),
         }));
+        let cost = DaemonCost::new(frag, eng.world.spec.host.cpu.memcpy_bps);
         if frag.stop_and_wait {
-            self.daemon_next_stop_and_wait(eng, from, bytes, path, frag, xfer);
+            self.daemon_next_stop_and_wait(eng, from, bytes, path, cost, xfer);
         } else {
             // Pipelined: a fragment's first hop begins once the previous
             // fragment cleared that hop, so the three hops overlap across
             // fragments without head-of-line blocking the sender's CPU.
-            self.daemon_forward_next(eng, from, bytes, path, frag, xfer);
+            self.daemon_forward_next(eng, from, bytes, path, cost, xfer);
         }
     }
 
@@ -307,7 +308,7 @@ impl Session {
         from: usize,
         bytes: u64,
         path: DaemonPath,
-        frag: FragmentCfg,
+        cost: DaemonCost,
         xfer: Rc<RefCell<DaemonXfer>>,
     ) {
         let Some(sz) = xfer.borrow_mut().frags.pop_front() else {
@@ -321,9 +322,9 @@ impl Session {
             sz,
             Box::new(move |e| {
                 // Pipeline: free the first hop for the next fragment.
-                this.daemon_forward_next(e, from, bytes, path, frag, Rc::clone(&xfer));
+                this.daemon_forward_next(e, from, bytes, path, cost, Rc::clone(&xfer));
                 // Sending daemon processes the fragment.
-                let t = daemon_work(e, from, frag, sz);
+                let t = daemon_work(e, from, cost, sz);
                 let this2 = this.clone();
                 e.schedule_at(t, move |e| {
                     protosim::send(
@@ -333,7 +334,7 @@ impl Session {
                         sz,
                         Box::new(move |e| {
                             // Receiving daemon processes, then hands to the app.
-                            let t = daemon_work(e, 1 - from, frag, sz);
+                            let t = daemon_work(e, 1 - from, cost, sz);
                             let this3 = this2.clone();
                             e.schedule_at(t, move |e| {
                                 local::send(
@@ -369,7 +370,7 @@ impl Session {
         from: usize,
         bytes: u64,
         path: DaemonPath,
-        frag: FragmentCfg,
+        cost: DaemonCost,
         xfer: Rc<RefCell<DaemonXfer>>,
     ) {
         let Some(sz) = xfer.borrow_mut().frags.pop_front() else {
@@ -384,7 +385,7 @@ impl Session {
             path.local[from],
             sz,
             Box::new(move |e| {
-                let t = daemon_work(e, from, frag, sz);
+                let t = daemon_work(e, from, cost, sz);
                 let this2 = this.clone();
                 e.schedule_at(t, move |e| {
                     protosim::send(
@@ -393,7 +394,7 @@ impl Session {
                         from,
                         sz,
                         Box::new(move |e| {
-                            let t = daemon_work(e, 1 - from, frag, sz);
+                            let t = daemon_work(e, 1 - from, cost, sz);
                             let this3 = this2.clone();
                             e.schedule_at(t, move |e| {
                                 // The ack returns while the fragment is handed up.
@@ -406,7 +407,7 @@ impl Session {
                                     32,
                                     Box::new(move |e| {
                                         this4.daemon_next_stop_and_wait(
-                                            e, from, bytes, path, frag, xf2,
+                                            e, from, bytes, path, cost, xf2,
                                         );
                                     }),
                                 );
@@ -575,12 +576,36 @@ struct DaemonXfer {
     k: Option<Continuation>,
 }
 
-/// A daemon touches a fragment: per-fragment bookkeeping plus one serial
-/// buffer copy at the host's cold-memcpy rate.
-fn daemon_work(eng: &mut Net, host: usize, frag: FragmentCfg, sz: u64) -> simcore::SimTime {
+/// What a daemon charges to touch a fragment: per-fragment bookkeeping
+/// plus one serial buffer copy at the host's cold-memcpy rate, worked out
+/// once per transfer for the fragment size all but the last one share.
+/// No bigger than the [`FragmentCfg`] it replaces in the relay closures.
+#[derive(Debug, Clone, Copy)]
+struct DaemonCost {
+    per_frag: SimDuration,
+    /// `(fragment size, cost)`.
+    full: (u64, SimDuration),
+}
+
+impl DaemonCost {
+    fn new(frag: FragmentCfg, memcpy_bps: f64) -> DaemonCost {
+        let per_frag = SimDuration::from_micros_f64(frag.per_frag_us);
+        let full = per_frag + SimDuration::for_bytes(frag.bytes, memcpy_bps);
+        DaemonCost {
+            per_frag,
+            full: (frag.bytes, full),
+        }
+    }
+}
+
+/// A daemon on `host` touches a fragment of `sz` bytes.
+fn daemon_work(eng: &mut Net, host: usize, cost: DaemonCost, sz: u64) -> simcore::SimTime {
     let now = eng.now();
-    let memcpy = eng.world.spec.host.cpu.memcpy_bps;
-    let dur = SimDuration::from_micros_f64(frag.per_frag_us) + SimDuration::for_bytes(sz, memcpy);
+    let dur = if sz == cost.full.0 {
+        cost.full.1
+    } else {
+        cost.per_frag + SimDuration::for_bytes(sz, eng.world.spec.host.cpu.memcpy_bps)
+    };
     eng.world.hosts[host].cpu.serve_for(now, dur, sz)
 }
 

@@ -17,6 +17,7 @@ use simcore::{Engine, Event, Resource, SimDuration, SimTime};
 use crate::local::LocalConn;
 use crate::raw::RawConn;
 use crate::tcp::TcpConn;
+use crate::train::Cursor;
 
 // ---------------------------------------------------------------------
 // Trace-track allocation (see DESIGN §10). Tracks are globally unique
@@ -91,7 +92,10 @@ pub fn track_label(track: u32) -> String {
     }
 }
 
-/// Runtime state for one host.
+/// Runtime state for one host. Both hosts are built from the one spec,
+/// so a given crossing costs the same on either; the transports rely on
+/// that to price a segment's receiving side with the sending side's
+/// memoised costs.
 pub struct HostRt {
     /// Protocol-processing CPU. Reserved with explicit durations
     /// (`serve_for`) computed from the host's [`hwmodel::CpuModel`].
@@ -142,33 +146,53 @@ pub struct Fabric {
     /// Monotonic message-id allocator (advances identically whether or
     /// not a tracer is installed, preserving determinism).
     next_msg: u64,
-    /// `(delivery time, segment bytes)` of the segments a transport has
-    /// resolved but not yet scheduled: filled while the resources are
-    /// borrowed, drained into the engine right after, and kept for its
-    /// capacity so the per-segment path never allocates.
-    pub(crate) scratch: Vec<(SimTime, u32)>,
+    /// The delivery cursor of each connection direction, at
+    /// `2 * conn + dir` (see [`crate::train`]).
+    cursors: Vec<Cursor>,
+    waiting: Waiting,
+}
+
+/// A fabric borrowed apart for one direction of one connection: what a
+/// transport touches while it moves that direction's segments.
+pub(crate) struct Leg<'a> {
+    pub spec: &'a ClusterSpec,
+    /// The sending host.
+    pub tx: &'a mut HostRt,
+    /// The receiving host.
+    pub rx: &'a mut HostRt,
+    pub wires: &'a mut [[Resource; 2]],
+    pub tracer: Option<&'a SharedSink>,
+    pub faults: Option<&'a mut FaultLottery>,
+    pub cursor: &'a mut Cursor,
+}
+
+impl Leg<'_> {
+    /// Whether nothing observes single segments, so segment trains may be
+    /// advanced in closed form: no tracer, and no fault plan that could
+    /// touch a segment.
+    #[inline]
+    pub fn closed_form(&self) -> bool {
+        self.tracer.is_none() && self.faults.as_ref().is_none_or(|f| f.plan().is_lossless())
+    }
 }
 
 /// Shorthand for the engine type every transport event runs on.
 pub type Net = Engine<Fabric, NetEvent>;
 
-/// The per-segment events of the two-node transports, held in the engine's
-/// queue as plain data. The fields are sized so an event is 8 bytes (a
-/// segment is bounded by a `u32` MSS or packet size; a two-node fabric
-/// opens a handful of connections): the typed arm then shares the closure
-/// arm's 16 bytes and the queue record stays at 32, which measured +5 % on
-/// the figure sweep over a 12-byte event's 40. Per-message continuations
-/// remain [`Continuation`] closures.
+/// The events of the two-node transports, held in the engine's queue as
+/// plain data (8 bytes: a two-node fabric opens a handful of
+/// connections), so the queue record stays at 32 bytes. A delivery event
+/// stands for the front of its direction's delivery cursor
+/// ([`crate::train`]), queued under the sequence number reserved for it.
+/// Per-message continuations remain [`Continuation`] closures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetEvent {
-    /// A TCP segment reached the receiver's socket buffer.
+    /// The next TCP segment reached the receiver's socket buffer.
     TcpDeliver {
         /// Connection index.
         conn: u16,
         /// Sending endpoint.
         dir: u8,
-        /// Segment payload bytes.
-        seg: u32,
     },
     /// The window update for a drained window reached a stalled sender.
     TcpReopen {
@@ -177,14 +201,17 @@ pub enum NetEvent {
         /// Sending endpoint.
         dir: u8,
     },
-    /// An OS-bypass packet landed in the receiver's memory.
+    /// The next OS-bypass packet landed in the receiver's memory.
     RawDeliver {
         /// Connection index.
         conn: u16,
         /// Sending endpoint.
         dir: u8,
-        /// Packet payload bytes.
-        seg: u32,
+    },
+    /// A message's completion continuation is due (see [`resume_at`]).
+    Resume {
+        /// Where the fabric holds the continuation.
+        slot: u32,
     },
 }
 
@@ -192,17 +219,59 @@ impl Event<Fabric> for NetEvent {
     #[inline]
     fn dispatch(self, eng: &mut Net) {
         match self {
-            NetEvent::TcpDeliver { conn, dir, seg } => {
-                crate::tcp::on_deliver(eng, ConnId(conn.into()), dir.into(), seg.into());
+            NetEvent::TcpDeliver { conn, dir } => {
+                crate::tcp::on_deliver(eng, ConnId(conn.into()), dir.into());
             }
             NetEvent::TcpReopen { conn, dir } => {
                 crate::tcp::on_reopen(eng, ConnId(conn.into()), dir.into());
             }
-            NetEvent::RawDeliver { conn, dir, seg } => {
-                crate::raw::on_deliver(eng, ConnId(conn.into()), dir.into(), seg.into());
+            NetEvent::RawDeliver { conn, dir } => {
+                crate::raw::on_deliver(eng, ConnId(conn.into()), dir.into());
+            }
+            NetEvent::Resume { slot } => {
+                let k = eng.world.waiting.take(slot);
+                k(eng);
             }
         }
     }
+}
+
+/// Completion continuations waiting for their instant, in reusable
+/// slots: a transport schedules one as a typed [`NetEvent::Resume`]
+/// instead of boxing the boxed continuation a second time.
+#[derive(Default)]
+pub(crate) struct Waiting {
+    slots: Vec<Option<Continuation>>,
+    free: Vec<u32>,
+}
+
+impl Waiting {
+    fn park(&mut self, k: Continuation) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(k);
+                slot
+            }
+            None => {
+                self.slots.push(Some(k));
+                // lint:allow(expect) -- one slot per continuation in flight; four billion at once is a model bug
+                u32::try_from(self.slots.len() - 1).expect("continuations in flight")
+            }
+        }
+    }
+
+    fn take(&mut self, slot: u32) -> Continuation {
+        self.free.push(slot);
+        let k = self.slots[slot as usize].take();
+        // lint:allow(expect) -- a Resume event is queued once per parked slot and fires once
+        k.expect("resumed an empty slot")
+    }
+}
+
+/// Run the message-completion continuation `k` at `at`.
+pub(crate) fn resume_at(eng: &mut Net, at: SimTime, k: Continuation) {
+    let slot = eng.world.waiting.park(k);
+    eng.schedule_event_at(at, NetEvent::Resume { slot });
 }
 
 /// Narrow a connection id and endpoint for a [`NetEvent`].
@@ -214,17 +283,7 @@ pub(crate) fn event_addr(conn: ConnId, dir: usize) -> (u16, u8) {
     (conn, dir)
 }
 
-/// Schedule every segment a transport left in [`Fabric::scratch`] as the
-/// typed event `make(segment bytes)` at its delivery time, in order.
-pub(crate) fn schedule_deliveries(eng: &mut Net, make: impl Fn(u32) -> NetEvent) {
-    let mut due = std::mem::take(&mut eng.world.scratch);
-    for (t, seg) in due.drain(..) {
-        eng.schedule_event_at(t, make(seg));
-    }
-    eng.world.scratch = due;
-}
-
-/// Narrow a segment length for a [`NetEvent`] or the scratch buffer.
+/// Narrow a segment length for a delivery cursor.
 #[inline]
 pub(crate) fn seg_len(seg: u64) -> u32 {
     // lint:allow(expect) -- segments are cut at an MSS or packet size that is itself a u32
@@ -276,7 +335,8 @@ impl Fabric {
             tracer: None,
             faults: None,
             next_msg: 0,
-            scratch: Vec::new(),
+            cursors: Vec::new(),
+            waiting: Waiting::default(),
         }
     }
 
@@ -289,7 +349,48 @@ impl Fabric {
     pub fn push_conn(&mut self, conn: Conn) -> ConnId {
         let id = ConnId(self.conns.len());
         self.conns.push(conn);
+        self.cursors
+            .resize_with(2 * self.conns.len(), Cursor::default);
         id
+    }
+
+    /// Direction `dir` of `conn`'s delivery cursor.
+    #[inline]
+    pub(crate) fn cursor(&mut self, conn: ConnId, dir: usize) -> &mut Cursor {
+        &mut self.cursors[2 * conn.0 + dir]
+    }
+
+    /// `conn` and its direction `dir`'s delivery cursor, borrowed apart.
+    #[inline]
+    pub(crate) fn conn_and_cursor(&mut self, conn: ConnId, dir: usize) -> (&mut Conn, &mut Cursor) {
+        (&mut self.conns[conn.0], &mut self.cursors[2 * conn.0 + dir])
+    }
+
+    /// `conn` and everything its direction `dir` crosses, borrowed apart.
+    #[inline]
+    pub(crate) fn leg(&mut self, conn: ConnId, dir: usize) -> (&mut Conn, Leg<'_>) {
+        let Fabric {
+            spec,
+            hosts,
+            wires,
+            conns,
+            tracer,
+            faults,
+            cursors,
+            ..
+        } = self;
+        let [h0, h1] = hosts;
+        let (tx, rx) = if dir == 0 { (h0, h1) } else { (h1, h0) };
+        let leg = Leg {
+            spec,
+            tx,
+            rx,
+            wires,
+            tracer: tracer.as_ref(),
+            faults: faults.as_deref_mut(),
+            cursor: &mut cursors[2 * conn.0 + dir],
+        };
+        (&mut conns[conn.0], leg)
     }
 
     /// One-way path propagation + switching delay.
@@ -451,8 +552,12 @@ mod tests {
     }
 
     #[test]
-    fn net_event_stays_eight_bytes() {
-        assert_eq!(std::mem::size_of::<NetEvent>(), 8);
+    fn events_and_connections_stay_small() {
+        use std::mem::size_of;
+        assert!(size_of::<NetEvent>() <= 8);
+        // `Vec<Conn>`'s first push allocates four of them; at 256 bytes
+        // that block still fits glibc's per-thread cache.
+        assert!(size_of::<Conn>() <= 256, "{}", size_of::<Conn>());
     }
 
     #[test]

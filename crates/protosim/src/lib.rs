@@ -24,6 +24,7 @@ pub mod local;
 pub mod multinode;
 pub mod raw;
 pub mod tcp;
+mod train;
 
 pub use fabric::{
     cpu_track, flow_track, instrument, is_hw_track, lib_track, nic_track, pci_track, send,

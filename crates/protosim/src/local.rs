@@ -10,7 +10,7 @@
 
 use simcore::SimDuration;
 
-use crate::fabric::{Conn, ConnId, Continuation, Fabric, Net};
+use crate::fabric::{resume_at, Conn, ConnId, Continuation, Fabric, Net};
 
 /// A same-host IPC channel (Unix pipe / loopback socket).
 pub struct LocalConn {
@@ -22,6 +22,8 @@ pub struct LocalConn {
     pub copies: u32,
     /// Total bytes delivered.
     pub bytes_delivered: u64,
+    /// The last `(bytes, hop cost)`: a relay moves one fragment size.
+    memo: (u64, SimDuration),
 }
 
 impl LocalConn {
@@ -32,6 +34,7 @@ impl LocalConn {
             per_msg_us: 10.0,
             copies: 2,
             bytes_delivered: 0,
+            memo: (u64::MAX, SimDuration::ZERO),
         }
     }
 }
@@ -55,12 +58,15 @@ pub fn send(eng: &mut Net, conn: ConnId, bytes: u64, on_delivered: Continuation)
             _ => panic!("connection {conn:?} is not local"),
         };
         local.bytes_delivered += bytes;
-        let copy_each = SimDuration::for_bytes(bytes, spec.host.cpu.kernel_copy_bps);
-        let dur =
-            SimDuration::from_micros_f64(local.per_msg_us) + copy_each * u64::from(local.copies);
-        hosts[local.host].cpu.serve_for(now, dur, bytes)
+        if local.memo.0 != bytes {
+            let copy_each = SimDuration::for_bytes(bytes, spec.host.cpu.kernel_copy_bps);
+            let dur = SimDuration::from_micros_f64(local.per_msg_us)
+                + copy_each * u64::from(local.copies);
+            local.memo = (bytes, dur);
+        }
+        hosts[local.host].cpu.serve_for(now, local.memo.1, bytes)
     };
-    eng.schedule_at(done, on_delivered);
+    resume_at(eng, done, on_delivered);
 }
 
 #[cfg(test)]

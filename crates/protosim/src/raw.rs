@@ -21,9 +21,9 @@ use simcore::trace::{stages, SpanRec};
 use simcore::SimDuration;
 
 use crate::fabric::{
-    event_addr, flow_track, schedule_deliveries, seg_len, Conn, ConnId, Continuation, Fabric, Net,
-    NetEvent,
+    event_addr, flow_track, resume_at, seg_len, Conn, ConnId, Continuation, Fabric, Net, NetEvent,
 };
+use crate::train::{self, Flow, Hop, Run};
 
 /// How the receiving process learns of a completed message (GM's
 /// `--gm-recv` flag, §5).
@@ -140,26 +140,24 @@ pub fn open_on_channel(fabric: &mut Fabric, params: RawParams, channel: usize) -
     }))
 }
 
+fn as_raw(conn: &mut Conn) -> &mut RawConn {
+    match conn {
+        Conn::Raw(r) => r,
+        // lint:allow(panic) -- ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition
+        _ => panic!("connection is not a raw transport"),
+    }
+}
+
 /// Send `bytes` from endpoint `from`. No window: the fabric's hardware
 /// flow control never limits a two-node ping-pong.
 pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: Continuation) {
     let now = eng.now();
     let msg = eng.world.alloc_msg();
-    {
-        let Fabric {
-            spec,
-            hosts,
-            wires,
-            conns,
-            tracer,
-            scratch,
-            ..
-        } = &mut eng.world;
-        let raw = match &mut conns[conn.0] {
-            Conn::Raw(r) => r,
-            // lint:allow(panic) -- ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition
-            _ => panic!("connection {conn:?} is not a raw transport"),
-        };
+    let first_seq = eng.next_seq();
+    let mut seq = first_seq;
+    let front = {
+        let (c, leg) = eng.world.leg(conn, from);
+        let raw = as_raw(c);
         let pkt_bytes = u64::from(raw.params.pkt_bytes);
         let header_bytes = u64::from(raw.params.header_bytes);
         let sw_pkt = SimDuration::from_micros_f64(raw.params.sw_pkt_us);
@@ -171,10 +169,10 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
             msg,
             on_delivered: Some(on_delivered),
         });
-        let (sender, receiver) = (from, 1 - from);
-        let path = SimDuration::from_micros_f64(spec.path_latency_us());
+        let closed = leg.closed_form();
+        let path = SimDuration::from_micros_f64(leg.spec.path_latency_us());
         let ft = flow_track(from);
-        if let Some(t) = tracer.as_ref() {
+        if let Some(t) = leg.tracer {
             t.set_message(msg);
             t.instant(stages::SEND, ft, now, bytes.max(1), msg);
         }
@@ -182,22 +180,26 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
         let mut first = true;
         while remaining > 0 {
             let seg = remaining.min(pkt_bytes);
+            let lead = first;
             let mut sw = sw_pkt;
             if first {
                 sw += send_overhead;
                 first = false;
             }
             // Host library work (no kernel copy: registered memory DMA).
-            let t1 = hosts[sender].cpu.serve_for(now, sw, seg);
+            let t1 = leg.tx.cpu.serve_for(now, sw, seg);
             let on_bus = seg + header_bytes;
-            let t2 = hosts[sender].pci.serve(t1, on_bus);
+            // Both hosts' buses are alike: price the receiving crossing
+            // with the sender's memo.
+            let bus = leg.tx.pci.cost(on_bus);
+            let t2 = leg.tx.pci.serve_for(t1, bus, on_bus);
             // The NIC-processor stage (LANai on Myrinet) is charged once
             // per packet; it covers the tx+rx firmware work in aggregate,
             // matching the measured per-hop costs.
-            let t3 = hosts[sender].nics[channel].serve(t2, on_bus);
-            let t4 = wires[channel][from].serve(t3, on_bus);
-            let t5 = hosts[receiver].pci.serve(t4 + path, on_bus);
-            if let Some(t) = tracer.as_ref() {
+            let t3 = leg.tx.nics[channel].serve(t2, on_bus);
+            let t4 = leg.wires[channel][from].serve(t3, on_bus);
+            let t5 = leg.rx.pci.serve_for(t4 + path, bus, on_bus);
+            if let Some(t) = leg.tracer {
                 if path.as_nanos() > 0 {
                     t.span(SpanRec {
                         stage: stages::WIRE_LATENCY,
@@ -209,28 +211,74 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
                     });
                 }
             }
-            scratch.push((t5, seg_len(seg)));
+            leg.cursor.push(Run::one(t5, seq, seg_len(seg)));
+            seq += 1;
             remaining -= seg;
+            // Every further full packet enters the CPU at `now` too.
+            if closed && !lead && seg == pkt_bytes && remaining >= train::MIN_TRAIN * seg {
+                let hop = |arrival, done, dur| Hop { arrival, done, dur };
+                let hops = [
+                    hop(now, t1, sw),
+                    hop(t1, t2, bus),
+                    hop(t2, t3, leg.tx.nics[channel].cost(on_bus)),
+                    hop(t3, t4, leg.wires[channel][from].cost(on_bus)),
+                    hop(t4 + path, t5, bus),
+                ];
+                let (n, steps) = train::extrapolate(&hops, SimDuration::ZERO, remaining / seg);
+                if n > 0 {
+                    let stages = [
+                        &mut leg.tx.cpu,
+                        &mut leg.tx.pci,
+                        &mut leg.tx.nics[channel],
+                        &mut leg.wires[channel][from],
+                        &mut leg.rx.pci,
+                    ];
+                    let bytes = [seg, on_bus, on_bus, on_bus, on_bus];
+                    train::fast_forward(stages, &hops, &steps, bytes, n);
+                    leg.cursor.push(Run {
+                        t0: t5 + steps[4],
+                        step: steps[4],
+                        seq0: seq,
+                        count: n,
+                        seg: seg_len(seg),
+                    });
+                    seq += n;
+                    remaining -= n * seg;
+                }
+            }
         }
+        leg.cursor.arm()
+    };
+    eng.reserve(seq - first_seq);
+    if let Some(front) = front {
+        eng.schedule_event_keyed(front.t0, front.seq0, RawConn::event(conn, from));
     }
-    let (conn, dir) = event_addr(conn, from);
-    schedule_deliveries(eng, |seg| NetEvent::RawDeliver { conn, dir, seg });
 }
 
-pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
+/// The front of direction `dir`'s delivery cursor landed in the
+/// receiver's memory — and so, in place, may the packets after it.
+pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize) {
+    while deliver(eng, conn, dir) && train::advance::<RawConn>(eng, conn, dir) {}
+}
+
+/// Deliver the cursor's front packet, due now; `false` once the cursor
+/// is empty (and no longer armed).
+fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> bool {
     let now = eng.now();
     let mut completion: Option<(Continuation, SimDuration)> = None;
     let mut done = (0u64, 0u64); // (msg, total)
+    let more;
     {
-        let raw = match &mut eng.world.conns[conn.0] {
-            Conn::Raw(r) => r,
-            // lint:allow(panic) -- events on this conn are only scheduled by raw code paths
-            _ => unreachable!(),
-        };
+        let (c, cursor) = eng.world.conn_and_cursor(conn, dir);
+        let raw = as_raw(c);
+        // lint:allow(expect) -- a delivery event is only queued for a non-empty cursor
+        let seg = u64::from(cursor.pop().expect("delivery from an empty cursor"));
+        more = !cursor.is_empty();
+        cursor.armed = more;
         raw.bytes_delivered += seg;
         let job = raw.dirs[dir]
             .front_mut()
-            // lint:allow(expect) -- a delivery event is only scheduled while its job is queued; an empty queue is an engine bug
+            // lint:allow(expect) -- a delivery is only in the cursor while its job is queued; an empty queue is an engine bug
             .expect("raw delivery with no job");
         job.delivered += seg;
         if job.delivered == job.total {
@@ -249,7 +297,34 @@ pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
             .trace_span(stages::COMPLETION, flow_track(dir), now, now + cost, 0, msg);
         eng.world
             .trace_instant(stages::RECV, flow_track(dir), now + cost, total, msg);
-        eng.schedule_at(now + cost, k);
+        resume_at(eng, now + cost, k);
+    }
+    more
+}
+
+impl Flow for RawConn {
+    fn event(conn: ConnId, dir: usize) -> NetEvent {
+        let (conn, dir) = event_addr(conn, dir);
+        NetEvent::RawDeliver { conn, dir }
+    }
+
+    fn of(conn: &mut Conn) -> &mut RawConn {
+        as_raw(conn)
+    }
+
+    fn silent(&self, dir: usize, run: &Run) -> u64 {
+        let seg = u64::from(run.seg);
+        self.dirs[dir]
+            .front()
+            .map_or(0, |j| (j.total - j.delivered - 1) / seg)
+            .min(run.count)
+    }
+
+    fn settle(&mut self, dir: usize, n: u64, seg: u64) {
+        self.bytes_delivered += n * seg;
+        if let Some(job) = self.dirs[dir].front_mut() {
+            job.delivered += n * seg;
+        }
     }
 }
 

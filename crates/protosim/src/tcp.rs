@@ -36,12 +36,13 @@ use std::collections::VecDeque;
 use faultlab::{SegFault, SegLifeState};
 use hwmodel::nic::TCPIP_HEADERS;
 use simcore::trace::{stages, SpanRec};
-use simcore::{units, SimDuration};
+use simcore::{units, SimDuration, SimTime};
 
 use crate::fabric::{
-    event_addr, flow_track, schedule_deliveries, seg_len, Conn, ConnId, Continuation, Fabric, Net,
+    event_addr, flow_track, resume_at, seg_len, Conn, ConnId, Continuation, Fabric, Leg, Net,
     NetEvent,
 };
+use crate::train::{self, Flow, Hop, Run};
 
 /// Per-connection TCP tuning, the knobs the paper turns.
 #[derive(Debug, Clone)]
@@ -97,6 +98,11 @@ struct TcpDir {
 /// What one segment costs on this connection, apart from its size: derived
 /// from the spec once at [`open_on_channel`], like `window` and `smooth`,
 /// so the per-segment path converts no microseconds and divides no rates.
+/// The size-dependent costs are the resources' memoised service times;
+/// a kernel copy is the host CPU's (its rate is the kernel copy rate).
+/// Both hosts are built from one spec, so the receiver's copy and bus
+/// crossing are priced with the sender's memos, which then see only the
+/// sizes this direction sends.
 struct SegCosts {
     mss: u32,
     /// Ethernet framing added to every frame on the wire.
@@ -111,20 +117,6 @@ struct SegCosts {
     /// How long a stalled sender waits for the window update after its
     /// outstanding window has drained.
     reopen_stall: SimDuration,
-    kernel_copy_bps: f64,
-    /// The last `(bytes, kernel copy time)`; all but a message's final
-    /// segment are the same size.
-    copy_memo: (u64, SimDuration),
-}
-
-impl SegCosts {
-    #[inline]
-    fn kernel_copy(&mut self, seg: u64) -> SimDuration {
-        if self.copy_memo.0 != seg {
-            self.copy_memo = (seg, SimDuration::for_bytes(seg, self.kernel_copy_bps));
-        }
-        self.copy_memo.1
-    }
 }
 
 /// A TCP connection between host 0 and host 1.
@@ -209,8 +201,6 @@ pub fn open_on_channel(fabric: &mut Fabric, mut params: TcpParams, channel: usiz
         } else {
             spec.nic.ack_delay_us
         }),
-        kernel_copy_bps: cpu.kernel_copy_bps,
-        copy_memo: (0, SimDuration::ZERO),
     };
     fabric.push_conn(Conn::Tcp(TcpConn {
         params,
@@ -250,248 +240,418 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
     }
     eng.world
         .trace_instant(stages::SEND, flow_track(from), now, bytes.max(1), msg);
-    pump(eng, conn, from);
+    pump_and_arm(eng, conn, from);
+}
+
+fn as_tcp(conn: &mut Conn) -> &mut TcpConn {
+    match conn {
+        Conn::Tcp(t) => t,
+        // lint:allow(panic) -- ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition
+        _ => panic!("connection is not TCP"),
+    }
 }
 
 fn tcp_mut(fabric: &mut Fabric, conn: ConnId) -> &mut TcpConn {
-    match &mut fabric.conns[conn.0] {
-        Conn::Tcp(t) => t,
-        // lint:allow(panic) -- ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition
-        _ => panic!("connection {conn:?} is not TCP"),
+    as_tcp(&mut fabric.conns[conn.0])
+}
+
+/// Pump direction `dir` from outside its delivery loop (a new message, a
+/// reopened window), and queue the cursor's front if nothing holds it.
+fn pump_and_arm(eng: &mut Net, conn: ConnId, dir: usize) {
+    let (now, seq) = (eng.now(), eng.next_seq());
+    let (sent, front) = {
+        let (c, mut leg) = eng.world.leg(conn, dir);
+        let sent = pump(as_tcp(c), &mut leg, dir, now, seq, false).appended;
+        (sent, leg.cursor.arm())
+    };
+    eng.reserve(sent);
+    if let Some(front) = front {
+        eng.schedule_event_keyed(front.t0, front.seq0, TcpConn::event(conn, dir));
     }
 }
 
-/// Dispatch as many segments as the window allows.
-// analyze: hot
-fn pump(eng: &mut Net, conn: ConnId, dir: usize) {
-    let now = eng.now();
-    {
-        let Fabric {
-            hosts,
-            wires,
-            conns,
-            tracer,
-            faults,
-            scratch,
-            ..
-        } = &mut eng.world;
-        let tcp = match &mut conns[conn.0] {
-            Conn::Tcp(t) => t,
-            // lint:allow(panic) -- pump() is only scheduled against conns created as TCP
-            _ => panic!("connection {conn:?} is not TCP"),
-        };
-        if tcp.dead {
-            return;
-        }
-        let window = tcp.window;
-        let channel = tcp.channel;
-        let mut conn_died = false;
-        let costs = &mut tcp.costs;
-        let d = &mut tcp.dirs[dir];
-        if d.stalled {
-            return;
-        }
-        let (sender, receiver) = (dir, 1 - dir);
-        let (mss, framing) = (u64::from(costs.mss), u64::from(costs.framing));
-        let (coalesce, path) = (costs.coalesce, costs.path);
-        let ft = flow_track(dir);
+/// A segment the pump stepped: when it entered the sender's CPU and when
+/// it left each of the six stages (CPU, PCI, NIC, wire, receiver PCI,
+/// receiver CPU).
+#[derive(Clone, Copy)]
+struct Sent {
+    at: SimTime,
+    t: [SimTime; 6],
+    seg: u64,
+}
 
-        'jobs: for job in d.jobs.iter_mut() {
-            // Attribute the resource spans below to this message.
-            if let Some(t) = tracer.as_ref() {
-                t.set_message(job.msg);
+/// What one pump did.
+struct Pumped {
+    /// Deliveries appended to the cursor, numbered from the `seq` given.
+    appended: u64,
+    /// When asked for: the last segment, if it was stepped, full-sized
+    /// and not its message's first, and nothing observes single
+    /// segments — the seed of a window-clocked train.
+    last: Option<Sent>,
+}
+
+/// `s`'s crossing of each stage, with its service times from the cost
+/// card and the resources' memos.
+fn hops(costs: &SegCosts, leg: &mut Leg<'_>, channel: usize, dir: usize, s: &Sent) -> [Hop; 6] {
+    let copy = leg.tx.cpu.cost(s.seg);
+    let on_bus = s.seg + u64::from(TCPIP_HEADERS);
+    let bus = leg.tx.pci.cost(on_bus);
+    let frame = on_bus + u64::from(costs.framing);
+    let t = &s.t;
+    let hop = |arrival, done, dur| Hop { arrival, done, dur };
+    [
+        hop(s.at, t[0], costs.tx_pkt + copy),
+        hop(t[0], t[1], bus),
+        hop(t[1], t[2], leg.tx.nics[channel].cost(frame)),
+        hop(t[2], t[3], leg.wires[channel][dir].cost(frame)),
+        hop(t[3] + costs.path, t[4], bus),
+        hop(t[4] + costs.coalesce, t[5], costs.rx_pkt + copy),
+    ]
+}
+
+/// Advance up to `cap` more segments like `s` in closed form, the first
+/// entering the sender's CPU `d_in` after it and each next `d_in` later;
+/// returns how many, and the spacing of their deliveries.
+fn extend(
+    costs: &SegCosts,
+    leg: &mut Leg<'_>,
+    channel: usize,
+    dir: usize,
+    s: &Sent,
+    d_in: SimDuration,
+    cap: u64,
+) -> (u64, SimDuration) {
+    let hops = hops(costs, leg, channel, dir, s);
+    let (n, steps) = train::extrapolate(&hops, d_in, cap);
+    if n > 0 {
+        let on_bus = s.seg + u64::from(TCPIP_HEADERS);
+        let frame = on_bus + u64::from(costs.framing);
+        let stages = [
+            &mut leg.tx.cpu,
+            &mut leg.tx.pci,
+            &mut leg.tx.nics[channel],
+            &mut leg.wires[channel][dir],
+            &mut leg.rx.pci,
+            &mut leg.rx.cpu,
+        ];
+        let bytes = [s.seg, on_bus, frame, frame, on_bus, s.seg];
+        train::fast_forward(stages, &hops, &steps, bytes, n);
+    }
+    (n, steps[5])
+}
+
+/// Dispatch as many segments as the window allows, appending their
+/// deliveries to the cursor under sequence numbers `seq`, `seq + 1`, …
+/// With `seed`, report the last segment for a window-clocked train.
+// analyze: hot
+fn pump(
+    tcp: &mut TcpConn,
+    leg: &mut Leg<'_>,
+    dir: usize,
+    now: SimTime,
+    mut seq: u64,
+    seed: bool,
+) -> Pumped {
+    let mut out = Pumped {
+        appended: 0,
+        last: None,
+    };
+    if tcp.dead {
+        return out;
+    }
+    let window = tcp.window;
+    let channel = tcp.channel;
+    let closed = leg.closed_form();
+    let mut conn_died = false;
+    let costs = &tcp.costs;
+    let d = &mut tcp.dirs[dir];
+    if d.stalled {
+        return out;
+    }
+    let (mss, framing) = (u64::from(costs.mss), u64::from(costs.framing));
+    let (coalesce, path) = (costs.coalesce, costs.path);
+    let ft = flow_track(dir);
+
+    'jobs: for job in d.jobs.iter_mut() {
+        // Attribute the resource spans below to this message.
+        if let Some(t) = leg.tracer {
+            t.set_message(job.msg);
+        }
+        while job.remaining > 0 {
+            // Sender-side silly-window avoidance (RFC 1122 §4.2.3.4):
+            // send a full segment, or a partial of at least MSS/2 —
+            // never shave slivers off the window (that death-spirals
+            // into sub-100-byte segments whose per-packet costs
+            // dominate). An idle window always makes progress, so
+            // tiny windows cannot deadlock.
+            let want = job.remaining.min(mss);
+            let avail = window - d.in_flight;
+            let half_seg = mss.min(window).div_ceil(2);
+            if d.in_flight > 0 && want > avail && avail < half_seg {
+                d.stalled = true;
+                break 'jobs;
             }
-            while job.remaining > 0 {
-                // Sender-side silly-window avoidance (RFC 1122 §4.2.3.4):
-                // send a full segment, or a partial of at least MSS/2 —
-                // never shave slivers off the window (that death-spirals
-                // into sub-100-byte segments whose per-packet costs
-                // dominate). An idle window always makes progress, so
-                // tiny windows cannot deadlock.
-                let want = job.remaining.min(mss);
-                let avail = window - d.in_flight;
-                let half_seg = mss.min(window).div_ceil(2);
-                if d.in_flight > 0 && want > avail && avail < half_seg {
-                    d.stalled = true;
+            let seg = want.min(avail.max(1)).min(window);
+            // --- sender side ---
+            let copy = leg.tx.cpu.cost(seg);
+            let mut tx = costs.tx_pkt + copy;
+            let first = !job.started;
+            if first {
+                tx += costs.syscall;
+                job.started = true;
+            }
+            let t1 = leg.tx.cpu.serve_for(now, tx, seg);
+            let on_bus = seg + u64::from(TCPIP_HEADERS);
+            let bus = leg.tx.pci.cost(on_bus);
+            let t2 = leg.tx.pci.serve_for(t1, bus, on_bus);
+            let frame = on_bus + framing;
+            let t3 = leg.tx.nics[channel].serve(t2, frame);
+            let mut t4 = leg.wires[channel][dir].serve(t3, frame);
+            // --- fault injection on the wire ---
+            if let Some(fl) = leg.faults.as_deref_mut() {
+                let wire = &mut leg.wires[channel][dir];
+                let rate = wire.rate();
+                let frame_us = if rate.is_finite() && rate > 0.0 {
+                    SimDuration::for_bytes(frame, rate).as_micros_f64()
+                } else {
+                    0.0
+                };
+                let rto = SimDuration::from_micros_f64(fl.plan().rto_us);
+                let max_retrans = fl.plan().max_retrans;
+                let mut attempt = 0u32;
+                // Drive the segment through the declared RTO
+                // lifecycle (spec of record: `faultlab.segment`;
+                // `xtask analyze` checks these arms against it).
+                let mut life = SegLifeState::initial();
+                loop {
+                    life = match life {
+                        SegLifeState::InFlight => {
+                            match fl.segment(t4.as_micros_f64(), frame_us) {
+                                SegFault::Drop => {
+                                    if let Some(t) = leg.tracer {
+                                        t.instant(stages::FAULT_DROP, ft, t4, seg, job.msg);
+                                    }
+                                    SegLifeState::RtoWait
+                                }
+                                SegFault::Deliver {
+                                    extra_us,
+                                    slow_us,
+                                    duplicate,
+                                } => {
+                                    if duplicate {
+                                        // The spurious copy burns a
+                                        // second wire slot and receiver
+                                        // bus crossing before being
+                                        // discarded.
+                                        let dup_done = wire.serve(t4, frame);
+                                        leg.rx.pci.serve(dup_done + path, on_bus);
+                                        if let Some(t) = leg.tracer {
+                                            t.instant(
+                                                stages::FAULT_DUP,
+                                                ft,
+                                                dup_done,
+                                                seg,
+                                                job.msg,
+                                            );
+                                        }
+                                    }
+                                    let fault_start = t4;
+                                    if slow_us > 0.0 && rate.is_finite() {
+                                        // Degraded link: the segment
+                                        // holds the wire longer,
+                                        // queueing every later segment
+                                        // behind it.
+                                        let extra_bytes = units::bytes_at_rate(
+                                            rate,
+                                            SimDuration::from_micros_f64(slow_us),
+                                        );
+                                        t4 = wire.serve(t4, extra_bytes);
+                                    }
+                                    if extra_us > 0.0 {
+                                        t4 += SimDuration::from_micros_f64(extra_us);
+                                    }
+                                    if t4 > fault_start {
+                                        if let Some(t) = leg.tracer {
+                                            t.span(SpanRec {
+                                                stage: stages::FAULT_DELAY,
+                                                track: ft,
+                                                start: fault_start,
+                                                end: t4,
+                                                bytes: seg,
+                                                msg: job.msg,
+                                            });
+                                        }
+                                    }
+                                    SegLifeState::Delivered
+                                }
+                            }
+                        }
+                        SegLifeState::RtoWait => {
+                            if attempt >= max_retrans {
+                                // Retransmissions exhausted: the
+                                // connection gives up for good.
+                                fl.counters.conn_deaths += 1;
+                                if let Some(t) = leg.tracer {
+                                    t.instant(stages::CONN_DEAD, ft, t4, seg, job.msg);
+                                }
+                                SegLifeState::Dead
+                            } else {
+                                // The lost copy burned its wire slot;
+                                // the sender sits out the RTO, then the
+                                // retransmitted copy crosses again and
+                                // faces the lottery afresh.
+                                attempt += 1;
+                                fl.counters.retransmits += 1;
+                                let resend = t4 + rto;
+                                if let Some(t) = leg.tracer {
+                                    t.span(SpanRec {
+                                        stage: stages::RETRANSMIT,
+                                        track: ft,
+                                        start: t4,
+                                        end: resend,
+                                        bytes: seg,
+                                        msg: job.msg,
+                                    });
+                                }
+                                t4 = wire.serve(resend, frame);
+                                SegLifeState::InFlight
+                            }
+                        }
+                        // Terminal (quiescent) states end the drive.
+                        SegLifeState::Delivered | SegLifeState::Dead => break,
+                    };
+                }
+                if life == SegLifeState::Dead {
+                    conn_died = true;
                     break 'jobs;
                 }
-                let seg = want.min(avail.max(1)).min(window);
-                // --- sender side ---
-                let copy = costs.kernel_copy(seg);
-                let mut tx = costs.tx_pkt + copy;
-                if !job.started {
-                    tx += costs.syscall;
-                    job.started = true;
+            }
+            // --- receiver side ---
+            let t5 = leg.rx.pci.serve_for(t4 + path, bus, on_bus);
+            let rx = costs.rx_pkt + copy;
+            let t6 = leg.rx.cpu.serve_for(t5 + coalesce, rx, seg);
+            if let Some(t) = leg.tracer {
+                // Protocol gaps between resource spans, on the flow
+                // track (segments pipeline, so these may overlap).
+                if path.as_nanos() > 0 {
+                    t.span(SpanRec {
+                        stage: stages::WIRE_LATENCY,
+                        track: ft,
+                        start: t4,
+                        end: t4 + path,
+                        bytes: seg,
+                        msg: job.msg,
+                    });
                 }
-                let t1 = hosts[sender].cpu.serve_for(now, tx, seg);
-                let on_bus = seg + u64::from(TCPIP_HEADERS);
-                let t2 = hosts[sender].pci.serve(t1, on_bus);
-                let frame = on_bus + framing;
-                let t3 = hosts[sender].nics[channel].serve(t2, frame);
-                let mut t4 = wires[channel][dir].serve(t3, frame);
-                // --- fault injection on the wire ---
-                if let Some(fl) = faults.as_mut() {
-                    let rate = wires[channel][dir].rate();
-                    let frame_us = if rate.is_finite() && rate > 0.0 {
-                        SimDuration::for_bytes(frame, rate).as_micros_f64()
-                    } else {
-                        0.0
-                    };
-                    let rto = SimDuration::from_micros_f64(fl.plan().rto_us);
-                    let max_retrans = fl.plan().max_retrans;
-                    let mut attempt = 0u32;
-                    // Drive the segment through the declared RTO
-                    // lifecycle (spec of record: `faultlab.segment`;
-                    // `xtask analyze` checks these arms against it).
-                    let mut life = SegLifeState::initial();
-                    loop {
-                        life = match life {
-                            SegLifeState::InFlight => {
-                                match fl.segment(t4.as_micros_f64(), frame_us) {
-                                    SegFault::Drop => {
-                                        if let Some(t) = tracer.as_ref() {
-                                            t.instant(stages::FAULT_DROP, ft, t4, seg, job.msg);
-                                        }
-                                        SegLifeState::RtoWait
-                                    }
-                                    SegFault::Deliver {
-                                        extra_us,
-                                        slow_us,
-                                        duplicate,
-                                    } => {
-                                        if duplicate {
-                                            // The spurious copy burns a
-                                            // second wire slot and receiver
-                                            // bus crossing before being
-                                            // discarded.
-                                            let dup_done = wires[channel][dir].serve(t4, frame);
-                                            hosts[receiver].pci.serve(dup_done + path, on_bus);
-                                            if let Some(t) = tracer.as_ref() {
-                                                t.instant(
-                                                    stages::FAULT_DUP,
-                                                    ft,
-                                                    dup_done,
-                                                    seg,
-                                                    job.msg,
-                                                );
-                                            }
-                                        }
-                                        let fault_start = t4;
-                                        if slow_us > 0.0 && rate.is_finite() {
-                                            // Degraded link: the segment
-                                            // holds the wire longer,
-                                            // queueing every later segment
-                                            // behind it.
-                                            let extra_bytes = units::bytes_at_rate(
-                                                rate,
-                                                SimDuration::from_micros_f64(slow_us),
-                                            );
-                                            t4 = wires[channel][dir].serve(t4, extra_bytes);
-                                        }
-                                        if extra_us > 0.0 {
-                                            t4 = t4 + SimDuration::from_micros_f64(extra_us);
-                                        }
-                                        if t4 > fault_start {
-                                            if let Some(t) = tracer.as_ref() {
-                                                t.span(SpanRec {
-                                                    stage: stages::FAULT_DELAY,
-                                                    track: ft,
-                                                    start: fault_start,
-                                                    end: t4,
-                                                    bytes: seg,
-                                                    msg: job.msg,
-                                                });
-                                            }
-                                        }
-                                        SegLifeState::Delivered
-                                    }
-                                }
-                            }
-                            SegLifeState::RtoWait => {
-                                if attempt >= max_retrans {
-                                    // Retransmissions exhausted: the
-                                    // connection gives up for good.
-                                    fl.counters.conn_deaths += 1;
-                                    if let Some(t) = tracer.as_ref() {
-                                        t.instant(stages::CONN_DEAD, ft, t4, seg, job.msg);
-                                    }
-                                    SegLifeState::Dead
-                                } else {
-                                    // The lost copy burned its wire slot;
-                                    // the sender sits out the RTO, then the
-                                    // retransmitted copy crosses again and
-                                    // faces the lottery afresh.
-                                    attempt += 1;
-                                    fl.counters.retransmits += 1;
-                                    let resend = t4 + rto;
-                                    if let Some(t) = tracer.as_ref() {
-                                        t.span(SpanRec {
-                                            stage: stages::RETRANSMIT,
-                                            track: ft,
-                                            start: t4,
-                                            end: resend,
-                                            bytes: seg,
-                                            msg: job.msg,
-                                        });
-                                    }
-                                    t4 = wires[channel][dir].serve(resend, frame);
-                                    SegLifeState::InFlight
-                                }
-                            }
-                            // Terminal (quiescent) states end the drive.
-                            SegLifeState::Delivered | SegLifeState::Dead => break,
-                        };
-                    }
-                    if life == SegLifeState::Dead {
-                        conn_died = true;
-                        break 'jobs;
-                    }
+                if coalesce.as_nanos() > 0 {
+                    t.span(SpanRec {
+                        stage: stages::COALESCE,
+                        track: ft,
+                        start: t5,
+                        end: t5 + coalesce,
+                        bytes: seg,
+                        msg: job.msg,
+                    });
                 }
-                // --- receiver side ---
-                let t5 = hosts[receiver].pci.serve(t4 + path, on_bus);
-                let rx = costs.rx_pkt + copy;
-                let t6 = hosts[receiver].cpu.serve_for(t5 + coalesce, rx, seg);
-                if let Some(t) = tracer.as_ref() {
-                    // Protocol gaps between resource spans, on the flow
-                    // track (segments pipeline, so these may overlap).
-                    if path.as_nanos() > 0 {
-                        t.span(SpanRec {
-                            stage: stages::WIRE_LATENCY,
-                            track: ft,
-                            start: t4,
-                            end: t4 + path,
-                            bytes: seg,
-                            msg: job.msg,
-                        });
+            }
+            leg.cursor.push(Run::one(t6, seq, seg_len(seg)));
+            seq += 1;
+            out.appended += 1;
+            d.in_flight += seg;
+            d.undelivered += seg;
+            job.remaining -= seg;
+            if closed && !first && seg == mss {
+                let sent = Sent {
+                    at: now,
+                    t: [t1, t2, t3, t4, t5, t6],
+                    seg,
+                };
+                // In one pump every further segment enters the CPU at
+                // `now`: full ones while the message and window last.
+                let fit = job.remaining.min(window - d.in_flight);
+                let (n, step) = if fit >= train::MIN_TRAIN * mss {
+                    extend(
+                        costs,
+                        leg,
+                        channel,
+                        dir,
+                        &sent,
+                        SimDuration::ZERO,
+                        fit / mss,
+                    )
+                } else {
+                    (0, SimDuration::ZERO)
+                };
+                if n == 0 {
+                    // A window-clocked train needs a message that outlasts
+                    // it: each reply leaves a full segment unsent.
+                    if seed && job.remaining >= (train::MIN_TRAIN + 1) * mss {
+                        out.last = Some(sent);
                     }
-                    if coalesce.as_nanos() > 0 {
-                        t.span(SpanRec {
-                            stage: stages::COALESCE,
-                            track: ft,
-                            start: t5,
-                            end: t5 + coalesce,
-                            bytes: seg,
-                            msg: job.msg,
-                        });
-                    }
+                    continue;
                 }
-                scratch.push((t6, seg_len(seg)));
-                d.in_flight += seg;
-                d.undelivered += seg;
-                job.remaining -= seg;
+                leg.cursor.push(Run {
+                    t0: t6 + step,
+                    step,
+                    seq0: seq,
+                    count: n,
+                    seg: seg_len(seg),
+                });
+                seq += n;
+                out.appended += n;
+                d.in_flight += n * seg;
+                d.undelivered += n * seg;
+                job.remaining -= n * seg;
             }
         }
-        if conn_died {
-            tcp.dead = true;
-        }
     }
-    let (conn, dir) = event_addr(conn, dir);
-    schedule_deliveries(eng, |seg| NetEvent::TcpDeliver { conn, dir, seg });
+    if conn_died {
+        tcp.dead = true;
+    }
+    out
 }
 
-/// A segment reached the receiver's socket buffer and was copied out.
+/// The front of direction `dir`'s delivery cursor reached the receiver's
+/// socket buffer — and so, in place, may the deliveries after it (see
+/// [`crate::train`]).
 // analyze: hot
-pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
+pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize) {
+    loop {
+        match deliver(eng, conn, dir) {
+            Delivered::Drained => return,
+            Delivered::More(None) => {}
+            Delivered::More(Some(sent)) => clock(eng, conn, dir, &sent),
+        }
+        if !train::advance::<TcpConn>(eng, conn, dir) {
+            return;
+        }
+    }
+}
+
+/// What is left after one delivery.
+enum Delivered {
+    /// Nothing: the cursor is empty and no longer armed.
+    Drained,
+    /// More deliveries, and — when the woken sender refilled the window
+    /// with one segment like the delivered one — that segment, the seed
+    /// of a window-clocked train.
+    More(Option<Sent>),
+}
+
+impl Delivered {
+    #[inline]
+    fn unless_drained(self, more: bool) -> Delivered {
+        if more {
+            self
+        } else {
+            Delivered::Drained
+        }
+    }
+}
+
+/// Deliver the cursor's front segment, due now.
+// analyze: hot
+fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> Delivered {
     let now = eng.now();
     /// What a delivery does to a stalled sender.
     enum Wake {
@@ -502,12 +662,21 @@ pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
     // (continuation, wakeup cost, message bytes) of a completed message.
     let mut complete = None;
     let front_msg;
+    let seg;
+    let mut more;
     {
-        let tcp = tcp_mut(&mut eng.world, conn);
+        let (c, cursor) = eng.world.conn_and_cursor(conn, dir);
+        let tcp = as_tcp(c);
+        // lint:allow(expect) -- a delivery event is only queued for a non-empty cursor
+        seg = u64::from(cursor.pop().expect("delivery from an empty cursor"));
+        more = !cursor.is_empty();
+        // The loop holds the cursor armed while it runs; drained, it is
+        // idle again (a sender woken below may refill it).
+        cursor.armed = more;
         if tcp.dead {
             // Segments already in flight when the connection died still
             // land, but drive no further progress.
-            return;
+            return Delivered::More(None).unless_drained(more);
         }
         tcp.bytes_delivered += seg;
         let window = tcp.window;
@@ -533,7 +702,7 @@ pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
         let job = d
             .jobs
             .front_mut()
-            // lint:allow(expect) -- a delivery event is only scheduled while its job is queued; an empty queue is an engine bug
+            // lint:allow(expect) -- a delivery is only in the cursor while its job is queued; an empty queue is an engine bug
             .expect("delivery with no in-progress job");
         job.delivered += seg;
         front_msg = job.msg;
@@ -546,8 +715,22 @@ pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
             }
         }
     }
+    let mut clocked = None;
     match wake {
-        Some(Wake::Pump) => pump(eng, conn, dir),
+        Some(Wake::Pump) => {
+            let seq = eng.next_seq();
+            let sent = {
+                let (c, mut leg) = eng.world.leg(conn, dir);
+                let tcp = as_tcp(c);
+                let pumped = pump(tcp, &mut leg, dir, now, seq, true);
+                let refilled = pumped.appended == 1 && tcp.dirs[dir].stalled;
+                clocked = pumped.last.filter(|s| refilled && s.seg == seg);
+                more = !leg.cursor.is_empty();
+                leg.cursor.armed = more;
+                pumped.appended
+            };
+            eng.reserve(sent);
+        }
         Some(Wake::Reopen(stall)) => {
             eng.world.trace_span(
                 stages::WINDOW_STALL,
@@ -578,7 +761,130 @@ pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize, seg: u64) {
             done_total,
             front_msg,
         );
-        eng.schedule_at(now + wakeup, k);
+        resume_at(eng, now + wakeup, k);
+    }
+    Delivered::More(clocked).unless_drained(more)
+}
+
+/// A window-clocked train. The sender refilled a full window with `sent`
+/// as the delivery just made drained one segment; while the cursor's next
+/// deliveries are segments of the same size arriving a fixed interval
+/// apart, none completes a message, each would wake the sender to send one
+/// more full segment of a long message, and the engine proves each is the
+/// next event, deliver them — and send their replies — in closed form.
+fn clock(eng: &mut Net, conn: ConnId, dir: usize, sent: &Sent) {
+    let now = eng.now();
+    let (front, d_in, cap) = {
+        let (c, cursor) = eng.world.conn_and_cursor(conn, dir);
+        let tcp = as_tcp(c);
+        let Some(&front) = cursor.front() else {
+            return;
+        };
+        if u64::from(front.seg) != sent.seg {
+            return;
+        }
+        let d_in = front.t0 - now;
+        let spaced = if front.count > 1 && front.step != d_in {
+            1
+        } else {
+            front.count
+        };
+        let d = &tcp.dirs[dir];
+        let unfinished = d
+            .jobs
+            .front()
+            .map_or(0, |j| (j.total - j.delivered - 1) / sent.seg);
+        // Each reply must leave a full segment unsent, so the sender
+        // stalls again exactly as it just did.
+        let replies = d
+            .jobs
+            .iter()
+            .find(|j| j.remaining > 0)
+            .map_or(0, |j| (j.remaining / sent.seg).saturating_sub(1));
+        (front, d_in, spaced.min(unfinished).min(replies))
+    };
+    if cap < train::MIN_TRAIN {
+        return;
+    }
+    let cap = eng.in_place_budget(front.t0, d_in, front.seq0, cap);
+    if cap < train::MIN_TRAIN {
+        return;
+    }
+    let seq = eng.next_seq();
+    let n = {
+        let (c, mut leg) = eng.world.leg(conn, dir);
+        let tcp = as_tcp(c);
+        let (n, step) = extend(&tcp.costs, &mut leg, tcp.channel, dir, sent, d_in, cap);
+        if n == 0 {
+            return;
+        }
+        let bytes = n * sent.seg;
+        leg.cursor.skip(n);
+        leg.cursor.push(Run {
+            t0: sent.t[5] + step,
+            step,
+            seq0: seq,
+            count: n,
+            seg: front.seg,
+        });
+        tcp.bytes_delivered += bytes;
+        let d = &mut tcp.dirs[dir];
+        if let Some(job) = d.jobs.front_mut() {
+            job.delivered += bytes;
+        }
+        if let Some(job) = d.jobs.iter_mut().find(|j| j.remaining > 0) {
+            job.remaining -= bytes;
+        }
+        n
+    };
+    eng.dispatch_in_place(front.t0, d_in, n);
+    eng.reserve(n);
+}
+
+impl Flow for TcpConn {
+    fn event(conn: ConnId, dir: usize) -> NetEvent {
+        let (conn, dir) = event_addr(conn, dir);
+        NetEvent::TcpDeliver { conn, dir }
+    }
+
+    fn of(conn: &mut Conn) -> &mut TcpConn {
+        as_tcp(conn)
+    }
+
+    fn silent(&self, dir: usize, run: &Run) -> u64 {
+        if self.dead {
+            return run.count;
+        }
+        let d = &self.dirs[dir];
+        let seg = u64::from(run.seg);
+        let unfinished = d
+            .jobs
+            .front()
+            .map_or(0, |j| (j.total - j.delivered - 1) / seg);
+        let quiet = match (d.stalled, self.smooth) {
+            (false, _) => unfinished,
+            // Every delivery wakes a smooth sender.
+            (true, true) => 0,
+            // A rough one wakes on the one that drains the window.
+            (true, false) => unfinished.min((d.undelivered - 1) / seg),
+        };
+        quiet.min(run.count)
+    }
+
+    fn settle(&mut self, dir: usize, n: u64, seg: u64) {
+        if self.dead {
+            return;
+        }
+        let bytes = n * seg;
+        self.bytes_delivered += bytes;
+        let d = &mut self.dirs[dir];
+        d.undelivered -= bytes;
+        if !d.stalled {
+            d.in_flight = d.in_flight.saturating_sub(bytes);
+        }
+        if let Some(job) = d.jobs.front_mut() {
+            job.delivered += bytes;
+        }
     }
 }
 
@@ -587,7 +893,7 @@ pub(crate) fn on_reopen(eng: &mut Net, conn: ConnId, dir: usize) {
     let d = &mut tcp_mut(&mut eng.world, conn).dirs[dir];
     d.in_flight = 0;
     d.stalled = false;
-    pump(eng, conn, dir);
+    pump_and_arm(eng, conn, dir);
 }
 
 #[cfg(test)]

@@ -29,11 +29,11 @@ pub struct Resource {
     /// Fixed cost charged to every service request (arbitration, setup).
     per_item: SimDuration,
     busy_until: SimTime,
-    /// The last `(bytes, service_time(bytes))` [`serve`](Resource::serve)
-    /// computed. Segments of one message are the same size, and the rate
-    /// and per-item cost never change after construction, so the entry
-    /// stays valid across `reset()` and `clone()`.
-    memo: (u64, SimDuration),
+    /// The last two `(bytes, service_time(bytes))` [`cost`](Resource::cost)
+    /// computed, newest first: a message's full segments and its shorter
+    /// tail. The rate and per-item cost never change after construction,
+    /// so the entries stay valid across `reset()` and `clone()`.
+    memo: [(u64, SimDuration); 2],
     // --- accounting ---
     items_served: u64,
     bytes_served: u64,
@@ -79,7 +79,7 @@ impl Resource {
             rate_bytes_per_sec,
             per_item,
             busy_until: SimTime::ZERO,
-            memo: (0, per_item), // == service_time(0)
+            memo: [(0, per_item); 2], // == service_time(0)
             items_served: 0,
             bytes_served: 0,
             busy_time: SimDuration::ZERO,
@@ -150,10 +150,23 @@ impl Resource {
     /// previously accepted request.
     // analyze: hot
     pub fn serve(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        if self.memo.0 != bytes {
-            self.memo = (bytes, self.service_time(bytes));
+        let dur = self.cost(bytes);
+        self.serve_for(now, dur, bytes)
+    }
+
+    /// [`service_time`](Resource::service_time), memoised for the last
+    /// two sizes asked for.
+    // analyze: hot
+    #[inline]
+    pub fn cost(&mut self, bytes: u64) -> SimDuration {
+        match self.memo {
+            [(b, dur), _] | [_, (b, dur)] if b == bytes => dur,
+            [newest, _] => {
+                let dur = self.service_time(bytes);
+                self.memo = [(bytes, dur), newest];
+                dur
+            }
         }
-        self.serve_for(now, self.memo.1, bytes)
     }
 
     /// Like [`serve`](Resource::serve) but only charges the per-item
@@ -177,6 +190,19 @@ impl Resource {
         self.busy_time += dur;
         self.record(start, done, bytes);
         done
+    }
+
+    /// Account `n` more reservations, each `dur` long and `bytes` big,
+    /// that a caller has shown complete `step` apart after the last one:
+    /// the state `n` further [`serve_for`](Resource::serve_for) calls
+    /// would leave, in O(1). Untraced resources only — a traced one must
+    /// record every span.
+    pub fn fast_forward(&mut self, n: u64, step: SimDuration, dur: SimDuration, bytes: u64) {
+        debug_assert!(self.sink.is_none(), "a traced resource records every span");
+        self.busy_until += step * n;
+        self.items_served += n;
+        self.bytes_served += bytes * n;
+        self.busy_time += dur * n;
     }
 
     /// The instant this resource becomes free.

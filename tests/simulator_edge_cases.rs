@@ -194,3 +194,75 @@ fn transfer_event_counts_and_end_times_are_pinned() {
     let end = eng.run();
     assert_eq!((eng.events_executed(), end), (2049, SimTime(81_908_028)));
 }
+
+/// Witness for the transports' delivery cursor and closed-form segment
+/// trains: `(events executed, final instant)` of one-way transfers in
+/// every window class, under p4's block-synchronous writes, over both
+/// OS-bypass flavours, and of one daemon-relayed PVM round trip, recorded
+/// at the commit before the cursor replaced one queued event per segment.
+/// The closed form must count every segment it skips as an executed event
+/// and land every stage exactly where stepping would.
+#[test]
+fn window_classes_bypass_and_daemon_relay_are_pinned() {
+    use netpipe_rs::proto::{raw, tcp, Fabric};
+    use netpipe_rs::sim::SimTime;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    let tcp_8mib = |params: TcpParams| {
+        let mut eng = Fabric::engine(pcs_ga620());
+        let conn = tcp::open(&mut eng.world, params);
+        tcp::send(&mut eng, conn, 0, mib(8), Box::new(|_| {}));
+        let end = eng.run();
+        (eng.events_executed(), end)
+    };
+    let raw_8mib = |spec: hwmodel::ClusterSpec, params: RawParams| {
+        let mut eng = Fabric::engine(spec);
+        let conn = raw::open(&mut eng.world, params);
+        raw::send(&mut eng, conn, 0, mib(8), Box::new(|_| {}));
+        let end = eng.run();
+        (eng.events_executed(), end)
+    };
+    let p4_32k = TcpParams {
+        block_sync_writes: true,
+        ..TcpParams::with_bufs(kib(32))
+    };
+    let got = [
+        tcp_8mib(TcpParams::with_bufs(kib(32))),
+        tcp_8mib(TcpParams::with_bufs(kib(64))),
+        tcp_8mib(TcpParams::with_bufs(kib(512))),
+        tcp_8mib(TcpParams::with_bufs(mib(8))),
+        tcp_8mib(p4_32k),
+        raw_8mib(pcs_myrinet(), RawParams::gm(RecvMode::Blocking)),
+        raw_8mib(pcs_mvia_syskonnect(), RawParams::mvia_sk98lin()),
+    ];
+    assert_eq!(
+        got,
+        [
+            (5889, SimTime(112_015_135)),
+            (5795, SimTime(110_226_491)),
+            (5795, SimTime(110_226_491)),
+            (5795, SimTime(110_228_918)),
+            (6144, SimTime(908_159_560)),
+            (2049, SimTime(81_926_028)),
+            (5795, SimTime(150_685_884)),
+        ]
+    );
+
+    // One PVM round trip through both pvmd daemons (stop-and-wait
+    // fragments, local pipes, acks): the closure-driven relay path.
+    let mut eng = Fabric::engine(pcs_ga620());
+    let session = Session::establish(&mut eng.world, &pvm(PvmConfig::default()));
+    let rtt = Rc::new(Cell::new(0.0));
+    let out = Rc::clone(&rtt);
+    netpipe_rs::mp::pingpong(
+        &session,
+        &mut eng,
+        kib(64),
+        1,
+        Box::new(move |_, t| out.set(t)),
+    );
+    let end = eng.run();
+    assert_eq!((eng.events_executed(), end), (340, SimTime(15_315_092)));
+    assert_eq!(rtt.get(), end.as_secs_f64());
+}
