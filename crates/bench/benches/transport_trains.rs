@@ -1,14 +1,21 @@
-//! Closed-form segment trains against stepping, per transport: the
-//! host time of one simulated job as the plain run takes it (trains
-//! advanced in closed form, silent deliveries settled in place) and with
-//! a no-op trace sink installed (every segment stepped), plus how many of
-//! its executed events went through the engine's queue at all.
+//! Closed-form segment trains and skipped periods against stepping, per
+//! transport: the host time of one simulated job as the plain run takes
+//! it (trains advanced in closed form, silent deliveries settled in place,
+//! repeating periods of a message train skipped) and with a no-op trace
+//! sink installed (every segment stepped), plus how many of its executed
+//! events went through the engine's queue at all.
 //!
 //! Cases: 8 MiB one way over GA620 TCP in each window class (32 KiB and
 //! 64 KiB windows below the message, 512 KiB tuned, 8 MiB whole), under
-//! p4's block-synchronous 32 KiB writes, over GM and over M-VIA; and the
-//! whole t1 "PVM via pvmd" curve, which is closure-bound and barely
-//! touched by either.
+//! p4's block-synchronous 32 KiB writes, over GM and over M-VIA; and two
+//! whole t1 curves: "PVM direct", whose 4080-byte fragments are one
+//! message train a period at a time, and "PVM via pvmd", which is
+//! closure-bound and barely touched by either. CI fails if the PVM direct
+//! curve's queued-event count rises: it is exact, so a skip that stops
+//! engaging shows there first.
+//!
+//! Then the host time of each of the short-message curves that bound a
+//! `figures` pass: PVM in every mode, and LAM through `lamd`.
 //!
 //! `cargo bench -p bench --bench transport_trains` (`BENCH_MS` sets the
 //! per-measurement budget).
@@ -16,11 +23,11 @@
 use std::rc::Rc;
 
 use bench::microbench::{group, measure};
+use clusterlab::all_experiments;
 use hwmodel::presets::{pcs_ga620, pcs_mvia_syskonnect, pcs_myrinet};
 use hwmodel::ClusterSpec;
-use mpsim::libs::{pvm, PvmConfig};
-use mpsim::Session;
-use netpipe::RunOptions;
+use mpsim::{MpLib, Session};
+use netpipe::{RunOptions, SimDriver};
 use protosim::{instrument, raw, tcp, Fabric, Net, RawParams, RecvMode, TcpParams};
 use simcore::trace::{SpanRec, TraceSink};
 use simcore::units::{kib, mib};
@@ -66,21 +73,36 @@ fn raw_8mib(spec: &ClusterSpec, params: &RawParams, stepped: bool) -> Counts {
     counts(&eng)
 }
 
-/// Every size point of the t1 "PVM via pvmd" curve, one round trip each,
-/// as `SimDriver` runs them.
-fn pvmd_curve(stepped: bool) -> Counts {
-    let lib = pvm(PvmConfig::default());
-    let spec = pcs_ga620();
-    let mut total = (0, 0);
-    for bytes in netpipe::sizes(&RunOptions::default().schedule) {
-        let mut eng = engine(&spec, stepped);
-        let session = Session::establish(&mut eng.world, &lib);
-        mpsim::pingpong(&session, &mut eng, bytes, 1, Box::new(|_, _| {}));
-        eng.run();
-        let (executed, in_place) = counts(&eng);
-        total = (total.0 + executed, total.1 + in_place);
+/// The `figures` curves whose library is named `lib`, with their
+/// experiment and cluster.
+fn curves(lib: impl Fn(&str) -> bool) -> Vec<(String, ClusterSpec, MpLib)> {
+    let mut out = Vec::new();
+    for exp in all_experiments() {
+        for e in exp.entries.iter().filter(|e| lib(e.lib.name())) {
+            let spec = e.spec_override.as_ref().unwrap_or(&exp.spec).clone();
+            out.push((format!("{}/{}", exp.id, e.lib.name()), spec, e.lib.clone()));
+        }
     }
-    total
+    out
+}
+
+/// Every size point of the t1 curve of `lib`, one round trip each, as
+/// `SimDriver` runs them.
+fn t1_curve(lib: &'static str) -> impl Fn(bool) -> Counts {
+    let [(_, spec, lib)] = <[_; 1]>::try_from(curves(|name| name == lib))
+        .unwrap_or_else(|_| panic!("one t1 curve of {lib}"));
+    move |stepped| {
+        let mut total = (0, 0);
+        for bytes in netpipe::sizes(&RunOptions::default().schedule) {
+            let mut eng = engine(&spec, stepped);
+            let session = Session::establish(&mut eng.world, &lib);
+            mpsim::pingpong(&session, &mut eng, bytes, 1, Box::new(|_, _| {}));
+            eng.run();
+            let (executed, in_place) = counts(&eng);
+            total = (total.0 + executed, total.1 + in_place);
+        }
+        total
+    }
 }
 
 fn main() {
@@ -102,7 +124,11 @@ fn main() {
             "mvia".into(),
             Box::new(|s| raw_8mib(&pcs_mvia_syskonnect(), &RawParams::mvia_sk98lin(), s)),
         ),
-        ("t1_pvm_via_pvmd".into(), Box::new(pvmd_curve)),
+        ("t1_pvm_direct".into(), Box::new(t1_curve("PVM (direct)"))),
+        (
+            "t1_pvm_via_pvmd".into(),
+            Box::new(t1_curve("PVM (via pvmd)")),
+        ),
     ];
 
     group("transport_trains");
@@ -127,6 +153,22 @@ fn main() {
             stepped as f64 / closed.max(1) as f64,
             executed,
             executed - in_place
+        );
+    }
+
+    group("short_message_curves");
+    println!("{:<40} {:>10} {:>10}", "curve", "min", "mean");
+    let short = curves(|name| name.starts_with("PVM (") || name.ends_with("(-lamd)"));
+    for (name, spec, lib) in &short {
+        let sample = measure(|| {
+            let mut driver = SimDriver::new(spec.clone(), lib.clone());
+            netpipe::run(&mut driver, &RunOptions::default())
+        });
+        println!(
+            "{:<40} {:>7.2} ms {:>7.2} ms",
+            name,
+            sample.min_ns as f64 / 1e6,
+            sample.mean_ns as f64 / 1e6
         );
     }
 }

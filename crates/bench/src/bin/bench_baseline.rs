@@ -1,7 +1,7 @@
 //! Produce the committed perf baseline (`BENCH_seed.json`).
 //!
-//! ROADMAP item 1 asks for an events/sec ratchet anchor: a number a
-//! later optimization PR can be compared against. This binary measures
+//! The simulator's events/sec ratchet anchor: a number a later
+//! optimization can be compared against. This binary measures
 //! the simulator core on a fixed workload — a two-rank NetPIPE-style
 //! ping-pong sweep (1 B … 64 KiB, powers of two) of the tuned MPICH
 //! model on the paper's PCs/GA-620 cluster — and reports how many

@@ -144,17 +144,18 @@ impl Session {
                 self.send_striped(eng, from, bytes, k);
             }
             None => {
-                let this = self.clone();
-                protosim::send(
-                    eng,
-                    self.data,
-                    from,
-                    bytes,
-                    Box::new(move |e| this.receive_phase(e, from, bytes, k)),
-                );
+                let k = self.then_receive(from, bytes, k);
+                protosim::send(eng, self.data, from, bytes, k);
             }
             Some(frag) => self.send_fragmented(eng, from, bytes, frag, k),
         }
+    }
+
+    /// A continuation that runs the receive phase of a `bytes` message
+    /// from `from`, then `k`.
+    fn then_receive(&self, from: usize, bytes: u64, k: Continuation) -> Continuation {
+        let this = self.clone();
+        Box::new(move |e| this.receive_phase(e, from, bytes, k))
     }
 
     /// Channel bonding: stripe the payload across all bonded connections
@@ -206,9 +207,9 @@ impl Session {
     }
 
     /// Direct transfer fragmented at the library's fragment size (PVM's
-    /// 4080-byte fragments in `PvmRouteDirect` mode). Fragments pipeline
-    /// through the transport; the per-fragment overhead is charged on the
-    /// sender's CPU.
+    /// 4080-byte fragments in `PvmRouteDirect` mode): one message train.
+    /// The per-fragment overhead is charged on the sender's CPU up front,
+    /// and each fragment is handed to the transport as its charge ends.
     fn send_fragmented(
         &self,
         eng: &mut Net,
@@ -217,42 +218,21 @@ impl Session {
         frag: FragmentCfg,
         k: Continuation,
     ) {
-        let nfrags = bytes.div_ceil(frag.bytes);
-        let remaining = Rc::new(RefCell::new(nfrags));
-        let pending_k = Rc::new(RefCell::new(Some(k)));
-        let mut left = bytes;
-        while left > 0 {
-            let sz = left.min(frag.bytes);
-            left -= sz;
-            let now = eng.now();
-            let t = eng.world.hosts[from].cpu.serve_for(
-                now,
-                SimDuration::from_micros_f64(frag.per_frag_us),
-                0,
-            );
-            let this = self.clone();
-            let remaining = Rc::clone(&remaining);
-            let pending_k = Rc::clone(&pending_k);
-            let data = self.data;
-            eng.schedule_at(t, move |e| {
-                protosim::send(
-                    e,
-                    data,
-                    from,
-                    sz,
-                    Box::new(move |e| {
-                        *remaining.borrow_mut() -= 1;
-                        if *remaining.borrow() == 0 {
-                            let k = pending_k
-                                .borrow_mut()
-                                .take()
-                                .expect("completion fired twice");
-                            this.receive_phase(e, from, bytes, k);
-                        }
-                    }),
-                );
-            });
+        let now = eng.now();
+        let per_frag = SimDuration::from_micros_f64(frag.per_frag_us);
+        let cpu = &mut eng.world.hosts[from].cpu;
+        let t0 = cpu.serve_for(now, per_frag, 0);
+        for _ in 1..bytes.div_ceil(frag.bytes) {
+            cpu.serve_for(now, per_frag, 0);
         }
+        let train = protosim::Train {
+            t0,
+            spacing: per_frag,
+            part: frag.bytes,
+            bytes,
+        };
+        let k = self.then_receive(from, bytes, k);
+        protosim::send_train(eng, self.data, from, train, k);
     }
 
     /// Daemon-relayed transfer: app → local daemon → remote daemon → app.

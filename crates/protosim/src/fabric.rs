@@ -17,7 +17,7 @@ use simcore::{Engine, Event, Resource, SimDuration, SimTime};
 use crate::local::LocalConn;
 use crate::raw::RawConn;
 use crate::tcp::TcpConn;
-use crate::train::Cursor;
+use crate::train::{Cursor, Launches};
 
 // ---------------------------------------------------------------------
 // Trace-track allocation (see DESIGN §10). Tracks are globally unique
@@ -149,7 +149,10 @@ pub struct Fabric {
     /// The delivery cursor of each connection direction, at
     /// `2 * conn + dir` (see [`crate::train`]).
     cursors: Vec<Cursor>,
-    waiting: Waiting,
+    waiting: Slots<Continuation>,
+    /// Message trains with launches still to make (see
+    /// [`crate::send_train`]).
+    pub(crate) trains: Slots<Launches>,
 }
 
 /// A fabric borrowed apart for one direction of one connection: what a
@@ -173,6 +176,21 @@ impl Leg<'_> {
     #[inline]
     pub fn closed_form(&self) -> bool {
         self.tracer.is_none() && self.faults.as_ref().is_none_or(|f| f.plan().is_lossless())
+    }
+
+    /// The six FIFO stages a segment of direction `dir` crosses on
+    /// `channel`: the sender's CPU, PCI bus and NIC, the wire, and the
+    /// receiver's PCI bus and CPU.
+    #[inline]
+    pub fn stages(&mut self, channel: usize, dir: usize) -> [&mut Resource; 6] {
+        [
+            &mut self.tx.cpu,
+            &mut self.tx.pci,
+            &mut self.tx.nics[channel],
+            &mut self.wires[channel][dir],
+            &mut self.rx.pci,
+            &mut self.rx.cpu,
+        ]
     }
 }
 
@@ -213,6 +231,20 @@ pub enum NetEvent {
         /// Where the fabric holds the continuation.
         slot: u32,
     },
+    /// A message train part that is not its train's last completed: a
+    /// counted event that runs nothing (see [`Done::Silent`]).
+    Silent {
+        /// Connection index.
+        conn: u16,
+        /// Sending endpoint.
+        dir: u8,
+    },
+    /// The next part of a message train is handed to its transport (see
+    /// [`crate::send_train`]).
+    Launch {
+        /// Where the fabric holds the train.
+        slot: u32,
+    },
 }
 
 impl Event<Fabric> for NetEvent {
@@ -232,39 +264,73 @@ impl Event<Fabric> for NetEvent {
                 let k = eng.world.waiting.take(slot);
                 k(eng);
             }
+            NetEvent::Silent { conn, dir } => {
+                let cursor = eng.world.cursor(ConnId(conn.into()), dir.into());
+                cursor.silent.pop_front();
+                cursor.own += 1;
+            }
+            NetEvent::Launch { slot } => crate::train::on_launch(eng, slot),
         }
     }
 }
 
-/// Completion continuations waiting for their instant, in reusable
-/// slots: a transport schedules one as a typed [`NetEvent::Resume`]
-/// instead of boxing the boxed continuation a second time.
-#[derive(Default)]
-pub(crate) struct Waiting {
-    slots: Vec<Option<Continuation>>,
+/// Values waiting for an event, in reusable slots addressed by a `u32`
+/// that fits a [`NetEvent`].
+pub(crate) struct Slots<T> {
+    slots: Vec<Option<T>>,
     free: Vec<u32>,
 }
 
-impl Waiting {
-    fn park(&mut self, k: Continuation) -> u32 {
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slots<T> {
+    pub fn park(&mut self, v: T) -> u32 {
         match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = Some(k);
+                self.slots[slot as usize] = Some(v);
                 slot
             }
             None => {
-                self.slots.push(Some(k));
-                // lint:allow(expect) -- one slot per continuation in flight; four billion at once is a model bug
-                u32::try_from(self.slots.len() - 1).expect("continuations in flight")
+                self.slots.push(Some(v));
+                // lint:allow(expect) -- one slot per value in flight; four billion at once is a model bug
+                u32::try_from(self.slots.len() - 1).expect("values in flight")
             }
         }
     }
 
-    fn take(&mut self, slot: u32) -> Continuation {
+    pub fn take(&mut self, slot: u32) -> T {
         self.free.push(slot);
-        let k = self.slots[slot as usize].take();
-        // lint:allow(expect) -- a Resume event is queued once per parked slot and fires once
-        k.expect("resumed an empty slot")
+        let v = self.slots[slot as usize].take();
+        // lint:allow(expect) -- an event is queued once per parked slot and takes it once
+        v.expect("took an empty slot")
+    }
+
+    pub fn get_mut(&mut self, slot: u32) -> &mut T {
+        // lint:allow(expect) -- as in `take`: only a parked slot's event reaches here
+        self.slots[slot as usize].as_mut().expect("an empty slot")
+    }
+}
+
+/// What a message's delivery completes.
+pub(crate) enum Done {
+    /// The sender's continuation.
+    Call(Continuation),
+    /// Nothing but a counted event: a part of a message train that is not
+    /// the train's last.
+    Silent,
+}
+
+impl Done {
+    #[inline]
+    pub fn is_silent(&self) -> bool {
+        matches!(self, Done::Silent)
     }
 }
 
@@ -272,6 +338,22 @@ impl Waiting {
 pub(crate) fn resume_at(eng: &mut Net, at: SimTime, k: Continuation) {
     let slot = eng.world.waiting.park(k);
     eng.schedule_event_at(at, NetEvent::Resume { slot });
+}
+
+/// Complete a message sent on direction `dir` of `conn` at `at`: run its
+/// continuation then, or — a silent train part — queue the counted event
+/// its continuation would have been, noting its key on the direction's
+/// cursor.
+pub(crate) fn complete_at(eng: &mut Net, conn: ConnId, dir: usize, at: SimTime, done: Done) {
+    match done {
+        Done::Call(k) => resume_at(eng, at, k),
+        Done::Silent => {
+            let seq = eng.next_seq();
+            eng.world.cursor(conn, dir).silent.push_back((at, seq));
+            let (conn, dir) = event_addr(conn, dir);
+            eng.schedule_event_at(at, NetEvent::Silent { conn, dir });
+        }
+    }
 }
 
 /// Narrow a connection id and endpoint for a [`NetEvent`].
@@ -336,7 +418,8 @@ impl Fabric {
             faults: None,
             next_msg: 0,
             cursors: Vec::new(),
-            waiting: Waiting::default(),
+            waiting: Slots::default(),
+            trains: Slots::default(),
         }
     }
 
@@ -502,11 +585,16 @@ pub fn instrument(eng: &mut Net, sink: SharedSink) {
 /// endpoints live on the connection's host). `on_delivered` runs when the
 /// last byte has reached the receiving application.
 pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: Continuation) {
+    submit(eng, conn, from, bytes, Done::Call(on_delivered));
+}
+
+/// [`send`], completing with `done`.
+pub(crate) fn submit(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, done: Done) {
     assert!(from < 2, "endpoint index must be 0 or 1");
     match &eng.world.conns[conn.0] {
-        Conn::Tcp(_) => crate::tcp::send(eng, conn, from, bytes, on_delivered),
-        Conn::Raw(_) => crate::raw::send(eng, conn, from, bytes, on_delivered),
-        Conn::Local(_) => crate::local::send(eng, conn, bytes, on_delivered),
+        Conn::Tcp(_) => crate::tcp::submit(eng, conn, from, bytes, done),
+        Conn::Raw(_) => crate::raw::submit(eng, conn, from, bytes, done),
+        Conn::Local(_) => crate::local::submit(eng, conn, bytes, done),
     }
 }
 

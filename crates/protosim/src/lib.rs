@@ -33,3 +33,4 @@ pub use fabric::{
 pub use multinode::{ring_halo_steps, MultiEngine, MultiNet};
 pub use raw::{RawParams, RecvMode};
 pub use tcp::TcpParams;
+pub use train::{send_train, Train};

@@ -10,7 +10,7 @@
 
 use simcore::SimDuration;
 
-use crate::fabric::{resume_at, Conn, ConnId, Continuation, Fabric, Net};
+use crate::fabric::{complete_at, Conn, ConnId, Continuation, Done, Fabric, Net};
 
 /// A same-host IPC channel (Unix pipe / loopback socket).
 pub struct LocalConn {
@@ -47,8 +47,13 @@ pub fn open(fabric: &mut Fabric, host: usize) -> ConnId {
 
 /// Send `bytes` across the local channel.
 pub fn send(eng: &mut Net, conn: ConnId, bytes: u64, on_delivered: Continuation) {
+    submit(eng, conn, bytes, Done::Call(on_delivered));
+}
+
+/// [`send`], completing with `done`.
+pub(crate) fn submit(eng: &mut Net, conn: ConnId, bytes: u64, done: Done) {
     let now = eng.now();
-    let done = {
+    let at = {
         let Fabric {
             spec, hosts, conns, ..
         } = &mut eng.world;
@@ -66,7 +71,7 @@ pub fn send(eng: &mut Net, conn: ConnId, bytes: u64, on_delivered: Continuation)
         }
         hosts[local.host].cpu.serve_for(now, local.memo.1, bytes)
     };
-    resume_at(eng, done, on_delivered);
+    complete_at(eng, conn, 0, at, done);
 }
 
 #[cfg(test)]

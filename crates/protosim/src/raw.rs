@@ -21,7 +21,8 @@ use simcore::trace::{stages, SpanRec};
 use simcore::SimDuration;
 
 use crate::fabric::{
-    event_addr, flow_track, resume_at, seg_len, Conn, ConnId, Continuation, Fabric, Net, NetEvent,
+    complete_at, event_addr, flow_track, seg_len, Conn, ConnId, Continuation, Done, Fabric, Net,
+    NetEvent,
 };
 use crate::train::{self, Flow, Hop, Run};
 
@@ -106,7 +107,7 @@ struct RawJob {
     total: u64,
     /// Trace message-correlation id (allocated even when untraced).
     msg: u64,
-    on_delivered: Option<Continuation>,
+    done: Done,
 }
 
 /// An open OS-bypass connection.
@@ -151,6 +152,11 @@ fn as_raw(conn: &mut Conn) -> &mut RawConn {
 /// Send `bytes` from endpoint `from`. No window: the fabric's hardware
 /// flow control never limits a two-node ping-pong.
 pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: Continuation) {
+    submit(eng, conn, from, bytes, Done::Call(on_delivered));
+}
+
+/// [`send`], completing with `done`.
+pub(crate) fn submit(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, done: Done) {
     let now = eng.now();
     let msg = eng.world.alloc_msg();
     let first_seq = eng.next_seq();
@@ -167,7 +173,7 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
             delivered: 0,
             total: bytes.max(1),
             msg,
-            on_delivered: Some(on_delivered),
+            done,
         });
         let closed = leg.closed_form();
         let path = SimDuration::from_micros_f64(leg.spec.path_latency_us());
@@ -265,14 +271,14 @@ pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize) {
 /// is empty (and no longer armed).
 fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> bool {
     let now = eng.now();
-    let mut completion: Option<(Continuation, SimDuration)> = None;
+    let mut completion: Option<(Done, SimDuration)> = None;
     let mut done = (0u64, 0u64); // (msg, total)
     let more;
     {
         let (c, cursor) = eng.world.conn_and_cursor(conn, dir);
         let raw = as_raw(c);
         // lint:allow(expect) -- a delivery event is only queued for a non-empty cursor
-        let seg = u64::from(cursor.pop().expect("delivery from an empty cursor"));
+        let seg = u64::from(cursor.pop().expect("delivery from an empty cursor").0);
         more = !cursor.is_empty();
         cursor.armed = more;
         raw.bytes_delivered += seg;
@@ -283,21 +289,19 @@ fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> bool {
         job.delivered += seg;
         if job.delivered == job.total {
             // lint:allow(expect) -- front_mut() above proved the queue is non-empty under the same borrow
-            let mut job = raw.dirs[dir].pop_front().expect("front job vanished");
+            let job = raw.dirs[dir].pop_front().expect("front job vanished");
             let cost = SimDuration::from_micros_f64(raw.params.recv_mode.completion_us());
             done = (job.msg, job.total);
-            if let Some(k) = job.on_delivered.take() {
-                completion = Some((k, cost));
-            }
+            completion = Some((job.done, cost));
         }
     }
-    if let Some((k, cost)) = completion {
+    if let Some((then, cost)) = completion {
         let (msg, total) = done;
         eng.world
             .trace_span(stages::COMPLETION, flow_track(dir), now, now + cost, 0, msg);
         eng.world
             .trace_instant(stages::RECV, flow_track(dir), now + cost, total, msg);
-        resume_at(eng, now + cost, k);
+        complete_at(eng, conn, dir, now + cost, then);
     }
     more
 }

@@ -39,8 +39,8 @@ use simcore::trace::{stages, SpanRec};
 use simcore::{units, SimDuration, SimTime};
 
 use crate::fabric::{
-    event_addr, flow_track, resume_at, seg_len, Conn, ConnId, Continuation, Fabric, Leg, Net,
-    NetEvent,
+    complete_at, event_addr, flow_track, seg_len, Conn, ConnId, Continuation, Done, Fabric, Leg,
+    Net, NetEvent,
 };
 use crate::train::{self, Flow, Hop, Run};
 
@@ -80,13 +80,16 @@ struct TcpJob {
     started: bool,
     /// Trace message-correlation id (allocated even when untraced).
     msg: u64,
-    on_delivered: Option<Continuation>,
+    done: Done,
 }
 
 /// Per-direction stream state.
 #[derive(Default)]
 struct TcpDir {
     jobs: VecDeque<TcpJob>,
+    /// Index in `jobs` of the first with bytes not yet handed to the
+    /// stack (`jobs.len()` when none has).
+    unsent: usize,
     /// Bytes charged against the window (reset on window reopen).
     in_flight: u64,
     /// Bytes dispatched but not yet delivered.
@@ -225,6 +228,11 @@ pub fn open_default(fabric: &mut Fabric) -> ConnId {
 /// Queue `bytes` from endpoint `from`; `on_delivered` fires when the
 /// receiving process returns from its final `recv()`.
 pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: Continuation) {
+    submit(eng, conn, from, bytes, Done::Call(on_delivered));
+}
+
+/// [`send`], completing with `done`.
+pub(crate) fn submit(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, done: Done) {
     let msg = eng.world.alloc_msg();
     let now = eng.now();
     {
@@ -235,12 +243,43 @@ pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: 
             total: bytes.max(1),
             started: false,
             msg,
-            on_delivered: Some(on_delivered),
+            done,
         });
     }
     eng.world
         .trace_instant(stages::SEND, flow_track(from), now, bytes.max(1), msg);
     pump_and_arm(eng, conn, from);
+}
+
+/// Queue `n` silent train parts of `part` bytes from endpoint `from`, all
+/// that submitting them one at a time would do when the sender is
+/// window-stalled (or its connection dead) and nothing traces; `false`,
+/// and nothing queued, otherwise.
+pub(crate) fn queue_stalled(
+    fabric: &mut Fabric,
+    conn: ConnId,
+    from: usize,
+    part: u64,
+    n: u64,
+) -> bool {
+    let Conn::Tcp(tcp) = &fabric.conns[conn.0] else {
+        return false;
+    };
+    if fabric.tracer.is_some() || !(tcp.dirs[from].stalled || tcp.dead) {
+        return false;
+    }
+    for _ in 0..n {
+        let msg = fabric.alloc_msg();
+        tcp_mut(fabric, conn).dirs[from].jobs.push_back(TcpJob {
+            remaining: part,
+            delivered: 0,
+            total: part,
+            started: false,
+            msg,
+            done: Done::Silent,
+        });
+    }
+    true
 }
 
 fn as_tcp(conn: &mut Conn) -> &mut TcpConn {
@@ -326,16 +365,8 @@ fn extend(
     if n > 0 {
         let on_bus = s.seg + u64::from(TCPIP_HEADERS);
         let frame = on_bus + u64::from(costs.framing);
-        let stages = [
-            &mut leg.tx.cpu,
-            &mut leg.tx.pci,
-            &mut leg.tx.nics[channel],
-            &mut leg.wires[channel][dir],
-            &mut leg.rx.pci,
-            &mut leg.rx.cpu,
-        ];
         let bytes = [s.seg, on_bus, frame, frame, on_bus, s.seg];
-        train::fast_forward(stages, &hops, &steps, bytes, n);
+        train::fast_forward(leg.stages(channel, dir), &hops, &steps, bytes, n);
     }
     (n, steps[5])
 }
@@ -372,7 +403,7 @@ fn pump(
     let (coalesce, path) = (costs.coalesce, costs.path);
     let ft = flow_track(dir);
 
-    'jobs: for job in d.jobs.iter_mut() {
+    'jobs: while let Some(job) = d.jobs.get_mut(d.unsent) {
         // Attribute the resource spans below to this message.
         if let Some(t) = leg.tracer {
             t.set_message(job.msg);
@@ -604,6 +635,7 @@ fn pump(
                 job.remaining -= n * seg;
             }
         }
+        d.unsent += 1;
     }
     if conn_died {
         tcp.dead = true;
@@ -659,16 +691,19 @@ fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> Delivered {
         Reopen(SimDuration),
     }
     let mut wake = None;
-    // (continuation, wakeup cost, message bytes) of a completed message.
+    // (completion, wakeup cost, message bytes) of a completed message.
     let mut complete = None;
     let front_msg;
     let seg;
+    let seq;
     let mut more;
     {
         let (c, cursor) = eng.world.conn_and_cursor(conn, dir);
         let tcp = as_tcp(c);
         // lint:allow(expect) -- a delivery event is only queued for a non-empty cursor
-        seg = u64::from(cursor.pop().expect("delivery from an empty cursor"));
+        let front = cursor.pop().expect("delivery from an empty cursor");
+        (seg, seq) = (u64::from(front.0), front.1);
+        cursor.own += 1;
         more = !cursor.is_empty();
         // The loop holds the cursor armed while it runs; drained, it is
         // idle again (a sender woken below may refill it).
@@ -709,20 +744,19 @@ fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> Delivered {
         debug_assert!(job.delivered <= job.total);
         if job.delivered == job.total {
             // lint:allow(expect) -- front_mut() above proved the queue is non-empty under the same borrow
-            let mut job = d.jobs.pop_front().expect("front job vanished");
-            if let Some(k) = job.on_delivered.take() {
-                complete = Some((k, tcp.costs.wakeup, job.total));
-            }
+            let job = d.jobs.pop_front().expect("front job vanished");
+            d.unsent -= 1;
+            complete = Some((job.done, tcp.costs.wakeup, job.total));
         }
     }
     let mut clocked = None;
     match wake {
         Some(Wake::Pump) => {
-            let seq = eng.next_seq();
+            let next = eng.next_seq();
             let sent = {
                 let (c, mut leg) = eng.world.leg(conn, dir);
                 let tcp = as_tcp(c);
-                let pumped = pump(tcp, &mut leg, dir, now, seq, true);
+                let pumped = pump(tcp, &mut leg, dir, now, next, true);
                 let refilled = pumped.appended == 1 && tcp.dirs[dir].stalled;
                 clocked = pumped.last.filter(|s| refilled && s.seg == seg);
                 more = !leg.cursor.is_empty();
@@ -740,12 +774,16 @@ fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> Delivered {
                 0,
                 front_msg,
             );
+            let key = (now + stall, eng.next_seq());
+            let reopen = &mut eng.world.cursor(conn, dir).reopen;
+            debug_assert!(reopen.is_none(), "a second reopen while one is queued");
+            *reopen = Some(key);
             let (conn, dir) = event_addr(conn, dir);
-            eng.schedule_event_at(now + stall, NetEvent::TcpReopen { conn, dir });
+            eng.schedule_event_at(key.0, NetEvent::TcpReopen { conn, dir });
         }
         None => {}
     }
-    if let Some((k, wakeup, done_total)) = complete {
+    if let Some((done, wakeup, done_total)) = complete {
         eng.world.trace_span(
             stages::WAKEUP,
             flow_track(dir),
@@ -761,7 +799,13 @@ fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> Delivered {
             done_total,
             front_msg,
         );
-        resume_at(eng, now + wakeup, k);
+        let silent = done.is_silent();
+        complete_at(eng, conn, dir, now + wakeup, done);
+        // A window-clocked train's seed holds absolute instants: no period
+        // is taken from under it.
+        if silent && clocked.is_none() {
+            train::period(eng, conn, dir, seq);
+        }
     }
     Delivered::More(clocked).unless_drained(more)
 }
@@ -798,8 +842,7 @@ fn clock(eng: &mut Net, conn: ConnId, dir: usize, sent: &Sent) {
         // stalls again exactly as it just did.
         let replies = d
             .jobs
-            .iter()
-            .find(|j| j.remaining > 0)
+            .get(d.unsent)
             .map_or(0, |j| (j.remaining / sent.seg).saturating_sub(1));
         (front, d_in, spaced.min(unfinished).min(replies))
     };
@@ -827,12 +870,15 @@ fn clock(eng: &mut Net, conn: ConnId, dir: usize, sent: &Sent) {
             count: n,
             seg: front.seg,
         });
+        leg.cursor.own += n;
         tcp.bytes_delivered += bytes;
         let d = &mut tcp.dirs[dir];
         if let Some(job) = d.jobs.front_mut() {
             job.delivered += bytes;
         }
-        if let Some(job) = d.jobs.iter_mut().find(|j| j.remaining > 0) {
+        if let Some(job) = d.jobs.get_mut(d.unsent) {
+            // Each reply left a full segment of it unsent.
+            debug_assert!(job.remaining > bytes);
             job.remaining -= bytes;
         }
         n
@@ -888,8 +934,77 @@ impl Flow for TcpConn {
     }
 }
 
+/// What [`train::period`] needs of a direction holding a train of
+/// identical silent parts.
+impl TcpConn {
+    /// Append direction `dir`'s window and job state words for a
+    /// fingerprint; `false` when it does not hold a long enough train of
+    /// identical silent parts.
+    pub(crate) fn period_words(&self, dir: usize, words: &mut Vec<u64>) -> bool {
+        let d = &self.dirs[dir];
+        if self.dead || d.jobs.len() < train::MIN_PARTS {
+            return false;
+        }
+        let (Some(front), Some(unsent)) = (d.jobs.front(), d.jobs.get(d.unsent)) else {
+            return false;
+        };
+        if !front.done.is_silent() || !unsent.done.is_silent() || unsent.total != front.total {
+            return false;
+        }
+        words.extend([
+            front.total,
+            d.in_flight,
+            d.undelivered,
+            d.stalled.into(),
+            front.delivered,
+            front.remaining,
+            front.started.into(),
+            d.unsent as u64,
+            unsent.remaining,
+            unsent.started.into(),
+        ]);
+        true
+    }
+
+    /// How many parts `dir` may complete in skipped periods: the
+    /// identical ones queued beyond its first part with bytes unsent,
+    /// provided every part up to that one is identical too.
+    pub(crate) fn parts_left(&self, dir: usize) -> u64 {
+        let d = &self.dirs[dir];
+        let Some(part) = d.jobs.front().map(|j| j.total) else {
+            return 0;
+        };
+        let same = |j: &TcpJob| j.done.is_silent() && j.total == part;
+        if !d.jobs.range(..=d.unsent).all(same) {
+            return 0;
+        }
+        d.jobs.range(d.unsent + 1..).take_while(|j| same(j)).count() as u64
+    }
+
+    /// Account `parts` parts completed and `bytes` delivered by skipped
+    /// periods.
+    pub(crate) fn skip_parts(&mut self, dir: usize, parts: usize, bytes: u64) {
+        self.bytes_delivered += bytes;
+        let d = &mut self.dirs[dir];
+        // The parts up to the first unsent one hand their progress to the
+        // parts as far behind them as were completed.
+        for i in (0..=d.unsent).rev() {
+            let (delivered, remaining, started) = {
+                let j = &d.jobs[i];
+                (j.delivered, j.remaining, j.started)
+            };
+            let j = &mut d.jobs[i + parts];
+            (j.delivered, j.remaining, j.started) = (delivered, remaining, started);
+        }
+        d.jobs.drain(..parts);
+    }
+}
+
 /// The window update reached a sender that had filled its window.
 pub(crate) fn on_reopen(eng: &mut Net, conn: ConnId, dir: usize) {
+    let cursor = eng.world.cursor(conn, dir);
+    cursor.reopen = None;
+    cursor.own += 1;
     let d = &mut tcp_mut(&mut eng.world, conn).dirs[dir];
     d.in_flight = 0;
     d.stalled = false;
@@ -1158,6 +1273,47 @@ mod tests {
             slowed > 1.5 * base,
             "window did not bite: {slowed} vs {base}"
         );
+    }
+
+    #[test]
+    fn skipped_parts_never_reach_the_trains_last_part() {
+        let mut eng = Fabric::engine(pcs_ga620());
+        let conn = open(&mut eng.world, TcpParams::with_bufs(kib(16)));
+        for _ in 0..9 {
+            submit(&mut eng, conn, 0, 4080, Done::Silent);
+        }
+        submit(&mut eng, conn, 0, 4079, Done::Call(Box::new(|_| {})));
+        let tcp = tcp_mut(&mut eng.world, conn);
+        // The window took four parts; the fifth is untouched.
+        let progress = |tcp: &TcpConn| -> Vec<(u64, u64, bool)> {
+            let jobs = &tcp.dirs[0].jobs;
+            jobs.iter()
+                .map(|j| (j.delivered, j.remaining, j.started))
+                .collect()
+        };
+        let before = progress(tcp);
+        assert_eq!(tcp.dirs[0].unsent, 4);
+        assert_eq!(before[4], (0, 4080, false));
+        // Only the four identical parts behind it may be skipped past.
+        let left = tcp.parts_left(0);
+        assert_eq!(left, 4);
+        tcp.skip_parts(0, left as usize, 1234);
+        let after = progress(tcp);
+        assert_eq!(after.len(), 6);
+        assert_eq!(after[..5], before[..5], "the progress moved with the parts");
+        assert_eq!(after[5], (0, 4079, false), "the last part is untouched");
+        assert!(!tcp.dirs[0].jobs[5].done.is_silent());
+        assert_eq!(tcp.bytes_delivered, 1234);
+        // Now nothing lies between the first unsent part and the last.
+        assert_eq!(tcp.parts_left(0), 0);
+        // Nor may a skip start from a message that is not a train part.
+        let mut eng = Fabric::engine(pcs_ga620());
+        let conn = open(&mut eng.world, TcpParams::with_bufs(kib(16)));
+        send(&mut eng, conn, 0, 4080, Box::new(|_| {}));
+        for _ in 0..9 {
+            submit(&mut eng, conn, 0, 4080, Done::Silent);
+        }
+        assert_eq!(tcp_mut(&mut eng.world, conn).parts_left(0), 0);
     }
 
     #[test]

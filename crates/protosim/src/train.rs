@@ -38,12 +38,25 @@
 //! tracer, a fault plan that is absent or lossless ([`Leg::closed_form`]),
 //! and never from a message's first segment (it carries the syscall or
 //! the library's send overhead, so the next one is not identical).
+//!
+//! # Message trains and whole periods
+//!
+//! A library that fragments a message sends it as one [`Train`] of parts
+//! ([`send_train`]): typed launches under reserved keys, every part an
+//! ordinary transport job, every completion but the last a silent
+//! counted event. Once such a stream settles, a TCP direction's state
+//! relative to `(now, next_seq)` repeats exactly, part after part or
+//! window cycle after window cycle; [`period`] recognises the repeat by
+//! its fingerprint and skips whole periods at once.
+//!
+//! [`Leg::closed_form`]: crate::fabric::Leg::closed_form
 
 use std::collections::VecDeque;
 
-use simcore::{Resource, SimDuration, SimTime};
+use simcore::{Period, Resource, Served, SimDuration, SimTime};
 
-use crate::fabric::{Conn, ConnId, Net, NetEvent};
+use crate::fabric::{submit, Conn, ConnId, Continuation, Done, Net, NetEvent};
+use crate::tcp::TcpConn;
 
 /// `count` deliveries of `seg` bytes: the k-th lands at `t0 + k·step`
 /// under sequence number `seq0 + k`.
@@ -104,16 +117,26 @@ impl Run {
     }
 }
 
-/// One direction's pending deliveries in time order. The front run is
-/// held inline (`count == 0` when none is pending), so a cursor of one
-/// run never touches the `VecDeque`.
-#[derive(Debug, Default)]
+/// One direction's pending deliveries in time order, and the keys of its
+/// other pending events. The front run is held inline (`count == 0` when
+/// none is pending), so a cursor of one run never touches the `VecDeque`.
+#[derive(Default)]
 pub(crate) struct Cursor {
     head: Run,
     rest: VecDeque<Run>,
     /// An event for the front delivery is queued under its reserved key,
     /// or the front's own delivery loop is running and will queue it.
     pub armed: bool,
+    /// Keys of the queued completions of this direction's silent train
+    /// parts ([`Done::Silent`]), in key order.
+    pub silent: VecDeque<(SimTime, u64)>,
+    /// Key of the queued window reopen, if any.
+    pub reopen: Option<(SimTime, u64)>,
+    /// Events this direction has executed: deliveries, silent
+    /// completions and reopens.
+    pub own: u64,
+    /// Fingerprints at its last part completions (see [`period`]).
+    pub periods: Option<Box<Periods>>,
 }
 
 impl Cursor {
@@ -147,15 +170,15 @@ impl Cursor {
         }
     }
 
-    /// Take the front delivery's segment length.
+    /// Take the front delivery: its segment length and sequence number.
     #[inline]
-    pub fn pop(&mut self) -> Option<u32> {
+    pub fn pop(&mut self) -> Option<(u32, u64)> {
         if self.head.count == 0 {
             return None;
         }
-        let seg = self.head.seg;
+        let front = (self.head.seg, self.head.seq0);
         self.skip(1);
-        Some(seg)
+        Some(front)
     }
 
     /// The front run, when nothing holds it yet: the caller queues its
@@ -177,6 +200,25 @@ impl Cursor {
             if let Some(next) = self.rest.pop_front() {
                 self.head = next;
             }
+        }
+    }
+
+    /// The pending runs, front first.
+    fn runs(&self) -> impl Iterator<Item = &Run> {
+        self.front().into_iter().chain(&self.rest)
+    }
+
+    /// Move every pending delivery and event key `dt` later and `dseq`
+    /// sequence numbers on.
+    fn shift(&mut self, dt: SimDuration, dseq: u64) {
+        let runs = std::iter::once(&mut self.head).chain(&mut self.rest);
+        for run in runs.filter(|r| r.count > 0) {
+            run.t0 += dt;
+            run.seq0 += dseq;
+        }
+        for key in self.silent.iter_mut().chain(&mut self.reopen) {
+            key.0 += dt;
+            key.1 += dseq;
         }
     }
 }
@@ -235,6 +277,7 @@ pub(crate) fn advance<F: Flow>(eng: &mut Net, conn: ConnId, dir: usize) -> bool 
             let (c, cursor) = eng.world.conn_and_cursor(conn, dir);
             F::of(c).settle(dir, quiet, u64::from(front.seg));
             cursor.skip(quiet);
+            cursor.own += quiet;
         }
         eng.dispatch_in_place(front.t0, front.step, quiet);
         if quiet < budget {
@@ -318,6 +361,348 @@ pub(crate) fn fast_forward<const N: usize>(
     }
 }
 
+// ---------------------------------------------------------------------
+// Message trains
+// ---------------------------------------------------------------------
+
+/// A message handed to its transport as a train of parts (see
+/// [`send_train`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Train {
+    /// When the first part is handed over.
+    pub t0: SimTime,
+    /// Between one part's hand-off and the next.
+    pub spacing: SimDuration,
+    /// Bytes in every part but the last.
+    pub part: u64,
+    /// Bytes in the whole message: `ceil(bytes / part)` parts, at least
+    /// one, the last holding what is left.
+    pub bytes: u64,
+}
+
+/// A train whose last part is not handed over yet.
+pub(crate) struct Launches {
+    conn: ConnId,
+    from: usize,
+    train: Train,
+    count: u64,
+    /// The index of the next part to hand over.
+    next: u64,
+    /// The sequence number reserved for part 0's launch.
+    seq0: u64,
+    k: Continuation,
+}
+
+/// Send `train.bytes` from endpoint `from` of `conn` as a train of parts,
+/// the k-th handed to the transport at `t0 + k·spacing` as a message of
+/// its own; `on_delivered` runs when the last part completes. Every other
+/// part's completion is a silent event: counted, keyed, running nothing.
+/// The launches are one typed event under sequence numbers reserved here,
+/// dispatched in place while the engine proves each is next.
+pub fn send_train(
+    eng: &mut Net,
+    conn: ConnId,
+    from: usize,
+    train: Train,
+    on_delivered: Continuation,
+) {
+    assert!(train.part > 0, "a train of empty parts");
+    let count = train.bytes.div_ceil(train.part).max(1);
+    let seq0 = eng.reserve(count);
+    let slot = eng.world.trains.park(Launches {
+        conn,
+        from,
+        train,
+        count,
+        next: 0,
+        seq0,
+        k: on_delivered,
+    });
+    eng.schedule_event_keyed(train.t0, seq0, NetEvent::Launch { slot });
+}
+
+/// A train's next part is due: hand it over, and the parts after it in
+/// place while the engine proves each is the next event — those a
+/// window-stalled sender would only queue all at once.
+// Cold beside the event dispatch that calls it: kept out of line.
+#[inline(never)]
+pub(crate) fn on_launch(eng: &mut Net, slot: u32) {
+    loop {
+        let l = eng.world.trains.get_mut(slot);
+        let (conn, from, part, spacing) = (l.conn, l.from, l.train.part, l.train.spacing);
+        l.next += 1;
+        if l.next == l.count {
+            let l = eng.world.trains.take(slot);
+            let last = l.train.bytes - (l.count - 1) * part;
+            return submit(eng, conn, from, last, Done::Call(l.k));
+        }
+        submit(eng, conn, from, part, Done::Silent);
+        let l = eng.world.trains.get_mut(slot);
+        let ((at, seq), quiet) = (l.key(), l.count - 1 - l.next);
+        let n = eng.in_place_budget(at, spacing, seq, quiet);
+        if n > 1 && crate::tcp::queue_stalled(&mut eng.world, conn, from, part, n) {
+            eng.dispatch_in_place(at, spacing, n);
+            eng.world.trains.get_mut(slot).next += n;
+        }
+        let (at, seq) = eng.world.trains.get_mut(slot).key();
+        if eng.in_place_budget(at, SimDuration::ZERO, seq, 1) == 0 {
+            eng.schedule_event_keyed(at, seq, NetEvent::Launch { slot });
+            return;
+        }
+        eng.dispatch_in_place(at, SimDuration::ZERO, 1);
+    }
+}
+
+impl Launches {
+    /// The key of the next launch: its instant and reserved sequence
+    /// number.
+    fn key(&self) -> (SimTime, u64) {
+        let next = self.next;
+        (self.train.t0 + self.train.spacing * next, self.seq0 + next)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Whole periods
+// ---------------------------------------------------------------------
+
+/// How many part completions back a period may reach: a smooth window
+/// repeats every part, a rough one once per stall/reopen cycle.
+const DEPTH: usize = 32;
+
+/// The fewest parts a direction must hold before its completions are
+/// fingerprinted: a shorter train rarely outlasts its transient.
+pub(crate) const MIN_PARTS: usize = 2 * DEPTH;
+
+/// Absolute readings at one fingerprint, whose differences are a
+/// period's deltas.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    now: SimTime,
+    seq: u64,
+    executed: u64,
+    own: u64,
+    delivered: u64,
+    stages: [Served; 6],
+}
+
+/// One completion's fingerprint: the hash of its short prefix (the
+/// signature), and — once that signature had been seen before — the hash
+/// and words of the whole of it.
+#[derive(Default)]
+struct Mark {
+    sig: u64,
+    full: Option<u64>,
+    words: Vec<u64>,
+    tally: Tally,
+}
+
+fn hash(words: &[u64]) -> u64 {
+    let mut h = 0u64;
+    for &w in words {
+        h = (h.rotate_left(5) ^ w).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+    h
+}
+
+/// The fingerprints of one direction's state at its last [`DEPTH`] part
+/// completions, newest last, in a ring of reused buffers.
+///
+/// Most completions of a transient differ already in a few words (a
+/// backlog draining, a window filling), so each is taken in two steps:
+/// its signature, a short prefix, always; the rest only when an earlier
+/// completion had the same signature. A period is confirmed against a
+/// whole earlier fingerprint, so it is found one period after its state
+/// first repeats.
+#[derive(Default)]
+pub(crate) struct Periods {
+    marks: Vec<Mark>,
+    /// Where the next mark goes.
+    next: usize,
+    /// How many marks are valid.
+    len: usize,
+    /// The fingerprint being taken.
+    words: Vec<u64>,
+}
+
+impl Periods {
+    /// Drop every mark: the next completion starts a fresh history.
+    fn forget(&mut self) {
+        self.len = 0;
+    }
+
+    /// The marks newest first, with how many completions back each is.
+    fn back(&self) -> impl Iterator<Item = (usize, &Mark)> {
+        (1..=self.len).map(|p| (p, &self.marks[(self.next + DEPTH - p) % DEPTH]))
+    }
+
+    /// Whether an earlier completion's signature is `sig`.
+    fn seen(&self, sig: u64) -> bool {
+        self.back().any(|(_, m)| m.sig == sig)
+    }
+
+    /// Keep the fingerprint in `self.words` — its signature `sig`, and
+    /// the whole of it when `full` — as the newest mark; return the whole
+    /// fingerprint it repeats, `p` completions back, with `p`.
+    fn record(&mut self, sig: u64, full: bool, tally: Tally) -> Option<(usize, Tally)> {
+        let full = full.then(|| hash(&self.words));
+        let found = full.and_then(|h| {
+            self.back()
+                .find(|(_, m)| m.full == Some(h) && m.words == self.words)
+                .map(|(p, m)| (p, m.tally))
+        });
+        if self.marks.len() < DEPTH {
+            self.marks.push(Mark::default());
+        }
+        let m = &mut self.marks[self.next];
+        std::mem::swap(&mut m.words, &mut self.words);
+        (m.sig, m.full, m.tally) = (sig, full, tally);
+        self.next = (self.next + 1) % DEPTH;
+        self.len = (self.len + 1).min(DEPTH);
+        found
+    }
+}
+
+/// At a silent part's completion on direction `dir` of `conn`, inside the
+/// delivery keyed `(now, run_seq)`: fingerprint the direction, and when
+/// the state repeats the one `p` completions back, skip as many whole
+/// periods of `p` parts as the train and the engine allow.
+///
+/// The fingerprint holds, relative to `(now, next_seq)`, everything the
+/// direction's future depends on while only its own events run: the six
+/// stages' backlogs (an idle stage as 0), the transport's window and job
+/// state ([`TcpConn::period_words`]), the delivery cursor's runs, the keys of
+/// its queued silent completions and reopen, and the running delivery's
+/// own key. Equal to an earlier one, it is a fixed point of the period
+/// map — the model is invariant under shifting every instant and every
+/// sequence number alike — so the future repeats the period exactly for
+/// as long as the parts ahead are identical and nothing else runs. The
+/// period must have run only this direction's events; a skip must not
+/// reach the train's last part, nor pass any other queued event, the
+/// horizon or `event_limit` ([`simcore::Engine::periods_budget`]).
+/// Nothing observes single segments here
+/// ([`Leg::closed_form`](crate::fabric::Leg)).
+// Cold beside the per-delivery path that calls it: kept out of line.
+#[inline(never)]
+pub(crate) fn period(eng: &mut Net, conn: ConnId, dir: usize, run_seq: u64) {
+    let (now, next, executed) = (eng.now(), eng.next_seq(), eng.events_executed());
+    let (tally, (parts, then)) = {
+        let (c, mut leg) = eng.world.leg(conn, dir);
+        if !leg.closed_form() {
+            return;
+        }
+        let tcp = TcpConn::of(c);
+        let stages = leg
+            .stages(tcp.channel, dir)
+            .map(|s| (s.busy_until(), s.served()));
+        let cursor = &mut *leg.cursor;
+        let mut per = cursor.periods.take().unwrap_or_default();
+        per.words.clear();
+        if !tcp.period_words(dir, &mut per.words) {
+            per.forget();
+            cursor.periods = Some(per);
+            return;
+        }
+        let w = &mut per.words;
+        let rel = |t: SimTime| t.saturating_since(now).as_nanos();
+        w.extend(stages.iter().map(|&(busy, _)| rel(busy)));
+        w.extend([next - run_seq, cursor.rest.len() as u64]);
+        w.extend([cursor.silent.len() as u64, cursor.reopen.is_some().into()]);
+        let sig = hash(w);
+        let full = per.seen(sig);
+        if full {
+            let w = &mut per.words;
+            for r in cursor.runs() {
+                w.extend([rel(r.t0), r.step.as_nanos(), next - r.seq0, r.count]);
+                w.push(r.seg.into());
+            }
+            for &(t, seq) in cursor.silent.iter().chain(&cursor.reopen) {
+                w.extend([rel(t), next - seq]);
+            }
+        }
+        let tally = Tally {
+            now,
+            seq: next,
+            executed,
+            own: cursor.own,
+            delivered: tcp.bytes_delivered,
+            stages: stages.map(|(_, served)| served),
+        };
+        let found = per.record(sig, full, tally);
+        cursor.periods = Some(per);
+        match found {
+            Some(found) => (tally, found),
+            None => return,
+        }
+    };
+    let period = Period {
+        time: now - then.now,
+        seqs: next - then.seq,
+        events: executed - then.executed,
+    };
+    if tally.own - then.own != period.events {
+        // Something else ran in between: not this direction's period.
+        return;
+    }
+    let (c, cursor) = eng.world.conn_and_cursor(conn, dir);
+    let n = TcpConn::of(c).parts_left(dir) / parts as u64;
+    if n == 0 {
+        return;
+    }
+    // Take this direction's queued events back out of the queue: they are
+    // the next to fire, or a skip would cross something else.
+    let mut keys: Vec<_> = cursor
+        .silent
+        .iter()
+        .chain(&cursor.reopen)
+        .copied()
+        .collect();
+    keys.sort_unstable();
+    // lint:allow(hot-cost) -- reached once a fingerprint has matched, about once per message, not per delivery
+    let mut taken = Vec::with_capacity(keys.len());
+    for &(t, seq) in &keys {
+        match eng.take_keyed(t, seq) {
+            Some(ev) => taken.push((t, seq, ev)),
+            None => break,
+        }
+    }
+    let m = if taken.len() == keys.len() {
+        eng.periods_budget(run_seq, period, n)
+    } else {
+        0
+    };
+    let (dt, dseq) = (period.time * m, period.seqs * m);
+    if m > 0 {
+        eng.dispatch_periods(period, m);
+        let (c, mut leg) = eng.world.leg(conn, dir);
+        let tcp = TcpConn::of(c);
+        tcp.skip_parts(
+            dir,
+            parts * m as usize,
+            (tally.delivered - then.delivered) * m,
+        );
+        let stages = leg.stages(tcp.channel, dir);
+        for ((stage, now), then) in stages.into_iter().zip(tally.stages).zip(then.stages) {
+            let mut per = now.since(&then);
+            // A stage served in the period ends each one `time` later.
+            per.shift = if per.items > 0 {
+                period.time
+            } else {
+                SimDuration::ZERO
+            };
+            stage.repeat(m, &per);
+        }
+        leg.cursor.shift(dt, dseq);
+        leg.cursor.own += period.events * m;
+        if let Some(per) = &mut leg.cursor.periods {
+            per.forget();
+        }
+    }
+    for (t, seq, ev) in taken {
+        eng.schedule_event_keyed(t + dt, seq + dseq, ev);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +722,7 @@ mod tests {
         let mut out = Vec::new();
         while let Some(&front) = c.front() {
             out.push((front.t0.0, front.seq0, front.seg));
-            assert_eq!(c.pop(), Some(front.seg));
+            assert_eq!(c.pop(), Some((front.seg, front.seq0)));
         }
         out
     }
@@ -475,6 +860,74 @@ mod tests {
             claimed > 10_000,
             "the generator rarely forms trains: {claimed}"
         );
+    }
+
+    /// Record `words` whole, with the first word as its signature.
+    fn mark(per: &mut Periods, words: &[u64], now: u64) -> Option<(usize, u64)> {
+        per.words.clear();
+        per.words.extend_from_slice(words);
+        let tally = Tally {
+            now: SimTime(now),
+            ..Tally::default()
+        };
+        let sig = words.first().copied().unwrap_or(0);
+        per.record(sig, true, tally)
+            .map(|(p, then)| (p, then.now.0))
+    }
+
+    #[test]
+    fn a_signature_alone_never_confirms_a_period() {
+        let mut per = Periods::default();
+        let tally = Tally::default();
+        per.words.extend([7, 8, 9]);
+        assert!(!per.seen(7));
+        assert_eq!(per.record(7, false, tally).map(|(p, _)| p), None);
+        assert!(per.seen(7));
+        // The same state again, taken whole: nothing whole to confirm it.
+        per.words.extend([7, 8, 9]);
+        assert_eq!(per.record(7, true, tally).map(|(p, _)| p), None);
+        // Once more: now it repeats the whole one, one completion back.
+        per.words.extend([7, 8, 9]);
+        assert_eq!(per.record(7, true, tally).map(|(p, _)| p), Some(1));
+    }
+
+    #[test]
+    fn a_fingerprint_repeats_only_when_every_word_does() {
+        let base: Vec<u64> = (0..24).map(|w| 1000 + 7 * w).collect();
+        for i in 0..base.len() {
+            for delta in [1, 1 << 40] {
+                let mut per = Periods::default();
+                assert_eq!(mark(&mut per, &base, 10), None);
+                let mut other = base.clone();
+                other[i] ^= delta;
+                assert_eq!(mark(&mut per, &other, 20), None, "word {i} changed");
+                // The original again: a period of two completions.
+                assert_eq!(mark(&mut per, &base, 30), Some((2, 10)));
+                // A fingerprint one word longer or shorter is another one.
+                assert_eq!(mark(&mut per, &base[..i], 40), None);
+            }
+        }
+        // Equal hashes are confirmed word by word.
+        let mut per = Periods::default();
+        mark(&mut per, &base, 10);
+        per.marks[0].words[3] += 1;
+        assert_eq!(mark(&mut per, &base, 20), None);
+        assert_eq!(mark(&mut per, &base, 30), Some((1, 20)));
+    }
+
+    #[test]
+    fn fingerprints_reach_back_depth_completions_and_forget_resets() {
+        let mut per = Periods::default();
+        for k in 0..DEPTH as u64 {
+            assert_eq!(mark(&mut per, &[k], k), None);
+        }
+        // The oldest mark is still within reach...
+        assert_eq!(mark(&mut per, &[0], 99), Some((DEPTH, 0)));
+        // ...and now overwritten: `[1]` is DEPTH back, `[0]` one back.
+        assert_eq!(mark(&mut per, &[1], 100), Some((DEPTH, 1)));
+        per.forget();
+        assert_eq!(mark(&mut per, &[1], 101), None);
+        assert_eq!(mark(&mut per, &[1], 102), Some((1, 101)));
     }
 
     #[test]

@@ -200,7 +200,22 @@ struct Scenario {
     conns: Vec<Transport>,
     /// `(issue instant ns, connection, sending endpoint, bytes)`.
     sends: Vec<(u64, usize, usize, u64)>,
+    /// Message trains, issued like the sends.
+    trains: Vec<TrainSend>,
     plan: Option<FaultPlan>,
+}
+
+/// A message train: issued at `at` ns on connection `conn` from `from`,
+/// its first part handed over `lead` ns later.
+#[derive(Debug, Clone)]
+struct TrainSend {
+    at: u64,
+    conn: usize,
+    from: usize,
+    lead: u64,
+    spacing: u64,
+    part: u64,
+    bytes: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -284,6 +299,84 @@ fn scenario(rng: &mut SimRng) -> Scenario {
         spec,
         conns,
         sends,
+        trains: Vec::new(),
+        plan,
+    }
+}
+
+/// A scenario of message trains the way a fragmenting library sends them:
+/// parts below, at and above one MSS and off its grid, 1 to 3 000 of
+/// them launched 0 to 100 µs apart, over windows below, at and above the
+/// part size (smooth, rough, and under p4's block-synchronous writes), on
+/// the GA620, TrendNet and jumbo clusters, one way or both ways at once,
+/// lossless or lossy.
+fn train_scenario(rng: &mut SimRng) -> Scenario {
+    let spec = match rng.next_below(3) {
+        0 => pcs_ga620(),
+        1 => trendnet(),
+        _ => ds20s_syskonnect_jumbo(),
+    };
+    let part = match rng.next_below(5) {
+        0 => 4080,
+        1 => 1 + rng.next_below(1448),
+        2 => 1448 * (1 + rng.next_below(6)),
+        3 => 1449 + rng.next_below(20_000),
+        _ => 8948 * (1 + rng.next_below(2)) + rng.next_below(3),
+    };
+    let count = match rng.next_below(4) {
+        0 => 1 + rng.next_below(8),
+        1 => 1 + rng.next_below(3000),
+        _ => 200 + rng.next_below(2800),
+    };
+    let bytes = part * (count - 1) + 1 + rng.next_below(part);
+    let bufs = match rng.next_below(6) {
+        0 => (part / 2).max(1),
+        1 => part,
+        2 => 2 * part,
+        3 => kib(16) << rng.next_below(3),
+        4 => kib(64),
+        _ => kib(256) + rng.next_below(kib(256)),
+    };
+    let mut params = TcpParams::with_bufs(bufs);
+    params.block_sync_writes = rng.next_below(4) == 0;
+    let spacing = match rng.next_below(3) {
+        0 => 0,
+        1 => 6_000,
+        _ => rng.next_below(100_001),
+    };
+    let mut trains = vec![TrainSend {
+        at: 0,
+        conn: 0,
+        from: rng.next_below(2) as usize,
+        lead: rng.next_below(20_000),
+        spacing,
+        part,
+        bytes,
+    }];
+    if rng.next_below(3) == 0 {
+        // The other way at once, launched from inside the run.
+        let mut back = trains[0].clone();
+        back.from = 1 - back.from;
+        back.at = rng.next_below(2_000_000);
+        back.bytes = part * rng.next_below(count) + 1 + rng.next_below(part);
+        trains.push(back);
+    }
+    let plan = match rng.next_below(5) {
+        0 => Some(FaultPlan::parse(&format!("seed={}", rng.next_below(1000))).expect("plan")),
+        1 => Some(
+            FaultPlan::parse(&format!(
+                "seed={},loss=0.002,dup=0.002,jitter=2us,rto=1ms",
+                rng.next_below(1000)
+            ))
+            .expect("plan"),
+        ),
+        _ => None,
+    };
+    Scenario {
+        spec,
+        conns: vec![Transport::Tcp(params, 0)],
+        sends: Vec::new(),
+        trains,
         plan,
     }
 }
@@ -336,6 +429,26 @@ impl Run {
                 });
             }
         }
+        for (j, tr) in sc.trains.iter().enumerate() {
+            let (i, conn, done) = (sc.sends.len() + j, conns[tr.conn], Rc::clone(&done));
+            let on_done: protosim::Continuation =
+                Box::new(move |e: &mut Net| done.borrow_mut().push((i, e.now())));
+            let tr = tr.clone();
+            let launch = move |e: &mut Net| {
+                let train = protosim::Train {
+                    t0: e.now() + SimDuration(tr.lead),
+                    spacing: SimDuration(tr.spacing),
+                    part: tr.part,
+                    bytes: tr.bytes,
+                };
+                protosim::send_train(e, conn, tr.from, train, on_done);
+            };
+            if tr.at == 0 {
+                launch(&mut eng);
+            } else {
+                eng.schedule_at(SimTime(tr.at), launch);
+            }
+        }
         Run { eng, done, conns }
     }
 
@@ -382,56 +495,112 @@ impl Run {
 /// in-place dispatch at all, also agrees, down to the dispatch instants.
 #[test]
 fn closed_form_matches_stepping_exactly() {
-    let (mut cut_runs, mut in_place, mut executed) = (0, 0u64, 0u64);
+    let (mut in_place, mut executed) = (0u64, 0u64);
     for_cases(400, |rng| {
         let sc = scenario(rng);
-        let closed = || Run::new(&sc, None);
-        let stepped = || Run::new(&sc, Some(Rc::new(Ticks::default())));
-
-        // Whole runs, three ways.
-        let mut a = closed();
-        a.eng.run();
-        let mut b = stepped();
-        b.eng.run();
-        let ticks_b = Rc::new(Ticks::default());
-        let mut c = Run::new(&sc, Some(Rc::clone(&ticks_b)));
-        let ticks_c = Rc::new(Ticks::default());
-        let mut d = Run::new(&sc, Some(Rc::clone(&ticks_c)));
-        c.eng.run();
-        while d.eng.step() {}
-        let want = b.outcome();
-        assert_eq!(a.outcome(), want, "closed form vs stepping: {sc:?}");
-        assert_eq!(d.outcome(), want, "step() vs run(): {sc:?}");
-        assert_eq!(*ticks_b.0.borrow(), *ticks_c.0.borrow(), "{sc:?}");
-        assert_eq!(ticks_c.0.borrow().len() as u64, want.executed);
-        assert!(want.done.len() <= sc.sends.len());
-        in_place += a.eng.events_in_place();
-        executed += want.executed;
-
-        // Cuts: a horizon and an event budget somewhere inside the run.
-        let horizon = SimTime(rng.next_below(want.now.0.max(1)));
-        let limit = rng.next_below(want.executed.max(1));
-        let (mut a, mut b) = (closed(), stepped());
-        a.eng.run_until(horizon);
-        b.eng.run_until(horizon);
-        assert_eq!(a.outcome(), b.outcome(), "run_until({horizon}): {sc:?}");
-        a.eng.event_limit = a.eng.events_executed() + limit;
-        b.eng.event_limit = b.eng.events_executed() + limit;
-        a.eng.run();
-        b.eng.run();
-        assert_eq!(a.outcome(), b.outcome(), "event_limit {limit}: {sc:?}");
-        a.eng.event_limit = u64::MAX;
-        b.eng.event_limit = u64::MAX;
-        a.eng.run();
-        b.eng.run();
-        assert_eq!(a.outcome(), want, "resumed after the cuts: {sc:?}");
-        assert_eq!(b.outcome(), want, "resumed after the cuts: {sc:?}");
-        cut_runs += 1;
+        let (a, b) = three_ways(&sc, rng);
+        in_place += a;
+        executed += b;
     });
-    assert_eq!(cut_runs, 400);
     assert!(
         in_place * 2 > executed,
         "the generator rarely leaves the queue: {in_place} of {executed} events in place"
+    );
+}
+
+/// Message trains, whose steady state repeats whole periods that the
+/// plain run skips: the same three ways and the same cuts, which mostly
+/// land inside a skipped stretch.
+#[test]
+fn skipped_periods_match_stepping_exactly() {
+    let (mut in_place, mut executed) = (0u64, 0u64);
+    for_cases(160, |rng| {
+        let sc = train_scenario(rng);
+        let (a, b) = three_ways(&sc, rng);
+        in_place += a;
+        executed += b;
+    });
+    // Lossy plans, launches that outpace the window and short trains
+    // step; the rest skip.
+    assert!(
+        in_place * 2 > executed,
+        "periods are rarely skipped: {in_place} of {executed} events in place"
+    );
+}
+
+/// Run `sc` plain (trains in closed form, silent deliveries settled and
+/// periods skipped in place), with a no-op sink (every event stepped), and
+/// one `step()` at a time: the same completions, clock, executed-event
+/// count, delivered bytes and resource accounting — at the end, and at a
+/// `run_until` and an `event_limit` cut drawn from `rng` — and the same
+/// dispatch instants. Returns the plain run's `(in place, executed)`
+/// events.
+fn three_ways(sc: &Scenario, rng: &mut SimRng) -> (u64, u64) {
+    let closed = || Run::new(sc, None);
+    let stepped = || Run::new(sc, Some(Rc::new(Ticks::default())));
+
+    // Whole runs, three ways.
+    let mut a = closed();
+    a.eng.run();
+    let mut b = stepped();
+    b.eng.run();
+    let ticks_b = Rc::new(Ticks::default());
+    let mut c = Run::new(sc, Some(Rc::clone(&ticks_b)));
+    let ticks_c = Rc::new(Ticks::default());
+    let mut d = Run::new(sc, Some(Rc::clone(&ticks_c)));
+    c.eng.run();
+    while d.eng.step() {}
+    let want = b.outcome();
+    assert_eq!(a.outcome(), want, "closed form vs stepping: {sc:?}");
+    assert_eq!(d.outcome(), want, "step() vs run(): {sc:?}");
+    assert_eq!(*ticks_b.0.borrow(), *ticks_c.0.borrow(), "{sc:?}");
+    assert_eq!(ticks_c.0.borrow().len() as u64, want.executed);
+    assert!(want.done.len() <= sc.sends.len() + sc.trains.len());
+
+    // Cuts: a horizon and an event budget somewhere inside the run.
+    let horizon = SimTime(rng.next_below(want.now.0.max(1)));
+    let limit = rng.next_below(want.executed.max(1));
+    let (mut a2, mut b2) = (closed(), stepped());
+    a2.eng.run_until(horizon);
+    b2.eng.run_until(horizon);
+    assert_eq!(a2.outcome(), b2.outcome(), "run_until({horizon}): {sc:?}");
+    a2.eng.event_limit = a2.eng.events_executed() + limit;
+    b2.eng.event_limit = b2.eng.events_executed() + limit;
+    a2.eng.run();
+    b2.eng.run();
+    assert_eq!(a2.outcome(), b2.outcome(), "event_limit {limit}: {sc:?}");
+    a2.eng.event_limit = u64::MAX;
+    b2.eng.event_limit = u64::MAX;
+    a2.eng.run();
+    b2.eng.run();
+    assert_eq!(a2.outcome(), want, "resumed after the cuts: {sc:?}");
+    assert_eq!(b2.outcome(), want, "resumed after the cuts: {sc:?}");
+    (a.eng.events_in_place(), want.executed)
+}
+
+/// Period skipping engages at all: PVM's 8 MiB fragment stream (4080-byte
+/// parts over a 64 KiB GA620 window) executes tens of thousands of events
+/// yet pushes a few hundred.
+#[test]
+fn a_long_fragment_stream_is_mostly_skipped() {
+    let mut eng = Fabric::engine(pcs_ga620());
+    let conn = tcp::open(&mut eng.world, TcpParams::with_bufs(kib(64)));
+    let done = Rc::new(Cell::new(false));
+    let flag = Rc::clone(&done);
+    let train = protosim::Train {
+        t0: SimTime::ZERO,
+        spacing: SimDuration::ZERO,
+        part: 4080,
+        bytes: 8 << 20,
+    };
+    protosim::send_train(&mut eng, conn, 0, train, Box::new(move |_| flag.set(true)));
+    eng.run();
+    assert!(done.get());
+    let queued = eng.events_executed() - eng.events_in_place();
+    assert!(
+        queued * 20 < eng.events_executed(),
+        "{queued} of {} events went through the queue",
+        eng.events_executed()
     );
 }
 

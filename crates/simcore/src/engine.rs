@@ -27,6 +27,19 @@
 //! would have: it counts as executed, ticks the trace sink, and moves the
 //! clock. Only `run` and `run_until` grant a budget; `step` dispatches
 //! exactly one event.
+//!
+//! # Whole periods
+//!
+//! A model that has shown its own events repeat with a fixed [`Period`]
+//! — the same events, shifted by the same time and the same count of
+//! sequence numbers — may account many periods at once: it takes its own
+//! queued events back out ([`take_keyed`](Engine::take_keyed)), asks
+//! [`periods_budget`](Engine::periods_budget) how many periods precede
+//! every other queued event, fit the horizon and stay under
+//! `event_limit`, accounts them with
+//! [`dispatch_periods`](Engine::dispatch_periods), and queues its events
+//! again under the shifted keys. Never under `step`, and never with a
+//! trace sink installed: the sink would miss the skipped instants.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -57,6 +70,19 @@ impl<W> Event<W> for NoEvent {
 
 /// A one-shot event callback.
 pub type EventFn<W, E = NoEvent> = Box<dyn FnOnce(&mut Engine<W, E>)>;
+
+/// One period of a model's own events (see the module docs): how far the
+/// clock moves, how many sequence numbers are reserved and how many events
+/// execute between one instant of the repeating pattern and the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Period {
+    /// Clock advance per period.
+    pub time: SimDuration,
+    /// Sequence numbers reserved per period.
+    pub seqs: u64,
+    /// Events executed per period.
+    pub events: u64,
+}
 
 enum Payload<W, E> {
     Call(EventFn<W, E>),
@@ -410,6 +436,75 @@ impl<W, E: Event<W>> Engine<W, E> {
         self.now = t0 + step * (n - 1);
     }
 
+    /// Take the typed event keyed `(t, seq)` back out of the queue, if it
+    /// is the next to fire; `None` (and the queue as it was) otherwise.
+    pub fn take_keyed(&mut self, t: SimTime, seq: u64) -> Option<E> {
+        if self.queue.peek_key()? != (t, seq) {
+            return None;
+        }
+        let Scheduled { time, seq, what } = self.queue.pop()?;
+        match what {
+            Payload::Data(e) => Some(e),
+            call => {
+                self.queue.push_reserved(Scheduled {
+                    time,
+                    seq,
+                    what: call,
+                });
+                None
+            }
+        }
+    }
+
+    /// How many whole periods after the running event, whose sequence
+    /// number is `seq`, may be accounted in place (see the module docs):
+    /// the largest `m ≤ n` for which the running event's image `m` periods
+    /// on, keyed `(now + m·time, seq + m·seqs)`, precedes every queued
+    /// event and lies within the horizon of the `run` or `run_until` that
+    /// is dispatching, and `m·events` more executed events stay under
+    /// `event_limit`. Always 0 under `step`, with a trace sink installed,
+    /// or for a period that takes no time or runs no event.
+    pub fn periods_budget(&self, seq: u64, period: Period, n: u64) -> u64 {
+        let Some(horizon) = self.horizon else {
+            return 0;
+        };
+        if self.trace.is_some() || period.time.is_zero() || period.events == 0 {
+            return 0;
+        }
+        let dt = period.time.as_nanos();
+        let now = self.now.as_nanos();
+        let mut m = n
+            .min(self.event_limit.saturating_sub(self.executed) / period.events)
+            .min(horizon.as_nanos().saturating_sub(now) / dt);
+        if let Some((head, head_seq)) = self.queue.peek_key() {
+            // Periods whose image lands strictly before the head, plus one
+            // landing on its instant under a lower sequence number.
+            let k = head.as_nanos().saturating_sub(now) / dt;
+            if k < m {
+                let tie = now + k * dt == head.as_nanos();
+                m = if tie && seq + k * period.seqs >= head_seq {
+                    k.saturating_sub(1)
+                } else {
+                    k
+                };
+            }
+        }
+        m
+    }
+
+    /// Account `n` periods (within [`periods_budget`](Engine::periods_budget))
+    /// as dispatched in place by the running event: the clock moves
+    /// `n·time`, `n·seqs` sequence numbers are reserved, and `n·events`
+    /// events count as executed.
+    pub fn dispatch_periods(&mut self, period: Period, n: u64) {
+        debug_assert!(self.trace.is_none(), "a trace sink sees every event");
+        debug_assert!(self.executed + n * period.events <= self.event_limit);
+        self.now += period.time * n;
+        self.seq += period.seqs * n;
+        self.executed += period.events * n;
+        self.in_place += period.events * n;
+    }
+
     /// Pop and run the next event, granting it an in-place budget up to
     /// `horizon` (none when `None`).
     #[inline]
@@ -717,6 +812,78 @@ mod tests {
         assert!(eng.step());
         assert_eq!(eng.world[10], 0);
         assert_eq!(eng.events_executed(), 7);
+    }
+
+    #[test]
+    fn whole_periods_stop_at_the_queue_head_horizon_and_limit() {
+        struct Tag(u64);
+        impl Event<Vec<u64>> for Tag {
+            fn dispatch(self, eng: &mut Engine<Vec<u64>, Tag>) {
+                eng.world.push(self.0);
+            }
+        }
+        type Probe = Engine<Vec<u64>, Tag>;
+        let p = Period {
+            time: SimDuration(10),
+            seqs: 3,
+            events: 4,
+        };
+        let mut eng: Probe = Engine::with_events(Vec::new());
+        // Nothing is running: no budget at all.
+        assert_eq!(eng.periods_budget(0, p, 9), 0);
+        eng.schedule_at(SimTime(0), move |e| {
+            let run = e.next_seq() - 1;
+            // Images at 10, 20, 30, 40 precede the typed head at 45; the
+            // one at 50 does not.
+            e.schedule_event_at(SimTime(45), Tag(7));
+            let head = e.next_seq() - 1;
+            e.world.push(e.periods_budget(run, p, 9));
+            // The head taken back out: nothing bounds the periods.
+            assert!(e.take_keyed(SimTime(45), head + 1).is_none());
+            let tag = e.take_keyed(SimTime(45), head).expect("the head");
+            e.world.push(e.periods_budget(run, p, 9));
+            // Queued at the instant the image four periods on lands on
+            // (`seq` run + 12): it precedes the image iff its sequence
+            // number is lower.
+            e.reserve(20);
+            e.schedule_event_keyed(SimTime(40), run + 11, tag);
+            e.world.push(e.periods_budget(run, p, 9));
+            assert!(e.take_keyed(SimTime(40), run + 11).is_some());
+            e.schedule_event_keyed(SimTime(40), run + 13, Tag(8));
+            e.world.push(e.periods_budget(run, p, 9));
+            // `event_limit` counts four events per period.
+            e.event_limit = e.events_executed() + 9;
+            e.world.push(e.periods_budget(run, p, 9));
+            e.event_limit = u64::MAX;
+            let (seq, executed) = (e.next_seq(), e.events_executed());
+            e.dispatch_periods(p, 2);
+            let (now, seq, executed) = (
+                e.now().0,
+                e.next_seq() - seq,
+                e.events_executed() - executed,
+            );
+            e.world.extend([now, seq, executed, e.events_in_place()]);
+        });
+        eng.run();
+        assert_eq!(eng.world, vec![4, 9, 3, 4, 2, 20, 6, 8, 8, 8]);
+        // A closure's key is never taken; `run_until`'s horizon caps.
+        eng.schedule_at(SimTime(60), move |e| {
+            let run = e.next_seq() - 1;
+            e.schedule_at(SimTime(95), |_| {});
+            assert!(e.take_keyed(SimTime(95), run + 1).is_none());
+            let got = e.periods_budget(run, p, 9);
+            e.world.push(got);
+        });
+        eng.run_until(SimTime(85));
+        assert_eq!(eng.world[10], 2);
+        assert_eq!(eng.pending(), 1, "the closure stayed queued");
+        // Under `step` the running event gets none.
+        eng.schedule_at(SimTime(96), move |e| {
+            let got = e.periods_budget(0, p, 9);
+            e.world.push(got);
+        });
+        while eng.step() {}
+        assert_eq!(eng.world[11], 0);
     }
 
     #[test]

@@ -53,8 +53,8 @@ mod time;
 pub mod trace;
 pub mod units;
 
-pub use engine::{Engine, Event, EventFn, NoEvent};
-pub use resource::Resource;
+pub use engine::{Engine, Event, EventFn, NoEvent, Period};
+pub use resource::{Resource, Served};
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};

@@ -19,6 +19,33 @@
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{SharedSink, SpanRec};
 
+/// A resource's service over some stretch: how far its busy-until moved,
+/// and the reservations, bytes and service time it accounted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Served {
+    /// How far busy-until moved.
+    pub shift: SimDuration,
+    /// Reservations served.
+    pub items: u64,
+    /// Bytes accounted.
+    pub bytes: u64,
+    /// Service time accounted.
+    pub busy: SimDuration,
+}
+
+impl Served {
+    /// What was served between `earlier` and `self`, two readings of
+    /// [`Resource::served`] on one resource.
+    pub fn since(&self, earlier: &Served) -> Served {
+        Served {
+            shift: self.shift - earlier.shift,
+            items: self.items - earlier.items,
+            bytes: self.bytes - earlier.bytes,
+            busy: self.busy - earlier.busy,
+        }
+    }
+}
+
 /// A non-preemptive FIFO server with a service rate and per-item overhead.
 #[derive(Clone)]
 pub struct Resource {
@@ -198,11 +225,39 @@ impl Resource {
     /// would leave, in O(1). Untraced resources only — a traced one must
     /// record every span.
     pub fn fast_forward(&mut self, n: u64, step: SimDuration, dur: SimDuration, bytes: u64) {
+        self.repeat(
+            n,
+            &Served {
+                shift: step,
+                items: 1,
+                bytes,
+                busy: dur,
+            },
+        );
+    }
+
+    /// What this resource has served so far, as a [`Served`] whose
+    /// `shift` is measured from `SimTime::ZERO`: subtract two of them
+    /// ([`Served::since`]) for what it served in between.
+    pub fn served(&self) -> Served {
+        Served {
+            shift: self.busy_until.saturating_since(SimTime::ZERO),
+            items: self.items_served,
+            bytes: self.bytes_served,
+            busy: self.busy_time,
+        }
+    }
+
+    /// Account `n` more periods, each serving what `per` says and moving
+    /// busy-until by `per.shift`, that a caller has shown repeat exactly:
+    /// the state stepping them would leave, in O(1). Untraced resources
+    /// only — a traced one must record every span.
+    pub fn repeat(&mut self, n: u64, per: &Served) {
         debug_assert!(self.sink.is_none(), "a traced resource records every span");
-        self.busy_until += step * n;
-        self.items_served += n;
-        self.bytes_served += bytes * n;
-        self.busy_time += dur * n;
+        self.busy_until += per.shift * n;
+        self.items_served += per.items * n;
+        self.bytes_served += per.bytes * n;
+        self.busy_time += per.busy * n;
     }
 
     /// The instant this resource becomes free.

@@ -266,3 +266,49 @@ fn window_classes_bypass_and_daemon_relay_are_pinned() {
     assert_eq!((eng.events_executed(), end), (340, SimTime(15_315_092)));
     assert_eq!(rtt.get(), end.as_secs_f64());
 }
+
+/// Witness for PVM's fragment streams, sent as one message train whose
+/// steady state is skipped a period at a time: `(events executed, final
+/// instant)` of 8 MiB round trips in both direct modes on the t1, fig2
+/// and fig3 clusters (a smooth GA620 window, rough TrendNet and jumbo
+/// ones), and of one size a byte past a whole number of 4080-byte
+/// fragments — recorded at the commit before the train replaced one
+/// closure per fragment.
+#[test]
+fn pvm_fragment_trains_are_pinned() {
+    use netpipe_rs::proto::Fabric;
+    use netpipe_rs::sim::SimTime;
+
+    let round_trip = |spec: hwmodel::ClusterSpec, in_place: bool, bytes: u64| {
+        let lib = pvm(PvmConfig {
+            direct_route: true,
+            in_place,
+        });
+        let mut eng = Fabric::engine(spec);
+        let session = Session::establish(&mut eng.world, &lib);
+        netpipe_rs::mp::pingpong(&session, &mut eng, bytes, 1, Box::new(|_, _| {}));
+        let end = eng.run();
+        (eng.events_executed(), end)
+    };
+    let got = [
+        round_trip(pcs_ga620(), false, mib(8)),
+        round_trip(pcs_ga620(), true, mib(8)),
+        round_trip(pcs_trendnet(), false, mib(8)),
+        round_trip(pcs_trendnet(), true, mib(8)),
+        round_trip(ds20s_syskonnect_jumbo(), false, mib(8)),
+        round_trip(ds20s_syskonnect_jumbo(), true, mib(8)),
+        round_trip(pcs_ga620(), false, 4080 * 500 + 1),
+    ];
+    assert_eq!(
+        got,
+        [
+            (20570, SimTime(427_166_396)),
+            (20570, SimTime(343_280_316)),
+            (20826, SimTime(675_152_524)),
+            (20826, SimTime(591_266_444)),
+            (12602, SimTime(318_423_326)),
+            (12602, SimTime(262_499_272)),
+            (5010, SimTime(104_137_650)),
+        ]
+    );
+}
