@@ -3,8 +3,8 @@
 //! Two modes:
 //!
 //! * `--smoke OUT` — run a fixed real-TCP ping-pong schedule through a
-//!   seeded [`faultlab::proxy::ChaosProxy`] (corrupt + truncate + stall
-//!   + partition all firing), recovering after every failure, and write
+//!   seeded [`faultlab::proxy::ChaosProxy`] (corrupt, truncate, stall and
+//!   partition all firing), recovering after every failure, and write
 //!   a deterministic report — verdict tallies, fault counters, and the
 //!   full sorted fault log — to `OUT`. CI diffs it against the committed
 //!   golden `crates/clusterlab/golden/wire_chaos.txt`: the report is a

@@ -15,6 +15,13 @@
 //!   count and payload size per algorithm) with a seeded chaos variant.
 
 #![warn(missing_docs)]
+// Library-code rules (determinism and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod breakdown;
 pub mod calibration;

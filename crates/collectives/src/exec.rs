@@ -139,13 +139,14 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
     loop {
         let mut progressed = false;
         let mut all_done = true;
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`me` is the actual rank: it keys `wires` and the virtual-rank map too"
+        )]
         for me in 0..n {
             let vrank = virtual_rank(me, ctx.root, n);
             let rounds = &schedule.plans[vrank].rounds;
-            loop {
-                let Some(round) = rounds.get(ranks[me].round) else {
-                    break;
-                };
+            while let Some(round) = rounds.get(ranks[me].round) {
                 all_done = false;
                 if ranks[me].next_send < round.sends.len() {
                     let s = &round.sends[ranks[me].next_send];

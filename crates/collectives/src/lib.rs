@@ -28,6 +28,18 @@
 //! with the root at 0; executors rotate by the actual root.
 
 #![warn(missing_docs)]
+// Library-code rules (determinism, panic hygiene and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod exec;
 pub mod lifecycle;

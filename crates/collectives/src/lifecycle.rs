@@ -30,10 +30,14 @@ pub use round::CollRound;
 /// Step a lifecycle machine, panicking on an illegal edge. Every edge
 /// the executors drive is declared in the spec above, so a failure here
 /// is an executor bug, not a runtime condition.
+#[expect(
+    clippy::expect_used,
+    reason = "every edge stepped by the executors is declared in the protocol! spec; an illegal step is an executor bug"
+)]
 pub fn step(state: CollRound, event: &str) -> CollRound {
     state
         .step(event)
-        .expect("collective lifecycle stepped outside its spec") // lint:allow(expect) -- every edge stepped by the executors is declared in the protocol! spec; an illegal step is an executor bug
+        .expect("collective lifecycle stepped outside its spec")
 }
 
 #[cfg(test)]

@@ -530,19 +530,15 @@ fn ring_barrier(n: usize) -> Vec<RankPlan> {
     plans[0]
         .rounds
         .push(round(vec![send(1, SendWhat::Token)], Vec::new()));
-    for v in 1..n {
-        plans[v]
-            .rounds
+    for (v, plan) in plans.iter_mut().enumerate().skip(1) {
+        plan.rounds
             .push(round(Vec::new(), vec![recv(v - 1, RecvWhat::Token)]));
-        plans[v]
-            .rounds
+        plan.rounds
             .push(round(vec![send((v + 1) % n, SendWhat::Token)], Vec::new()));
-        plans[v]
-            .rounds
+        plan.rounds
             .push(round(Vec::new(), vec![recv(v - 1, RecvWhat::Token)]));
         if v + 1 < n {
-            plans[v]
-                .rounds
+            plan.rounds
                 .push(round(vec![send(v + 1, SendWhat::Token)], Vec::new()));
         }
     }
@@ -564,13 +560,11 @@ fn chain_down(n: usize, what: SendWhat, store: RecvWhat) -> Vec<RankPlan> {
     plans[0]
         .rounds
         .push(round(vec![send(1, what.clone())], Vec::new()));
-    for v in 1..n {
-        plans[v]
-            .rounds
+    for (v, plan) in plans.iter_mut().enumerate().skip(1) {
+        plan.rounds
             .push(round(Vec::new(), vec![recv(v - 1, store.clone())]));
         if v + 1 < n {
-            plans[v]
-                .rounds
+            plan.rounds
                 .push(round(vec![send(v + 1, what.clone())], Vec::new()));
         }
     }

@@ -49,10 +49,14 @@ pub use membership::Membership;
 /// Step a membership machine, panicking on an illegal edge. Every edge
 /// the recovery layer drives is declared in the spec above, so a
 /// failure here is a recovery-layer bug, not a runtime condition.
+#[expect(
+    clippy::expect_used,
+    reason = "every edge the recovery layer steps is declared in the protocol! spec; an illegal step is a recovery bug"
+)]
 pub fn step_member(state: Membership, event: &str) -> Membership {
     state
         .step(event)
-        .expect("membership machine stepped outside its spec") // lint:allow(expect) -- every edge the recovery layer steps is declared in the protocol! spec; an illegal step is a recovery bug
+        .expect("membership machine stepped outside its spec")
 }
 
 /// Knobs for the self-healing cycle.

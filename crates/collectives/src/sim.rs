@@ -307,7 +307,11 @@ impl Driver {
         let round = &self.schedule.plans[vrank].rounds[r.round];
         let mut bytes = 0u64;
         for (recv, payload) in round.recvs.iter().zip(r.arrived.drain(..)) {
-            let payload = payload.expect("round completed with a receive slot empty"); // lint:allow(expect) -- complete_round only runs once waiting hits zero, so every slot is filled
+            #[expect(
+                clippy::expect_used,
+                reason = "complete_round only runs once waiting hits zero, so every slot is filled"
+            )]
+            let payload = payload.expect("round completed with a receive slot empty");
             bytes += payload.len() as u64;
             r.state.apply(&recv.what, &payload, self.ctx.reduction);
         }
@@ -480,7 +484,10 @@ impl FaultSet {
 /// Run one epoch: a fresh engine and session over the (possibly
 /// compacted) group, with kills and degradation applied and — when a
 /// policy is armed — the detection machinery live.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one epoch needs the whole run's context; a struct would only rename it"
+)]
 fn run_epoch(
     spec: &ClusterSpec,
     profile: &LibProfile,
@@ -665,10 +672,14 @@ pub fn run_sim(
     };
 
     loop {
+        #[expect(
+            clippy::expect_used,
+            reason = "eviction always re-elects a surviving root before replanning"
+        )]
         let groot = cur_world
             .iter()
             .position(|&w| w == root_world)
-            .expect("the root is always re-elected among survivors"); // lint:allow(expect) -- eviction always re-elects a surviving root before replanning
+            .expect("the root is always re-elected among survivors");
         let gctx = ExecCtx {
             root: groot,
             reduction: ctx.reduction,
@@ -718,11 +729,19 @@ pub fn run_sim(
         }
 
         // An eviction ended the epoch: compact, re-elect, replan.
+        #[expect(
+            clippy::expect_used,
+            reason = "check_eviction is only armed when a policy is installed"
+        )]
         let policy = opts
             .recovery
-            .expect("epochs only abort under a recovery policy"); // lint:allow(expect) -- check_eviction is only armed when a policy is installed
+            .expect("epochs only abort under a recovery policy");
 
-        let ev = outcome.evicted.expect("aborted epoch without an eviction"); // lint:allow(expect) -- aborted is set by check_eviction together with the evicted rank
+        #[expect(
+            clippy::expect_used,
+            reason = "aborted is set by check_eviction together with the evicted rank"
+        )]
+        let ev = outcome.evicted.expect("aborted epoch without an eviction");
         alive[ev] = false;
         report.evicted.push(ev);
         let survivors: Vec<usize> = (0..n).filter(|&r| alive[r]).collect();
@@ -779,10 +798,13 @@ pub fn run_sim(
             report.retries += 1;
             break;
         }
-        cur_schedule = Rc::new(
-            build(schedule.op, algorithm, m)
-                .expect("replanned schedule builds for the survivor group"), // lint:allow(expect) -- algorithm falls back to auto_algorithm, which plans every group size
-        );
+        #[expect(
+            clippy::expect_used,
+            reason = "algorithm falls back to auto_algorithm, which plans every group size"
+        )]
+        let replanned = build(schedule.op, algorithm, m)
+            .expect("replanned schedule builds for the survivor group");
+        cur_schedule = Rc::new(replanned);
         cur_world = survivors;
         report.retries += 1;
     }

@@ -97,7 +97,11 @@ impl RankState {
                 );
             }
             RecvWhat::CombineAcc => {
-                let r = reduction.expect("CombineAcc step without a reduction"); // lint:allow(expect) -- the planner emits CombineAcc only for reducing ops, where executors always pass a reduction
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the planner emits CombineAcc only for reducing ops, where executors always pass a reduction"
+                )]
+                let r = reduction.expect("CombineAcc step without a reduction");
                 combine_bytes(r.dtype, r.op, &mut self.acc, bytes);
             }
             RecvWhat::ReplaceAcc => {
@@ -123,10 +127,15 @@ impl RankState {
         match op {
             CollOp::Barrier => CollOutput::default(),
             CollOp::Bcast => {
+                #[expect(clippy::expect_used, reason = "init() sized it")]
                 let [slot] = <[Option<Vec<u8>>; 1]>::try_from(self.blocks)
-                    .expect("bcast state has exactly one block slot"); // lint:allow(expect) -- init() sized it
+                    .expect("bcast state has exactly one block slot");
                 CollOutput {
-                    acc: slot.expect("bcast finished without the payload arriving"), // lint:allow(expect) -- a validated schedule delivers block 0 to every rank
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a validated schedule delivers block 0 to every rank"
+                    )]
+                    acc: slot.expect("bcast finished without the payload arriving"),
                     blocks: Vec::new(),
                 }
             }
@@ -144,6 +153,10 @@ impl RankState {
                 acc: self.acc,
                 blocks: Vec::new(),
             },
+            #[expect(
+                clippy::panic,
+                reason = "a validated schedule fills every slot; a hole is a planner bug"
+            )]
             CollOp::Allgather => CollOutput {
                 acc: Vec::new(),
                 blocks: self
@@ -151,7 +164,6 @@ impl RankState {
                     .into_iter()
                     .enumerate()
                     .map(|(i, b)| {
-                        // lint:allow(panic) -- a validated schedule fills every slot; a hole is a planner bug
                         b.unwrap_or_else(|| panic!("allgather finished with block {i} missing"))
                     })
                     .collect(),
@@ -166,10 +178,13 @@ impl RankState {
         self.blocks.first().and_then(|b| b.as_deref())
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "the schedule's FIFO validation plus round order guarantee arrival; a miss is a planner bug"
+    )]
     fn block(&self, idx: u32) -> &[u8] {
         self.blocks[idx as usize]
             .as_deref()
-            // lint:allow(panic) -- the schedule's FIFO validation plus round order guarantee arrival; a miss is a planner bug
             .unwrap_or_else(|| panic!("send references block {idx} before it arrived"))
     }
 

@@ -19,7 +19,8 @@
 //!   and `mplite` never block forever on a dead peer, plus a
 //!   [`SweepPolicy`] giving `netpipe::runner` per-point budgets for
 //!   graceful degradation (retry, then mark the point `degraded`/`failed`
-//!   and continue).
+//!   and continue). [`set_socket_buffers`] sizes both real stacks'
+//!   sockets, the one socket option `std::net` lacks.
 //!
 //! Everything is dependency-free and the plan grammar is a flat
 //! `key=value` list so fault scenarios travel on a command line:
@@ -33,6 +34,16 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library-code rules (panic hygiene and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod counters;
 pub mod io;
@@ -41,6 +52,7 @@ pub mod lottery;
 pub mod plan;
 pub mod proxy;
 pub mod retry;
+mod sockopt;
 
 pub use counters::FaultCounters;
 pub use lifecycle::SegLifeState;
@@ -48,3 +60,4 @@ pub use lottery::{FaultLottery, SegFault};
 pub use plan::{DegradeWindow, FaultPlan, PartitionWindow, PlanError, RankKill};
 pub use proxy::{ChaosProxy, FaultEvent, FrameFormat};
 pub use retry::{RetryPolicy, SweepPolicy};
+pub use sockopt::set_socket_buffers;

@@ -155,11 +155,11 @@ mod tests {
                 // 8 us frame at quarter rate: 24 us of extra occupancy.
                 assert!((slow_us - 24.0).abs() < 1e-9, "{slow_us}");
             }
-            SegFault::Drop => unreachable!("no loss configured"),
+            SegFault::Drop => panic!("no loss configured"),
         }
         match l.segment(250.0, 8.0) {
             SegFault::Deliver { slow_us, .. } => assert_eq!(slow_us, 0.0),
-            SegFault::Drop => unreachable!("no loss configured"),
+            SegFault::Drop => panic!("no loss configured"),
         }
         assert_eq!(l.counters.delayed, 1);
     }

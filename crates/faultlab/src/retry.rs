@@ -48,6 +48,10 @@ impl RetryPolicy {
 
     /// Run `op` up to `max_attempts` times, sleeping the backoff between
     /// attempts. Returns the first success or the last error.
+    #[expect(
+        clippy::expect_used,
+        reason = "attempts >= 1, so the loop body ran and set last_err"
+    )]
     pub fn run<T, E>(&self, mut op: impl FnMut(u32) -> Result<T, E>) -> Result<T, E> {
         let attempts = self.max_attempts.max(1);
         let mut last_err = None;
@@ -62,7 +66,6 @@ impl RetryPolicy {
                 }
             }
         }
-        // lint:allow(expect) -- attempts >= 1, so the loop body ran and set last_err
         Err(last_err.expect("retry loop ran at least once"))
     }
 }
@@ -141,7 +144,7 @@ mod tests {
             factor: 1.0,
             cap: Duration::from_micros(1),
         };
-        let out: Result<(), u32> = p.run(|attempt| Err(attempt));
+        let out: Result<(), u32> = p.run(Err);
         assert_eq!(out, Err(2));
     }
 

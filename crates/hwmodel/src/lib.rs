@@ -19,6 +19,13 @@
 //! `wire_track`, `track_label`).
 
 #![warn(missing_docs)]
+// Library-code rules (determinism and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod cluster;
 pub mod host;

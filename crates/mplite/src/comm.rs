@@ -294,7 +294,7 @@ impl Comm {
             // the system maximum (tunable via MPLITE_SOCKBUF; the kernel
             // clamps to net.core.{r,w}mem_max exactly as the paper
             // describes).
-            let _ = raise_socket_buffers(s, sockbuf_request());
+            let _ = faultlab::set_socket_buffers(s, sockbuf_request(), sockbuf_request());
             let stream = s.try_clone()?;
             let ctx = ReaderCtx {
                 rank,
@@ -639,44 +639,6 @@ fn fail_frame(
         peer,
         &format!("rank {peer} sent a malformed frame: {err}"),
     );
-}
-
-// Linux socket-option constants (see <sys/socket.h>).
-const SOL_SOCKET: i32 = 1;
-const SO_SNDBUF: i32 = 7;
-const SO_RCVBUF: i32 = 8;
-
-extern "C" {
-    fn setsockopt(
-        fd: i32,
-        level: i32,
-        optname: i32,
-        optval: *const core::ffi::c_void,
-        optlen: u32,
-    ) -> i32;
-}
-
-/// Best-effort `SO_SNDBUF`/`SO_RCVBUF` raise; the kernel clamps to its
-/// sysctl ceiling, exactly the behaviour the paper tunes around.
-pub(crate) fn raise_socket_buffers(stream: &TcpStream, bytes: u32) -> std::io::Result<()> {
-    use std::os::fd::AsRawFd;
-    let fd = stream.as_raw_fd();
-    let v = bytes as i32;
-    unsafe {
-        for opt in [SO_SNDBUF, SO_RCVBUF] {
-            if setsockopt(
-                fd,
-                SOL_SOCKET,
-                opt,
-                (&v as *const i32).cast(),
-                std::mem::size_of::<i32>() as u32,
-            ) != 0
-            {
-                return Err(std::io::Error::last_os_error());
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Everything one reader thread needs, bundled so the spawn site stays

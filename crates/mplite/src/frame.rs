@@ -218,6 +218,10 @@ fn update_sse42(s: u32, data: &[u8]) -> u32 {
 #[inline]
 fn update_hw(s: u32, data: &[u8]) -> Option<u32> {
     #[cfg(target_arch = "x86_64")]
+    #[expect(
+        unsafe_code,
+        reason = "a `target_feature` kernel is callable only once the CPU is known to have it"
+    )]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: `update_sse42`'s only requirement is that the CPU
         // executes SSE4.2, which the line above just established.
@@ -551,11 +555,15 @@ impl FrameDecoder {
         self.state
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "every edge driven here is declared in the protocol! table; an illegal step is a decoder bug, not a wire condition"
+    )]
     fn step(&mut self, event: &str) {
         self.state = self
             .state
             .step(event)
-            .expect("frame decoder stepped outside its spec") // lint:allow(expect) -- every edge driven here is declared in the protocol! table; an illegal step is a decoder bug, not a wire condition
+            .expect("frame decoder stepped outside its spec")
     }
 
     /// Feed a chunk; returns every frame completed by it. The first

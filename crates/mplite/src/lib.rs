@@ -31,6 +31,16 @@
 //!   ([`Universe::from_env`]).
 
 #![warn(missing_docs)]
+// Library-code rules (panic hygiene and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod buf;
 pub mod collectives;

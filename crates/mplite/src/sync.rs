@@ -54,7 +54,11 @@ impl<T> Deref for MutexGuard<'_, T> {
             // Unreachable by construction: `inner` is only ever `None`
             // transiently inside `Condvar::wait`, which holds the sole
             // `&mut` borrow for that whole window.
-            None => unreachable!("guard vacated outside Condvar::wait"), // lint:allow(panic) -- invariant: inner is Some outside wait()
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: inner is Some outside wait()"
+            )]
+            None => unreachable!("guard vacated outside Condvar::wait"),
         }
     }
 }
@@ -63,7 +67,11 @@ impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.inner {
             Some(g) => g,
-            None => unreachable!("guard vacated outside Condvar::wait"), // lint:allow(panic) -- invariant: inner is Some outside wait()
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: inner is Some outside wait()"
+            )]
+            None => unreachable!("guard vacated outside Condvar::wait"),
         }
     }
 }

@@ -57,8 +57,10 @@ impl Universe {
         let mut streams: Vec<Vec<Option<TcpStream>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
         for i in 0..n {
-            // Indexing both [j][i] and [i][j] rules out an iterator here.
-            #[allow(clippy::needless_range_loop)]
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "indexing both [j][i] and [i][j] rules out an iterator here"
+            )]
             for j in (i + 1)..n {
                 // j "dials" i; both ends live in this process, so short
                 // deadlines suffice — a failure here is a local bug, not

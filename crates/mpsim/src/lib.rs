@@ -17,6 +17,13 @@
 //! | [`libs::mvich`], [`libs::mp_lite_via`], [`libs::mpipro_via`] | RPUT, `via_long`, thread overhead | 6 |
 
 #![warn(missing_docs)]
+// Library-code rules (determinism and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod libs;
 pub mod multirank;

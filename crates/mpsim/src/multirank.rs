@@ -277,6 +277,9 @@ mod tests {
     use super::*;
     use protosim::multinode::MultiNet;
 
+    /// A delivered message: (source rank, payload).
+    type Delivery = (usize, Vec<u8>);
+
     fn engine(n: usize) -> MultiEngine {
         MultiNet::engine(hwmodel::presets::pcs_ga620(), n)
     }
@@ -285,7 +288,7 @@ mod tests {
     fn posted_then_sent_and_sent_then_posted_both_deliver() {
         let mut eng = engine(3);
         let sess = MultiSession::new(crate::libs::mpich(Default::default()).profile, 3);
-        let got: Rc<RefCell<Vec<(usize, Vec<u8>)>>> = Rc::new(RefCell::new(Vec::new()));
+        let got: Rc<RefCell<Vec<Delivery>>> = Rc::new(RefCell::new(Vec::new()));
         // Receive posted before the send exists.
         let g = Rc::clone(&got);
         sess.post_recv(

@@ -24,6 +24,16 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library-code rules (panic hygiene and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod analysis;
 pub mod driver;

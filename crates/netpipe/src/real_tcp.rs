@@ -7,8 +7,8 @@
 //! `std::time::Instant`.
 //!
 //! Socket buffers are set through `setsockopt(SOL_SOCKET, SO_SNDBUF/
-//! SO_RCVBUF)` exactly as NetPIPE's `-b` option does. `std::net` does not
-//! expose these, so the calls go straight to libc (Linux-only constants).
+//! SO_RCVBUF)` exactly as NetPIPE's `-b` option does
+//! ([`faultlab::set_socket_buffers`]).
 //!
 //! Unlike the paper's NetPIPE, this module is built to *survive* a sick
 //! network: every socket operation carries a deadline
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use faultlab::io::{accept_deadline, connect_retry, read_exact_deadline, write_all_deadline};
 use faultlab::proxy::{ChaosProxy, FaultEvent, FrameFormat};
-use faultlab::{FaultCounters, FaultPlan, RetryPolicy};
+use faultlab::{set_socket_buffers, FaultCounters, FaultPlan, RetryPolicy};
 use mplite::frame;
 use simcore::trace::stages;
 use tracelab::WallTracer;
@@ -39,11 +39,6 @@ use crate::driver::{Driver, DriverError, NetpipeError};
 /// framing layer with a length bound can no longer smuggle.
 const ECHO_SHUTDOWN_TAG: i32 = -1;
 
-// Linux socket-option constants (see <sys/socket.h>).
-const SOL_SOCKET: i32 = 1;
-const SO_SNDBUF: i32 = 7;
-const SO_RCVBUF: i32 = 8;
-
 /// How long the echo server waits in one accept/header poll before
 /// re-checking its shutdown flag.
 const SERVER_POLL: Duration = Duration::from_millis(200);
@@ -51,89 +46,6 @@ const SERVER_POLL: Duration = Duration::from_millis(200);
 /// Track id real-mode fault instants are recorded on (the host-0 flow
 /// track in the simulation's allocation scheme).
 const FAULT_TRACK: u32 = 48;
-
-extern "C" {
-    fn setsockopt(
-        fd: i32,
-        level: i32,
-        optname: i32,
-        optval: *const core::ffi::c_void,
-        optlen: u32,
-    ) -> i32;
-    fn getsockopt(
-        fd: i32,
-        level: i32,
-        optname: i32,
-        optval: *mut core::ffi::c_void,
-        optlen: *mut u32,
-    ) -> i32;
-}
-
-/// Set a socket's send/receive buffer sizes (0 = leave the kernel
-/// default). Returns the effective (sndbuf, rcvbuf) the kernel granted —
-/// Linux doubles the requested value for bookkeeping, and clamps to
-/// `net.core.{w,r}mem_max`, the very ceiling the paper tunes.
-pub fn set_socket_buffers(
-    stream: &TcpStream,
-    sndbuf: u32,
-    rcvbuf: u32,
-) -> std::io::Result<(u32, u32)> {
-    use std::os::fd::AsRawFd;
-    let fd = stream.as_raw_fd();
-    unsafe {
-        if sndbuf > 0 {
-            let v = sndbuf as i32;
-            if setsockopt(
-                fd,
-                SOL_SOCKET,
-                SO_SNDBUF,
-                (&v as *const i32).cast(),
-                std::mem::size_of::<i32>() as u32,
-            ) != 0
-            {
-                return Err(std::io::Error::last_os_error());
-            }
-        }
-        if rcvbuf > 0 {
-            let v = rcvbuf as i32;
-            if setsockopt(
-                fd,
-                SOL_SOCKET,
-                SO_RCVBUF,
-                (&v as *const i32).cast(),
-                std::mem::size_of::<i32>() as u32,
-            ) != 0
-            {
-                return Err(std::io::Error::last_os_error());
-            }
-        }
-        let mut snd: i32 = 0;
-        let mut rcv: i32 = 0;
-        let mut len = std::mem::size_of::<i32>() as u32;
-        if getsockopt(
-            fd,
-            SOL_SOCKET,
-            SO_SNDBUF,
-            (&mut snd as *mut i32).cast(),
-            &mut len,
-        ) != 0
-        {
-            return Err(std::io::Error::last_os_error());
-        }
-        let mut len = std::mem::size_of::<i32>() as u32;
-        if getsockopt(
-            fd,
-            SOL_SOCKET,
-            SO_RCVBUF,
-            (&mut rcv as *mut i32).cast(),
-            &mut len,
-        ) != 0
-        {
-            return Err(std::io::Error::last_os_error());
-        }
-        Ok((snd.max(0) as u32, rcv.max(0) as u32))
-    }
-}
 
 /// Deliberate server-side failures, for chaos tests and `--faults`
 /// sweeps: the echo peer murders its own connection (or itself) at a

@@ -39,7 +39,12 @@ fn killed_connections_degrade_but_the_sweep_survives() {
 
     // The server keeps accepting, so every point eventually lands — but
     // only through the reconnect path, which the signature must record.
-    assert_eq!(sig.failed_count(), 0, "{}", fault_report(&[sig.clone()]));
+    assert_eq!(
+        sig.failed_count(),
+        0,
+        "{}",
+        fault_report(std::slice::from_ref(&sig))
+    );
     assert!(
         sig.degraded_count() > 0,
         "a kill-after=25 peer must force at least one reconnect"

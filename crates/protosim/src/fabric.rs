@@ -80,7 +80,7 @@ pub fn track_label(track: u32) -> String {
         }
         32..=47 => {
             let ch = (track - 32) / 2;
-            if (track - 32) % 2 == 0 {
+            if (track - 32).is_multiple_of(2) {
                 format!("wire{ch} ->")
             } else {
                 format!("wire{ch} <-")
@@ -297,23 +297,32 @@ impl<T> Slots<T> {
                 self.slots[slot as usize] = Some(v);
                 slot
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "one slot per value in flight; four billion at once is a model bug"
+            )]
             None => {
                 self.slots.push(Some(v));
-                // lint:allow(expect) -- one slot per value in flight; four billion at once is a model bug
                 u32::try_from(self.slots.len() - 1).expect("values in flight")
             }
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "an event is queued once per parked slot and takes it once"
+    )]
     pub fn take(&mut self, slot: u32) -> T {
         self.free.push(slot);
         let v = self.slots[slot as usize].take();
-        // lint:allow(expect) -- an event is queued once per parked slot and takes it once
         v.expect("took an empty slot")
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "as in `take`: only a parked slot's event reaches here"
+    )]
     pub fn get_mut(&mut self, slot: u32) -> &mut T {
-        // lint:allow(expect) -- as in `take`: only a parked slot's event reaches here
         self.slots[slot as usize].as_mut().expect("an empty slot")
     }
 }
@@ -358,17 +367,23 @@ pub(crate) fn complete_at(eng: &mut Net, conn: ConnId, dir: usize, at: SimTime, 
 
 /// Narrow a connection id and endpoint for a [`NetEvent`].
 pub(crate) fn event_addr(conn: ConnId, dir: usize) -> (u16, u8) {
-    // lint:allow(expect) -- a fabric holds a handful of connections and two endpoints; overflowing either is a caller bug
+    #[expect(
+        clippy::expect_used,
+        reason = "a fabric holds a handful of connections and two endpoints; overflowing either is a caller bug"
+    )]
     let conn = u16::try_from(conn.0).expect("more than u16::MAX connections");
-    // lint:allow(expect) -- as above: endpoints are 0 and 1
+    #[expect(clippy::expect_used, reason = "as above: endpoints are 0 and 1")]
     let dir = u8::try_from(dir).expect("endpoint index is 0 or 1");
     (conn, dir)
 }
 
 /// Narrow a segment length for a delivery cursor.
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "segments are cut at an MSS or packet size that is itself a u32"
+)]
 pub(crate) fn seg_len(seg: u64) -> u32 {
-    // lint:allow(expect) -- segments are cut at an MSS or packet size that is itself a u32
     u32::try_from(seg).expect("segment longer than its u32 MSS")
 }
 

@@ -18,6 +18,18 @@
 //! the kernel knowing anything about them.
 
 #![warn(missing_docs)]
+// Library-code rules (determinism, panic hygiene and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod fabric;
 pub mod local;

@@ -59,7 +59,10 @@ pub(crate) fn submit(eng: &mut Net, conn: ConnId, bytes: u64, done: Done) {
         } = &mut eng.world;
         let local = match &mut conns[conn.0] {
             Conn::Local(l) => l,
-            // lint:allow(panic) -- ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition
+            #[expect(
+                clippy::panic,
+                reason = "ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition"
+            )]
             _ => panic!("connection {conn:?} is not local"),
         };
         local.bytes_delivered += bytes;

@@ -139,7 +139,7 @@ pub fn send(eng: &mut MultiEngine, from: usize, to: usize, bytes: u64, k: MultiC
                 let wakeup = SimDuration::from_micros_f64(
                     e.world.spec.kernel.rx_extra_us + e.world.spec.host.cpu.syscall_us,
                 );
-                // lint:allow(expect) -- the guard above fires exactly once per message; a second take is an engine bug
+                #[expect(clippy::expect_used, reason = "the guard above fires exactly once per message; a second take is an engine bug")]
                 let k = k.borrow_mut().take().expect("completion fired twice");
                 e.schedule_at(t4 + wakeup, move |e| {
                     e.world.delivered += 1;
@@ -208,8 +208,11 @@ pub fn ring_halo_steps(
     let done: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
     do_step(&mut eng, n, halo_bytes, compute, steps, Rc::clone(&done));
     eng.run();
-    // lint:allow(expect) -- eng.run() drains the event queue; an unset completion time means the model deadlocked
-    let t = done.borrow().expect("halo steps never completed");
+    #[expect(
+        clippy::expect_used,
+        reason = "eng.run() drains the event queue; an unset completion time means the model deadlocked"
+    )]
+    let t = (*done.borrow()).expect("halo steps never completed");
     t.as_secs_f64()
 }
 

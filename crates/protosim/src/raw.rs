@@ -144,7 +144,10 @@ pub fn open_on_channel(fabric: &mut Fabric, params: RawParams, channel: usize) -
 fn as_raw(conn: &mut Conn) -> &mut RawConn {
     match conn {
         Conn::Raw(r) => r,
-        // lint:allow(panic) -- ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition
+        #[expect(
+            clippy::panic,
+            reason = "ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition"
+        )]
         _ => panic!("connection is not a raw transport"),
     }
 }
@@ -277,18 +280,25 @@ fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> bool {
     {
         let (c, cursor) = eng.world.conn_and_cursor(conn, dir);
         let raw = as_raw(c);
-        // lint:allow(expect) -- a delivery event is only queued for a non-empty cursor
+        #[expect(
+            clippy::expect_used,
+            reason = "a delivery event is only queued for a non-empty cursor"
+        )]
         let seg = u64::from(cursor.pop().expect("delivery from an empty cursor").0);
         more = !cursor.is_empty();
         cursor.armed = more;
         raw.bytes_delivered += seg;
-        let job = raw.dirs[dir]
-            .front_mut()
-            // lint:allow(expect) -- a delivery is only in the cursor while its job is queued; an empty queue is an engine bug
-            .expect("raw delivery with no job");
+        #[expect(
+            clippy::expect_used,
+            reason = "a delivery is only in the cursor while its job is queued; an empty queue is an engine bug"
+        )]
+        let job = raw.dirs[dir].front_mut().expect("raw delivery with no job");
         job.delivered += seg;
         if job.delivered == job.total {
-            // lint:allow(expect) -- front_mut() above proved the queue is non-empty under the same borrow
+            #[expect(
+                clippy::expect_used,
+                reason = "front_mut() above proved the queue is non-empty under the same borrow"
+            )]
             let job = raw.dirs[dir].pop_front().expect("front job vanished");
             let cost = SimDuration::from_micros_f64(raw.params.recv_mode.completion_us());
             done = (job.msg, job.total);

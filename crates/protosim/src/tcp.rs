@@ -285,7 +285,10 @@ pub(crate) fn queue_stalled(
 fn as_tcp(conn: &mut Conn) -> &mut TcpConn {
     match conn {
         Conn::Tcp(t) => t,
-        // lint:allow(panic) -- ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition
+        #[expect(
+            clippy::panic,
+            reason = "ConnId was issued by this module's connect(); a mismatch is a caller bug, not a runtime condition"
+        )]
         _ => panic!("connection is not TCP"),
     }
 }
@@ -700,7 +703,10 @@ fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> Delivered {
     {
         let (c, cursor) = eng.world.conn_and_cursor(conn, dir);
         let tcp = as_tcp(c);
-        // lint:allow(expect) -- a delivery event is only queued for a non-empty cursor
+        #[expect(
+            clippy::expect_used,
+            reason = "a delivery event is only queued for a non-empty cursor"
+        )]
         let front = cursor.pop().expect("delivery from an empty cursor");
         (seg, seq) = (u64::from(front.0), front.1);
         cursor.own += 1;
@@ -734,16 +740,22 @@ fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> Delivered {
             d.in_flight = d.in_flight.saturating_sub(seg);
         }
         // Account delivery against the front job.
+        #[expect(
+            clippy::expect_used,
+            reason = "a delivery is only in the cursor while its job is queued; an empty queue is an engine bug"
+        )]
         let job = d
             .jobs
             .front_mut()
-            // lint:allow(expect) -- a delivery is only in the cursor while its job is queued; an empty queue is an engine bug
             .expect("delivery with no in-progress job");
         job.delivered += seg;
         front_msg = job.msg;
         debug_assert!(job.delivered <= job.total);
         if job.delivered == job.total {
-            // lint:allow(expect) -- front_mut() above proved the queue is non-empty under the same borrow
+            #[expect(
+                clippy::expect_used,
+                reason = "front_mut() above proved the queue is non-empty under the same borrow"
+            )]
             let job = d.jobs.pop_front().expect("front job vanished");
             d.unsent -= 1;
             complete = Some((job.done, tcp.costs.wakeup, job.total));

@@ -52,6 +52,17 @@
 //! (checked by [`ProtocolSpec::check_dual`] and, statically, by the
 //! `protocol-duality` analyzer rule).
 
+// Library-code rules (panic hygiene and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -449,10 +460,13 @@ macro_rules! protocol {
             )+
         }
 
-        // Generated scaffolding: a machine may use only part of the
-        // emitted API (e.g. typestate chains but never runtime steps),
-        // so the unused remainder is not a dead-code signal.
-        #[allow(dead_code)]
+        // `allow`, not `expect`: whether anything here goes unused differs
+        // from one invocation to the next.
+        #[allow(
+            dead_code,
+            reason = "generated scaffolding: a machine may use only part of the \
+                      emitted API (typestate chains but never runtime steps, say)"
+        )]
         impl $name {
             /// The declared transition table.
             $vis const SPEC: $crate::ProtocolSpec = $crate::ProtocolSpec {
@@ -529,7 +543,10 @@ macro_rules! protocol {
         )+
 
         $(
-            #[allow(dead_code)]
+            #[allow(
+                dead_code,
+                reason = "generated typestate edges: a machine may never take some of them"
+            )]
             impl $from {
                 #[doc = concat!(
                     "Transition `", stringify!($from), " --", stringify!($ev),

@@ -44,6 +44,13 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library-code rules (determinism and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 mod engine;
 mod resource;

@@ -85,7 +85,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], label: &dyn Fn(u32) -> String) -
                     e.msg
                 );
             }
-            // lint:allow(wall-clock) -- the event-kind name, not a clock read
             TraceKind::Instant => {
                 let _ = write!(
                     out,

@@ -51,6 +51,18 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library-code rules (determinism, panic hygiene and no printing); see DESIGN.md §9.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod export;
 mod ring;
@@ -59,4 +71,8 @@ mod wall;
 
 pub use simcore::trace::{stages, SharedSink, SpanRec, TraceSink};
 pub use tracer::{StageTotal, TraceEvent, TraceKind, Tracer};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the real-mode recorder is this crate's to export"
+)]
 pub use wall::{WallStamp, WallTracer};

@@ -30,7 +30,6 @@ pub enum TraceKind {
     /// A duration: `[start_ns, end_ns]`.
     Span,
     /// A point event: `start_ns == end_ns`.
-    // lint:allow(wall-clock) -- the event-kind name, not a clock read
     Instant,
 }
 
@@ -273,7 +272,6 @@ impl Core {
         msg: u64,
     ) {
         self.ring.push(TraceEvent {
-            // lint:allow(wall-clock) -- the event-kind name, not a clock read
             kind: TraceKind::Instant,
             stage: name,
             track,

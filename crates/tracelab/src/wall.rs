@@ -6,12 +6,17 @@
 //! `mplite`'s writer/reader threads can record concurrently.
 //!
 //! This module is the *only* place in the workspace where trace records
-//! may be stamped from the wall clock — the `xtask analyze` `trace-hygiene`
-//! rule rejects use of this API from simulation crates, which must stamp
+//! may be stamped from the wall clock — clippy's `disallowed_types`
+//! rejects use of this API from simulation crates, which must stamp
 //! records with `SimTime` via [`crate::Tracer`] instead.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "this module implements the real-mode clock and its recorder"
+)]
+
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-// lint:allow(wall-clock) -- this module implements the real-mode clock
 use std::time::Instant;
 
 use crate::tracer::{Core, StageTotal, TraceEvent};
@@ -26,7 +31,6 @@ pub struct WallStamp {
 
 /// Thread-safe wall-clock trace recorder.
 pub struct WallTracer {
-    // lint:allow(wall-clock) -- real-mode origin for monotonic stamps
     origin: Instant,
     core: Mutex<Core>,
 }
@@ -40,7 +44,6 @@ impl WallTracer {
     /// A tracer retaining at most `capacity` raw events.
     pub fn with_capacity(capacity: usize) -> Arc<Self> {
         Arc::new(WallTracer {
-            // lint:allow(wall-clock) -- real-mode origin for monotonic stamps
             origin: Instant::now(),
             core: Mutex::new(Core::new(capacity)),
         })

@@ -1,6 +1,6 @@
-//! Fixture library crate: one budgeted violation, manifest lacks the
-//! `[lints]` table. Never compiled.
+//! Fixture library crate: one blocking-hygiene violation, manifest lacks
+//! the `[lints]` table. Never compiled.
 
-pub fn take(x: Option<u32>) -> u32 {
-    x.unwrap()
+pub fn recv(s: &mut std::net::TcpStream, buf: &mut [u8]) -> std::io::Result<()> {
+    s.read_exact(buf)
 }

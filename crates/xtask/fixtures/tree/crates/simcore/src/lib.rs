@@ -1,5 +1,5 @@
-//! Fixture sim crate: one determinism violation. Never compiled.
+//! Fixture sim crate: one budgeted units violation. Never compiled.
 
-pub fn now_wall() -> std::time::Instant {
-    std::time::Instant::now()
+pub fn bps(mhz: f64) -> f64 {
+    mhz * 1e6
 }

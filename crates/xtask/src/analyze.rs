@@ -1,8 +1,8 @@
-//! The workspace analyze pass: the per-file rules, the manifest check,
-//! and the cross-file passes (lock-order, units hygiene, nondeterminism
-//! dataflow, protocol conformance, hot-path cost, guarded-field
-//! consistency) under one annotation grammar and one burn-down budget,
-//! with a machine-readable JSON report for CI.
+//! The workspace analyze pass: the rules clippy cannot check (blocking
+//! hygiene, units hygiene, nondeterminism dataflow), the manifest check,
+//! and the cross-file passes (lock-order, protocol conformance, hot-path
+//! cost, guarded-field consistency) under one annotation grammar and one
+//! burn-down budget, with a machine-readable JSON report for CI.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -17,7 +17,7 @@ use crate::model::WorkspaceModel;
 use crate::nondet::nondet_findings;
 use crate::protocol::{protocol_findings, protocol_inventory};
 use crate::races::race_findings;
-use crate::rules::{file_findings, resolve, RawFinding, RULES};
+use crate::rules::{blocking_findings, resolve, RawFinding, RULES};
 use crate::units::units_findings;
 use crate::walk::{collect_files, rel_str};
 
@@ -46,7 +46,7 @@ impl AnalyzeOutcome {
 }
 
 /// Analyze an in-memory file set (fixture tests). No manifest or budget
-/// checks — just the file rules plus the cross-file passes.
+/// checks — just the per-file rules plus the cross-file passes.
 pub fn analyze_sources(files: &[(&str, &str)]) -> AnalyzeOutcome {
     let w = WorkspaceModel::from_sources(files);
     let (mut out, budgeted) = analyze_model(&w);
@@ -130,7 +130,7 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeOutcome, String> {
     Ok(out)
 }
 
-/// Shared core: run every per-file rule plus the cross-file passes over
+/// Shared core: run the per-file rules plus the cross-file passes over
 /// a loaded model. Returns the outcome plus the budgeted diagnostics
 /// (needed by the over-budget listing).
 fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic)>) {
@@ -155,7 +155,7 @@ fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic
     }
 
     for (fi, wf) in w.files.iter().enumerate() {
-        let mut findings = file_findings(&wf.model, &wf.ctx);
+        let mut findings = blocking_findings(&wf.model, &wf.ctx);
         findings.extend(units_findings(&wf.model, &wf.ctx));
         findings.extend(nondet_findings(&wf.model, &wf.ctx));
         findings.append(&mut per_file[fi]);
@@ -299,7 +299,7 @@ mod tests {
             "magic \"quote\" and \\ backslash",
         ));
         o.budget_counts
-            .insert(("mplite".into(), "unwrap".into()), 1);
+            .insert(("mplite".into(), "hot-cost".into()), 1);
         let r = render_report(&o);
         assert!(r.contains("\"files_checked\": 2"));
         assert!(r.contains("\"clean\": false"));

@@ -1,19 +1,19 @@
 //! The burn-down budget file (`lint-budget.toml`).
 //!
 //! Budget entries cap the number of *un-annotated* findings of the
-//! budgeted rules (`rules::BUDGETED_RULES`: panic hygiene, `units`,
-//! `hot-cost`) per `(crate, rule)`. The analyzer enforces a ratchet: a
-//! count above its budget is a violation, and a count *below* its
-//! budget is also an error telling you to lower the number — so the
-//! checked-in budget can only go down over time.
+//! budgeted rules (`rules::BUDGETED_RULES`: `units`, `hot-cost`) per
+//! `(crate, rule)`. The analyzer enforces a ratchet: a count above its
+//! budget is a violation, and a count *below* its budget is also an
+//! error telling you to lower the number — so the checked-in budget can
+//! only go down over time.
 //!
 //! Format (a deliberately tiny TOML subset — `#` comments and
 //! `"crate/rule" = N` pairs):
 //!
 //! ```toml
 //! # xtask analyze burn-down budget
-//! "netpipe/unwrap" = 12
-//! "protosim/expect" = 0
+//! "mpsim/hot-cost" = 28
+//! "hwmodel/units" = 0
 //! ```
 
 use std::collections::BTreeMap;

@@ -3,42 +3,6 @@
 /// Documentation for a rule id, or `None` if the rule is unknown.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
-        "wall-clock" => {
-            "wall-clock (determinism family)\n\
-             scope: library code of sim crates\n\n\
-             Reading std::time::Instant or SystemTime makes a simulated result\n\
-             depend on the host's clock, so two runs of the same scenario stop\n\
-             being bit-identical. Use the simulated clock (Engine::now) instead.\n\
-             Real-mode crates are governed by nondet-wall-clock."
-        }
-        "sleep" => {
-            "sleep (determinism family)\n\
-             scope: library code of sim crates\n\n\
-             thread::sleep stalls the host thread, not simulated time. Schedule\n\
-             an event at `now + delta` on the engine instead."
-        }
-        "ambient-rng" => {
-            "ambient-rng (determinism family)\n\
-             scope: library code of sim crates\n\n\
-             thread_rng / rand::random / from_entropy seed from the OS, so runs\n\
-             are not reproducible. Route all randomness through SimRng, which is\n\
-             seeded explicitly by the scenario."
-        }
-        "hash-container" => {
-            "hash-container (determinism family)\n\
-             scope: library code of sim crates\n\n\
-             HashMap/HashSet iteration order varies run to run (SipHash keys are\n\
-             randomized). Use BTreeMap/BTreeSet, or sort before iterating. In\n\
-             non-sim crates the weaker rule nondet-hash-iter flags only the\n\
-             iteration, not the type."
-        }
-        "trace-hygiene" => {
-            "trace-hygiene (determinism family)\n\
-             scope: library code of sim crates except tracelab\n\n\
-             Sim crates must stamp trace records with SimTime via\n\
-             tracelab::Tracer. The wall-clock tracing API (WallTracer, WallStamp,\n\
-             span_wall, instant_wall, now_wall) is for real runs only."
-        }
         "blocking-hygiene" => {
             "blocking-hygiene (real-mode hygiene)\n\
              scope: library code of real-mode crates (faultlab, mplite, netpipe)\n\n\
@@ -46,30 +10,12 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              when a peer dies. Use the bounded faultlab::io wrappers\n\
              (read_exact_deadline, write_all_deadline, accept_deadline)."
         }
-        "unwrap" | "expect" | "panic" => {
-            "unwrap / expect / panic (panic-hygiene family; budgeted)\n\
-             scope: library code of library crates\n\n\
-             Library code must propagate errors, not abort the process: a panic\n\
-             inside mplite tears down a rank mid-collective. Counts are governed\n\
-             by lint-budget.toml — the budget only ratchets down. Annotate the\n\
-             few deliberate sites: // lint:allow(panic) -- <reason>."
-        }
-        "print" => {
-            "print (workspace-hygiene family)\n\
-             scope: library code, except reporting crates (bench, xtask)\n\n\
-             Libraries return strings or take a writer; only binaries and the\n\
-             reporting crates print."
-        }
-        "dbg" => {
-            "dbg (workspace-hygiene family)\n\
-             scope: all non-test code\n\n\
-             dbg! is a debugging leftover; remove it before committing."
-        }
         "lints-table" => {
             "lints-table (workspace-hygiene family)\n\
              scope: every crate manifest\n\n\
              Each [package] manifest must declare `[lints] workspace = true` so\n\
-             rustc/clippy lint policy is set once, at the workspace root."
+             rustc/clippy lint policy is set once, at the workspace root (each\n\
+             crate root then denies its own rule families)."
         }
         "bad-allow" => {
             "bad-allow (annotation grammar)\n\n\
@@ -82,14 +28,16 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "stale-allow (annotation grammar)\n\n\
              A lint:allow annotation whose violation no longer exists on that\n\
              line (or the line below) must be removed, or it will silently mask\n\
-             a future regression."
+             a future regression. That includes one naming a rule analyze no\n\
+             longer owns: the per-file determinism, panic, print and dbg rules\n\
+             are clippy's, excepted with #[expect(clippy::<lint>, reason = ..)]."
         }
         "budget" => {
             "budget (burn-down ratchet)\n\n\
-             lint-budget.toml caps un-annotated unwrap/expect/panic, units and\n\
-             hot-cost counts per crate/rule. Counts above an entry fail;\n\
-             counts below fail too (ratchet) so the entry is lowered as debt is\n\
-             paid. Regenerate with --write-budget."
+             lint-budget.toml caps un-annotated units and hot-cost counts per\n\
+             crate/rule. Counts above an entry fail; counts below fail too\n\
+             (ratchet) so the entry is lowered as debt is paid. Regenerate\n\
+             with --write-budget."
         }
         "lock-order" => {
             "lock-order (cross-file)\n\
@@ -131,14 +79,17 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (netpipe::real_tcp, netpipe::mplite_driver, faultlab::io)\n\n\
              Real-mode code outside the driver/deadline layer must take\n\
              timestamps as parameters rather than read Instant/SystemTime, so\n\
-             replay and fault sweeps stay reproducible."
+             replay and fault sweeps stay reproducible. In sim crates clippy's\n\
+             disallowed_methods (clippy.toml) bans the clock outright."
         }
         "nondet-hash-iter" => {
             "nondet-hash-iter (nondeterminism dataflow)\n\
              scope: library code of non-sim crates\n\n\
              Iterating a HashMap/HashSet binding leaks SipHash ordering into\n\
              results and reports. Keyed access is fine; iteration needs\n\
-             BTreeMap/BTreeSet or an explicit sort."
+             BTreeMap/BTreeSet or an explicit sort. In sim crates clippy's\n\
+             disallowed_types (clippy.toml) bans the types outright; clippy's\n\
+             own iter_over_hash_type sees only `for` loops."
         }
         "nondet-float-reduction" => {
             "nondet-float-reduction (nondeterminism dataflow)\n\
@@ -243,17 +194,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 /// One-line summary per rule, for the `--explain` index listing.
 pub fn summary(rule: &str) -> &'static str {
     match rule {
-        "wall-clock" => "Instant/SystemTime read in sim code; use Engine::now",
-        "sleep" => "thread::sleep in sim code; schedule an event instead",
-        "ambient-rng" => "OS-seeded RNG in sim code; route through SimRng",
-        "hash-container" => "HashMap/HashSet in sim code; iteration order is nondeterministic",
-        "trace-hygiene" => "wall-clock tracing API in sim code; stamp records with SimTime",
         "blocking-hygiene" => "deadline-free read/write/accept; use the faultlab::io wrappers",
-        "unwrap" => "unwrap() in library code (budgeted); propagate the error",
-        "expect" => "expect() in library code (budgeted); propagate the error",
-        "panic" => "panic-family macro in library code (budgeted); return an error",
-        "print" => "print in library code; return strings or take a writer",
-        "dbg" => "dbg! left in non-test code",
         "lints-table" => "crate manifest missing `[lints] workspace = true`",
         "bad-allow" => "lint:allow annotation without a `-- <reason>` tail",
         "stale-allow" => "lint:allow annotation with no matching violation",
@@ -314,7 +255,12 @@ mod tests {
 
     #[test]
     fn explanations_name_their_rule() {
-        for rule in ["lock-order", "units", "nondet-hash-iter", "wall-clock"] {
+        for rule in [
+            "lock-order",
+            "units",
+            "nondet-hash-iter",
+            "blocking-hygiene",
+        ] {
             assert!(explain(rule).expect("doc").starts_with(rule));
         }
     }

@@ -32,7 +32,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::context::FileKind;
 use crate::lex::{Tok, TokKind};
 use crate::model::{field_decls, fn_items, FieldDecl, FnItem, Receiver, WFile, WorkspaceModel};
 
@@ -140,7 +139,7 @@ pub struct Flow {
 
 /// Does a file's library code fall under the body passes?
 pub fn governed(wf: &WFile) -> bool {
-    wf.ctx.kind == FileKind::Lib
+    wf.ctx.lib
         && !EXEMPT_CRATES.contains(&wf.ctx.crate_name.as_str())
         && !PRIMITIVE_FILES.contains(&wf.model.rel.as_str())
 }

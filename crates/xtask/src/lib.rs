@@ -1,16 +1,19 @@
 //! Workspace-native static analysis for the CLUSTER 2002 reproduction.
 //!
-//! One command, `cargo run -p xtask -- analyze`, runs one pipeline:
+//! The repo's two load-bearing invariants are **sim determinism** (the
+//! discrete-event results are only meaningful because runs are exactly
+//! reproducible) and **panic hygiene** (`mplite` and friends are real
+//! libraries). Their per-file rules — no wall clocks, sleeps, ambient
+//! RNGs or hash containers in sim crates; no `unwrap`/`expect`/`panic!`,
+//! prints or `dbg!` in library code — are checked by clippy on resolved
+//! names: `clippy.toml` plus one `#![deny(..)]` per crate root.
 //!
-//! * the per-file rules enforce the repo's two load-bearing invariants
-//!   mechanically — **sim determinism** (sim crates must not read wall
-//!   clocks, sleep, use ambient RNGs, or iterate hash containers; the
-//!   discrete-event results are only meaningful because runs are
-//!   exactly reproducible) and **panic hygiene** (`mplite` and friends
-//!   are real libraries, so `unwrap`/`expect`/`panic!` in library code
-//!   is burned down via a checked-in ratcheting budget);
-//! * the cross-file passes add units hygiene, nondeterminism dataflow,
-//!   protocol conformance (declared `protospec::protocol!` tables vs.
+//! One command, `cargo run -p xtask -- analyze`, runs what clippy
+//! cannot:
+//!
+//! * `blocking-hygiene` (deadline-free socket calls in real-mode code),
+//!   units hygiene, and nondeterminism dataflow;
+//! * protocol conformance (declared `protospec::protocol!` tables vs.
 //!   the match arms that step them), and — over one shared body walk
 //!   and call graph ([`flow`]) — lock-order deadlock detection
 //!   ([`locks`]), hot-path cost analysis ([`hotpath`], marker-declared
@@ -26,7 +29,7 @@
 //! file model ([`model`]) — no syn, no regex, no external dependencies
 //! — so the tool builds instantly and works offline. String and char
 //! literals are blanked and comments are side-channeled during lexing,
-//! so rules never misfire inside `r#"…unwrap()…"#` or doc comments.
+//! so rules never misfire inside `r#"…read_exact(…"#` or doc comments.
 //!
 //! See `DESIGN.md` ("Static analysis & invariants" and "Cross-file
 //! analysis") for every rule id, its scope, and the

@@ -9,11 +9,11 @@ use xtask::explain::explain;
 const USAGE: &str = "\
 usage: cargo run -p xtask -- analyze [options]
 
-  analyze         the static-analysis pipeline: per-file determinism,
-                  panic-hygiene and workspace-hygiene rules, plus the
-                  cross-file passes (lock order, units hygiene,
-                  nondeterminism dataflow, protocol conformance,
-                  hot-path cost, guarded-field consistency)
+  analyze         the static analysis clippy cannot do: blocking
+                  hygiene, units hygiene, nondeterminism dataflow,
+                  manifest lints tables, and the cross-file passes
+                  (lock order, protocol conformance, hot-path cost,
+                  guarded-field consistency)
     --root <dir>      analyze a different tree (default: this workspace)
     --report <file>   also write a machine-readable JSON report
     --write-budget    rewrite lint-budget.toml to match live counts

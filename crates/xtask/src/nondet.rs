@@ -1,8 +1,8 @@
 //! Nondeterminism dataflow: sources of run-to-run variation outside the
 //! places designed to absorb them.
 //!
-//! Three rules, complementing the sim-crate determinism family in
-//! `rules.rs`:
+//! Three rules, complementing the sim crates' clippy determinism bans
+//! (`clippy.toml`):
 //!
 //! * **`nondet-wall-clock`** — `Instant`/`SystemTime` in real-mode
 //!   crates (`mplite`, `netpipe`, `faultlab`) outside the small
@@ -11,8 +11,8 @@
 //!   replay and fault-injection sweeps stay reproducible;
 //! * **`nondet-hash-iter`** — iterating a binding declared as
 //!   `HashMap`/`HashSet` in non-sim library code. Sim crates ban the
-//!   types outright (`hash-container`); elsewhere the *types* are fine
-//!   but *iteration order* must not reach results or reports;
+//!   types outright (clippy's `disallowed_types`); elsewhere the *types*
+//!   are fine but *iteration order* must not reach results or reports;
 //! * **`nondet-float-reduction`** — `.sum()` / `.fold(` float
 //!   reductions in sim-crate library code. Float addition is not
 //!   associative, so accumulation order becomes part of the result;
@@ -20,7 +20,7 @@
 //!   fixed-order loop. Integer reductions (`.sum::<u64>()`) and
 //!   order-insensitive folds (`f64::max`/`f64::min`) are exempt.
 
-use crate::context::{FileCtx, FileKind, REAL_CRATES, SIM_CRATES};
+use crate::context::{FileCtx, REAL_CRATES, SIM_CRATES};
 use crate::lex::TokKind;
 use crate::model::FileModel;
 use crate::rules::RawFinding;
@@ -40,7 +40,7 @@ const INT_TYPES: &[&str] = &[
 /// Run the nondeterminism pass over one file.
 pub fn nondet_findings(model: &FileModel, ctx: &FileCtx) -> Vec<RawFinding> {
     let mut findings: Vec<RawFinding> = Vec::new();
-    if ctx.kind != FileKind::Lib {
+    if !ctx.lib {
         return findings;
     }
     let toks = &model.toks;
@@ -200,7 +200,7 @@ mod tests {
         );
         assert!(check("crates/faultlab/src/io.rs", src).is_empty());
         assert!(check("crates/netpipe/src/real_tcp.rs", src).is_empty());
-        // Sim crates are the `wall-clock` rule's business, not this one's.
+        // Sim crates are clippy's `disallowed_methods` business, not this one's.
         assert!(check("crates/simcore/src/x.rs", src).is_empty());
     }
 

@@ -517,7 +517,6 @@ fn match_body(toks: &[Tok], at: usize) -> Option<(usize, usize)> {
 
 /// Check every arm of one match body against the spec of whichever
 /// protocol enum its pattern names.
-#[allow(clippy::too_many_arguments)]
 fn check_match(
     toks: &[Tok],
     open: usize,

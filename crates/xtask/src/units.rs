@@ -22,7 +22,7 @@
 //! itself) and the two files that *implement* the conversions,
 //! `crates/simcore/src/time.rs` and `crates/simcore/src/units.rs`.
 
-use crate::context::{FileCtx, FileKind};
+use crate::context::FileCtx;
 use crate::lex::TokKind;
 use crate::model::FileModel;
 use crate::rules::RawFinding;
@@ -73,9 +73,7 @@ const BLESSED: &[&str] = &[
 
 /// Does the units pass govern this file?
 fn in_scope(model: &FileModel, ctx: &FileCtx) -> bool {
-    ctx.kind == FileKind::Lib
-        && ctx.crate_name != "xtask"
-        && !EXEMPT_FILES.contains(&model.rel.as_str())
+    ctx.lib && ctx.crate_name != "xtask" && !EXEMPT_FILES.contains(&model.rel.as_str())
 }
 
 /// Run the units pass over one file.

@@ -4,12 +4,15 @@
 //! and the lexer edge-case fixture must trip nothing, the real workspace
 //! must analyze clean (which also proves the checked-in budget matches
 //! the live counts), and that budget may never rise above its seed
-//! values.
+//! values. The per-file rules clippy owns are gated by the clippy
+//! fixture crate (`fixtures/clippy`) instead.
 
 use std::path::{Path, PathBuf};
 
 use xtask::analyze::{analyze_sources, analyze_workspace};
 use xtask::budget::Budget;
+use xtask::context::SIM_CRATES;
+use xtask::rules::RULES;
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -40,57 +43,6 @@ fn diags_for(rel_path: &str, fixture_name: &str) -> Vec<String> {
 }
 
 #[test]
-fn sim_violations_golden() {
-    let rel = "crates/simcore/src/fixture.rs";
-    let got = diags_for(rel, "unit/sim_violations.rs");
-    let want = vec![
-        format!("{rel}:2: wall-clock: wall-clock read in sim code; use the simulated clock (Engine::now)"),
-        format!("{rel}:3: hash-container: HashMap/HashSet in sim code has nondeterministic iteration order; use BTreeMap/BTreeSet or sort explicitly"),
-        format!("{rel}:6: wall-clock: wall-clock read in sim code; use the simulated clock (Engine::now)"),
-        format!("{rel}:7: sleep: thread::sleep in sim code; schedule an event instead"),
-        format!("{rel}:8: hash-container: HashMap/HashSet in sim code has nondeterministic iteration order; use BTreeMap/BTreeSet or sort explicitly"),
-        format!("{rel}:9: ambient-rng: ambient RNG in sim code; route randomness through SimRng"),
-    ];
-    assert_eq!(got, want);
-}
-
-#[test]
-fn sim_clean_is_silent() {
-    let got = diags_for("crates/simcore/src/fixture.rs", "unit/sim_clean.rs");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn trace_violations_golden() {
-    let rel = "crates/mpsim/src/fixture.rs";
-    let got = diags_for(rel, "unit/trace_violations.rs");
-    let msg = "trace-hygiene: wall-clock tracing API in sim code; \
-               stamp trace records with SimTime (tracelab::Tracer)";
-    let want = vec![
-        format!("{rel}:3: {msg}"),
-        format!("{rel}:5: {msg}"),
-        format!("{rel}:6: {msg}"),
-        format!("{rel}:7: {msg}"),
-        format!("{rel}:8: {msg}"),
-    ];
-    assert_eq!(got, want);
-}
-
-#[test]
-fn trace_clean_is_silent() {
-    let got = diags_for("crates/mpsim/src/fixture.rs", "unit/trace_clean.rs");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn tracelab_itself_is_exempt_from_trace_hygiene() {
-    // The crate that implements the wall-clock recorder must be able to
-    // name its own API without tripping the rule meant for everyone else.
-    let got = diags_for("crates/tracelab/src/fixture.rs", "unit/trace_violations.rs");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
 fn blocking_violations_golden() {
     let rel = "crates/netpipe/src/fixture.rs";
     let got = diags_for(rel, "unit/blocking_violations.rs");
@@ -108,40 +60,20 @@ fn blocking_clean_is_silent() {
     assert!(got.is_empty(), "{got:?}");
 }
 
+/// An old-style annotation for a rule clippy now owns is stale, not a
+/// silent no-op: were `expect` or `wall-clock` still live here, each
+/// allow would be consumed and this golden would come back empty.
 #[test]
-fn blocking_rule_ignores_sim_crates() {
-    let got = diags_for(
-        "crates/protosim/src/fixture.rs",
-        "unit/blocking_violations.rs",
-    );
-    // The annotated allow is stale there (the rule never fires), which is
-    // exactly why the fixture must not be linted under a sim path in the
-    // real tree — but the blocking findings themselves must be absent.
-    assert!(
-        got.iter().all(|d| !d.contains("blocking-hygiene:")),
-        "{got:?}"
-    );
-}
-
-#[test]
-fn panic_violations_golden() {
-    let rel = "crates/mplite/src/fixture.rs";
-    let got = diags_for(rel, "unit/panic_violations.rs");
+fn migrated_rule_allow_is_stale_golden() {
+    let rel = "crates/protosim/src/fixture.rs";
+    let got = diags_for(rel, "unit/migrated_allow.rs");
     let want = vec![
-        format!("{rel}:3: unwrap: unwrap() in library code; propagate the error instead"),
-        format!("{rel}:6: expect: expect() in library code; propagate the error instead"),
-        format!("{rel}:9: panic: panic! in library code; return an error instead"),
-        format!("{rel}:11: stale-allow: lint:allow(unwrap) has no matching violation; remove it"),
-        format!("{rel}:13: bad-allow: malformed annotation; use `lint:allow(<rule>) -- <reason>`"),
-        format!("{rel}:13: unwrap: unwrap() in library code; propagate the error instead"),
+        format!("{rel}:4: stale-allow: lint:allow(expect) has no matching violation; remove it"),
+        format!(
+            "{rel}:7: stale-allow: lint:allow(wall-clock) has no matching violation; remove it"
+        ),
     ];
     assert_eq!(got, want);
-}
-
-#[test]
-fn panic_clean_is_silent() {
-    let got = diags_for("crates/mplite/src/fixture.rs", "unit/panic_clean.rs");
-    assert!(got.is_empty(), "{got:?}");
 }
 
 #[test]
@@ -150,11 +82,11 @@ fn fixture_tree_end_to_end() {
     let outcome = analyze_workspace(&root).expect("analyze runs");
     assert!(!outcome.clean());
     assert_eq!(outcome.files_checked, 2);
-    // mplite/unwrap: live count 1 is inside its budget of 1.
+    // simcore/units: live count 1 is inside its budget of 1.
     assert_eq!(
         outcome
             .budget_counts
-            .get(&("mplite".into(), "unwrap".into())),
+            .get(&("simcore".into(), "units".into())),
         Some(&1)
     );
     let got: Vec<String> = outcome
@@ -165,13 +97,9 @@ fn fixture_tree_end_to_end() {
     let want = vec![
         "crates/mplite/Cargo.toml:0: lints-table: crate does not declare `[lints] workspace = true`"
             .to_string(),
-        "crates/simcore/src/lib.rs:3: trace-hygiene: wall-clock tracing API in sim code; stamp trace records with SimTime (tracelab::Tracer)"
+        "crates/mplite/src/lib.rs:5: blocking-hygiene: deadline-free blocking `read_exact` in real-mode code; use faultlab::io::read_exact_deadline"
             .to_string(),
-        "crates/simcore/src/lib.rs:3: wall-clock: wall-clock read in sim code; use the simulated clock (Engine::now)"
-            .to_string(),
-        "crates/simcore/src/lib.rs:4: wall-clock: wall-clock read in sim code; use the simulated clock (Engine::now)"
-            .to_string(),
-        "lint-budget.toml:0: budget: mplite/expect: budget 2 is stale, live count is 0; remove the entry"
+        "lint-budget.toml:0: budget: mplite/hot-cost: budget 2 is stale, live count is 0; remove the entry"
             .to_string(),
     ];
     assert_eq!(got, want);
@@ -424,9 +352,32 @@ fn lexer_edge_cases_trip_no_rule_anywhere() {
     }
 }
 
+/// `SIM_CRATES` scopes the nondet pass; each crate root's `#![deny(..)]`
+/// scopes clippy's determinism bans. The two must name the same crates.
+#[test]
+fn sim_crates_are_the_crate_roots_denying_the_determinism_bans() {
+    let crates = workspace_root().join("crates");
+    for entry in std::fs::read_dir(&crates).expect("crates/ lists") {
+        let dir = entry.expect("dir entry").path();
+        let Ok(root) = std::fs::read_to_string(dir.join("src/lib.rs")) else {
+            continue;
+        };
+        let name = dir
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("utf-8 name");
+        assert_eq!(
+            root.contains("clippy::disallowed_methods")
+                && root.contains("clippy::disallowed_types"),
+            SIM_CRATES.contains(&name),
+            "{name}: crate root and SIM_CRATES disagree"
+        );
+    }
+}
+
 /// Acceptance gate: the real workspace analyzes clean — zero
-/// un-annotated findings across every per-file rule and all three
-/// cross-file passes, and the checked-in budget matches live counts.
+/// un-annotated findings across every rule `analyze` owns, and the
+/// checked-in budget matches live counts.
 #[test]
 fn real_workspace_analyzes_clean() {
     let outcome = analyze_workspace(&workspace_root()).expect("analyze runs");
@@ -443,11 +394,11 @@ fn real_workspace_analyzes_clean() {
 }
 
 /// The ratchet floor: no budget entry may ever rise above its value at
-/// the seed of its section. The per-file rules seeded with **no
-/// entries** (every crate/rule pair at zero); the hot-cost sections
-/// seeded at the burn-down inventory recorded when the hot-path pass
-/// landed. Any entry above its floor — or any new section — is a
-/// regression; entries may only shrink toward zero.
+/// the seed of its section. The `units` rule seeded with **no entries**
+/// (every crate at zero); the hot-cost sections seeded at the burn-down
+/// inventory recorded when the hot-path pass landed. Any entry above its
+/// floor — or any new section — is a regression; entries may only shrink
+/// toward zero.
 #[test]
 fn budget_never_exceeds_seed() {
     const SEED: &[(&str, &str, usize)] = &[
@@ -490,30 +441,9 @@ fn analyze_binary_report_and_exit_codes() {
     assert!(json.contains("\"tool\": \"xtask-analyze\""), "{json}");
     assert!(json.contains("\"clean\": false"), "{json}");
     assert!(json.contains("\"rule\": \"lints-table\""), "{json}");
-    // The rule inventory must list every family — the former `lint`
-    // rules included — so CI can assert each pass ran.
-    for rule in [
-        "wall-clock",
-        "sleep",
-        "ambient-rng",
-        "hash-container",
-        "trace-hygiene",
-        "blocking-hygiene",
-        "unwrap",
-        "expect",
-        "panic",
-        "print",
-        "dbg",
-        "lints-table",
-        "protocol-transition",
-        "protocol-undeclared",
-        "protocol-unreachable",
-        "protocol-terminal",
-        "protocol-duality",
-        "hot-cost",
-        "race-guarded-field",
-        "marker-hygiene",
-    ] {
+    // The rule inventory must list every rule so CI can assert each
+    // pass ran.
+    for rule in RULES {
         assert!(json.contains(&format!("\"{rule}\"")), "{rule}: {json}");
     }
     assert_eq!(
@@ -567,5 +497,17 @@ fn analyze_binary_report_and_exit_codes() {
         "protocol-transition",
     ] {
         assert!(text.contains(rule), "index missing {rule}: {text}");
+    }
+    // The 19 rules `analyze` owns, and not one of those clippy took over.
+    let listed: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("  ")?.split_whitespace().next())
+        .collect();
+    assert_eq!((listed.len(), &listed[..]), (19, RULES), "{text}");
+    for gone in
+        "wall-clock sleep ambient-rng hash-container trace-hygiene unwrap expect panic print dbg"
+            .split(' ')
+    {
+        assert!(!listed.contains(&gone), "index lists {gone}: {text}");
     }
 }

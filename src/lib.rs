@@ -31,6 +31,9 @@
 //! assert!(sig.latency_us > 100.0);
 //! ```
 
+// Library-code rules (no printing); see DESIGN.md §9.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub use clusterlab as lab;
 pub use hwmodel as hw;
 pub use mplite;
