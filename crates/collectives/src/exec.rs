@@ -70,9 +70,11 @@ pub fn run_blocking<T: CollTransport>(
     let me = transport.rank();
     let vrank = virtual_rank(me, ctx.root, n);
     let mut state = RankState::init(schedule.op, n, vrank, contribution);
-    let mut life = CollRound::initial();
+    // Each round walks the machine's tokens from `Idle` back to `Idle`,
+    // so the rank provably ends every round at rest.
+    let mut idle = CollRound::start();
     for round in &schedule.plans[vrank].rounds {
-        life = step(life, "post");
+        let mut life = idle.post();
         let pending: Vec<_> = round
             .recvs
             .iter()
@@ -81,17 +83,16 @@ pub fn run_blocking<T: CollTransport>(
         for s in &round.sends {
             let payload = state.payload(&s.what);
             transport.send(actual_rank(s.to as usize, ctx.root, n), tag, payload)?;
-            life = step(life, "send");
+            life = life.send();
         }
-        life = step(life, "drain");
+        let mut life = life.drain();
         for (r, p) in round.recvs.iter().zip(pending) {
             let bytes = transport.complete(p)?;
             state.apply(&r.what, &bytes, ctx.reduction);
-            life = step(life, "recv");
+            life = life.recv();
         }
-        life = step(life, "finish");
+        idle = life.finish();
     }
-    assert!(life.is_terminal());
     Ok(state.into_output(schedule.op, vrank))
 }
 

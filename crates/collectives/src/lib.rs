@@ -53,7 +53,7 @@ pub mod state;
 pub use exec::{run_blocking, run_local, CollTransport, ExecCtx};
 pub use op::{combine_bytes, pack_blocks, unpack_blocks, CollOp, Dtype, ReduceOp};
 pub use plan::{algorithms_for, auto_algorithm, build, Algorithm, PlanError};
-pub use recovery::{step_member, EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
+pub use recovery::{EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
 pub use schedule::{RankPlan, RecvStep, RecvWhat, Round, Schedule, SendStep, SendWhat};
 pub use sim::{coll_track, run_sim, RankFault, SimOptions, SimReport};
 pub use state::{CollOutput, RankState, Reduction};

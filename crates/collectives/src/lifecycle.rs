@@ -4,10 +4,10 @@
 //! round: `post~` on round entry, one `send!` per issued send, `drain~`
 //! when the round turns to completing receives, one `recv?` per
 //! completed receive, and `finish~` back to `Idle`. The machine is
-//! declared with [`protospec::protocol!`], so `xtask analyze`'s
-//! conformance passes (undeclared events, unreachable states,
-//! non-terminal ends) cover the collectives subsystem like every other
-//! protocol in the tree.
+//! declared with [`protospec::protocol!`], so the compiler rejects a
+//! malformed table. The blocking executor walks the typestate tokens;
+//! the others hold one state per rank as data and [`step`] it by event
+//! name against the table.
 
 /// The per-round lifecycle machine, in its own module because
 /// `protocol!` emits one ZST per state name.

@@ -20,10 +20,10 @@
 //! One rank is evicted per epoch, so `k` rank deaths cost exactly `k`
 //! epochs; every decision is a function of simulated events, so the
 //! same seed and fault plan produce a byte-identical [`RecoveryReport`]
-//! and trace. The membership machine below is a real
-//! [`protospec::protocol!`] spec, so `xtask analyze`'s conformance
-//! passes cover the recovery layer like every other protocol in the
-//! tree.
+//! and trace. The membership machine below is a
+//! [`protospec::protocol!`] spec: the executor matches a rank's state
+//! and steps the matched token, so the recovery layer cannot take an
+//! edge the table lacks.
 
 use std::fmt::Write as _;
 
@@ -45,19 +45,6 @@ pub mod membership {
 }
 
 pub use membership::Membership;
-
-/// Step a membership machine, panicking on an illegal edge. Every edge
-/// the recovery layer drives is declared in the spec above, so a
-/// failure here is a recovery-layer bug, not a runtime condition.
-#[expect(
-    clippy::expect_used,
-    reason = "every edge the recovery layer steps is declared in the protocol! spec; an illegal step is a recovery bug"
-)]
-pub fn step_member(state: Membership, event: &str) -> Membership {
-    state
-        .step(event)
-        .expect("membership machine stepped outside its spec")
-}
 
 /// Knobs for the self-healing cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,27 +136,21 @@ mod tests {
 
     #[test]
     fn eviction_walks_the_machine_to_a_terminal_state() {
-        let mut m = Membership::initial();
-        assert_eq!(m, Membership::Active);
-        m = step_member(m, "deadline");
-        assert_eq!(m, Membership::Suspect);
-        m = step_member(m, "evict");
-        assert!(m.is_terminal());
+        let suspect = Membership::start().deadline();
+        assert!(!Membership::from(suspect).is_terminal());
+        assert!(Membership::from(suspect.evict()).is_terminal());
     }
 
     #[test]
     fn a_cleared_suspect_returns_to_active() {
-        let mut m = step_member(Membership::initial(), "deadline");
-        m = step_member(m, "proof");
-        assert_eq!(m, Membership::Recovered);
-        m = step_member(m, "resume");
-        assert_eq!(m, Membership::Active);
-        assert!(m.is_terminal());
+        let active = Membership::start().deadline().proof().resume();
+        assert_eq!(Membership::from(active), Membership::initial());
+        assert!(Membership::from(active).is_terminal());
     }
 
     #[test]
     fn evicting_an_active_rank_is_illegal() {
-        assert!(Membership::Active.step("evict").is_err());
+        assert!(Membership::initial().step("evict").is_err());
     }
 
     #[test]

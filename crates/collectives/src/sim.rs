@@ -31,7 +31,7 @@ use crate::exec::{actual_rank, virtual_rank, ExecCtx};
 use crate::lifecycle::{step, CollRound};
 use crate::op::CollOp;
 use crate::plan::{auto_algorithm, build};
-use crate::recovery::{step_member, EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
+use crate::recovery::{EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
 use crate::schedule::Schedule;
 use crate::state::{CollOutput, RankState};
 
@@ -148,9 +148,8 @@ impl RecoveryRt {
     /// Proof of life for a suspect: step it back to `Active`.
     fn clear_if_suspect(&self, rank: usize) {
         let state = self.member.borrow()[rank];
-        if state == Membership::Suspect {
-            let recovered = step_member(state, "proof");
-            self.member.borrow_mut()[rank] = step_member(recovered, "resume");
+        if let Membership::Suspect(suspect) = state {
+            self.member.borrow_mut()[rank] = suspect.proof().resume().into();
             self.suspects_cleared.set(self.suspects_cleared.get() + 1);
         }
     }
@@ -377,8 +376,8 @@ impl Driver {
         };
         for s in missing {
             let state = rt.member.borrow()[s];
-            if state == Membership::Active {
-                rt.member.borrow_mut()[s] = step_member(state, "deadline");
+            if let Membership::Active(active) = state {
+                rt.member.borrow_mut()[s] = active.deadline().into();
                 if let Some(t) = &self.trace {
                     t.instant(
                         stages::COLL_SUSPECT,
@@ -389,7 +388,7 @@ impl Driver {
                     );
                 }
             }
-            if rt.member.borrow()[s] == Membership::Suspect {
+            if matches!(rt.member.borrow()[s], Membership::Suspect(_)) {
                 let delay = SimDuration::from_micros_f64(rt.policy.backoff_us);
                 let this = Rc::clone(self);
                 eng.schedule_in(delay, move |e| this.check_eviction(e, s));
@@ -406,14 +405,14 @@ impl Driver {
     fn check_eviction(self: &Rc<Self>, eng: &mut MultiEngine, s: usize) {
         let Some(rt) = &self.recovery else { return };
         let state = rt.member.borrow()[s];
-        if state != Membership::Suspect {
+        let Membership::Suspect(suspect) = state else {
             return; // already cleared (or evicted by an earlier verdict)
-        }
+        };
         if self.killed.borrow()[s] {
             if rt.aborted.get() {
                 return; // one eviction per epoch
             }
-            rt.member.borrow_mut()[s] = step_member(state, "evict");
+            rt.member.borrow_mut()[s] = suspect.evict().into();
             rt.evicted.set(Some(s));
             rt.evict_at_us
                 .set(self.base.as_micros_f64() + eng.now().as_micros_f64());

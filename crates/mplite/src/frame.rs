@@ -23,8 +23,8 @@
 //!
 //! The push-based [`FrameDecoder`] steps the `mplite.frame_decoder`
 //! protocol machine (`Magic → Header → Payload → Verified`), declared
-//! with [`protospec::protocol!`] so `xtask analyze`'s conformance passes
-//! check it like every other protocol in the tree. The in-tree fuzzer
+//! with [`protospec::protocol!`] and stepped by matched tokens, so the
+//! decoder cannot take an edge the table lacks. The in-tree fuzzer
 //! ([`crate::fuzz`]) hammers this exact decoder.
 
 use std::fmt;
@@ -555,17 +555,6 @@ impl FrameDecoder {
         self.state
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "every edge driven here is declared in the protocol! table; an illegal step is a decoder bug, not a wire condition"
-    )]
-    fn step(&mut self, event: &str) {
-        self.state = self
-            .state
-            .step(event)
-            .expect("frame decoder stepped outside its spec")
-    }
-
     /// Feed a chunk; returns every frame completed by it. The first
     /// error is final for this decoder.
     // analyze: hot
@@ -574,22 +563,22 @@ impl FrameDecoder {
         let mut out = Vec::new();
         loop {
             match self.state {
-                FrameDecodeState::Magic => {
+                FrameDecodeState::Magic(s) => {
                     if self.buf.len() < 4 {
                         break;
                     }
                     check_prologue(&self.buf[..4])?;
-                    self.step("prologue");
+                    self.state = s.prologue().into();
                 }
-                FrameDecodeState::Header => {
+                FrameDecodeState::Header(s) => {
                     if self.buf.len() < V2_HEADER_LEN {
                         break;
                     }
                     let pf = decode_any_header(&self.buf[..V2_HEADER_LEN], self.max)?;
                     self.pending = Some(pf);
-                    self.step("fields");
+                    self.state = s.fields().into();
                 }
-                FrameDecodeState::Payload => {
+                FrameDecodeState::Payload(s) => {
                     let Some(pf) = self.pending else { break };
                     let need = V2_HEADER_LEN + pf.len as usize;
                     if self.buf.len() < need {
@@ -597,7 +586,6 @@ impl FrameDecoder {
                     }
                     let payload = self.buf[V2_HEADER_LEN..need].to_vec();
                     pf.verify(&payload)?;
-                    self.step("checksum");
                     out.push(Frame {
                         src: pf.src,
                         tag: pf.tag,
@@ -605,11 +593,10 @@ impl FrameDecoder {
                     });
                     self.buf.drain(..need);
                     self.pending = None;
-                    self.step("emit");
+                    self.state = s.checksum().emit().into();
                 }
-                // `checksum` and `emit` are driven back-to-back above,
-                // so the loop never observes `Verified`; rest here.
-                FrameDecodeState::Verified => break,
+                // Never stored: `Payload` steps to a `Magic` token.
+                FrameDecodeState::Verified(_) => break,
             }
         }
         Ok(out)
@@ -618,7 +605,7 @@ impl FrameDecoder {
     /// Signal end-of-stream. Leftover bytes mean the stream died
     /// mid-frame: a typed truncation naming how much was missing.
     pub fn finish(&self) -> Result<(), FrameError> {
-        if self.buf.is_empty() && self.state == FrameDecodeState::Magic {
+        if self.buf.is_empty() && matches!(self.state, FrameDecodeState::Magic(_)) {
             return Ok(());
         }
         let want = match self.pending {
@@ -819,7 +806,7 @@ mod tests {
         );
         assert_eq!(got[1].payload.len(), 0);
         assert_eq!(got[2].payload, vec![7u8; 300]);
-        assert_eq!(dec.state(), FrameDecodeState::Magic);
+        assert!(matches!(dec.state(), FrameDecodeState::Magic(_)));
     }
 
     #[test]
@@ -837,13 +824,5 @@ mod tests {
         let mut dec = FrameDecoder::new(1 << 20);
         let err = dec.feed(b"GARBAGE!").expect_err("bad magic");
         assert!(matches!(err, FrameError::BadMagic { .. }), "{err}");
-    }
-
-    #[test]
-    fn decoder_spec_is_well_formed() {
-        let spec = FrameDecodeState::spec();
-        assert!(spec.check().is_empty(), "{:?}", spec.check());
-        assert_eq!(FrameDecodeState::initial(), FrameDecodeState::Magic);
-        assert!(FrameDecodeState::Verified.is_terminal());
     }
 }

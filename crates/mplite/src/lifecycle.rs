@@ -8,8 +8,8 @@
 //! match engine (every posted and future receive fails fast, the sweep
 //! survives), and finalization — clean or after poison — retires it
 //! for good. [`crate::message::MatchEngine`] holds the live state and
-//! steps it through the match arms that `xtask analyze`'s `protocol-*`
-//! rules check against this table.
+//! steps it by matching the state and taking an edge of the matched
+//! token, so a step off this table does not compile.
 
 protospec::protocol! {
     /// Connection lifecycle: boot → steady, with poison and finalize
@@ -31,28 +31,22 @@ mod tests {
     use super::ConnLifeState;
 
     #[test]
-    fn spec_is_well_formed() {
-        let spec = ConnLifeState::spec();
-        assert!(spec.check().is_empty(), "{:?}", spec.check());
-        assert_eq!(ConnLifeState::initial(), ConnLifeState::Booting);
-        assert!(ConnLifeState::Finalized.is_terminal());
-    }
-
-    #[test]
     fn lifecycle_paths_follow_the_table() {
+        assert!(matches!(
+            ConnLifeState::initial(),
+            ConnLifeState::Booting(_)
+        ));
         // Clean life: boot → steady → finalized.
+        let s = ConnLifeState::start().ready().finalize();
+        assert!(ConnLifeState::from(s).is_terminal());
+        // Peer death: steady → poisoned → finalized.
         let s = ConnLifeState::initial()
             .step("ready")
-            .and_then(|s| s.step("finalize"))
-            .expect("clean path");
-        assert_eq!(s, ConnLifeState::Finalized);
-        // Peer death: steady → poisoned → finalized.
-        let s = ConnLifeState::Steady
-            .step("poison")
+            .and_then(|s| s.step("poison"))
             .and_then(|s| s.step("finalize"))
             .expect("poisoned path");
-        assert_eq!(s, ConnLifeState::Finalized);
+        assert!(matches!(s, ConnLifeState::Finalized(_)));
         // A finalized communicator cannot come back.
-        assert!(ConnLifeState::Finalized.step("ready").is_err());
+        assert!(s.step("ready").is_err());
     }
 }

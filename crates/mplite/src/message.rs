@@ -200,7 +200,10 @@ impl MatchEngine {
         let slot = RecvSlot::new();
         let ready = {
             let mut inner = self.inner.lock();
-            if !matches!(inner.life, ConnLifeState::Booting | ConnLifeState::Steady) {
+            if !matches!(
+                inner.life,
+                ConnLifeState::Booting(_) | ConnLifeState::Steady(_)
+            ) {
                 slot.fail("communicator shut down".into());
                 None
             } else if let Some(i) = inner.unexpected.iter().position(|m| matches(src, tag, m)) {
@@ -236,7 +239,7 @@ impl MatchEngine {
     pub fn ready(&self) {
         let mut inner = self.inner.lock();
         inner.life = match inner.life {
-            ConnLifeState::Booting => ConnLifeState::Steady,
+            ConnLifeState::Booting(s) => s.ready().into(),
             other => other,
         };
     }
@@ -248,10 +251,9 @@ impl MatchEngine {
         let posted: Vec<Arc<RecvSlot>> = {
             let mut inner = self.inner.lock();
             inner.life = match inner.life {
-                ConnLifeState::Booting | ConnLifeState::Steady | ConnLifeState::Poisoned => {
-                    ConnLifeState::Poisoned
-                }
-                ConnLifeState::Finalized => ConnLifeState::Finalized,
+                ConnLifeState::Booting(s) => s.poison().into(),
+                ConnLifeState::Steady(s) => s.poison().into(),
+                other => other,
             };
             inner.posted.drain(..).map(|p| p.slot).collect()
         };
@@ -265,7 +267,12 @@ impl MatchEngine {
     pub fn finalize(&self, why: &str) {
         let posted: Vec<Arc<RecvSlot>> = {
             let mut inner = self.inner.lock();
-            inner.life = ConnLifeState::Finalized;
+            inner.life = match inner.life {
+                ConnLifeState::Booting(s) => s.finalize().into(),
+                ConnLifeState::Steady(s) => s.finalize().into(),
+                ConnLifeState::Poisoned(s) => s.finalize().into(),
+                other => other,
+            };
             inner.posted.drain(..).map(|p| p.slot).collect()
         };
         for slot in posted {

@@ -103,7 +103,7 @@ impl Session {
             // rendezvous.sender) pins the RTS→CTS→data order at compile
             // time; a reordered continuation chain would not build.
             // Request-to-send travels to the receiver...
-            let hs = rendezvous::sender::Idle.rts();
+            let hs = rendezvous::sender::RndvSendState::start().rts();
             protosim::send(
                 eng,
                 data,
@@ -479,7 +479,7 @@ impl Session {
             // (`cts!`), then the payload drains (`data?`).
             let this = self.clone();
             let ctrl = self.profile.ctrl_bytes;
-            let rv = rendezvous::receiver::Idle;
+            let rv = rendezvous::receiver::RndvRecvState::start();
             protosim::send(
                 eng,
                 self.data,

@@ -454,18 +454,19 @@ fn pump(
                 let max_retrans = fl.plan().max_retrans;
                 let mut attempt = 0u32;
                 // Drive the segment through the declared RTO
-                // lifecycle (spec of record: `faultlab.segment`;
-                // `xtask analyze` checks these arms against it).
+                // lifecycle (spec of record: `faultlab.segment`): each
+                // arm steps its matched token, so an off-table step
+                // does not compile.
                 let mut life = SegLifeState::initial();
                 loop {
                     life = match life {
-                        SegLifeState::InFlight => {
+                        SegLifeState::InFlight(flight) => {
                             match fl.segment(t4.as_micros_f64(), frame_us) {
                                 SegFault::Drop => {
                                     if let Some(t) = leg.tracer {
                                         t.instant(stages::FAULT_DROP, ft, t4, seg, job.msg);
                                     }
-                                    SegLifeState::RtoWait
+                                    flight.drop().into()
                                 }
                                 SegFault::Deliver {
                                     extra_us,
@@ -516,11 +517,11 @@ fn pump(
                                             });
                                         }
                                     }
-                                    SegLifeState::Delivered
+                                    flight.deliver().into()
                                 }
                             }
                         }
-                        SegLifeState::RtoWait => {
+                        SegLifeState::RtoWait(wait) => {
                             if attempt >= max_retrans {
                                 // Retransmissions exhausted: the
                                 // connection gives up for good.
@@ -528,7 +529,7 @@ fn pump(
                                 if let Some(t) = leg.tracer {
                                     t.instant(stages::CONN_DEAD, ft, t4, seg, job.msg);
                                 }
-                                SegLifeState::Dead
+                                wait.exhaust().into()
                             } else {
                                 // The lost copy burned its wire slot;
                                 // the sender sits out the RTO, then the
@@ -548,14 +549,14 @@ fn pump(
                                     });
                                 }
                                 t4 = wire.serve(resend, frame);
-                                SegLifeState::InFlight
+                                wait.retransmit().into()
                             }
                         }
                         // Terminal (quiescent) states end the drive.
-                        SegLifeState::Delivered | SegLifeState::Dead => break,
+                        SegLifeState::Delivered(_) | SegLifeState::Dead(_) => break,
                     };
                 }
-                if life == SegLifeState::Dead {
+                if matches!(life, SegLifeState::Dead(_)) {
                     conn_died = true;
                     break 'jobs;
                 }

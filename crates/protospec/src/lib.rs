@@ -1,19 +1,22 @@
-//! Session-typed protocol state machines.
+//! Session-typed protocol state machines, checked where they are
+//! declared.
 //!
 //! The repo's message-passing protocols (eager→rendezvous handshakes,
 //! RTO/retransmit lifecycles, connection boot/steady/poisoned phases)
 //! started life as informal state machines scattered across match arms.
-//! This crate makes them explicit and machine-checkable, twice over:
+//! The [`protocol!`] macro makes each one an explicit table, and its
+//! expansion is the only checker the table needs:
 //!
-//! * **compile time** — the [`protocol!`] macro emits a *typestate* API:
-//!   one zero-sized struct per state whose transition methods consume
-//!   `self` and return the next state's type, so an illegal transition
-//!   is a type error, not a 3 a.m. debugging session;
-//! * **run/analyze time** — the same invocation emits a `const`
-//!   [`ProtocolSpec`] transition table (states, events, send/recv
-//!   direction, terminal states, dual role), queryable at runtime and
-//!   re-parsed from source by `xtask analyze`'s `protocol-*` rules,
-//!   which cross-check the *code* against the declared spec.
+//! * **typestate** — one token struct per state whose edge methods
+//!   consume `self` and return the next state's token, so an off-table
+//!   step is a type error. A token's only field is private: outside the
+//!   declaring module a state value comes only from `start()`/`initial()`,
+//!   from an edge method, or from the table's run-time `step`;
+//! * **const assertions** — one per state (reachable from the initial
+//!   state, with a path to a terminal state), one per terminal (a
+//!   declared state) and, for a role declared `dual` of another, one per
+//!   message edge (the peer takes the opposite side of it). A violation
+//!   fails the build with a message naming the state or event.
 //!
 //! The crate is std-only with zero dependencies, like the rest of the
 //! workspace.
@@ -24,7 +27,7 @@
 //! mod sender {
 //!     protospec::protocol! {
 //!         /// Sender half of the eager→rendezvous handshake.
-//!         pub RndvSendState of rendezvous.sender dual rendezvous.receiver;
+//!         pub RndvSendState of rendezvous.sender dual super::receiver::RndvRecvState;
 //!         states Idle, AwaitCts, Streaming;
 //!         terminal Idle;
 //!         Idle --rts!--> AwaitCts;
@@ -32,25 +35,43 @@
 //!         Streaming --fin!--> Idle;
 //!     }
 //! }
+//! mod receiver {
+//!     protospec::protocol! {
+//!         /// Receiver half: every message the sender sends, it receives.
+//!         pub RndvRecvState of rendezvous.receiver dual super::sender::RndvSendState;
+//!         states Idle, CtsDue, Draining;
+//!         terminal Idle;
+//!         Idle --rts?--> CtsDue;
+//!         CtsDue --cts!--> Draining;
+//!         Draining --fin?--> Idle;
+//!     }
+//! }
 //!
-//! // Typestate: transitions consume `self`; out-of-order calls do not
-//! // compile (`Idle.cts()` is not a method).
-//! let s = sender::Idle;
-//! let s = s.rts();
-//! let _idle = s.cts().fin();
+//! use sender::RndvSendState;
 //!
-//! // Runtime table: same machine, queryable.
-//! let spec = sender::RndvSendState::spec();
-//! assert_eq!(spec.step("Idle", "rts"), Some("AwaitCts"));
-//! assert_eq!(spec.step("Idle", "cts"), None);
-//! assert!(spec.check().is_empty());
+//! # fn main() {
+//! // Typestate: edges consume the token; out-of-order calls do not
+//! // compile (`Idle` has no `cts` method) and neither does a token
+//! // built by hand (`sender::Idle(())`: its field is private).
+//! let _idle: sender::Idle = RndvSendState::start().rts().cts().fin();
+//!
+//! // A state held as data is matched, and a matched token steps on.
+//! let s: RndvSendState = match RndvSendState::initial() {
+//!     RndvSendState::Idle(idle) => idle.rts().into(),
+//!     other => other,
+//! };
+//! assert!(matches!(s, RndvSendState::AwaitCts(_)));
+//!
+//! // Where the event itself is data, the table steps at run time.
+//! assert!(s.step("cts").is_ok());
+//! assert!(s.step("rts").is_err());
+//! # }
 //! ```
 //!
 //! Event names carry a polarity suffix: `!` sends, `?` receives, `~` is
-//! an internal (τ) step. Two role machines declared `dual` of each
-//! other must agree: every message one side sends, the other receives
-//! (checked by [`ProtocolSpec::check_dual`] and, statically, by the
-//! `protocol-duality` analyzer rule).
+//! an internal (τ) step. A machine whose table breaks a rule does not
+//! build; `fixtures/reject/` holds one violation per rule and the CI
+//! gate that proves each still fails at its line.
 
 // Library-code rules (panic hygiene and no printing); see DESIGN.md §9.
 #![deny(
@@ -63,7 +84,6 @@
     clippy::print_stderr
 )]
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Polarity of a protocol event, from the session-types tradition.
@@ -75,17 +95,6 @@ pub enum Dir {
     Recv,
     /// Internal step, invisible to the peer (`event~`).
     Internal,
-}
-
-impl Dir {
-    /// Suffix character used in the spec grammar.
-    pub fn suffix(self) -> char {
-        match self {
-            Dir::Send => '!',
-            Dir::Recv => '?',
-            Dir::Internal => '~',
-        }
-    }
 }
 
 /// One edge of a protocol state machine.
@@ -101,14 +110,12 @@ pub struct Transition {
     pub to: &'static str,
 }
 
-/// A declared protocol role: the runtime-queryable transition table
-/// emitted by [`protocol!`].
+/// A declared protocol role: the transition table emitted by
+/// [`protocol!`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolSpec {
     /// Dotted `namespace.role` name (`"rendezvous.sender"`).
     pub name: &'static str,
-    /// Name of the peer role this machine must be dual to, if any.
-    pub dual: Option<&'static str>,
     /// Declared states; the first is the initial state.
     pub states: &'static [&'static str],
     /// Quiescent states: the machine may legitimately rest here. A
@@ -120,192 +127,9 @@ pub struct ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    /// The initial state (first declared), or `None` for a stateless
-    /// (malformed) spec.
-    pub fn initial(&self) -> Option<&'static str> {
-        self.states.first().copied()
-    }
-
-    /// Is `state` a declared state?
-    pub fn has_state(&self, state: &str) -> bool {
-        self.states.contains(&state)
-    }
-
     /// Is `state` a declared terminal (quiescent) state?
     pub fn is_terminal(&self, state: &str) -> bool {
         self.terminal.contains(&state)
-    }
-
-    /// Destination of `event` out of `from`, or `None` when the spec
-    /// declares no such edge.
-    pub fn step(&self, from: &str, event: &str) -> Option<&'static str> {
-        self.transitions
-            .iter()
-            .find(|t| t.from == from && t.event == event)
-            .map(|t| t.to)
-    }
-
-    /// Every edge leaving `from`.
-    pub fn edges_from<'a>(&'a self, from: &'a str) -> impl Iterator<Item = &'a Transition> {
-        self.transitions.iter().filter(move |t| t.from == from)
-    }
-
-    /// Is there *any* declared edge `from -> to`?
-    pub fn has_edge(&self, from: &str, to: &str) -> bool {
-        self.transitions
-            .iter()
-            .any(|t| t.from == from && t.to == to)
-    }
-
-    /// Event names with the given polarity.
-    pub fn events_with_dir(&self, dir: Dir) -> BTreeSet<&'static str> {
-        self.transitions
-            .iter()
-            .filter(|t| t.dir == dir)
-            .map(|t| t.event)
-            .collect()
-    }
-
-    /// States reachable from the initial state (including it).
-    pub fn reachable(&self) -> BTreeSet<&'static str> {
-        let mut seen = BTreeSet::new();
-        let mut work: Vec<&'static str> = self.initial().into_iter().collect();
-        while let Some(s) = work.pop() {
-            if !seen.insert(s) {
-                continue;
-            }
-            for t in self.transitions.iter().filter(|t| t.from == s) {
-                work.push(t.to);
-            }
-        }
-        seen
-    }
-
-    /// States from which some terminal state can be reached (terminal
-    /// states themselves included). The complement — reachable states
-    /// missing from this set — are live-lock traps.
-    pub fn can_finish(&self) -> BTreeSet<&'static str> {
-        // Reverse reachability from the terminal set.
-        let mut seen: BTreeSet<&'static str> = BTreeSet::new();
-        let mut work: Vec<&'static str> = self.terminal.to_vec();
-        while let Some(s) = work.pop() {
-            if !seen.insert(s) {
-                continue;
-            }
-            for t in self.transitions.iter().filter(|t| t.to == s) {
-                work.push(t.from);
-            }
-        }
-        seen
-    }
-
-    /// Internal consistency of one role's table. Returns one message
-    /// per problem; an empty vector means the spec is well-formed.
-    pub fn check(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if self.states.is_empty() {
-            out.push(format!("{}: declares no states", self.name));
-            return out;
-        }
-        for t in self.transitions {
-            for endpoint in [t.from, t.to] {
-                if !self.has_state(endpoint) {
-                    out.push(format!(
-                        "{}: transition {} --{}{}--> {} references undeclared state {endpoint}",
-                        self.name,
-                        t.from,
-                        t.event,
-                        t.dir.suffix(),
-                        t.to
-                    ));
-                }
-            }
-        }
-        for s in self.terminal {
-            if !self.has_state(s) {
-                out.push(format!("{}: terminal state {s} is undeclared", self.name));
-            }
-        }
-        let mut seen_edges = BTreeSet::new();
-        for t in self.transitions {
-            if !seen_edges.insert((t.from, t.event)) {
-                out.push(format!(
-                    "{}: duplicate transition on ({}, {})",
-                    self.name, t.from, t.event
-                ));
-            }
-        }
-        let reachable = self.reachable();
-        for s in self.states {
-            if !reachable.contains(s) {
-                out.push(format!(
-                    "{}: state {s} is unreachable from initial state {}",
-                    self.name,
-                    self.initial().unwrap_or("?")
-                ));
-            }
-        }
-        if self.terminal.is_empty() {
-            out.push(format!(
-                "{}: declares no terminal state; the machine can never rest",
-                self.name
-            ));
-        } else {
-            let finish = self.can_finish();
-            for s in &reachable {
-                if !finish.contains(s) {
-                    out.push(format!(
-                        "{}: no terminal state is reachable from {s}",
-                        self.name
-                    ));
-                }
-            }
-        }
-        out
-    }
-
-    /// Message-set duality against a peer role: every message this role
-    /// sends, the peer must receive, and vice versa. Internal events
-    /// are invisible and exempt.
-    pub fn check_dual(&self, peer: &ProtocolSpec) -> Vec<String> {
-        let mut out = Vec::new();
-        for (mine, theirs, what) in [
-            (Dir::Send, Dir::Recv, "send"),
-            (Dir::Recv, Dir::Send, "recv"),
-        ] {
-            let ours = self.events_with_dir(mine);
-            let peers = peer.events_with_dir(theirs);
-            for ev in ours.difference(&peers) {
-                out.push(format!(
-                    "{}: {what} of {ev} has no matching {} in dual {}",
-                    self.name,
-                    match theirs {
-                        Dir::Send => "send",
-                        _ => "recv",
-                    },
-                    peer.name
-                ));
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for ProtocolSpec {
-    /// Render the table back in the spec grammar (one edge per line).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "protocol {}", self.name)?;
-        for t in self.transitions {
-            writeln!(
-                f,
-                "  {} --{}{}--> {}",
-                t.from,
-                t.event,
-                t.dir.suffix(),
-                t.to
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -316,7 +140,7 @@ pub struct IllegalTransition {
     /// Protocol the step was attempted on.
     pub protocol: &'static str,
     /// State the machine was in.
-    pub from: String,
+    pub from: &'static str,
     /// Event that had no declared edge.
     pub event: String,
 }
@@ -333,59 +157,101 @@ impl fmt::Display for IllegalTransition {
 
 impl std::error::Error for IllegalTransition {}
 
-/// A set of registered specs, so callers (tests, doctors, debug
-/// tooling) can cross-check every declared machine in one sweep.
-#[derive(Debug, Default)]
-pub struct Registry {
-    specs: Vec<&'static ProtocolSpec>,
+// ------------------------------------------------------------ checker
+//
+// Run by `protocol!`'s const assertions at compile time. A state set is
+// a bitmask over `spec.states` (bit `i` is the `i`-th declared state),
+// so a machine has at most 128 states; a larger one overflows the shift
+// and fails the build.
+
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
-impl Registry {
-    /// Empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Register a spec. Duplicate names are rejected — two machines
-    /// claiming the same `namespace.role` would make duality lookups
-    /// ambiguous.
-    pub fn register(&mut self, spec: &'static ProtocolSpec) -> Result<(), String> {
-        if self.get(spec.name).is_some() {
-            return Err(format!("duplicate protocol spec {}", spec.name));
+/// The bit of state `name`, or 0 when it is not declared.
+const fn bit(spec: &ProtocolSpec, name: &str) -> u128 {
+    let mut i = 0;
+    while i < spec.states.len() {
+        if str_eq(spec.states[i], name) {
+            return 1 << i;
         }
-        self.specs.push(spec);
-        Ok(())
+        i += 1;
     }
+    0
+}
 
-    /// Look a spec up by dotted name.
-    pub fn get(&self, name: &str) -> Option<&'static ProtocolSpec> {
-        self.specs.iter().copied().find(|s| s.name == name)
-    }
-
-    /// All registered specs, in registration order.
-    pub fn specs(&self) -> &[&'static ProtocolSpec] {
-        &self.specs
-    }
-
-    /// Run [`ProtocolSpec::check`] on every spec and
-    /// [`ProtocolSpec::check_dual`] on every declared pairing. A
-    /// declared dual that is not registered is itself a finding.
-    pub fn check_all(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for spec in &self.specs {
-            out.extend(spec.check());
-            if let Some(dual) = spec.dual {
-                match self.get(dual) {
-                    Some(peer) => out.extend(spec.check_dual(peer)),
-                    None => out.push(format!(
-                        "{}: declared dual {dual} is not registered",
-                        spec.name
-                    )),
-                }
+/// Closes `set` under the table's edges, followed forwards (`from` →
+/// `to`) or backwards.
+const fn closure(spec: &ProtocolSpec, mut set: u128, forwards: bool) -> u128 {
+    loop {
+        let mut next = set;
+        let mut i = 0;
+        while i < spec.transitions.len() {
+            let t = &spec.transitions[i];
+            let (a, b) = if forwards {
+                (t.from, t.to)
+            } else {
+                (t.to, t.from)
+            };
+            if set & bit(spec, a) != 0 {
+                next |= bit(spec, b);
             }
+            i += 1;
         }
-        out
+        if next == set {
+            return set;
+        }
+        set = next;
     }
+}
+
+/// Is `state` a declared state?
+#[doc(hidden)]
+pub const fn declares(spec: &ProtocolSpec, state: &str) -> bool {
+    bit(spec, state) != 0
+}
+
+/// Is `state` reachable from the initial (first declared) state?
+#[doc(hidden)]
+pub const fn reachable(spec: &ProtocolSpec, state: &str) -> bool {
+    closure(spec, 1, true) & bit(spec, state) != 0
+}
+
+/// Is some terminal state reachable from `state` (itself included)?
+#[doc(hidden)]
+pub const fn can_finish(spec: &ProtocolSpec, state: &str) -> bool {
+    let mut terminal = 0;
+    let mut i = 0;
+    while i < spec.terminal.len() {
+        terminal |= bit(spec, spec.terminal[i]);
+        i += 1;
+    }
+    closure(spec, terminal, false) & bit(spec, state) != 0
+}
+
+/// Does the table take `event` with polarity `dir` on some edge?
+#[doc(hidden)]
+pub const fn has_event(spec: &ProtocolSpec, event: &str, dir: Dir) -> bool {
+    let mut i = 0;
+    while i < spec.transitions.len() {
+        let t = &spec.transitions[i];
+        if str_eq(t.event, event) && t.dir as u8 == dir as u8 {
+            return true;
+        }
+        i += 1;
+    }
+    false
 }
 
 /// Maps an event's polarity suffix token to a [`Dir`] value; used by
@@ -404,25 +270,40 @@ macro_rules! __dir {
     };
 }
 
-/// Renders an optional `dual namespace.role` clause; used by
-/// [`protocol!`] expansions, not user code.
+/// The duality assertions of one role: every message it sends, the
+/// dual receives, and every message it receives, the dual sends. Used
+/// by [`protocol!`] expansions, not user code.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __opt_dual {
-    () => {
-        None
+macro_rules! __dual {
+    ($name:ident [] $($edge:tt)*) => {};
+    ($name:ident [$dual:path] $($ev:ident $dir:tt)+) => {
+        $( $crate::__dual!(@edge $name $dual, $ev $dir); )+
     };
-    ($ns:ident . $role:ident) => {
-        Some(concat!(stringify!($ns), ".", stringify!($role)))
+    (@edge $name:ident $dual:path, $ev:ident !) => {
+        const _: () = assert!(
+            $crate::has_event(&<$dual>::SPEC, stringify!($ev), $crate::Dir::Recv),
+            concat!("protocol `", stringify!($name), "` sends `", stringify!($ev),
+                    "` but the dual never receives it")
+        );
     };
+    (@edge $name:ident $dual:path, $ev:ident ?) => {
+        const _: () = assert!(
+            $crate::has_event(&<$dual>::SPEC, stringify!($ev), $crate::Dir::Send),
+            concat!("protocol `", stringify!($name), "` receives `", stringify!($ev),
+                    "` but the dual never sends it")
+        );
+    };
+    (@edge $name:ident $dual:path, $ev:ident ~) => {};
 }
 
-/// Declare one protocol role: typestate API + runtime table.
+/// Declare one protocol role: typestate API, run-time table and the
+/// compile-time checks of both.
 ///
 /// ```text
 /// protocol! {
 ///     /// docs…
-///     pub <EnumName> of <namespace>.<role> [dual <namespace>.<role>];
+///     pub <EnumName> of <namespace>.<role> [dual <path to the peer's enum>];
 ///     states S1, S2, …;      // first state is initial
 ///     terminal T1, …;        // quiescent states
 ///     S1 --event!--> S2;     // ! send, ? recv, ~ internal
@@ -432,21 +313,41 @@ macro_rules! __opt_dual {
 ///
 /// Emits, in the enclosing module (one invocation per module):
 ///
-/// * `enum <EnumName> { S1, S2, … }` — the runtime state enum, with
-///   `SPEC`/`spec()`, `initial()`, `is_terminal()`, `name_str()`,
-///   `from_name()` and a spec-checked `step(event)`;
-/// * one zero-sized `struct S;` per state, whose transition methods
-///   consume `self` and return the next state's type;
-/// * `impl From<S> for <EnumName>` for each state, so a typestate value
-///   can be stored/traced as the runtime enum.
+/// * one token struct per state, `pub struct S(());` — `Copy`, and
+///   buildable only in this module — whose edge methods consume `self`
+///   and return the next state's token;
+/// * `enum <EnumName> { S1(S1), S2(S2), … }`, the state held as data,
+///   with `SPEC`, `start()` (the initial token), `initial()`,
+///   `is_terminal()`, `name_str()` and a run-time `step(event)` for
+///   where the event itself is data; `From<S>` for each token;
+/// * const assertions that fail the build when a state is unreachable
+///   from the initial state or has no path to a terminal state, a
+///   terminal is not a declared state, or a message edge has no
+///   opposite in the `dual`.
 ///
-/// The `xtask analyze` protocol pass re-parses this exact grammar from
-/// source, so the declaration *is* the specification of record.
+/// rustc itself rejects the rest: an edge endpoint that is not a state
+/// (unknown type), a second edge on the same `(from, event)` (duplicate
+/// method) and a `dual` path that resolves to nothing.
 #[macro_export]
 macro_rules! protocol {
     (
         $(#[$meta:meta])*
-        $vis:vis $name:ident of $pns:ident . $prole:ident $(dual $dns:ident . $drole:ident)? ;
+        $vis:vis $name:ident of $pns:ident . $prole:ident $(dual $dual:path)? ;
+        states $init:ident $(, $st:ident)* ;
+        $($body:tt)+
+    ) => {
+        $crate::protocol! {
+            @initial $init;
+            $(#[$meta])*
+            $vis $name of $pns . $prole [$($dual)?];
+            states $init $(, $st)*;
+            $($body)+
+        }
+    };
+    (
+        @initial $init:ident;
+        $(#[$meta:meta])*
+        $vis:vis $name:ident of $pns:ident . $prole:ident [$($dual:path)?] ;
         states $($st:ident),+ ;
         terminal $($term:ident),+ ;
         $( $from:ident - - $ev:ident $dir:tt - -> $to:ident ; )+
@@ -456,7 +357,7 @@ macro_rules! protocol {
         $vis enum $name {
             $(
                 #[doc = concat!("Spec state `", stringify!($st), "`.")]
-                $st,
+                $st($st),
             )+
         }
 
@@ -471,7 +372,6 @@ macro_rules! protocol {
             /// The declared transition table.
             $vis const SPEC: $crate::ProtocolSpec = $crate::ProtocolSpec {
                 name: concat!(stringify!($pns), ".", stringify!($prole)),
-                dual: $crate::__opt_dual!($($dns . $drole)?),
                 states: &[$(stringify!($st)),+],
                 terminal: &[$(stringify!($term)),+],
                 transitions: &[$(
@@ -484,29 +384,20 @@ macro_rules! protocol {
                 ),+],
             };
 
-            /// The declared transition table.
-            $vis fn spec() -> &'static $crate::ProtocolSpec {
-                &Self::SPEC
+            /// The initial state's token: where a typestate chain begins.
+            $vis const fn start() -> $init {
+                $init(())
             }
 
             /// The initial state (first declared).
-            $vis fn initial() -> Self {
-                const FIRST: &[$name] = &[$($name::$st),+];
-                FIRST[0]
+            $vis const fn initial() -> Self {
+                $name::$init($init(()))
             }
 
             /// Spec-level state name.
             $vis fn name_str(self) -> &'static str {
                 match self {
-                    $($name::$st => stringify!($st)),+
-                }
-            }
-
-            /// Parse a spec-level state name.
-            $vis fn from_name(name: &str) -> Option<Self> {
-                match name {
-                    $(stringify!($st) => Some($name::$st),)+
-                    _ => None,
+                    $($name::$st(_) => stringify!($st)),+
                 }
             }
 
@@ -515,15 +406,15 @@ macro_rules! protocol {
                 Self::SPEC.is_terminal(self.name_str())
             }
 
-            /// Take `event` against the spec table. Unlike the
-            /// typestate API this is checked at run time — use it where
-            /// the current state is data (e.g. one slot per peer).
+            /// Take `event` against the table. Unlike the typestate API
+            /// this is checked at run time — use it where the event is
+            /// data too, not just the state.
             $vis fn step(self, event: &str) -> Result<Self, $crate::IllegalTransition> {
-                match Self::SPEC.step(self.name_str(), event).and_then(Self::from_name) {
-                    Some(next) => Ok(next),
-                    None => Err($crate::IllegalTransition {
+                match (self, event) {
+                    $( ($name::$from(_), stringify!($ev)) => Ok($name::$to($to(()))), )+
+                    _ => Err($crate::IllegalTransition {
                         protocol: Self::SPEC.name,
-                        from: self.name_str().to_string(),
+                        from: self.name_str(),
                         event: event.to_string(),
                     }),
                 }
@@ -531,16 +422,39 @@ macro_rules! protocol {
         }
 
         $(
-            #[doc = concat!("Typestate for spec state `", stringify!($st), "`.")]
-            #[derive(Debug, PartialEq, Eq)]
-            $vis struct $st;
+            #[doc = concat!("Token for spec state `", stringify!($st), "`.")]
+            #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+            $vis struct $st(());
 
             impl From<$st> for $name {
-                fn from(_: $st) -> $name {
-                    $name::$st
+                fn from(s: $st) -> $name {
+                    $name::$st(s)
                 }
             }
+
+            const _: () = {
+                assert!(
+                    $crate::reachable(&<$name>::SPEC, stringify!($st)),
+                    concat!("protocol `", stringify!($name), "`: state `", stringify!($st),
+                            "` is unreachable from the initial state")
+                );
+                assert!(
+                    $crate::can_finish(&<$name>::SPEC, stringify!($st)),
+                    concat!("protocol `", stringify!($name), "`: state `", stringify!($st),
+                            "` has no path to a terminal state")
+                );
+            };
         )+
+
+        $(
+            const _: () = assert!(
+                $crate::declares(&<$name>::SPEC, stringify!($term)),
+                concat!("protocol `", stringify!($name), "`: terminal `", stringify!($term),
+                        "` is not a declared state")
+            );
+        )+
+
+        $crate::__dual!($name [$($dual)?] $($ev $dir)+);
 
         $(
             #[allow(
@@ -552,8 +466,8 @@ macro_rules! protocol {
                     "Transition `", stringify!($from), " --", stringify!($ev),
                     "--> ", stringify!($to), "`."
                 )]
-                $vis fn $ev(self) -> $to {
-                    $to
+                $vis const fn $ev(self) -> $to {
+                    $to(())
                 }
             }
         )+
@@ -567,7 +481,7 @@ mod tests {
     mod sender {
         crate::protocol! {
             /// Sender half of a toy rendezvous.
-            pub RndvSendState of rendezvous.sender dual rendezvous.receiver;
+            pub RndvSendState of rendezvous.sender dual super::receiver::RndvRecvState;
             states Idle, AwaitCts, Streaming;
             terminal Idle;
             Idle --rts!--> AwaitCts;
@@ -579,7 +493,7 @@ mod tests {
     mod receiver {
         crate::protocol! {
             /// Receiver half of a toy rendezvous.
-            pub RndvRecvState of rendezvous.receiver dual rendezvous.sender;
+            pub RndvRecvState of rendezvous.receiver dual super::sender::RndvSendState;
             states Idle, CtsSent;
             terminal Idle;
             Idle --rts?--> CtsSent;
@@ -588,17 +502,27 @@ mod tests {
         }
     }
 
+    const fn edge(from: &'static str, event: &'static str, to: &'static str) -> Transition {
+        Transition {
+            from,
+            event,
+            dir: Dir::Internal,
+            to,
+        }
+    }
+
     #[test]
     fn typestate_transitions_compose() {
-        let s = sender::Idle;
-        let s = s.rts().cts().fin();
-        assert_eq!(sender::RndvSendState::from(s), sender::RndvSendState::Idle);
+        let s = sender::RndvSendState::start().rts().cts().fin();
+        assert_eq!(
+            sender::RndvSendState::from(s),
+            sender::RndvSendState::initial()
+        );
         // The dual role steps through the mirror-image chain.
-        let r = receiver::Idle;
-        let r = r.rts().cts().fin();
+        let r = receiver::RndvRecvState::start().rts().cts().fin();
         assert_eq!(
             receiver::RndvRecvState::from(r),
-            receiver::RndvRecvState::Idle
+            receiver::RndvRecvState::initial()
         );
     }
 
@@ -606,10 +530,10 @@ mod tests {
     fn runtime_step_follows_the_table() {
         use sender::RndvSendState as S;
         let s = S::initial();
-        assert_eq!(s, S::Idle);
+        assert!(matches!(s, S::Idle(_)));
         assert!(s.is_terminal());
         let s = s.step("rts").expect("declared edge");
-        assert_eq!(s, S::AwaitCts);
+        assert!(matches!(s, S::AwaitCts(_)));
         assert!(!s.is_terminal());
         let err = s.step("rts").expect_err("undeclared edge");
         assert_eq!(err.protocol, "rendezvous.sender");
@@ -618,30 +542,19 @@ mod tests {
     }
 
     #[test]
-    fn spec_table_is_queryable() {
-        let spec = sender::RndvSendState::spec();
+    fn declared_machines_pass_the_checker() {
+        let spec = &sender::RndvSendState::SPEC;
         assert_eq!(spec.name, "rendezvous.sender");
-        assert_eq!(spec.dual, Some("rendezvous.receiver"));
-        assert_eq!(spec.initial(), Some("Idle"));
-        assert_eq!(spec.step("Idle", "rts"), Some("AwaitCts"));
-        assert_eq!(spec.step("Idle", "cts"), None);
-        assert!(spec.has_edge("Streaming", "Idle"));
-        assert!(spec.check().is_empty(), "{:?}", spec.check());
-    }
-
-    #[test]
-    fn duality_holds_for_the_toy_pair() {
-        let s = sender::RndvSendState::spec();
-        let r = receiver::RndvRecvState::spec();
-        assert!(s.check_dual(r).is_empty(), "{:?}", s.check_dual(r));
-        assert!(r.check_dual(s).is_empty(), "{:?}", r.check_dual(s));
+        for state in spec.states {
+            assert!(reachable(spec, state) && can_finish(spec, state), "{state}");
+        }
+        assert!(has_event(&receiver::RndvRecvState::SPEC, "rts", Dir::Recv));
     }
 
     #[test]
     fn duality_violation_is_reported() {
         static LONELY: ProtocolSpec = ProtocolSpec {
             name: "toy.sender",
-            dual: Some("toy.receiver"),
             states: &["A", "B"],
             terminal: &["A"],
             transitions: &[Transition {
@@ -653,7 +566,6 @@ mod tests {
         };
         static PEER: ProtocolSpec = ProtocolSpec {
             name: "toy.receiver",
-            dual: Some("toy.sender"),
             states: &["A"],
             terminal: &["A"],
             transitions: &[Transition {
@@ -663,90 +575,46 @@ mod tests {
                 to: "A",
             }],
         };
-        let issues = LONELY.check_dual(&PEER);
-        assert_eq!(issues.len(), 1, "{issues:?}");
-        assert!(issues[0].contains("send of extra has no matching recv"));
+        // LONELY sends `extra` but the dual never receives it …
+        assert!(!has_event(&PEER, "extra", Dir::Recv));
+        // … and PEER receives `other` but the dual never sends it.
+        assert!(!has_event(&LONELY, "other", Dir::Send));
+        // Polarity counts: a receive does not answer a receive.
+        assert!(has_event(&PEER, "other", Dir::Recv));
+        assert!(!has_event(&PEER, "other", Dir::Send));
     }
 
     #[test]
     fn check_flags_malformed_specs() {
         static BAD: ProtocolSpec = ProtocolSpec {
             name: "bad.role",
-            dual: None,
             states: &["A", "B", "C"],
-            terminal: &[],
-            transitions: &[
-                Transition {
-                    from: "A",
-                    event: "go",
-                    dir: Dir::Internal,
-                    to: "Ghost",
-                },
-                Transition {
-                    from: "A",
-                    event: "go",
-                    dir: Dir::Internal,
-                    to: "B",
-                },
-            ],
+            terminal: &["B", "Ghost"],
+            transitions: &[edge("A", "go", "B")],
         };
-        let issues = BAD.check();
-        let text = issues.join("\n");
-        assert!(text.contains("undeclared state Ghost"), "{text}");
-        assert!(text.contains("duplicate transition"), "{text}");
-        assert!(text.contains("state C is unreachable"), "{text}");
-        assert!(text.contains("no terminal state"), "{text}");
+        // Terminal `Ghost` is not a declared state.
+        assert!(!declares(&BAD, "Ghost"));
+        assert!(declares(&BAD, "B"));
+        // State `C` is unreachable from the initial state.
+        assert!(!reachable(&BAD, "C"));
+        assert!(reachable(&BAD, "A") && reachable(&BAD, "B"));
     }
 
     #[test]
     fn check_flags_states_that_cannot_finish() {
         static TRAP: ProtocolSpec = ProtocolSpec {
             name: "trap.role",
-            dual: None,
             states: &["Start", "Done", "Pit"],
             terminal: &["Done"],
             transitions: &[
-                Transition {
-                    from: "Start",
-                    event: "ok",
-                    dir: Dir::Internal,
-                    to: "Done",
-                },
-                Transition {
-                    from: "Start",
-                    event: "oops",
-                    dir: Dir::Internal,
-                    to: "Pit",
-                },
-                Transition {
-                    from: "Pit",
-                    event: "spin",
-                    dir: Dir::Internal,
-                    to: "Pit",
-                },
+                edge("Start", "ok", "Done"),
+                edge("Start", "oops", "Pit"),
+                edge("Pit", "spin", "Pit"),
             ],
         };
-        let issues = TRAP.check();
-        assert_eq!(issues.len(), 1, "{issues:?}");
-        assert!(issues[0].contains("no terminal state is reachable from Pit"));
-    }
-
-    #[test]
-    fn registry_cross_checks_pairs() {
-        let mut reg = Registry::new();
-        reg.register(sender::RndvSendState::spec())
-            .expect("first registration");
-        assert!(
-            reg.register(sender::RndvSendState::spec()).is_err(),
-            "duplicate name must be rejected"
-        );
-        // Dual declared but missing from the registry.
-        let issues = reg.check_all();
-        assert_eq!(issues.len(), 1, "{issues:?}");
-        assert!(issues[0].contains("dual rendezvous.receiver is not registered"));
-
-        reg.register(receiver::RndvRecvState::spec())
-            .expect("second registration");
-        assert!(reg.check_all().is_empty(), "{:?}", reg.check_all());
+        // State `Pit` has no path to a terminal state; the rest do.
+        assert!(!can_finish(&TRAP, "Pit"));
+        assert!(can_finish(&TRAP, "Start") && can_finish(&TRAP, "Done"));
+        assert!(reachable(&TRAP, "Pit"));
     }
 }

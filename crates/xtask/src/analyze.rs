@@ -1,8 +1,8 @@
 //! The workspace analyze pass: the rules clippy cannot check (blocking
 //! hygiene, units hygiene, nondeterminism dataflow), the manifest check,
-//! and the cross-file passes (lock-order, protocol conformance, hot-path
-//! cost, guarded-field consistency) under one annotation grammar and one
-//! burn-down budget, with a machine-readable JSON report for CI.
+//! and the cross-file passes (lock-order, hot-path cost, guarded-field
+//! consistency) under one annotation grammar and one burn-down budget,
+//! with a machine-readable JSON report for CI.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -15,7 +15,6 @@ use crate::hotpath::hotpath_findings;
 use crate::locks::lock_findings;
 use crate::model::WorkspaceModel;
 use crate::nondet::nondet_findings;
-use crate::protocol::{protocol_findings, protocol_inventory};
 use crate::races::race_findings;
 use crate::rules::{blocking_findings, resolve, RawFinding, RULES};
 use crate::units::units_findings;
@@ -33,9 +32,6 @@ pub struct AnalyzeOutcome {
     pub files_checked: usize,
     /// Live un-annotated counts per (crate, rule) for budgeted rules.
     pub budget_counts: BTreeMap<(String, String), usize>,
-    /// Every `protocol!` machine the conformance pass checked, as
-    /// sorted `namespace.role` names.
-    pub protocols: Vec<String>,
 }
 
 impl AnalyzeOutcome {
@@ -136,7 +132,6 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeOutcome, String> {
 fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic)>) {
     let mut out = AnalyzeOutcome {
         files_checked: w.files.len(),
-        protocols: protocol_inventory(w),
         ..AnalyzeOutcome::default()
     };
     let mut budgeted: Vec<(String, Diagnostic)> = Vec::new();
@@ -147,7 +142,6 @@ fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic
     let mut per_file: Vec<Vec<RawFinding>> = w.files.iter().map(|_| Vec::new()).collect();
     let cross_file = lock_findings(w, &flow)
         .into_iter()
-        .chain(protocol_findings(w))
         .chain(hotpath_findings(w, &flow))
         .chain(race_findings(w, &flow));
     for (fi, finding) in cross_file {
@@ -209,16 +203,6 @@ pub fn render_report(outcome: &AnalyzeOutcome) -> String {
             s.push_str(", ");
         }
         s.push_str(&json_str(r));
-    }
-    s.push_str("],\n");
-    // The machines the protocol pass actually parsed and checked, so
-    // CI can assert a specific machine is still under conformance.
-    s.push_str("  \"protocols\": [");
-    for (i, p) in outcome.protocols.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&json_str(p));
     }
     s.push_str("],\n");
     s.push_str("  \"diagnostics\": [");

@@ -9,7 +9,7 @@ pub struct FileCtx {
     pub crate_name: String,
     /// Library code (`src/**` outside `src/bin` and `src/main.rs`), the
     /// scope of every per-file and body rule? Binaries, tests, benches
-    /// and examples still carry annotations and `protocol!` machines.
+    /// and examples are still walked for their annotations.
     pub lib: bool,
 }
 

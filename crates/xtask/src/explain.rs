@@ -100,53 +100,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Integer reductions (`.sum::<u64>()`) and order-insensitive folds\n\
              (f64::max / f64::min) are exempt."
         }
-        "protocol-transition" => {
-            "protocol-transition (cross-file)\n\
-             scope: library code, workspace-wide\n\n\
-             A match arm over a protocol's runtime enum (declared via\n\
-             protospec::protocol!) names a next state the spec does not\n\
-             connect to the matched state. Every Enum::Variant mention in the\n\
-             arm body counts as a potential step; == / != comparisons and\n\
-             X => X self-steps are exempt. Either add the transition to the\n\
-             protocol! table — making the new behavior part of the reviewed\n\
-             spec — or fix the arm."
-        }
-        "protocol-undeclared" => {
-            "protocol-undeclared (cross-file)\n\
-             scope: library code, workspace-wide\n\n\
-             A state name that does not exist in the protocol! table: a\n\
-             transition endpoint or terminal in the spec itself, or an\n\
-             Enum::Variant reference in code naming no declared state. Only\n\
-             CamelCase segments are checked, so associated items (SPEC,\n\
-             initial(), step()) never match."
-        }
-        "protocol-unreachable" => {
-            "protocol-unreachable (spec-level)\n\
-             scope: every protocol! invocation\n\n\
-             A declared state with no transition path from the initial state\n\
-             (the first declared state) is dead weight: the typestate API can\n\
-             name it, but no run can ever enter it. Delete the state or add\n\
-             the missing transitions."
-        }
-        "protocol-terminal" => {
-            "protocol-terminal (spec-level)\n\
-             scope: every protocol! invocation\n\n\
-             Terminal states are where a machine may rest (quiescence —\n\
-             outgoing transitions are allowed, e.g. a rendezvous sender's\n\
-             Idle). Flagged: a spec with no valid terminal state, and any\n\
-             reachable state with no path to one — a live-lock trap where the\n\
-             machine can still move but can never finish."
-        }
-        "protocol-duality" => {
-            "protocol-duality (cross-file)\n\
-             scope: every protocol! invocation declaring a dual\n\n\
-             Dual roles must mirror message sets exactly: every event one\n\
-             side sends (ev!) the other receives (ev?) and vice versa;\n\
-             internal events (ev~) are private and not compared. Also flags\n\
-             a declared dual spec that is not defined anywhere in the\n\
-             workspace. The two roles may live in different files or crates\n\
-             — the check is cross-file."
-        }
         "hot-cost" => {
             "hot-cost (cross-file; budgeted)\n\
              scope: library code, workspace-wide (markers seeded in the sim\n\
@@ -205,11 +158,6 @@ pub fn summary(rule: &str) -> &'static str {
         "nondet-wall-clock" => "wall-clock read outside the real-mode clock owners",
         "nondet-hash-iter" => "HashMap/HashSet iteration leaks SipHash order into results",
         "nondet-float-reduction" => "order-sensitive f64 sum/fold; use OnlineStats",
-        "protocol-transition" => "match arm steps a protocol enum off its declared table",
-        "protocol-undeclared" => "state name not declared in the protocol! table",
-        "protocol-unreachable" => "declared state unreachable from the initial state",
-        "protocol-terminal" => "no terminal state, or a reachable state that can never finish",
-        "protocol-duality" => "dual protocols' send/receive message sets do not mirror",
         "hot-cost" => "allocation/lock/blocking site reachable from a hot entry (budgeted)",
         "race-guarded-field" => "field accessed both under a guard and bare on threaded paths",
         "marker-hygiene" => "`analyze: hot` marker attached to no library function",

@@ -13,12 +13,15 @@
 //!
 //! * `blocking-hygiene` (deadline-free socket calls in real-mode code),
 //!   units hygiene, and nondeterminism dataflow;
-//! * protocol conformance (declared `protospec::protocol!` tables vs.
-//!   the match arms that step them), and — over one shared body walk
-//!   and call graph ([`flow`]) — lock-order deadlock detection
-//!   ([`locks`]), hot-path cost analysis ([`hotpath`], marker-declared
-//!   hot entries with interprocedural allocation/lock/blocking
-//!   inventories), and guarded-field consistency ([`races`]).
+//! * over one shared body walk and call graph ([`flow`]): lock-order
+//!   deadlock detection ([`locks`]), hot-path cost analysis
+//!   ([`hotpath`], marker-declared hot entries with interprocedural
+//!   allocation/lock/blocking inventories), and guarded-field
+//!   consistency ([`races`]).
+//!
+//! Protocol conformance is not here: a `protospec::protocol!` table is
+//! checked by its own expansion, so rustc rejects a malformed machine
+//! or an off-table step.
 //!
 //! Every finding flows through one annotation grammar and one budget
 //! ([`rules::resolve`]). The command can emit a JSON report
@@ -46,7 +49,6 @@ pub mod lex;
 pub mod locks;
 pub mod model;
 pub mod nondet;
-pub mod protocol;
 pub mod races;
 pub mod rules;
 pub mod units;

@@ -12,8 +12,8 @@ usage: cargo run -p xtask -- analyze [options]
   analyze         the static analysis clippy cannot do: blocking
                   hygiene, units hygiene, nondeterminism dataflow,
                   manifest lints tables, and the cross-file passes
-                  (lock order, protocol conformance, hot-path cost,
-                  guarded-field consistency)
+                  (lock order, hot-path cost, guarded-field
+                  consistency)
     --root <dir>      analyze a different tree (default: this workspace)
     --report <file>   also write a machine-readable JSON report
     --write-budget    rewrite lint-budget.toml to match live counts

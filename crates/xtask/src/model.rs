@@ -35,8 +35,6 @@ pub struct FileModel {
     pub toks: Vec<Tok>,
     /// Comment text per line (index = line − 1).
     pub line_comment: Vec<String>,
-    /// Brace depth at the start of each line.
-    pub line_depth: Vec<u32>,
     /// Per-line: inside a `#[cfg(test)]`-gated region?
     pub test_mask: Vec<bool>,
     /// Parsed annotations.
@@ -53,7 +51,6 @@ impl FileModel {
             rel: rel.to_string(),
             toks: lx.toks,
             line_comment: lx.line_comment,
-            line_depth: lx.line_depth,
             test_mask,
             allows,
         }

@@ -5,7 +5,7 @@
 //! panic hygiene, print, dbg) live in `clippy.toml` and in each crate
 //! root's `#![deny(..)]` (DESIGN.md §9). `analyze` keeps what needs its
 //! cross-file model or has no clippy equivalent: every other pass
-//! (`units`, `nondet`, `locks`, `protocol`, `hotpath`, `races`) adds its
+//! (`units`, `nondet`, `locks`, `hotpath`, `races`) adds its
 //! rules on top, and all findings flow through the same [`resolve`]
 //! engine, so the `// lint:allow(<rule>) -- <reason>` annotation grammar
 //! covers every rule uniformly. Annotations without a reason
@@ -31,11 +31,6 @@ pub const RULES: &[&str] = &[
     "nondet-wall-clock",
     "nondet-hash-iter",
     "nondet-float-reduction",
-    "protocol-transition",
-    "protocol-undeclared",
-    "protocol-unreachable",
-    "protocol-terminal",
-    "protocol-duality",
     "hot-cost",
     "race-guarded-field",
     "marker-hygiene",

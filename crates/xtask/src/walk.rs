@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &["target", ".git", "results", "node_modules"];
 
 /// Collect workspace-relative paths of files whose name passes `keep`,
-/// sorted for deterministic diagnostics. The linter's own test fixtures
-/// (`crates/xtask/fixtures`) are skipped — they contain violations on
+/// sorted for deterministic diagnostics. Fixture trees
+/// (`crates/<crate>/fixtures`) are skipped — they contain violations on
 /// purpose.
 pub fn collect_files(root: &Path, keep: &dyn Fn(&Path) -> bool) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
@@ -34,7 +34,7 @@ fn walk(
                 continue;
             }
             let rel = path.strip_prefix(root).unwrap_or(&path);
-            if rel == Path::new("crates/xtask/fixtures") {
+            if rel.starts_with("crates") && rel.components().count() == 3 && name == "fixtures" {
                 continue;
             }
             walk(root, &path, keep, out)?;
@@ -71,7 +71,7 @@ mod tests {
         assert!(rels.iter().any(|r| r == "crates/xtask/src/walk.rs"));
         assert!(rels.iter().any(|r| r == "crates/simcore/src/engine.rs"));
         // Fixtures are excluded from workspace walks.
-        assert!(!rels.iter().any(|r| r.starts_with("crates/xtask/fixtures")));
+        assert!(!rels.iter().any(|r| r.contains("/fixtures/")));
         // Deterministic order.
         let mut sorted = rels.clone();
         sorted.sort();
