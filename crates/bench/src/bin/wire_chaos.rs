@@ -86,7 +86,14 @@ fn smoke_report() -> String {
         SIZES.len(),
         REPS,
     ));
-    out.push_str(&format!("plan: {plan}\n"));
+    // The report names the faults the proxy injects; the client's
+    // deadline and backoff are driver knobs, already applied above.
+    let faults = FaultPlan {
+        io_deadline: FaultPlan::default().io_deadline,
+        retry: FaultPlan::default().retry,
+        ..plan
+    };
+    out.push_str(&format!("plan: {faults}\n"));
     out.push_str(&format!(
         "verdicts: clean={clean} frame={frame} timeout={timeout} disconnect={disconnect} untyped={}\n",
         untyped.len()

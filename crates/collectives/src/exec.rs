@@ -57,7 +57,6 @@ pub fn virtual_rank(rank: usize, root: usize, n: usize) -> usize {
 /// Execute this rank's plan of `schedule` over a blocking transport.
 /// All collective traffic travels on the single `tag`; matching within
 /// the tag relies on the transport's per-pair FIFO order.
-// analyze: hot
 pub fn run_blocking<T: CollTransport>(
     transport: &T,
     schedule: &Schedule,
@@ -104,7 +103,6 @@ pub fn run_blocking<T: CollTransport>(
 /// order, yielding when a queue is empty — so any schedule a blocking
 /// mesh can finish, this can too; a cycle of ranks all waiting on
 /// absent messages panics with a deadlock diagnosis instead of hanging.
-// analyze: hot
 pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -> Vec<CollOutput> {
     use std::collections::VecDeque;
     let n = schedule.nranks;

@@ -1,16 +1,18 @@
 //! Deadline-bounded socket I/O for real mode.
 //!
 //! `std::net` blocking calls (`read_exact`, `write_all`, `accept`) hang
-//! forever on a dead peer — exactly the failure mode the workspace's
-//! `blocking-hygiene` lint bans in real-mode crates. These helpers are
-//! the sanctioned replacements: every operation carries an explicit
-//! deadline (enforced with `SO_RCVTIMEO`/`SO_SNDTIMEO` and, for accept,
-//! non-blocking polling), times out with `ErrorKind::TimedOut`, and
-//! restores the socket's previous timeout configuration on the way out.
+//! forever on a dead peer — exactly the failure mode clippy's
+//! `disallowed_methods` list (`clippy.toml`) bans in real-mode crates.
+//! These helpers are the sanctioned replacements: every operation
+//! carries an explicit deadline (enforced with `SO_RCVTIMEO`/
+//! `SO_SNDTIMEO` and, for accept, non-blocking polling), times out with
+//! `ErrorKind::TimedOut`, and restores the socket's previous timeout
+//! configuration on the way out.
 //!
-//! This crate is the one place allowed to make the underlying calls —
-//! the same exemption pattern `tracelab` enjoys for the wall-clock
-//! tracing APIs it implements.
+//! This module is the one place allowed to make the underlying calls,
+//! each loop under an `#[expect(clippy::disallowed_methods, ..)]` — the
+//! same exemption pattern `tracelab` enjoys for the wall-clock tracing
+//! APIs it implements.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -85,6 +87,10 @@ pub fn read_exact_counted(
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the deadline layer owns the clock that bounds every read"
+)]
 fn read_counted_inner(
     stream: &mut TcpStream,
     buf: &mut [u8],
@@ -129,6 +135,10 @@ pub fn write_all_deadline(
     result
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the deadline layer owns the clock that bounds every write"
+)]
 fn write_all_inner(stream: &mut TcpStream, buf: &[u8], deadline: Duration) -> io::Result<()> {
     let start = Instant::now();
     let mut sent = 0usize;
@@ -171,6 +181,10 @@ pub fn accept_deadline(
     result
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the deadline wrapper itself: a non-blocking listener polled against its own clock"
+)]
 fn accept_inner(
     listener: &TcpListener,
     deadline: Duration,
@@ -178,7 +192,6 @@ fn accept_inner(
 ) -> io::Result<TcpStream> {
     let start = Instant::now();
     loop {
-        // lint:allow(blocking-hygiene) -- non-blocking listener inside the deadline-enforcing wrapper itself
         match listener.accept() {
             Ok((stream, _)) => {
                 stream.set_nonblocking(false)?;

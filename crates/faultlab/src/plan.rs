@@ -200,10 +200,12 @@ fn parse_us(token: &str, v: &str) -> Result<f64, PlanError> {
     let x: f64 = num
         .parse()
         .map_err(|_| err(token, "expected a duration like 50us, 3ms or 2s"))?;
-    if !x.is_finite() || x < 0.0 {
+    // Checked after scaling: `1e303s` is finite, its microseconds not.
+    let us = x * scale;
+    if !us.is_finite() || us < 0.0 {
         return Err(err(token, "duration must be finite and non-negative"));
     }
-    Ok(x * scale)
+    Ok(us)
 }
 
 fn parse_prob(token: &str, v: &str) -> Result<f64, PlanError> {
@@ -418,8 +420,12 @@ impl FaultPlan {
     }
 }
 
+/// Prints every knob that differs from [`FaultPlan::default`] (TCP's
+/// `rto`/`retrans` always once the wire is lossy), so `parse` of the
+/// text gives back an equal plan.
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let d = FaultPlan::default();
         write!(f, "seed={}", self.seed)?;
         if self.loss > 0.0 {
             write!(f, ",loss={}", self.loss)?;
@@ -436,8 +442,17 @@ impl fmt::Display for FaultPlan {
         for w in &self.degrade {
             write!(f, ",degrade={}us..{}us@{}", w.start_us, w.end_us, w.factor)?;
         }
-        if !self.is_lossless() {
+        if !self.is_lossless() || self.rto_us != d.rto_us || self.max_retrans != d.max_retrans {
             write!(f, ",rto={}us,retrans={}", self.rto_us, self.max_retrans)?;
+        }
+        if self.io_deadline != d.io_deadline {
+            write!(f, ",deadline={}us", self.io_deadline.as_micros())?;
+        }
+        if self.sweep.point_retries != d.sweep.point_retries {
+            write!(f, ",retries={}", self.sweep.point_retries)?;
+        }
+        if self.retry.base != d.retry.base {
+            write!(f, ",backoff={}us", self.retry.base.as_micros())?;
         }
         for k in &self.kills {
             write!(f, ",kill-rank={}@{}us", k.rank, k.at_us)?;
@@ -454,7 +469,7 @@ impl fmt::Display for FaultPlan {
         if self.trunc > 0.0 {
             write!(f, ",truncate={}", self.trunc)?;
         }
-        if self.stall_rate > 0.0 {
+        if self.stall_rate > 0.0 || self.stall_us > 0.0 {
             write!(f, ",stall={}us@{}", self.stall_us, self.stall_rate)?;
         }
         for w in &self.partitions {

@@ -378,6 +378,10 @@ fn pump(
         }
         // 4. Stall: hold the frame, then deliver late.
         if plan.stall_rate > 0.0 && rng.next_f64() < plan.stall_rate {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the stall is the injected fault: the proxy holds the frame on purpose"
+            )]
             std::thread::sleep(Duration::from_micros(plan.stall_us as u64));
             relock(&shared.counters).stalled += 1;
             record(format!("stalled {}us", plan.stall_us), frame_idx - 1);

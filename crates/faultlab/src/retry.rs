@@ -61,6 +61,10 @@ impl RetryPolicy {
                 Err(e) => {
                     last_err = Some(e);
                     if attempt + 1 < attempts {
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the backoff between attempts is this policy's whole job"
+                        )]
                         std::thread::sleep(self.backoff(attempt));
                     }
                 }

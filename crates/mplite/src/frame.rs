@@ -379,7 +379,6 @@ impl FrameError {
 /// (receivers accept only [`WIRE_V2`]). Returns the header buffer and
 /// the number of valid bytes in it (always [`V2_HEADER_LEN`]). The
 /// trailing CRC32C covers the header prefix chained with `payload`.
-// analyze: hot
 pub fn build_header(
     version: u8,
     src: u32,
@@ -442,7 +441,6 @@ pub struct PendingFrame {
 /// Decode and validate a header, bounding the declared length against
 /// `max` *before* the caller allocates anything. `hdr` must hold at
 /// least [`V2_HEADER_LEN`] bytes.
-// analyze: hot
 pub fn decode_any_header(hdr: &[u8], max: u64) -> Result<PendingFrame, FrameError> {
     if hdr.len() < V2_HEADER_LEN {
         return Err(FrameError::Truncated {
@@ -557,7 +555,6 @@ impl FrameDecoder {
 
     /// Feed a chunk; returns every frame completed by it. The first
     /// error is final for this decoder.
-    // analyze: hot
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Frame>, FrameError> {
         self.buf.extend_from_slice(bytes);
         let mut out = Vec::new();

@@ -91,7 +91,11 @@ impl RecvSlot {
     /// the caller decides what that implies (the collective executor
     /// declares the awaited peer dead).
     pub fn wait_deadline(&self, deadline: std::time::Duration) -> Option<Result<InMsg>> {
-        let start = std::time::Instant::now(); // lint:allow(nondet-wall-clock) -- real-mode deadline primitive: the slot owns its wait clock
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "real-mode deadline primitive: the slot owns its wait clock"
+        )]
+        let start = std::time::Instant::now();
         let mut st = self.state.lock();
         loop {
             match std::mem::replace(&mut *st, SlotState::Waiting) {

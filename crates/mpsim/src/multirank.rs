@@ -145,7 +145,6 @@ impl MultiSession {
     /// the bytes (with a rendezvous handshake above the profile's
     /// threshold) and the receiver's library work is charged on
     /// arrival, after which the payload matches a posted receive.
-    // analyze: hot
     pub fn send(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
         let n = self.inner.n;
         assert!(
@@ -193,7 +192,6 @@ impl MultiSession {
         });
     }
 
-    // analyze: hot
     fn send_data(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
         let bytes = payload.len() as u64;
         let this = self.clone();
@@ -217,7 +215,6 @@ impl MultiSession {
         );
     }
 
-    // analyze: hot
     fn deliver(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
         let mut pairs = self.inner.pairs.borrow_mut();
         let q = pairs.pair(from, to);
@@ -237,7 +234,6 @@ impl MultiSession {
     /// under `tag`; `k` runs (as a scheduled event, never synchronously)
     /// once the payload is in `to`'s memory and past the library's
     /// receive path.
-    // analyze: hot
     pub fn post_recv(
         &self,
         eng: &mut MultiEngine,

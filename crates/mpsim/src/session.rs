@@ -75,7 +75,6 @@ impl Session {
 
     /// Send `bytes` from rank `from`; `k` runs when the receiving rank's
     /// matching receive completes (library processing included).
-    // analyze: hot
     pub fn send(&self, eng: &mut Net, from: usize, bytes: u64, k: Continuation) {
         assert!(from < 2);
         let bytes = bytes.max(1);

@@ -34,6 +34,9 @@
     clippy::print_stdout,
     clippy::print_stderr
 )]
+// Real-mode clock, sleep and blocking-socket bans (clippy.toml's
+// `disallowed-methods`) bind library code; tests may wait on sockets.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod analysis;
 pub mod driver;

@@ -70,6 +70,10 @@ impl Driver for MpliteDriver {
         if self.buf.len() < n {
             self.buf = (0..n).map(|i| (i % 247) as u8).collect();
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the driver owns the clock: timing the round trip is its measurement"
+        )]
         let start = Instant::now();
         comm.send(1, PP_TAG, &self.buf[..n])
             .map_err(|e| DriverError::Io(std::io::Error::other(e.to_string())))?;

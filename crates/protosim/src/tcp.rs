@@ -377,7 +377,6 @@ fn extend(
 /// Dispatch as many segments as the window allows, appending their
 /// deliveries to the cursor under sequence numbers `seq`, `seq + 1`, …
 /// With `seed`, report the last segment for a window-clocked train.
-// analyze: hot
 fn pump(
     tcp: &mut TcpConn,
     leg: &mut Leg<'_>,
@@ -650,7 +649,6 @@ fn pump(
 /// The front of direction `dir`'s delivery cursor reached the receiver's
 /// socket buffer — and so, in place, may the deliveries after it (see
 /// [`crate::train`]).
-// analyze: hot
 pub(crate) fn on_deliver(eng: &mut Net, conn: ConnId, dir: usize) {
     loop {
         match deliver(eng, conn, dir) {
@@ -686,7 +684,6 @@ impl Delivered {
 }
 
 /// Deliver the cursor's front segment, due now.
-// analyze: hot
 fn deliver(eng: &mut Net, conn: ConnId, dir: usize) -> Delivered {
     let now = eng.now();
     /// What a delivery does to a stalled sender.

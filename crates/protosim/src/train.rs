@@ -244,7 +244,6 @@ pub(crate) trait Flow {
 /// proves come next, in O(1) per run. Returns `true` when the next
 /// delivery is due in place — already accounted as executed, for the
 /// caller to deliver — and `false` once the front (if any) is queued.
-// analyze: hot
 pub(crate) fn advance<F: Flow>(eng: &mut Net, conn: ConnId, dir: usize) -> bool {
     loop {
         let cursor = eng.world.cursor(conn, dir);
@@ -658,7 +657,8 @@ pub(crate) fn period(eng: &mut Net, conn: ConnId, dir: usize, run_seq: u64) {
         .copied()
         .collect();
     keys.sort_unstable();
-    // lint:allow(hot-cost) -- reached once a fingerprint has matched, about once per message, not per delivery
+    // Reached once a fingerprint has matched, about once per message,
+    // not per delivery.
     let mut taken = Vec::with_capacity(keys.len());
     for &(t, seq) in &keys {
         match eng.take_keyed(t, seq) {

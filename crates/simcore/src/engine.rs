@@ -299,12 +299,14 @@ impl<W, E: Event<W>> Engine<W, E> {
     ///
     /// Scheduling in the past is a model bug; it panics in debug builds and
     /// clamps to `now` in release builds.
-    // analyze: hot
     pub fn schedule_at<F>(&mut self, t: SimTime, f: F)
     where
         F: FnOnce(&mut Engine<W, E>) + 'static,
     {
-        // lint:allow(hot-cost) -- the closure arm boxes; per-segment events are typed data (schedule_event_at), per-message continuations stay closures until the two-rank and N-rank worlds share one typed event vocabulary
+        // The closure arm boxes; per-segment events are typed data
+        // (schedule_event_at), per-message continuations stay closures
+        // until the two-rank and N-rank worlds share one typed event
+        // vocabulary.
         let f: EventFn<W, E> = Box::new(f);
         self.push(t, Payload::Call(f));
     }
@@ -323,7 +325,6 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// in the queue record, no allocation. Same past-time rule and the
     /// same `(time, seq)` order as [`schedule_at`](Engine::schedule_at) —
     /// the two kinds share one sequence counter and one queue.
-    // analyze: hot
     #[inline]
     pub fn schedule_event_at(&mut self, t: SimTime, ev: E) {
         self.push(t, Payload::Data(ev));
@@ -356,7 +357,6 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// Queue the typed event `ev` under a key reserved earlier with
     /// [`reserve`](Engine::reserve): it fires in the place `(t, seq)`
     /// gives it among all other events, as if pushed when reserved.
-    // analyze: hot
     #[inline]
     pub fn schedule_event_keyed(&mut self, t: SimTime, seq: u64, ev: E) {
         debug_assert!(seq < self.seq, "key {seq} was never reserved");
@@ -380,7 +380,6 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// dispatching, and stays under `event_limit`. Always 0 under `step`.
     /// The caller must dispatch them in key order, before queuing anything
     /// that could precede them.
-    // analyze: hot
     #[inline]
     pub fn in_place_budget(&self, t0: SimTime, step: SimDuration, seq0: u64, count: u64) -> u64 {
         let Some(horizon) = self.horizon else {
@@ -418,7 +417,6 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// [`in_place_budget`](Engine::in_place_budget)): each counts as
     /// executed and ticks the trace sink as `step` would, and the clock
     /// moves to the last of them.
-    // analyze: hot
     #[inline]
     pub fn dispatch_in_place(&mut self, t0: SimTime, step: SimDuration, n: u64) {
         if n == 0 {
@@ -531,7 +529,6 @@ impl<W, E: Event<W>> Engine<W, E> {
 
     /// Pop and run exactly one event. Returns `false` when the queue is
     /// empty or the event limit has been reached.
-    // analyze: hot
     pub fn step(&mut self) -> bool {
         self.dispatch_next(None)
     }

@@ -175,7 +175,6 @@ impl Resource {
     /// Reserve the resource for `bytes` starting no earlier than `now`.
     /// Returns the completion instant. FIFO: the request queues behind any
     /// previously accepted request.
-    // analyze: hot
     pub fn serve(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let dur = self.cost(bytes);
         self.serve_for(now, dur, bytes)
@@ -183,7 +182,6 @@ impl Resource {
 
     /// [`service_time`](Resource::service_time), memoised for the last
     /// two sizes asked for.
-    // analyze: hot
     #[inline]
     pub fn cost(&mut self, bytes: u64) -> SimDuration {
         match self.memo {
@@ -207,7 +205,6 @@ impl Resource {
     /// is richer than `per_item + bytes/rate` — e.g. a CPU charging
     /// "per-packet kernel cost plus copy at the kernel-copy rate".
     /// `bytes` is recorded for accounting only.
-    // analyze: hot
     pub fn serve_for(&mut self, now: SimTime, dur: SimDuration, bytes: u64) -> SimTime {
         let start = now.max(self.busy_until);
         let done = start + dur;

@@ -4,9 +4,12 @@
 #![deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used)]
 #![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::unimplemented)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod clean;
 
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Instant, SystemTime};
 
 pub fn wall_clock() -> (Instant, SystemTime) {
@@ -15,6 +18,18 @@ pub fn wall_clock() -> (Instant, SystemTime) {
 }
 pub fn sleep() {
     std::thread::sleep(std::time::Duration::ZERO); // fires: clippy::disallowed_methods
+}
+pub fn blocking(s: &mut TcpStream, l: &TcpListener, buf: &mut [u8]) -> std::io::Result<()> {
+    s.read_exact(buf)?; // fires: clippy::disallowed_methods
+    s.write_all(buf)?; // fires: clippy::disallowed_methods
+    l.accept().map(drop) // fires: clippy::disallowed_methods
+}
+pub fn hash_order(m: &HashContainer) -> u32 {
+    let mut order = 0;
+    for (k, v) in m { // fires: clippy::iter_over_hash_type
+        order = order * 31 + u32::from(*k ^ *v);
+    }
+    order
 }
 pub type AmbientRng = std::hash::RandomState; // fires: clippy::disallowed_types
 pub type HashContainer = std::collections::HashMap<u8, u8>; // fires: clippy::disallowed_types

@@ -1,27 +1,19 @@
-//! The workspace analyze pass: the rules clippy cannot check (blocking
-//! hygiene, units hygiene, nondeterminism dataflow), the manifest check,
-//! and the cross-file passes (lock-order, hot-path cost, guarded-field
-//! consistency) under one annotation grammar and one burn-down budget,
-//! with a machine-readable JSON report for CI.
+//! The workspace analyze pass: the rules clippy cannot check (units
+//! hygiene), the manifest check, and the cross-file passes (lock order,
+//! locks across blocking calls, guarded-field consistency) under one
+//! annotation grammar, with a machine-readable JSON report for CI.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use crate::budget::Budget;
 use crate::diag::Diagnostic;
 use crate::flow::Flow;
-use crate::hotpath::hotpath_findings;
 use crate::locks::lock_findings;
 use crate::model::WorkspaceModel;
-use crate::nondet::nondet_findings;
 use crate::races::race_findings;
-use crate::rules::{blocking_findings, resolve, RawFinding, RULES};
+use crate::rules::{resolve, RawFinding, RULES};
 use crate::units::units_findings;
 use crate::walk::{collect_files, rel_str};
-
-/// Name of the burn-down budget file at the workspace root.
-pub const BUDGET_FILE: &str = "lint-budget.toml";
 
 /// Result of analyzing a workspace.
 #[derive(Debug, Default)]
@@ -30,8 +22,6 @@ pub struct AnalyzeOutcome {
     pub diagnostics: Vec<Diagnostic>,
     /// Files examined.
     pub files_checked: usize,
-    /// Live un-annotated counts per (crate, rule) for budgeted rules.
-    pub budget_counts: BTreeMap<(String, String), usize>,
 }
 
 impl AnalyzeOutcome {
@@ -41,23 +31,15 @@ impl AnalyzeOutcome {
     }
 }
 
-/// Analyze an in-memory file set (fixture tests). No manifest or budget
-/// checks — just the per-file rules plus the cross-file passes.
+/// Analyze an in-memory file set (fixture tests). No manifest check —
+/// just the per-file rules plus the cross-file passes.
 pub fn analyze_sources(files: &[(&str, &str)]) -> AnalyzeOutcome {
-    let w = WorkspaceModel::from_sources(files);
-    let (mut out, budgeted) = analyze_model(&w);
-    // With no budget file every budget is 0, so budgeted findings are
-    // all over budget: surface them directly.
-    out.diagnostics.extend(budgeted.into_iter().map(|(_, d)| d));
-    out.diagnostics.sort();
-    out.diagnostics.dedup();
-    out
+    analyze_model(&WorkspaceModel::from_sources(files))
 }
 
 /// Analyze the workspace rooted at `root`.
 pub fn analyze_workspace(root: &Path) -> Result<AnalyzeOutcome, String> {
-    let w = WorkspaceModel::load(root)?;
-    let (mut out, budgeted) = analyze_model(&w);
+    let mut out = analyze_model(&WorkspaceModel::load(root)?);
 
     // Manifests: every crate inherits the workspace lints table.
     let manifests = collect_files(root, &|p| p.file_name().is_some_and(|n| n == "Cargo.toml"))
@@ -75,95 +57,37 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeOutcome, String> {
             ));
         }
     }
-
-    // Budget: read, enforce, ratchet. Over budget: every un-annotated
-    // violation in that (crate, rule) is reported, plus a summary line.
-    let budget_text = fs::read_to_string(root.join(BUDGET_FILE)).unwrap_or_default();
-    let budget = Budget::parse(&budget_text).map_err(|e| format!("{BUDGET_FILE}: {e}"))?;
-    for ((krate, rule), &count) in &out.budget_counts {
-        let allowed = budget.allowed(krate, rule);
-        if count > allowed {
-            for (k, d) in &budgeted {
-                if k == krate && d.rule == *rule {
-                    out.diagnostics.push(d.clone());
-                }
-            }
-            out.diagnostics.push(Diagnostic::new(
-                BUDGET_FILE,
-                0,
-                "budget",
-                format!("{krate}/{rule}: {count} un-annotated violations exceed budget {allowed}"),
-            ));
-        } else if count < allowed {
-            out.diagnostics.push(Diagnostic::new(
-                BUDGET_FILE,
-                0,
-                "budget",
-                format!(
-                    "{krate}/{rule}: budget {allowed} is stale, live count is {count}; \
-                     lower it (or run `cargo run -p xtask -- analyze --write-budget`)"
-                ),
-            ));
-        }
-    }
-    for (krate, rule, n) in budget.keys() {
-        if n > 0
-            && !out
-                .budget_counts
-                .contains_key(&(krate.to_string(), rule.to_string()))
-        {
-            out.diagnostics.push(Diagnostic::new(
-                BUDGET_FILE,
-                0,
-                "budget",
-                format!("{krate}/{rule}: budget {n} is stale, live count is 0; remove the entry"),
-            ));
-        }
-    }
-
     out.diagnostics.sort();
-    out.diagnostics.dedup();
     Ok(out)
 }
 
 /// Shared core: run the per-file rules plus the cross-file passes over
-/// a loaded model. Returns the outcome plus the budgeted diagnostics
-/// (needed by the over-budget listing).
-fn analyze_model(w: &WorkspaceModel) -> (AnalyzeOutcome, Vec<(String, Diagnostic)>) {
+/// a loaded model.
+fn analyze_model(w: &WorkspaceModel) -> AnalyzeOutcome {
     let mut out = AnalyzeOutcome {
         files_checked: w.files.len(),
         ..AnalyzeOutcome::default()
     };
-    let mut budgeted: Vec<(String, Diagnostic)> = Vec::new();
 
-    // Cross-file passes first, findings keyed per file. The three body
+    // Cross-file passes first, findings keyed per file. The two body
     // passes share one walk and one call graph.
     let flow = Flow::build(w);
     let mut per_file: Vec<Vec<RawFinding>> = w.files.iter().map(|_| Vec::new()).collect();
-    let cross_file = lock_findings(w, &flow)
+    for (fi, finding) in lock_findings(w, &flow)
         .into_iter()
-        .chain(hotpath_findings(w, &flow))
-        .chain(race_findings(w, &flow));
-    for (fi, finding) in cross_file {
+        .chain(race_findings(w, &flow))
+    {
         per_file[fi].push(finding);
     }
 
     for (fi, wf) in w.files.iter().enumerate() {
-        let mut findings = blocking_findings(&wf.model, &wf.ctx);
-        findings.extend(units_findings(&wf.model, &wf.ctx));
-        findings.extend(nondet_findings(&wf.model, &wf.ctx));
+        let mut findings = units_findings(&wf.model, &wf.ctx);
         findings.append(&mut per_file[fi]);
-
-        let report = resolve(&wf.model, findings);
-        out.diagnostics.extend(report.diagnostics);
-        for d in report.budgeted {
-            *out.budget_counts
-                .entry((wf.ctx.crate_name.clone(), d.rule.to_string()))
-                .or_insert(0) += 1;
-            budgeted.push((wf.ctx.crate_name.clone(), d));
-        }
+        out.diagnostics.extend(resolve(&wf.model, findings));
     }
-    (out, budgeted)
+    out.diagnostics.sort();
+    out.diagnostics.dedup();
+    out
 }
 
 /// Does a manifest declare `[lints]` with `workspace = true`?
@@ -178,12 +102,6 @@ fn has_workspace_lints(manifest: &str) -> bool {
         }
     }
     false
-}
-
-/// Write a fresh budget file matching the live counts.
-pub fn write_budget(root: &Path, outcome: &AnalyzeOutcome) -> Result<(), String> {
-    let text = Budget::render(&outcome.budget_counts);
-    fs::write(root.join(BUDGET_FILE), text).map_err(|e| format!("writing {BUDGET_FILE}: {e}"))
 }
 
 /// Render the machine-readable JSON report consumed by CI.
@@ -217,23 +135,10 @@ pub fn render_report(outcome: &AnalyzeOutcome) -> String {
         ));
     }
     s.push_str(if outcome.diagnostics.is_empty() {
-        "],\n"
+        "]\n"
     } else {
-        "\n  ],\n"
+        "\n  ]\n"
     });
-    s.push_str("  \"budget\": [");
-    let mut first = true;
-    for ((krate, rule), count) in &outcome.budget_counts {
-        s.push_str(if first { "\n" } else { ",\n" });
-        first = false;
-        s.push_str(&format!(
-            "    {{\"crate\": {}, \"rule\": {}, \"count\": {}}}",
-            json_str(krate),
-            json_str(rule),
-            count
-        ));
-    }
-    s.push_str(if first { "]\n" } else { "\n  ]\n" });
     s.push_str("}\n");
     s
 }
@@ -282,14 +187,11 @@ mod tests {
             "units",
             "magic \"quote\" and \\ backslash",
         ));
-        o.budget_counts
-            .insert(("mplite".into(), "hot-cost".into()), 1);
         let r = render_report(&o);
         assert!(r.contains("\"files_checked\": 2"));
         assert!(r.contains("\"clean\": false"));
         assert!(r.contains("\\\"quote\\\""));
         assert!(r.contains("\\\\ backslash"));
-        assert!(r.contains("\"count\": 1"));
     }
 
     #[test]
@@ -297,7 +199,6 @@ mod tests {
         let r = render_report(&AnalyzeOutcome::default());
         assert!(r.contains("\"clean\": true"));
         assert!(r.contains("\"diagnostics\": []"));
-        assert!(r.contains("\"budget\": []"));
     }
 
     #[test]

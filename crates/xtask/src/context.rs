@@ -8,34 +8,13 @@ pub struct FileCtx {
     /// Crate name (directory under `crates/`, or the root package name).
     pub crate_name: String,
     /// Library code (`src/**` outside `src/bin` and `src/main.rs`), the
-    /// scope of every per-file and body rule? Binaries, tests, benches
-    /// and examples are still walked for their annotations.
+    /// scope of the units rule and the body passes? Binaries, tests,
+    /// benches and examples are still walked for their annotations.
     pub lib: bool,
 }
 
 /// Name used for the workspace root package.
 pub const ROOT_CRATE: &str = "netpipe-rs";
-
-/// Sim crates. Their crate roots deny clippy's determinism bans
-/// (`clippy.toml`); here they scope `nondet-float-reduction` (sim code)
-/// and `nondet-hash-iter` (everything else). A golden test holds this
-/// list and the crate roots to each other.
-pub const SIM_CRATES: &[&str] = &[
-    "simcore",
-    "hwmodel",
-    "protosim",
-    "mpsim",
-    "clusterlab",
-    "collectives",
-    "tracelab",
-];
-
-/// Real-mode crates: library code that touches genuine kernel sockets.
-/// The `blocking-hygiene` rule bans deadline-free blocking socket calls
-/// here — a dead peer must never hang a sweep forever. `faultlab` is in
-/// scope too: it *implements* the deadline wrappers, and its one
-/// unavoidable raw call carries an annotated allowance.
-pub const REAL_CRATES: &[&str] = &["faultlab", "mplite", "netpipe"];
 
 /// Classify a workspace-relative, slash-separated path. Returns `None`
 /// for paths the linter does not govern.
@@ -55,15 +34,6 @@ pub fn classify(rel: &str) -> Option<FileCtx> {
         _ => return None,
     };
     Some(FileCtx { crate_name, lib })
-}
-
-impl FileCtx {
-    /// Does the `blocking-hygiene` rule apply to this file? Real-mode
-    /// library code must bound every potentially-blocking socket call
-    /// with a deadline (`faultlab::io`).
-    pub fn blocking_scope(&self) -> bool {
-        self.lib && REAL_CRATES.contains(&self.crate_name.as_str())
-    }
 }
 
 #[cfg(test)]

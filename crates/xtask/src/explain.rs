@@ -3,13 +3,6 @@
 /// Documentation for a rule id, or `None` if the rule is unknown.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
-        "blocking-hygiene" => {
-            "blocking-hygiene (real-mode hygiene)\n\
-             scope: library code of real-mode crates (faultlab, mplite, netpipe)\n\n\
-             A deadline-free read_exact/write_all/accept hangs the whole sweep\n\
-             when a peer dies. Use the bounded faultlab::io wrappers\n\
-             (read_exact_deadline, write_all_deadline, accept_deadline)."
-        }
         "lints-table" => {
             "lints-table (workspace-hygiene family)\n\
              scope: every crate manifest\n\n\
@@ -29,15 +22,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              A lint:allow annotation whose violation no longer exists on that\n\
              line (or the line below) must be removed, or it will silently mask\n\
              a future regression. That includes one naming a rule analyze no\n\
-             longer owns: the per-file determinism, panic, print and dbg rules\n\
-             are clippy's, excepted with #[expect(clippy::<lint>, reason = ..)]."
-        }
-        "budget" => {
-            "budget (burn-down ratchet)\n\n\
-             lint-budget.toml caps un-annotated units and hot-cost counts per\n\
-             crate/rule. Counts above an entry fail; counts below fail too\n\
-             (ratchet) so the entry is lowered as debt is paid. Regenerate\n\
-             with --write-budget."
+             longer owns: the per-file determinism, blocking, panic, print and\n\
+             dbg rules are clippy's, excepted with\n\
+             #[expect(clippy::<lint>, reason = ..)]."
         }
         "lock-order" => {
             "lock-order (cross-file)\n\
@@ -63,7 +50,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              into the wait — is recognized and exempt."
         }
         "units" => {
-            "units (units hygiene; budgeted)\n\
+            "units (units hygiene)\n\
              scope: library code outside simcore::{time,units}\n\n\
              Two shapes are flagged: (1) a magic conversion constant (1e6, 8.0,\n\
              125_000.0, 1_000_000, ...) directly multiplied or divided —\n\
@@ -72,50 +59,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              audited file; (2) an `as u64`/`as f64` cast in a statement mixing\n\
              time-suffixed (_us/_ns/_s) and rate (rate/bps) identifiers —\n\
              use SimDuration::for_bytes / units::bytes_at_rate instead."
-        }
-        "nondet-wall-clock" => {
-            "nondet-wall-clock (nondeterminism dataflow)\n\
-             scope: library code of real-mode crates, minus the clock owners\n\
-             (netpipe::real_tcp, netpipe::mplite_driver, faultlab::io)\n\n\
-             Real-mode code outside the driver/deadline layer must take\n\
-             timestamps as parameters rather than read Instant/SystemTime, so\n\
-             replay and fault sweeps stay reproducible. In sim crates clippy's\n\
-             disallowed_methods (clippy.toml) bans the clock outright."
-        }
-        "nondet-hash-iter" => {
-            "nondet-hash-iter (nondeterminism dataflow)\n\
-             scope: library code of non-sim crates\n\n\
-             Iterating a HashMap/HashSet binding leaks SipHash ordering into\n\
-             results and reports. Keyed access is fine; iteration needs\n\
-             BTreeMap/BTreeSet or an explicit sort. In sim crates clippy's\n\
-             disallowed_types (clippy.toml) bans the types outright; clippy's\n\
-             own iter_over_hash_type sees only `for` loops."
-        }
-        "nondet-float-reduction" => {
-            "nondet-float-reduction (nondeterminism dataflow)\n\
-             scope: library code of sim crates\n\n\
-             Float addition is not associative: `.sum()` / `.fold(..)` over f64\n\
-             makes accumulation order part of the result. Use\n\
-             simcore::stats::OnlineStats (Welford) or a fixed-order loop.\n\
-             Integer reductions (`.sum::<u64>()`) and order-insensitive folds\n\
-             (f64::max / f64::min) are exempt."
-        }
-        "hot-cost" => {
-            "hot-cost (cross-file; budgeted)\n\
-             scope: library code, workspace-wide (markers seeded in the sim\n\
-             dispatch, wire, matching, framing, and collective-executor crates)\n\n\
-             Functions marked `// analyze: hot` are per-message / per-event\n\
-             critical paths. The pass summarizes every function's direct costs\n\
-             — heap allocations (Box::new, Vec::new, vec!, format!,\n\
-             String::from, .to_vec(), .clone() on non-Copy receivers), lock\n\
-             acquisitions, and blocking primitives — and propagates the\n\
-             summaries over same-crate calls, reporting each cost site\n\
-             reachable from a hot entry with its full call chain. Calls resolve\n\
-             by shape: Type::f( exactly, .m( to methods named m, f( and\n\
-             module::f( to free functions only. Counts are governed by the\n\
-             hot-cost sections of lint-budget.toml (ratchet: they only go\n\
-             down). A deliberate site is annotated in place:\n\
-             // lint:allow(hot-cost) -- <reason>."
         }
         "race-guarded-field" => {
             "race-guarded-field (cross-file)\n\
@@ -132,14 +75,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              the guarded one. Suppress a reviewed exception with\n\
              // lint:allow(race-guarded-field) -- <reason>."
         }
-        "marker-hygiene" => {
-            "marker-hygiene (marker grammar)\n\
-             scope: library code, workspace-wide\n\n\
-             The one marker, `// analyze: hot`, is itself checked so it cannot\n\
-             silently rot: it must attach to a library function (the `fn` line\n\
-             or within five lines below). Suppressions are not markers — they\n\
-             use the ordinary lint:allow grammar and its stale/bad-allow checks."
-        }
         _ => return None,
     })
 }
@@ -147,20 +82,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 /// One-line summary per rule, for the `--explain` index listing.
 pub fn summary(rule: &str) -> &'static str {
     match rule {
-        "blocking-hygiene" => "deadline-free read/write/accept; use the faultlab::io wrappers",
         "lints-table" => "crate manifest missing `[lints] workspace = true`",
         "bad-allow" => "lint:allow annotation without a `-- <reason>` tail",
         "stale-allow" => "lint:allow annotation with no matching violation",
-        "budget" => "lint-budget.toml entry above or below the live count",
         "lock-order" => "cycle in the cross-file lock acquisition-order graph",
         "lock-across-blocking" => "mutex guard held across a blocking primitive",
-        "units" => "magic unit-conversion constant or mixed time/rate cast (budgeted)",
-        "nondet-wall-clock" => "wall-clock read outside the real-mode clock owners",
-        "nondet-hash-iter" => "HashMap/HashSet iteration leaks SipHash order into results",
-        "nondet-float-reduction" => "order-sensitive f64 sum/fold; use OnlineStats",
-        "hot-cost" => "allocation/lock/blocking site reachable from a hot entry (budgeted)",
+        "units" => "magic unit-conversion constant or mixed time/rate cast",
         "race-guarded-field" => "field accessed both under a guard and bare on threaded paths",
-        "marker-hygiene" => "`analyze: hot` marker attached to no library function",
         _ => "",
     }
 }
@@ -203,12 +131,7 @@ mod tests {
 
     #[test]
     fn explanations_name_their_rule() {
-        for rule in [
-            "lock-order",
-            "units",
-            "nondet-hash-iter",
-            "blocking-hygiene",
-        ] {
+        for rule in ["lock-order", "units", "race-guarded-field"] {
             assert!(explain(rule).expect("doc").starts_with(rule));
         }
     }

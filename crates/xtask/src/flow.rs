@@ -1,12 +1,11 @@
 //! The one function-body walk and the one call graph.
 //!
-//! The lock-order, hot-path cost and guarded-field passes all need the
-//! same facts about a function body: which guards are live where, what
-//! it allocates, what it blocks on, which fields it touches, whether it
-//! spawns threads, and what it calls. [`Flow::build`] walks every
-//! governed body exactly once into one event stream ([`Ev`]) and
-//! resolves every call site under one rule (`Index::resolve`); the passes
-//! only consume events.
+//! The lock-order and guarded-field passes both need the same facts
+//! about a function body: which guards are live where, what it blocks
+//! on, which fields it touches, whether it spawns threads, and what it
+//! calls. [`Flow::build`] walks every governed body exactly once into
+//! one event stream ([`Ev`]) and resolves every call site under one
+//! rule (`Index::resolve`); the passes only consume events.
 //!
 //! **Lock identity** is syntactic: the field or binding the guard came
 //! from (`self.state.lock()` → `state`), qualified by crate; a bare
@@ -27,8 +26,7 @@
 //! sharing the enclosing function's name is almost always delegation to
 //! an inner object (`fn events() { self.lock().events() }`) and is not a
 //! call edge.
-//! Blocking primitives and allocation constructors are events of their
-//! own kind, never call edges.
+//! Blocking primitives are events of their own kind, never call edges.
 
 use std::collections::BTreeMap;
 
@@ -38,10 +36,6 @@ use crate::model::{field_decls, fn_items, FieldDecl, FnItem, Receiver, WFile, Wo
 /// Files implementing the lock primitives themselves: their internals
 /// (poison recovery, condvar re-lock) are not acquisition *sites*.
 const PRIMITIVE_FILES: &[&str] = &["crates/mplite/src/sync.rs"];
-
-/// Crates the body passes never govern: the analyzer documents the
-/// marker grammar in its own prose comments.
-const EXEMPT_CRATES: &[&str] = &["xtask"];
 
 /// Blocking primitives a guard must never be held across.
 const BLOCKING: &[&str] = &[
@@ -57,23 +51,6 @@ const NON_CALL: &[&str] = &[
     "move", "ref", "mut", "where", "unsafe", "dyn", "else", "enum", "struct", "trait", "type",
     "const", "static", "continue", "break", "self", "Self", "super", "crate", "drop", "lock",
 ];
-
-/// Allocation constructors spelled as paths (`Head::method(…)`).
-const ALLOC_PATHS: &[(&str, &str)] = &[
-    ("Box", "new"),
-    ("Vec", "new"),
-    ("Vec", "with_capacity"),
-    ("Vec", "from"),
-    ("String", "new"),
-    ("String", "with_capacity"),
-    ("String", "from"),
-];
-
-/// Allocation macros (`name!(…)`).
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
-
-/// Allocation methods (`.name(…)`).
-const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "clone"];
 
 /// Guards live at an event: `(lock id, acquisition line)`, oldest first.
 pub type Held = Vec<(String, u32)>;
@@ -97,9 +74,6 @@ pub enum EvKind {
     /// A blocking primitive; `held` excludes guards passed *into* the
     /// call (the condvar idiom `cv.wait(&mut guard)`).
     Block { name: String },
-    /// A heap allocation, labelled `Box::new` / `vec!` / `.clone()`;
-    /// `recv` is the receiver identifier of a method-style allocation.
-    Alloc { what: String, recv: Option<String> },
     /// A data access `self.name` or `<guard>.name` (not a call).
     /// `via_guard` is the lock id when projected through a guard
     /// binding; `then` is the method invoked on the field, if any.
@@ -131,7 +105,7 @@ pub struct Flow {
     /// All function items, in file order.
     pub items: Vec<FnItem>,
     /// Event stream per item; `None` for items out of scope (tests,
-    /// bins, the lock primitives, the analyzer itself).
+    /// bins, the lock primitives).
     pub events: Vec<Option<Vec<Ev>>>,
     /// Every named struct field declared in the workspace.
     pub fields: Vec<FieldDecl>,
@@ -139,9 +113,7 @@ pub struct Flow {
 
 /// Does a file's library code fall under the body passes?
 pub fn governed(wf: &WFile) -> bool {
-    wf.ctx.lib
-        && !EXEMPT_CRATES.contains(&wf.ctx.crate_name.as_str())
-        && !PRIMITIVE_FILES.contains(&wf.model.rel.as_str())
+    wf.ctx.lib && !PRIMITIVE_FILES.contains(&wf.model.rel.as_str())
 }
 
 impl Flow {
@@ -350,42 +322,6 @@ fn walk_body(w: &WorkspaceModel, f: &FnItem, index: &Index<'_>) -> Vec<Ev> {
                 continue;
             }
 
-            // Allocation constructors: `Box::new(`, `Vec::with_capacity(`, …
-            if !prev_dot
-                && next(1).is_some_and(|n| n.is_punct("::"))
-                && next(3).is_some_and(|n| n.is_punct("("))
-            {
-                let method = &toks[i + 2];
-                if ALLOC_PATHS
-                    .iter()
-                    .any(|(h, m)| t.text == *h && method.is_ident(m))
-                {
-                    let what = format!("{}::{}", t.text, method.text);
-                    emit(EvKind::Alloc { what, recv: None }, snapshot(&held));
-                    i += 3;
-                    continue;
-                }
-            }
-
-            // Allocation macros: `vec![…]`, `format!(…)`.
-            if next(1).is_some_and(|n| n.is_punct("!")) && ALLOC_MACROS.contains(&t.text.as_str()) {
-                let what = format!("{}!", t.text);
-                emit(EvKind::Alloc { what, recv: None }, snapshot(&held));
-                i += 2;
-                continue;
-            }
-
-            // Allocation methods: `.to_vec()`, `.clone()`, …
-            if prev_dot && next_open && ALLOC_METHODS.contains(&t.text.as_str()) {
-                let what = format!(".{}()", t.text);
-                let recv = prev(2)
-                    .filter(|r| r.kind == TokKind::Ident)
-                    .map(|r| r.text.clone());
-                emit(EvKind::Alloc { what, recv }, snapshot(&held));
-                i += 1;
-                continue;
-            }
-
             // Blocking primitives. Recorded even with nothing held: a
             // caller holding guards across a call to this function must
             // still be caught transitively.
@@ -535,9 +471,8 @@ mod tests {
     }
 
     #[test]
-    fn blocking_and_allocation_sites_are_not_call_edges() {
-        let src = "fn wait() {}\nfn new() {}\nfn clone() {}\n\
-                   fn f(cv: &Condvar, v: &Vec<u8>) { cv.wait(1); Box::new(1); v.clone(); }\n";
+    fn blocking_sites_are_not_call_edges() {
+        let src = "fn wait() {}\nfn f(cv: &Condvar) { cv.wait(1); }\n";
         assert!(callees_of(src, "f").is_empty());
     }
 }

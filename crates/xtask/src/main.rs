@@ -3,20 +3,18 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::analyze::{analyze_workspace, render_report, write_budget};
+use xtask::analyze::{analyze_workspace, render_report};
 use xtask::explain::explain;
 
 const USAGE: &str = "\
 usage: cargo run -p xtask -- analyze [options]
 
-  analyze         the static analysis clippy cannot do: blocking
-                  hygiene, units hygiene, nondeterminism dataflow,
+  analyze         the static analysis clippy cannot do: units hygiene,
                   manifest lints tables, and the cross-file passes
-                  (lock order, hot-path cost, guarded-field
-                  consistency)
+                  (lock order, locks across blocking calls,
+                  guarded-field consistency)
     --root <dir>      analyze a different tree (default: this workspace)
     --report <file>   also write a machine-readable JSON report
-    --write-budget    rewrite lint-budget.toml to match live counts
     --explain [rule]  print one rule's documentation page; with no rule,
                       list every rule with a one-line summary
 
@@ -38,7 +36,6 @@ fn main() -> ExitCode {
 fn analyze_cmd(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut report: Option<PathBuf> = None;
-    let mut write = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -50,7 +47,6 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--write-budget" => write = true,
             "--explain" => {
                 return match it.next() {
                     // Bare `--explain` lists every rule with a one-line
@@ -87,13 +83,6 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if write {
-        if let Err(e) = write_budget(&root, &outcome) {
-            eprintln!("xtask analyze: {e}");
-            return ExitCode::from(2);
-        }
-        println!("lint-budget.toml updated");
-    }
     if let Some(path) = &report {
         // The report is written clean or dirty — CI uploads it either way.
         if let Err(e) = std::fs::write(path, render_report(&outcome)) {

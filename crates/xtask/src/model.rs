@@ -298,19 +298,14 @@ pub fn fn_items(w: &WorkspaceModel) -> Vec<FnItem> {
     out
 }
 
-/// A named struct field declaration, for the cost and guarded-field
-/// passes: `.clone()` receivers are checked against the declared type's
-/// `Copy`-ness, and field accesses are classified per field name.
+/// A named struct field declaration, for the guarded-field pass: field
+/// accesses are classified per declared field name.
 #[derive(Debug)]
 pub struct FieldDecl {
     /// Owning crate.
     pub krate: String,
-    /// Struct the field belongs to.
-    pub strukt: String,
     /// Field name.
     pub name: String,
-    /// Type token texts in declaration order (`Option < SimTime >`).
-    pub ty: Vec<String>,
 }
 
 /// Extract every named struct field declared in the workspace.
@@ -326,7 +321,6 @@ pub fn field_decls(w: &WorkspaceModel) -> Vec<FieldDecl> {
                 i += 1;
                 continue;
             }
-            let strukt = toks[i + 1].text.clone();
             // Skip a generic parameter list on the struct itself.
             let mut j = skip_generics(toks, i + 2);
             // Skip any `where` clause; stop at the body delimiter. Tuple
@@ -358,73 +352,22 @@ pub fn field_decls(w: &WorkspaceModel) -> Vec<FieldDecl> {
                         .get(k + 1)
                         .is_some_and(|n| n.is_punct(":") && n.nest == field_nest)
                 {
-                    let mut ty = Vec::new();
-                    let mut m = k + 2;
-                    while m < toks.len() {
-                        let u = &toks[m];
-                        if (u.is_punct(",") && u.nest == field_nest)
-                            || (u.kind == TokKind::Close && u.nest == body_nest)
-                        {
-                            break;
-                        }
-                        ty.push(u.text.clone());
-                        m += 1;
-                    }
                     out.push(FieldDecl {
                         krate: wf.ctx.crate_name.clone(),
-                        strukt: strukt.clone(),
                         name: t.text.clone(),
-                        ty,
                     });
+                    // Skip the type to the field's closing `,` or `}`.
+                    let mut m = k + 2;
+                    while m < toks.len()
+                        && !((toks[m].is_punct(",") && toks[m].nest == field_nest)
+                            || (toks[m].kind == TokKind::Close && toks[m].nest == body_nest))
+                    {
+                        m += 1;
+                    }
                     k = m;
                     continue;
                 }
                 k += 1;
-            }
-            i = j + 1;
-        }
-    }
-    out
-}
-
-/// Names of types that `#[derive(..., Copy, ...)]` anywhere in the
-/// workspace, for the `.clone()`-receiver heuristic of the hot-path
-/// cost pass.
-pub fn copy_types(w: &WorkspaceModel) -> std::collections::BTreeSet<String> {
-    let mut out = std::collections::BTreeSet::new();
-    for wf in &w.files {
-        let toks = &wf.model.toks;
-        let mut i = 0usize;
-        while i + 2 < toks.len() {
-            if !(toks[i].is_ident("derive") && toks[i + 1].is_punct("(")) {
-                i += 1;
-                continue;
-            }
-            let base = toks[i + 1].nest;
-            let mut j = i + 2;
-            let mut has_copy = false;
-            while j < toks.len() {
-                if toks[j].kind == TokKind::Close && toks[j].nest == base {
-                    break;
-                }
-                if toks[j].is_ident("Copy") {
-                    has_copy = true;
-                }
-                j += 1;
-            }
-            if has_copy {
-                // The derived item follows within a few tokens (further
-                // attributes and doc comments are not tokens).
-                let mut k = j;
-                while k < toks.len() && k < j + 40 {
-                    if (toks[k].is_ident("struct") || toks[k].is_ident("enum"))
-                        && toks.get(k + 1).is_some_and(|t| t.kind == TokKind::Ident)
-                    {
-                        out.insert(toks[k + 1].text.clone());
-                        break;
-                    }
-                    k += 1;
-                }
             }
             i = j + 1;
         }

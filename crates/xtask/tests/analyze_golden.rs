@@ -1,17 +1,13 @@
 //! Golden tests for `xtask analyze`: seeded fixture files must produce
 //! exactly the expected `file:line: rule-id: message` output from the
 //! per-file rules and the cross-file passes alike, clean counterparts
-//! and the lexer edge-case fixture must trip nothing, the real workspace
-//! must analyze clean (which also proves the checked-in budget matches
-//! the live counts), and that budget may never rise above its seed
-//! values. The per-file rules clippy owns are gated by the clippy
-//! fixture crate (`fixtures/clippy`) instead.
+//! and the lexer edge-case fixture must trip nothing, and the real
+//! workspace must analyze clean. The per-file rules clippy owns are
+//! gated by the clippy fixture crate (`fixtures/clippy`) instead.
 
 use std::path::{Path, PathBuf};
 
 use xtask::analyze::{analyze_sources, analyze_workspace};
-use xtask::budget::Budget;
-use xtask::context::SIM_CRATES;
 use xtask::rules::RULES;
 
 fn fixture(name: &str) -> String {
@@ -42,24 +38,6 @@ fn diags_for(rel_path: &str, fixture_name: &str) -> Vec<String> {
     diags(&[(rel_path, &fixture(fixture_name))])
 }
 
-#[test]
-fn blocking_violations_golden() {
-    let rel = "crates/netpipe/src/fixture.rs";
-    let got = diags_for(rel, "unit/blocking_violations.rs");
-    let want = vec![
-        format!("{rel}:3: blocking-hygiene: deadline-free blocking `read_exact` in real-mode code; use faultlab::io::read_exact_deadline"),
-        format!("{rel}:4: blocking-hygiene: deadline-free blocking `write_all` in real-mode code; use faultlab::io::write_all_deadline"),
-        format!("{rel}:5: blocking-hygiene: deadline-free blocking `accept` in real-mode code; use faultlab::io::accept_deadline"),
-    ];
-    assert_eq!(got, want);
-}
-
-#[test]
-fn blocking_clean_is_silent() {
-    let got = diags_for("crates/mplite/src/fixture.rs", "unit/blocking_clean.rs");
-    assert!(got.is_empty(), "{got:?}");
-}
-
 /// An old-style annotation for a rule clippy now owns is stale, not a
 /// silent no-op: were `expect` or `wall-clock` still live here, each
 /// allow would be consumed and this golden would come back empty.
@@ -82,13 +60,6 @@ fn fixture_tree_end_to_end() {
     let outcome = analyze_workspace(&root).expect("analyze runs");
     assert!(!outcome.clean());
     assert_eq!(outcome.files_checked, 2);
-    // simcore/units: live count 1 is inside its budget of 1.
-    assert_eq!(
-        outcome
-            .budget_counts
-            .get(&("simcore".into(), "units".into())),
-        Some(&1)
-    );
     let got: Vec<String> = outcome
         .diagnostics
         .iter()
@@ -97,9 +68,11 @@ fn fixture_tree_end_to_end() {
     let want = vec![
         "crates/mplite/Cargo.toml:0: lints-table: crate does not declare `[lints] workspace = true`"
             .to_string(),
-        "crates/mplite/src/lib.rs:5: blocking-hygiene: deadline-free blocking `read_exact` in real-mode code; use faultlab::io::read_exact_deadline"
+        "crates/mplite/src/lib.rs:5: bad-allow: malformed annotation; use \
+         `lint:allow(<rule>) -- <reason>`"
             .to_string(),
-        "lint-budget.toml:0: budget: mplite/hot-cost: budget 2 is stale, live count is 0; remove the entry"
+        "crates/simcore/src/lib.rs:4: units: magic unit-conversion constant `1e6` in arithmetic; \
+         use simcore::units / SimDuration helpers"
             .to_string(),
     ];
     assert_eq!(got, want);
@@ -168,89 +141,6 @@ fn units_clean_is_silent() {
     assert!(got.is_empty(), "{got:?}");
 }
 
-#[test]
-fn nondet_violations_golden() {
-    let src = fixture("unit/nondet_violations.rs");
-    let rel = "crates/mplite/src/fixture.rs";
-    let got = diags(&[(rel, &src)]);
-    let want = vec![
-        format!(
-            "{rel}:6: nondet-wall-clock: wall-clock read outside the real-mode clock \
-             modules; take timestamps as parameters or move this into the driver/deadline layer"
-        ),
-        format!(
-            "{rel}:16: nondet-hash-iter: iteration over HashMap/HashSet binding `m` has \
-             nondeterministic order; use BTreeMap/BTreeSet or collect and sort"
-        ),
-    ];
-    assert_eq!(got, want);
-}
-
-#[test]
-fn nondet_clean_is_silent() {
-    let src = fixture("unit/nondet_clean.rs");
-    let got = diags(&[("crates/mplite/src/fixture.rs", &src)]);
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn float_reduction_golden_in_sim_code() {
-    let src = "pub fn mean(xs: &[f64]) -> f64 {\n    xs.iter().sum()\n}\n";
-    let got = diags(&[("crates/simcore/src/fixture.rs", src)]);
-    let want = vec![
-        "crates/simcore/src/fixture.rs:2: nondet-float-reduction: order-sensitive float \
-         reduction `.sum` in sim code; use simcore::stats::OnlineStats or a fixed-order loop"
-            .to_string(),
-    ];
-    assert_eq!(got, want);
-}
-
-/// A hot chain three levels deep, with two call sites reaching the
-/// middle hop: the allocation in the leaf is reported exactly once,
-/// with the full entry -> middle -> leaf path in the message.
-#[test]
-fn hot_chain_three_deep_golden_reports_once_with_full_path() {
-    let src = fixture("unit/hot_chain.rs");
-    let rel = "crates/mplite/src/hot_chain.rs";
-    let got = diags(&[(rel, &src)]);
-    let want = vec![format!(
-        "{rel}:16: hot-cost: hot-path allocation `Vec::new` reachable from `entry` via \
-         entry -> middle -> leaf; hoist it off the hot path or annotate \
-         `lint:allow(hot-cost) -- <reason>`"
-    )];
-    assert_eq!(got, want);
-}
-
-/// The call graph resolves by shape, not by bare name: `wire::send(` is
-/// the free function in module `wire`, never the method `Other::send`
-/// that shares its name (nor, through it, `Other::new`). Only the free
-/// function's allocation is reported, with the true chain.
-#[test]
-fn hot_free_fn_call_never_resolves_to_a_method_golden() {
-    let src = fixture("unit/hot_resolver.rs");
-    let rel = "crates/mplite/src/hot_resolver.rs";
-    let got = diags(&[(rel, &src)]);
-    let want = vec![format!(
-        "{rel}:12: hot-cost: hot-path allocation `.to_vec()` reachable from `entry` via \
-         entry -> send; hoist it off the hot path or annotate \
-         `lint:allow(hot-cost) -- <reason>`"
-    )];
-    assert_eq!(got, want);
-}
-
-/// A well-formed hot-cost allow with no finding on its line or the
-/// next is stale like any other annotation: `stale-allow`, not silence.
-#[test]
-fn stale_hot_alloc_allow_golden() {
-    let src = fixture("unit/hot_stale_allow.rs");
-    let rel = "crates/mplite/src/hot_stale_allow.rs";
-    let got = diags(&[(rel, &src)]);
-    let want = vec![format!(
-        "{rel}:10: stale-allow: lint:allow(hot-cost) has no matching violation; remove it"
-    )];
-    assert_eq!(got, want);
-}
-
 /// A field guarded in one file and bare in another, both on
 /// thread-reachable paths: one finding, at the bare site, naming the
 /// guarded site across the file boundary.
@@ -275,7 +165,7 @@ fn race_guarded_field_pair_across_files_golden() {
 
 /// The condvar idiom — guard passed into `wait`, notify calls, atomic
 /// ops — must survive the whole pipeline clean: no lock-across-blocking,
-/// no race-guarded-field, no hot-cost.
+/// no race-guarded-field.
 #[test]
 fn condvar_style_fixture_is_clean_end_to_end() {
     let src = fixture("unit/race_condvar_clean.rs");
@@ -300,32 +190,8 @@ fn lexer_edge_cases_trip_no_rule_anywhere() {
     }
 }
 
-/// `SIM_CRATES` scopes the nondet pass; each crate root's `#![deny(..)]`
-/// scopes clippy's determinism bans. The two must name the same crates.
-#[test]
-fn sim_crates_are_the_crate_roots_denying_the_determinism_bans() {
-    let crates = workspace_root().join("crates");
-    for entry in std::fs::read_dir(&crates).expect("crates/ lists") {
-        let dir = entry.expect("dir entry").path();
-        let Ok(root) = std::fs::read_to_string(dir.join("src/lib.rs")) else {
-            continue;
-        };
-        let name = dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .expect("utf-8 name");
-        assert_eq!(
-            root.contains("clippy::disallowed_methods")
-                && root.contains("clippy::disallowed_types"),
-            SIM_CRATES.contains(&name),
-            "{name}: crate root and SIM_CRATES disagree"
-        );
-    }
-}
-
 /// Acceptance gate: the real workspace analyzes clean — zero
-/// un-annotated findings across every rule `analyze` owns, and the
-/// checked-in budget matches live counts.
+/// un-annotated findings across every rule `analyze` owns.
 #[test]
 fn real_workspace_analyzes_clean() {
     let outcome = analyze_workspace(&workspace_root()).expect("analyze runs");
@@ -339,35 +205,6 @@ fn real_workspace_analyzes_clean() {
         "workspace analyze found:\n{}",
         msgs.join("\n")
     );
-}
-
-/// The ratchet floor: no budget entry may ever rise above its value at
-/// the seed of its section. The `units` rule seeded with **no entries**
-/// (every crate at zero); the hot-cost sections seeded at the burn-down
-/// inventory recorded when the hot-path pass landed. Any entry above its
-/// floor — or any new section — is a regression; entries may only shrink
-/// toward zero.
-#[test]
-fn budget_never_exceeds_seed() {
-    const SEED: &[(&str, &str, usize)] = &[
-        ("collectives", "hot-cost", 21),
-        ("mplite", "hot-cost", 2),
-        ("mpsim", "hot-cost", 35),
-        ("protosim", "hot-cost", 2),
-    ];
-    let text = std::fs::read_to_string(workspace_root().join("lint-budget.toml"))
-        .expect("budget file exists");
-    let budget = Budget::parse(&text).expect("budget parses");
-    for (krate, rule, n) in budget.keys() {
-        let seed = SEED
-            .iter()
-            .find(|(k, r, _)| *k == krate && *r == rule)
-            .map_or(0, |(_, _, n)| *n);
-        assert!(
-            n <= seed,
-            "{krate}/{rule}: budget {n} exceeds seed value {seed}"
-        );
-    }
 }
 
 #[test]
@@ -438,19 +275,21 @@ fn analyze_binary_report_and_exit_codes() {
         .expect("xtask binary runs");
     assert_eq!(index.status.code(), Some(0), "bare --explain exits 0");
     let text = String::from_utf8_lossy(&index.stdout);
-    for rule in ["lock-order", "units", "hot-cost", "race-guarded-field"] {
+    for rule in ["lock-order", "units", "race-guarded-field"] {
         assert!(text.contains(rule), "index missing {rule}: {text}");
     }
-    // The 14 rules `analyze` owns: not one of those clippy took over,
-    // nor a `protocol-*` rule (rustc checks a `protocol!` machine).
+    // The 7 rules `analyze` owns: not one of those clippy took over,
+    // nor the retired hot-path inventory and its budget, nor a
+    // `protocol-*` rule (rustc checks a `protocol!` machine).
     let listed: Vec<&str> = text
         .lines()
         .filter_map(|l| l.strip_prefix("  ")?.split_whitespace().next())
         .collect();
-    assert_eq!((listed.len(), &listed[..]), (14, RULES), "{text}");
-    for gone in
-        "wall-clock sleep ambient-rng hash-container trace-hygiene unwrap expect panic print dbg"
-            .split(' ')
+    assert_eq!((listed.len(), &listed[..]), (7, RULES), "{text}");
+    for gone in "wall-clock sleep ambient-rng hash-container trace-hygiene unwrap expect panic \
+                 print dbg blocking-hygiene nondet-wall-clock nondet-hash-iter \
+                 nondet-float-reduction hot-cost marker-hygiene budget"
+        .split_whitespace()
     {
         assert!(!listed.contains(&gone), "index lists {gone}: {text}");
     }
