@@ -293,14 +293,11 @@ fn main() {
             }
         }
         "real" => {
-            let mut opts = RealTcpOptions {
+            let opts = RealTcpOptions {
                 sockbuf: args.sockbuf,
                 nodelay: true,
-                ..Default::default()
+                plan: args.faults.clone().unwrap_or_default(),
             };
-            if let Some(plan) = &args.faults {
-                opts.apply_plan(plan);
-            }
             let d = RealTcpDriver::new(opts).expect("cannot start loopback echo server");
             let (snd, rcv) = d.effective_buffers();
             println!("# real loopback TCP (granted sndbuf={snd}, rcvbuf={rcv})\n");

@@ -46,9 +46,11 @@ const FUZZ_FRAMES: u64 = 10_000;
 /// Run the fixed chaos schedule and render the deterministic report.
 fn smoke_report() -> String {
     let plan = FaultPlan::parse(SMOKE_PLAN).expect("smoke plan parses");
-    let mut opts = RealTcpOptions::default();
-    opts.apply_plan(&plan);
-    let mut driver = RealTcpDriver::new(opts).expect("driver boots through the proxy");
+    let mut driver = RealTcpDriver::new(RealTcpOptions {
+        plan: plan.clone(),
+        ..RealTcpOptions::default()
+    })
+    .expect("driver boots through the proxy");
 
     let (mut clean, mut frame, mut timeout, mut disconnect) = (0u32, 0u32, 0u32, 0u32);
     let mut untyped: Vec<String> = Vec::new();

@@ -15,7 +15,9 @@
 //! [`auto_algorithm`] (which depends only on the op and the job size,
 //! so ranks can never disagree on it). Gather, scatter and all-to-all
 //! remain hand-rolled: they are personalized (per-peer payloads), which
-//! the schedule vocabulary does not model.
+//! the schedule vocabulary does not model; their receives still go
+//! through the same deadline-bounded transport, one posted receive per
+//! source.
 //!
 //! All collectives use reserved negative tags derived from a per-job
 //! sequence number, so they never collide with user traffic and
@@ -155,6 +157,15 @@ impl CollTransport for CommTransport<'_> {
 }
 
 impl Comm {
+    /// This communicator as a schedule transport, under the current
+    /// collective round deadline.
+    fn transport(&self) -> CommTransport<'_> {
+        CommTransport {
+            comm: self,
+            deadline: self.coll_deadline(),
+        }
+    }
+
     /// Reserve the next collective tag; all ranks call the collectives
     /// in the same order, so the sequence numbers agree. `rem_euclid`
     /// keeps the tag inside the reserved `[-1_000_000, -1]` window even
@@ -187,10 +198,7 @@ impl Comm {
         let schedule = build(op, algorithm, n).map_err(plan_err)?;
         let tag = self.coll_tag();
         run_blocking(
-            &CommTransport {
-                comm: self,
-                deadline: self.coll_deadline(),
-            },
+            &self.transport(),
             &schedule,
             ExecCtx { root, reduction },
             tag,
@@ -335,11 +343,15 @@ impl Comm {
             });
         }
         if self.rank() == root {
+            let t = self.transport();
+            let pending: Vec<_> = (0..n)
+                .filter(|&r| r != root)
+                .map(|r| t.post(r, tag))
+                .collect();
             let mut parts: Vec<Vec<u8>> = vec![Vec::new(); n];
             parts[root] = data.to_vec();
-            for _ in 0..n - 1 {
-                let (bytes, st) = self.recv_internal(crate::message::ANY_SOURCE, tag)?;
-                parts[st.src] = bytes.to_vec();
+            for p @ (src, _) in pending {
+                parts[src] = t.complete(p)?;
             }
             Ok(Some(parts))
         } else {
@@ -377,8 +389,8 @@ impl Comm {
             }
             Ok(mine)
         } else {
-            let (bytes, _) = self.recv_internal(root as i32, tag)?;
-            Ok(bytes)
+            let t = self.transport();
+            Ok(Bytes::from(t.complete(t.post(root, tag))?))
         }
     }
 
@@ -388,17 +400,22 @@ impl Comm {
         let tag = self.coll_tag();
         let n = self.nprocs();
         assert_eq!(parts.len(), n, "alltoall needs one part per rank");
+        let me = self.rank();
+        let t = self.transport();
+        let pending: Vec<_> = (0..n)
+            .filter(|&r| r != me)
+            .map(|r| t.post(r, tag))
+            .collect();
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        out[self.rank()] = parts[self.rank()].to_vec();
+        out[me] = parts[me].to_vec();
         let mut sends = Vec::new();
         for (dst, part) in parts.into_iter().enumerate() {
-            if dst != self.rank() {
+            if dst != me {
                 sends.push(self.isend_internal(dst, tag, part)?);
             }
         }
-        for _ in 0..n - 1 {
-            let (bytes, st) = self.recv_internal(crate::message::ANY_SOURCE, tag)?;
-            out[st.src] = bytes.to_vec();
+        for p @ (src, _) in pending {
+            out[src] = t.complete(p)?;
         }
         for s in sends {
             s.wait()?;
@@ -718,6 +735,52 @@ mod tests {
             .expect_err("deadline must fire");
         assert!(matches!(err, MpError::RankDead { rank: 1 }), "{err}");
         drop(c1);
+    }
+
+    /// Run `call` on rank `caller` of a two-rank job whose other rank
+    /// stays connected but silent. The call must fail with `RankDead`
+    /// naming the silent rank under a 200 ms round deadline; the
+    /// watchdog turns a hang into a failure.
+    fn silent_peer_is_rank_dead<T: 'static>(
+        caller: usize,
+        call: impl FnOnce(&Comm) -> Result<T> + Send + 'static,
+    ) {
+        let mut comms = Universe::local(2).expect("mesh");
+        let silent = comms.remove(1 - caller);
+        let comm = comms.pop().expect("caller");
+        comm.set_coll_deadline(std::time::Duration::from_millis(200));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller_thread = std::thread::spawn(move || tx.send(call(&comm).err()));
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("collective still blocked after the 5 s watchdog")
+            .expect("the round deadline must fire");
+        caller_thread
+            .join()
+            .expect("caller thread")
+            .expect("result sent");
+        assert!(
+            matches!(err, MpError::RankDead { rank } if rank == 1 - caller),
+            "{err}"
+        );
+        drop(silent);
+    }
+
+    #[test]
+    fn gather_root_hits_the_round_deadline_on_a_silent_peer() {
+        silent_peer_is_rank_dead(0, |c| c.gather(0, b"mine"));
+    }
+
+    #[test]
+    fn scatter_leaf_hits_the_round_deadline_on_a_silent_root() {
+        silent_peer_is_rank_dead(1, |c| c.scatter(0, None));
+    }
+
+    #[test]
+    fn alltoall_hits_the_round_deadline_on_a_silent_peer() {
+        silent_peer_is_rank_dead(0, |c| {
+            c.alltoall(vec![Bytes::from("to-0"), Bytes::from("to-1")])
+        });
     }
 
     #[test]

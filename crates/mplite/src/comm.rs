@@ -552,10 +552,6 @@ impl Comm {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
     }
-
-    pub(crate) fn recv_internal(&self, src: i32, tag: i32) -> Result<(Bytes, Status)> {
-        self.engine.post(src, tag).wait().map(unpack)
-    }
 }
 
 /// Requested per-socket buffer size: `MPLITE_SOCKBUF` or a 1 MiB default

@@ -49,7 +49,7 @@ pub mod schedule;
 pub use analysis::{analyze, fit_hockney, size_reaching, SignatureAnalysis};
 pub use driver::{Driver, DriverError, NetpipeError, SimDriver};
 pub use mplite_driver::MpliteDriver;
-pub use real_tcp::{ChaosOptions, RealTcpDriver, RealTcpOptions};
+pub use real_tcp::{RealTcpDriver, RealTcpOptions};
 pub use report::{ascii_figure, fault_report, summary_table, svg_figure, to_csv, to_plotfile};
 pub use runner::{run, run_streaming, Point, PointStatus, RunOptions, Signature};
 pub use schedule::{sizes, ScheduleOptions};

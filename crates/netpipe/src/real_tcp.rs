@@ -12,12 +12,13 @@
 //!
 //! Unlike the paper's NetPIPE, this module is built to *survive* a sick
 //! network: every socket operation carries a deadline
-//! ([`RealTcpOptions::deadline`]), connects retry under bounded
-//! exponential backoff ([`RealTcpOptions::retry`]), and a failed round
-//! trip drops the connection so [`Driver::recover`] can re-establish it
-//! — the runner's [`faultlab::SweepPolicy`] then turns a dying peer into
+//! ([`FaultPlan::io_deadline`]), connects retry under bounded
+//! exponential backoff ([`FaultPlan::retry`]), and a failed round trip
+//! drops the connection so [`Driver::recover`] can re-establish it —
+//! the runner's [`faultlab::SweepPolicy`] then turns a dying peer into
 //! *degraded* points in a partial report instead of a hung benchmark.
-//! [`ChaosOptions`] lets tests and the CLI play the peer's assassin.
+//! The plan's `kill_after` / `kill_listener` clauses let tests and the
+//! CLI play the peer's assassin.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use faultlab::io::{accept_deadline, connect_retry, read_exact_deadline, write_all_deadline};
 use faultlab::proxy::{ChaosProxy, FaultEvent, FrameFormat};
-use faultlab::{set_socket_buffers, FaultCounters, FaultPlan, RetryPolicy};
+use faultlab::{set_socket_buffers, FaultCounters, FaultPlan};
 use mplite::frame;
 use simcore::trace::stages;
 use tracelab::WallTracer;
@@ -47,19 +48,6 @@ const SERVER_POLL: Duration = Duration::from_millis(200);
 /// track in the simulation's allocation scheme).
 const FAULT_TRACK: u32 = 48;
 
-/// Deliberate server-side failures, for chaos tests and `--faults`
-/// sweeps: the echo peer murders its own connection (or itself) at a
-/// predictable point so the client's resilience path can be exercised.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosOptions {
-    /// Close the connection after echoing this many messages (per
-    /// connection — a reconnected client gets another allowance).
-    pub kill_after: Option<u64>,
-    /// After the first kill, also stop accepting new connections: the
-    /// peer is gone for good and every later point must fail.
-    pub kill_listener: bool,
-}
-
 /// Configuration for the real TCP module.
 #[derive(Debug, Clone)]
 pub struct RealTcpOptions {
@@ -67,18 +55,14 @@ pub struct RealTcpOptions {
     pub sockbuf: u32,
     /// Disable Nagle's algorithm (NetPIPE default: yes).
     pub nodelay: bool,
-    /// Deadline for each socket operation (connect attempt, header or
-    /// payload read, write). A dead peer costs one deadline, not a hang.
-    pub deadline: Duration,
-    /// Backoff schedule for connect and reconnect attempts.
-    pub retry: RetryPolicy,
-    /// Server-side fault injection.
-    pub chaos: ChaosOptions,
-    /// Full fault plan, when one is in force. If it carries byte-level
-    /// clauses ([`FaultPlan::has_byte_faults`]), the driver interposes a
-    /// [`ChaosProxy`] between client and echo server and every frame
-    /// crosses the injured wire.
-    pub plan: Option<FaultPlan>,
+    /// The fault plan in force (the default injects nothing). The driver
+    /// reads its real-mode clauses: the deadline on each socket
+    /// operation (a dead peer costs one deadline, not a hang), the
+    /// connect backoff, and the echo peer's kill schedule. If it carries
+    /// byte-level clauses ([`FaultPlan::has_byte_faults`]), the driver
+    /// interposes a [`ChaosProxy`] between client and echo server and
+    /// every frame crosses the injured wire.
+    pub plan: FaultPlan,
 }
 
 impl Default for RealTcpOptions {
@@ -86,24 +70,8 @@ impl Default for RealTcpOptions {
         RealTcpOptions {
             sockbuf: 0,
             nodelay: true,
-            deadline: Duration::from_secs(5),
-            retry: RetryPolicy::default(),
-            chaos: ChaosOptions::default(),
-            plan: None,
+            plan: FaultPlan::default(),
         }
-    }
-}
-
-impl RealTcpOptions {
-    /// Adopt the real-mode knobs of a fault plan: the I/O deadline, the
-    /// reconnect backoff, the chaos (kill) schedule — and keep the whole
-    /// plan so byte-level clauses can raise a proxy.
-    pub fn apply_plan(&mut self, plan: &FaultPlan) {
-        self.deadline = plan.io_deadline;
-        self.retry = plan.retry.clone();
-        self.chaos.kill_after = plan.kill_after;
-        self.chaos.kill_listener = plan.kill_listener;
-        self.plan = Some(plan.clone());
     }
 }
 
@@ -143,16 +111,15 @@ impl RealTcpDriver {
             .name("netpipe-echo".into())
             .spawn(move || serve(listener, server_opts, max_msg, server_stop))
             .map_err(|e| NetpipeError::from_io("spawn", e))?;
-        let proxy = match opts.plan.as_ref().filter(|p| p.has_byte_faults()) {
-            Some(plan) => {
-                let proxy = ChaosProxy::new(plan.clone(), FrameFormat::MPLITE_V2);
-                // Rank 0 = the NetPIPE client, rank 1 = the echo peer.
-                addr = proxy
-                    .front(0, 1, addr)
-                    .map_err(|e| NetpipeError::from_io("proxy front", e))?;
-                Some(proxy)
-            }
-            None => None,
+        let proxy = if opts.plan.has_byte_faults() {
+            let proxy = ChaosProxy::new(opts.plan.clone(), FrameFormat::MPLITE_V2);
+            // Rank 0 = the NetPIPE client, rank 1 = the echo peer.
+            addr = proxy
+                .front(0, 1, addr)
+                .map_err(|e| NetpipeError::from_io("proxy front", e))?;
+            Some(proxy)
+        } else {
+            None
         };
         let mut driver = RealTcpDriver {
             addr,
@@ -209,8 +176,8 @@ impl RealTcpDriver {
 
     /// (Re)establish the client connection under the retry policy.
     fn connect(&mut self) -> Result<(), DriverError> {
-        let per_attempt = self.opts.deadline.min(Duration::from_secs(1));
-        let stream = connect_retry(self.addr, per_attempt, &self.opts.retry)
+        let per_attempt = self.opts.plan.io_deadline.min(Duration::from_secs(1));
+        let stream = connect_retry(self.addr, per_attempt, &self.opts.plan.retry)
             .map_err(|e| NetpipeError::from_io("connect", e))?;
         stream
             .set_nodelay(self.opts.nodelay)
@@ -229,7 +196,7 @@ impl RealTcpDriver {
             // Deterministic non-trivial payload for integrity checks.
             self.buf = (0..n).map(|i| (i % 251) as u8).collect();
         }
-        let deadline = self.opts.deadline;
+        let deadline = self.opts.plan.io_deadline;
         let stream = match self.stream.as_mut() {
             Some(s) => s,
             None => {
@@ -317,9 +284,9 @@ fn serve(listener: TcpListener, opts: RealTcpOptions, max_msg: u64, stop: Arc<At
             Ok(mut s) => {
                 let _ = s.set_nodelay(opts.nodelay);
                 let _ = set_socket_buffers(&s, opts.sockbuf, opts.sockbuf);
-                match echo_loop(&mut s, max_msg, &opts, &stop) {
+                match echo_loop(&mut s, max_msg, &opts.plan, &stop) {
                     EchoEnd::Clean => return,
-                    EchoEnd::Killed if opts.chaos.kill_listener => return,
+                    EchoEnd::Killed if opts.plan.kill_listener => return,
                     EchoEnd::Killed | EchoEnd::PeerGone => {}
                 }
             }
@@ -336,11 +303,11 @@ fn serve(listener: TcpListener, opts: RealTcpOptions, max_msg: u64, stop: Arc<At
 /// slices so shutdown stays responsive. Any framing violation —
 /// tampered magic, bad CRC, oversized declared length — drops the
 /// connection before a single payload byte is trusted.
-fn echo_loop(s: &mut TcpStream, max_msg: u64, opts: &RealTcpOptions, stop: &AtomicBool) -> EchoEnd {
+fn echo_loop(s: &mut TcpStream, max_msg: u64, plan: &FaultPlan, stop: &AtomicBool) -> EchoEnd {
     let mut buf = Vec::new();
     let mut echoed = 0u64;
     loop {
-        if let Some(kill_after) = opts.chaos.kill_after {
+        if let Some(kill_after) = plan.kill_after {
             if echoed >= kill_after {
                 // Chaos: die abruptly, mid-conversation.
                 let _ = s.shutdown(std::net::Shutdown::Both);
@@ -362,7 +329,7 @@ fn echo_loop(s: &mut TcpStream, max_msg: u64, opts: &RealTcpOptions, stop: &Atom
                 Err(_) => return EchoEnd::PeerGone,
             }
         }
-        if read_exact_deadline(s, &mut hdr[1..], opts.deadline).is_err() {
+        if read_exact_deadline(s, &mut hdr[1..], plan.io_deadline).is_err() {
             return EchoEnd::PeerGone;
         }
         // The length bound is enforced here, before the resize below.
@@ -371,7 +338,7 @@ fn echo_loop(s: &mut TcpStream, max_msg: u64, opts: &RealTcpOptions, stop: &Atom
             Err(_) => return EchoEnd::PeerGone,
         };
         buf.resize(pf.len as usize, 0);
-        if read_exact_deadline(s, &mut buf, opts.deadline).is_err() {
+        if read_exact_deadline(s, &mut buf, plan.io_deadline).is_err() {
             return EchoEnd::PeerGone;
         }
         if pf.verify(&buf).is_err() {
@@ -381,8 +348,8 @@ fn echo_loop(s: &mut TcpStream, max_msg: u64, opts: &RealTcpOptions, stop: &Atom
             return EchoEnd::Clean;
         }
         // Echo the exact bytes back: header included, CRC and all.
-        if write_all_deadline(s, &hdr, opts.deadline).is_err()
-            || write_all_deadline(s, &buf, opts.deadline).is_err()
+        if write_all_deadline(s, &hdr, plan.io_deadline).is_err()
+            || write_all_deadline(s, &buf, plan.io_deadline).is_err()
         {
             return EchoEnd::PeerGone;
         }
@@ -484,12 +451,14 @@ mod tests {
 
     #[test]
     fn killed_connection_classifies_and_recovers() -> TestResult {
-        let mut opts = RealTcpOptions {
-            deadline: Duration::from_secs(2),
+        let mut d = RealTcpDriver::new(RealTcpOptions {
+            plan: FaultPlan {
+                io_deadline: Duration::from_secs(2),
+                kill_after: Some(2),
+                ..FaultPlan::default()
+            },
             ..Default::default()
-        };
-        opts.chaos.kill_after = Some(2);
-        let mut d = RealTcpDriver::new(opts)?;
+        })?;
         d.roundtrip(64)?;
         d.roundtrip(64)?;
         // Third message hits the assassinated connection.
@@ -510,18 +479,21 @@ mod tests {
 
     #[test]
     fn killed_listener_makes_recovery_fail() {
-        let mut opts = RealTcpOptions {
-            deadline: Duration::from_millis(500),
-            retry: RetryPolicy {
-                max_attempts: 2,
-                base: Duration::from_millis(10),
-                factor: 2.0,
-                cap: Duration::from_millis(20),
+        let opts = RealTcpOptions {
+            plan: FaultPlan {
+                io_deadline: Duration::from_millis(500),
+                retry: faultlab::RetryPolicy {
+                    max_attempts: 2,
+                    base: Duration::from_millis(10),
+                    factor: 2.0,
+                    cap: Duration::from_millis(20),
+                },
+                kill_after: Some(1),
+                kill_listener: true,
+                ..FaultPlan::default()
             },
             ..Default::default()
         };
-        opts.chaos.kill_after = Some(1);
-        opts.chaos.kill_listener = true;
         let mut d = match RealTcpDriver::new(opts) {
             Ok(d) => d,
             Err(e) => panic!("setup failed: {e}"),
@@ -536,30 +508,15 @@ mod tests {
     }
 
     #[test]
-    fn apply_plan_adopts_real_mode_knobs() {
-        let plan = match FaultPlan::parse("deadline=250ms,backoff=10ms,kill-after=3,kill-listener")
-        {
-            Ok(p) => p,
-            Err(e) => panic!("plan: {e:?}"),
-        };
-        let mut opts = RealTcpOptions::default();
-        opts.apply_plan(&plan);
-        assert_eq!(opts.deadline, Duration::from_millis(250));
-        assert_eq!(opts.retry.base, Duration::from_millis(10));
-        assert_eq!(opts.chaos.kill_after, Some(3));
-        assert!(opts.chaos.kill_listener);
-        assert!(opts.plan.is_some(), "the full plan rides along");
-    }
-
-    #[test]
     fn corrupted_wire_yields_typed_verdicts_and_service_recovers() {
         let plan = match FaultPlan::parse("seed=13,corrupt=0.3,deadline=500ms") {
             Ok(p) => p,
             Err(e) => panic!("plan: {e}"),
         };
-        let mut opts = RealTcpOptions::default();
-        opts.apply_plan(&plan);
-        let mut d = match RealTcpDriver::new(opts) {
+        let mut d = match RealTcpDriver::new(RealTcpOptions {
+            plan,
+            ..Default::default()
+        }) {
             Ok(d) => d,
             Err(e) => panic!("setup through the proxy failed: {e}"),
         };
@@ -596,9 +553,10 @@ mod tests {
             Ok(p) => p,
             Err(e) => panic!("plan: {e}"),
         };
-        let mut opts = RealTcpOptions::default();
-        opts.apply_plan(&plan);
-        let mut d = match RealTcpDriver::new(opts) {
+        let mut d = match RealTcpDriver::new(RealTcpOptions {
+            plan,
+            ..Default::default()
+        }) {
             Ok(d) => d,
             Err(e) => panic!("setup: {e}"),
         };

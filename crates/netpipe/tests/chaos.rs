@@ -7,33 +7,35 @@ use std::time::Duration;
 
 use faultlab::{FaultPlan, RetryPolicy, SweepPolicy};
 use netpipe::{
-    fault_report, run, summary_table, to_csv, ChaosOptions, PointStatus, RealTcpDriver,
-    RealTcpOptions, RunOptions,
+    fault_report, run, summary_table, to_csv, PointStatus, RealTcpDriver, RealTcpOptions,
+    RunOptions,
 };
 
-fn chaotic_opts(chaos: ChaosOptions) -> RealTcpOptions {
+/// An echo peer that kills its connection after `kill_after` messages,
+/// and with `kill_listener` stops accepting too.
+fn chaotic_opts(kill_after: u64, kill_listener: bool) -> RealTcpOptions {
     RealTcpOptions {
-        // Short deadlines and a tight backoff keep a dead peer cheap:
-        // the whole test must finish in seconds, not RTO-minutes.
-        deadline: Duration::from_millis(500),
-        retry: RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_millis(10),
-            factor: 2.0,
-            cap: Duration::from_millis(100),
+        plan: FaultPlan {
+            // Short deadlines and a tight backoff keep a dead peer cheap:
+            // the whole test must finish in seconds, not RTO-minutes.
+            io_deadline: Duration::from_millis(500),
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base: Duration::from_millis(10),
+                factor: 2.0,
+                cap: Duration::from_millis(100),
+            },
+            kill_after: Some(kill_after),
+            kill_listener,
+            ..FaultPlan::default()
         },
-        chaos,
         ..RealTcpOptions::default()
     }
 }
 
 #[test]
 fn killed_connections_degrade_but_the_sweep_survives() {
-    let mut driver = RealTcpDriver::new(chaotic_opts(ChaosOptions {
-        kill_after: Some(25),
-        kill_listener: false,
-    }))
-    .expect("driver boots");
+    let mut driver = RealTcpDriver::new(chaotic_opts(25, false)).expect("driver boots");
     let opts = RunOptions::quick(16 * 1024).with_resilience(SweepPolicy::default());
     let sig = run(&mut driver, &opts).expect("chaos sweep must not abort");
 
@@ -60,11 +62,7 @@ fn killed_connections_degrade_but_the_sweep_survives() {
 
 #[test]
 fn peer_death_yields_partial_annotated_signature_not_a_hang() {
-    let mut driver = RealTcpDriver::new(chaotic_opts(ChaosOptions {
-        kill_after: Some(40),
-        kill_listener: true,
-    }))
-    .expect("driver boots");
+    let mut driver = RealTcpDriver::new(chaotic_opts(40, true)).expect("driver boots");
     let opts = RunOptions::quick(64 * 1024).with_resilience(SweepPolicy::default());
     let sig = run(&mut driver, &opts).expect("peer death must degrade, not error");
 
@@ -88,11 +86,7 @@ fn peer_death_yields_partial_annotated_signature_not_a_hang() {
 
 #[test]
 fn without_resilience_peer_death_is_a_typed_error() {
-    let mut driver = RealTcpDriver::new(chaotic_opts(ChaosOptions {
-        kill_after: Some(10),
-        kill_listener: true,
-    }))
-    .expect("driver boots");
+    let mut driver = RealTcpDriver::new(chaotic_opts(10, true)).expect("driver boots");
     let err = run(&mut driver, &RunOptions::quick(64 * 1024))
         .expect_err("legacy mode must propagate the failure");
     let msg = err.to_string();
@@ -100,16 +94,4 @@ fn without_resilience_peer_death_is_a_typed_error() {
         msg.contains("timed out") || msg.contains("connect") || msg.contains("reset"),
         "error should name the socket failure: {msg}"
     );
-}
-
-#[test]
-fn fault_plan_kill_knobs_flow_into_real_options() {
-    let plan =
-        FaultPlan::parse("kill-after=40,kill-listener,deadline=250ms,backoff=5ms").expect("plan");
-    let mut opts = RealTcpOptions::default();
-    opts.apply_plan(&plan);
-    assert_eq!(opts.chaos.kill_after, Some(40));
-    assert!(opts.chaos.kill_listener);
-    assert_eq!(opts.deadline, Duration::from_millis(250));
-    assert_eq!(opts.retry.base, Duration::from_millis(5));
 }

@@ -1,6 +1,6 @@
-//! One violation per rule a `protocol!` machine is held to. Each line
-//! that must fail the build names a fragment of its error in a trailing
-//! `rejects:` marker. An error raised inside the expansion is traced
+//! One violation per rule rustc enforces: those a `protocol!` machine
+//! is held to, and field race-freedom. Each line that must fail the
+//! build names a fragment of its error in a trailing `rejects:` marker. An error raised inside the expansion is traced
 //! back to the invocation's first line; one on a token the invocation
 //! wrote (a state, a `dual` path) stays on that token's line.
 
@@ -106,4 +106,29 @@ pub fn hand_built_token() -> Idle {
 /// The enum has one variant per declared state and no others.
 pub fn undeclared_variant(s: Sender) -> bool {
     matches!(s, Sender::Bogus(_)) // rejects: no variant
+}
+
+/// Field race-freedom. With `unsafe_code` denied, a field shared across
+/// threads changes only through `&mut` or a `Sync` cell: a shared
+/// borrow cannot write a plain field, and a scoped thread cannot touch
+/// a non-`Sync` one.
+pub mod race_shapes {
+    use std::cell::Cell;
+
+    pub struct Counter {
+        count: u64,
+        hits: Cell<u64>,
+    }
+
+    impl Counter {
+        pub fn bump(&self) {
+            self.count += 1; // rejects: which is behind a `&` reference
+        }
+
+        pub fn bump_from_thread(&self) {
+            std::thread::scope(|s| {
+                s.spawn(|| self.hits.set(self.hits.get() + 1)); // rejects: cannot be shared between threads safely
+            });
+        }
+    }
 }

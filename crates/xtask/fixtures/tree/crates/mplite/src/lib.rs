@@ -1,7 +1,6 @@
-//! Fixture library crate: an annotation without a reason, manifest
-//! lacks the `[lints]` table. Never compiled.
+//! Fixture library crate: clean source, but the manifest lacks the
+//! `[lints]` table. Never compiled.
 
 pub fn recv(s: &mut std::net::TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
-    // lint:allow(units)
     s.read(buf)
 }

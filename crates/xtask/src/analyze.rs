@@ -1,7 +1,7 @@
-//! The workspace analyze pass: the rules clippy cannot check (units
-//! hygiene), the manifest check, and the cross-file passes (lock order,
-//! locks across blocking calls, guarded-field consistency) under one
-//! annotation grammar, with a machine-readable JSON report for CI.
+//! The workspace analyze pass: the rules no compiler checks (units
+//! hygiene), the manifest check, and the cross-file lock pass (lock
+//! order, locks across blocking calls), with a machine-readable JSON
+//! report for CI.
 
 use std::fs;
 use std::path::Path;
@@ -10,8 +10,7 @@ use crate::diag::Diagnostic;
 use crate::flow::Flow;
 use crate::locks::lock_findings;
 use crate::model::WorkspaceModel;
-use crate::races::race_findings;
-use crate::rules::{resolve, RawFinding, RULES};
+use crate::rules::RULES;
 use crate::units::units_findings;
 use crate::walk::{collect_files, rel_str};
 
@@ -32,7 +31,7 @@ impl AnalyzeOutcome {
 }
 
 /// Analyze an in-memory file set (fixture tests). No manifest check —
-/// just the per-file rules plus the cross-file passes.
+/// just the units rule plus the lock pass.
 pub fn analyze_sources(files: &[(&str, &str)]) -> AnalyzeOutcome {
     analyze_model(&WorkspaceModel::from_sources(files))
 }
@@ -61,33 +60,19 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeOutcome, String> {
     Ok(out)
 }
 
-/// Shared core: run the per-file rules plus the cross-file passes over
-/// a loaded model.
+/// Shared core: run the units rule plus the lock pass over a loaded
+/// model.
 fn analyze_model(w: &WorkspaceModel) -> AnalyzeOutcome {
-    let mut out = AnalyzeOutcome {
+    let mut diagnostics = lock_findings(w, &Flow::build(w));
+    for wf in &w.files {
+        diagnostics.extend(units_findings(&wf.model, &wf.ctx));
+    }
+    diagnostics.sort();
+    diagnostics.dedup();
+    AnalyzeOutcome {
+        diagnostics,
         files_checked: w.files.len(),
-        ..AnalyzeOutcome::default()
-    };
-
-    // Cross-file passes first, findings keyed per file. The two body
-    // passes share one walk and one call graph.
-    let flow = Flow::build(w);
-    let mut per_file: Vec<Vec<RawFinding>> = w.files.iter().map(|_| Vec::new()).collect();
-    for (fi, finding) in lock_findings(w, &flow)
-        .into_iter()
-        .chain(race_findings(w, &flow))
-    {
-        per_file[fi].push(finding);
     }
-
-    for (fi, wf) in w.files.iter().enumerate() {
-        let mut findings = units_findings(&wf.model, &wf.ctx);
-        findings.append(&mut per_file[fi]);
-        out.diagnostics.extend(resolve(&wf.model, findings));
-    }
-    out.diagnostics.sort();
-    out.diagnostics.dedup();
-    out
 }
 
 /// Does a manifest declare `[lints]` with `workspace = true`?

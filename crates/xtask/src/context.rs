@@ -1,23 +1,20 @@
-//! File classification: which crate a source file belongs to and
-//! whether it is library code, which together decide the applicable
-//! rules.
+//! File classification: which crate a library source file belongs to.
+//! Every rule `analyze` owns governs library code only (`src/**`
+//! outside `src/bin` and `src/main.rs`); binaries, tests, benches and
+//! examples are not read.
 
-/// A classified source file.
+/// A classified library source file.
 #[derive(Debug, Clone)]
 pub struct FileCtx {
     /// Crate name (directory under `crates/`, or the root package name).
     pub crate_name: String,
-    /// Library code (`src/**` outside `src/bin` and `src/main.rs`), the
-    /// scope of the units rule and the body passes? Binaries, tests,
-    /// benches and examples are still walked for their annotations.
-    pub lib: bool,
 }
 
 /// Name used for the workspace root package.
 pub const ROOT_CRATE: &str = "netpipe-rs";
 
 /// Classify a workspace-relative, slash-separated path. Returns `None`
-/// for paths the linter does not govern.
+/// for paths that are not library code.
 pub fn classify(rel: &str) -> Option<FileCtx> {
     let parts: Vec<&str> = rel.split('/').collect();
     let (crate_name, rest): (String, &[&str]) = if parts.first() == Some(&"crates") {
@@ -28,12 +25,8 @@ pub fn classify(rel: &str) -> Option<FileCtx> {
     } else {
         (ROOT_CRATE.to_string(), &parts[..])
     };
-    let lib = match rest.first().copied() {
-        Some("src") => !matches!(rest.get(1).copied(), Some("bin" | "main.rs")),
-        Some("tests" | "benches" | "examples") => false,
-        _ => return None,
-    };
-    Some(FileCtx { crate_name, lib })
+    let lib = rest.first() == Some(&"src") && !matches!(rest.get(1), Some(&("bin" | "main.rs")));
+    lib.then_some(FileCtx { crate_name })
 }
 
 #[cfg(test)]
@@ -44,7 +37,6 @@ mod tests {
     fn classifies_crate_paths() {
         let c = classify("crates/simcore/src/engine.rs").expect("classified");
         assert_eq!(c.crate_name, "simcore");
-        assert!(c.lib);
         assert_eq!(
             classify("src/lib.rs").map(|c| c.crate_name),
             Some(ROOT_CRATE.into())
@@ -64,7 +56,7 @@ mod tests {
             ("examples/quickstart.rs", false),
             ("tests/ablations.rs", false),
         ] {
-            assert_eq!(classify(path).map(|c| c.lib), Some(lib), "{path}");
+            assert_eq!(classify(path).is_some(), lib, "{path}");
         }
     }
 }

@@ -10,22 +10,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              rustc/clippy lint policy is set once, at the workspace root (each\n\
              crate root then denies its own rule families)."
         }
-        "bad-allow" => {
-            "bad-allow (annotation grammar)\n\n\
-             An annotation must carry a reason:\n\
-             // lint:allow(<rule>) -- <reason>\n\
-             The reason is the reviewable artifact; an allow without one is\n\
-             rejected."
-        }
-        "stale-allow" => {
-            "stale-allow (annotation grammar)\n\n\
-             A lint:allow annotation whose violation no longer exists on that\n\
-             line (or the line below) must be removed, or it will silently mask\n\
-             a future regression. That includes one naming a rule analyze no\n\
-             longer owns: the per-file determinism, blocking, panic, print and\n\
-             dbg rules are clippy's, excepted with\n\
-             #[expect(clippy::<lint>, reason = ..)]."
-        }
         "lock-order" => {
             "lock-order (cross-file)\n\
              scope: library code, workspace-wide\n\n\
@@ -60,21 +44,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              time-suffixed (_us/_ns/_s) and rate (rate/bps) identifiers —\n\
              use SimDuration::for_bytes / units::bytes_at_rate instead."
         }
-        "race-guarded-field" => {
-            "race-guarded-field (cross-file)\n\
-             scope: library code, workspace-wide\n\n\
-             A struct field accessed both under a mutex guard and bare, from\n\
-             code reachable from a thread root (thread::spawn, thread::scope,\n\
-             or a .spawn(..) builder), is inconsistently protected: safe Rust\n\
-             keeps it from being UB here, but the shape invites stale reads\n\
-             and lost updates once both paths run concurrently. Exempt: bare\n\
-             accesses behind &mut self / owned self (exclusive borrows cannot\n\
-             race) and accesses that immediately enter a sync primitive\n\
-             (.lock(), condvar wait/notify, atomics, channels, handle\n\
-             .clone()). The diagnostic is anchored at the bare site and names\n\
-             the guarded one. Suppress a reviewed exception with\n\
-             // lint:allow(race-guarded-field) -- <reason>."
-        }
         _ => return None,
     })
 }
@@ -83,12 +52,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 pub fn summary(rule: &str) -> &'static str {
     match rule {
         "lints-table" => "crate manifest missing `[lints] workspace = true`",
-        "bad-allow" => "lint:allow annotation without a `-- <reason>` tail",
-        "stale-allow" => "lint:allow annotation with no matching violation",
         "lock-order" => "cycle in the cross-file lock acquisition-order graph",
         "lock-across-blocking" => "mutex guard held across a blocking primitive",
         "units" => "magic unit-conversion constant or mixed time/rate cast",
-        "race-guarded-field" => "field accessed both under a guard and bare on threaded paths",
         _ => "",
     }
 }
@@ -131,7 +97,7 @@ mod tests {
 
     #[test]
     fn explanations_name_their_rule() {
-        for rule in ["lock-order", "units", "race-guarded-field"] {
+        for rule in RULES {
             assert!(explain(rule).expect("doc").starts_with(rule));
         }
     }

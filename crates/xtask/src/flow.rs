@@ -1,11 +1,10 @@
 //! The one function-body walk and the one call graph.
 //!
-//! The lock-order and guarded-field passes both need the same facts
-//! about a function body: which guards are live where, what it blocks
-//! on, which fields it touches, whether it spawns threads, and what it
-//! calls. [`Flow::build`] walks every governed body exactly once into
-//! one event stream ([`Ev`]) and resolves every call site under one
-//! rule (`Index::resolve`); the passes only consume events.
+//! The lock pass needs three facts about a function body: which guards
+//! are live where, what it blocks on, and what it calls.
+//! [`Flow::build`] walks every governed body exactly once into one
+//! event stream ([`Ev`]) and resolves every call site under one rule
+//! (`Index::resolve`); the pass only consumes events.
 //!
 //! **Lock identity** is syntactic: the field or binding the guard came
 //! from (`self.state.lock()` → `state`), qualified by crate; a bare
@@ -31,7 +30,7 @@
 use std::collections::BTreeMap;
 
 use crate::lex::{Tok, TokKind};
-use crate::model::{field_decls, fn_items, FieldDecl, FnItem, Receiver, WFile, WorkspaceModel};
+use crate::model::{fn_items, FnItem, WorkspaceModel};
 
 /// Files implementing the lock primitives themselves: their internals
 /// (poison recovery, condvar re-lock) are not acquisition *sites*.
@@ -74,16 +73,6 @@ pub enum EvKind {
     /// A blocking primitive; `held` excludes guards passed *into* the
     /// call (the condvar idiom `cv.wait(&mut guard)`).
     Block { name: String },
-    /// A data access `self.name` or `<guard>.name` (not a call).
-    /// `via_guard` is the lock id when projected through a guard
-    /// binding; `then` is the method invoked on the field, if any.
-    Field {
-        name: String,
-        via_guard: Option<String>,
-        then: Option<String>,
-    },
-    /// `thread::spawn` / `thread::scope` / `.spawn(…)`.
-    Spawn,
     /// A call by `name`, resolved to item indices.
     Call { name: String, targets: Vec<usize> },
 }
@@ -104,16 +93,9 @@ pub struct Ev {
 pub struct Flow {
     /// All function items, in file order.
     pub items: Vec<FnItem>,
-    /// Event stream per item; `None` for items out of scope (tests,
-    /// bins, the lock primitives).
+    /// Event stream per item; `None` for items out of scope (unit
+    /// tests, the lock primitives).
     pub events: Vec<Option<Vec<Ev>>>,
-    /// Every named struct field declared in the workspace.
-    pub fields: Vec<FieldDecl>,
-}
-
-/// Does a file's library code fall under the body passes?
-pub fn governed(wf: &WFile) -> bool {
-    wf.ctx.lib && !PRIMITIVE_FILES.contains(&wf.model.rel.as_str())
 }
 
 impl Flow {
@@ -122,7 +104,10 @@ impl Flow {
         let items = fn_items(w);
         let scoped: Vec<bool> = items
             .iter()
-            .map(|f| governed(&w.files[f.file]) && !w.files[f.file].model.masked(f.line))
+            .map(|f| {
+                let model = &w.files[f.file].model;
+                !PRIMITIVE_FILES.contains(&model.rel.as_str()) && !model.masked(f.line)
+            })
             .collect();
         let mut index = Index {
             items: &items,
@@ -139,11 +124,7 @@ impl Flow {
             .zip(&scoped)
             .map(|(f, &s)| s.then(|| walk_body(w, f, &index)))
             .collect();
-        Flow {
-            events,
-            fields: field_decls(w),
-            items,
-        }
+        Flow { events, items }
     }
 
     /// In-scope items with their event streams.
@@ -191,9 +172,7 @@ impl Index<'_> {
             .copied()
             .filter(|&ii| match (callee, self.items[ii].self_type.as_deref()) {
                 (Callee::Of(t), owner) => owner == Some(t),
-                (Callee::Method, owner) => {
-                    owner.is_some() && self.items[ii].receiver != Receiver::None
-                }
+                (Callee::Method, owner) => owner.is_some() && self.items[ii].takes_self,
                 (Callee::Free, owner) => owner.is_none(),
             })
             .collect()
@@ -275,15 +254,6 @@ fn walk_body(w: &WorkspaceModel, f: &FnItem, index: &Index<'_>) -> Vec<Ev> {
                 });
             };
 
-            // Thread roots.
-            if (t.text == "spawn" && prev_dot && next_open)
-                || (matches!(t.text.as_str(), "spawn" | "scope")
-                    && prev_path
-                    && prev(2).is_some_and(|p| p.is_ident("thread")))
-            {
-                emit(EvKind::Spawn, snapshot(&held));
-            }
-
             // `drop(g)` releases a bound guard.
             if t.text == "drop"
                 && next_open
@@ -336,30 +306,6 @@ fn walk_body(w: &WorkspaceModel, f: &FnItem, index: &Index<'_>) -> Vec<Ev> {
                 emit(EvKind::Block { name }, held_now);
                 i += 1;
                 continue;
-            }
-
-            // Field access: `self.field` or `<guard>.field`, not a call.
-            if prev_dot && !next_open {
-                let via_guard = prev(2)
-                    .filter(|r| r.kind == TokKind::Ident)
-                    .and_then(|r| held.iter().find(|g| g.name.as_deref() == Some(&r.text)))
-                    .map(|g| g.id.clone());
-                let via_self = prev(2).is_some_and(|r| r.is_ident("self"))
-                    && !prev(3).is_some_and(|p| p.is_punct("."));
-                if via_guard.is_some() || via_self {
-                    let then = (next(1).is_some_and(|n| n.is_punct("."))
-                        && next(3).is_some_and(|n| n.is_punct("(")))
-                    .then(|| toks[i + 2].text.clone());
-                    let name = t.text.clone();
-                    emit(
-                        EvKind::Field {
-                            name,
-                            via_guard,
-                            then,
-                        },
-                        snapshot(&held),
-                    );
-                }
             }
 
             // Calls.

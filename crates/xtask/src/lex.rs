@@ -1,20 +1,18 @@
 //! A hand-rolled token-level Rust lexer.
 //!
-//! The analyzer's passes (lock-order, units hygiene, nondeterminism
-//! dataflow) and the ported lint rules all consume a real token stream
-//! instead of per-line regex channels. The lexer handles the full
-//! surface the rules care about: raw strings with `#` fences, byte
-//! strings and byte chars (including `b'\''`), char literals vs
-//! lifetimes, nested block comments, doc comments, numeric literals
-//! with underscores / type suffixes / exponents (`1e-6`, `8.0`,
-//! `100_000u64`, `0x1F`), and maximal-munch multi-character operators
-//! (`::`, `->`, `..=`, `<<=`, …).
+//! The analyzer's passes (units hygiene and the two lock rules) consume
+//! a real token stream instead of per-line regex channels. The lexer
+//! handles the full surface the rules care about: raw strings with `#`
+//! fences, byte strings and byte chars (including `b'\''`), char
+//! literals vs lifetimes, nested block comments, doc comments, numeric
+//! literals with underscores / type suffixes / exponents (`1e-6`,
+//! `8.0`, `100_000u64`, `0x1F`), and maximal-munch multi-character
+//! operators (`::`, `->`, `..=`, `<<=`, …).
 //!
 //! String/char literal *content* is never materialized into a token:
 //! a literal lexes to a [`TokKind::Str`]/[`TokKind::Char`] token with
 //! empty text, so nothing inside a literal can ever trip a rule.
-//! Comments are not tokens at all — their text is routed to a per-line
-//! comment channel (where `lint:allow` annotations live).
+//! Comments are not tokens at all: the lexer skips them.
 
 /// Token kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,14 +62,11 @@ impl Tok {
     }
 }
 
-/// Lexer output: the token stream plus the per-line comment channel.
+/// Lexer output: the token stream plus per-line brace depths.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// All code tokens in source order.
     pub toks: Vec<Tok>,
-    /// Concatenated comment text per line (index = line − 1); the
-    /// channel `lint:allow(...)` annotations are read from.
-    pub line_comment: Vec<String>,
     /// Brace depth at the start of each line (index = line − 1).
     pub line_depth: Vec<u32>,
     /// Number of source lines.
@@ -91,7 +86,6 @@ pub fn lex(source: &str) -> Lexed {
         n_lines: source.lines().count().max(1),
         ..Lexed::default()
     };
-    out.line_comment = vec![String::new(); out.n_lines + 1];
     out.line_depth = vec![0; out.n_lines + 1];
 
     let mut i = 0usize;
@@ -130,11 +124,7 @@ pub fn lex(source: &str) -> Lexed {
 
         // --- comments -------------------------------------------------
         if c == '/' && next == Some('/') {
-            i += 2;
-            // Strip the doc-comment marker like the old scanner did not:
-            // the channel holds raw text after `//`.
             while i < chars.len() && chars[i] != '\n' {
-                comment_push(&mut out, line, chars[i]);
                 i += 1;
             }
             continue;
@@ -157,8 +147,6 @@ pub fn lex(source: &str) -> Lexed {
                         if (line as usize) <= out.line_depth.len() {
                             out.line_depth[line as usize - 1] = depth;
                         }
-                    } else {
-                        comment_push(&mut out, line, c);
                     }
                     i += 1;
                 }
@@ -316,13 +304,6 @@ pub fn lex(source: &str) -> Lexed {
     out
 }
 
-fn comment_push(out: &mut Lexed, line: u32, c: char) {
-    let idx = line as usize - 1;
-    if idx < out.line_comment.len() {
-        out.line_comment[idx].push(c);
-    }
-}
-
 fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
@@ -448,13 +429,12 @@ mod tests {
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(idents, ["a", "b", "c"]);
-        assert!(lx.line_comment[1].contains("tail"));
     }
 
     #[test]
     fn multiline_block_comment_tracks_lines() {
         let lx = lex("a /* one\ntwo\nthree */ b\n");
-        assert!(lx.line_comment[1].contains("two"));
+        assert!(!lx.toks.iter().any(|t| t.is_ident("two")));
         let b = lx.toks.iter().find(|t| t.is_ident("b")).expect("b token");
         assert_eq!(b.line, 3);
     }
@@ -500,6 +480,5 @@ mod tests {
     fn doc_comments_are_comments() {
         let lx = lex("/// says panic! here\nfn ok() {}\n");
         assert!(!lx.toks.iter().any(|t| t.is_ident("panic")));
-        assert!(lx.line_comment[0].contains("panic!"));
     }
 }

@@ -13,21 +13,21 @@
 //! root. What the hot path costs is measured, not guessed: the root
 //! test `tests/alloc_gate.rs` counts its allocations.
 //!
-//! One command, `cargo run -p xtask -- analyze`, runs what neither can:
+//! One command, `cargo run -p xtask -- analyze`, runs what neither can,
+//! the four rules in [`rules::RULES`]:
 //!
 //! * units hygiene ([`units`]) and the manifest `lints-table` check;
-//! * over one shared body walk and call graph ([`flow`]): lock-order
-//!   deadlock detection and locks held across blocking calls
-//!   ([`locks`]), and guarded-field consistency ([`races`]).
+//! * over one body walk and call graph ([`flow`]): lock-order deadlock
+//!   detection and locks held across blocking calls ([`locks`]).
 //!
-//! Protocol conformance is not here: a `protospec::protocol!` table is
-//! checked by its own expansion, so rustc rejects a malformed machine
-//! or an off-table step.
+//! What rustc already rejects is not here: a `protospec::protocol!`
+//! table is checked by its own expansion, and field race-freedom is the
+//! borrow checker's (`unsafe_code` is denied, so a field shared across
+//! threads is written only through `&mut` or a `Sync` cell).
 //!
-//! Every finding flows through one annotation grammar
-//! ([`rules::resolve`]). The command can emit a JSON report
-//! (`--report OUT.json`) for CI and documents every rule via
-//! `--explain RULE`.
+//! Every finding is a diagnostic; there is no suppression grammar. The
+//! command can emit a JSON report (`--report OUT.json`) for CI and
+//! documents every rule via `--explain RULE`.
 //!
 //! It is built on an in-tree lexer ([`lex`]) feeding a token-stream
 //! file model ([`model`]) — no syn, no regex, no external dependencies
@@ -36,8 +36,7 @@
 //! so rules never misfire inside `r#"…x * 1e6…"#` or doc comments.
 //!
 //! See `DESIGN.md` ("Static analysis & invariants" and "Cross-file
-//! analysis") for every rule id, its scope, and the
-//! `// lint:allow(<rule>) -- <reason>` annotation grammar.
+//! analysis") for every rule id and its scope.
 
 pub mod analyze;
 pub mod context;
@@ -47,7 +46,6 @@ pub mod flow;
 pub mod lex;
 pub mod locks;
 pub mod model;
-pub mod races;
 pub mod rules;
 pub mod units;
 pub mod walk;

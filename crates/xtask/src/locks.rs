@@ -20,9 +20,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::diag::Diagnostic;
 use crate::flow::{EvKind, Flow};
 use crate::model::WorkspaceModel;
-use crate::rules::RawFinding;
 
 /// An edge in the acquisition-order graph.
 struct Edge {
@@ -42,9 +42,8 @@ struct Summary {
     blocks: BTreeSet<String>,
 }
 
-/// Run the lock-order pass; findings are keyed by file index for the
-/// per-file annotation resolution.
-pub fn lock_findings(w: &WorkspaceModel, flow: &Flow) -> Vec<(usize, RawFinding)> {
+/// Run the lock-order pass.
+pub fn lock_findings(w: &WorkspaceModel, flow: &Flow) -> Vec<Diagnostic> {
     // Per-function summaries, propagated across calls to fixpoint.
     let mut summaries = vec![Summary::default(); flow.items.len()];
     for (ii, _, evs) in flow.scanned() {
@@ -75,8 +74,9 @@ pub fn lock_findings(w: &WorkspaceModel, flow: &Flow) -> Vec<(usize, RawFinding)
 
     // Edges + blocking findings.
     let mut edges: BTreeMap<(String, String), Edge> = BTreeMap::new();
-    let mut findings: Vec<(usize, RawFinding)> = Vec::new();
+    let mut findings: Vec<Diagnostic> = Vec::new();
     for (_, f, evs) in flow.scanned() {
+        let rel = &w.files[f.file].model.rel;
         for ev in evs {
             let mut edge_to = |id: &String| {
                 for (hid, hline) in &ev.held {
@@ -93,13 +93,11 @@ pub fn lock_findings(w: &WorkspaceModel, flow: &Flow) -> Vec<(usize, RawFinding)
                         "guard on `{hid}` (acquired line {hline}) held across {how}; \
                          drop the guard first"
                     );
-                    findings.push((
-                        f.file,
-                        RawFinding {
-                            line: ev.line,
-                            rule: "lock-across-blocking",
-                            message,
-                        },
+                    findings.push(Diagnostic::new(
+                        rel,
+                        ev.line as usize,
+                        "lock-across-blocking",
+                        message,
                     ));
                 }
             };
@@ -127,10 +125,7 @@ pub fn lock_findings(w: &WorkspaceModel, flow: &Flow) -> Vec<(usize, RawFinding)
 }
 
 /// Detect self-loops and cycles in the acquisition graph.
-fn cycle_findings(
-    w: &WorkspaceModel,
-    edges: &BTreeMap<(String, String), Edge>,
-) -> Vec<(usize, RawFinding)> {
+fn cycle_findings(w: &WorkspaceModel, edges: &BTreeMap<(String, String), Edge>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (from, to) in edges.keys() {
@@ -139,17 +134,15 @@ fn cycle_findings(
 
     for ((from, to), e) in edges {
         if from == to {
-            out.push((
-                e.file,
-                RawFinding {
-                    line: e.line,
-                    rule: "lock-order",
-                    message: format!(
-                        "lock `{from}` acquired again while already held (acquired line {}); \
-                         the mutex is not reentrant, this self-deadlocks",
-                        e.hold_line
-                    ),
-                },
+            out.push(Diagnostic::new(
+                &w.files[e.file].model.rel,
+                e.line as usize,
+                "lock-order",
+                format!(
+                    "lock `{from}` acquired again while already held (acquired line {}); \
+                     the mutex is not reentrant, this self-deadlocks",
+                    e.hold_line
+                ),
             ));
         }
     }
@@ -180,16 +173,14 @@ fn cycle_findings(
             ));
         }
         let first = &edges[&(a.clone(), b.clone())];
-        out.push((
-            first.file,
-            RawFinding {
-                line: first.line,
-                rule: "lock-order",
-                message: format!(
-                    "lock-order cycle: {}; acquire locks in a consistent order",
-                    parts.join(", ")
-                ),
-            },
+        out.push(Diagnostic::new(
+            &w.files[first.file].model.rel,
+            first.line as usize,
+            "lock-order",
+            format!(
+                "lock-order cycle: {}; acquire locks in a consistent order",
+                parts.join(", ")
+            ),
         ));
     }
     out
@@ -231,11 +222,11 @@ mod tests {
     use super::*;
     use crate::model::WorkspaceModel;
 
-    fn findings(files: &[(&str, &str)]) -> Vec<(String, u32, String)> {
+    fn findings(files: &[(&str, &str)]) -> Vec<(String, usize, String)> {
         let w = WorkspaceModel::from_sources(files);
         lock_findings(&w, &Flow::build(&w))
             .into_iter()
-            .map(|(fi, f)| (w.files[fi].model.rel.clone(), f.line, f.message))
+            .map(|d| (d.path, d.line, d.message))
             .collect()
     }
 

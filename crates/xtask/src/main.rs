@@ -9,18 +9,17 @@ use xtask::explain::explain;
 const USAGE: &str = "\
 usage: cargo run -p xtask -- analyze [options]
 
-  analyze         the static analysis clippy cannot do: units hygiene,
-                  manifest lints tables, and the cross-file passes
-                  (lock order, locks across blocking calls,
-                  guarded-field consistency)
+  analyze         the static analysis no compiler does: units hygiene,
+                  manifest lints tables, and the cross-file lock pass
+                  (lock order, locks across blocking calls)
     --root <dir>      analyze a different tree (default: this workspace)
     --report <file>   also write a machine-readable JSON report
     --explain [rule]  print one rule's documentation page; with no rule,
                       list every rule with a one-line summary
 
-Exits 0 when clean, 1 on violations, 2 on usage/IO errors. Rule ids,
-scopes, and the annotation grammar are documented in DESIGN.md
-(\"Static analysis & invariants\" and \"Cross-file analysis\").";
+Exits 0 when clean, 1 on violations, 2 on usage/IO errors. Rule ids
+and scopes are documented in DESIGN.md (\"Static analysis &
+invariants\" and \"Cross-file analysis\").";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -1,8 +1,7 @@
 //! File and workspace models built on the token stream.
 //!
 //! [`FileModel`] wraps one lexed source file with the derived per-line
-//! state the rules need: the `#[cfg(test)]` mask, brace depth, the
-//! comment channel, and the parsed `lint:allow` annotations.
+//! state the rules need: the `#[cfg(test)]` mask.
 //! [`WorkspaceModel`] holds every classified file plus the cross-file
 //! item index (free functions and methods with body token ranges) that
 //! the shared body walk ([`crate::flow`]) turns into events and call
@@ -15,17 +14,6 @@ use crate::context::{classify, FileCtx};
 use crate::lex::{lex, Tok, TokKind};
 use crate::walk::{collect_files, rel_str};
 
-/// An `lint:allow` annotation found in a comment.
-#[derive(Debug)]
-pub struct Allow {
-    /// 1-based line of the annotation.
-    pub line: usize,
-    /// Rule it names.
-    pub rule: String,
-    /// Did it carry a `-- <reason>` tail?
-    pub has_reason: bool,
-}
-
 /// One lexed + classified source file.
 #[derive(Debug)]
 pub struct FileModel {
@@ -33,12 +21,8 @@ pub struct FileModel {
     pub rel: String,
     /// Token stream (comments excluded, literals blanked).
     pub toks: Vec<Tok>,
-    /// Comment text per line (index = line − 1).
-    pub line_comment: Vec<String>,
     /// Per-line: inside a `#[cfg(test)]`-gated region?
     pub test_mask: Vec<bool>,
-    /// Parsed annotations.
-    pub allows: Vec<Allow>,
 }
 
 impl FileModel {
@@ -46,13 +30,10 @@ impl FileModel {
     pub fn parse(rel: &str, source: &str) -> FileModel {
         let lx = lex(source);
         let test_mask = cfg_test_mask(&lx.toks, &lx.line_depth, lx.n_lines);
-        let allows = collect_allows(&lx.line_comment);
         FileModel {
             rel: rel.to_string(),
             toks: lx.toks,
-            line_comment: lx.line_comment,
             test_mask,
-            allows,
         }
     }
 
@@ -128,42 +109,6 @@ fn cfg_test_mask(toks: &[Tok], line_depth: &[u32], n_lines: usize) -> Vec<bool> 
     mask
 }
 
-/// Extract every `lint:allow(...)` annotation from the comment channel.
-///
-/// Only a well-formed rule token (lowercase letters, digits, dashes)
-/// between the parentheses makes an annotation — prose *about* the
-/// grammar, like "`lint:allow(<rule>)`" in documentation, is ignored. A
-/// well-formed token that names no known rule is still collected so it
-/// surfaces as `stale-allow` rather than silently doing nothing.
-pub fn collect_allows(line_comment: &[String]) -> Vec<Allow> {
-    let mut out = Vec::new();
-    for (i, comment) in line_comment.iter().enumerate() {
-        let mut rest = comment.as_str();
-        while let Some(pos) = rest.find("lint:allow(") {
-            let after = &rest[pos + "lint:allow(".len()..];
-            let Some(close) = after.find(')') else { break };
-            let rule = after[..close].trim().to_string();
-            let tail = &after[close + 1..];
-            rest = tail;
-            if rule.is_empty()
-                || !rule
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-            {
-                continue;
-            }
-            let has_reason = tail.trim_start().starts_with("--")
-                && tail.trim_start().trim_start_matches("--").trim().len() >= 3;
-            out.push(Allow {
-                line: i + 1,
-                rule,
-                has_reason,
-            });
-        }
-    }
-    out
-}
-
 /// A classified file inside a workspace model.
 #[derive(Debug)]
 pub struct WFile {
@@ -216,17 +161,6 @@ impl WorkspaceModel {
     }
 }
 
-/// How a function borrows its receiver.
-#[derive(Debug, PartialEq, Clone, Copy)]
-pub enum Receiver {
-    /// `&self`: shared borrow — bare field accesses can race.
-    Shared,
-    /// `&mut self` / `self` / `mut self`: exclusive — cannot race.
-    Exclusive,
-    /// No `self` parameter: `self.field` cannot occur.
-    None,
-}
-
 /// A function item (free function or method) with its body token range.
 #[derive(Debug)]
 pub struct FnItem {
@@ -243,8 +177,8 @@ pub struct FnItem {
     pub line: u32,
     /// Enclosing `impl` type, when the item is a method.
     pub self_type: Option<String>,
-    /// Receiver kind parsed from the header.
-    pub receiver: Receiver,
+    /// Does the header take `self` in any form (so `.name(` can call it)?
+    pub takes_self: bool,
 }
 
 /// Extract every function item in the workspace.
@@ -282,7 +216,7 @@ pub fn fn_items(w: &WorkspaceModel) -> Vec<FnItem> {
                                     .last()
                                     .filter(|(d, _)| *d == t.depth)
                                     .map(|(_, n)| n.clone()),
-                                receiver: receiver_kind(toks, i + 1),
+                                takes_self: takes_self(toks, i + 1),
                             });
                             // Nested fns inside the body are still found:
                             // continue scanning from just after the header.
@@ -293,83 +227,6 @@ pub fn fn_items(w: &WorkspaceModel) -> Vec<FnItem> {
                 }
             }
             i += 1;
-        }
-    }
-    out
-}
-
-/// A named struct field declaration, for the guarded-field pass: field
-/// accesses are classified per declared field name.
-#[derive(Debug)]
-pub struct FieldDecl {
-    /// Owning crate.
-    pub krate: String,
-    /// Field name.
-    pub name: String,
-}
-
-/// Extract every named struct field declared in the workspace.
-pub fn field_decls(w: &WorkspaceModel) -> Vec<FieldDecl> {
-    let mut out = Vec::new();
-    for wf in &w.files {
-        let toks = &wf.model.toks;
-        let mut i = 0usize;
-        while i < toks.len() {
-            if !(toks[i].is_ident("struct")
-                && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident))
-            {
-                i += 1;
-                continue;
-            }
-            // Skip a generic parameter list on the struct itself.
-            let mut j = skip_generics(toks, i + 2);
-            // Skip any `where` clause; stop at the body delimiter. Tuple
-            // structs (`(`) and unit structs (`;`) declare no named fields.
-            while j < toks.len()
-                && !(toks[j].text == "{" || toks[j].text == "(" || toks[j].is_punct(";"))
-            {
-                j += 1;
-            }
-            let Some(open) = toks.get(j) else { break };
-            if !(open.kind == TokKind::Open && open.text == "{") {
-                i = j + 1;
-                continue;
-            }
-            let body_nest = open.nest;
-            let field_nest = body_nest + 1;
-            let mut k = j + 1;
-            while k < toks.len() {
-                let t = &toks[k];
-                if t.kind == TokKind::Close && t.nest == body_nest {
-                    break;
-                }
-                // A field is `name :` directly at the body's nest level
-                // (`pub` and attributes never match: `pub` is followed by
-                // an ident, attribute internals sit one nest deeper).
-                if t.nest == field_nest
-                    && t.kind == TokKind::Ident
-                    && toks
-                        .get(k + 1)
-                        .is_some_and(|n| n.is_punct(":") && n.nest == field_nest)
-                {
-                    out.push(FieldDecl {
-                        krate: wf.ctx.crate_name.clone(),
-                        name: t.text.clone(),
-                    });
-                    // Skip the type to the field's closing `,` or `}`.
-                    let mut m = k + 2;
-                    while m < toks.len()
-                        && !((toks[m].is_punct(",") && toks[m].nest == field_nest)
-                            || (toks[m].kind == TokKind::Close && toks[m].nest == body_nest))
-                    {
-                        m += 1;
-                    }
-                    k = m;
-                    continue;
-                }
-                k += 1;
-            }
-            i = j + 1;
         }
     }
     out
@@ -397,32 +254,17 @@ fn skip_generics(toks: &[Tok], mut j: usize) -> usize {
     j
 }
 
-/// How the function whose name token sits at `name_at` borrows its
-/// receiver.
-fn receiver_kind(toks: &[Tok], name_at: usize) -> Receiver {
+/// Does the function whose name token sits at `name_at` take `self`
+/// (`self`, `mut self`, `&self`, `&'a mut self`, ...)?
+fn takes_self(toks: &[Tok], name_at: usize) -> bool {
     let j = skip_generics(toks, name_at + 1);
     if toks.get(j).is_none_or(|t| !t.is_punct("(")) {
-        return Receiver::None;
+        return false;
     }
-    let mut m = j + 1;
-    let amp = toks.get(m).is_some_and(|t| t.is_punct("&"));
-    if amp {
-        m += 1;
-        if toks.get(m).is_some_and(|t| t.kind == TokKind::Lifetime) {
-            m += 1;
-        }
-    }
-    let mutt = toks.get(m).is_some_and(|t| t.is_ident("mut"));
-    if mutt {
-        m += 1;
-    }
-    if !toks.get(m).is_some_and(|t| t.is_ident("self")) {
-        Receiver::None
-    } else if amp && !mutt {
-        Receiver::Shared
-    } else {
-        Receiver::Exclusive
-    }
+    toks[j + 1..]
+        .iter()
+        .find(|t| !(t.is_punct("&") || t.is_ident("mut") || t.kind == TokKind::Lifetime))
+        .is_some_and(|t| t.is_ident("self"))
 }
 
 /// Parse an `impl` header starting at token `at` (the `impl` ident).
@@ -501,17 +343,6 @@ mod tests {
         assert!(m.masked(4));
         assert!(m.masked(5));
         assert!(!m.masked(6));
-    }
-
-    #[test]
-    fn allows_parse_with_reasons() {
-        let m = FileModel::parse(
-            "crates/mplite/src/x.rs",
-            "x(); // lint:allow(unwrap) -- checked above\ny(); // lint:allow(panic)\n",
-        );
-        assert_eq!(m.allows.len(), 2);
-        assert!(m.allows[0].has_reason);
-        assert!(!m.allows[1].has_reason);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! `crates/simcore/src/time.rs` and `crates/simcore/src/units.rs`.
 
 use crate::context::FileCtx;
+use crate::diag::Diagnostic;
 use crate::lex::TokKind;
 use crate::model::FileModel;
-use crate::rules::RawFinding;
 
 /// Files allowed to spell conversion factors: the unit system itself.
 const EXEMPT_FILES: &[&str] = &["crates/simcore/src/time.rs", "crates/simcore/src/units.rs"];
@@ -73,26 +73,20 @@ const BLESSED: &[&str] = &[
 
 /// Does the units pass govern this file?
 fn in_scope(model: &FileModel, ctx: &FileCtx) -> bool {
-    ctx.lib && ctx.crate_name != "xtask" && !EXEMPT_FILES.contains(&model.rel.as_str())
+    ctx.crate_name != "xtask" && !EXEMPT_FILES.contains(&model.rel.as_str())
 }
 
 /// Run the units pass over one file.
-pub fn units_findings(model: &FileModel, ctx: &FileCtx) -> Vec<RawFinding> {
-    let mut findings: Vec<RawFinding> = Vec::new();
+pub fn units_findings(model: &FileModel, ctx: &FileCtx) -> Vec<Diagnostic> {
+    let mut findings: Vec<Diagnostic> = Vec::new();
     if !in_scope(model, ctx) {
         return findings;
     }
     let toks = &model.toks;
     let mut push = |line: u32, message: String| {
-        if !findings
-            .iter()
-            .any(|f| f.line == line && f.message == message)
-        {
-            findings.push(RawFinding {
-                line,
-                rule: "units",
-                message,
-            });
+        let d = Diagnostic::new(&model.rel, line as usize, "units", message);
+        if !findings.contains(&d) {
+            findings.push(d);
         }
     };
 
@@ -195,7 +189,7 @@ mod tests {
     use super::*;
     use crate::context::classify;
 
-    fn check(path: &str, src: &str) -> Vec<RawFinding> {
+    fn check(path: &str, src: &str) -> Vec<Diagnostic> {
         let ctx = classify(path).expect("classifiable");
         units_findings(&FileModel::parse(path, src), &ctx)
     }
@@ -246,9 +240,18 @@ mod tests {
         let src = "fn f(x: f64) -> f64 { x * 1e6 }\n";
         assert!(check("crates/simcore/src/units.rs", src).is_empty());
         assert!(check("crates/simcore/src/time.rs", src).is_empty());
-        assert!(check("crates/hwmodel/tests/t.rs", src).is_empty());
+        assert!(classify("crates/hwmodel/tests/t.rs").is_none());
         let masked = "#[cfg(test)]\nmod tests {\n    fn f(x: f64) -> f64 { x * 1e6 }\n}\n";
         assert!(check("crates/hwmodel/src/x.rs", masked).is_empty());
+    }
+
+    #[test]
+    fn code_after_test_region_is_checked_again() {
+        let src = "#[cfg(test)]\nmod tests {\n    fn f() { let _ = mhz * 1e6; }\n}\n\
+                   fn lib() { let _ = mhz * 1e6; }\n";
+        let f = check("crates/hwmodel/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("units", 5));
     }
 
     #[test]

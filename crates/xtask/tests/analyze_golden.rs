@@ -1,6 +1,6 @@
 //! Golden tests for `xtask analyze`: seeded fixture files must produce
 //! exactly the expected `file:line: rule-id: message` output from the
-//! per-file rules and the cross-file passes alike, clean counterparts
+//! units rule and the cross-file lock pass alike, clean counterparts
 //! and the lexer edge-case fixture must trip nothing, and the real
 //! workspace must analyze clean. The per-file rules clippy owns are
 //! gated by the clippy fixture crate (`fixtures/clippy`) instead.
@@ -33,27 +33,6 @@ fn diags(files: &[(&str, &str)]) -> Vec<String> {
         .collect()
 }
 
-/// Run a unit fixture as if it lived at `rel_path` in the real tree.
-fn diags_for(rel_path: &str, fixture_name: &str) -> Vec<String> {
-    diags(&[(rel_path, &fixture(fixture_name))])
-}
-
-/// An old-style annotation for a rule clippy now owns is stale, not a
-/// silent no-op: were `expect` or `wall-clock` still live here, each
-/// allow would be consumed and this golden would come back empty.
-#[test]
-fn migrated_rule_allow_is_stale_golden() {
-    let rel = "crates/protosim/src/fixture.rs";
-    let got = diags_for(rel, "unit/migrated_allow.rs");
-    let want = vec![
-        format!("{rel}:4: stale-allow: lint:allow(expect) has no matching violation; remove it"),
-        format!(
-            "{rel}:7: stale-allow: lint:allow(wall-clock) has no matching violation; remove it"
-        ),
-    ];
-    assert_eq!(got, want);
-}
-
 #[test]
 fn fixture_tree_end_to_end() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/tree");
@@ -67,9 +46,6 @@ fn fixture_tree_end_to_end() {
         .collect();
     let want = vec![
         "crates/mplite/Cargo.toml:0: lints-table: crate does not declare `[lints] workspace = true`"
-            .to_string(),
-        "crates/mplite/src/lib.rs:5: bad-allow: malformed annotation; use \
-         `lint:allow(<rule>) -- <reason>`"
             .to_string(),
         "crates/simcore/src/lib.rs:4: units: magic unit-conversion constant `1e6` in arithmetic; \
          use simcore::units / SimDuration helpers"
@@ -141,38 +117,6 @@ fn units_clean_is_silent() {
     assert!(got.is_empty(), "{got:?}");
 }
 
-/// A field guarded in one file and bare in another, both on
-/// thread-reachable paths: one finding, at the bare site, naming the
-/// guarded site across the file boundary.
-#[test]
-fn race_guarded_field_pair_across_files_golden() {
-    let a = fixture("unit/race_pair_a.rs");
-    let b = fixture("unit/race_pair_b.rs");
-    let got = diags(&[
-        ("crates/mplite/src/race_pair_a.rs", &a),
-        ("crates/mplite/src/race_pair_b.rs", &b),
-    ]);
-    let want = vec![
-        "crates/mplite/src/race_pair_b.rs:5: race-guarded-field: field `mplite::count` \
-         accessed bare in `reader` but under guard on `mplite::state` at \
-         crates/mplite/src/race_pair_a.rs:11 in `writer`; both are reachable from thread \
-         spawn sites — take the lock here too, or annotate \
-         `lint:allow(race-guarded-field) -- <reason>`"
-            .to_string(),
-    ];
-    assert_eq!(got, want);
-}
-
-/// The condvar idiom — guard passed into `wait`, notify calls, atomic
-/// ops — must survive the whole pipeline clean: no lock-across-blocking,
-/// no race-guarded-field.
-#[test]
-fn condvar_style_fixture_is_clean_end_to_end() {
-    let src = fixture("unit/race_condvar_clean.rs");
-    let got = diags(&[("crates/mplite/src/race_condvar_clean.rs", &src)]);
-    assert!(got.is_empty(), "{got:?}");
-}
-
 /// The lexer edge-case fixture — raw strings full of rule triggers,
 /// nested block comments, `b'\''` byte chars, doc comments naming
 /// panic! — must trip nothing under any crate's rule set.
@@ -190,8 +134,8 @@ fn lexer_edge_cases_trip_no_rule_anywhere() {
     }
 }
 
-/// Acceptance gate: the real workspace analyzes clean — zero
-/// un-annotated findings across every rule `analyze` owns.
+/// Acceptance gate: the real workspace analyzes clean — zero findings
+/// across every rule `analyze` owns.
 #[test]
 fn real_workspace_analyzes_clean() {
     let outcome = analyze_workspace(&workspace_root()).expect("analyze runs");
@@ -275,26 +219,16 @@ fn analyze_binary_report_and_exit_codes() {
         .expect("xtask binary runs");
     assert_eq!(index.status.code(), Some(0), "bare --explain exits 0");
     let text = String::from_utf8_lossy(&index.stdout);
-    for rule in ["lock-order", "units", "race-guarded-field"] {
-        assert!(text.contains(rule), "index missing {rule}: {text}");
-    }
-    // The 7 rules `analyze` owns: not one of those clippy took over,
-    // nor the retired hot-path inventory and its budget, nor a
-    // `protocol-*` rule (rustc checks a `protocol!` machine).
+    // Exactly the 4 rules `analyze` owns, in inventory order; every
+    // other rule has an owner that resolves names (clippy, rustc) or
+    // measures (the allocation gate).
     let listed: Vec<&str> = text
         .lines()
         .filter_map(|l| l.strip_prefix("  ")?.split_whitespace().next())
         .collect();
-    assert_eq!((listed.len(), &listed[..]), (7, RULES), "{text}");
-    for gone in "wall-clock sleep ambient-rng hash-container trace-hygiene unwrap expect panic \
-                 print dbg blocking-hygiene nondet-wall-clock nondet-hash-iter \
-                 nondet-float-reduction hot-cost marker-hygiene budget"
-        .split_whitespace()
-    {
-        assert!(!listed.contains(&gone), "index lists {gone}: {text}");
-    }
-    assert!(
-        !listed.iter().any(|r| r.starts_with("protocol-")),
-        "index lists a protocol rule: {text}"
+    assert_eq!(listed, RULES, "{text}");
+    assert_eq!(
+        RULES,
+        ["lints-table", "lock-order", "lock-across-blocking", "units"]
     );
 }
