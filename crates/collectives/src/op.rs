@@ -84,44 +84,35 @@ impl Dtype {
     }
 }
 
-trait Elem: Copy {
+trait Elem: Copy + PartialOrd {
     const WIDTH: usize;
     fn get(bytes: &[u8]) -> Self;
     fn put(self, bytes: &mut [u8]);
-    fn combine(self, other: Self, op: ReduceOp) -> Self;
+    fn add(self, other: Self) -> Self;
+    fn mul(self, other: Self) -> Self;
 }
 
 macro_rules! impl_elem {
     ($t:ty, $add:expr, $mul:expr) => {
         impl Elem for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
+            #[inline]
             fn get(bytes: &[u8]) -> Self {
                 let mut buf = [0u8; std::mem::size_of::<$t>()];
                 buf.copy_from_slice(bytes);
                 <$t>::from_le_bytes(buf)
             }
+            #[inline]
             fn put(self, bytes: &mut [u8]) {
                 bytes.copy_from_slice(&self.to_le_bytes());
             }
-            fn combine(self, other: Self, op: ReduceOp) -> Self {
-                match op {
-                    ReduceOp::Sum => $add(self, other),
-                    ReduceOp::Min => {
-                        if other < self {
-                            other
-                        } else {
-                            self
-                        }
-                    }
-                    ReduceOp::Max => {
-                        if other > self {
-                            other
-                        } else {
-                            self
-                        }
-                    }
-                    ReduceOp::Prod => $mul(self, other),
-                }
+            #[inline]
+            fn add(self, other: Self) -> Self {
+                $add(self, other)
+            }
+            #[inline]
+            fn mul(self, other: Self) -> Self {
+                $mul(self, other)
             }
         }
     };
@@ -136,13 +127,27 @@ impl_elem!(i64, i64::wrapping_add, i64::wrapping_mul);
 impl_elem!(i32, i32::wrapping_add, i32::wrapping_mul);
 impl_elem!(u64, u64::wrapping_add, u64::wrapping_mul);
 
-fn combine_as<T: Elem>(op: ReduceOp, acc: &mut [u8], other: &[u8]) {
+/// `acc[i] = f(acc[i], other[i])` over whole elements: one loop body
+/// with no branch on the operator, so it vectorises.
+#[inline]
+fn fold<T: Elem>(acc: &mut [u8], other: &[u8], f: impl Fn(T, T) -> T) {
     for (a, b) in acc
         .chunks_exact_mut(T::WIDTH)
         .zip(other.chunks_exact(T::WIDTH))
     {
-        let combined = T::get(a).combine(T::get(b), op);
-        combined.put(a);
+        f(T::get(a), T::get(b)).put(a);
+    }
+}
+
+/// One loop per operator. `Min` and `Max` keep the accumulator unless
+/// the incoming element is strictly smaller (larger), so a NaN or a
+/// tie resolves as it always has.
+fn combine_as<T: Elem>(op: ReduceOp, acc: &mut [u8], other: &[u8]) {
+    match op {
+        ReduceOp::Sum => fold(acc, other, T::add),
+        ReduceOp::Prod => fold(acc, other, T::mul),
+        ReduceOp::Min => fold(acc, other, |a: T, b: T| if b < a { b } else { a }),
+        ReduceOp::Max => fold(acc, other, |a: T, b: T| if b > a { b } else { a }),
     }
 }
 
@@ -176,16 +181,25 @@ pub fn combine_bytes(dtype: Dtype, op: ReduceOp, acc: &mut [u8], other: &[u8]) {
 /// format matches the length-prefix table mplite's tree allgather used,
 /// so multi-block tree traffic keeps its historical wire size.
 pub fn pack_blocks(parts: &[&[u8]]) -> Vec<u8> {
-    let total = parts.iter().map(|p| p.len()).sum::<usize>();
-    let mut out = Vec::with_capacity(4 + 8 * parts.len() + total);
+    let mut out = Vec::new();
+    pack_blocks_into(parts.iter().copied(), &mut out);
+    out
+}
+
+/// [`pack_blocks`] appended to `out`, which grows at most once.
+pub fn pack_blocks_into<'a, I>(parts: I, out: &mut Vec<u8>)
+where
+    I: ExactSizeIterator<Item = &'a [u8]> + Clone,
+{
+    let total = parts.clone().map(<[u8]>::len).sum::<usize>();
+    out.reserve(4 + 8 * parts.len() + total);
     out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-    for p in parts {
+    for p in parts.clone() {
         out.extend_from_slice(&(p.len() as u64).to_le_bytes());
     }
     for p in parts {
         out.extend_from_slice(p);
     }
-    out
 }
 
 /// Invert [`pack_blocks`]. `count` is the expected block count (the

@@ -6,7 +6,7 @@
 //! materialize outgoing bytes and [`RankState::apply`] to fold in
 //! arrivals — so the data path is backend-independent by construction.
 
-use crate::op::{combine_bytes, pack_blocks, unpack_blocks, CollOp, Dtype, ReduceOp};
+use crate::op::{combine_bytes, pack_blocks_into, unpack_blocks, CollOp, Dtype, ReduceOp};
 use crate::schedule::{RecvWhat, SendWhat};
 
 /// The element interpretation of a reducing collective.
@@ -69,17 +69,24 @@ impl RankState {
     }
 
     /// Materialize the outgoing bytes for a send step. A single block
-    /// travels raw; several are framed with [`pack_blocks`].
+    /// travels raw; several are framed with [`crate::op::pack_blocks`].
     pub fn payload(&self, what: &SendWhat) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.payload_into(what, &mut out);
+        out
+    }
+
+    /// [`RankState::payload`] appended to `out`, so a sender can reuse
+    /// a buffer.
+    pub fn payload_into(&self, what: &SendWhat, out: &mut Vec<u8>) {
         match what {
-            SendWhat::Token => Vec::new(),
-            SendWhat::Acc => self.acc.clone(),
+            SendWhat::Token => {}
+            SendWhat::Acc => out.extend_from_slice(&self.acc),
             SendWhat::Blocks(idxs) => {
                 if let [only] = idxs.as_slice() {
-                    self.block(*only).to_vec()
+                    out.extend_from_slice(self.block(*only));
                 } else {
-                    let parts: Vec<&[u8]> = idxs.iter().map(|&i| self.block(i)).collect();
-                    pack_blocks(&parts)
+                    pack_blocks_into(idxs.iter().map(|&i| self.block(i)), out);
                 }
             }
         }

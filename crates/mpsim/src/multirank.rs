@@ -2,20 +2,28 @@
 //!
 //! [`Session`](crate::Session) models two ranks in microscopic detail;
 //! collective-pattern studies need *N* ranks exchanging tagged messages
-//! with library overheads applied per message. [`MultiSession`] layers
+//! with library overheads applied per message. [`Mailboxes`] layers
 //! exactly that over [`protosim::multinode`]: per ordered rank pair a
 //! FIFO of in-flight payloads matched against a FIFO of posted
 //! receives (the same match discipline mplite's socket mesh gives the
 //! real backend), with the bound [`LibProfile`]'s per-message costs —
 //! send/receive overheads, copy passes, optional byte checking, and
 //! the eager→rendezvous handshake — charged on the endpoint CPUs.
+//!
+//! A message is a record in reusable [`Slots`] and moves through typed
+//! [`MultiEvent`]s (`SendReady`, `Landed` per fabric crossing,
+//! `Deliver`, and `Arrive` when the receive is posted late), so after
+//! warm-up it allocates nothing. What a posted receive completes is the
+//! caller's: [`MultiSession`] parks a boxed continuation there, the
+//! collective driver a (rank, receive) pair it resolves itself.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use faultlab::DegradeWindow;
-use protosim::multinode::{self, MultiEngine};
+use protosim::multinode::{self, MultiEngine, MultiEvent, Upper};
+use protosim::Slots;
 use simcore::SimDuration;
 
 use crate::profile::LibProfile;
@@ -69,70 +77,108 @@ impl<Q: Default> PairTable<Q> {
     }
 }
 
-#[derive(Default)]
-struct PairQueues {
-    /// Arrived-but-unclaimed messages, FIFO.
-    arrived: VecDeque<(i32, Payload)>,
-    /// Posted-but-unmatched receives, FIFO.
-    posted: VecDeque<(i32, RecvContinuation)>,
+/// Where a message is on its way.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The rendezvous request crosses to the receiver.
+    Rts,
+    /// The receiver's clear-to-send crosses back.
+    Cts,
+    /// The payload crosses.
+    Data,
 }
 
-struct Inner {
+/// One message, from `send` until its receive completes.
+struct Msg<C> {
+    from: u32,
+    to: u32,
+    tag: i32,
+    phase: Phase,
+    payload: Payload,
+    /// The receive it completes, once matched by a late post.
+    done: Option<C>,
+}
+
+/// An unmatched entry of one receiver's queue: a posted receive or an
+/// arrived message. For any one sender the entries are all of one kind
+/// (a post meets a waiting arrival and vice versa), so the first entry
+/// of the other kind from a sender is the head of that pair's FIFO.
+enum Pending<C> {
+    Posted { from: u32, tag: i32, done: C },
+    Arrived { from: u32, msg: u32 },
+}
+
+/// The matching and per-message costs of an N-rank session; `C` is what
+/// a posted receive completes, handed back when its message is matched.
+pub struct Mailboxes<C> {
     profile: LibProfile,
     n: usize,
-    pairs: RefCell<PairTable<PairQueues>>,
     /// Extra per-send CPU microseconds per rank (degradation studies).
-    extra_send_us: RefCell<Vec<f64>>,
+    extra_send_us: Vec<f64>,
     /// Timed degradation windows from a fault plan: sends issued while
     /// a window is open run at the window's fraction of nominal speed.
-    degrade: RefCell<Vec<DegradeWindow>>,
+    degrade: Vec<DegradeWindow>,
+    msgs: Slots<Msg<C>>,
+    /// Per receiver, its unmatched posts and arrivals in order.
+    queues: Vec<Vec<Pending<C>>>,
+    /// Entries across all queues.
+    unmatched: usize,
 }
 
-/// An N-rank tagged messaging session bound to one library profile.
-/// Cheap to clone; clones share the queues.
-#[derive(Clone)]
-pub struct MultiSession {
-    inner: Rc<Inner>,
+/// Narrow a rank for a message record; ranks are checked against the
+/// world size before they get here.
+fn rank32(rank: usize) -> u32 {
+    #[expect(
+        clippy::expect_used,
+        reason = "a world of more than u32::MAX ranks cannot be built"
+    )]
+    u32::try_from(rank).expect("rank fits a u32")
 }
 
-impl MultiSession {
-    /// A session for `n` ranks under `profile`'s per-message costs.
-    pub fn new(profile: LibProfile, n: usize) -> MultiSession {
-        MultiSession {
-            inner: Rc::new(Inner {
-                profile,
-                n,
-                pairs: RefCell::new(PairTable::new(n)),
-                extra_send_us: RefCell::new(vec![0.0; n]),
-                degrade: RefCell::new(Vec::new()),
-            }),
+impl<C> Mailboxes<C> {
+    /// Mailboxes for `n` ranks under `profile`'s per-message costs.
+    pub fn new(profile: LibProfile, n: usize) -> Mailboxes<C> {
+        Mailboxes {
+            profile,
+            n,
+            extra_send_us: vec![0.0; n],
+            degrade: Vec::new(),
+            msgs: Slots::default(),
+            queues: (0..n).map(|_| Vec::new()).collect(),
+            unmatched: 0,
         }
     }
 
     /// Number of ranks.
     pub fn nranks(&self) -> usize {
-        self.inner.n
+        self.n
+    }
+
+    /// Unmatched arrivals and posted receives: a completed run leaves
+    /// none.
+    pub fn unmatched(&self) -> usize {
+        self.unmatched
     }
 
     /// Add `us` microseconds of CPU work to every send `rank` issues —
     /// the degraded-rank knob the chaos sweeps turn.
-    pub fn set_rank_overhead_us(&self, rank: usize, us: f64) {
-        self.inner.extra_send_us.borrow_mut()[rank] = us;
+    pub fn set_rank_overhead_us(&mut self, rank: usize, us: f64) {
+        self.extra_send_us[rank] = us;
     }
 
     /// Install a fault plan's timed degradation windows: a send issued
     /// while a window contains the current simulated time has its
     /// library work stretched by `1/factor` (every rank is affected —
     /// the windows model fabric-wide congestion, not one slow host).
-    pub fn set_degrade_windows(&self, windows: Vec<DegradeWindow>) {
-        *self.inner.degrade.borrow_mut() = windows;
+    pub fn set_degrade_windows(&mut self, windows: Vec<DegradeWindow>) {
+        self.degrade = windows;
     }
 
     /// The work stretch applied at `now_us`: the reciprocal of the
     /// smallest open window factor, `1.0` when no window is open.
     fn degrade_stretch(&self, now_us: f64) -> f64 {
         let mut factor = 1.0f64;
-        for w in self.inner.degrade.borrow().iter() {
+        for w in &self.degrade {
             if w.contains(now_us) {
                 factor = factor.min(w.factor);
             }
@@ -145,18 +191,24 @@ impl MultiSession {
     /// the bytes (with a rendezvous handshake above the profile's
     /// threshold) and the receiver's library work is charged on
     /// arrival, after which the payload matches a posted receive.
-    pub fn send(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
-        let n = self.inner.n;
+    pub fn send(
+        &mut self,
+        eng: &mut MultiEngine,
+        from: usize,
+        to: usize,
+        tag: i32,
+        payload: Payload,
+    ) {
+        let n = self.n;
         assert!(
             from != to && from < n && to < n,
             "send {from} -> {to}: never to self, never outside the {n}-rank world"
         );
         let bytes = payload.len() as u64;
-        let p = &self.inner.profile;
+        let p = &self.profile;
         let memcpy = eng.world.spec.host.cpu.memcpy_bps;
-        let send_work = SimDuration::from_micros_f64(
-            p.send_overhead_us + self.inner.extra_send_us.borrow()[from],
-        ) + SimDuration::for_bytes(bytes * u64::from(p.send_copies), memcpy);
+        let send_work = SimDuration::from_micros_f64(p.send_overhead_us + self.extra_send_us[from])
+            + SimDuration::for_bytes(bytes * u64::from(p.send_copies), memcpy);
         let now = eng.now();
         let stretch = self.degrade_stretch(now.as_micros_f64());
         let send_work = if stretch > 1.0 {
@@ -165,69 +217,207 @@ impl MultiSession {
             send_work
         };
         let ready = eng.world.nodes[from].cpu.serve_for(now, send_work, bytes);
-        let this = self.clone();
-        let needs_handshake = matches!(p.rendezvous_bytes, Some(t) if bytes > t);
-        let ctrl = p.ctrl_bytes.max(1);
-        eng.schedule_at(ready, move |e| {
-            if needs_handshake {
-                // RTS to the receiver, CTS back, then the payload.
-                multinode::send(
-                    e,
-                    from,
-                    to,
-                    ctrl,
-                    Box::new(move |e| {
-                        multinode::send(
-                            e,
-                            to,
-                            from,
-                            ctrl,
-                            Box::new(move |e| this.send_data(e, from, to, tag, payload)),
-                        );
-                    }),
-                );
-            } else {
-                this.send_data(e, from, to, tag, payload);
-            }
+        let msg = self.msgs.park(Msg {
+            from: rank32(from),
+            to: rank32(to),
+            tag,
+            phase: Phase::Data,
+            payload,
+            done: None,
         });
+        eng.schedule_event_at(ready, MultiEvent::SendReady { msg });
     }
 
-    fn send_data(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
-        let bytes = payload.len() as u64;
-        let this = self.clone();
-        multinode::send(
-            eng,
-            from,
-            to,
-            bytes.max(1),
-            Box::new(move |e| {
-                // Receiver-side library work: overhead, drain copies,
-                // and the optional full-payload byte check.
-                let p = &this.inner.profile;
-                let memcpy = e.world.spec.host.cpu.memcpy_bps;
+    /// Post a receive at rank `to` for the next message from `from`
+    /// under `tag`; `done` is handed back (from [`Mailboxes::deliver`]
+    /// or [`Mailboxes::arrive`], always inside an event, never
+    /// synchronously) once the payload is in `to`'s memory and past the
+    /// library's receive path.
+    pub fn post_recv(&mut self, eng: &mut MultiEngine, to: usize, from: usize, tag: i32, done: C) {
+        let n = self.n;
+        assert!(
+            from < n && to < n,
+            "rank pair {from} -> {to} is outside the {n}-rank world"
+        );
+        let from = rank32(from);
+        let q = &mut self.queues[to];
+        let head = q
+            .iter()
+            .position(|p| matches!(p, Pending::Arrived { from: f, .. } if *f == from));
+        if let Some(Pending::Arrived { msg, .. }) = head.map(|i| q.remove(i)) {
+            self.unmatched -= 1;
+            let m = self.msgs.get_mut(msg);
+            assert_eq!(
+                m.tag, tag,
+                "rank {to} posted tag {tag} from {from} but head-of-line is {}: collective tags desynchronized",
+                m.tag
+            );
+            m.done = Some(done);
+            let now = eng.now();
+            eng.schedule_event_at(now, MultiEvent::Arrive { msg });
+            return;
+        }
+        q.push(Pending::Posted { from, tag, done });
+        self.unmatched += 1;
+    }
+
+    /// [`MultiEvent::SendReady`]: the message enters the fabric, behind
+    /// a request-to-send above the rendezvous threshold.
+    pub fn send_ready(&mut self, eng: &mut MultiEngine, msg: u32) {
+        let p = &self.profile;
+        let m = self.msgs.get_mut(msg);
+        let bytes = m.payload.len() as u64;
+        let (from, to) = (m.from as usize, m.to as usize);
+        if matches!(p.rendezvous_bytes, Some(t) if bytes > t) {
+            m.phase = Phase::Rts;
+            multinode::transmit(eng, from, to, p.ctrl_bytes.max(1), msg);
+        } else {
+            multinode::transmit(eng, from, to, bytes.max(1), msg);
+        }
+    }
+
+    /// [`MultiEvent::Landed`]: one crossing of message `msg` is done.
+    /// After the handshake's two, the payload crosses; after the
+    /// payload, the receiver's library work — overhead, drain copies
+    /// and the optional full-payload byte check — is charged.
+    pub fn landed(&mut self, eng: &mut MultiEngine, msg: u32) {
+        let p = &self.profile;
+        let m = self.msgs.get_mut(msg);
+        let bytes = m.payload.len() as u64;
+        let (from, to) = (m.from as usize, m.to as usize);
+        match m.phase {
+            Phase::Rts => {
+                m.phase = Phase::Cts;
+                multinode::transmit(eng, to, from, p.ctrl_bytes.max(1), msg);
+            }
+            Phase::Cts => {
+                m.phase = Phase::Data;
+                multinode::transmit(eng, from, to, bytes.max(1), msg);
+            }
+            Phase::Data => {
+                let memcpy = eng.world.spec.host.cpu.memcpy_bps;
                 let recv_work = SimDuration::from_micros_f64(p.recv_overhead_us)
                     + SimDuration::for_bytes(bytes * u64::from(p.recv_copies), memcpy)
                     + SimDuration::for_bytes(bytes, p.byte_check_bps);
-                let now = e.now();
-                let done = e.world.nodes[to].cpu.serve_for(now, recv_work, bytes);
-                e.schedule_at(done, move |e| this.deliver(e, from, to, tag, payload));
-            }),
-        );
+                let now = eng.now();
+                let done = eng.world.nodes[to].cpu.serve_for(now, recv_work, bytes);
+                eng.schedule_event_at(done, MultiEvent::Deliver { msg });
+            }
+        }
     }
 
-    fn deliver(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
-        let mut pairs = self.inner.pairs.borrow_mut();
-        let q = pairs.pair(from, to);
-        if let Some((want, k)) = q.posted.pop_front() {
+    /// [`MultiEvent::Deliver`]: message `msg` matches the receive its
+    /// pair posted first, whose completion is returned with the
+    /// payload, or waits for one.
+    pub fn deliver(&mut self, msg: u32) -> Option<(C, Payload)> {
+        let m = self.msgs.get_mut(msg);
+        let (from, to, tag) = (m.from, m.to, m.tag);
+        let q = &mut self.queues[to as usize];
+        let head = q
+            .iter()
+            .position(|p| matches!(p, Pending::Posted { from: f, .. } if *f == from));
+        if let Some(Pending::Posted {
+            tag: want, done, ..
+        }) = head.map(|i| q.remove(i))
+        {
             assert_eq!(
                 want, tag,
                 "rank {to} posted tag {want} from {from} but got {tag}: collective tags desynchronized"
             );
-            drop(pairs);
-            k(eng, payload);
-        } else {
-            q.arrived.push_back((tag, payload));
+            self.unmatched -= 1;
+            return Some((done, self.msgs.take(msg).payload));
         }
+        q.push(Pending::Arrived { from, msg });
+        self.unmatched += 1;
+        None
+    }
+
+    /// [`MultiEvent::Arrive`]: the late post matched to message `msg`
+    /// completes.
+    pub fn arrive(&mut self, msg: u32) -> (C, Payload) {
+        let m = self.msgs.take(msg);
+        #[expect(
+            clippy::expect_used,
+            reason = "post_recv sets the completion before it schedules Arrive"
+        )]
+        let done = m.done.expect("an arrival scheduled without its receive");
+        (done, m.payload)
+    }
+}
+
+/// An N-rank tagged messaging session bound to one library profile,
+/// whose posted receives complete boxed continuations. Cheap to clone;
+/// clones share the queues. It binds itself above the fabric of the
+/// engine it is first used on.
+#[derive(Clone)]
+pub struct MultiSession {
+    inner: Rc<Closures>,
+}
+
+struct Closures {
+    boxes: RefCell<Mailboxes<RecvContinuation>>,
+}
+
+impl Upper for Closures {
+    fn dispatch(&self, eng: &mut MultiEngine, ev: MultiEvent) {
+        let done = match ev {
+            MultiEvent::SendReady { msg } => {
+                self.boxes.borrow_mut().send_ready(eng, msg);
+                None
+            }
+            MultiEvent::Landed { msg } => {
+                self.boxes.borrow_mut().landed(eng, msg);
+                None
+            }
+            MultiEvent::Deliver { msg } => self.boxes.borrow_mut().deliver(msg),
+            MultiEvent::Arrive { msg } => Some(self.boxes.borrow_mut().arrive(msg)),
+            _ => None,
+        };
+        // The continuation may send or post again: the queues are free.
+        if let Some((k, payload)) = done {
+            k(eng, payload);
+        }
+    }
+}
+
+impl MultiSession {
+    /// A session for `n` ranks under `profile`'s per-message costs.
+    pub fn new(profile: LibProfile, n: usize) -> MultiSession {
+        MultiSession {
+            inner: Rc::new(Closures {
+                boxes: RefCell::new(Mailboxes::new(profile, n)),
+            }),
+        }
+    }
+
+    /// Number of ranks.
+    pub fn nranks(&self) -> usize {
+        self.inner.boxes.borrow().nranks()
+    }
+
+    /// Add `us` microseconds of CPU work to every send `rank` issues.
+    pub fn set_rank_overhead_us(&self, rank: usize, us: f64) {
+        self.inner.boxes.borrow_mut().set_rank_overhead_us(rank, us);
+    }
+
+    /// Install a fault plan's timed degradation windows (see
+    /// [`Mailboxes::set_degrade_windows`]).
+    pub fn set_degrade_windows(&self, windows: Vec<DegradeWindow>) {
+        self.inner.boxes.borrow_mut().set_degrade_windows(windows);
+    }
+
+    fn bind(&self, eng: &mut MultiEngine) {
+        eng.world.bind(self.inner.clone());
+    }
+
+    /// Send `payload` from `from` to `to` under `tag` (see
+    /// [`Mailboxes::send`]).
+    pub fn send(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
+        self.bind(eng);
+        self.inner
+            .boxes
+            .borrow_mut()
+            .send(eng, from, to, tag, payload);
     }
 
     /// Post a receive at rank `to` for the next message from `from`
@@ -242,29 +432,17 @@ impl MultiSession {
         tag: i32,
         k: RecvContinuation,
     ) {
-        let mut pairs = self.inner.pairs.borrow_mut();
-        let q = pairs.pair(from, to);
-        if let Some((got, payload)) = q.arrived.pop_front() {
-            assert_eq!(
-                got, tag,
-                "rank {to} posted tag {tag} from {from} but head-of-line is {got}: collective tags desynchronized"
-            );
-            drop(pairs);
-            let now = eng.now();
-            eng.schedule_at(now, move |e| k(e, payload));
-        } else {
-            q.posted.push_back((tag, k));
-        }
+        self.bind(eng);
+        self.inner
+            .boxes
+            .borrow_mut()
+            .post_recv(eng, to, from, tag, k);
     }
 
     /// True if any queue still holds an unmatched arrival or posted
     /// receive — a completed run should leave everything drained.
     pub fn has_unmatched(&self) -> bool {
-        self.inner
-            .pairs
-            .borrow()
-            .iter()
-            .any(|(_, q)| !q.arrived.is_empty() || !q.posted.is_empty())
+        self.inner.boxes.borrow().unmatched() > 0
     }
 }
 

@@ -275,8 +275,10 @@ impl Event<Fabric> for NetEvent {
 }
 
 /// Values waiting for an event, in reusable slots addressed by a `u32`
-/// that fits a [`NetEvent`].
-pub(crate) struct Slots<T> {
+/// that fits a [`NetEvent`] or a [`MultiEvent`](crate::multinode::MultiEvent).
+/// A freed slot is handed out again, so once the most values ever in
+/// flight at one time have been parked, parking allocates nothing.
+pub struct Slots<T> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,
 }
@@ -291,6 +293,7 @@ impl<T> Default for Slots<T> {
 }
 
 impl<T> Slots<T> {
+    /// Hold `v` until its slot is taken; returns the slot.
     pub fn park(&mut self, v: T) -> u32 {
         match self.free.pop() {
             Some(slot) => {
@@ -308,10 +311,17 @@ impl<T> Slots<T> {
         }
     }
 
+    /// Slots ever handed out: the most values held at one time.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
     #[expect(
         clippy::expect_used,
         reason = "an event is queued once per parked slot and takes it once"
     )]
+    /// Take the value parked at `slot`, freeing the slot.
     pub fn take(&mut self, slot: u32) -> T {
         self.free.push(slot);
         let v = self.slots[slot as usize].take();
@@ -322,6 +332,7 @@ impl<T> Slots<T> {
         clippy::expect_used,
         reason = "as in `take`: only a parked slot's event reaches here"
     )]
+    /// The value parked at `slot`, left in place.
     pub fn get_mut(&mut self, slot: u32) -> &mut T {
         self.slots[slot as usize].as_mut().expect("an empty slot")
     }

@@ -40,9 +40,9 @@ mod train;
 
 pub use fabric::{
     cpu_track, flow_track, instrument, is_hw_track, lib_track, nic_track, pci_track, send,
-    track_label, wire_track, Conn, ConnId, Continuation, Fabric, Net, NetEvent,
+    track_label, wire_track, Conn, ConnId, Continuation, Fabric, Net, NetEvent, Slots,
 };
-pub use multinode::{ring_halo_steps, MultiEngine, MultiNet};
+pub use multinode::{ring_halo_steps, MultiEngine, MultiEvent, MultiNet, Upper};
 pub use raw::{RawParams, RecvMode};
 pub use tcp::TcpParams;
 pub use train::{send_train, Train};

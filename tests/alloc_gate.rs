@@ -34,7 +34,11 @@ const FIGURES_CEILING: u64 = 595_380;
 const FIGURES_EVENTS: u64 = 5_920_774;
 /// Allocations of `run_sim`, 1 KiB allreduce at 64 ranks, summed over
 /// both library profiles and the three algorithms.
-const COLL_SIM_CEILING: u64 = 21_046;
+const COLL_SIM_CEILING: u64 = 1_810;
+/// Allocations of one `run_sim` 1 KiB recursive-doubling allreduce at
+/// 1 024 ranks: per-rank set-up only, since a message that finds a
+/// recycled payload and free slots allocates nothing.
+const COLL_SIM_1024_CEILING: u64 = 5_196;
 /// Allocations of `run_local` on the same three schedules.
 const COLL_LOCAL_CEILING: u64 = 1_665;
 /// Allocations of 1 000 64 B and 4 1 MiB frame round trips.
@@ -213,6 +217,44 @@ fn allreduce_at_64_ranks_stays_under_its_ceilings() {
         count,
         COLL_LOCAL_CEILING,
         (ranks, "rank"),
+    );
+}
+
+/// The largest `coll_scaling` point: 10 240 messages over 1 024 ranks,
+/// so an allocation that creeps back per message shows tenfold.
+#[test]
+fn allreduce_at_1024_ranks_stays_under_its_ceiling() {
+    const RANKS: usize = 1024;
+    let profile = mpich(MpichConfig::tuned()).profile;
+    let spec = pcs_ga620();
+    let contributions: Vec<Vec<u8>> = (0..RANKS as u64)
+        .map(|r| {
+            (0..128u64)
+                .flat_map(|i| (r * 1000 + i).to_le_bytes())
+                .collect()
+        })
+        .collect();
+    let schedule = collectives::build(CollOp::Allreduce, Algorithm::RecursiveDoubling, RANKS)
+        .expect("allreduce plans");
+    let sim = || {
+        let report = collectives::run_sim(
+            &spec,
+            &profile,
+            &schedule,
+            SUM_U64,
+            &contributions,
+            &SimOptions::default(),
+        );
+        assert!(report.all_completed());
+        report.events
+    };
+    sim();
+    let (count, events) = allocations(sim);
+    gate(
+        "1024-rank allreduce run_sim",
+        count,
+        COLL_SIM_1024_CEILING,
+        (events, "event"),
     );
 }
 
