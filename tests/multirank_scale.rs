@@ -1,10 +1,11 @@
 //! The N-rank world pays per message, not per rank pair.
 //!
-//! `MultiSession` and `run_local` keep their per-pair queues in a
-//! sparse table (`mpsim::multirank::PairTable`), so building a world is
-//! O(ranks) and a pair costs memory only once a message uses it. These
-//! witnesses would need gigabytes with a dense `n * n` table; they also
-//! pin what the table must not change: per-pair FIFO matching and
+//! `MultiSession` keeps one flat queue of unmatched posts and arrivals
+//! per receiver, and `run_local` a sparse per-pair table
+//! (`mpsim::multirank::PairTable`), so building a world is O(ranks) and
+//! a pair costs memory only once a message uses it. These witnesses
+//! would need gigabytes with a dense `n * n` table; they also pin what
+//! the queues must not change: per-pair FIFO matching and
 //! byte-identical results across executors.
 
 use std::cell::RefCell;
