@@ -25,11 +25,12 @@
 //!   collectives beyond the 8 ranks the PR 7 baseline stopped at
 //!   (2 … 32 ranks, 1 KiB per rank), written to
 //!   `results/collective_real.{csv,svg}`. Each point amortizes mesh
-//!   setup over many rounds; tune the budget with `BENCH_MS`.
+//!   setup over many rounds, and times a fixed number of universes
+//!   after one untimed warm-up.
 
 use std::fs;
+use std::time::Instant;
 
-use bench::microbench::measure;
 use bench::results_dir;
 use clusterlab::{
     chaos_collective, recovery_smoke, scale_ranks, scale_sizes, CollConfig, CollCurve, CollPoint,
@@ -115,10 +116,14 @@ fn write_pair(stem: &str, title: &str, x_label: &str, curves: &[CollCurve]) {
 /// setup (thread spawn + TCP connect) that one `Universe::run` pays.
 const REAL_ROUNDS: usize = 32;
 
+/// Timed universes per real point, after the untimed warm-up one.
+const REAL_RUNS: usize = 3;
+
 /// One wall-clock point: spin up an in-process `n`-rank mplite universe
-/// and run [`REAL_ROUNDS`] collectives in it, reporting the mean
-/// per-collective latency. Returns `None` when a rank fails (the sweep
-/// skips the point rather than aborting the figure).
+/// and run [`REAL_ROUNDS`] collectives in it, once to warm up and then
+/// [`REAL_RUNS`] times on the clock, reporting the mean per-collective
+/// latency. Returns `None` when a rank fails (the sweep skips the point
+/// rather than aborting the figure).
 fn real_point(n: usize, op: CollOp, algorithm: Algorithm, bytes: u64) -> Option<CollPoint> {
     let elems = (bytes.max(8) / 8) as usize;
     let run = || {
@@ -146,12 +151,16 @@ fn real_point(n: usize, op: CollOp, algorithm: Algorithm, bytes: u64) -> Option<
     if run().is_err() {
         return None;
     }
-    let sample = measure(|| run().expect("warmed-up universe"));
+    let started = Instant::now();
+    for _ in 0..REAL_RUNS {
+        run().expect("warmed-up universe");
+    }
+    let elapsed_ns = started.elapsed().as_nanos() as f64;
     Some(CollPoint {
         ranks: n,
         bytes,
-        latency_us: ns_to_us(sample.mean_ns as f64 / REAL_ROUNDS as f64),
-        events: sample.iters as u64,
+        latency_us: ns_to_us(elapsed_ns / (REAL_RUNS * REAL_ROUNDS) as f64),
+        events: REAL_RUNS as u64,
     })
 }
 

@@ -8,8 +8,6 @@ use std::path::PathBuf;
 use clusterlab::{checks_for, compare, evaluate, run_experiment, Experiment};
 use netpipe::{ascii_figure, svg_figure, to_csv, to_plotfile, RunOptions};
 
-pub mod microbench;
-
 /// Where regenerated artifacts land (created on demand).
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("NETPIPE_RESULTS").unwrap_or_else(|_| "results".to_string());

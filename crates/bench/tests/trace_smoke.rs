@@ -22,8 +22,8 @@
 //! is the tracer's own work per record again, which is what the 42 ns
 //! budget was set on.
 //!
-//! This is the cheap always-on version of the `trace_overhead` bench
-//! (`cargo bench -p bench --bench trace_overhead` for real numbers).
+//! This is the cheap always-on check; the benchmark ladder's
+//! `tracelab.traced_x` and `harness.trace_overhead_x` give real numbers.
 
 use std::time::{Duration, Instant};
 

@@ -6,8 +6,6 @@
 //! receives in listed order — so any transport that preserves per-pair
 //! FIFO order produces byte-identical results.
 
-use mpsim::multirank::PairTable;
-
 use crate::lifecycle::{step, CollRound};
 use crate::schedule::Schedule;
 use crate::state::{CollOutput, RankState, Reduction};
@@ -104,7 +102,7 @@ pub fn run_blocking<T: CollTransport>(
 /// mesh can finish, this can too; a cycle of ranks all waiting on
 /// absent messages panics with a deadlock diagnosis instead of hanging.
 pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -> Vec<CollOutput> {
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
     let n = schedule.nranks;
     assert_eq!(contributions.len(), n, "one contribution per rank");
 
@@ -132,16 +130,13 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
             }
         })
         .collect();
-    // Per ordered actual-rank pair, FIFO of in-flight payloads.
-    let mut wires: PairTable<VecDeque<Vec<u8>>> = PairTable::new(n);
+    // Per receiver, per sender, FIFO of in-flight payloads (actual
+    // ranks); a pair costs memory only once a message uses it.
+    let mut wires: Vec<BTreeMap<usize, VecDeque<Vec<u8>>>> = vec![BTreeMap::new(); n];
 
     loop {
         let mut progressed = false;
         let mut all_done = true;
-        #[expect(
-            clippy::needless_range_loop,
-            reason = "`me` is the actual rank: it keys `wires` and the virtual-rank map too"
-        )]
         for me in 0..n {
             let vrank = virtual_rank(me, ctx.root, n);
             let rounds = &schedule.plans[vrank].rounds;
@@ -151,7 +146,7 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
                     let s = &round.sends[ranks[me].next_send];
                     let payload = ranks[me].state.payload(&s.what);
                     let to = actual_rank(s.to as usize, ctx.root, n);
-                    wires.pair(me, to).push_back(payload);
+                    wires[to].entry(me).or_default().push_back(payload);
                     ranks[me].life = step(ranks[me].life, "send");
                     ranks[me].next_send += 1;
                     progressed = true;
@@ -166,7 +161,7 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
                 if ranks[me].next_recv < round.recvs.len() {
                     let r = &round.recvs[ranks[me].next_recv];
                     let from = actual_rank(r.from as usize, ctx.root, n);
-                    let Some(bytes) = wires.pair(from, me).pop_front() else {
+                    let Some(bytes) = wires[me].get_mut(&from).and_then(VecDeque::pop_front) else {
                         break; // blocked on this recv; let others run
                     };
                     ranks[me].state.apply(&r.what, &bytes, ctx.reduction);

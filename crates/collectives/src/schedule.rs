@@ -12,7 +12,7 @@
 //! rank 0; executors rotate peers by the actual root, so one plan
 //! serves every root.
 
-use mpsim::multirank::PairTable;
+use std::collections::BTreeMap;
 
 use crate::op::CollOp;
 use crate::plan::Algorithm;
@@ -120,8 +120,10 @@ impl Schedule {
         if self.plans.len() != n {
             return Err(format!("{} plans for {} ranks", self.plans.len(), n));
         }
-        // Per ordered pair (from,to): classes sent and classes expected.
-        let mut pairs: PairTable<(Vec<&SendWhat>, Vec<&RecvWhat>)> = PairTable::new(n);
+        // Per ordered pair, keyed `(to, from)` so the first defect is
+        // reported in (receiver, sender) order: classes sent and expected.
+        type Classes<'a> = (Vec<&'a SendWhat>, Vec<&'a RecvWhat>);
+        let mut pairs: BTreeMap<(usize, usize), Classes<'_>> = BTreeMap::new();
         for (me, plan) in self.plans.iter().enumerate() {
             for round in &plan.rounds {
                 for s in &round.sends {
@@ -132,7 +134,7 @@ impl Schedule {
                     if to == me {
                         return Err(format!("rank {me} sends to itself"));
                     }
-                    pairs.pair(me, to).0.push(&s.what);
+                    pairs.entry((to, me)).or_default().0.push(&s.what);
                 }
                 for r in &round.recvs {
                     let from = r.from as usize;
@@ -142,11 +144,11 @@ impl Schedule {
                     if from == me {
                         return Err(format!("rank {me} receives from itself"));
                     }
-                    pairs.pair(from, me).1.push(&r.what);
+                    pairs.entry((me, from)).or_default().1.push(&r.what);
                 }
             }
         }
-        for ((from, to), (s, e)) in pairs.iter() {
+        for ((to, from), (s, e)) in &pairs {
             if s.len() != e.len() {
                 return Err(format!(
                     "pair {from}->{to}: {} sends vs {} receives",

@@ -399,7 +399,9 @@ impl Comm {
     pub fn alltoall(&self, parts: Vec<Bytes>) -> Result<Vec<Vec<u8>>> {
         let tag = self.coll_tag();
         let n = self.nprocs();
-        assert_eq!(parts.len(), n, "alltoall needs one part per rank");
+        if parts.len() != n {
+            return Err(MpError::BadArg("alltoall needs one part per rank"));
+        }
         let me = self.rank();
         let t = self.transport();
         let pending: Vec<_> = (0..n)
@@ -576,6 +578,16 @@ mod tests {
             for (src, p) in got.iter().enumerate() {
                 assert_eq!(p, format!("{}->{}", src, comm.rank()).as_bytes());
             }
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn alltoall_rejects_a_wrong_part_count_and_keeps_tags_in_step() {
+        Universe::run(2, |comm| {
+            let parts = vec![Bytes::from("x"); 3];
+            assert!(matches!(comm.alltoall(parts), Err(MpError::BadArg(_))));
+            comm.barrier().unwrap();
         })
         .unwrap();
     }

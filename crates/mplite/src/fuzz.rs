@@ -14,10 +14,9 @@
 //! * the run is a pure function of the seed, so a failing seed *is* the
 //!   reproducer.
 //!
-//! The harness style follows the microbench convention: a library entry
-//! point ([`run_seed`]) returning a stats struct, driven by tests and by
-//! `bench`'s `wire_chaos` binary (which serializes the stats as JSON for
-//! CI artifacts).
+//! The harness is a library entry point ([`run_seed`]) returning a
+//! stats struct, driven by tests and by `bench`'s `wire_chaos` binary
+//! (which serializes the stats as JSON for CI artifacts).
 
 use std::collections::BTreeMap;
 

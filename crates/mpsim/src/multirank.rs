@@ -18,7 +18,6 @@
 //! collective driver a (rank, receive) pair it resolves itself.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use faultlab::DegradeWindow;
@@ -34,48 +33,6 @@ pub type Payload = Rc<Vec<u8>>;
 
 /// Completion callback for a posted receive.
 pub type RecvContinuation = Box<dyn FnOnce(&mut MultiEngine, Payload)>;
-
-/// Per-ordered-pair state of an N-rank world, allocated on first use:
-/// a collective touches O(log n) peers per rank, so a dense n-by-n
-/// table is nearly all empty slots and at 1024 ranks costs more to
-/// build than the run it serves. `new` is O(n).
-pub struct PairTable<Q> {
-    /// Indexed by receiver; keyed by sender.
-    by_receiver: Vec<BTreeMap<u32, Q>>,
-}
-
-impl<Q: Default> PairTable<Q> {
-    /// An empty table for `n` ranks.
-    pub fn new(n: usize) -> PairTable<Q> {
-        PairTable {
-            by_receiver: (0..n).map(|_| BTreeMap::new()).collect(),
-        }
-    }
-
-    /// The state of pair `from → to`, created empty on first use.
-    /// Panics if either rank is outside the world.
-    pub fn pair(&mut self, from: usize, to: usize) -> &mut Q {
-        let n = self.by_receiver.len();
-        assert!(
-            from < n && to < n,
-            "rank pair {from} -> {to} is outside the {n}-rank world"
-        );
-        self.by_receiver[to].entry(from as u32).or_default()
-    }
-
-    /// Every pair touched so far as `((from, to), state)`, in
-    /// (receiver, sender) order.
-    pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), &Q)> {
-        self.by_receiver
-            .iter()
-            .enumerate()
-            .flat_map(|(to, senders)| {
-                senders
-                    .iter()
-                    .map(move |(&from, q)| ((from as usize, to), q))
-            })
-    }
-}
 
 /// Where a message is on its way.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -207,8 +164,7 @@ impl<C> Mailboxes<C> {
         let bytes = payload.len() as u64;
         let p = &self.profile;
         let memcpy = eng.world.spec.host.cpu.memcpy_bps;
-        let send_work = SimDuration::from_micros_f64(p.send_overhead_us + self.extra_send_us[from])
-            + SimDuration::for_bytes(bytes * u64::from(p.send_copies), memcpy);
+        let send_work = p.send_work(bytes, memcpy, self.extra_send_us[from]);
         let now = eng.now();
         let stretch = self.degrade_stretch(now.as_micros_f64());
         let send_work = if stretch > 1.0 {
@@ -296,9 +252,7 @@ impl<C> Mailboxes<C> {
             }
             Phase::Data => {
                 let memcpy = eng.world.spec.host.cpu.memcpy_bps;
-                let recv_work = SimDuration::from_micros_f64(p.recv_overhead_us)
-                    + SimDuration::for_bytes(bytes * u64::from(p.recv_copies), memcpy)
-                    + SimDuration::for_bytes(bytes, p.byte_check_bps);
+                let recv_work = p.recv_work(bytes, memcpy);
                 let now = eng.now();
                 let done = eng.world.nodes[to].cpu.serve_for(now, recv_work, bytes);
                 eng.schedule_event_at(done, MultiEvent::Deliver { msg });
@@ -534,20 +488,6 @@ mod tests {
         let mut eng = engine(3);
         let sess = MultiSession::new(crate::libs::mpich(Default::default()).profile, 3);
         sess.send(&mut eng, 3, 0, 7, Rc::new(Vec::new()));
-    }
-
-    #[test]
-    fn pair_state_is_allocated_on_first_use_only() {
-        let mut table: PairTable<Vec<u8>> = PairTable::new(1 << 16);
-        assert_eq!(table.iter().count(), 0);
-        table.pair(65_535, 0).push(1);
-        table.pair(2, 65_535).push(2);
-        table.pair(65_535, 0).push(3);
-        let touched: Vec<_> = table.iter().collect();
-        assert_eq!(
-            touched,
-            [((65_535, 0), &vec![1, 3]), ((2, 65_535), &vec![2])]
-        );
     }
 
     #[test]

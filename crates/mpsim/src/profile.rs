@@ -8,6 +8,7 @@
 //! lets the ablation benches switch individual mechanisms off.
 
 use protosim::{RawParams, TcpParams};
+use simcore::SimDuration;
 
 /// Which native communication layer the library runs on.
 #[derive(Debug, Clone)]
@@ -119,6 +120,23 @@ impl LibProfile {
             progress: Progress::Kernel,
             bonded_channels: 1,
         }
+    }
+
+    /// Serial sender-side CPU work for one message of `bytes`: the fixed
+    /// overhead plus `extra_us` (a degraded rank's surcharge), then the
+    /// packing copies at the host's `memcpy_bps`.
+    pub fn send_work(&self, bytes: u64, memcpy_bps: f64, extra_us: f64) -> SimDuration {
+        SimDuration::from_micros_f64(self.send_overhead_us + extra_us)
+            + SimDuration::for_bytes(bytes * u64::from(self.send_copies), memcpy_bps)
+    }
+
+    /// Serial receiver-side CPU work for one delivered message of
+    /// `bytes`: the fixed overhead, the unpacking copies at `memcpy_bps`,
+    /// then the per-byte check.
+    pub fn recv_work(&self, bytes: u64, memcpy_bps: f64) -> SimDuration {
+        SimDuration::from_micros_f64(self.recv_overhead_us)
+            + SimDuration::for_bytes(bytes * u64::from(self.recv_copies), memcpy_bps)
+            + SimDuration::for_bytes(bytes, self.byte_check_bps)
     }
 }
 

@@ -80,10 +80,8 @@ impl Session {
         let bytes = bytes.max(1);
         let now = eng.now();
         // Phase 1: sender-side overhead + packing copies.
-        let p = &self.profile;
         let memcpy = eng.world.spec.host.cpu.memcpy_bps;
-        let dur = SimDuration::from_micros_f64(p.send_overhead_us)
-            + SimDuration::for_bytes(bytes * u64::from(p.send_copies), memcpy);
+        let dur = self.profile.send_work(bytes, memcpy, 0.0);
         let t0 = eng.world.hosts[from].cpu.serve_for(now, dur, 0);
         let this = self.clone();
         eng.schedule_at(t0, move |e| this.handshake_phase(e, from, bytes, k));
@@ -402,12 +400,9 @@ impl Session {
     /// Phase 5–6: receiver-side serial work, then the user continuation.
     fn receive_phase(&self, eng: &mut Net, from: usize, bytes: u64, k: Continuation) {
         let to = 1 - from;
-        let p = &self.profile;
         let now = eng.now();
         let memcpy = eng.world.spec.host.cpu.memcpy_bps;
-        let dur = SimDuration::from_micros_f64(p.recv_overhead_us)
-            + SimDuration::for_bytes(bytes * u64::from(p.recv_copies), memcpy)
-            + SimDuration::for_bytes(bytes, p.byte_check_bps);
+        let dur = self.profile.recv_work(bytes, memcpy);
         let t = eng.world.hosts[to].cpu.serve_for(now, dur, 0);
         eng.schedule_at(t, k);
     }

@@ -52,7 +52,7 @@ mod tests {
             ("crates/clusterlab/src/bin/probe.rs", false),
             ("crates/xtask/src/main.rs", false),
             ("crates/simcore/tests/proptests.rs", false),
-            ("crates/bench/benches/figures.rs", false),
+            ("crates/bench/tests/trace_smoke.rs", false),
             ("examples/quickstart.rs", false),
             ("tests/ablations.rs", false),
         ] {

@@ -1,12 +1,12 @@
 //! The N-rank world pays per message, not per rank pair.
 //!
 //! `MultiSession` keeps one flat queue of unmatched posts and arrivals
-//! per receiver, and `run_local` a sparse per-pair table
-//! (`mpsim::multirank::PairTable`), so building a world is O(ranks) and
-//! a pair costs memory only once a message uses it. These witnesses
-//! would need gigabytes with a dense `n * n` table; they also pin what
-//! the queues must not change: per-pair FIFO matching and
-//! byte-identical results across executors.
+//! per receiver, and `run_local` one `BTreeMap` per receiver keyed by
+//! sender, so building a world is O(ranks) and a pair costs memory only
+//! once a message uses it. These witnesses would need gigabytes with a dense
+//! `n * n` table; they also pin what the queues must not change:
+//! per-pair FIFO matching, byte-identical results across executors, and
+//! the exact event count of a 256-rank barrier.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -64,6 +64,29 @@ fn tree_allreduce_over_4096_ranks_agrees_between_sim_and_local() {
     for (rank, (sim, local)) in report.outputs.iter().zip(&local).enumerate() {
         assert_eq!(sim.as_ref(), Some(local), "rank {rank}");
     }
+}
+
+/// The fault-free 256-rank dissemination barrier that the benchmark
+/// ladder times (`collectives.barrier256_host_ns_per_event`) executes an
+/// exact number of events: a drift in the N-rank world's event stream
+/// shows here before it shows in any timing.
+#[test]
+fn a_256_rank_barrier_takes_8448_events() {
+    const N: usize = 256;
+    let schedule = build(CollOp::Barrier, Algorithm::Dissemination, N).expect("plan");
+    let report = run_sim(
+        &pcs_ga620(),
+        &mpich(MpichConfig::tuned()).profile,
+        &schedule,
+        ExecCtx {
+            root: 0,
+            reduction: None,
+        },
+        &vec![Vec::new(); N],
+        &SimOptions::default(),
+    );
+    assert!(report.all_completed());
+    assert_eq!(report.events, 8448);
 }
 
 /// Sends and posts over random pairs, in a seeded random interleaving

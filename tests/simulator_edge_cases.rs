@@ -1,8 +1,63 @@
 //! Edge-case integration tests: the corners of the model a user hits when
 //! driving the library with unusual parameters.
 
+use std::cell::Cell;
+use std::fmt::Debug;
+use std::rc::Rc;
+
 use netpipe_rs::prelude::*;
+use netpipe_rs::proto::{instrument, raw, tcp, Fabric, Net};
+use netpipe_rs::sim::trace::{SharedSink, SpanRec, TraceSink};
+use netpipe_rs::sim::SimTime;
 use protosim::{RawParams, RecvMode, TcpParams};
+
+/// Takes every record and keeps none.
+struct Discard;
+
+impl TraceSink for Discard {
+    fn span(&self, _: SpanRec) {}
+}
+
+fn discard() -> SharedSink {
+    Rc::new(Discard)
+}
+
+/// A fresh two-host engine on `spec`, with `sink` installed if given.
+fn engine(spec: hwmodel::ClusterSpec, sink: Option<SharedSink>) -> Net {
+    let mut eng = Fabric::engine(spec);
+    if let Some(sink) = sink {
+        instrument(&mut eng, sink);
+    }
+    eng
+}
+
+/// One round trip of `bytes` under `lib`, as `SimDriver` runs a size
+/// point: `(events executed, of those dispatched in place, final instant)`.
+fn round_trip(
+    spec: &hwmodel::ClusterSpec,
+    lib: &MpLib,
+    bytes: u64,
+    sink: Option<SharedSink>,
+) -> (u64, u64, SimTime) {
+    let mut eng = engine(spec.clone(), sink);
+    let session = Session::establish(&mut eng.world, lib);
+    netpipe_rs::mp::pingpong(&session, &mut eng, bytes, 1, Box::new(|_, _| {}));
+    let end = eng.run();
+    (eng.events_executed(), eng.events_in_place(), end)
+}
+
+/// Runs `job` plain and again with a fresh `sink()` installed. A sink
+/// turns off every closed form and period skip, so the second run steps
+/// each segment; it must still execute the same events and end at the
+/// same instants. Returns the plain run's result.
+fn same_when_stepped<R: PartialEq + Debug>(
+    sink: fn() -> SharedSink,
+    job: impl Fn(Option<SharedSink>) -> R,
+) -> R {
+    let plain = job(None);
+    assert_eq!(job(Some(sink())), plain, "stepping changed the run");
+    plain
+}
 
 #[test]
 fn one_byte_messages_work_on_every_transport() {
@@ -167,9 +222,6 @@ fn scaling_model_orders_interconnects_correctly() {
 /// per-segment cost moves one of these six numbers.
 #[test]
 fn transfer_event_counts_and_end_times_are_pinned() {
-    use netpipe_rs::proto::{raw, tcp, Fabric};
-    use netpipe_rs::sim::SimTime;
-
     // 8 MiB over tuned GA620 TCP: the steady in-order delivery stream.
     let mut eng = Fabric::engine(pcs_ga620());
     let conn = tcp::open(&mut eng.world, TcpParams::with_bufs(kib(512)));
@@ -201,27 +253,28 @@ fn transfer_event_counts_and_end_times_are_pinned() {
 /// OS-bypass flavours, and of one daemon-relayed PVM round trip, recorded
 /// at the commit before the cursor replaced one queued event per segment.
 /// The closed form must count every segment it skips as an executed event
-/// and land every stage exactly where stepping would.
+/// and land every stage exactly where stepping would, so each case runs
+/// stepped too. A `tracelab::Tracer` must not change the tuned MPICH
+/// ping-pong sweep (1 B to 64 KiB) either.
 #[test]
 fn window_classes_bypass_and_daemon_relay_are_pinned() {
-    use netpipe_rs::proto::{raw, tcp, Fabric};
-    use netpipe_rs::sim::SimTime;
-    use std::cell::Cell;
-    use std::rc::Rc;
-
     let tcp_8mib = |params: TcpParams| {
-        let mut eng = Fabric::engine(pcs_ga620());
-        let conn = tcp::open(&mut eng.world, params);
-        tcp::send(&mut eng, conn, 0, mib(8), Box::new(|_| {}));
-        let end = eng.run();
-        (eng.events_executed(), end)
+        same_when_stepped(discard, |sink| {
+            let mut eng = engine(pcs_ga620(), sink);
+            let conn = tcp::open(&mut eng.world, params.clone());
+            tcp::send(&mut eng, conn, 0, mib(8), Box::new(|_| {}));
+            let end = eng.run();
+            (eng.events_executed(), end)
+        })
     };
     let raw_8mib = |spec: hwmodel::ClusterSpec, params: RawParams| {
-        let mut eng = Fabric::engine(spec);
-        let conn = raw::open(&mut eng.world, params);
-        raw::send(&mut eng, conn, 0, mib(8), Box::new(|_| {}));
-        let end = eng.run();
-        (eng.events_executed(), end)
+        same_when_stepped(discard, |sink| {
+            let mut eng = engine(spec.clone(), sink);
+            let conn = raw::open(&mut eng.world, params.clone());
+            raw::send(&mut eng, conn, 0, mib(8), Box::new(|_| {}));
+            let end = eng.run();
+            (eng.events_executed(), end)
+        })
     };
     let p4_32k = TcpParams {
         block_sync_writes: true,
@@ -234,6 +287,7 @@ fn window_classes_bypass_and_daemon_relay_are_pinned() {
         tcp_8mib(TcpParams::with_bufs(mib(8))),
         tcp_8mib(p4_32k),
         raw_8mib(pcs_myrinet(), RawParams::gm(RecvMode::Blocking)),
+        raw_8mib(pcs_myrinet(), RawParams::gm(RecvMode::Polling)),
         raw_8mib(pcs_mvia_syskonnect(), RawParams::mvia_sk98lin()),
     ];
     assert_eq!(
@@ -245,26 +299,43 @@ fn window_classes_bypass_and_daemon_relay_are_pinned() {
             (5795, SimTime(110_228_918)),
             (6144, SimTime(908_159_560)),
             (2049, SimTime(81_926_028)),
+            (2049, SimTime(81_908_028)),
             (5795, SimTime(150_685_884)),
         ]
     );
 
     // One PVM round trip through both pvmd daemons (stop-and-wait
     // fragments, local pipes, acks): the closure-driven relay path.
-    let mut eng = Fabric::engine(pcs_ga620());
-    let session = Session::establish(&mut eng.world, &pvm(PvmConfig::default()));
-    let rtt = Rc::new(Cell::new(0.0));
-    let out = Rc::clone(&rtt);
-    netpipe_rs::mp::pingpong(
-        &session,
-        &mut eng,
-        kib(64),
-        1,
-        Box::new(move |_, t| out.set(t)),
+    let relay = same_when_stepped(discard, |sink| {
+        let mut eng = engine(pcs_ga620(), sink);
+        let session = Session::establish(&mut eng.world, &pvm(PvmConfig::default()));
+        let rtt = Rc::new(Cell::new(0.0));
+        let out = Rc::clone(&rtt);
+        netpipe_rs::mp::pingpong(
+            &session,
+            &mut eng,
+            kib(64),
+            1,
+            Box::new(move |_, t| out.set(t)),
+        );
+        let end = eng.run();
+        assert_eq!(rtt.get(), end.as_secs_f64());
+        (eng.events_executed(), end)
+    });
+    assert_eq!(relay, (340, SimTime(15_315_092)));
+
+    // The tuned MPICH sweep, once per power of two, traced for real.
+    let sweep = same_when_stepped(
+        || netpipe_rs::trace::Tracer::new(),
+        |sink| {
+            let lib = mpich(MpichConfig::tuned());
+            (0..=16)
+                .map(|p| round_trip(&pcs_ga620(), &lib, 1 << p, sink.clone()))
+                .map(|(executed, _, end)| (executed, end))
+                .collect::<Vec<_>>()
+        },
     );
-    let end = eng.run();
-    assert_eq!((eng.events_executed(), end), (340, SimTime(15_315_092)));
-    assert_eq!(rtt.get(), end.as_secs_f64());
+    assert_eq!(sweep.iter().map(|r| r.0).sum::<u64>(), 308);
 }
 
 /// Witness for PVM's fragment streams, sent as one message train whose
@@ -273,31 +344,28 @@ fn window_classes_bypass_and_daemon_relay_are_pinned() {
 /// and fig3 clusters (a smooth GA620 window, rough TrendNet and jumbo
 /// ones), and of one size a byte past a whole number of 4080-byte
 /// fragments — recorded at the commit before the train replaced one
-/// closure per fragment.
+/// closure per fragment. Each case runs stepped too, and so do the two
+/// whole t1 curves.
 #[test]
 fn pvm_fragment_trains_are_pinned() {
-    use netpipe_rs::proto::Fabric;
-    use netpipe_rs::sim::SimTime;
-
-    let round_trip = |spec: hwmodel::ClusterSpec, in_place: bool, bytes: u64| {
+    let direct = |spec: hwmodel::ClusterSpec, in_place: bool, bytes: u64| {
         let lib = pvm(PvmConfig {
             direct_route: true,
             in_place,
         });
-        let mut eng = Fabric::engine(spec);
-        let session = Session::establish(&mut eng.world, &lib);
-        netpipe_rs::mp::pingpong(&session, &mut eng, bytes, 1, Box::new(|_, _| {}));
-        let end = eng.run();
-        (eng.events_executed(), end)
+        same_when_stepped(discard, |sink| {
+            let (executed, _, end) = round_trip(&spec, &lib, bytes, sink);
+            (executed, end)
+        })
     };
     let got = [
-        round_trip(pcs_ga620(), false, mib(8)),
-        round_trip(pcs_ga620(), true, mib(8)),
-        round_trip(pcs_trendnet(), false, mib(8)),
-        round_trip(pcs_trendnet(), true, mib(8)),
-        round_trip(ds20s_syskonnect_jumbo(), false, mib(8)),
-        round_trip(ds20s_syskonnect_jumbo(), true, mib(8)),
-        round_trip(pcs_ga620(), false, 4080 * 500 + 1),
+        direct(pcs_ga620(), false, mib(8)),
+        direct(pcs_ga620(), true, mib(8)),
+        direct(pcs_trendnet(), false, mib(8)),
+        direct(pcs_trendnet(), true, mib(8)),
+        direct(ds20s_syskonnect_jumbo(), false, mib(8)),
+        direct(ds20s_syskonnect_jumbo(), true, mib(8)),
+        direct(pcs_ga620(), false, 4080 * 500 + 1),
     ];
     assert_eq!(
         got,
@@ -311,4 +379,41 @@ fn pvm_fragment_trains_are_pinned() {
             (5010, SimTime(104_137_650)),
         ]
     );
+
+    // A whole t1 curve, one round trip per size as `SimDriver` runs it:
+    // per size `(events executed, final instant)`, and over the curve how
+    // many events went through the engine's queue at all.
+    let t1_curve = |name: &str| {
+        let t1 = all_experiments()
+            .into_iter()
+            .find(|exp| exp.id == "t1_tuning")
+            .expect("t1 experiment");
+        let entry = t1
+            .entries
+            .iter()
+            .find(|e| e.lib.name() == name)
+            .unwrap_or_else(|| panic!("t1 has no {name} curve"));
+        let spec = entry.spec_override.as_ref().unwrap_or(&t1.spec);
+        // Stepping queues more events, so only the plain run counts them.
+        let queued = Cell::new(0);
+        let runs = same_when_stepped(discard, |sink| {
+            let plain = sink.is_none();
+            let mut runs = Vec::new();
+            for bytes in netpipe::sizes(&RunOptions::default().schedule) {
+                let (executed, in_place, end) = round_trip(spec, &entry.lib, bytes, sink.clone());
+                if plain {
+                    queued.set(queued.get() + executed - in_place);
+                }
+                runs.push((executed, end));
+            }
+            runs
+        });
+        (runs.iter().map(|r| r.0).sum::<u64>(), queued.get())
+    };
+    // The direct curve's 4080-byte fragments are one message train a
+    // period at a time; the queued count is exact, so a skip that stops
+    // engaging shows here first. The daemon-relayed curve is
+    // closure-bound and barely touched by either.
+    assert_eq!(t1_curve("PVM (direct)"), (196_300, 17_006));
+    assert_eq!(t1_curve("PVM (via pvmd)"), (392_540, 314_424));
 }
