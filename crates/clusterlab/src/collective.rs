@@ -14,8 +14,8 @@
 use std::fmt::Write as _;
 
 use collectives::{
-    build, run_sim, Algorithm, CollOp, Dtype, ExecCtx, RankFault, RecoveryPolicy, ReduceOp,
-    Reduction, Schedule, SimOptions,
+    build, run_sim, time_sim, Algorithm, CollOp, Dtype, ExecCtx, RankFault, RecoveryPolicy,
+    ReduceOp, Reduction, Schedule, SimOptions,
 };
 use faultlab::FaultPlan;
 use hwmodel::ClusterSpec;
@@ -60,11 +60,21 @@ pub struct CollCurve {
     pub points: Vec<CollPoint>,
 }
 
-/// Deterministic per-rank contribution: `bytes` rounded up to whole
-/// u64 elements, each element a rank-and-index mix, so reductions have
-/// non-trivial, reproducible inputs.
-fn contribution(rank: usize, bytes: u64) -> Vec<u8> {
-    let elems = (bytes.max(8)).div_ceil(8);
+/// Length of rank `rank`'s contribution to `op`: `bytes` rounded up to
+/// whole u64 elements, or none for a barrier and a bcast's non-roots.
+fn contribution_len(op: CollOp, rank: usize, bytes: u64) -> u64 {
+    match op {
+        CollOp::Barrier => 0,
+        CollOp::Bcast if rank != 0 => 0,
+        _ => bytes.max(8).div_ceil(8) * 8,
+    }
+}
+
+/// Deterministic `len`-byte contribution of rank `rank`, each u64
+/// element a rank-and-index mix, so reductions have non-trivial,
+/// reproducible inputs.
+fn contribution(rank: usize, len: u64) -> Vec<u8> {
+    let elems = len / 8;
     let mut out = Vec::with_capacity((elems * 8) as usize);
     for i in 0..elems {
         let v = (rank as u64)
@@ -86,19 +96,9 @@ fn reduction_for(op: CollOp) -> Option<Reduction> {
 }
 
 fn contributions_for(op: CollOp, n: usize, bytes: u64) -> Vec<Vec<u8>> {
-    match op {
-        CollOp::Barrier => vec![Vec::new(); n],
-        CollOp::Bcast => (0..n)
-            .map(|r| {
-                if r == 0 {
-                    contribution(0, bytes)
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect(),
-        _ => (0..n).map(|r| contribution(r, bytes)).collect(),
-    }
+    (0..n)
+        .map(|r| contribution(r, contribution_len(op, r, bytes)))
+        .collect()
 }
 
 fn plan(cfg: &CollConfig, n: usize) -> Option<Schedule> {
@@ -107,29 +107,30 @@ fn plan(cfg: &CollConfig, n: usize) -> Option<Schedule> {
 
 /// Measure one (config, rank-count) point; `None` when the algorithm
 /// does not support the combination (e.g. recursive-doubling allgather
-/// at a non-power-of-two size).
+/// at a non-power-of-two size). Only the timing half runs, over the
+/// contributions' lengths: no bytes are built.
 pub fn measure(cfg: &CollConfig, n: usize) -> Option<CollPoint> {
     let schedule = plan(cfg, n)?;
-    let report = run_sim(
+    let lengths: Vec<u64> = (0..n)
+        .map(|r| contribution_len(cfg.op, r, cfg.bytes))
+        .collect();
+    let timing = time_sim(
         &cfg.spec,
         &cfg.profile,
         &schedule,
-        ExecCtx {
-            root: 0,
-            reduction: reduction_for(cfg.op),
-        },
-        &contributions_for(cfg.op, n, cfg.bytes),
+        0,
+        &lengths,
         &SimOptions::default(),
     );
     assert!(
-        report.all_completed(),
+        timing.all_completed(),
         "fault-free collective must complete on every rank"
     );
     Some(CollPoint {
         ranks: n,
         bytes: cfg.bytes,
-        latency_us: units::secs_to_us(report.seconds),
-        events: report.events,
+        latency_us: units::secs_to_us(timing.seconds),
+        events: timing.events,
     })
 }
 

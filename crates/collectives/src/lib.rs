@@ -10,17 +10,21 @@
 //!
 //! * [`exec::run_blocking`] drives any blocking transport implementing
 //!   [`exec::CollTransport`] (mplite's real `Comm` does);
-//! * [`sim::run_sim`] drives N simulated ranks over the
+//! * [`sim::time_sim`] times N simulated ranks over the
 //!   [`protosim::multinode`] switched fabric with
-//!   [`mpsim::LibProfile`] per-message library costs;
+//!   [`mpsim::LibProfile`] per-message library costs, moving message
+//!   lengths, not bytes;
 //! * [`exec::run_local`] is the in-memory reference stepper the
-//!   property tests compare both against.
+//!   property tests compare the others against. [`sim::run_sim`] is
+//!   [`sim::time_sim`] followed by `run_local` over the ranks that ran
+//!   last.
 //!
 //! Because payload materialization and receive application live in one
-//! place ([`state::RankState`]), all three produce byte-identical
-//! results for the same schedule and inputs — the backends differ only
-//! in *when*, never *what*. [`Schedule::digest`] makes the
-//! "same schedule" claim checkable across processes.
+//! place ([`state::RankState`]), the two data executors produce
+//! byte-identical results for the same schedule and inputs, and the
+//! simulated backend decides only *when*, never *what*.
+//! [`Schedule::digest`] makes the "same schedule" claim checkable
+//! across processes.
 //!
 //! Five algorithm families cover five ops (see [`plan::build`] for the
 //! exact support matrix): linear, binomial tree, dissemination/Bruck,
@@ -55,5 +59,5 @@ pub use op::{combine_bytes, pack_blocks, unpack_blocks, CollOp, Dtype, ReduceOp}
 pub use plan::{algorithms_for, auto_algorithm, build, Algorithm, PlanError};
 pub use recovery::{EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
 pub use schedule::{RankPlan, RecvStep, RecvWhat, Round, Schedule, SendStep, SendWhat};
-pub use sim::{coll_track, run_sim, RankFault, SimOptions, SimReport};
+pub use sim::{coll_track, run_sim, time_sim, RankFault, SimOptions, SimReport, SimTiming};
 pub use state::{CollOutput, RankState, Reduction};

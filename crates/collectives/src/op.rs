@@ -7,6 +7,8 @@
 //! the combine code lives here — not in a backend — the two backends
 //! produce byte-identical results for the same schedule and inputs.
 
+use crate::schedule::SendWhat;
+
 /// Which collective a schedule implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollOp {
@@ -181,24 +183,36 @@ pub fn combine_bytes(dtype: Dtype, op: ReduceOp, acc: &mut [u8], other: &[u8]) {
 /// format matches the length-prefix table mplite's tree allgather used,
 /// so multi-block tree traffic keeps its historical wire size.
 pub fn pack_blocks(parts: &[&[u8]]) -> Vec<u8> {
-    let mut out = Vec::new();
-    pack_blocks_into(parts.iter().copied(), &mut out);
-    out
-}
-
-/// [`pack_blocks`] appended to `out`, which grows at most once.
-pub fn pack_blocks_into<'a, I>(parts: I, out: &mut Vec<u8>)
-where
-    I: ExactSizeIterator<Item = &'a [u8]> + Clone,
-{
-    let total = parts.clone().map(<[u8]>::len).sum::<usize>();
-    out.reserve(4 + 8 * parts.len() + total);
+    let total = parts.iter().map(|p| p.len() as u64).sum();
+    let mut out = Vec::with_capacity(framed_len(parts.len(), total) as usize);
     out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-    for p in parts.clone() {
+    for p in parts {
         out.extend_from_slice(&(p.len() as u64).to_le_bytes());
     }
     for p in parts {
         out.extend_from_slice(p);
+    }
+    out
+}
+
+/// Length of [`pack_blocks`] over `count` blocks of `total` bytes.
+fn framed_len(count: usize, total: u64) -> u64 {
+    4 + 8 * count as u64 + total
+}
+
+/// Length of the message a send step puts on the wire, from the
+/// sender's accumulator length `acc` and each block's length: what
+/// [`crate::RankState::payload`] would materialize, without the bytes.
+/// A token is empty, a single block travels raw, and several are framed
+/// as [`pack_blocks`] frames them.
+pub fn send_len(what: &SendWhat, acc: u64, block: impl Fn(u32) -> u64) -> u64 {
+    match what {
+        SendWhat::Token => 0,
+        SendWhat::Acc => acc,
+        SendWhat::Blocks(idxs) => match idxs.as_slice() {
+            [only] => block(*only),
+            _ => framed_len(idxs.len(), idxs.iter().map(|&i| block(i)).sum()),
+        },
     }
 }
 

@@ -1,14 +1,22 @@
 //! The simulated backend: run a schedule over N simulated ranks.
 //!
-//! Every rank gets a [`crate::state::RankState`] and a round cursor;
-//! rounds advance event-driven over [`mpsim::multirank::Mailboxes`] on
-//! the switched [`protosim::multinode`] fabric, all in one world: the
-//! driver is the layer bound above the fabric, and every hop of every
-//! message, every round start and every timed fault is a typed
-//! [`MultiEvent`], so a message allocates nothing once its payload
-//! buffer is recycled. The data path is the same `payload`/`apply` code
-//! the blocking executor uses, so for identical schedules and inputs the
-//! two backends produce identical bytes — the simulation only decides
+//! A run has two halves. The timing half ([`time_sim`]) carries each
+//! message as a length: every rank gets a round cursor, and rounds
+//! advance event-driven over [`mpsim::multirank::Mailboxes`] on the
+//! switched [`protosim::multinode`] fabric, all in one world. The driver
+//! is the layer bound above the fabric, and every hop of every message,
+//! every round start and every timed fault is a typed [`MultiEvent`],
+//! so a message allocates nothing once its slots are warm. Every cost
+//! the model charges is per message or per byte, so no payload bytes
+//! move: each send's length comes from [`crate::op::send_len`], once
+//! per epoch, from the per-rank contribution lengths.
+//!
+//! The data half is [`crate::exec::run_local`] itself. [`run_sim`]
+//! times the run, then replays the final epoch's schedule over its
+//! survivors and keeps the outputs of exactly the ranks that finished.
+//! That is sound because a validated schedule's message contents
+//! depend only on the schedule and the inputs: a rank that finishes got
+//! the bytes it would have got with no faults. The simulation decides
 //! *when* things happen, never *what*.
 //!
 //! Faults come in three flavours: a list of [`RankFault`]s (kills at
@@ -24,7 +32,7 @@ use std::rc::Rc;
 
 use faultlab::{DegradeWindow, FaultPlan};
 use hwmodel::ClusterSpec;
-use mpsim::multirank::{Mailboxes, Payload};
+use mpsim::multirank::Mailboxes;
 use mpsim::LibProfile;
 use protosim::multinode::{MultiEngine, MultiEvent, MultiNet, Upper};
 use protosim::Slots;
@@ -32,13 +40,13 @@ use simcore::trace::{stages, SharedSink, SpanRec};
 use simcore::units::us_to_secs;
 use simcore::{SimDuration, SimTime};
 
-use crate::exec::{actual_rank, virtual_rank, ExecCtx};
+use crate::exec::{actual_rank, run_local, virtual_rank, ExecCtx};
 use crate::lifecycle::{step, CollRound};
-use crate::op::CollOp;
-use crate::plan::{auto_algorithm, build};
+use crate::op::{send_len, CollOp};
+use crate::plan::{auto_algorithm, build, Algorithm};
 use crate::recovery::{EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
-use crate::schedule::{RecvWhat, Schedule, SendWhat};
-use crate::state::{CollOutput, RankState, Reduction};
+use crate::schedule::Schedule;
+use crate::state::CollOutput;
 
 /// Trace track carrying rank `rank`'s collective-round spans, disjoint
 /// from the per-resource hardware tracks.
@@ -91,6 +99,30 @@ impl SimOptions {
     }
 }
 
+/// What the timing half of a simulated run produced: a [`SimReport`]
+/// without the outputs.
+#[derive(Debug)]
+pub struct SimTiming {
+    /// Simulated seconds until the last completing rank finished.
+    pub seconds: f64,
+    /// Events the engine executed (work proxy for events/sec).
+    pub events: u64,
+    /// Per-rank completion times, seconds; `None` if unfinished.
+    pub finish_secs: Vec<Option<f64>>,
+    /// Count of ranks that completed their whole plan.
+    pub completed: usize,
+    /// What the self-healing cycle did; `Some` exactly when a
+    /// [`RecoveryPolicy`] was armed (empty epochs on a clean run).
+    pub recovery: Option<RecoveryReport>,
+}
+
+impl SimTiming {
+    /// True when every rank completed.
+    pub fn all_completed(&self) -> bool {
+        self.completed == self.finish_secs.len()
+    }
+}
+
 /// What a simulated collective run produced.
 #[derive(Debug)]
 pub struct SimReport {
@@ -132,14 +164,12 @@ struct RecvSlot {
 }
 
 struct RankRun {
-    state: RankState,
     life: CollRound,
     round: usize,
     /// Receives still outstanding in the current round.
     waiting: usize,
-    /// Arrived payloads for the current round, recv-step indexed: the
-    /// session's own buffers, shared rather than copied.
-    arrived: Vec<Option<Payload>>,
+    /// Lengths arrived for the current round, recv-step indexed.
+    arrived: Vec<Option<u64>>,
     round_start: SimTime,
     finish: Option<SimTime>,
 }
@@ -188,17 +218,19 @@ struct Steps {
     /// Round `k` sends `sends[rounds[k].0..rounds[k + 1].0]` and
     /// receives `recvs[rounds[k].1..rounds[k + 1].1]`; a sentinel ends it.
     rounds: Vec<(u32, u32)>,
-    /// `(destination, what)`.
-    sends: Vec<(u32, SendWhat)>,
-    /// `(source, what)`, in application order.
-    recvs: Vec<(u32, RecvWhat)>,
+    /// `(destination, message length)`.
+    sends: Vec<(u32, u64)>,
+    /// Sources, in application order.
+    recvs: Vec<u32>,
 }
 
-/// One round's sends and receives, `(peer, what)` each.
-type RoundSteps<'a> = (&'a [(u32, SendWhat)], &'a [(u32, RecvWhat)]);
+/// One round's sends, `(destination, length)`, and receive sources.
+type RoundSteps<'a> = (&'a [(u32, u64)], &'a [u32]);
 
 impl Steps {
-    fn new(schedule: &Schedule, root: usize) -> Steps {
+    /// The tables for `schedule` rooted at group rank `root`, each send
+    /// sized from the group-indexed contribution `lengths`.
+    fn new(schedule: &Schedule, root: usize, lengths: &[u64]) -> Steps {
         let n = schedule.nranks;
         let plans = || schedule.plans.iter().flat_map(|p| &p.rounds);
         let mut steps = Steps {
@@ -207,16 +239,20 @@ impl Steps {
             sends: Vec::with_capacity(schedule.total_messages()),
             recvs: Vec::with_capacity(plans().map(|r| r.recvs.len()).sum()),
         };
-        let peer = |v: u32| idx32(actual_rank(v as usize, root, n));
-        for g in 0..n {
+        let peer = |v: u32| actual_rank(v as usize, root, n);
+        let block = |v: u32| lengths[peer(v)];
+        for (g, &acc) in lengths.iter().enumerate() {
             steps.first_round.push(idx32(steps.rounds.len()));
             for round in &schedule.plans[virtual_rank(g, root, n)].rounds {
                 steps
                     .rounds
                     .push((idx32(steps.sends.len()), idx32(steps.recvs.len())));
-                let sends = round.sends.iter().map(|s| (peer(s.to), s.what.clone()));
+                let sends = round
+                    .sends
+                    .iter()
+                    .map(|s| (idx32(peer(s.to)), send_len(&s.what, acc, block)));
                 steps.sends.extend(sends);
-                let recvs = round.recvs.iter().map(|r| (peer(r.from), r.what.clone()));
+                let recvs = round.recvs.iter().map(|r| idx32(peer(r.from)));
                 steps.recvs.extend(recvs);
             }
         }
@@ -241,19 +277,22 @@ impl Steps {
     }
 }
 
-/// The survivors' carry between epochs: world-indexed kill switches and
-/// membership machines.
+/// The survivors' carry between epochs: world-indexed kill switches,
+/// membership machines and bcast payload holders.
 #[derive(Default)]
 struct Carry {
     killed: Vec<bool>,
     member: Vec<Membership>,
+    /// Who holds the bcast payload (empty for other ops): the root, and
+    /// every rank that completed a receiving round. Every holder holds
+    /// the original root's bytes.
+    holders: Vec<bool>,
 }
 
 /// One epoch's layer above the fabric: the session's mailboxes and
 /// every rank's round cursor, driven by [`MultiEvent`]s.
 struct Driver {
     steps: Rc<Steps>,
-    reduction: Option<Reduction>,
     sess: Mailboxes<RecvSlot>,
     ranks: Vec<RankRun>,
     trace: Option<SharedSink>,
@@ -261,12 +300,12 @@ struct Driver {
     world: Vec<usize>,
     /// World-indexed kill switches, flipped by timed kill events.
     killed: Vec<bool>,
+    /// World-indexed bcast payload holders (see [`Carry::holders`]).
+    holders: Vec<bool>,
     /// Simulated time spent in earlier epochs (trace offset).
     base: SimDuration,
     recovery: Option<RecoveryRt>,
     deadlines: Slots<Deadline>,
-    /// Payloads applied and no longer shared, for the next sends.
-    spare: Vec<Payload>,
 }
 
 /// The [`Driver`] as the fabric holds it.
@@ -288,30 +327,24 @@ fn idx32(i: usize) -> u32 {
 }
 
 impl Driver {
-    /// An untraced driver for one epoch over the (possibly compacted)
-    /// group `world`, starting at time zero, taking the carry.
+    /// An untraced driver for one epoch of `schedule` rooted at group
+    /// rank `root` over the (possibly compacted) group `world`, starting
+    /// at time zero, taking the carry.
     fn new(
         profile: &LibProfile,
         schedule: &Schedule,
-        ctx: ExecCtx,
-        contributions: &[&[u8]],
+        root: usize,
+        lengths: &[u64],
         world: Vec<usize>,
         carry: Carry,
         policy: Option<RecoveryPolicy>,
     ) -> Driver {
         let m = schedule.nranks;
         Driver {
-            steps: Rc::new(Steps::new(schedule, ctx.root)),
-            reduction: ctx.reduction,
+            steps: Rc::new(Steps::new(schedule, root, lengths)),
             sess: Mailboxes::new(profile.clone(), m),
             ranks: (0..m)
-                .map(|g| RankRun {
-                    state: RankState::init(
-                        schedule.op,
-                        m,
-                        virtual_rank(g, ctx.root, m),
-                        contributions[g],
-                    ),
+                .map(|_| RankRun {
                     life: CollRound::initial(),
                     round: 0,
                     waiting: 0,
@@ -323,6 +356,7 @@ impl Driver {
             trace: None,
             world,
             killed: carry.killed,
+            holders: carry.holders,
             base: SimDuration::ZERO,
             recovery: policy.map(|policy| RecoveryRt {
                 policy,
@@ -333,7 +367,6 @@ impl Driver {
                 suspects_cleared: 0,
             }),
             deadlines: Slots::default(),
-            spare: Vec::new(),
         }
     }
 
@@ -342,13 +375,13 @@ impl Driver {
             MultiEvent::SendReady { msg } => self.sess.send_ready(eng, msg),
             MultiEvent::Landed { msg } => self.sess.landed(eng, msg),
             MultiEvent::Deliver { msg } => {
-                if let Some((to, payload)) = self.sess.deliver(msg) {
-                    self.on_arrival(eng, to, payload);
+                if let Some((to, bytes)) = self.sess.deliver(msg) {
+                    self.on_arrival(eng, to, bytes);
                 }
             }
             MultiEvent::Arrive { msg } => {
-                let (to, payload) = self.sess.arrive(msg);
-                self.on_arrival(eng, to, payload);
+                let (to, bytes) = self.sess.arrive(msg);
+                self.on_arrival(eng, to, bytes);
             }
             MultiEvent::StartRound { rank } => self.start_round(eng, rank as usize),
             MultiEvent::Kill { rank } => self.killed[rank as usize] = true,
@@ -372,26 +405,6 @@ impl Driver {
 
     fn aborted(&self) -> bool {
         self.recovery.as_ref().is_some_and(|rt| rt.aborted)
-    }
-
-    /// Keep `payload` for a later send once nothing else holds it.
-    fn recycle(spare: &mut Vec<Payload>, mut payload: Payload) {
-        if Rc::get_mut(&mut payload).is_some() {
-            spare.push(payload);
-        }
-    }
-
-    /// The bytes of `rank`'s send step `what`, in a recycled buffer.
-    fn payload(&mut self, rank: usize, what: &SendWhat) -> Payload {
-        let mut payload = self.spare.pop().unwrap_or_default();
-        #[expect(
-            clippy::expect_used,
-            reason = "recycle keeps only payloads nothing else holds"
-        )]
-        let buf = Rc::get_mut(&mut payload).expect("a spare payload is unshared");
-        buf.clear();
-        self.ranks[rank].state.payload_into(what, buf);
-        payload
     }
 
     /// Enter `rank`'s next round: post receives, issue sends. A round
@@ -425,42 +438,40 @@ impl Driver {
             r.waiting = recvs.len();
             r.arrived.clear();
             r.arrived.resize(recvs.len(), None);
-            for (slot, &(from, _)) in recvs.iter().enumerate() {
+            for (slot, &from) in recvs.iter().enumerate() {
                 let to = RecvSlot {
                     rank: idx32(rank),
                     slot: idx32(slot),
                 };
                 self.sess.post_recv(eng, rank, from as usize, 0, to);
             }
-            for (to, what) in sends {
-                let payload = self.payload(rank, what);
-                self.sess.send(eng, rank, *to as usize, 0, payload);
+            for &(to, bytes) in sends {
+                self.sess.send(eng, rank, to as usize, 0, bytes);
             }
             if !recvs.is_empty() {
                 let round = self.ranks[rank].round;
                 self.arm_deadline(eng, rank, round, 0);
                 return; // the last arrival resumes this rank
             }
-            // No receives: the round is already complete; fold and loop
-            // into the next one.
+            // No receives: the round is already complete; close it and
+            // loop into the next one.
             self.complete_round(eng, rank);
         }
     }
 
-    fn on_arrival(&mut self, eng: &mut MultiEngine, to: RecvSlot, payload: Payload) {
+    fn on_arrival(&mut self, eng: &mut MultiEngine, to: RecvSlot, bytes: u64) {
         let (rank, slot) = (to.rank as usize, to.slot as usize);
         if self.dead(rank) || self.aborted() {
-            Self::recycle(&mut self.spare, payload);
             return;
         }
         let r = &mut self.ranks[rank];
         if let (Some(rt), Some((_, recvs))) = (&mut self.recovery, self.steps.round(rank, r.round))
         {
             // An arrival from a suspect is proof of life.
-            rt.clear_if_suspect(self.world[recvs[slot].0 as usize]);
+            rt.clear_if_suspect(self.world[recvs[slot] as usize]);
         }
         r.life = step(r.life, "recv");
-        r.arrived[slot] = Some(payload);
+        r.arrived[slot] = Some(bytes);
         r.waiting -= 1;
         if r.waiting == 0 {
             self.complete_round(eng, rank);
@@ -468,21 +479,13 @@ impl Driver {
         }
     }
 
-    /// Apply the round's arrivals in schedule order, emit its span, and
-    /// advance the cursor.
+    /// Close the round: a bcast rank that received now holds the
+    /// payload; emit the round's span and advance the cursor.
     fn complete_round(&mut self, eng: &mut MultiEngine, rank: usize) {
         let r = &mut self.ranks[rank];
-        let mut bytes = 0u64;
-        if let Some((_, recvs)) = self.steps.round(rank, r.round) {
-            for ((_, what), payload) in recvs.iter().zip(r.arrived.drain(..)) {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "complete_round only runs once waiting hits zero, so every slot is filled"
-                )]
-                let payload = payload.expect("round completed with a receive slot empty");
-                bytes += payload.len() as u64;
-                r.state.apply(what, &payload, self.reduction);
-                Self::recycle(&mut self.spare, payload);
+        if !r.arrived.is_empty() {
+            if let Some(holds) = self.holders.get_mut(self.world[rank]) {
+                *holds = true;
             }
         }
         r.life = step(r.life, "finish");
@@ -492,7 +495,7 @@ impl Driver {
                 track: coll_track(self.world[rank]),
                 start: r.round_start + self.base,
                 end: eng.now() + self.base,
-                bytes,
+                bytes: r.arrived.iter().flatten().sum(),
                 msg: (r.round + 1) as u64,
             });
         }
@@ -532,7 +535,7 @@ impl Driver {
             .iter()
             .zip(&r.arrived)
             .filter(|(_, arrived)| arrived.is_none());
-        for (&(from, _), _) in missing {
+        for (&from, _) in missing {
             let s = self.world[from as usize];
             if let Membership::Active(active) = rt.member[s] {
                 rt.member[s] = active.deadline().into();
@@ -594,10 +597,8 @@ struct EpochOutcome {
     evicted: Option<usize>,
     evict_at_us: f64,
     cleared: usize,
-    /// Group-indexed `(epoch-relative finish seconds, output)`.
-    finished: Vec<Option<(f64, CollOutput)>>,
-    /// Group-indexed bcast payload carry (empty-pattern for other ops).
-    bcast_hold: Vec<Option<Vec<u8>>>,
+    /// Group-indexed epoch-relative finish seconds.
+    finished: Vec<Option<f64>>,
 }
 
 /// Endpoint faults resolved out of `SimOptions`, world-rank indexed.
@@ -655,8 +656,8 @@ fn run_epoch(
     spec: &ClusterSpec,
     profile: &LibProfile,
     schedule: &Schedule,
-    ctx: ExecCtx,
-    contributions: &[&[u8]],
+    root: usize,
+    lengths: &[u64],
     trace: &Option<SharedSink>,
     base_us: f64,
     world: Vec<usize>,
@@ -670,7 +671,7 @@ fn run_epoch(
         eng.set_trace_sink(Rc::clone(t));
     }
     let taken = std::mem::take(carry);
-    let mut driver = Driver::new(profile, schedule, ctx, contributions, world, taken, policy);
+    let mut driver = Driver::new(profile, schedule, root, lengths, world, taken, policy);
     driver.trace = trace.clone();
     driver.base = SimDuration::from_micros_f64(base_us);
     for &(w, extra_us) in &faults.degrades {
@@ -719,23 +720,13 @@ fn run_epoch(
         "fault-free {:?} epoch over {m} ranks left unmatched sends or receives",
         schedule.op
     );
-    let mut finished = Vec::with_capacity(m);
-    let mut bcast_hold = Vec::with_capacity(m);
-    for (g, r) in driver.ranks.iter_mut().enumerate() {
-        // Only a replan reads the carry, so a clean epoch copies nothing.
-        bcast_hold.push(if aborted && schedule.op == CollOp::Bcast {
-            r.state.bcast_payload().map(<[u8]>::to_vec)
-        } else {
-            None
-        });
-        let fin = (!aborted).then_some(r.finish).flatten().map(|t| {
-            let vrank = virtual_rank(g, ctx.root, m);
-            let state = std::mem::take(&mut r.state);
-            (t.as_secs_f64(), state.into_output(schedule.op, vrank))
-        });
-        finished.push(fin);
-    }
+    let finished = driver
+        .ranks
+        .iter()
+        .map(|r| r.finish.map(SimTime::as_secs_f64))
+        .collect();
     carry.killed = std::mem::take(&mut driver.killed);
+    carry.holders = std::mem::take(&mut driver.holders);
     let rt = driver.recovery.as_mut();
     let outcome = EpochOutcome {
         events,
@@ -744,7 +735,6 @@ fn run_epoch(
         evict_at_us: rt.as_ref().map_or(0.0, |rt| rt.evict_at_us),
         cleared: rt.as_ref().map_or(0, |rt| rt.suspects_cleared),
         finished,
-        bcast_hold,
     };
     if let Some(rt) = rt {
         carry.member = std::mem::take(&mut rt.member);
@@ -752,8 +742,9 @@ fn run_epoch(
     outcome
 }
 
-/// Simulate `schedule` over `spec` hardware with `profile` library
-/// costs. `contributions` are actual-rank indexed; so are the outputs.
+/// Time `schedule` over `spec` hardware with `profile` library costs,
+/// rooted at `root`, with rank `r` contributing `lengths[r]` bytes. No
+/// payload bytes exist: this is [`run_sim`] without the outputs.
 ///
 /// With a [`RecoveryPolicy`] armed the run is an epoch loop: each
 /// eviction compacts the group, re-elects the root if it died (a
@@ -761,51 +752,34 @@ fn run_epoch(
 /// payload), replans, and re-executes. Reducing accumulators restart
 /// from the original contributions (exactly-once safety), so the final
 /// result is the reduction over the *survivors'* inputs.
-pub fn run_sim(
+pub fn time_sim(
     spec: &ClusterSpec,
     profile: &LibProfile,
     schedule: &Schedule,
-    ctx: ExecCtx,
-    contributions: &[Vec<u8>],
+    root: usize,
+    lengths: &[u64],
     opts: &SimOptions,
-) -> SimReport {
+) -> SimTiming {
     let n = schedule.nranks;
-    assert_eq!(contributions.len(), n, "one contribution per rank");
+    assert_eq!(lengths.len(), n, "one contribution length per rank");
     let faults = FaultSet::from_options(opts, n);
-    if n == 1 {
-        // The fabric needs two nodes; a single-rank collective is a
-        // no-op with this rank's own data as the result.
-        let out = RankState::init(schedule.op, 1, 0, &contributions[0]).into_output(schedule.op, 0);
-        return SimReport {
-            seconds: 0.0,
-            events: 0,
-            outputs: vec![Some(out)],
-            finish_secs: vec![Some(0.0)],
-            completed: 1,
-            recovery: opts.recovery.map(|p| RecoveryReport {
-                deadline_us: p.deadline_us,
-                backoff_us: p.backoff_us,
-                ..RecoveryReport::default()
-            }),
-        };
-    }
-
+    let bcast = schedule.op == CollOp::Bcast;
     let mut carry = Carry {
         killed: vec![false; n],
         member: vec![Membership::initial(); n],
+        holders: if bcast {
+            (0..n).map(|w| w == root).collect()
+        } else {
+            Vec::new()
+        },
     };
     let mut alive = vec![true; n];
-    let mut bcast_hold: Vec<Option<Vec<u8>>> = vec![None; n];
-    if schedule.op == CollOp::Bcast {
-        bcast_hold[ctx.root] = Some(contributions[ctx.root].clone());
-    }
-    let mut root_world = ctx.root;
+    let mut root_world = root;
     // The schedule replanned over the survivors, once a rank is evicted.
     let mut replanned: Option<Schedule> = None;
     let mut cur_world: Vec<usize> = (0..n).collect();
     let mut base_us = 0.0f64;
     let mut events = 0u64;
-    let mut outputs: Vec<Option<CollOutput>> = vec![None; n];
     let mut finish_secs: Vec<Option<f64>> = vec![None; n];
     let mut report = RecoveryReport {
         deadline_us: opts.recovery.map_or(0.0, |p| p.deadline_us),
@@ -814,6 +788,15 @@ pub fn run_sim(
     };
 
     loop {
+        if let [w] = cur_world[..] {
+            // The fabric needs two nodes; a one-rank collective is a
+            // no-op its rank finishes at once, unless it is dead by then.
+            let killed = faults.kills.iter().any(|&(k, t)| k == w && t <= base_us);
+            if !(carry.killed[w] || killed) {
+                finish_secs[w] = Some(us_to_secs(base_us));
+            }
+            break;
+        }
         #[expect(
             clippy::expect_used,
             reason = "eviction always re-elects a surviving root before replanning"
@@ -822,28 +805,17 @@ pub fn run_sim(
             .iter()
             .position(|&w| w == root_world)
             .expect("the root is always re-elected among survivors");
-        let gctx = ExecCtx {
-            root: groot,
-            reduction: ctx.reduction,
-        };
-        let contribs: Vec<&[u8]> = cur_world
+        // Every bcast holder holds the original root's bytes.
+        let group_lengths: Vec<u64> = cur_world
             .iter()
-            .map(|&w| {
-                if schedule.op != CollOp::Bcast {
-                    contributions[w].as_slice()
-                } else if w == root_world {
-                    bcast_hold[w].as_deref().unwrap_or_default()
-                } else {
-                    &[]
-                }
-            })
+            .map(|&w| lengths[if bcast { root } else { w }])
             .collect();
         let outcome = run_epoch(
             spec,
             profile,
             replanned.as_ref().unwrap_or(schedule),
-            gctx,
-            &contribs,
+            groot,
+            &group_lengths,
             &opts.trace,
             base_us,
             cur_world.clone(),
@@ -853,18 +825,9 @@ pub fn run_sim(
         );
         events += outcome.events;
         report.suspects_cleared += outcome.cleared;
-        for (g, hold) in outcome.bcast_hold.into_iter().enumerate() {
-            if let Some(p) = hold {
-                bcast_hold[cur_world[g]] = Some(p);
-            }
-        }
         if !outcome.aborted {
-            for (g, fin) in outcome.finished.into_iter().enumerate() {
-                if let Some((secs, out)) = fin {
-                    let w = cur_world[g];
-                    finish_secs[w] = Some(us_to_secs(base_us) + secs);
-                    outputs[w] = Some(out);
-                }
+            for (&w, secs) in cur_world.iter().zip(outcome.finished) {
+                finish_secs[w] = secs.map(|s| us_to_secs(base_us) + s);
             }
             break;
         }
@@ -914,8 +877,8 @@ pub fn run_sim(
             break; // give up: bounded recovery, partial report
         }
         if !alive[root_world] {
-            if schedule.op == CollOp::Bcast {
-                match survivors.iter().copied().find(|&w| bcast_hold[w].is_some()) {
+            if bcast {
+                match survivors.iter().copied().find(|&w| carry.holders[w]) {
                     Some(w) => root_world = w,
                     // The payload died with the root before reaching
                     // any survivor: nothing left to broadcast.
@@ -925,41 +888,83 @@ pub fn run_sim(
                 root_world = survivors[0];
             }
         }
-        if m == 1 {
-            // Degenerate group: the collective is the lone survivor's
-            // own data (for bcast, the payload it already holds).
-            let w = survivors[0];
-            let contribution = if schedule.op == CollOp::Bcast {
-                bcast_hold[w].as_deref().unwrap_or_default()
-            } else {
-                &contributions[w]
-            };
-            outputs[w] =
-                Some(RankState::init(schedule.op, 1, 0, contribution).into_output(schedule.op, 0));
-            finish_secs[w] = Some(us_to_secs(base_us));
-            report.retries += 1;
-            break;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "algorithm falls back to auto_algorithm, which plans every group size"
-        )]
-        let plan = build(schedule.op, algorithm, m)
-            .expect("replanned schedule builds for the survivor group");
-        replanned = Some(plan);
+        replanned = Some(replan(schedule.op, algorithm, m));
         cur_world = survivors;
         report.retries += 1;
     }
 
-    let completed = outputs.iter().filter(|o| o.is_some()).count();
+    let completed = finish_secs.iter().flatten().count();
     let seconds = finish_secs.iter().flatten().copied().fold(0.0f64, f64::max);
-    SimReport {
+    SimTiming {
         seconds,
         events,
-        outputs,
         finish_secs,
         completed,
         recovery: opts.recovery.is_some().then_some(report),
+    }
+}
+
+/// `op` by `algorithm` over a survivor group of `m` ranks.
+fn replan(op: CollOp, algorithm: Algorithm, m: usize) -> Schedule {
+    #[expect(
+        clippy::expect_used,
+        reason = "recovery picks an algorithm that plans m ranks, falling back to auto_algorithm, which plans every group size"
+    )]
+    build(op, algorithm, m).expect("replanned schedule builds for the survivor group")
+}
+
+/// Simulate `schedule` over `spec` hardware with `profile` library
+/// costs. `contributions` are actual-rank indexed; so are the outputs.
+///
+/// This is [`time_sim`] over the contributions' lengths, then
+/// [`run_local`] over the schedule of the group that ran last: every
+/// rank, or the survivors replanned. Only the ranks with a finish time
+/// keep an output.
+pub fn run_sim(
+    spec: &ClusterSpec,
+    profile: &LibProfile,
+    schedule: &Schedule,
+    ctx: ExecCtx,
+    contributions: &[Vec<u8>],
+    opts: &SimOptions,
+) -> SimReport {
+    let n = schedule.nranks;
+    assert_eq!(contributions.len(), n, "one contribution per rank");
+    let lengths: Vec<u64> = contributions.iter().map(|c| c.len() as u64).collect();
+    let timing = time_sim(spec, profile, schedule, ctx.root, &lengths, opts);
+    let mut outputs = vec![None; n];
+    let rec = timing.recovery.as_ref();
+    let evicted = rec.map_or(&[][..], |r| &r.evicted[..]);
+    if timing.completed > 0 {
+        let world: Vec<usize> = (0..n).filter(|w| !evicted.contains(w)).collect();
+        let last = rec.and_then(|r| r.epochs.last());
+        let replanned = last.map(|e| replan(schedule.op, e.algorithm, world.len()));
+        // The root, or once it is evicted the lowest survivor: where a
+        // reduction re-roots, and as good as any holder for a bcast,
+        // whose every rank outputs the original root's bytes.
+        let root = world.iter().position(|&w| w == ctx.root).unwrap_or(0);
+        let bcast = schedule.op == CollOp::Bcast;
+        let input = |g, w| contributions[if bcast && g == root { ctx.root } else { w }].clone();
+        let inputs: Vec<Vec<u8>> = world
+            .iter()
+            .enumerate()
+            .map(|(g, &w)| input(g, w))
+            .collect();
+        let replay = ExecCtx { root, ..ctx };
+        let outs = run_local(replanned.as_ref().unwrap_or(schedule), replay, &inputs);
+        for (&w, out) in world.iter().zip(outs) {
+            if timing.finish_secs[w].is_some() {
+                outputs[w] = Some(out);
+            }
+        }
+    }
+    SimReport {
+        seconds: timing.seconds,
+        events: timing.events,
+        outputs,
+        finish_secs: timing.finish_secs,
+        completed: timing.completed,
+        recovery: timing.recovery,
     }
 }
 
@@ -968,8 +973,7 @@ mod tests {
     use super::*;
     use crate::op::{CollOp, Dtype, ReduceOp};
     use crate::plan::{algorithms_for, build, Algorithm};
-    use crate::schedule::SendWhat;
-    use crate::state::Reduction;
+    use crate::state::{RankState, Reduction};
 
     fn sum_ctx() -> ExecCtx {
         ExecCtx {
@@ -1056,48 +1060,89 @@ mod tests {
         );
     }
 
-    #[test]
-    fn arrivals_are_held_by_reference_and_recycled_once_applied() {
-        // Linear reduce over 3 ranks: the root's only round receives from
-        // both peers, so the first arrival has to wait in `arrived`.
-        let n = 3;
-        let schedule = build(CollOp::Reduce, Algorithm::Linear, n).unwrap();
-        let mut eng = MultiNet::engine(hwmodel::presets::pcs_ga620(), n);
-        let inputs = u64s(n);
-        let contributions: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-        let mut driver = Driver::new(
-            &mpsim::libs::mpich(Default::default()).profile,
-            &schedule,
-            sum_ctx(),
-            &contributions,
-            (0..n).collect(),
-            Carry {
-                killed: vec![false; n],
-                member: Vec::new(),
-            },
-            None,
+    /// Steps `schedule` rooted at `root` the way [`run_local`] does and
+    /// checks each send's bytes against the length the timing half
+    /// gives the same step.
+    fn check_timed_lengths(schedule: &Schedule, root: usize, inputs: &[Vec<u8>]) {
+        use std::collections::VecDeque;
+        let n = schedule.nranks;
+        let label = format!(
+            "{:?} {:?} n={n} root={root}",
+            schedule.op, schedule.algorithm
         );
-        driver.start_round(&mut eng, 0);
-        let first: Payload = Rc::new(5u64.to_le_bytes().to_vec());
-        let slot = |slot| RecvSlot { rank: 0, slot };
-        driver.on_arrival(&mut eng, slot(0), Rc::clone(&first));
-        let held = driver.ranks[0].arrived[0]
-            .as_ref()
-            .expect("the slot is filled");
-        assert!(Rc::ptr_eq(held, &first), "the arrival was copied");
-        assert_eq!(Rc::strong_count(&first), 2);
-        let second: Payload = Rc::new(7u64.to_le_bytes().to_vec());
-        let second_at = Rc::as_ptr(&second);
-        driver.on_arrival(&mut eng, slot(1), second);
-        // The round completed: `complete_round` folded both buffers in
-        // (1 + 5 + 7), let go of the shared one and kept the other.
-        assert_eq!(Rc::strong_count(&first), 1);
-        assert_eq!(driver.ranks[0].round, 1);
-        assert_eq!(driver.spare.len(), 1);
-        // The next send reuses the kept buffer.
-        let next = driver.payload(0, &SendWhat::Acc);
-        assert_eq!(Rc::as_ptr(&next), second_at);
-        assert_eq!(*next, 13u64.to_le_bytes());
+        let lengths: Vec<u64> = inputs.iter().map(|c| c.len() as u64).collect();
+        let steps = Steps::new(schedule, root, &lengths);
+        let ctx = sum_ctx();
+        let mut states: Vec<RankState> = (0..n)
+            .map(|g| RankState::init(schedule.op, n, virtual_rank(g, root, n), &inputs[g]))
+            .collect();
+        let mut round = vec![0usize; n];
+        let mut sent = vec![false; n];
+        let mut next_recv = vec![0usize; n];
+        // `wires[to][from]`: bytes in flight, in send order.
+        let mut wires = vec![vec![VecDeque::new(); n]; n];
+        let mut checked = 0;
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for g in 0..n {
+                let plan = &schedule.plans[virtual_rank(g, root, n)].rounds;
+                let Some(r) = plan.get(round[g]) else {
+                    continue;
+                };
+                let (sends, recvs) = steps.round(g, round[g]).expect("the tables hold the round");
+                if !sent[g] {
+                    for (s, &(to, len)) in r.sends.iter().zip(sends) {
+                        let bytes = states[g].payload(&s.what);
+                        assert_eq!(bytes.len() as u64, len, "{label}: rank {g} {:?}", s.what);
+                        wires[to as usize][g].push_back(bytes);
+                        checked += 1;
+                    }
+                    sent[g] = true;
+                    progressed = true;
+                }
+                while let Some(&from) = recvs.get(next_recv[g]) {
+                    let Some(bytes) = wires[g][from as usize].pop_front() else {
+                        break;
+                    };
+                    states[g].apply(&r.recvs[next_recv[g]].what, &bytes, ctx.reduction);
+                    next_recv[g] += 1;
+                    progressed = true;
+                }
+                if next_recv[g] == recvs.len() {
+                    (round[g], sent[g], next_recv[g]) = (round[g] + 1, false, 0);
+                    progressed = true;
+                }
+            }
+        }
+        assert_eq!(checked, schedule.total_messages(), "{label}: stalled");
+    }
+
+    #[test]
+    fn timed_lengths_equal_the_replayed_bytes() {
+        for op in CollOp::all() {
+            for n in [2usize, 3, 5, 16] {
+                for alg in algorithms_for(op, n) {
+                    let s = build(op, alg, n).unwrap();
+                    let roots = if op == CollOp::Bcast {
+                        vec![0, n - 1]
+                    } else {
+                        vec![0]
+                    };
+                    for root in roots {
+                        let inputs: Vec<Vec<u8>> = (0..n)
+                            .map(|r| match op {
+                                CollOp::Barrier => Vec::new(),
+                                CollOp::Bcast if r != root => Vec::new(),
+                                CollOp::Allgather => vec![r as u8; 8 * (r + 1)],
+                                _ => (r as u64 * 3 + 1).to_le_bytes().repeat(3),
+                            })
+                            .collect();
+                        check_timed_lengths(&s, root, &inputs);
+                    }
+                }
+            }
+        }
     }
 
     /// An 8-rank barrier under `opts`.
@@ -1161,6 +1206,43 @@ mod tests {
         assert!(!report.all_completed());
         assert!(report.outputs[3].is_none());
         assert!(report.completed < n);
+    }
+
+    #[test]
+    fn a_dead_lone_rank_is_not_complete() {
+        let dead = [
+            SimOptions::with_fault(RankFault::Dead(0)),
+            SimOptions {
+                plan: Some(FaultPlan::parse("kill-rank=0@0").expect("plan")),
+                ..SimOptions::default()
+            },
+        ];
+        for op in [CollOp::Barrier, CollOp::Allreduce] {
+            let s = build(op, Algorithm::Tree, 1).unwrap();
+            for opts in &dead {
+                let spec = hwmodel::presets::pcs_ga620();
+                let profile = mpsim::libs::mpich(Default::default()).profile;
+                let timing = time_sim(&spec, &profile, &s, 0, &[8], opts);
+                assert_eq!(
+                    (timing.completed, &timing.finish_secs[..]),
+                    (0, &[None][..])
+                );
+                let report = run_sim(&spec, &profile, &s, sum_ctx(), &u64s(1), opts);
+                assert_eq!(report.completed, 0, "{op:?}");
+                assert_eq!(report.outputs, vec![None]);
+                assert_eq!(report.finish_secs, vec![None]);
+            }
+            let alive = run_sim(
+                &hwmodel::presets::pcs_ga620(),
+                &mpsim::libs::mpich(Default::default()).profile,
+                &s,
+                sum_ctx(),
+                &u64s(1),
+                &SimOptions::default(),
+            );
+            assert_eq!(alive.finish_secs, vec![Some(0.0)]);
+            assert_eq!(alive.completed, 1);
+        }
     }
 
     #[test]

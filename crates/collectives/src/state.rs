@@ -1,12 +1,13 @@
 //! Per-rank data state: the accumulator and block table a schedule's
 //! send/recv steps read and write.
 //!
-//! Both executors hold one [`RankState`] per participating rank and
-//! drive it through exactly the same calls — [`RankState::payload`] to
-//! materialize outgoing bytes and [`RankState::apply`] to fold in
-//! arrivals — so the data path is backend-independent by construction.
+//! Both data executors ([`crate::run_local`] and [`crate::run_blocking`])
+//! hold one [`RankState`] per participating rank and drive it through
+//! exactly the same calls — [`RankState::payload`] to materialize
+//! outgoing bytes and [`RankState::apply`] to fold in arrivals — so the
+//! data path is backend-independent by construction.
 
-use crate::op::{combine_bytes, pack_blocks_into, unpack_blocks, CollOp, Dtype, ReduceOp};
+use crate::op::{combine_bytes, pack_blocks, unpack_blocks, CollOp, Dtype, ReduceOp};
 use crate::schedule::{RecvWhat, SendWhat};
 
 /// The element interpretation of a reducing collective.
@@ -70,25 +71,15 @@ impl RankState {
 
     /// Materialize the outgoing bytes for a send step. A single block
     /// travels raw; several are framed with [`crate::op::pack_blocks`].
+    /// [`crate::op::send_len`] gives the same length without the bytes.
     pub fn payload(&self, what: &SendWhat) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.payload_into(what, &mut out);
-        out
-    }
-
-    /// [`RankState::payload`] appended to `out`, so a sender can reuse
-    /// a buffer.
-    pub fn payload_into(&self, what: &SendWhat, out: &mut Vec<u8>) {
         match what {
-            SendWhat::Token => {}
-            SendWhat::Acc => out.extend_from_slice(&self.acc),
-            SendWhat::Blocks(idxs) => {
-                if let [only] = idxs.as_slice() {
-                    out.extend_from_slice(self.block(*only));
-                } else {
-                    pack_blocks_into(idxs.iter().map(|&i| self.block(i)), out);
-                }
-            }
+            SendWhat::Token => Vec::new(),
+            SendWhat::Acc => self.acc.clone(),
+            SendWhat::Blocks(idxs) => match idxs.as_slice() {
+                [only] => self.block(*only).to_vec(),
+                _ => pack_blocks(&idxs.iter().map(|&i| self.block(i)).collect::<Vec<_>>()),
+            },
         }
     }
 
@@ -176,13 +167,6 @@ impl RankState {
                     .collect(),
             },
         }
-    }
-
-    /// The bcast payload slot, if it has arrived. The recovery layer
-    /// uses this to elect a replacement root among payload holders when
-    /// the original root is evicted mid-broadcast.
-    pub fn bcast_payload(&self) -> Option<&[u8]> {
-        self.blocks.first().and_then(|b| b.as_deref())
     }
 
     #[expect(

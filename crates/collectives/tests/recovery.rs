@@ -7,11 +7,14 @@
 //!   survivors finish with the correct wrapped-integer sum;
 //! * **complete** — *any* single-rank death, for every algorithm at
 //!   every awkward rank count (primes included), still yields the
-//!   correct reduction over the survivors.
+//!   correct reduction over the survivors;
+//! * **replayed** — a partial or healed run keeps an output for exactly
+//!   the ranks that finished, and each is what the fault-free data
+//!   executor gives that rank over the group that ran last.
 
 use collectives::{
-    algorithms_for, build, run_sim, CollOp, Dtype, ExecCtx, RankFault, RecoveryPolicy, ReduceOp,
-    Reduction, Schedule, SimOptions, SimReport,
+    algorithms_for, build, run_local, run_sim, CollOp, Dtype, ExecCtx, RankFault, RecoveryPolicy,
+    ReduceOp, Reduction, Schedule, SimOptions, SimReport,
 };
 use faultlab::FaultPlan;
 use hwmodel::presets::pcs_ga620;
@@ -186,5 +189,176 @@ fn any_single_rank_death_reduces_correctly_over_survivors() {
                 }
             }
         }
+    }
+}
+
+/// Rank `r`'s input to `op` over `n` ranks, root 0: blocks of unequal
+/// length for allgather, three elements for a reduction, the root's
+/// payload for bcast.
+fn inputs(op: CollOp, n: usize) -> Vec<Vec<u8>> {
+    (0..n)
+        .map(|r| match op {
+            CollOp::Barrier => Vec::new(),
+            CollOp::Bcast if r != 0 => Vec::new(),
+            CollOp::Allgather => vec![r as u8 + 1; 8 * (r + 1)],
+            _ => contributions(n)[r].repeat(3),
+        })
+        .collect()
+}
+
+/// Holds `report` to the replay contract: a rank has an output if and
+/// only if it has a finish time, and each output equals `run_local`'s
+/// for that rank over the last group's schedule and inputs (the
+/// survivors', replanned, once recovery evicted anyone).
+fn assert_replayed(label: &str, schedule: &Schedule, inputs: &[Vec<u8>], report: &SimReport) {
+    let (op, n) = (schedule.op, schedule.nranks);
+    let evicted = report.recovery.as_ref().map_or(&[][..], |r| &r.evicted[..]);
+    let world: Vec<usize> = (0..n).filter(|r| !evicted.contains(r)).collect();
+    let algorithm = report
+        .recovery
+        .as_ref()
+        .and_then(|r| r.epochs.last())
+        .map_or(schedule.algorithm, |e| e.algorithm);
+    let last = build(op, algorithm, world.len()).expect("the replanned group plans");
+    // A re-elected root: any survivor gives a bcast the same outputs.
+    let root = world.iter().position(|&w| w == 0).unwrap_or(0);
+    let group_inputs: Vec<Vec<u8>> = world
+        .iter()
+        .enumerate()
+        .map(|(g, &w)| match op {
+            CollOp::Bcast if g == root => inputs[0].clone(),
+            CollOp::Bcast => Vec::new(),
+            _ => inputs[w].clone(),
+        })
+        .collect();
+    let ctx = ExecCtx {
+        root,
+        reduction: matches!(op, CollOp::Reduce | CollOp::Allreduce).then_some(RED),
+    };
+    let want = run_local(&last, ctx, &group_inputs);
+    for r in 0..n {
+        let out = report.outputs[r].as_ref();
+        assert_eq!(
+            out.is_some(),
+            report.finish_secs[r].is_some(),
+            "{label}: rank {r} has an output iff it finished"
+        );
+        if let Some(out) = out {
+            let g = world
+                .iter()
+                .position(|&w| w == r)
+                .expect("a finished rank survived");
+            assert_eq!(out, &want[g], "{label}: rank {r}'s output");
+        }
+    }
+}
+
+#[test]
+fn partial_runs_keep_exactly_the_fault_free_outputs_of_finished_ranks() {
+    let n = 8;
+    let (spec, profile) = (pcs_ga620(), mpich(MpichConfig::tuned()).profile);
+    let policy = RecoveryPolicy {
+        deadline_us: 2_000.0,
+        backoff_us: 500.0,
+        max_epochs: 4,
+    };
+    let kill = |text: String| Some(FaultPlan::parse(&text).expect("valid plan"));
+    let (mut partial_with_outputs, mut replanned_twice) = (0, 0);
+    for op in CollOp::all() {
+        let inputs = inputs(op, n);
+        let ctx = ExecCtx {
+            root: 0,
+            reduction: matches!(op, CollOp::Reduce | CollOp::Allreduce).then_some(RED),
+        };
+        for algorithm in algorithms_for(op, n) {
+            let schedule = build(op, algorithm, n).expect("8 ranks plan");
+            let sim = |opts: SimOptions| run_sim(&spec, &profile, &schedule, ctx, &inputs, &opts);
+            let clean = sim(SimOptions::default());
+            assert_replayed(&format!("{op:?} {algorithm:?}"), &schedule, &inputs, &clean);
+            // Halfway through the fault-free run, in whole microseconds.
+            let half_us = (clean.seconds * 5e5) as u64;
+            for r in 0..n {
+                for (what, opts) in [
+                    ("dead", SimOptions::with_fault(RankFault::Dead(r))),
+                    (
+                        "timed kill",
+                        SimOptions {
+                            plan: kill(format!("kill-rank={r}@{half_us}us")),
+                            ..SimOptions::default()
+                        },
+                    ),
+                ] {
+                    let report = sim(opts);
+                    let label = format!("{op:?} {algorithm:?} {what} rank {r}");
+                    assert_replayed(&label, &schedule, &inputs, &report);
+                    if report.completed > 0 && !report.all_completed() {
+                        partial_with_outputs += 1;
+                    }
+                }
+            }
+            let report = sim(SimOptions {
+                faults: vec![RankFault::Dead(2)],
+                plan: kill(format!("kill-rank=6@{half_us}us")),
+                recovery: Some(policy),
+                ..SimOptions::default()
+            });
+            let label = format!("{op:?} {algorithm:?} two kills recover");
+            if report
+                .recovery
+                .as_ref()
+                .is_some_and(|r| r.evicted.len() == 2)
+            {
+                replanned_twice += 1;
+            }
+            assert_replayed(&label, &schedule, &inputs, &report);
+        }
+    }
+    assert!(
+        partial_with_outputs > 50,
+        "only {partial_with_outputs} partial runs kept any output"
+    );
+    assert!(
+        replanned_twice > 5,
+        "only {replanned_twice} two-kill runs evicted both ranks"
+    );
+}
+
+#[test]
+fn a_bcast_whose_root_dies_re_roots_on_a_payload_holder() {
+    // Tree bcast over 8 ranks: rank 1 is dead, so its subtree (3, 5, 7)
+    // stalls while 2, 4 and 6 receive. The root dies after its sends,
+    // before the replan, so the second epoch stalls on it too; the third
+    // must re-root on rank 2, the lowest survivor holding the payload.
+    let n = 8;
+    let schedule = build(CollOp::Bcast, collectives::Algorithm::Tree, n).expect("tree plans");
+    let payload = b"carried by the holders".to_vec();
+    let mut inputs = vec![Vec::new(); n];
+    inputs[0] = payload.clone();
+    let report = run_sim(
+        &pcs_ga620(),
+        &mpich(MpichConfig::tuned()).profile,
+        &schedule,
+        ExecCtx {
+            root: 0,
+            reduction: None,
+        },
+        &inputs,
+        &SimOptions {
+            faults: vec![RankFault::Dead(1)],
+            plan: Some(FaultPlan::parse("kill-rank=0@1000us").expect("valid plan")),
+            recovery: Some(RecoveryPolicy {
+                deadline_us: 2_000.0,
+                backoff_us: 500.0,
+                max_epochs: 4,
+            }),
+            ..SimOptions::default()
+        },
+    );
+    let rec = report.recovery.as_ref().expect("recovery armed");
+    assert_eq!(rec.evicted, vec![1, 0], "{rec:?}");
+    assert!(report.all_survivors_completed(), "{rec:?}");
+    for r in 2..n {
+        let out = report.outputs[r].as_ref().expect("a survivor finished");
+        assert_eq!(out.acc, payload, "rank {r}");
     }
 }

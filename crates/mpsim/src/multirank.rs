@@ -4,7 +4,7 @@
 //! collective-pattern studies need *N* ranks exchanging tagged messages
 //! with library overheads applied per message. [`Mailboxes`] layers
 //! exactly that over [`protosim::multinode`]: per ordered rank pair a
-//! FIFO of in-flight payloads matched against a FIFO of posted
+//! FIFO of in-flight messages matched against a FIFO of posted
 //! receives (the same match discipline mplite's socket mesh gives the
 //! real backend), with the bound [`LibProfile`]'s per-message costs —
 //! send/receive overheads, copy passes, optional byte checking, and
@@ -13,9 +13,11 @@
 //! A message is a record in reusable [`Slots`] and moves through typed
 //! [`MultiEvent`]s (`SendReady`, `Landed` per fabric crossing,
 //! `Deliver`, and `Arrive` when the receive is posted late), so after
-//! warm-up it allocates nothing. What a posted receive completes is the
-//! caller's: [`MultiSession`] parks a boxed continuation there, the
-//! collective driver a (rank, receive) pair it resolves itself.
+//! warm-up it allocates nothing. Every cost is per message or per byte,
+//! so a message carries its length, never its bytes. What a posted
+//! receive completes is the caller's: [`MultiSession`] parks a boxed
+//! continuation there, the collective driver a (rank, receive) pair it
+//! resolves itself.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -27,12 +29,12 @@ use simcore::SimDuration;
 
 use crate::profile::LibProfile;
 
-/// A delivered message body. Reference-counted so queueing and delivery
-/// never copy simulated payload bytes at host level.
+/// A message body handed to [`MultiSession::send`]; only its length is
+/// simulated.
 pub type Payload = Rc<Vec<u8>>;
 
-/// Completion callback for a posted receive.
-pub type RecvContinuation = Box<dyn FnOnce(&mut MultiEngine, Payload)>;
+/// Completion callback for a posted receive, handed the message length.
+pub type RecvContinuation = Box<dyn FnOnce(&mut MultiEngine, u64)>;
 
 /// Where a message is on its way.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -51,7 +53,7 @@ struct Msg<C> {
     to: u32,
     tag: i32,
     phase: Phase,
-    payload: Payload,
+    bytes: u64,
     /// The receive it completes, once matched by a late post.
     done: Option<C>,
 }
@@ -143,25 +145,17 @@ impl<C> Mailboxes<C> {
         1.0 / factor
     }
 
-    /// Send `payload` from `from` to `to` under `tag`. The sender's
-    /// library work is charged on its CPU now; the fabric then carries
-    /// the bytes (with a rendezvous handshake above the profile's
-    /// threshold) and the receiver's library work is charged on
-    /// arrival, after which the payload matches a posted receive.
-    pub fn send(
-        &mut self,
-        eng: &mut MultiEngine,
-        from: usize,
-        to: usize,
-        tag: i32,
-        payload: Payload,
-    ) {
+    /// Send a `bytes`-long message from `from` to `to` under `tag`. The
+    /// sender's library work is charged on its CPU now; the fabric then
+    /// carries the bytes (with a rendezvous handshake above the
+    /// profile's threshold) and the receiver's library work is charged
+    /// on arrival, after which the message matches a posted receive.
+    pub fn send(&mut self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, bytes: u64) {
         let n = self.n;
         assert!(
             from != to && from < n && to < n,
             "send {from} -> {to}: never to self, never outside the {n}-rank world"
         );
-        let bytes = payload.len() as u64;
         let p = &self.profile;
         let memcpy = eng.world.spec.host.cpu.memcpy_bps;
         let send_work = p.send_work(bytes, memcpy, self.extra_send_us[from]);
@@ -178,7 +172,7 @@ impl<C> Mailboxes<C> {
             to: rank32(to),
             tag,
             phase: Phase::Data,
-            payload,
+            bytes,
             done: None,
         });
         eng.schedule_event_at(ready, MultiEvent::SendReady { msg });
@@ -187,7 +181,7 @@ impl<C> Mailboxes<C> {
     /// Post a receive at rank `to` for the next message from `from`
     /// under `tag`; `done` is handed back (from [`Mailboxes::deliver`]
     /// or [`Mailboxes::arrive`], always inside an event, never
-    /// synchronously) once the payload is in `to`'s memory and past the
+    /// synchronously) once the message is in `to`'s memory and past the
     /// library's receive path.
     pub fn post_recv(&mut self, eng: &mut MultiEngine, to: usize, from: usize, tag: i32, done: C) {
         let n = self.n;
@@ -222,7 +216,7 @@ impl<C> Mailboxes<C> {
     pub fn send_ready(&mut self, eng: &mut MultiEngine, msg: u32) {
         let p = &self.profile;
         let m = self.msgs.get_mut(msg);
-        let bytes = m.payload.len() as u64;
+        let bytes = m.bytes;
         let (from, to) = (m.from as usize, m.to as usize);
         if matches!(p.rendezvous_bytes, Some(t) if bytes > t) {
             m.phase = Phase::Rts;
@@ -239,7 +233,7 @@ impl<C> Mailboxes<C> {
     pub fn landed(&mut self, eng: &mut MultiEngine, msg: u32) {
         let p = &self.profile;
         let m = self.msgs.get_mut(msg);
-        let bytes = m.payload.len() as u64;
+        let bytes = m.bytes;
         let (from, to) = (m.from as usize, m.to as usize);
         match m.phase {
             Phase::Rts => {
@@ -262,8 +256,8 @@ impl<C> Mailboxes<C> {
 
     /// [`MultiEvent::Deliver`]: message `msg` matches the receive its
     /// pair posted first, whose completion is returned with the
-    /// payload, or waits for one.
-    pub fn deliver(&mut self, msg: u32) -> Option<(C, Payload)> {
+    /// message length, or waits for one.
+    pub fn deliver(&mut self, msg: u32) -> Option<(C, u64)> {
         let m = self.msgs.get_mut(msg);
         let (from, to, tag) = (m.from, m.to, m.tag);
         let q = &mut self.queues[to as usize];
@@ -279,7 +273,7 @@ impl<C> Mailboxes<C> {
                 "rank {to} posted tag {want} from {from} but got {tag}: collective tags desynchronized"
             );
             self.unmatched -= 1;
-            return Some((done, self.msgs.take(msg).payload));
+            return Some((done, self.msgs.take(msg).bytes));
         }
         q.push(Pending::Arrived { from, msg });
         self.unmatched += 1;
@@ -288,14 +282,14 @@ impl<C> Mailboxes<C> {
 
     /// [`MultiEvent::Arrive`]: the late post matched to message `msg`
     /// completes.
-    pub fn arrive(&mut self, msg: u32) -> (C, Payload) {
+    pub fn arrive(&mut self, msg: u32) -> (C, u64) {
         let m = self.msgs.take(msg);
         #[expect(
             clippy::expect_used,
             reason = "post_recv sets the completion before it schedules Arrive"
         )]
         let done = m.done.expect("an arrival scheduled without its receive");
-        (done, m.payload)
+        (done, m.bytes)
     }
 }
 
@@ -328,8 +322,8 @@ impl Upper for Closures {
             _ => None,
         };
         // The continuation may send or post again: the queues are free.
-        if let Some((k, payload)) = done {
-            k(eng, payload);
+        if let Some((k, bytes)) = done {
+            k(eng, bytes);
         }
     }
 }
@@ -364,20 +358,21 @@ impl MultiSession {
         eng.world.bind(self.inner.clone());
     }
 
-    /// Send `payload` from `from` to `to` under `tag` (see
-    /// [`Mailboxes::send`]).
+    /// Send `payload` from `from` to `to` under `tag`, timed by its
+    /// length (see [`Mailboxes::send`]).
     pub fn send(&self, eng: &mut MultiEngine, from: usize, to: usize, tag: i32, payload: Payload) {
         self.bind(eng);
+        let bytes = payload.len() as u64;
         self.inner
             .boxes
             .borrow_mut()
-            .send(eng, from, to, tag, payload);
+            .send(eng, from, to, tag, bytes);
     }
 
     /// Post a receive at rank `to` for the next message from `from`
-    /// under `tag`; `k` runs (as a scheduled event, never synchronously)
-    /// once the payload is in `to`'s memory and past the library's
-    /// receive path.
+    /// under `tag`; `k` runs with the message length (as a scheduled
+    /// event, never synchronously) once the message is in `to`'s memory
+    /// and past the library's receive path.
     pub fn post_recv(
         &self,
         eng: &mut MultiEngine,
@@ -405,8 +400,8 @@ mod tests {
     use super::*;
     use protosim::multinode::MultiNet;
 
-    /// A delivered message: (source rank, payload).
-    type Delivery = (usize, Vec<u8>);
+    /// A delivered message: (source rank, length).
+    type Delivery = (usize, u64);
 
     fn engine(n: usize) -> MultiEngine {
         MultiNet::engine(hwmodel::presets::pcs_ga620(), n)
@@ -424,7 +419,7 @@ mod tests {
             1,
             0,
             7,
-            Box::new(move |_, p| g.borrow_mut().push((1, p.to_vec()))),
+            Box::new(move |_, len| g.borrow_mut().push((1, len))),
         );
         sess.send(&mut eng, 0, 1, 7, Rc::new(b"early".to_vec()));
         // Send lands before the receive is posted.
@@ -439,24 +434,24 @@ mod tests {
                 1,
                 2,
                 7,
-                Box::new(move |_, p| g.borrow_mut().push((2, p.to_vec()))),
+                Box::new(move |_, len| g.borrow_mut().push((2, len))),
             );
         });
         eng2.run();
         let got = got.borrow();
         assert_eq!(got.len(), 2);
-        assert!(got.contains(&(1, b"early".to_vec())));
-        assert!(got.contains(&(2, b"late".to_vec())));
+        assert!(got.contains(&(1, 5)));
+        assert!(got.contains(&(2, 4)));
     }
 
     #[test]
     fn per_pair_fifo_order_is_preserved() {
         let mut eng = engine(2);
         let sess = MultiSession::new(crate::libs::mpich(Default::default()).profile, 2);
-        for i in 0..4u8 {
-            sess.send(&mut eng, 0, 1, 9, Rc::new(vec![i; 16]));
+        for i in 0..4 {
+            sess.send(&mut eng, 0, 1, 9, Rc::new(vec![0; 16 + i]));
         }
-        let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
+        let got: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..4 {
             let g = Rc::clone(&got);
             sess.post_recv(
@@ -464,11 +459,11 @@ mod tests {
                 1,
                 0,
                 9,
-                Box::new(move |_, p| g.borrow_mut().push(p[0])),
+                Box::new(move |_, len| g.borrow_mut().push(len)),
             );
         }
         eng.run();
-        assert_eq!(*got.borrow(), vec![0, 1, 2, 3]);
+        assert_eq!(*got.borrow(), vec![16, 17, 18, 19]);
         assert!(!sess.has_unmatched());
     }
 

@@ -20,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use collectives::{Algorithm, CollOp, Dtype, ExecCtx, ReduceOp, Reduction, SimOptions};
+use collectives::{time_sim, Algorithm, CollOp, Dtype, ExecCtx, ReduceOp, Reduction, SimOptions};
 use hwmodel::kernel::linux_2_4;
 use hwmodel::presets::pcs_ga620;
 use mplite::frame::{build_header, FrameDecoder, DEFAULT_MAX_MESSAGE, WIRE_V2};
@@ -32,13 +32,13 @@ const FIGURES_CEILING: u64 = 595_380;
 /// Events one `figures` pass executes (CI's exact
 /// `simcore.events_per_pass.figures` rung), for the per-event ratio.
 const FIGURES_EVENTS: u64 = 5_920_774;
-/// Allocations of `run_sim`, 1 KiB allreduce at 64 ranks, summed over
+/// Allocations of `time_sim`, 1 KiB allreduce at 64 ranks, summed over
 /// both library profiles and the three algorithms.
-const COLL_SIM_CEILING: u64 = 1_810;
-/// Allocations of one `run_sim` 1 KiB recursive-doubling allreduce at
-/// 1 024 ranks: per-rank set-up only, since a message that finds a
-/// recycled payload and free slots allocates nothing.
-const COLL_SIM_1024_CEILING: u64 = 5_196;
+const COLL_SIM_CEILING: u64 = 1_000;
+/// Allocations of one `time_sim` 1 KiB recursive-doubling allreduce at
+/// 1 024 ranks: per-rank set-up only, since a message carries a length,
+/// not bytes, and once its slots are warm allocates nothing.
+const COLL_SIM_1024_CEILING: u64 = 2_112;
 /// Allocations of `run_local` on the same three schedules.
 const COLL_LOCAL_CEILING: u64 = 1_665;
 /// Allocations of 1 000 64 B and 4 1 MiB frame round trips.
@@ -156,8 +156,9 @@ const SUM_U64: ExecCtx = ExecCtx {
 };
 
 /// The `coll_*` workloads' layers: a 1 KiB allreduce at 64 ranks under
-/// both library profiles and all three algorithms, simulated, then the
-/// same schedules through the in-process reference executor.
+/// both library profiles and all three algorithms, timed as
+/// `clusterlab::collective::measure` times it, then the same schedules
+/// through the data executor.
 #[test]
 fn allreduce_at_64_ranks_stays_under_its_ceilings() {
     const RANKS: usize = 64;
@@ -177,20 +178,21 @@ fn allreduce_at_64_ranks_stays_under_its_ceilings() {
         .iter()
         .map(|&a| collectives::build(CollOp::Allreduce, a, RANKS).expect("allreduce plans"))
         .collect();
+    let lengths = [1024; RANKS];
     let sim = || {
         let mut events = 0;
         for profile in &profiles {
             for schedule in &schedules {
-                let report = collectives::run_sim(
+                let timing = time_sim(
                     &spec,
                     profile,
                     schedule,
-                    SUM_U64,
-                    &contributions,
+                    0,
+                    &lengths,
                     &SimOptions::default(),
                 );
-                assert!(report.all_completed());
-                events += report.events;
+                assert!(timing.all_completed());
+                events += timing.events;
             }
         }
         events
@@ -205,7 +207,7 @@ fn allreduce_at_64_ranks_stays_under_its_ceilings() {
     local();
     let (count, events) = allocations(sim);
     gate(
-        "allreduce run_sim",
+        "allreduce time_sim",
         count,
         COLL_SIM_CEILING,
         (events, "event"),
@@ -227,31 +229,25 @@ fn allreduce_at_1024_ranks_stays_under_its_ceiling() {
     const RANKS: usize = 1024;
     let profile = mpich(MpichConfig::tuned()).profile;
     let spec = pcs_ga620();
-    let contributions: Vec<Vec<u8>> = (0..RANKS as u64)
-        .map(|r| {
-            (0..128u64)
-                .flat_map(|i| (r * 1000 + i).to_le_bytes())
-                .collect()
-        })
-        .collect();
+    let lengths = vec![1024; RANKS];
     let schedule = collectives::build(CollOp::Allreduce, Algorithm::RecursiveDoubling, RANKS)
         .expect("allreduce plans");
     let sim = || {
-        let report = collectives::run_sim(
+        let timing = time_sim(
             &spec,
             &profile,
             &schedule,
-            SUM_U64,
-            &contributions,
+            0,
+            &lengths,
             &SimOptions::default(),
         );
-        assert!(report.all_completed());
-        report.events
+        assert!(timing.all_completed());
+        timing.events
     };
     sim();
     let (count, events) = allocations(sim);
     gate(
-        "1024-rank allreduce run_sim",
+        "1024-rank allreduce time_sim",
         count,
         COLL_SIM_1024_CEILING,
         (events, "event"),

@@ -21,7 +21,8 @@ use mpsim::MultiSession;
 use protosim::multinode::MultiNet;
 use simcore::{SimDuration, SimRng};
 
-/// Per `(from, to)` pair, the sequence numbers in the order received.
+/// Per `(from, to)` pair a receive was posted for, the lengths of the
+/// messages it got, in the order received.
 type PairLog = BTreeMap<(usize, usize), Vec<u64>>;
 
 #[test]
@@ -115,6 +116,9 @@ fn interleaved_sends_and_posts_keep_per_pair_fifo_and_drain() {
         let sess = MultiSession::new(mpich(MpichConfig::tuned()).profile, N);
         let got: Rc<RefCell<PairLog>> = Rc::default();
         let mut sent: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        // A message is told apart by its length: message `k` is
+        // `24 + k` bytes long and `ids[k]` is its `(from, to, seq)`.
+        let mut ids: Vec<(usize, usize, u64)> = Vec::with_capacity(MSGS);
         // Same-instant events run in insertion order, so the ops execute
         // in list order and per-pair sequence numbers can be dealt here.
         let mut at = SimDuration::ZERO;
@@ -125,10 +129,8 @@ fn interleaved_sends_and_posts_keep_per_pair_fifo_and_drain() {
             let sess = sess.clone();
             if is_send {
                 let seq = sent.entry((from, to)).or_default();
-                let mut body = vec![0u8; 24 + rng.next_below(40) as usize];
-                for (field, v) in body.chunks_exact_mut(8).zip([from as u64, to as u64, *seq]) {
-                    field.copy_from_slice(&v.to_le_bytes());
-                }
+                let body = vec![0u8; 24 + ids.len()];
+                ids.push((from, to, *seq));
                 *seq += 1;
                 eng.schedule_in(at, move |e| sess.send(e, from, to, 0, Rc::new(body)));
             } else {
@@ -139,15 +141,8 @@ fn interleaved_sends_and_posts_keep_per_pair_fifo_and_drain() {
                         to,
                         from,
                         0,
-                        Box::new(move |_, p| {
-                            let field = |i: usize| {
-                                u64::from_le_bytes(p[8 * i..8 * i + 8].try_into().unwrap())
-                            };
-                            assert_eq!((field(0), field(1)), (from as u64, to as u64));
-                            got.borrow_mut()
-                                .entry((from, to))
-                                .or_default()
-                                .push(field(2));
+                        Box::new(move |_, len| {
+                            got.borrow_mut().entry((from, to)).or_default().push(len);
                         }),
                     );
                 });
@@ -162,9 +157,17 @@ fn interleaved_sends_and_posts_keep_per_pair_fifo_and_drain() {
             MSGS,
             "seed {seed}"
         );
-        for (pair, seqs) in got.iter() {
+        for (pair, lens) in got.iter() {
+            let seqs: Vec<u64> = lens
+                .iter()
+                .map(|&len| {
+                    let (from, to, seq) = ids[len as usize - 24];
+                    assert_eq!((from, to), *pair, "seed {seed}: a message crossed pairs");
+                    seq
+                })
+                .collect();
             let in_order: Vec<u64> = (0..sent[pair]).collect();
-            assert_eq!(seqs, &in_order, "seed {seed}, pair {pair:?}");
+            assert_eq!(seqs, in_order, "seed {seed}, pair {pair:?}");
         }
     }
 }
