@@ -47,7 +47,8 @@ pub struct CollPoint {
     pub bytes: u64,
     /// Completion latency (last rank finished), microseconds.
     pub latency_us: f64,
-    /// Simulation events executed (work proxy).
+    /// Logical simulation events executed (work proxy); a symmetric run
+    /// counts every rank's.
     pub events: u64,
 }
 

@@ -97,10 +97,13 @@ pub fn run_blocking<T: CollTransport>(
 /// executor. Rank `i` contributes `contributions[i]` (actual-rank
 /// indexed) and the outputs come back actual-rank indexed too.
 ///
-/// Ranks advance round-robin — issue sends, then complete receives in
-/// order, yielding when a queue is empty — so any schedule a blocking
-/// mesh can finish, this can too; a cycle of ranks all waiting on
-/// absent messages panics with a deadlock diagnosis instead of hanging.
+/// A rank runs as far as it can — issue sends, then complete receives
+/// in order — and yields when the queue it needs is empty. It runs
+/// again only once a message lands on one of its queues, so a chain of
+/// n hops costs O(n), not a sweep of every rank per hop. Any schedule a
+/// blocking mesh can finish, this can too; a cycle of ranks all waiting
+/// on absent messages panics with a deadlock diagnosis instead of
+/// hanging.
 pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -> Vec<CollOutput> {
     use std::collections::{BTreeMap, VecDeque};
     let n = schedule.nranks;
@@ -113,6 +116,9 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
         /// Next unissued send / next uncompleted recv within the round.
         next_send: usize,
         next_recv: usize,
+        /// Waiting in the ready stack to run, and the rank below it.
+        queued: bool,
+        below: Option<usize>,
     }
     let mut ranks: Vec<Rank> = (0..n)
         .map(|me| {
@@ -127,72 +133,77 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
                 round: 0,
                 next_send: 0,
                 next_recv: 0,
+                queued: true,
+                below: (me + 1 < n).then_some(me + 1),
             }
         })
         .collect();
     // Per receiver, per sender, FIFO of in-flight payloads (actual
     // ranks); a pair costs memory only once a message uses it.
     let mut wires: Vec<BTreeMap<usize, VecDeque<Vec<u8>>>> = vec![BTreeMap::new(); n];
+    // The top of a stack, threaded through `Rank::below`, of the ranks
+    // that may progress: all at first, then each receiver a message
+    // lands for.
+    let mut ready = (n > 0).then_some(0);
 
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for me in 0..n {
-            let vrank = virtual_rank(me, ctx.root, n);
-            let rounds = &schedule.plans[vrank].rounds;
-            while let Some(round) = rounds.get(ranks[me].round) {
-                all_done = false;
-                if ranks[me].next_send < round.sends.len() {
-                    let s = &round.sends[ranks[me].next_send];
-                    let payload = ranks[me].state.payload(&s.what);
-                    let to = actual_rank(s.to as usize, ctx.root, n);
-                    wires[to].entry(me).or_default().push_back(payload);
-                    ranks[me].life = step(ranks[me].life, "send");
-                    ranks[me].next_send += 1;
-                    progressed = true;
-                    continue;
+    while let Some(me) = ready {
+        ready = ranks[me].below;
+        ranks[me].queued = false;
+        let vrank = virtual_rank(me, ctx.root, n);
+        let rounds = &schedule.plans[vrank].rounds;
+        while let Some(round) = rounds.get(ranks[me].round) {
+            if ranks[me].next_send < round.sends.len() {
+                let s = &round.sends[ranks[me].next_send];
+                let payload = ranks[me].state.payload(&s.what);
+                let to = actual_rank(s.to as usize, ctx.root, n);
+                wires[to].entry(me).or_default().push_back(payload);
+                if !ranks[to].queued {
+                    ranks[to].queued = true;
+                    ranks[to].below = ready;
+                    ready = Some(to);
                 }
-                if ranks[me].next_send == round.sends.len() && ranks[me].next_recv == 0 {
-                    ranks[me].life = step(ranks[me].life, "drain");
-                    // Mark the drain by bumping next_send past the end.
-                    ranks[me].next_send += 1;
-                    progressed = true;
-                }
-                if ranks[me].next_recv < round.recvs.len() {
-                    let r = &round.recvs[ranks[me].next_recv];
-                    let from = actual_rank(r.from as usize, ctx.root, n);
-                    let Some(bytes) = wires[me].get_mut(&from).and_then(VecDeque::pop_front) else {
-                        break; // blocked on this recv; let others run
-                    };
-                    ranks[me].state.apply(&r.what, &bytes, ctx.reduction);
-                    ranks[me].life = step(ranks[me].life, "recv");
-                    ranks[me].next_recv += 1;
-                    progressed = true;
-                    continue;
-                }
-                // Round complete.
-                ranks[me].life = step(ranks[me].life, "finish");
-                ranks[me].round += 1;
-                ranks[me].next_send = 0;
-                ranks[me].next_recv = 0;
-                if ranks[me].round < rounds.len() {
-                    ranks[me].life = step(ranks[me].life, "post");
-                }
-                progressed = true;
+                ranks[me].life = step(ranks[me].life, "send");
+                ranks[me].next_send += 1;
+                continue;
+            }
+            if ranks[me].next_send == round.sends.len() && ranks[me].next_recv == 0 {
+                ranks[me].life = step(ranks[me].life, "drain");
+                // Mark the drain by bumping next_send past the end.
+                ranks[me].next_send += 1;
+            }
+            if ranks[me].next_recv < round.recvs.len() {
+                let r = &round.recvs[ranks[me].next_recv];
+                let from = actual_rank(r.from as usize, ctx.root, n);
+                let Some(bytes) = wires[me].get_mut(&from).and_then(VecDeque::pop_front) else {
+                    break; // blocked on this recv until `from` sends
+                };
+                ranks[me].state.apply(&r.what, &bytes, ctx.reduction);
+                ranks[me].life = step(ranks[me].life, "recv");
+                ranks[me].next_recv += 1;
+                continue;
+            }
+            // Round complete.
+            ranks[me].life = step(ranks[me].life, "finish");
+            ranks[me].round += 1;
+            ranks[me].next_send = 0;
+            ranks[me].next_recv = 0;
+            if ranks[me].round < rounds.len() {
+                ranks[me].life = step(ranks[me].life, "post");
             }
         }
-        if all_done {
-            break;
-        }
-        assert!(
-            progressed,
-            "schedule deadlocked: every unfinished rank is blocked on a receive \
-             ({:?} {} over {} ranks)",
-            schedule.op,
-            schedule.algorithm.name(),
-            n
-        );
     }
+    let stuck = (0..n).any(|me| {
+        let plan = &schedule.plans[virtual_rank(me, ctx.root, n)];
+        ranks[me].round < plan.rounds.len()
+    });
+    assert!(
+        !stuck,
+        "schedule deadlocked: every unfinished rank is blocked on a receive \
+         ({:?} {} over {} ranks)",
+        schedule.op,
+        schedule.algorithm.name(),
+        n
+    );
     ranks
         .into_iter()
         .enumerate()
@@ -263,6 +274,41 @@ mod tests {
                 assert_eq!(out.acc, b"hello", "root {root}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "schedule deadlocked: every unfinished rank is blocked on a receive (Barrier linear over 2 ranks)"
+    )]
+    fn a_receive_cycle_is_diagnosed_not_hung() {
+        use crate::schedule::{RankPlan, RecvStep, RecvWhat, Round, SendStep, SendWhat};
+        // Each rank waits for the other before it sends.
+        let wait_for = |peer| RankPlan {
+            rounds: vec![
+                Round {
+                    sends: Vec::new(),
+                    recvs: vec![RecvStep {
+                        from: peer,
+                        what: RecvWhat::Token,
+                    }],
+                },
+                Round {
+                    sends: vec![SendStep {
+                        to: peer,
+                        what: SendWhat::Token,
+                    }],
+                    recvs: Vec::new(),
+                },
+            ],
+        };
+        let s = Schedule {
+            op: CollOp::Barrier,
+            algorithm: Algorithm::Linear,
+            nranks: 2,
+            plans: vec![wait_for(1), wait_for(0)],
+        };
+        assert_eq!(s.validate(), Ok(()));
+        run_local(&s, no_reduce(0), &[Vec::new(), Vec::new()]);
     }
 
     #[test]

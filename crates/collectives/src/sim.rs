@@ -45,7 +45,7 @@ use crate::lifecycle::{step, CollRound};
 use crate::op::{send_len, CollOp};
 use crate::plan::{auto_algorithm, build, Algorithm};
 use crate::recovery::{EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
-use crate::schedule::Schedule;
+use crate::schedule::{RankPlan, Round, Schedule};
 use crate::state::CollOutput;
 
 /// Trace track carrying rank `rank`'s collective-round spans, disjoint
@@ -105,7 +105,8 @@ impl SimOptions {
 pub struct SimTiming {
     /// Simulated seconds until the last completing rank finished.
     pub seconds: f64,
-    /// Events the engine executed (work proxy for events/sec).
+    /// Logical events executed (work proxy for events/sec); a
+    /// symmetric run counts every rank's.
     pub events: u64,
     /// Per-rank completion times, seconds; `None` if unfinished.
     pub finish_secs: Vec<Option<f64>>,
@@ -128,7 +129,8 @@ impl SimTiming {
 pub struct SimReport {
     /// Simulated seconds until the last completing rank finished.
     pub seconds: f64,
-    /// Events the engine executed (work proxy for events/sec).
+    /// Logical events executed (work proxy for events/sec); a
+    /// symmetric run counts every rank's.
     pub events: u64,
     /// Per-rank outputs; `None` for ranks that never finished.
     pub outputs: Vec<Option<CollOutput>>,
@@ -263,6 +265,56 @@ impl Steps {
         steps
     }
 
+    /// Number of ranks the tables hold.
+    fn ranks(&self) -> usize {
+        self.first_round.len() - 1
+    }
+
+    /// The two-rank quotient of `schedule` over the contribution
+    /// `lengths`, or `None` if it is not symmetric. It is symmetric when
+    /// all contributions have one length; every rank has the same number
+    /// of rounds, each of exactly one send and one receive; in round `k`
+    /// every rank receives from the rank whose send targets it, so the
+    /// sends form a permutation; and all of round `k`'s sends have one
+    /// length. Each is a property of the plans alone, whatever the root's
+    /// rotation. Both ranks of the quotient get rank 0's rounds, every
+    /// peer mapped to the other rank.
+    fn quotient(schedule: &Schedule, lengths: &[u64]) -> Option<Steps> {
+        let len = lengths[0];
+        let plans = &schedule.plans;
+        let depth = plans[0].rounds.len();
+        let one_each = |p: &RankPlan| {
+            p.rounds.len() == depth
+                && p.rounds
+                    .iter()
+                    .all(|r| (r.sends.len(), r.recvs.len()) == (1, 1))
+        };
+        if lengths.iter().any(|&l| l != len) || !plans.iter().all(one_each) {
+            return None;
+        }
+        let sized = |r: &Round| send_len(&r.sends[0].what, len, |_| len);
+        for (v, plan) in plans.iter().enumerate() {
+            for (k, (round, first)) in plan.rounds.iter().zip(&plans[0].rounds).enumerate() {
+                let to = plans.get(round.sends[0].to as usize)?;
+                if to.rounds[k].recvs[0].from as usize != v || sized(round) != sized(first) {
+                    return None;
+                }
+            }
+        }
+        let mut quotient = Steps {
+            first_round: vec![0, idx32(depth), idx32(2 * depth)],
+            rounds: (0..=idx32(2 * depth)).map(|i| (i, i)).collect(),
+            sends: Vec::with_capacity(2 * depth),
+            recvs: Vec::with_capacity(2 * depth),
+        };
+        for other in [1, 0] {
+            let sends = plans[0].rounds.iter().map(|r| (other, sized(r)));
+            quotient.sends.extend(sends);
+            quotient.recvs.extend(std::iter::repeat_n(other, depth));
+        }
+        Some(quotient)
+    }
+
     /// Rank `g`'s round `k`, if it has one: its sends and receives.
     fn round(&self, g: usize, k: usize) -> Option<RoundSteps<'_>> {
         let i = self.first_round[g] as usize + k;
@@ -327,21 +379,18 @@ fn idx32(i: usize) -> u32 {
 }
 
 impl Driver {
-    /// An untraced driver for one epoch of `schedule` rooted at group
-    /// rank `root` over the (possibly compacted) group `world`, starting
-    /// at time zero, taking the carry.
+    /// An untraced driver for one epoch of `steps` over the (possibly
+    /// compacted) group `world`, starting at time zero, taking the carry.
     fn new(
         profile: &LibProfile,
-        schedule: &Schedule,
-        root: usize,
-        lengths: &[u64],
+        steps: Steps,
         world: Vec<usize>,
         carry: Carry,
         policy: Option<RecoveryPolicy>,
     ) -> Driver {
-        let m = schedule.nranks;
+        let m = steps.ranks();
         Driver {
-            steps: Rc::new(Steps::new(schedule, root, lengths)),
+            steps: Rc::new(steps),
             sess: Mailboxes::new(profile.clone(), m),
             ranks: (0..m)
                 .map(|_| RankRun {
@@ -602,6 +651,7 @@ struct EpochOutcome {
 }
 
 /// Endpoint faults resolved out of `SimOptions`, world-rank indexed.
+#[derive(Default)]
 struct FaultSet {
     /// `(world rank, at_us)` timed deaths.
     kills: Vec<(usize, f64)>,
@@ -655,9 +705,8 @@ impl FaultSet {
 fn run_epoch(
     spec: &ClusterSpec,
     profile: &LibProfile,
-    schedule: &Schedule,
-    root: usize,
-    lengths: &[u64],
+    op: CollOp,
+    steps: Steps,
     trace: &Option<SharedSink>,
     base_us: f64,
     world: Vec<usize>,
@@ -665,13 +714,13 @@ fn run_epoch(
     policy: Option<RecoveryPolicy>,
     faults: &FaultSet,
 ) -> EpochOutcome {
-    let m = schedule.nranks;
+    let m = steps.ranks();
     let mut eng = MultiNet::engine(spec.clone(), m);
     if let Some(t) = trace {
         eng.set_trace_sink(Rc::clone(t));
     }
     let taken = std::mem::take(carry);
-    let mut driver = Driver::new(profile, schedule, root, lengths, world, taken, policy);
+    let mut driver = Driver::new(profile, steps, world, taken, policy);
     driver.trace = trace.clone();
     driver.base = SimDuration::from_micros_f64(base_us);
     for &(w, extra_us) in &faults.degrades {
@@ -717,8 +766,7 @@ fn run_epoch(
     let aborted = driver.aborted();
     assert!(
         driver.sess.unmatched() == 0 || aborted || (0..m).any(|g| driver.dead(g)),
-        "fault-free {:?} epoch over {m} ranks left unmatched sends or receives",
-        schedule.op
+        "fault-free {op:?} epoch over {m} ranks left unmatched sends or receives"
     );
     let finished = driver
         .ranks
@@ -742,6 +790,46 @@ fn run_epoch(
     outcome
 }
 
+/// Time a fault-free, untraced, symmetric epoch of `m` ranks on its
+/// two-rank `quotient` (see [`Steps::quotient`]). Each node's CPU, NIC
+/// and ports serve only its own traffic, the switch never blocks, and
+/// each round sends every rank exactly one message of one length from
+/// exactly one sender, so every rank runs the events and times of
+/// quotient rank 0. The events are logical: every rank's are counted.
+fn run_orbits(
+    spec: &ClusterSpec,
+    profile: &LibProfile,
+    op: CollOp,
+    quotient: Steps,
+    m: usize,
+) -> EpochOutcome {
+    let mut carry = Carry {
+        killed: vec![false; 2],
+        ..Carry::default()
+    };
+    let pair = run_epoch(
+        spec,
+        profile,
+        op,
+        quotient,
+        &None,
+        0.0,
+        vec![0, 1],
+        &mut carry,
+        None,
+        &FaultSet::default(),
+    );
+    assert!(
+        pair.events.is_multiple_of(2) && pair.finished[0] == pair.finished[1],
+        "the two ranks of a {op:?} quotient ran apart"
+    );
+    EpochOutcome {
+        events: pair.events / 2 * m as u64,
+        finished: vec![pair.finished[0]; m],
+        ..pair
+    }
+}
+
 /// Time `schedule` over `spec` hardware with `profile` library costs,
 /// rooted at `root`, with rank `r` contributing `lengths[r]` bytes. No
 /// payload bytes exist: this is [`run_sim`] without the outputs.
@@ -752,6 +840,13 @@ fn run_epoch(
 /// payload), replans, and re-executes. Reducing accumulators restart
 /// from the original contributions (exactly-once safety), so the final
 /// result is the reduction over the *survivors'* inputs.
+///
+/// A symmetric schedule — equal lengths, and rounds that each send one
+/// message along a permutation and receive from that round's sender —
+/// is timed on its two-rank quotient unless a trace sink, a rank fault,
+/// a fault plan or a recovery policy could tell its ranks apart: the
+/// same finish times and logical events as stepping every rank, at the
+/// cost of two.
 pub fn time_sim(
     spec: &ClusterSpec,
     profile: &LibProfile,
@@ -773,6 +868,10 @@ pub fn time_sim(
             Vec::new()
         },
     };
+    let orbits = opts.trace.is_none()
+        && opts.faults.is_empty()
+        && opts.plan.is_none()
+        && opts.recovery.is_none();
     let mut alive = vec![true; n];
     let mut root_world = root;
     // The schedule replanned over the survivors, once a rank is evicted.
@@ -810,19 +909,23 @@ pub fn time_sim(
             .iter()
             .map(|&w| lengths[if bcast { root } else { w }])
             .collect();
-        let outcome = run_epoch(
-            spec,
-            profile,
-            replanned.as_ref().unwrap_or(schedule),
-            groot,
-            &group_lengths,
-            &opts.trace,
-            base_us,
-            cur_world.clone(),
-            &mut carry,
-            opts.recovery,
-            &faults,
-        );
+        let epoch = replanned.as_ref().unwrap_or(schedule);
+        let quotient = orbits.then(|| Steps::quotient(epoch, &group_lengths));
+        let outcome = match quotient.flatten() {
+            Some(quotient) => run_orbits(spec, profile, schedule.op, quotient, cur_world.len()),
+            None => run_epoch(
+                spec,
+                profile,
+                schedule.op,
+                Steps::new(epoch, groot, &group_lengths),
+                &opts.trace,
+                base_us,
+                cur_world.clone(),
+                &mut carry,
+                opts.recovery,
+                &faults,
+            ),
+        };
         events += outcome.events;
         report.suspects_cleared += outcome.cleared;
         if !outcome.aborted {
@@ -1143,6 +1246,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_quotient_admits_the_symmetric_shapes() {
+        use Algorithm::{Dissemination as Dis, Linear, RecursiveDoubling as Rd, Ring};
+        use CollOp::{Allgather, Allreduce, Barrier};
+        // The shapes whose plans pass the predicate at `lengths`.
+        let admitted = |n: usize, lengths: &[u64]| {
+            let mut shapes = Vec::new();
+            for op in CollOp::all() {
+                for alg in algorithms_for(op, n) {
+                    let s = build(op, alg, n).unwrap();
+                    if Steps::quotient(&s, lengths).is_some() {
+                        shapes.push((op, alg));
+                    }
+                }
+            }
+            shapes
+        };
+        for n in [2usize, 3, 5, 8, 12, 16] {
+            let mut want = vec![(Barrier, Dis)];
+            if n.is_power_of_two() {
+                want.extend([(Barrier, Rd), (Allreduce, Rd)]);
+            }
+            if n == 2 {
+                want.push((Allgather, Linear));
+            }
+            want.push((Allgather, Dis));
+            if n.is_power_of_two() {
+                want.push((Allgather, Rd));
+            }
+            want.push((Allgather, Ring));
+            assert_eq!(admitted(n, &vec![8; n]), want, "n={n}");
+            let unequal: Vec<u64> = (1..=n as u64).map(|r| 8 * r).collect();
+            assert_eq!(admitted(n, &unequal), [], "n={n} unequal");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "left unmatched sends or receives")]
+    fn a_skewed_schedule_steps_into_its_deadlock() {
+        use crate::schedule::{RecvStep, RecvWhat, SendStep, SendWhat};
+        // One send and one receive per round, but each rank waits in
+        // round 0 for what its peer sends in round 1: every pair matches
+        // and nobody finishes. A quotient would finish it.
+        let n = 3u32;
+        let token_round = |to: u32, from: u32| Round {
+            sends: vec![SendStep {
+                to,
+                what: SendWhat::Token,
+            }],
+            recvs: vec![RecvStep {
+                from,
+                what: RecvWhat::Token,
+            }],
+        };
+        let plans = (0..n)
+            .map(|v| RankPlan {
+                rounds: vec![
+                    token_round((v + 1) % n, (v + 1) % n),
+                    token_round((v + 2) % n, (v + 2) % n),
+                ],
+            })
+            .collect();
+        let s = Schedule {
+            op: CollOp::Barrier,
+            algorithm: Algorithm::Dissemination,
+            nranks: n as usize,
+            plans,
+        };
+        assert_eq!(s.validate(), Ok(()));
+        let spec = hwmodel::presets::pcs_ga620();
+        let profile = mpsim::libs::mpich(Default::default()).profile;
+        time_sim(&spec, &profile, &s, 0, &[0; 3], &SimOptions::default());
     }
 
     /// An 8-rank barrier under `opts`.

@@ -19,6 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 use collectives::{time_sim, Algorithm, CollOp, Dtype, ExecCtx, ReduceOp, Reduction, SimOptions};
 use hwmodel::kernel::linux_2_4;
@@ -26,6 +27,7 @@ use hwmodel::presets::pcs_ga620;
 use mplite::frame::{build_header, FrameDecoder, DEFAULT_MAX_MESSAGE, WIRE_V2};
 use mpsim::libs::{mp_lite, mpich, MpichConfig};
 use netpipe::{RunOptions, SimDriver};
+use simcore::trace::{SharedSink, SpanRec, TraceSink};
 
 /// Allocations of one `figures` pass: all 61 curves.
 const FIGURES_CEILING: u64 = 595_380;
@@ -33,14 +35,25 @@ const FIGURES_CEILING: u64 = 595_380;
 /// `simcore.events_per_pass.figures` rung), for the per-event ratio.
 const FIGURES_EVENTS: u64 = 5_920_774;
 /// Allocations of `time_sim`, 1 KiB allreduce at 64 ranks, summed over
-/// both library profiles and the three algorithms.
-const COLL_SIM_CEILING: u64 = 1_000;
+/// both library profiles and the three algorithms; recursive doubling
+/// is symmetric, so it runs on its two-rank quotient.
+const COLL_SIM_CEILING: u64 = 716;
 /// Allocations of one `time_sim` 1 KiB recursive-doubling allreduce at
-/// 1 024 ranks: per-rank set-up only, since a message carries a length,
-/// not bytes, and once its slots are warm allocates nothing.
-const COLL_SIM_1024_CEILING: u64 = 2_112;
+/// 1 024 ranks. The schedule is symmetric, so it is timed on its
+/// two-rank quotient: a two-node world and a few per-rank vectors, a
+/// constant count whatever the rank count.
+const COLL_SIM_1024_CEILING: u64 = 30;
+/// Allocations of the same allreduce stepped rank by rank, as a trace
+/// sink makes it run: per-rank set-up only, since a message carries a
+/// length, not bytes, and once its slots are warm allocates nothing.
+const COLL_SIM_1024_STEPPED_CEILING: u64 = 2_112;
+/// Allocations of one `time_sim` dissemination barrier at 4 096 ranks,
+/// timed on its two-rank quotient. Stepping gives each rank its own
+/// receive buffer, so a stepped run cannot fit under this ceiling.
+const BARRIER_4096_CEILING: u64 = 30;
+const _: () = assert!(BARRIER_4096_CEILING < 4096);
 /// Allocations of `run_local` on the same three schedules.
-const COLL_LOCAL_CEILING: u64 = 1_665;
+const COLL_LOCAL_CEILING: u64 = 1_662;
 /// Allocations of 1 000 64 B and 4 1 MiB frame round trips.
 const FRAMES_CEILING: u64 = 2_012;
 
@@ -222,34 +235,80 @@ fn allreduce_at_64_ranks_stays_under_its_ceilings() {
     );
 }
 
-/// The largest `coll_scaling` point: 10 240 messages over 1 024 ranks,
-/// so an allocation that creeps back per message shows tenfold.
-#[test]
-fn allreduce_at_1024_ranks_stays_under_its_ceiling() {
-    const RANKS: usize = 1024;
+/// Takes every record and keeps none.
+struct Discard;
+
+impl TraceSink for Discard {
+    fn span(&self, _: SpanRec) {}
+}
+
+/// Allocations and events of one fault-free `time_sim` run of `op` by
+/// `algorithm` over `ranks` ranks of 1 KiB each, under the tuned MPICH
+/// profile, with `trace` installed if given.
+fn time_once(
+    op: CollOp,
+    algorithm: Algorithm,
+    ranks: usize,
+    trace: Option<SharedSink>,
+) -> (u64, u64) {
     let profile = mpich(MpichConfig::tuned()).profile;
     let spec = pcs_ga620();
-    let lengths = vec![1024; RANKS];
-    let schedule = collectives::build(CollOp::Allreduce, Algorithm::RecursiveDoubling, RANKS)
-        .expect("allreduce plans");
+    let lengths = vec![1024; ranks];
+    let schedule = collectives::build(op, algorithm, ranks).expect("the planner covers it");
+    let opts = SimOptions {
+        trace,
+        ..SimOptions::default()
+    };
     let sim = || {
-        let timing = time_sim(
-            &spec,
-            &profile,
-            &schedule,
-            0,
-            &lengths,
-            &SimOptions::default(),
-        );
+        let timing = time_sim(&spec, &profile, &schedule, 0, &lengths, &opts);
         assert!(timing.all_completed());
         timing.events
     };
     sim();
-    let (count, events) = allocations(sim);
+    allocations(sim)
+}
+
+/// The largest `coll_scaling` point: 10 240 messages over 1 024 ranks,
+/// so an allocation that creeps back per message or per rank shows
+/// tenfold.
+#[test]
+fn allreduce_at_1024_ranks_stays_under_its_ceiling() {
+    let (count, events) = time_once(CollOp::Allreduce, Algorithm::RecursiveDoubling, 1024, None);
     gate(
         "1024-rank allreduce time_sim",
         count,
         COLL_SIM_1024_CEILING,
+        (events, "event"),
+    );
+}
+
+/// The same allreduce stepped, as a trace sink makes it: stepping's
+/// own allocation discipline stays watched.
+#[test]
+fn stepped_allreduce_at_1024_ranks_stays_under_its_ceiling() {
+    let discard: SharedSink = Rc::new(Discard);
+    let (count, events) = time_once(
+        CollOp::Allreduce,
+        Algorithm::RecursiveDoubling,
+        1024,
+        Some(discard),
+    );
+    gate(
+        "stepped 1024-rank allreduce time_sim",
+        count,
+        COLL_SIM_1024_STEPPED_CEILING,
+        (events, "event"),
+    );
+}
+
+/// A barrier over 4 096 ranks allocates what one over 1 024 does.
+#[test]
+fn barrier_at_4096_ranks_stays_under_its_ceiling() {
+    let (count, events) = time_once(CollOp::Barrier, Algorithm::Dissemination, 4096, None);
+    gate(
+        "4096-rank barrier time_sim",
+        count,
+        BARRIER_4096_CEILING,
         (events, "event"),
     );
 }

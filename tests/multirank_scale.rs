@@ -6,19 +6,23 @@
 //! once a message uses it. These witnesses would need gigabytes with a dense
 //! `n * n` table; they also pin what the queues must not change:
 //! per-pair FIFO matching, byte-identical results across executors, and
-//! the exact event count of a 256-rank barrier.
+//! the exact event count of a 256-rank barrier. Symmetric collectives
+//! over 4 096 ranks are timed on their two-rank quotient; they must
+//! count exactly the events that stepping every rank executes.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use collectives::{
-    build, run_local, run_sim, Algorithm, CollOp, Dtype, ExecCtx, ReduceOp, Reduction, SimOptions,
+    build, run_local, run_sim, time_sim, Algorithm, CollOp, Dtype, ExecCtx, ReduceOp, Reduction,
+    SimOptions, SimTiming,
 };
 use hwmodel::presets::pcs_ga620;
 use mpsim::libs::{mpich, MpichConfig};
 use mpsim::MultiSession;
 use protosim::multinode::MultiNet;
+use simcore::trace::{SharedSink, SpanRec, TraceSink};
 use simcore::{SimDuration, SimRng};
 
 /// Per `(from, to)` pair a receive was posted for, the lengths of the
@@ -88,6 +92,51 @@ fn a_256_rank_barrier_takes_8448_events() {
     );
     assert!(report.all_completed());
     assert_eq!(report.events, 8448);
+}
+
+/// Takes every record and keeps none.
+struct Discard;
+
+impl TraceSink for Discard {
+    fn span(&self, _: SpanRec) {}
+}
+
+/// `op` by `algorithm` over 4 096 ranks of 1 KiB each, timed plain and
+/// stepped (a trace sink steps every rank): the same events, every rank
+/// finished at the same instant. Returns the plain timing.
+fn symmetric_at_4096(op: CollOp, algorithm: Algorithm) -> SimTiming {
+    const N: usize = 4096;
+    let schedule = build(op, algorithm, N).expect("plan");
+    let profile = mpich(MpichConfig::tuned()).profile;
+    let lengths = vec![1024; N];
+    let time = |trace: Option<SharedSink>| {
+        let opts = SimOptions {
+            trace,
+            ..SimOptions::default()
+        };
+        time_sim(&pcs_ga620(), &profile, &schedule, 0, &lengths, &opts)
+    };
+    let plain = time(None);
+    let stepped = time(Some(Rc::new(Discard)));
+    assert!(plain.all_completed());
+    assert_eq!(plain.events, stepped.events);
+    assert_eq!(plain.seconds.to_bits(), stepped.seconds.to_bits());
+    let last = Some(plain.seconds);
+    assert!(plain.finish_secs.iter().all(|&t| t == last));
+    assert!(stepped.finish_secs.iter().all(|&t| t == last));
+    plain
+}
+
+#[test]
+fn a_4096_rank_recursive_doubling_allreduce_counts_every_ranks_events() {
+    let timing = symmetric_at_4096(CollOp::Allreduce, Algorithm::RecursiveDoubling);
+    assert_eq!(timing.events, 200_704);
+}
+
+#[test]
+fn a_4096_rank_barrier_counts_every_ranks_events() {
+    let timing = symmetric_at_4096(CollOp::Barrier, Algorithm::Dissemination);
+    assert_eq!(timing.events, 200_704);
 }
 
 /// Sends and posts over random pairs, in a seeded random interleaving
