@@ -1,6 +1,6 @@
 //! Regenerate the paper's figures and narrative tables by experiment id:
 //! `figures fig1 t2_latency`, or `figures all`. Each prints the curves
-//! and the paper-vs-measured table and writes results/<id>.{csv,svg}
+//! and the paper-vs-measured table and writes `results/<id>.{csv,svg}`
 //! and plotfiles; exits 1 when a shape check fails, 2 on a usage error.
 
 fn main() {

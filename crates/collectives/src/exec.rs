@@ -6,8 +6,10 @@
 //! receives in listed order — so any transport that preserves per-pair
 //! FIFO order produces byte-identical results.
 
+use std::ops::Range;
+
 use crate::lifecycle::{step, CollRound};
-use crate::schedule::Schedule;
+use crate::schedule::{idx32, Schedule};
 use crate::state::{CollOutput, RankState, Reduction};
 
 /// The transport surface [`run_blocking`] needs: non-blocking receive
@@ -70,22 +72,21 @@ pub fn run_blocking<T: CollTransport>(
     // Each round walks the machine's tokens from `Idle` back to `Idle`,
     // so the rank provably ends every round at rest.
     let mut idle = CollRound::start();
-    for round in &schedule.plans[vrank].rounds {
+    for (sends, recvs) in schedule.rounds(vrank) {
         let mut life = idle.post();
-        let pending: Vec<_> = round
-            .recvs
+        let pending: Vec<_> = recvs
             .iter()
             .map(|r| transport.post(actual_rank(r.from as usize, ctx.root, n), tag))
             .collect();
-        for s in &round.sends {
-            let payload = state.payload(&s.what);
+        for s in sends {
+            let payload = state.payload(s.what);
             transport.send(actual_rank(s.to as usize, ctx.root, n), tag, payload)?;
             life = life.send();
         }
         let mut life = life.drain();
-        for (r, p) in round.recvs.iter().zip(pending) {
+        for (r, p) in recvs.iter().zip(pending) {
             let bytes = transport.complete(p)?;
-            state.apply(&r.what, &bytes, ctx.reduction);
+            state.apply(r.what, &bytes, ctx.reduction);
             life = life.recv();
         }
         idle = life.finish();
@@ -112,7 +113,8 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
     struct Rank {
         state: RankState,
         life: CollRound,
-        round: usize,
+        /// The rounds still to run, by `Schedule::round` index.
+        rounds: Range<u32>,
         /// Next unissued send / next uncompleted recv within the round.
         next_send: usize,
         next_recv: usize,
@@ -123,14 +125,16 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
     let mut ranks: Vec<Rank> = (0..n)
         .map(|me| {
             let vrank = virtual_rank(me, ctx.root, n);
+            let ids = schedule.round_ids(vrank);
+            let rounds = idx32(ids.start)..idx32(ids.end);
             let mut life = CollRound::initial();
-            if !schedule.plans[vrank].rounds.is_empty() {
+            if !rounds.is_empty() {
                 life = step(life, "post");
             }
             Rank {
                 state: RankState::init(schedule.op, n, vrank, &contributions[me]),
                 life,
-                round: 0,
+                rounds,
                 next_send: 0,
                 next_recv: 0,
                 queued: true,
@@ -149,12 +153,11 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
     while let Some(me) = ready {
         ready = ranks[me].below;
         ranks[me].queued = false;
-        let vrank = virtual_rank(me, ctx.root, n);
-        let rounds = &schedule.plans[vrank].rounds;
-        while let Some(round) = rounds.get(ranks[me].round) {
-            if ranks[me].next_send < round.sends.len() {
-                let s = &round.sends[ranks[me].next_send];
-                let payload = ranks[me].state.payload(&s.what);
+        while !ranks[me].rounds.is_empty() {
+            let (sends, recvs) = schedule.round(ranks[me].rounds.start as usize);
+            if ranks[me].next_send < sends.len() {
+                let s = sends[ranks[me].next_send];
+                let payload = ranks[me].state.payload(s.what);
                 let to = actual_rank(s.to as usize, ctx.root, n);
                 wires[to].entry(me).or_default().push_back(payload);
                 if !ranks[to].queued {
@@ -166,36 +169,33 @@ pub fn run_local(schedule: &Schedule, ctx: ExecCtx, contributions: &[Vec<u8>]) -
                 ranks[me].next_send += 1;
                 continue;
             }
-            if ranks[me].next_send == round.sends.len() && ranks[me].next_recv == 0 {
+            if ranks[me].next_send == sends.len() && ranks[me].next_recv == 0 {
                 ranks[me].life = step(ranks[me].life, "drain");
                 // Mark the drain by bumping next_send past the end.
                 ranks[me].next_send += 1;
             }
-            if ranks[me].next_recv < round.recvs.len() {
-                let r = &round.recvs[ranks[me].next_recv];
+            if ranks[me].next_recv < recvs.len() {
+                let r = recvs[ranks[me].next_recv];
                 let from = actual_rank(r.from as usize, ctx.root, n);
                 let Some(bytes) = wires[me].get_mut(&from).and_then(VecDeque::pop_front) else {
                     break; // blocked on this recv until `from` sends
                 };
-                ranks[me].state.apply(&r.what, &bytes, ctx.reduction);
+                ranks[me].state.apply(r.what, &bytes, ctx.reduction);
                 ranks[me].life = step(ranks[me].life, "recv");
                 ranks[me].next_recv += 1;
                 continue;
             }
             // Round complete.
             ranks[me].life = step(ranks[me].life, "finish");
-            ranks[me].round += 1;
+            ranks[me].rounds.start += 1;
             ranks[me].next_send = 0;
             ranks[me].next_recv = 0;
-            if ranks[me].round < rounds.len() {
+            if !ranks[me].rounds.is_empty() {
                 ranks[me].life = step(ranks[me].life, "post");
             }
         }
     }
-    let stuck = (0..n).any(|me| {
-        let plan = &schedule.plans[virtual_rank(me, ctx.root, n)];
-        ranks[me].round < plan.rounds.len()
-    });
+    let stuck = ranks.iter().any(|r| !r.rounds.is_empty());
     assert!(
         !stuck,
         "schedule deadlocked: every unfinished rank is blocked on a receive \
@@ -281,32 +281,12 @@ mod tests {
         expected = "schedule deadlocked: every unfinished rank is blocked on a receive (Barrier linear over 2 ranks)"
     )]
     fn a_receive_cycle_is_diagnosed_not_hung() {
-        use crate::schedule::{RankPlan, RecvStep, RecvWhat, Round, SendStep, SendWhat};
+        use crate::schedule::{Builder, RecvWhat, SendWhat};
         // Each rank waits for the other before it sends.
-        let wait_for = |peer| RankPlan {
-            rounds: vec![
-                Round {
-                    sends: Vec::new(),
-                    recvs: vec![RecvStep {
-                        from: peer,
-                        what: RecvWhat::Token,
-                    }],
-                },
-                Round {
-                    sends: vec![SendStep {
-                        to: peer,
-                        what: SendWhat::Token,
-                    }],
-                    recvs: Vec::new(),
-                },
-            ],
-        };
-        let s = Schedule {
-            op: CollOp::Barrier,
-            algorithm: Algorithm::Linear,
-            nranks: 2,
-            plans: vec![wait_for(1), wait_for(0)],
-        };
+        let s = Builder::plan(CollOp::Barrier, Algorithm::Linear, 2, |b, v| {
+            b.round().recv(1 - v, RecvWhat::Token);
+            b.round().send(1 - v, SendWhat::Token);
+        });
         assert_eq!(s.validate(), Ok(()));
         run_local(&s, no_reduce(0), &[Vec::new(), Vec::new()]);
     }

@@ -5,8 +5,9 @@
 //! library it compares ships its own barrier/bcast/reduce trees. This
 //! crate makes the algorithm itself a first-class value: a planner
 //! turns (op, algorithm, nranks) into a [`Schedule`] — per rank, an
-//! ordered list of rounds of send and receive steps — and *executors*
-//! interpret that schedule over different transports:
+//! ordered list of rounds of send and receive steps, held in flat
+//! tables of `Copy` steps — and *executors* read it, through
+//! [`Schedule::rounds`], over different transports:
 //!
 //! * [`exec::run_blocking`] drives any blocking transport implementing
 //!   [`exec::CollTransport`] (mplite's real `Comm` does);
@@ -58,6 +59,6 @@ pub use exec::{run_blocking, run_local, CollTransport, ExecCtx};
 pub use op::{combine_bytes, pack_blocks, unpack_blocks, CollOp, Dtype, ReduceOp};
 pub use plan::{algorithms_for, auto_algorithm, build, Algorithm, PlanError};
 pub use recovery::{EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
-pub use schedule::{RankPlan, RecvStep, RecvWhat, Round, Schedule, SendStep, SendWhat};
+pub use schedule::{BlockRange, RecvStep, RecvWhat, Schedule, SendStep, SendWhat};
 pub use sim::{coll_track, run_sim, time_sim, RankFault, SimOptions, SimReport, SimTiming};
 pub use state::{CollOutput, RankState, Reduction};

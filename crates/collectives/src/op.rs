@@ -201,18 +201,18 @@ fn framed_len(count: usize, total: u64) -> u64 {
 }
 
 /// Length of the message a send step puts on the wire, from the
-/// sender's accumulator length `acc` and each block's length: what
-/// [`crate::RankState::payload`] would materialize, without the bytes.
-/// A token is empty, a single block travels raw, and several are framed
-/// as [`pack_blocks`] frames them.
-pub fn send_len(what: &SendWhat, acc: u64, block: impl Fn(u32) -> u64) -> u64 {
+/// sender's accumulator length `acc` and each block's length, its slots
+/// wrapping at `n`: what [`crate::RankState::payload`] would
+/// materialize, without the bytes. A token is empty, a single block
+/// travels raw, and several are framed as [`pack_blocks`] frames them.
+pub fn send_len(what: SendWhat, n: usize, acc: u64, block: impl Fn(u32) -> u64) -> u64 {
     match what {
         SendWhat::Token => 0,
         SendWhat::Acc => acc,
-        SendWhat::Blocks(idxs) => match idxs.as_slice() {
-            [only] => block(*only),
-            _ => framed_len(idxs.len(), idxs.iter().map(|&i| block(i)).sum()),
-        },
+        SendWhat::Blocks(range) if range.count == 1 => block(range.first),
+        SendWhat::Blocks(range) => {
+            framed_len(range.count as usize, range.slots(n).map(block).sum())
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 use std::fmt;
 
 use crate::op::CollOp;
-use crate::schedule::{RankPlan, RecvStep, RecvWhat, Round, Schedule, SendStep, SendWhat};
+use crate::schedule::{idx32, BlockRange, Builder, RecvWhat, Schedule, SendWhat};
 
 /// The algorithm families the planners implement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,42 +141,56 @@ pub fn auto_algorithm(op: CollOp, n: usize) -> Algorithm {
 
 /// Build the schedule for `op` via `algorithm` over `n` ranks.
 pub fn build(op: CollOp, algorithm: Algorithm, n: usize) -> Result<Schedule, PlanError> {
+    use SendWhat::{Acc, Token};
     if n == 0 {
         return Err(PlanError::NoRanks);
     }
     let unsupported = Err(PlanError::Unsupported { op, algorithm });
-    let plans = if n == 1 {
+    // Virtual rank `v`'s rounds, written by one planner or, for a
+    // two-phase algorithm, by both phases in turn.
+    let rank: Planner = if n == 1 {
         // Degenerate single-rank job: every supported combination is an
         // empty plan; unsupported combinations still error.
         match (op, algorithm) {
             (CollOp::Bcast | CollOp::Reduce, Algorithm::Dissemination)
             | (CollOp::Bcast | CollOp::Reduce, Algorithm::RecursiveDoubling) => return unsupported,
-            _ => vec![RankPlan::default()],
+            _ => |_, _, _| {},
         }
     } else {
         match (op, algorithm) {
-            (CollOp::Barrier, Algorithm::Linear) => linear_barrier(n),
-            (CollOp::Barrier, Algorithm::Tree) => barrier_tree(n),
-            (CollOp::Barrier, Algorithm::Dissemination) => dissemination_barrier(n),
-            (CollOp::Barrier, Algorithm::RecursiveDoubling) => {
-                rd_fold(n, SendWhat::Token, RecvWhat::Token, RecvWhat::Token)
-            }
-            (CollOp::Barrier, Algorithm::Ring) => ring_barrier(n),
-            (CollOp::Bcast, Algorithm::Linear) => linear_bcast(n),
-            (CollOp::Bcast, Algorithm::Tree) => bcast_tree(n, one_block()),
-            (CollOp::Bcast, Algorithm::Ring) => ring_bcast(n),
-            (CollOp::Reduce, Algorithm::Linear) => linear_reduce(n),
-            (CollOp::Reduce, Algorithm::Tree) => reduce_tree(n),
-            (CollOp::Reduce, Algorithm::Ring) => ring_reduce(n),
-            (CollOp::Allreduce, Algorithm::Linear) => concat(linear_reduce(n), acc_fanout(n)),
-            (CollOp::Allreduce, Algorithm::Tree) => concat(reduce_tree(n), acc_bcast_tree(n)),
-            (CollOp::Allreduce, Algorithm::RecursiveDoubling) => {
-                rd_fold(n, SendWhat::Acc, RecvWhat::CombineAcc, RecvWhat::ReplaceAcc)
-            }
-            (CollOp::Allreduce, Algorithm::Ring) => concat(ring_reduce(n), acc_ring(n)),
-            (CollOp::Allgather, Algorithm::Linear) => linear_allgather(n),
-            (CollOp::Allgather, Algorithm::Tree) => allgather_tree(n),
-            (CollOp::Allgather, Algorithm::Dissemination) => bruck_allgather(n),
+            (CollOp::Barrier, Algorithm::Linear) => |b, n, v| {
+                fan_in(b, n, v, Token);
+                fan_out(b, n, v, Token);
+            },
+            (CollOp::Barrier, Algorithm::Tree) => |b, n, v| {
+                reduce_tree(b, n, v, Token);
+                bcast_tree(b, n, v, Token);
+            },
+            (CollOp::Barrier, Algorithm::Dissemination) => dissemination_barrier,
+            (CollOp::Barrier, Algorithm::RecursiveDoubling) => |b, n, v| rd_fold(b, n, v, Token),
+            (CollOp::Barrier, Algorithm::Ring) => ring_barrier,
+            (CollOp::Bcast, Algorithm::Linear) => |b, n, v| fan_out(b, n, v, ONE_BLOCK),
+            (CollOp::Bcast, Algorithm::Tree) => |b, n, v| bcast_tree(b, n, v, ONE_BLOCK),
+            (CollOp::Bcast, Algorithm::Ring) => |b, n, v| chain_down(b, n, v, ONE_BLOCK),
+            (CollOp::Reduce, Algorithm::Linear) => |b, n, v| fan_in(b, n, v, Acc),
+            (CollOp::Reduce, Algorithm::Tree) => |b, n, v| reduce_tree(b, n, v, Acc),
+            (CollOp::Reduce, Algorithm::Ring) => chain_up,
+            (CollOp::Allreduce, Algorithm::Linear) => |b, n, v| {
+                fan_in(b, n, v, Acc);
+                fan_out(b, n, v, Acc);
+            },
+            (CollOp::Allreduce, Algorithm::Tree) => |b, n, v| {
+                reduce_tree(b, n, v, Acc);
+                bcast_tree(b, n, v, Acc);
+            },
+            (CollOp::Allreduce, Algorithm::RecursiveDoubling) => |b, n, v| rd_fold(b, n, v, Acc),
+            (CollOp::Allreduce, Algorithm::Ring) => |b, n, v| {
+                chain_up(b, n, v);
+                chain_down(b, n, v, Acc);
+            },
+            (CollOp::Allgather, Algorithm::Linear) => linear_allgather,
+            (CollOp::Allgather, Algorithm::Tree) => allgather_tree,
+            (CollOp::Allgather, Algorithm::Dissemination) => bruck_allgather,
             (CollOp::Allgather, Algorithm::RecursiveDoubling) => {
                 if !n.is_power_of_two() {
                     return Err(PlanError::NeedsPowerOfTwo {
@@ -185,54 +199,48 @@ pub fn build(op: CollOp, algorithm: Algorithm, n: usize) -> Result<Schedule, Pla
                         nranks: n,
                     });
                 }
-                rd_allgather(n)
+                rd_allgather
             }
-            (CollOp::Allgather, Algorithm::Ring) => ring_allgather(n),
+            (CollOp::Allgather, Algorithm::Ring) => ring_allgather,
             _ => return unsupported,
         }
     };
-    Ok(Schedule {
-        op,
-        algorithm,
-        nranks: n,
-        plans,
-    })
+    Ok(Builder::plan(op, algorithm, n, |b, v| rank(b, n, v)))
 }
 
 // ---- small construction helpers -----------------------------------------
 
-fn empty_plans(n: usize) -> Vec<RankPlan> {
-    vec![RankPlan::default(); n]
-}
+/// Writes virtual rank `v`'s rounds of an `n`-rank schedule.
+type Planner = fn(&mut Builder, usize, usize);
 
-fn send(to: usize, what: SendWhat) -> SendStep {
-    SendStep {
-        to: to as u32,
-        what,
+/// The `count` block slots from `first`.
+fn blocks(first: usize, count: usize) -> BlockRange {
+    BlockRange {
+        first: idx32(first),
+        count: idx32(count),
     }
 }
 
-fn recv(from: usize, what: RecvWhat) -> RecvStep {
-    RecvStep {
-        from: from as u32,
-        what,
+/// The bcast payload: block slot 0.
+const ONE_BLOCK: SendWhat = SendWhat::Blocks(BlockRange { first: 0, count: 1 });
+
+/// How a receiver keeps `what`: a block range in its slots, an
+/// accumulator in place of its own, a token not at all.
+fn stored(what: SendWhat) -> RecvWhat {
+    match what {
+        SendWhat::Token => RecvWhat::Token,
+        SendWhat::Acc => RecvWhat::ReplaceAcc,
+        SendWhat::Blocks(range) => RecvWhat::Blocks(range),
     }
 }
 
-fn round(sends: Vec<SendStep>, recvs: Vec<RecvStep>) -> Round {
-    Round { sends, recvs }
-}
-
-fn one_block() -> SendWhat {
-    SendWhat::Blocks(vec![0])
-}
-
-/// Append `b`'s rounds after `a`'s, rank by rank (phase composition).
-fn concat(mut a: Vec<RankPlan>, b: Vec<RankPlan>) -> Vec<RankPlan> {
-    for (pa, pb) in a.iter_mut().zip(b) {
-        pa.rounds.extend(pb.rounds);
+/// How a reducing receiver takes `what`: an accumulator folds into its
+/// own.
+fn folded(what: SendWhat) -> RecvWhat {
+    match what {
+        SendWhat::Acc => RecvWhat::CombineAcc,
+        other => stored(other),
     }
-    a
 }
 
 /// Highest set bit of `v` (v > 0).
@@ -242,371 +250,219 @@ fn high_bit(v: usize) -> usize {
 
 // ---- linear (the naive reference) ---------------------------------------
 
-fn linear_barrier(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    let gather: Vec<RecvStep> = (1..n).map(|r| recv(r, RecvWhat::Token)).collect();
-    let release: Vec<SendStep> = (1..n).map(|r| send(r, SendWhat::Token)).collect();
-    plans[0].rounds.push(round(Vec::new(), gather));
-    plans[0].rounds.push(round(release, Vec::new()));
-    for plan in plans.iter_mut().skip(1) {
-        plan.rounds
-            .push(round(vec![send(0, SendWhat::Token)], Vec::new()));
-        plan.rounds
-            .push(round(Vec::new(), vec![recv(0, RecvWhat::Token)]));
+/// Every rank sends `up` to the root, which folds them in rank order in
+/// one round — the reference fold order.
+fn fan_in(b: &mut Builder, n: usize, v: usize, up: SendWhat) {
+    b.round();
+    if v != 0 {
+        b.send(0, up);
+        return;
     }
-    plans
+    for r in 1..n {
+        b.recv(r, folded(up));
+    }
 }
 
-fn linear_bcast(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    let fanout: Vec<SendStep> = (1..n).map(|r| send(r, one_block())).collect();
-    plans[0].rounds.push(round(fanout, Vec::new()));
-    for plan in plans.iter_mut().skip(1) {
-        plan.rounds
-            .push(round(Vec::new(), vec![recv(0, RecvWhat::Blocks(vec![0]))]));
+/// The root sends `what` to every rank in one round.
+fn fan_out(b: &mut Builder, n: usize, v: usize, what: SendWhat) {
+    b.round();
+    if v != 0 {
+        b.recv(0, stored(what));
+        return;
     }
-    plans
+    for r in 1..n {
+        b.send(r, what);
+    }
 }
 
-fn linear_reduce(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    // Root folds contributions in rank order — the reference fold order.
-    let gather: Vec<RecvStep> = (1..n).map(|r| recv(r, RecvWhat::CombineAcc)).collect();
-    plans[0].rounds.push(round(Vec::new(), gather));
-    for plan in plans.iter_mut().skip(1) {
-        plan.rounds
-            .push(round(vec![send(0, SendWhat::Acc)], Vec::new()));
+fn linear_allgather(b: &mut Builder, n: usize, v: usize) {
+    b.round();
+    for to in (0..n).filter(|&to| to != v) {
+        b.send(to, SendWhat::Blocks(blocks(v, 1)));
     }
-    plans
-}
-
-/// Root fans its accumulator out to everyone (allreduce distribution).
-fn acc_fanout(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    let fanout: Vec<SendStep> = (1..n).map(|r| send(r, SendWhat::Acc)).collect();
-    plans[0].rounds.push(round(fanout, Vec::new()));
-    for plan in plans.iter_mut().skip(1) {
-        plan.rounds
-            .push(round(Vec::new(), vec![recv(0, RecvWhat::ReplaceAcc)]));
+    for from in (0..n).filter(|&from| from != v) {
+        b.recv(from, RecvWhat::Blocks(blocks(from, 1)));
     }
-    plans
-}
-
-fn linear_allgather(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    for (me, plan) in plans.iter_mut().enumerate() {
-        let sends: Vec<SendStep> = (0..n)
-            .filter(|&to| to != me)
-            .map(|to| send(to, SendWhat::Blocks(vec![me as u32])))
-            .collect();
-        let recvs: Vec<RecvStep> = (0..n)
-            .filter(|&from| from != me)
-            .map(|from| recv(from, RecvWhat::Blocks(vec![from as u32])))
-            .collect();
-        plan.rounds.push(round(sends, recvs));
-    }
-    plans
 }
 
 // ---- binomial trees ------------------------------------------------------
 
 /// Broadcast `what` down the binomial tree rooted at 0. `what` must be
-/// sendable by every rank once received (`Acc` or a single block).
-fn bcast_tree_with(n: usize, what: SendWhat, store: RecvWhat) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    for (v, plan) in plans.iter_mut().enumerate() {
-        if v != 0 {
-            let parent = v - high_bit(v);
-            plan.rounds
-                .push(round(Vec::new(), vec![recv(parent, store.clone())]));
-        }
-        let mut bit = if v == 0 { 1 } else { high_bit(v) << 1 };
-        let mut sends = Vec::new();
-        while v + bit < n {
-            sends.push(send(v + bit, what.clone()));
-            bit <<= 1;
-        }
-        if !sends.is_empty() {
-            plan.rounds.push(round(sends, Vec::new()));
-        }
+/// sendable by every rank once received (`Acc` or a block range).
+fn bcast_tree(b: &mut Builder, n: usize, v: usize, what: SendWhat) {
+    if v != 0 {
+        b.round().recv(v - high_bit(v), stored(what));
     }
-    plans
-}
-
-fn bcast_tree(n: usize, what: SendWhat) -> Vec<RankPlan> {
-    let store = match &what {
-        SendWhat::Blocks(idxs) => RecvWhat::Blocks(idxs.clone()),
-        SendWhat::Acc => RecvWhat::ReplaceAcc,
-        SendWhat::Token => RecvWhat::Token,
-    };
-    bcast_tree_with(n, what, store)
-}
-
-fn acc_bcast_tree(n: usize) -> Vec<RankPlan> {
-    bcast_tree(n, SendWhat::Acc)
-}
-
-/// Binomial reduction to virtual rank 0, mirroring [`bcast_tree`]:
-/// each rank folds its children in increasing-bit order (one round per
-/// child, matching the serialized receives of the hand-rolled version),
-/// then sends up and leaves.
-fn reduce_tree_with(n: usize, up: SendWhat, fold: RecvWhat) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    for (v, plan) in plans.iter_mut().enumerate() {
-        let mut bit = 1usize;
-        while bit < n {
-            if v & bit != 0 {
-                plan.rounds
-                    .push(round(vec![send(v & !bit, up.clone())], Vec::new()));
-                break;
-            }
-            if v + bit < n {
-                plan.rounds
-                    .push(round(Vec::new(), vec![recv(v + bit, fold.clone())]));
-            }
-            bit <<= 1;
-        }
+    let mut bit = if v == 0 { 1 } else { high_bit(v) << 1 };
+    if v + bit < n {
+        b.round();
     }
-    plans
+    while v + bit < n {
+        b.send(v + bit, what);
+        bit <<= 1;
+    }
 }
 
-fn reduce_tree(n: usize) -> Vec<RankPlan> {
-    reduce_tree_with(n, SendWhat::Acc, RecvWhat::CombineAcc)
-}
-
-fn barrier_tree(n: usize) -> Vec<RankPlan> {
-    concat(
-        reduce_tree_with(n, SendWhat::Token, RecvWhat::Token),
-        bcast_tree(n, SendWhat::Token),
-    )
+/// Binomial reduction of `up` to virtual rank 0, mirroring
+/// [`bcast_tree`]: each rank folds its children in increasing-bit order
+/// (one round per child, matching the serialized receives of the
+/// hand-rolled version), then sends up and leaves.
+fn reduce_tree(b: &mut Builder, n: usize, v: usize, up: SendWhat) {
+    let mut bit = 1usize;
+    while bit < n {
+        if v & bit != 0 {
+            b.round().send(v & !bit, up);
+            break;
+        }
+        if v + bit < n {
+            b.round().recv(v + bit, folded(up));
+        }
+        bit <<= 1;
+    }
 }
 
 /// Tree allgather: binomial gather of blocks at virtual rank 0, then a
 /// binomial broadcast of the full framed set — the gather+bcast shape
 /// of mplite's original `allgather`.
-fn allgather_tree(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
+fn allgather_tree(b: &mut Builder, n: usize, v: usize) {
     // Gather phase: at bit level b, rank v (with v & b set) owns the
     // contiguous block range [v, min(v + b, n)) and ships it up.
-    for (v, plan) in plans.iter_mut().enumerate() {
-        let mut bit = 1usize;
-        while bit < n {
-            if v & bit != 0 {
-                let held: Vec<u32> = (v..(v + bit).min(n)).map(|b| b as u32).collect();
-                plan.rounds.push(round(
-                    vec![send(v & !bit, SendWhat::Blocks(held))],
-                    Vec::new(),
-                ));
-                break;
-            }
-            if v + bit < n {
-                let sub: Vec<u32> = ((v + bit)..(v + 2 * bit).min(n))
-                    .map(|b| b as u32)
-                    .collect();
-                plan.rounds.push(round(
-                    Vec::new(),
-                    vec![recv(v + bit, RecvWhat::Blocks(sub))],
-                ));
-            }
-            bit <<= 1;
+    let mut bit = 1usize;
+    while bit < n {
+        if v & bit != 0 {
+            let held = blocks(v, (v + bit).min(n) - v);
+            b.round().send(v & !bit, SendWhat::Blocks(held));
+            break;
         }
+        if v + bit < n {
+            let sub = blocks(v + bit, (v + 2 * bit).min(n) - (v + bit));
+            b.round().recv(v + bit, RecvWhat::Blocks(sub));
+        }
+        bit <<= 1;
     }
-    let everything = SendWhat::Blocks((0..n as u32).collect());
-    concat(plans, bcast_tree(n, everything))
+    bcast_tree(b, n, v, SendWhat::Blocks(blocks(0, n)));
 }
 
 // ---- dissemination / Bruck ----------------------------------------------
 
-fn dissemination_barrier(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
+fn dissemination_barrier(b: &mut Builder, n: usize, v: usize) {
     let mut step = 1usize;
     while step < n {
-        for (v, plan) in plans.iter_mut().enumerate() {
-            plan.rounds.push(round(
-                vec![send((v + step) % n, SendWhat::Token)],
-                vec![recv((v + n - step % n) % n, RecvWhat::Token)],
-            ));
-        }
+        b.round()
+            .send((v + step) % n, SendWhat::Token)
+            .recv((v + n - step) % n, RecvWhat::Token);
         step <<= 1;
     }
-    plans
 }
 
 /// Bruck's allgather: after round k every rank holds the cyclic block
 /// range starting at itself of length min(2^(k+1), n). Works for any n
 /// in ⌈log₂ n⌉ rounds.
-fn bruck_allgather(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
+fn bruck_allgather(b: &mut Builder, n: usize, v: usize) {
     let mut step = 1usize;
     while step < n {
         let cnt = step.min(n - step);
-        for (v, plan) in plans.iter_mut().enumerate() {
-            let to = (v + n - step) % n;
-            let from = (v + step) % n;
-            let sent: Vec<u32> = (0..cnt).map(|j| ((v + j) % n) as u32).collect();
-            let got: Vec<u32> = (0..cnt).map(|j| ((v + step + j) % n) as u32).collect();
-            plan.rounds.push(round(
-                vec![send(to, SendWhat::Blocks(sent))],
-                vec![recv(from, RecvWhat::Blocks(got))],
-            ));
-        }
+        let from = (v + step) % n;
+        b.round()
+            .send((v + n - step) % n, SendWhat::Blocks(blocks(v, cnt)))
+            .recv(from, RecvWhat::Blocks(blocks(from, cnt)));
         step <<= 1;
     }
-    plans
 }
 
 // ---- recursive doubling --------------------------------------------------
 
 /// Recursive doubling with non-power-of-two folding, shared by barrier
-/// and allreduce: excess ranks (>= core) send into the core, the core
-/// runs pairwise XOR exchanges, then results flow back out.
-fn rd_fold(n: usize, carry: SendWhat, fold: RecvWhat, release: RecvWhat) -> Vec<RankPlan> {
+/// and allreduce: excess ranks (>= core) send `carry` into the core, the
+/// core runs pairwise XOR exchanges, then results flow back out.
+fn rd_fold(b: &mut Builder, n: usize, v: usize, carry: SendWhat) {
     let core = high_bit(n);
     let excess = n - core;
-    let mut plans = empty_plans(n);
-    for (v, plan) in plans.iter_mut().enumerate() {
-        if v >= core {
-            // Fold in, wait, get released.
-            plan.rounds
-                .push(round(vec![send(v - core, carry.clone())], Vec::new()));
-            plan.rounds
-                .push(round(Vec::new(), vec![recv(v - core, release.clone())]));
-            continue;
-        }
-        if v < excess {
-            plan.rounds
-                .push(round(Vec::new(), vec![recv(v + core, fold.clone())]));
-        }
-        let mut bit = 1usize;
-        while bit < core {
-            plan.rounds.push(round(
-                vec![send(v ^ bit, carry.clone())],
-                vec![recv(v ^ bit, fold.clone())],
-            ));
-            bit <<= 1;
-        }
-        if v < excess {
-            plan.rounds
-                .push(round(vec![send(v + core, carry.clone())], Vec::new()));
-        }
+    if v >= core {
+        // Fold in, wait, get released.
+        b.round().send(v - core, carry);
+        b.round().recv(v - core, stored(carry));
+        return;
     }
-    plans
+    if v < excess {
+        b.round().recv(v + core, folded(carry));
+    }
+    let mut bit = 1usize;
+    while bit < core {
+        b.round().send(v ^ bit, carry).recv(v ^ bit, folded(carry));
+        bit <<= 1;
+    }
+    if v < excess {
+        b.round().send(v + core, carry);
+    }
 }
 
 /// Recursive-doubling allgather (power-of-two n only): at round k each
 /// rank owns the aligned block range of length 2^k containing itself
 /// and swaps it with its XOR partner.
-fn rd_allgather(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    for (v, plan) in plans.iter_mut().enumerate() {
-        let mut bit = 1usize;
-        while bit < n {
-            let base = v & !(bit - 1);
-            let mine: Vec<u32> = (base..base + bit).map(|b| b as u32).collect();
-            let pbase = (v ^ bit) & !(bit - 1);
-            let theirs: Vec<u32> = (pbase..pbase + bit).map(|b| b as u32).collect();
-            plan.rounds.push(round(
-                vec![send(v ^ bit, SendWhat::Blocks(mine))],
-                vec![recv(v ^ bit, RecvWhat::Blocks(theirs))],
-            ));
-            bit <<= 1;
-        }
+fn rd_allgather(b: &mut Builder, n: usize, v: usize) {
+    let mut bit = 1usize;
+    while bit < n {
+        let mine = blocks(v & !(bit - 1), bit);
+        let theirs = blocks((v ^ bit) & !(bit - 1), bit);
+        b.round()
+            .send(v ^ bit, SendWhat::Blocks(mine))
+            .recv(v ^ bit, RecvWhat::Blocks(theirs));
+        bit <<= 1;
     }
-    plans
 }
 
 // ---- rings ---------------------------------------------------------------
 
 /// Token ring barrier: one circulation gathers (everyone has entered by
 /// the time the token returns to 0), a second releases.
-fn ring_barrier(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    plans[0]
-        .rounds
-        .push(round(vec![send(1, SendWhat::Token)], Vec::new()));
-    plans[0]
-        .rounds
-        .push(round(Vec::new(), vec![recv(n - 1, RecvWhat::Token)]));
-    plans[0]
-        .rounds
-        .push(round(vec![send(1, SendWhat::Token)], Vec::new()));
-    for (v, plan) in plans.iter_mut().enumerate().skip(1) {
-        plan.rounds
-            .push(round(Vec::new(), vec![recv(v - 1, RecvWhat::Token)]));
-        plan.rounds
-            .push(round(vec![send((v + 1) % n, SendWhat::Token)], Vec::new()));
-        plan.rounds
-            .push(round(Vec::new(), vec![recv(v - 1, RecvWhat::Token)]));
-        if v + 1 < n {
-            plan.rounds
-                .push(round(vec![send(v + 1, SendWhat::Token)], Vec::new()));
-        }
+fn ring_barrier(b: &mut Builder, n: usize, v: usize) {
+    if v == 0 {
+        b.round().send(1, SendWhat::Token);
+        b.round().recv(n - 1, RecvWhat::Token);
+        b.round().send(1, SendWhat::Token);
+        return;
     }
-    plans
-}
-
-/// Pipelined chain broadcast 0 → 1 → … → n−1.
-fn ring_bcast(n: usize) -> Vec<RankPlan> {
-    chain_down(n, one_block(), RecvWhat::Blocks(vec![0]))
-}
-
-/// Chain distribution of the accumulator (allreduce second phase).
-fn acc_ring(n: usize) -> Vec<RankPlan> {
-    chain_down(n, SendWhat::Acc, RecvWhat::ReplaceAcc)
-}
-
-fn chain_down(n: usize, what: SendWhat, store: RecvWhat) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    plans[0]
-        .rounds
-        .push(round(vec![send(1, what.clone())], Vec::new()));
-    for (v, plan) in plans.iter_mut().enumerate().skip(1) {
-        plan.rounds
-            .push(round(Vec::new(), vec![recv(v - 1, store.clone())]));
-        if v + 1 < n {
-            plan.rounds
-                .push(round(vec![send(v + 1, what.clone())], Vec::new()));
-        }
+    b.round().recv(v - 1, RecvWhat::Token);
+    b.round().send((v + 1) % n, SendWhat::Token);
+    b.round().recv(v - 1, RecvWhat::Token);
+    if v + 1 < n {
+        b.round().send(v + 1, SendWhat::Token);
     }
-    plans
+}
+
+/// Pipelined chain 0 → 1 → … → n−1 of `what`: a broadcast, or the
+/// allreduce's second phase.
+fn chain_down(b: &mut Builder, n: usize, v: usize, what: SendWhat) {
+    if v != 0 {
+        b.round().recv(v - 1, stored(what));
+    }
+    if v + 1 < n {
+        b.round().send(v + 1, what);
+    }
 }
 
 /// Chain reduction n−1 → … → 1 → 0: each rank folds its upstream
 /// neighbour's partial result into its own and passes it on.
-fn ring_reduce(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
-    plans[n - 1]
-        .rounds
-        .push(round(vec![send(n - 2, SendWhat::Acc)], Vec::new()));
-    for v in (1..n - 1).rev() {
-        plans[v]
-            .rounds
-            .push(round(Vec::new(), vec![recv(v + 1, RecvWhat::CombineAcc)]));
-        plans[v]
-            .rounds
-            .push(round(vec![send(v - 1, SendWhat::Acc)], Vec::new()));
+fn chain_up(b: &mut Builder, n: usize, v: usize) {
+    if v + 1 < n {
+        b.round().recv(v + 1, RecvWhat::CombineAcc);
     }
-    plans[0]
-        .rounds
-        .push(round(Vec::new(), vec![recv(1, RecvWhat::CombineAcc)]));
-    plans
+    if v != 0 {
+        b.round().send(v - 1, SendWhat::Acc);
+    }
 }
 
 /// The classic simultaneous ring allgather: n−1 rounds; in round r each
 /// rank forwards the block that originated r hops upstream.
-fn ring_allgather(n: usize) -> Vec<RankPlan> {
-    let mut plans = empty_plans(n);
+fn ring_allgather(b: &mut Builder, n: usize, v: usize) {
     for r in 0..n - 1 {
-        for (v, plan) in plans.iter_mut().enumerate() {
-            let outgoing = ((v + n - r) % n) as u32;
-            let incoming = ((v + n - r - 1) % n) as u32;
-            plan.rounds.push(round(
-                vec![send((v + 1) % n, SendWhat::Blocks(vec![outgoing]))],
-                vec![recv((v + n - 1) % n, RecvWhat::Blocks(vec![incoming]))],
-            ));
-        }
+        let outgoing = blocks((v + n - r) % n, 1);
+        let incoming = blocks((v + n - r - 1) % n, 1);
+        b.round()
+            .send((v + 1) % n, SendWhat::Blocks(outgoing))
+            .recv((v + n - 1) % n, RecvWhat::Blocks(incoming));
     }
-    plans
 }
 
 #[cfg(test)]

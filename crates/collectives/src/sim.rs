@@ -28,6 +28,7 @@
 //! as a bounded *partial* report, never a hang.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
 use faultlab::{DegradeWindow, FaultPlan};
@@ -45,7 +46,7 @@ use crate::lifecycle::{step, CollRound};
 use crate::op::{send_len, CollOp};
 use crate::plan::{auto_algorithm, build, Algorithm};
 use crate::recovery::{EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
-use crate::schedule::{RankPlan, Round, Schedule};
+use crate::schedule::{idx32, Builder, Schedule};
 use crate::state::CollOutput;
 
 /// Trace track carrying rank `rank`'s collective-round spans, disjoint
@@ -158,20 +159,22 @@ impl SimReport {
 }
 
 /// What a posted receive completes: receive `slot` of rank `rank`'s
-/// current round.
+/// current round, whose arrival is `Driver::arrived[recv]`.
 #[derive(Debug, Clone, Copy)]
 struct RecvSlot {
     rank: u32,
     slot: u32,
+    recv: u32,
 }
 
 struct RankRun {
     life: CollRound,
+    /// Rounds completed.
     round: usize,
+    /// The current round and the rest, by [`Schedule::round`] index.
+    rounds: Range<usize>,
     /// Receives still outstanding in the current round.
     waiting: usize,
-    /// Lengths arrived for the current round, recv-step indexed.
-    arrived: Vec<Option<u64>>,
     round_start: SimTime,
     finish: Option<SimTime>,
 }
@@ -211,63 +214,33 @@ struct Deadline {
     rearms: u32,
 }
 
-/// One epoch's schedule as three flat tables, indexed by group rank
-/// with every peer already rotated to its group rank: the driver owns
-/// it without cloning the caller's nested plans round by round.
-struct Steps {
-    /// Rank `g`'s rounds are `rounds[first_round[g]..first_round[g + 1]]`.
-    first_round: Vec<u32>,
-    /// Round `k` sends `sends[rounds[k].0..rounds[k + 1].0]` and
-    /// receives `recvs[rounds[k].1..rounds[k + 1].1]`; a sentinel ends it.
-    rounds: Vec<(u32, u32)>,
-    /// `(destination, message length)`.
-    sends: Vec<(u32, u64)>,
-    /// Sources, in application order.
-    recvs: Vec<u32>,
+/// One epoch's schedule as the driver reads it: the schedule, the
+/// group rank its virtual rank 0 sits at, and every send's length,
+/// parallel to the schedule's send table.
+struct Plan {
+    schedule: Schedule,
+    root: usize,
+    lens: Vec<u64>,
 }
 
-/// One round's sends, `(destination, length)`, and receive sources.
-type RoundSteps<'a> = (&'a [(u32, u64)], &'a [u32]);
-
-impl Steps {
-    /// The tables for `schedule` rooted at group rank `root`, each send
-    /// sized from the group-indexed contribution `lengths`.
-    fn new(schedule: &Schedule, root: usize, lengths: &[u64]) -> Steps {
+impl Plan {
+    /// `schedule` rooted at group rank `root`, each send sized from the
+    /// group-indexed contribution `lengths`.
+    fn new(schedule: Schedule, root: usize, lengths: &[u64]) -> Plan {
         let n = schedule.nranks;
-        let plans = || schedule.plans.iter().flat_map(|p| &p.rounds);
-        let mut steps = Steps {
-            first_round: Vec::with_capacity(n + 1),
-            rounds: Vec::with_capacity(plans().count() + 1),
-            sends: Vec::with_capacity(schedule.total_messages()),
-            recvs: Vec::with_capacity(plans().map(|r| r.recvs.len()).sum()),
-        };
-        let peer = |v: u32| actual_rank(v as usize, root, n);
-        let block = |v: u32| lengths[peer(v)];
-        for (g, &acc) in lengths.iter().enumerate() {
-            steps.first_round.push(idx32(steps.rounds.len()));
-            for round in &schedule.plans[virtual_rank(g, root, n)].rounds {
-                steps
-                    .rounds
-                    .push((idx32(steps.sends.len()), idx32(steps.recvs.len())));
-                let sends = round
-                    .sends
-                    .iter()
-                    .map(|s| (idx32(peer(s.to)), send_len(&s.what, acc, block)));
-                steps.sends.extend(sends);
-                let recvs = round.recvs.iter().map(|r| idx32(peer(r.from)));
-                steps.recvs.extend(recvs);
+        let mut lens = Vec::with_capacity(schedule.total_messages());
+        let block = |v: u32| lengths[actual_rank(v as usize, root, n)];
+        for v in 0..n {
+            let acc = lengths[actual_rank(v, root, n)];
+            for (sends, _) in schedule.rounds(v) {
+                lens.extend(sends.iter().map(|s| send_len(s.what, n, acc, block)));
             }
         }
-        steps.first_round.push(idx32(steps.rounds.len()));
-        steps
-            .rounds
-            .push((idx32(steps.sends.len()), idx32(steps.recvs.len())));
-        steps
-    }
-
-    /// Number of ranks the tables hold.
-    fn ranks(&self) -> usize {
-        self.first_round.len() - 1
+        Plan {
+            schedule,
+            root,
+            lens,
+        }
     }
 
     /// The two-rank quotient of `schedule` over the contribution
@@ -276,56 +249,58 @@ impl Steps {
     /// of rounds, each of exactly one send and one receive; in round `k`
     /// every rank receives from the rank whose send targets it, so the
     /// sends form a permutation; and all of round `k`'s sends have one
-    /// length. Each is a property of the plans alone, whatever the root's
-    /// rotation. Both ranks of the quotient get rank 0's rounds, every
-    /// peer mapped to the other rank.
-    fn quotient(schedule: &Schedule, lengths: &[u64]) -> Option<Steps> {
+    /// length. Each is a property of the schedule alone, whatever the
+    /// root's rotation. Both ranks of the quotient get rank 0's rounds,
+    /// every peer mapped to the other rank.
+    fn quotient(schedule: &Schedule, lengths: &[u64]) -> Option<Plan> {
+        let n = schedule.nranks;
         let len = lengths[0];
-        let plans = &schedule.plans;
-        let depth = plans[0].rounds.len();
-        let one_each = |p: &RankPlan| {
-            p.rounds.len() == depth
-                && p.rounds
-                    .iter()
-                    .all(|r| (r.sends.len(), r.recvs.len()) == (1, 1))
-        };
-        if lengths.iter().any(|&l| l != len) || !plans.iter().all(one_each) {
+        if lengths.iter().any(|&l| l != len) {
             return None;
         }
-        let sized = |r: &Round| send_len(&r.sends[0].what, len, |_| len);
-        for (v, plan) in plans.iter().enumerate() {
-            for (k, (round, first)) in plan.rounds.iter().zip(&plans[0].rounds).enumerate() {
-                let to = plans.get(round.sends[0].to as usize)?;
-                if to.rounds[k].recvs[0].from as usize != v || sized(round) != sized(first) {
-                    return None;
-                }
+        let depth = schedule.permutation_depth()?;
+        let sized = |what| send_len(what, n, len, |_| len);
+        // Each send against rank 0's send of the same round.
+        let sends = schedule.sends();
+        let mut pairs = sends.iter().zip(sends[..depth].iter().cycle());
+        if !pairs.all(|(s, s0)| s.what == s0.what || sized(s.what) == sized(s0.what)) {
+            return None;
+        }
+        let quotient = Builder::plan(schedule.op, schedule.algorithm, 2, |b, v| {
+            for (sends, recvs) in schedule.rounds(0) {
+                b.round()
+                    .send(1 - v, sends[0].what)
+                    .recv(1 - v, recvs[0].what);
             }
-        }
-        let mut quotient = Steps {
-            first_round: vec![0, idx32(depth), idx32(2 * depth)],
-            rounds: (0..=idx32(2 * depth)).map(|i| (i, i)).collect(),
-            sends: Vec::with_capacity(2 * depth),
-            recvs: Vec::with_capacity(2 * depth),
-        };
-        for other in [1, 0] {
-            let sends = plans[0].rounds.iter().map(|r| (other, sized(r)));
-            quotient.sends.extend(sends);
-            quotient.recvs.extend(std::iter::repeat_n(other, depth));
-        }
-        Some(quotient)
+        });
+        let rank0 = || sends[..depth].iter().map(|s| sized(s.what));
+        let lens = rank0().chain(rank0()).collect();
+        Some(Plan {
+            schedule: quotient,
+            root: 0,
+            lens,
+        })
     }
 
-    /// Rank `g`'s round `k`, if it has one: its sends and receives.
-    fn round(&self, g: usize, k: usize) -> Option<RoundSteps<'_>> {
-        let i = self.first_round[g] as usize + k;
-        if i >= self.first_round[g + 1] as usize {
-            return None;
-        }
-        let ((s0, r0), (s1, r1)) = (self.rounds[i], self.rounds[i + 1]);
-        Some((
-            &self.sends[s0 as usize..s1 as usize],
-            &self.recvs[r0 as usize..r1 as usize],
-        ))
+    /// Number of ranks the plan runs.
+    fn ranks(&self) -> usize {
+        self.schedule.nranks
+    }
+
+    /// The group rank of virtual rank `v`.
+    fn peer(&self, v: u32) -> usize {
+        actual_rank(v as usize, self.root, self.ranks())
+    }
+
+    /// Group rank `g`'s rounds by [`Schedule::round`] index.
+    fn rounds(&self, g: usize) -> Range<usize> {
+        self.schedule
+            .round_ids(virtual_rank(g, self.root, self.ranks()))
+    }
+
+    /// The lengths of round `i`'s sends.
+    fn lens(&self, i: usize) -> &[u64] {
+        &self.lens[self.schedule.send_ids(i)]
     }
 }
 
@@ -344,9 +319,11 @@ struct Carry {
 /// One epoch's layer above the fabric: the session's mailboxes and
 /// every rank's round cursor, driven by [`MultiEvent`]s.
 struct Driver {
-    steps: Rc<Steps>,
+    plan: Rc<Plan>,
     sess: Mailboxes<RecvSlot>,
     ranks: Vec<RankRun>,
+    /// Lengths arrived, parallel to the schedule's receive table.
+    arrived: Vec<Option<u64>>,
     trace: Option<SharedSink>,
     /// Group index → world rank (identity in the original epoch).
     world: Vec<usize>,
@@ -369,39 +346,31 @@ impl Upper for Epoch {
     }
 }
 
-/// Narrow a rank or receive index for a [`RecvSlot`].
-fn idx32(i: usize) -> u32 {
-    #[expect(
-        clippy::expect_used,
-        reason = "a simulated world of more than u32::MAX ranks cannot be built"
-    )]
-    u32::try_from(i).expect("index fits a u32")
-}
-
 impl Driver {
-    /// An untraced driver for one epoch of `steps` over the (possibly
+    /// An untraced driver for one epoch of `plan` over the (possibly
     /// compacted) group `world`, starting at time zero, taking the carry.
     fn new(
         profile: &LibProfile,
-        steps: Steps,
+        plan: Plan,
         world: Vec<usize>,
         carry: Carry,
         policy: Option<RecoveryPolicy>,
     ) -> Driver {
-        let m = steps.ranks();
+        let m = plan.ranks();
         Driver {
-            steps: Rc::new(steps),
             sess: Mailboxes::new(profile.clone(), m),
             ranks: (0..m)
-                .map(|_| RankRun {
+                .map(|g| RankRun {
                     life: CollRound::initial(),
                     round: 0,
+                    rounds: plan.rounds(g),
                     waiting: 0,
-                    arrived: Vec::new(),
                     round_start: SimTime::ZERO,
                     finish: None,
                 })
                 .collect(),
+            arrived: vec![None; plan.schedule.total_receives()],
+            plan: Rc::new(plan),
             trace: None,
             world,
             killed: carry.killed,
@@ -462,10 +431,10 @@ impl Driver {
         if self.dead(rank) || self.aborted() {
             return;
         }
-        let steps = Rc::clone(&self.steps);
+        let plan = Rc::clone(&self.plan);
         loop {
             let r = &mut self.ranks[rank];
-            let Some((sends, recvs)) = steps.round(rank, r.round) else {
+            let Some(i) = r.rounds.clone().next() else {
                 r.finish = Some(eng.now());
                 if let Some(t) = &self.trace {
                     t.instant(
@@ -478,6 +447,7 @@ impl Driver {
                 }
                 return;
             };
+            let (sends, recvs) = plan.schedule.round(i);
             r.round_start = eng.now();
             r.life = step(r.life, "post");
             for _ in sends {
@@ -485,17 +455,17 @@ impl Driver {
             }
             r.life = step(r.life, "drain");
             r.waiting = recvs.len();
-            r.arrived.clear();
-            r.arrived.resize(recvs.len(), None);
-            for (slot, &from) in recvs.iter().enumerate() {
+            let ids = plan.schedule.recv_ids(i);
+            for (slot, (r, recv)) in recvs.iter().zip(ids).enumerate() {
                 let to = RecvSlot {
                     rank: idx32(rank),
                     slot: idx32(slot),
+                    recv: idx32(recv),
                 };
-                self.sess.post_recv(eng, rank, from as usize, 0, to);
+                self.sess.post_recv(eng, rank, plan.peer(r.from), 0, to);
             }
-            for &(to, bytes) in sends {
-                self.sess.send(eng, rank, to as usize, 0, bytes);
+            for (s, &bytes) in sends.iter().zip(plan.lens(i)) {
+                self.sess.send(eng, rank, plan.peer(s.to), 0, bytes);
             }
             if !recvs.is_empty() {
                 let round = self.ranks[rank].round;
@@ -509,18 +479,18 @@ impl Driver {
     }
 
     fn on_arrival(&mut self, eng: &mut MultiEngine, to: RecvSlot, bytes: u64) {
-        let (rank, slot) = (to.rank as usize, to.slot as usize);
+        let rank = to.rank as usize;
         if self.dead(rank) || self.aborted() {
             return;
         }
         let r = &mut self.ranks[rank];
-        if let (Some(rt), Some((_, recvs))) = (&mut self.recovery, self.steps.round(rank, r.round))
-        {
+        if let Some(rt) = &mut self.recovery {
             // An arrival from a suspect is proof of life.
-            rt.clear_if_suspect(self.world[recvs[slot] as usize]);
+            let from = self.plan.schedule.round(r.rounds.start).1[to.slot as usize].from;
+            rt.clear_if_suspect(self.world[self.plan.peer(from)]);
         }
         r.life = step(r.life, "recv");
-        r.arrived[slot] = Some(bytes);
+        self.arrived[to.recv as usize] = Some(bytes);
         r.waiting -= 1;
         if r.waiting == 0 {
             self.complete_round(eng, rank);
@@ -532,7 +502,8 @@ impl Driver {
     /// payload; emit the round's span and advance the cursor.
     fn complete_round(&mut self, eng: &mut MultiEngine, rank: usize) {
         let r = &mut self.ranks[rank];
-        if !r.arrived.is_empty() {
+        let arrived = &self.arrived[self.plan.schedule.recv_ids(r.rounds.start)];
+        if !arrived.is_empty() {
             if let Some(holds) = self.holders.get_mut(self.world[rank]) {
                 *holds = true;
             }
@@ -544,11 +515,12 @@ impl Driver {
                 track: coll_track(self.world[rank]),
                 start: r.round_start + self.base,
                 end: eng.now() + self.base,
-                bytes: r.arrived.iter().flatten().sum(),
+                bytes: arrived.iter().flatten().sum(),
                 msg: (r.round + 1) as u64,
             });
         }
         r.round += 1;
+        r.rounds.start += 1;
     }
 
     /// Arm the recv deadline for `rank`'s round `round` (no-op when no
@@ -577,15 +549,12 @@ impl Driver {
         if r.finish.is_some() || r.round != d.round || r.waiting == 0 {
             return; // the round completed in time
         }
-        let Some((_, recvs)) = self.steps.round(d.rank, d.round) else {
-            return;
-        };
-        let missing = recvs
-            .iter()
-            .zip(&r.arrived)
-            .filter(|(_, arrived)| arrived.is_none());
-        for (&from, _) in missing {
-            let s = self.world[from as usize];
+        let i = r.rounds.start;
+        let arrived = &self.arrived[self.plan.schedule.recv_ids(i)];
+        let recvs = self.plan.schedule.round(i).1.iter();
+        let missing = recvs.zip(arrived).filter(|(_, arrived)| arrived.is_none());
+        for (from, _) in missing {
+            let s = self.world[self.plan.peer(from.from)];
             if let Membership::Active(active) = rt.member[s] {
                 rt.member[s] = active.deadline().into();
                 if let Some(t) = &self.trace {
@@ -706,7 +675,7 @@ fn run_epoch(
     spec: &ClusterSpec,
     profile: &LibProfile,
     op: CollOp,
-    steps: Steps,
+    plan: Plan,
     trace: &Option<SharedSink>,
     base_us: f64,
     world: Vec<usize>,
@@ -714,13 +683,13 @@ fn run_epoch(
     policy: Option<RecoveryPolicy>,
     faults: &FaultSet,
 ) -> EpochOutcome {
-    let m = steps.ranks();
+    let m = plan.ranks();
     let mut eng = MultiNet::engine(spec.clone(), m);
     if let Some(t) = trace {
         eng.set_trace_sink(Rc::clone(t));
     }
     let taken = std::mem::take(carry);
-    let mut driver = Driver::new(profile, steps, world, taken, policy);
+    let mut driver = Driver::new(profile, plan, world, taken, policy);
     driver.trace = trace.clone();
     driver.base = SimDuration::from_micros_f64(base_us);
     for &(w, extra_us) in &faults.degrades {
@@ -791,7 +760,7 @@ fn run_epoch(
 }
 
 /// Time a fault-free, untraced, symmetric epoch of `m` ranks on its
-/// two-rank `quotient` (see [`Steps::quotient`]). Each node's CPU, NIC
+/// two-rank `quotient` (see [`Plan::quotient`]). Each node's CPU, NIC
 /// and ports serve only its own traffic, the switch never blocks, and
 /// each round sends every rank exactly one message of one length from
 /// exactly one sender, so every rank runs the events and times of
@@ -800,7 +769,7 @@ fn run_orbits(
     spec: &ClusterSpec,
     profile: &LibProfile,
     op: CollOp,
-    quotient: Steps,
+    quotient: Plan,
     m: usize,
 ) -> EpochOutcome {
     let mut carry = Carry {
@@ -872,7 +841,6 @@ pub fn time_sim(
         && opts.faults.is_empty()
         && opts.plan.is_none()
         && opts.recovery.is_none();
-    let mut alive = vec![true; n];
     let mut root_world = root;
     // The schedule replanned over the survivors, once a rank is evicted.
     let mut replanned: Option<Schedule> = None;
@@ -910,14 +878,14 @@ pub fn time_sim(
             .map(|&w| lengths[if bcast { root } else { w }])
             .collect();
         let epoch = replanned.as_ref().unwrap_or(schedule);
-        let quotient = orbits.then(|| Steps::quotient(epoch, &group_lengths));
+        let quotient = orbits.then(|| Plan::quotient(epoch, &group_lengths));
         let outcome = match quotient.flatten() {
             Some(quotient) => run_orbits(spec, profile, schedule.op, quotient, cur_world.len()),
             None => run_epoch(
                 spec,
                 profile,
                 schedule.op,
-                Steps::new(epoch, groot, &group_lengths),
+                Plan::new(epoch.clone(), groot, &group_lengths),
                 &opts.trace,
                 base_us,
                 cur_world.clone(),
@@ -949,9 +917,8 @@ pub fn time_sim(
             reason = "aborted is set by check_eviction together with the evicted rank"
         )]
         let ev = outcome.evicted.expect("aborted epoch without an eviction");
-        alive[ev] = false;
         report.evicted.push(ev);
-        let survivors: Vec<usize> = (0..n).filter(|&r| alive[r]).collect();
+        let survivors: Vec<usize> = cur_world.iter().copied().filter(|&w| w != ev).collect();
         let m = survivors.len();
         base_us = outcome.evict_at_us + policy.backoff_us;
         let cur_algorithm = replanned.as_ref().unwrap_or(schedule).algorithm;
@@ -979,7 +946,7 @@ pub fn time_sim(
         if report.epochs.len() > policy.max_epochs {
             break; // give up: bounded recovery, partial report
         }
-        if !alive[root_world] {
+        if root_world == ev {
             if bcast {
                 match survivors.iter().copied().find(|&w| carry.holders[w]) {
                     Some(w) => root_world = w,
@@ -1147,9 +1114,11 @@ mod tests {
     fn a_send_nobody_receives_fails_the_epoch() {
         // Rank 0 sends a token rank 1 never posts for: every rank
         // "finishes", and only the drained-session check can tell.
-        let mut s = build(CollOp::Barrier, Algorithm::Linear, 2).unwrap();
-        s.plans[1].rounds.clear();
-        s.plans[0].rounds.remove(0);
+        let s = Builder::plan(CollOp::Barrier, Algorithm::Linear, 2, |b, v| {
+            if v == 0 {
+                b.round().send(1, crate::schedule::SendWhat::Token);
+            }
+        });
         run_sim(
             &hwmodel::presets::pcs_ga620(),
             &mpsim::libs::mpich(Default::default()).profile,
@@ -1174,7 +1143,7 @@ mod tests {
             schedule.op, schedule.algorithm
         );
         let lengths: Vec<u64> = inputs.iter().map(|c| c.len() as u64).collect();
-        let steps = Steps::new(schedule, root, &lengths);
+        let plan = Plan::new(schedule.clone(), root, &lengths);
         let ctx = sum_ctx();
         let mut states: Vec<RankState> = (0..n)
             .map(|g| RankState::init(schedule.op, n, virtual_rank(g, root, n), &inputs[g]))
@@ -1189,26 +1158,25 @@ mod tests {
         while progressed {
             progressed = false;
             for g in 0..n {
-                let plan = &schedule.plans[virtual_rank(g, root, n)].rounds;
-                let Some(r) = plan.get(round[g]) else {
+                let Some(i) = plan.rounds(g).nth(round[g]) else {
                     continue;
                 };
-                let (sends, recvs) = steps.round(g, round[g]).expect("the tables hold the round");
+                let ((sends, recvs), lens) = (plan.schedule.round(i), plan.lens(i));
                 if !sent[g] {
-                    for (s, &(to, len)) in r.sends.iter().zip(sends) {
-                        let bytes = states[g].payload(&s.what);
+                    for (s, &len) in sends.iter().zip(lens) {
+                        let bytes = states[g].payload(s.what);
                         assert_eq!(bytes.len() as u64, len, "{label}: rank {g} {:?}", s.what);
-                        wires[to as usize][g].push_back(bytes);
+                        wires[plan.peer(s.to)][g].push_back(bytes);
                         checked += 1;
                     }
                     sent[g] = true;
                     progressed = true;
                 }
-                while let Some(&from) = recvs.get(next_recv[g]) {
-                    let Some(bytes) = wires[g][from as usize].pop_front() else {
+                while let Some(r) = recvs.get(next_recv[g]) {
+                    let Some(bytes) = wires[g][plan.peer(r.from)].pop_front() else {
                         break;
                     };
-                    states[g].apply(&r.recvs[next_recv[g]].what, &bytes, ctx.reduction);
+                    states[g].apply(r.what, &bytes, ctx.reduction);
                     next_recv[g] += 1;
                     progressed = true;
                 }
@@ -1258,7 +1226,7 @@ mod tests {
             for op in CollOp::all() {
                 for alg in algorithms_for(op, n) {
                     let s = build(op, alg, n).unwrap();
-                    if Steps::quotient(&s, lengths).is_some() {
+                    if Plan::quotient(&s, lengths).is_some() {
                         shapes.push((op, alg));
                     }
                 }
@@ -1285,37 +1253,38 @@ mod tests {
     }
 
     #[test]
+    fn the_quotient_refuses_a_round_of_unequal_sends() {
+        use crate::schedule::{BlockRange, RecvWhat, SendWhat};
+        // A permutation in its one round, over equal contributions, but
+        // rank 1 sends two blocks where rank 0 sends one.
+        let range = |v: usize| BlockRange {
+            first: v as u32,
+            count: v as u32 + 1,
+        };
+        let s = Builder::plan(CollOp::Allgather, Algorithm::Dissemination, 2, |b, v| {
+            b.round()
+                .send(1 - v, SendWhat::Blocks(range(v)))
+                .recv(1 - v, RecvWhat::Blocks(range(1 - v)));
+        });
+        assert_eq!(s.permutation_depth(), Some(1));
+        assert!(Plan::quotient(&s, &[8, 8]).is_none());
+    }
+
+    #[test]
     #[should_panic(expected = "left unmatched sends or receives")]
     fn a_skewed_schedule_steps_into_its_deadlock() {
-        use crate::schedule::{RecvStep, RecvWhat, SendStep, SendWhat};
+        use crate::schedule::{RecvWhat, SendWhat};
         // One send and one receive per round, but each rank waits in
         // round 0 for what its peer sends in round 1: every pair matches
         // and nobody finishes. A quotient would finish it.
-        let n = 3u32;
-        let token_round = |to: u32, from: u32| Round {
-            sends: vec![SendStep {
-                to,
-                what: SendWhat::Token,
-            }],
-            recvs: vec![RecvStep {
-                from,
-                what: RecvWhat::Token,
-            }],
-        };
-        let plans = (0..n)
-            .map(|v| RankPlan {
-                rounds: vec![
-                    token_round((v + 1) % n, (v + 1) % n),
-                    token_round((v + 2) % n, (v + 2) % n),
-                ],
-            })
-            .collect();
-        let s = Schedule {
-            op: CollOp::Barrier,
-            algorithm: Algorithm::Dissemination,
-            nranks: n as usize,
-            plans,
-        };
+        let s = Builder::plan(CollOp::Barrier, Algorithm::Dissemination, 3, |b, v| {
+            for hop in [1, 2] {
+                let peer = (v + hop) % 3;
+                b.round()
+                    .send(peer, SendWhat::Token)
+                    .recv(peer, RecvWhat::Token);
+            }
+        });
         assert_eq!(s.validate(), Ok(()));
         let spec = hwmodel::presets::pcs_ga620();
         let profile = mpsim::libs::mpich(Default::default()).profile;

@@ -72,20 +72,23 @@ impl RankState {
     /// Materialize the outgoing bytes for a send step. A single block
     /// travels raw; several are framed with [`crate::op::pack_blocks`].
     /// [`crate::op::send_len`] gives the same length without the bytes.
-    pub fn payload(&self, what: &SendWhat) -> Vec<u8> {
+    /// A range wraps at the block table's length: the rank count for an
+    /// allgather, and its one slot for a bcast.
+    pub fn payload(&self, what: SendWhat) -> Vec<u8> {
         match what {
             SendWhat::Token => Vec::new(),
             SendWhat::Acc => self.acc.clone(),
-            SendWhat::Blocks(idxs) => match idxs.as_slice() {
-                [only] => self.block(*only).to_vec(),
-                _ => pack_blocks(&idxs.iter().map(|&i| self.block(i)).collect::<Vec<_>>()),
-            },
+            SendWhat::Blocks(range) if range.count == 1 => self.block(range.first).to_vec(),
+            SendWhat::Blocks(range) => {
+                let slots = range.slots(self.blocks.len());
+                pack_blocks(&slots.map(|i| self.block(i)).collect::<Vec<_>>())
+            }
         }
     }
 
     /// Fold arriving `bytes` into this rank's state per the recv step.
     /// `reduction` must be `Some` whenever the step is `CombineAcc`.
-    pub fn apply(&mut self, what: &RecvWhat, bytes: &[u8], reduction: Option<Reduction>) {
+    pub fn apply(&mut self, what: RecvWhat, bytes: &[u8], reduction: Option<Reduction>) {
         match what {
             RecvWhat::Token => {
                 assert!(
@@ -106,13 +109,13 @@ impl RankState {
                 self.acc.clear();
                 self.acc.extend_from_slice(bytes);
             }
-            RecvWhat::Blocks(idxs) => {
-                if let [only] = idxs.as_slice() {
-                    self.store_block(*only, bytes.to_vec());
-                } else {
-                    for (idx, part) in idxs.iter().zip(unpack_blocks(bytes, idxs.len())) {
-                        self.store_block(*idx, part);
-                    }
+            RecvWhat::Blocks(range) if range.count == 1 => {
+                self.store_block(range.first, bytes.to_vec());
+            }
+            RecvWhat::Blocks(range) => {
+                let parts = unpack_blocks(bytes, range.count as usize);
+                for (idx, part) in range.slots(self.blocks.len()).zip(parts) {
+                    self.store_block(idx, part);
                 }
             }
         }
@@ -188,12 +191,18 @@ impl RankState {
 mod tests {
     use super::*;
 
+    use crate::schedule::BlockRange;
+
+    fn range(first: u32, count: u32) -> BlockRange {
+        BlockRange { first, count }
+    }
+
     #[test]
     fn allgather_state_roundtrips_blocks() {
         let mut s = RankState::init(CollOp::Allgather, 3, 1, b"one");
-        assert_eq!(s.payload(&SendWhat::Blocks(vec![1])), b"one");
-        s.apply(&RecvWhat::Blocks(vec![0]), b"zero", None);
-        s.apply(&RecvWhat::Blocks(vec![2]), b"two", None);
+        assert_eq!(s.payload(SendWhat::Blocks(range(1, 1))), b"one");
+        s.apply(RecvWhat::Blocks(range(0, 1)), b"zero", None);
+        s.apply(RecvWhat::Blocks(range(2, 1)), b"two", None);
         let out = s.into_output(CollOp::Allgather, 1);
         assert_eq!(
             out.blocks,
@@ -204,11 +213,11 @@ mod tests {
     #[test]
     fn multi_block_payload_frames_and_unframes() {
         let mut a = RankState::init(CollOp::Allgather, 4, 2, b"cc");
-        a.apply(&RecvWhat::Blocks(vec![3]), b"ddd", None);
-        let framed = a.payload(&SendWhat::Blocks(vec![2, 3]));
+        a.apply(RecvWhat::Blocks(range(3, 1)), b"ddd", None);
+        let framed = a.payload(SendWhat::Blocks(range(2, 2)));
         let mut b = RankState::init(CollOp::Allgather, 4, 0, b"a");
-        b.apply(&RecvWhat::Blocks(vec![2, 3]), &framed, None);
-        assert_eq!(b.payload(&SendWhat::Blocks(vec![3])), b"ddd");
+        b.apply(RecvWhat::Blocks(range(2, 2)), &framed, None);
+        assert_eq!(b.payload(SendWhat::Blocks(range(3, 1))), b"ddd");
     }
 
     #[test]
@@ -218,7 +227,7 @@ mod tests {
             op: ReduceOp::Sum,
         };
         let mut s = RankState::init(CollOp::Reduce, 2, 0, &5u64.to_le_bytes());
-        s.apply(&RecvWhat::CombineAcc, &7u64.to_le_bytes(), Some(r));
+        s.apply(RecvWhat::CombineAcc, &7u64.to_le_bytes(), Some(r));
         let out = s.into_output(CollOp::Reduce, 0);
         assert_eq!(out.acc, 12u64.to_le_bytes());
     }

@@ -12,11 +12,11 @@
 //!   writer queue — never the sockets.
 //!
 //! Failure semantics: teardown is announced. `Drop` sends a `FIN`
-//! control message ([`FIN_TAG`]) to every peer before closing sockets,
+//! control message (`FIN_TAG`) to every peer before closing sockets,
 //! so a clean EOF *with* a prior FIN is a normal end of job, while an
 //! EOF *without* one is an unannounced death — the reader marks the
 //! peer dead, poisons the matching engine, and broadcasts a `POISON`
-//! control message ([`POISON_TAG`], payload: the dead rank) so
+//! control message (`POISON_TAG`, payload: the dead rank) so
 //! survivors that never talk to the dead rank learn the verdict too.
 //! Collective receives additionally run under a per-round deadline
 //! ([`Comm::set_coll_deadline`]); a peer that stays connected but stops

@@ -201,7 +201,7 @@ pub type Net = Engine<Fabric, NetEvent>;
 /// plain data (8 bytes: a two-node fabric opens a handful of
 /// connections), so the queue record stays at 32 bytes. A delivery event
 /// stands for the front of its direction's delivery cursor
-/// ([`crate::train`]), queued under the sequence number reserved for it.
+/// (the `train` module), queued under the sequence number reserved for it.
 /// Per-message continuations remain [`Continuation`] closures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetEvent {
@@ -226,13 +226,13 @@ pub enum NetEvent {
         /// Sending endpoint.
         dir: u8,
     },
-    /// A message's completion continuation is due (see [`resume_at`]).
+    /// A message's completion continuation is due (see `resume_at`).
     Resume {
         /// Where the fabric holds the continuation.
         slot: u32,
     },
     /// A message train part that is not its train's last completed: a
-    /// counted event that runs nothing (see [`Done::Silent`]).
+    /// counted event that runs nothing (see `Done::Silent`).
     Silent {
         /// Connection index.
         conn: u16,

@@ -37,21 +37,29 @@ const FIGURES_EVENTS: u64 = 5_920_774;
 /// Allocations of `time_sim`, 1 KiB allreduce at 64 ranks, summed over
 /// both library profiles and the three algorithms; recursive doubling
 /// is symmetric, so it runs on its two-rank quotient.
-const COLL_SIM_CEILING: u64 = 716;
+const COLL_SIM_CEILING: u64 = 462;
 /// Allocations of one `time_sim` 1 KiB recursive-doubling allreduce at
 /// 1 024 ranks. The schedule is symmetric, so it is timed on its
 /// two-rank quotient: a two-node world and a few per-rank vectors, a
 /// constant count whatever the rank count.
-const COLL_SIM_1024_CEILING: u64 = 30;
+const COLL_SIM_1024_CEILING: u64 = 29;
 /// Allocations of the same allreduce stepped rank by rank, as a trace
-/// sink makes it run: per-rank set-up only, since a message carries a
-/// length, not bytes, and once its slots are warm allocates nothing.
-const COLL_SIM_1024_STEPPED_CEILING: u64 = 2_112;
+/// sink makes it run: set-up only, about one matching queue per rank,
+/// since a message carries a length, not bytes, and once its slots are
+/// warm allocates nothing.
+const COLL_SIM_1024_STEPPED_CEILING: u64 = 1_089;
 /// Allocations of one `time_sim` dissemination barrier at 4 096 ranks,
 /// timed on its two-rank quotient. Stepping gives each rank its own
-/// receive buffer, so a stepped run cannot fit under this ceiling.
-const BARRIER_4096_CEILING: u64 = 30;
+/// matching queue, so a stepped run cannot fit under this ceiling.
+const BARRIER_4096_CEILING: u64 = 29;
 const _: () = assert!(BARRIER_4096_CEILING < 4096);
+/// Allocations of one `build` each, at 1 024 ranks, of the three
+/// `coll_scaling` allreduce shapes, the dissemination barrier and the
+/// Bruck allgather. A planner writes four flat tables, sized exactly
+/// by a counting pass, so a schedule costs four allocations whatever
+/// its rank count, and one allocation per rank cannot fit.
+const BUILD_1024_CEILING: u64 = 20;
+const _: () = assert!(BUILD_1024_CEILING < 1024);
 /// Allocations of `run_local` on the same three schedules.
 const COLL_LOCAL_CEILING: u64 = 1_662;
 /// Allocations of 1 000 64 B and 4 1 MiB frame round trips.
@@ -298,6 +306,36 @@ fn stepped_allreduce_at_1024_ranks_stays_under_its_ceiling() {
         count,
         COLL_SIM_1024_STEPPED_CEILING,
         (events, "event"),
+    );
+}
+
+/// Every planner the 1 024-rank gates above time, plus the Bruck
+/// allgather, whose block lists are the widest: building a schedule
+/// allocates nothing per rank, per round or per step.
+#[test]
+fn builds_at_1024_ranks_stay_under_their_ceiling() {
+    const SHAPES: [(CollOp, Algorithm); 5] = [
+        (CollOp::Allreduce, Algorithm::Tree),
+        (CollOp::Allreduce, Algorithm::RecursiveDoubling),
+        (CollOp::Allreduce, Algorithm::Ring),
+        (CollOp::Barrier, Algorithm::Dissemination),
+        (CollOp::Allgather, Algorithm::Dissemination),
+    ];
+    let build = || {
+        let mut messages = 0;
+        for (op, algorithm) in SHAPES {
+            let schedule = collectives::build(op, algorithm, 1024).expect("the planner covers it");
+            messages += schedule.total_messages() as u64;
+        }
+        messages
+    };
+    build();
+    let (count, messages) = allocations(build);
+    gate(
+        "1024-rank builds",
+        count,
+        BUILD_1024_CEILING,
+        (messages, "message"),
     );
 }
 

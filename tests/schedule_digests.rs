@@ -24,7 +24,7 @@ fn rank_counts() -> impl Iterator<Item = usize> {
 
 /// Rounds of virtual rank `v`.
 fn rounds_of(schedule: &Schedule, v: usize) -> usize {
-    schedule.plans[v].rounds.len()
+    schedule.rounds(v).len()
 }
 
 fn digests() -> String {
