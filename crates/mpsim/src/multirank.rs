@@ -23,8 +23,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use faultlab::DegradeWindow;
-use protosim::multinode::{self, MultiEngine, MultiEvent, Upper};
-use protosim::Slots;
+use protosim::multinode::{self, MultiEngine, MultiEvent, MultiNet};
+use protosim::{Slots, Upper};
 use simcore::SimDuration;
 
 use crate::profile::LibProfile;
@@ -306,7 +306,7 @@ struct Closures {
     boxes: RefCell<Mailboxes<RecvContinuation>>,
 }
 
-impl Upper for Closures {
+impl Upper<MultiNet, MultiEvent> for Closures {
     fn dispatch(&self, eng: &mut MultiEngine, ev: MultiEvent) {
         let done = match ev {
             MultiEvent::SendReady { msg } => {

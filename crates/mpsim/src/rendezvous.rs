@@ -3,11 +3,12 @@
 //! Above the library's rendezvous threshold a send is three moves —
 //! request-to-send over the transport, clear-to-send back, then the
 //! payload (§3 of the paper; every TCP library and the GM long-message
-//! path share the shape). [`Session`](crate::Session) threads the
-//! sender typestate through its continuation chain so the RTS→CTS→data
-//! order is pinned at compile time, and `send_while_receiver_busy`
-//! drives the receiver role (the CTS cannot leave a busy receiver until
-//! it re-enters the library — the paper's §7 overlap story).
+//! path share the shape). [`Session`](crate::Session) holds the sender
+//! typestate token in each message's record, one phase per state, so
+//! the RTS→CTS→data order is pinned at compile time, and
+//! `send_while_receiver_busy` drives the receiver role the same way
+//! (the CTS cannot leave a busy receiver until it re-enters the library
+//! — the paper's §7 overlap story).
 //!
 //! The two roles are declared dual: every message one side sends the
 //! other receives, or the crate does not build.

@@ -17,6 +17,7 @@ use hwmodel::ClusterSpec;
 use simcore::{Engine, Event, Resource, SimDuration, SimTime};
 
 use crate::fabric::Slots;
+use crate::{Bound, Upper};
 
 /// One node's runtime resources.
 pub struct Node {
@@ -44,7 +45,7 @@ pub struct MultiNet {
     /// Completions of the messages [`send`] carries.
     calls: Slots<MultiContinuation>,
     /// The layers above the fabric, once one is bound.
-    upper: Option<Rc<dyn Upper>>,
+    upper: Bound<MultiNet, MultiEvent>,
 }
 
 /// Engine alias for multi-node simulations.
@@ -120,16 +121,6 @@ pub enum MultiEvent {
     },
 }
 
-/// The layers above the fabric, bound to one engine with
-/// [`MultiNet::bind`]: every [`MultiEvent`] past the fabric's own is
-/// handed to it. Its state is its own (interior mutability); the fabric
-/// holds a counted reference, so a layer may schedule events, send
-/// messages and call back into itself through the engine it is given.
-pub trait Upper {
-    /// Run one of the layer's events.
-    fn dispatch(&self, eng: &mut MultiEngine, ev: MultiEvent);
-}
-
 /// One message crossing the switch.
 struct Flight {
     to: u32,
@@ -159,25 +150,11 @@ impl Event<MultiNet> for MultiEvent {
             }
             MultiEvent::Landed { .. } => {
                 eng.world.delivered += 1;
-                upper(eng).dispatch(eng, self);
+                eng.world.upper.layer().dispatch(eng, self);
             }
-            _ => upper(eng).dispatch(eng, self),
+            _ => eng.world.upper.layer().dispatch(eng, self),
         }
     }
-}
-
-/// The bound layer, counted once more for the call it runs.
-fn upper(eng: &MultiEngine) -> Rc<dyn Upper> {
-    #[expect(
-        clippy::expect_used,
-        reason = "only a bound layer schedules its own events or transmits its messages"
-    )]
-    let up = eng
-        .world
-        .upper
-        .as_ref()
-        .expect("no layer is bound above the fabric");
-    Rc::clone(up)
 }
 
 impl MultiNet {
@@ -206,7 +183,7 @@ impl MultiNet {
             delivered: 0,
             flights: Slots::default(),
             calls: Slots::default(),
-            upper: None,
+            upper: Bound::default(),
         }
     }
 
@@ -218,14 +195,8 @@ impl MultiNet {
     /// Bind `layer` above the fabric: it receives every event past the
     /// fabric's own. Binding the layer already bound is a no-op; one
     /// engine carries one layer.
-    pub fn bind(&mut self, layer: Rc<dyn Upper>) {
-        match &self.upper {
-            Some(bound) => assert!(
-                std::ptr::addr_eq(Rc::as_ptr(bound), Rc::as_ptr(&layer)),
-                "a different layer is already bound above this fabric"
-            ),
-            None => self.upper = Some(layer),
-        }
+    pub fn bind(&mut self, layer: Rc<dyn Upper<MultiNet, MultiEvent>>) {
+        self.upper.bind(layer);
     }
 }
 
@@ -366,7 +337,7 @@ impl Halo {
     }
 }
 
-impl Upper for Halo {
+impl Upper<MultiNet, MultiEvent> for Halo {
     fn dispatch(&self, eng: &mut MultiEngine, ev: MultiEvent) {
         match ev {
             MultiEvent::StartRound { rank } => {

@@ -155,7 +155,8 @@ fn as_raw(conn: &mut Conn) -> &mut RawConn {
 /// Send `bytes` from endpoint `from`. No window: the fabric's hardware
 /// flow control never limits a two-node ping-pong.
 pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: Continuation) {
-    submit(eng, conn, from, bytes, Done::Call(on_delivered));
+    let done = eng.world.call(on_delivered);
+    submit(eng, conn, from, bytes, done);
 }
 
 /// [`send`], completing with `done`.

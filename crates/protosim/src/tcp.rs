@@ -228,7 +228,8 @@ pub fn open_default(fabric: &mut Fabric) -> ConnId {
 /// Queue `bytes` from endpoint `from`; `on_delivered` fires when the
 /// receiving process returns from its final `recv()`.
 pub fn send(eng: &mut Net, conn: ConnId, from: usize, bytes: u64, on_delivered: Continuation) {
-    submit(eng, conn, from, bytes, Done::Call(on_delivered));
+    let done = eng.world.call(on_delivered);
+    submit(eng, conn, from, bytes, done);
 }
 
 /// [`send`], completing with `done`.
@@ -1292,7 +1293,8 @@ mod tests {
         for _ in 0..9 {
             submit(&mut eng, conn, 0, 4080, Done::Silent);
         }
-        submit(&mut eng, conn, 0, 4079, Done::Call(Box::new(|_| {})));
+        let done = eng.world.call(Box::new(|_| {}));
+        submit(&mut eng, conn, 0, 4079, done);
         let tcp = tcp_mut(&mut eng.world, conn);
         // The window took four parts; the fifth is untouched.
         let progress = |tcp: &TcpConn| -> Vec<(u64, u64, bool)> {

@@ -303,10 +303,9 @@ impl<W, E: Event<W>> Engine<W, E> {
     where
         F: FnOnce(&mut Engine<W, E>) + 'static,
     {
-        // The closure arm boxes; per-segment events are typed data
-        // (schedule_event_at), per-message continuations stay closures
-        // until the two-rank and N-rank worlds share one typed event
-        // vocabulary.
+        // The closure arm boxes. Both simulated worlds move their
+        // segments and message phases as typed data (schedule_event_at);
+        // this arm is for callers that hand the engine a closure.
         let f: EventFn<W, E> = Box::new(f);
         self.push(t, Payload::Call(f));
     }

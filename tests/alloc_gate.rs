@@ -25,15 +25,25 @@ use collectives::{time_sim, Algorithm, CollOp, Dtype, ExecCtx, ReduceOp, Reducti
 use hwmodel::kernel::linux_2_4;
 use hwmodel::presets::pcs_ga620;
 use mplite::frame::{build_header, FrameDecoder, DEFAULT_MAX_MESSAGE, WIRE_V2};
-use mpsim::libs::{mp_lite, mpich, MpichConfig};
+use mpsim::libs::{lammpi, mp_lite, mpich, pvm, LamConfig, MpichConfig, PvmConfig};
+use mpsim::Session;
 use netpipe::{RunOptions, SimDriver};
+use protosim::Fabric;
 use simcore::trace::{SharedSink, SpanRec, TraceSink};
 
 /// Allocations of one `figures` pass: all 61 curves.
-const FIGURES_CEILING: u64 = 595_380;
+const FIGURES_CEILING: u64 = 136_234;
 /// Events one `figures` pass executes (CI's exact
 /// `simcore.events_per_pass.figures` rung), for the per-event ratio.
 const FIGURES_EVENTS: u64 = 5_920_774;
+/// Allocations of one 1 MiB round trip each of daemon-routed PVM (the
+/// pvmd stop-and-wait relay) and LAM under `-lamd` (the pipelined lamd
+/// relay), fresh engine and session included, as `SimDriver` runs a
+/// point. The relays move 516 and 256 fragments, but a message is one
+/// record moved by typed events, so one allocation per fragment cannot
+/// fit.
+const DAEMON_1MIB_CEILING: u64 = 39;
+const _: () = assert!(DAEMON_1MIB_CEILING < 256);
 /// Allocations of `time_sim`, 1 KiB allreduce at 64 ranks, summed over
 /// both library profiles and the three algorithms; recursive doubling
 /// is symmetric, so it runs on its two-rank quotient.
@@ -159,6 +169,50 @@ fn figures_pass_stays_under_its_ceiling() {
         count,
         FIGURES_CEILING,
         (FIGURES_EVENTS, "event"),
+    );
+}
+
+/// The daemon relays, one 1 MiB round trip each: what `figures` spends
+/// most of its events on, per message.
+#[test]
+fn daemon_round_trips_stay_under_their_ceiling() {
+    let libs = [
+        pvm(PvmConfig {
+            direct_route: false,
+            ..PvmConfig::default()
+        }),
+        lammpi(LamConfig {
+            use_lamd: true,
+            ..LamConfig::tuned()
+        }),
+    ];
+    let trips = || {
+        let mut events = 0;
+        for lib in &libs {
+            let mut eng = Fabric::engine(pcs_ga620());
+            let session = Session::establish(&mut eng.world, lib);
+            let done = Rc::new(Cell::new(false));
+            let d = Rc::clone(&done);
+            mpsim::pingpong(
+                &session,
+                &mut eng,
+                1 << 20,
+                1,
+                Box::new(move |_, _| d.set(true)),
+            );
+            eng.run();
+            assert!(done.get(), "a daemon round trip completes");
+            events += eng.events_executed();
+        }
+        events
+    };
+    trips();
+    let (count, events) = allocations(trips);
+    gate(
+        "1 MiB daemon round trips",
+        count,
+        DAEMON_1MIB_CEILING,
+        (events, "event"),
     );
 }
 
