@@ -152,9 +152,10 @@ fn local_pipe_monotone() {
             let conn = local::open(&mut eng.world, 0);
             let out = Rc::new(std::cell::Cell::new(None));
             let o = Rc::clone(&out);
-            local::send(
+            protosim::send(
                 &mut eng,
                 conn,
+                0,
                 bytes,
                 Box::new(move |e| o.set(Some(e.now().as_secs_f64()))),
             );
@@ -176,7 +177,7 @@ use hwmodel::presets::{
     ds20s_syskonnect_jumbo, pcs_ga620_dual, pcs_giganet, pcs_mvia_syskonnect,
     pcs_trendnet as trendnet,
 };
-use protosim::{instrument, ConnId, Net};
+use protosim::{instrument, ConnId, Net, NetEvent, Upper};
 use simcore::trace::{SpanRec, TraceSink};
 use simcore::{SimDuration, SimTime};
 
@@ -189,6 +190,18 @@ impl TraceSink for Ticks {
     fn span(&self, _: SpanRec) {}
     fn event_dispatched(&self, at: SimTime) {
         self.0.borrow_mut().push(at);
+    }
+}
+
+/// The layer a run binds above its fabric: a train's last part completes
+/// with the event that carries the train's index, logged at its instant.
+struct Log(Rc<RefCell<Vec<(usize, SimTime)>>>);
+
+impl Upper<Fabric, NetEvent> for Log {
+    fn dispatch(&self, eng: &mut Net, ev: NetEvent) {
+        if let NetEvent::Upper { msg, .. } = ev {
+            self.0.borrow_mut().push((msg as usize, eng.now()));
+        }
     }
 }
 
@@ -429,10 +442,9 @@ impl Run {
                 });
             }
         }
+        eng.world.bind(Rc::new(Log(Rc::clone(&done))));
         for (j, tr) in sc.trains.iter().enumerate() {
-            let (i, conn, done) = (sc.sends.len() + j, conns[tr.conn], Rc::clone(&done));
-            let on_done: protosim::Continuation =
-                Box::new(move |e: &mut Net| done.borrow_mut().push((i, e.now())));
+            let (i, conn) = (sc.sends.len() + j, conns[tr.conn]);
             let tr = tr.clone();
             let launch = move |e: &mut Net| {
                 let train = protosim::Train {
@@ -441,7 +453,7 @@ impl Run {
                     part: tr.part,
                     bytes: tr.bytes,
                 };
-                protosim::send_train(e, conn, tr.from, train, on_done);
+                protosim::transmit_train(e, conn, tr.from, train, i as u32, 0);
             };
             if tr.at == 0 {
                 launch(&mut eng);
@@ -585,17 +597,17 @@ fn three_ways(sc: &Scenario, rng: &mut SimRng) -> (u64, u64) {
 fn a_long_fragment_stream_is_mostly_skipped() {
     let mut eng = Fabric::engine(pcs_ga620());
     let conn = tcp::open(&mut eng.world, TcpParams::with_bufs(kib(64)));
-    let done = Rc::new(Cell::new(false));
-    let flag = Rc::clone(&done);
+    let done = Rc::default();
+    eng.world.bind(Rc::new(Log(Rc::clone(&done))));
     let train = protosim::Train {
         t0: SimTime::ZERO,
         spacing: SimDuration::ZERO,
         part: 4080,
         bytes: 8 << 20,
     };
-    protosim::send_train(&mut eng, conn, 0, train, Box::new(move |_| flag.set(true)));
+    protosim::transmit_train(&mut eng, conn, 0, train, 0, 0);
     eng.run();
-    assert!(done.get());
+    assert_eq!(done.borrow().len(), 1);
     let queued = eng.events_executed() - eng.events_in_place();
     assert!(
         queued * 20 < eng.events_executed(),

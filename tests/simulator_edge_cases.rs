@@ -305,7 +305,7 @@ fn window_classes_bypass_and_daemon_relay_are_pinned() {
     );
 
     // One PVM round trip through both pvmd daemons (stop-and-wait
-    // fragments, local pipes, acks): the closure-driven relay path.
+    // fragments, local pipes, acks): the session's typed relay steps.
     let relay = same_when_stepped(discard, |sink| {
         let mut eng = engine(pcs_ga620(), sink);
         let session = Session::establish(&mut eng.world, &pvm(PvmConfig::default()));
@@ -412,8 +412,8 @@ fn pvm_fragment_trains_are_pinned() {
     };
     // The direct curve's 4080-byte fragments are one message train a
     // period at a time; the queued count is exact, so a skip that stops
-    // engaging shows here first. The daemon-relayed curve is
-    // closure-bound and barely touched by either.
+    // engaging shows here first. The daemon-relayed curve steps every
+    // relay hop as an event of its own and is barely touched by either.
     assert_eq!(t1_curve("PVM (direct)"), (196_300, 17_006));
     assert_eq!(t1_curve("PVM (via pvmd)"), (392_540, 314_424));
 }
