@@ -3,124 +3,6 @@
 //!
 //! Usage: `cargo run --release -p bench --bin experiments_md > EXPERIMENTS.md`
 
-use std::fmt::Write as _;
-
-use clusterlab::{all_experiments, checks_for, compare, evaluate, run_experiment, to_markdown};
-
 fn main() {
-    let opts = bench::full_options();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# EXPERIMENTS — paper vs measured\n\n\
-         Reproduction of *Protocol-Dependent Message-Passing Performance on\n\
-         Linux Clusters* (Turner & Chen, IEEE CLUSTER 2002). Every figure and\n\
-         narrative table of the paper's evaluation, regenerated on the\n\
-         simulated testbed (see DESIGN.md for the substitution rationale and\n\
-         calibration). `ratio` is measured/paper plateau throughput (the\n\
-         measured value is the 8 MB point the shape checks read); values the\n\
-         scraped paper text truncated are marked (†) and reconstructed in\n\
-         DESIGN.md. Shape checks are the machine-checked reproduction\n\
-         criteria from `clusterlab::calibration` (also enforced by\n\
-         `cargo test -p clusterlab`).\n\n\
-         Regenerate with `cargo run --release -p bench --bin experiments_md`.\n"
-    );
-
-    let mut total = 0usize;
-    let mut passed = 0usize;
-    for exp in all_experiments() {
-        let res = run_experiment(&exp, &opts);
-        let rows = compare(&exp, &res);
-        let _ = writeln!(
-            out,
-            "{}",
-            to_markdown(&format!("{} — {}", exp.id, exp.title), &rows)
-        );
-        let _ = writeln!(out, "Shape checks:\n");
-        for c in evaluate(&res, &checks_for(exp.id)) {
-            total += 1;
-            if c.pass {
-                passed += 1;
-            }
-            let _ = writeln!(
-                out,
-                "- [{}] {} (measured {:.2})",
-                if c.pass { "x" } else { " " },
-                c.desc,
-                c.measured
-            );
-        }
-        let _ = writeln!(out);
-    }
-
-    let _ = writeln!(
-        out,
-        "## Extension: §7 computation/communication overlap\n\n\
-         The paper predicts, without measuring, that progress-thread\n\
-         (MPI/Pro) and SIGIO-driven (MP_Lite) libraries \"will keep data\n\
-         flowing more readily\" inside real applications. Measured here: a\n\
-         1 MB transfer against 20 ms of receiver computation on the fig-1\n\
-         cluster.\n"
-    );
-    let _ = writeln!(
-        out,
-        "{}",
-        clusterlab::overlap::to_markdown(&clusterlab::section7_panel())
-    );
-
-    // Extension: channel bonding (the authors' MP_Lite companion feature).
-    {
-        use hwmodel::presets::{pcs_fast_ethernet_dual, pcs_ga620_dual};
-        use mpsim::libs::{mp_lite, mp_lite_bonded};
-        use netpipe::{run, SimDriver};
-        let _ = writeln!(
-            out,
-            "## Extension: MP_Lite channel bonding\n\n\
-             Striping each large message across two NICs (the MP_Lite\n\
-             companion-paper feature). Dual Fast Ethernet doubles; dual GigE\n\
-             is bound by the shared 32-bit PCI bus.\n\n\
-             | configuration | single NIC (Mbps) | 2-way bonded (Mbps) | speedup |\n|---|---:|---:|---:|"
-        );
-        for (label, spec) in [
-            ("dual Fast Ethernet", pcs_fast_ethernet_dual()),
-            ("dual Netgear GA620 GigE", pcs_ga620_dual()),
-        ] {
-            let kernel = spec.kernel.clone();
-            let single = run(&mut SimDriver::new(spec.clone(), mp_lite(&kernel)), &opts)
-                .unwrap()
-                .final_mbps();
-            let bonded = run(
-                &mut SimDriver::new(spec.clone(), mp_lite_bonded(&kernel, 2)),
-                &opts,
-            )
-            .unwrap()
-            .final_mbps();
-            let _ = writeln!(
-                out,
-                "| {label} | {single:.0} | {bonded:.0} | {:.2}x |",
-                bonded / single
-            );
-        }
-        let _ = writeln!(out);
-    }
-
-    // Extension: where the time goes (§1's question, per configuration).
-    {
-        use clusterlab::measure_breakdown;
-        use hwmodel::presets::pcs_ga620;
-        use mpsim::libs::{mpich, raw_tcp, MpichConfig};
-        let _ = writeln!(
-            out,
-            "## Extension: per-stage busy time (§1: \"identify where the performance is being lost\")\n\n\
-             Bottleneck stage for a 4 MB transfer on the fig-1 cluster:\n\n```"
-        );
-        for lib in [raw_tcp(512 * 1024), mpich(MpichConfig::tuned())] {
-            let b = measure_breakdown(&pcs_ga620(), &lib, 4 << 20);
-            let _ = write!(out, "{}", b.to_table());
-        }
-        let _ = writeln!(out, "```\n");
-    }
-
-    let _ = writeln!(out, "\n**Shape checks passed: {passed}/{total}.**");
-    print!("{out}");
+    print!("{}", bench::experiments_md());
 }

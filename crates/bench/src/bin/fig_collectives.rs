@@ -31,86 +31,13 @@
 use std::fs;
 use std::time::Instant;
 
-use bench::results_dir;
-use clusterlab::{
-    chaos_collective, recovery_smoke, scale_ranks, scale_sizes, CollConfig, CollCurve, CollPoint,
-};
+use bench::{results_dir, write_collective_pair};
+use clusterlab::{chaos_collective, recovery_smoke, CollConfig, CollCurve, CollPoint};
 use collectives::{Algorithm, CollOp};
 use faultlab::FaultPlan;
-use hwmodel::kernel::linux_2_4;
 use hwmodel::presets::pcs_ga620;
-use mpsim::libs::{mp_lite, mpich, MpichConfig};
-use mpsim::LibProfile;
+use mpsim::libs::{mpich, MpichConfig};
 use simcore::units::ns_to_us;
-
-/// The two library profiles the sweeps compare, labeled as in the
-/// ping-pong figures.
-fn profiles() -> Vec<(&'static str, LibProfile)> {
-    vec![
-        ("mpich-tuned", mpich(MpichConfig::tuned()).profile),
-        (
-            "mp-lite",
-            mp_lite(&linux_2_4().with_raised_sockbuf_max()).profile,
-        ),
-    ]
-}
-
-fn cfg(profile: LibProfile, algorithm: Algorithm, bytes: u64) -> CollConfig {
-    CollConfig {
-        spec: pcs_ga620(),
-        profile,
-        op: CollOp::Allreduce,
-        algorithm,
-        bytes,
-    }
-}
-
-/// Allreduce latency vs rank count (4 … 1024) at 1 KiB per rank.
-fn scaling_curves() -> Vec<CollCurve> {
-    let ranks = [4usize, 8, 16, 32, 64, 128, 256, 512, 1024];
-    let algorithms = [
-        Algorithm::Tree,
-        Algorithm::RecursiveDoubling,
-        Algorithm::Ring,
-    ];
-    let mut curves = Vec::new();
-    for (pname, profile) in profiles() {
-        for algorithm in algorithms {
-            let mut curve = scale_ranks(&cfg(profile.clone(), algorithm, 1024), &ranks);
-            curve.label = format!("{pname} {}", curve.label);
-            curves.push(curve);
-        }
-    }
-    curves
-}
-
-/// 16-rank allreduce latency vs per-rank payload, 64 B … 1 MiB.
-fn size_curves() -> Vec<CollCurve> {
-    let sizes: Vec<u64> = (6..=20).step_by(2).map(|p| 1u64 << p).collect();
-    let algorithms = [
-        Algorithm::Tree,
-        Algorithm::RecursiveDoubling,
-        Algorithm::Ring,
-    ];
-    let mut curves = Vec::new();
-    for (pname, profile) in profiles() {
-        for algorithm in algorithms {
-            let mut curve = scale_sizes(&cfg(profile.clone(), algorithm, 0), 16, &sizes);
-            curve.label = format!("{pname} {}", curve.label);
-            curves.push(curve);
-        }
-    }
-    curves
-}
-
-fn write_pair(stem: &str, title: &str, x_label: &str, curves: &[CollCurve]) {
-    let dir = results_dir();
-    let csv = clusterlab::collective::to_csv(curves);
-    let svg = clusterlab::collective::svg_figure(title, x_label, curves, 840, 520);
-    fs::write(dir.join(format!("{stem}.csv")), csv).expect("write csv");
-    fs::write(dir.join(format!("{stem}.svg")), svg).expect("write svg");
-    println!("wrote {stem}.csv and {stem}.svg under {}", dir.display());
-}
 
 /// Rounds per universe in the real sweep: enough to amortize the mesh
 /// setup (thread spawn + TCP connect) that one `Universe::run` pays.
@@ -213,7 +140,8 @@ fn main() {
             println!("wrote {out}");
         }
         Some("--real") => {
-            write_pair(
+            write_collective_pair(
+                &results_dir(),
                 "collective_real",
                 "Real in-process mplite collectives (wall clock, this machine)",
                 "ranks (log)",
@@ -223,19 +151,6 @@ fn main() {
         Some(other) => panic!(
             "unknown mode {other}; use --smoke OUT, --chaos PLAN, --recovery OUT, --real, or no args"
         ),
-        None => {
-            write_pair(
-                "collective_scaling",
-                "Allreduce latency vs rank count (1 KiB per rank, simulated GA-620)",
-                "ranks (log)",
-                &scaling_curves(),
-            );
-            write_pair(
-                "collective_sizes",
-                "16-rank allreduce latency vs payload (simulated GA-620)",
-                "bytes per rank (log)",
-                &size_curves(),
-            );
-        }
+        None => bench::write_collective_figures(&results_dir()),
     }
 }

@@ -17,10 +17,11 @@ fn main() {
         eprintln!("usage: figures all | <id>...   ids: {}", ids.join(" "));
         std::process::exit(2);
     }
+    let dir = bench::results_dir();
     let mut ok = true;
     for exp in &all {
         if args.iter().any(|a| a == "all" || a == exp.id) {
-            ok &= bench::regenerate(exp);
+            ok &= bench::regenerate(exp, &dir);
         }
     }
     std::process::exit(if ok { 0 } else { 1 });

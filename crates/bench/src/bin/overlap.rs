@@ -2,13 +2,6 @@
 //! progress model (in-call vs progress thread vs SIGIO vs kernel).
 
 fn main() {
-    let panel = clusterlab::section7_panel();
     println!("Computation/communication overlap (1 MB transfer vs 20 ms compute, GA620 cluster)\n");
-    println!("{}", clusterlab::overlap::to_markdown(&panel));
-    let dir = bench::results_dir();
-    std::fs::write(
-        dir.join("overlap.md"),
-        clusterlab::overlap::to_markdown(&panel),
-    )
-    .expect("write overlap.md");
+    println!("{}", bench::write_overlap(&bench::results_dir()));
 }
