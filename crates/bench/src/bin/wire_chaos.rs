@@ -18,8 +18,7 @@
 use std::fs;
 
 use faultlab::FaultPlan;
-use netpipe::driver::Driver;
-use netpipe::real_tcp::{RealTcpDriver, RealTcpOptions};
+use netpipe::{Driver, RealTcpDriver, RealTcpOptions};
 
 /// The CI chaos plan: every byte-fault clause fires, seeded. The stall
 /// is far below the deadline so it never converts into a timeout, and

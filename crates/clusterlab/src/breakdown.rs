@@ -26,16 +26,16 @@ pub struct StageBusy {
     /// Accumulated busy time.
     pub busy: SimDuration,
     /// Bytes the stage served.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// A transfer's complete stage accounting.
 #[derive(Debug, Clone)]
 pub struct Breakdown {
     /// Library measured.
-    pub name: String,
+    pub(crate) name: String,
     /// Message size, bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// One-way elapsed time, seconds.
     pub elapsed_s: f64,
     /// Per-stage busy times.
@@ -43,15 +43,6 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
-    /// The stage with the largest busy time — the bottleneck the paper
-    /// hunts per configuration.
-    pub fn bottleneck(&self) -> &StageBusy {
-        self.stages
-            .iter()
-            .max_by(|a, b| a.busy.cmp(&b.busy))
-            .expect("at least one stage")
-    }
-
     /// Busy share of `stage` relative to the elapsed time.
     pub fn share(&self, stage: &str) -> f64 {
         let busy = self
@@ -151,6 +142,15 @@ mod tests {
     use protosim::RecvMode;
     use simcore::units::{kib, mib};
 
+    /// The stage with the largest busy time: the bottleneck the paper
+    /// hunts per configuration.
+    fn bottleneck(b: &Breakdown) -> &StageBusy {
+        b.stages
+            .iter()
+            .max_by(|x, y| x.busy.cmp(&y.busy))
+            .expect("at least one stage")
+    }
+
     #[test]
     fn no_stage_exceeds_elapsed_time() {
         let b = measure_breakdown(&pcs_ga620(), &raw_tcp(kib(512)), mib(1));
@@ -179,7 +179,7 @@ mod tests {
         // The calibrated fig-1 story: the GA620's per-frame firmware cost
         // caps raw TCP, not the wire or the CPU.
         let b = measure_breakdown(&pcs_ga620(), &raw_tcp(kib(512)), mib(4));
-        assert!(b.bottleneck().stage.contains("nic"), "{}", b.to_table());
+        assert!(bottleneck(&b).stage.contains("nic"), "{}", b.to_table());
         assert!(b.share("host0 nic") > 0.8, "{}", b.to_table());
     }
 
@@ -210,7 +210,7 @@ mod tests {
         // co-saturated (the fig-4 calibration); the host CPU does almost
         // nothing and the wire has headroom — exactly the §5 picture.
         let b = measure_breakdown(&pcs_myrinet(), &raw_gm(RecvMode::Polling), mib(4));
-        let hot = b.bottleneck();
+        let hot = bottleneck(&b);
         assert!(
             hot.stage.contains("nic") || hot.stage.contains("pci"),
             "{}",

@@ -11,7 +11,7 @@ use crate::sweep::ExperimentResult;
 #[derive(Debug, Clone)]
 pub struct ComparisonRow {
     /// Library name.
-    pub name: String,
+    pub(crate) name: String,
     /// Paper's throughput, Mbps (if quoted): the plateau of its curve.
     pub paper_mbps: Option<f64>,
     /// Measured throughput at the largest message size, Mbps — the same
@@ -25,12 +25,12 @@ pub struct ComparisonRow {
     /// Measured latency, µs.
     pub measured_lat_us: f64,
     /// Source note.
-    pub note: &'static str,
+    pub(crate) note: &'static str,
 }
 
 impl ComparisonRow {
     /// measured/paper throughput ratio (NaN when the paper gives none).
-    pub fn mbps_ratio(&self) -> f64 {
+    pub(crate) fn mbps_ratio(&self) -> f64 {
         match self.paper_mbps {
             Some(p) if p > 0.0 => self.measured_mbps / p,
             _ => f64::NAN,

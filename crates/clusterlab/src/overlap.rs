@@ -24,9 +24,7 @@ use std::rc::Rc;
 #[derive(Debug, Clone)]
 pub struct OverlapPoint {
     /// Library name.
-    pub name: String,
-    /// Message size, bytes.
-    pub bytes: u64,
+    pub(crate) name: String,
     /// Receiver compute time, seconds.
     pub busy_s: f64,
     /// Transfer time with an idle receiver, seconds.
@@ -90,7 +88,6 @@ pub fn measure_overlap(
     };
     OverlapPoint {
         name: lib.name().to_string(),
-        bytes,
         busy_s: busy.as_secs_f64(),
         transfer_alone_s,
         total_s,
@@ -169,7 +166,6 @@ mod tests {
     fn efficiency_bounds() {
         let p = OverlapPoint {
             name: "x".into(),
-            bytes: 1,
             busy_s: 10e-3,
             transfer_alone_s: 10e-3,
             total_s: 10e-3,

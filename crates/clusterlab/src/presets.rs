@@ -21,13 +21,13 @@ use simcore::units::kib;
 
 /// What the paper reports for one curve (for the comparison table).
 #[derive(Debug, Clone, Default)]
-pub struct PaperValues {
+pub(crate) struct PaperValues {
     /// Large-message throughput the paper quotes, Mbps.
-    pub max_mbps: Option<f64>,
+    pub(crate) max_mbps: Option<f64>,
     /// Small-message latency the paper quotes, µs.
-    pub latency_us: Option<f64>,
+    pub(crate) latency_us: Option<f64>,
     /// Where in the paper the number comes from.
-    pub note: &'static str,
+    pub(crate) note: &'static str,
 }
 
 /// One measured curve within an experiment.
@@ -38,7 +38,7 @@ pub struct Entry {
     /// (e.g. fig. 4's GigE reference curve, fig. 5's M-VIA curves).
     pub spec_override: Option<ClusterSpec>,
     /// The paper's reported values.
-    pub paper: PaperValues,
+    pub(crate) paper: PaperValues,
 }
 
 impl Entry {
@@ -75,7 +75,7 @@ pub struct Experiment {
 /// ip_gm module crosses the kernel/GM boundary per packet, capping the
 /// stream well below native GM (the paper: "offers little more than TCP
 /// over Gigabit Ethernet on these systems").
-pub fn pcs_myrinet_ip() -> ClusterSpec {
+pub(crate) fn pcs_myrinet_ip() -> ClusterSpec {
     let mut spec = pcs_myrinet();
     spec.nic.driver_cap_bps = Some(simcore::units::mbps_to_bytes_per_sec(640.0));
     spec.name = "2x P4 PC, Myrinet PCI64A-2 (IP-over-GM driver)";
@@ -143,7 +143,7 @@ pub fn fig1() -> Experiment {
 }
 
 /// Figure 2: TrendNet TEG-PCITX copper GigE between PCs.
-pub fn fig2() -> Experiment {
+pub(crate) fn fig2() -> Experiment {
     let kernel = pcs_trendnet().kernel;
     Experiment {
         id: "fig2",
@@ -181,7 +181,7 @@ pub fn fig2() -> Experiment {
 }
 
 /// Figure 3: SysKonnect SK-9843 with 9000-byte jumbo frames between DS20s.
-pub fn fig3() -> Experiment {
+pub(crate) fn fig3() -> Experiment {
     let kernel = ds20s_syskonnect_jumbo().kernel;
     Experiment {
         id: "fig3",
@@ -214,7 +214,7 @@ pub fn fig3() -> Experiment {
 }
 
 /// Figure 4: Myrinet PCI64A-2 between PCs.
-pub fn fig4() -> Experiment {
+pub(crate) fn fig4() -> Experiment {
     Experiment {
         id: "fig4",
         title: "Message-passing performance across Myrinet PCI64A-2 cards between PCs",
@@ -280,9 +280,7 @@ pub fn fig5() -> Experiment {
 }
 
 /// Narrative table T1 (§4): each tuning knob's before→after effect.
-pub fn t1_tuning() -> Experiment {
-    let kernel = pcs_ga620().kernel;
-    let _ = kernel;
+pub(crate) fn t1_tuning() -> Experiment {
     Experiment {
         id: "t1_tuning",
         title: "Tuning effects: default vs optimized settings (paper §4 narrative)",
@@ -355,7 +353,7 @@ pub fn t1_tuning() -> Experiment {
 }
 
 /// Narrative table T2 (§4–§6): small-message latencies per configuration.
-pub fn t2_latency() -> Experiment {
+pub(crate) fn t2_latency() -> Experiment {
     Experiment {
         id: "t2_latency",
         title: "Small-message latencies across configurations (paper §4-§6 narrative)",
@@ -417,7 +415,7 @@ pub fn t2_latency() -> Experiment {
 }
 
 /// Narrative table T3 (§3–§6): rendezvous/RDMA threshold placement.
-pub fn t3_rendezvous() -> Experiment {
+pub(crate) fn t3_rendezvous() -> Experiment {
     Experiment {
         id: "t3_rendezvous",
         title: "Rendezvous-threshold dips: default vs tuned thresholds",
@@ -450,7 +448,7 @@ pub fn t3_rendezvous() -> Experiment {
 }
 
 /// Narrative table T4 (§2, §7): kernel and driver comparisons.
-pub fn t4_kernel_driver() -> Experiment {
+pub(crate) fn t4_kernel_driver() -> Experiment {
     let mut ga620_on_22 = pcs_ga620();
     ga620_on_22.kernel = hwmodel::presets::linux_2_2().with_raised_sockbuf_max();
     let mut ga622_new = ds20s_ga622();

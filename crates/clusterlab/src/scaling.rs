@@ -25,14 +25,14 @@ use simcore::units;
 #[derive(Debug, Clone)]
 pub struct AppModel {
     /// Total serial compute time of the whole problem per step, seconds.
-    pub serial_compute_s: f64,
+    pub(crate) serial_compute_s: f64,
     /// Total problem size in "cells"; halo per node = `cells_per_node^(2/3)
     /// * bytes_per_cell * neighbours`.
-    pub cells: f64,
+    pub(crate) cells: f64,
     /// Bytes exchanged per halo cell.
-    pub bytes_per_cell: f64,
+    pub(crate) bytes_per_cell: f64,
     /// Neighbours each node exchanges with per step (6 for a 3-D stencil).
-    pub neighbours: u32,
+    pub(crate) neighbours: u32,
 }
 
 impl AppModel {
@@ -47,7 +47,7 @@ impl AppModel {
     }
 
     /// Halo bytes each node sends per step with `p` nodes.
-    pub fn halo_bytes(&self, p: u32) -> u64 {
+    pub(crate) fn halo_bytes(&self, p: u32) -> u64 {
         let per_node = self.cells / f64::from(p);
         (per_node.powf(2.0 / 3.0) * self.bytes_per_cell) as u64 * u64::from(self.neighbours)
     }
@@ -57,9 +57,7 @@ impl AppModel {
 #[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// Node count.
-    pub nodes: u32,
-    /// Predicted step time, seconds.
-    pub step_s: f64,
+    pub(crate) nodes: u32,
     /// Parallel efficiency: `T(1) / (P * T(P))`.
     pub efficiency: f64,
 }
@@ -93,7 +91,6 @@ pub fn strong_scaling(
             let step_s = compute.max(hidden) + (comm - hidden);
             ScalingPoint {
                 nodes: p,
-                step_s,
                 efficiency: t1 / (f64::from(p) * step_s),
             }
         })

@@ -45,12 +45,12 @@ pub struct ExecCtx {
 }
 
 /// Translate a virtual rank to an actual rank under `root` rotation.
-pub fn actual_rank(virt: usize, root: usize, n: usize) -> usize {
+pub(crate) fn actual_rank(virt: usize, root: usize, n: usize) -> usize {
     (virt + root) % n
 }
 
 /// Translate an actual rank to its virtual rank under `root` rotation.
-pub fn virtual_rank(rank: usize, root: usize, n: usize) -> usize {
+pub(crate) fn virtual_rank(rank: usize, root: usize, n: usize) -> usize {
     (rank + n - root % n) % n
 }
 

@@ -21,7 +21,7 @@
 //!   last.
 //!
 //! Because payload materialization and receive application live in one
-//! place ([`state::RankState`]), the two data executors produce
+//! place (`state::RankState`), the two data executors produce
 //! byte-identical results for the same schedule and inputs, and the
 //! simulated backend decides only *when*, never *what*.
 //! [`Schedule::digest`] makes the "same schedule" claim checkable
@@ -46,19 +46,19 @@
     clippy::print_stderr
 )]
 
-pub mod exec;
-pub mod lifecycle;
-pub mod op;
-pub mod plan;
-pub mod recovery;
-pub mod schedule;
-pub mod sim;
-pub mod state;
+mod exec;
+mod lifecycle;
+mod op;
+mod plan;
+mod recovery;
+mod schedule;
+mod sim;
+mod state;
 
 pub use exec::{run_blocking, run_local, CollTransport, ExecCtx};
-pub use op::{combine_bytes, pack_blocks, unpack_blocks, CollOp, Dtype, ReduceOp};
+pub use op::{combine_bytes, CollOp, Dtype, ReduceOp};
 pub use plan::{algorithms_for, auto_algorithm, build, Algorithm, PlanError};
 pub use recovery::{EpochRecord, Membership, RecoveryPolicy, RecoveryReport};
 pub use schedule::{BlockRange, RecvStep, RecvWhat, Schedule, SendStep, SendWhat};
-pub use sim::{coll_track, run_sim, time_sim, RankFault, SimOptions, SimReport, SimTiming};
-pub use state::{CollOutput, RankState, Reduction};
+pub use sim::{run_sim, time_sim, RankFault, SimOptions, SimReport, SimTiming};
+pub use state::{CollOutput, Reduction};

@@ -11,7 +11,7 @@
 
 /// The per-round lifecycle machine, in its own module because
 /// `protocol!` emits one ZST per state name.
-pub mod round {
+pub(crate) mod round {
     protospec::protocol! {
         /// Lifecycle of one rank's participation in one schedule round.
         pub CollRound of collective.participant;
@@ -25,7 +25,7 @@ pub mod round {
     }
 }
 
-pub use round::CollRound;
+pub(crate) use round::CollRound;
 
 /// Step a lifecycle machine, panicking on an illegal edge. Every edge
 /// the executors drive is declared in the spec above, so a failure here
@@ -34,7 +34,7 @@ pub use round::CollRound;
     clippy::expect_used,
     reason = "every edge stepped by the executors is declared in the protocol! spec; an illegal step is an executor bug"
 )]
-pub fn step(state: CollRound, event: &str) -> CollRound {
+pub(crate) fn step(state: CollRound, event: &str) -> CollRound {
     state
         .step(event)
         .expect("collective lifecycle stepped outside its spec")

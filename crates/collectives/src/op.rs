@@ -78,7 +78,7 @@ pub enum Dtype {
 
 impl Dtype {
     /// Serialized size of one element, bytes.
-    pub fn width(self) -> usize {
+    pub(crate) fn width(self) -> usize {
         match self {
             Dtype::F64 | Dtype::I64 | Dtype::U64 => 8,
             Dtype::F32 | Dtype::I32 => 4,
@@ -182,7 +182,7 @@ pub fn combine_bytes(dtype: Dtype, op: ReduceOp, acc: &mut [u8], other: &[u8]) {
 /// `[u32 count][u64 len]*count [bytes]*count`, all little-endian. The
 /// format matches the length-prefix table mplite's tree allgather used,
 /// so multi-block tree traffic keeps its historical wire size.
-pub fn pack_blocks(parts: &[&[u8]]) -> Vec<u8> {
+pub(crate) fn pack_blocks(parts: &[&[u8]]) -> Vec<u8> {
     let total = parts.iter().map(|p| p.len() as u64).sum();
     let mut out = Vec::with_capacity(framed_len(parts.len(), total) as usize);
     out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
@@ -205,7 +205,7 @@ fn framed_len(count: usize, total: u64) -> u64 {
 /// wrapping at `n`: what [`crate::RankState::payload`] would
 /// materialize, without the bytes. A token is empty, a single block
 /// travels raw, and several are framed as [`pack_blocks`] frames them.
-pub fn send_len(what: SendWhat, n: usize, acc: u64, block: impl Fn(u32) -> u64) -> u64 {
+pub(crate) fn send_len(what: SendWhat, n: usize, acc: u64, block: impl Fn(u32) -> u64) -> u64 {
     match what {
         SendWhat::Token => 0,
         SendWhat::Acc => acc,
@@ -220,7 +220,7 @@ pub fn send_len(what: SendWhat, n: usize, acc: u64, block: impl Fn(u32) -> u64) 
 /// schedule names the block indices, so both ends agree on it).
 /// Panics on malformed framing: the bytes come from our own
 /// `pack_blocks` on the sending rank, so damage is an executor bug.
-pub fn unpack_blocks(bytes: &[u8], count: usize) -> Vec<Vec<u8>> {
+pub(crate) fn unpack_blocks(bytes: &[u8], count: usize) -> Vec<Vec<u8>> {
     assert!(bytes.len() >= 4, "block frame shorter than its header");
     let mut hdr = [0u8; 4];
     hdr.copy_from_slice(&bytes[0..4]);

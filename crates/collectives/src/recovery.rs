@@ -31,7 +31,7 @@ use crate::plan::Algorithm;
 
 /// The membership lifecycle machine, in its own module because
 /// `protocol!` emits one ZST per state name.
-pub mod membership {
+pub(crate) mod membership {
     protospec::protocol! {
         /// Membership of one rank as seen by the recovery layer.
         pub Membership of collective.member;
@@ -75,13 +75,13 @@ impl Default for RecoveryPolicy {
 pub struct EpochRecord {
     /// Membership epoch number after this eviction (1-based; epoch 0 is
     /// the original group).
-    pub epoch: usize,
+    pub(crate) epoch: usize,
     /// The world rank evicted.
-    pub evicted: usize,
+    pub(crate) evicted: usize,
     /// Absolute simulated time of the eviction, microseconds.
-    pub at_us: f64,
+    pub(crate) at_us: f64,
     /// Survivor-group size after the eviction.
-    pub survivors: usize,
+    pub(crate) survivors: usize,
     /// Algorithm family of the replanned schedule.
     pub algorithm: Algorithm,
 }
@@ -94,14 +94,14 @@ pub struct RecoveryReport {
     /// All evicted world ranks, in eviction order.
     pub evicted: Vec<usize>,
     /// Suspects that probed back alive and were restored to `Active`.
-    pub suspects_cleared: usize,
+    pub(crate) suspects_cleared: usize,
     /// Schedule re-executions (equals `epochs.len()` unless the run
     /// gave up at `max_epochs`).
-    pub retries: usize,
+    pub(crate) retries: usize,
     /// The policy's round deadline, microseconds.
-    pub deadline_us: f64,
+    pub(crate) deadline_us: f64,
     /// The policy's probe/replan backoff, microseconds.
-    pub backoff_us: f64,
+    pub(crate) backoff_us: f64,
 }
 
 impl RecoveryReport {

@@ -32,14 +32,14 @@ use crate::plan::Algorithm;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockRange {
     /// First slot, by virtual origin rank.
-    pub first: u32,
+    pub(crate) first: u32,
     /// Number of slots.
-    pub count: u32,
+    pub(crate) count: u32,
 }
 
 impl BlockRange {
     /// The slots in order, wrapping at `n`.
-    pub fn slots(self, n: usize) -> impl Iterator<Item = u32> {
+    pub(crate) fn slots(self, n: usize) -> impl Iterator<Item = u32> {
         let n = n as u64;
         (0..u64::from(self.count)).map(move |j| ((u64::from(self.first) + j) % n) as u32)
     }
@@ -53,7 +53,7 @@ pub enum SendWhat {
     /// The rank's running reduction accumulator.
     Acc,
     /// The range's block slots, by virtual origin rank. A single block
-    /// travels raw; several are framed with [`crate::op::pack_blocks`].
+    /// travels raw; several are framed with `crate::op::pack_blocks`.
     Blocks(BlockRange),
 }
 
@@ -75,19 +75,19 @@ pub enum RecvWhat {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendStep {
     /// Destination virtual rank.
-    pub to: u32,
+    pub(crate) to: u32,
     /// Payload selector.
-    pub what: SendWhat,
+    pub(crate) what: SendWhat,
 }
 
 /// One receive: bytes from virtual rank `from` are applied per `what`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvStep {
     /// Source virtual rank.
-    pub from: u32,
+    pub(crate) from: u32,
     /// Application rule; receives apply in listed order, which fixes
     /// the reduction fold order across backends.
-    pub what: RecvWhat,
+    pub(crate) what: RecvWhat,
 }
 
 /// A complete collective schedule for `nranks` ranks.

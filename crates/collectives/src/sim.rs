@@ -2,7 +2,7 @@
 //!
 //! A run has two halves. The timing half ([`time_sim`]) carries each
 //! message as a length: every rank gets a round cursor, and rounds
-//! advance event-driven over [`mpsim::multirank::Mailboxes`] on the
+//! advance event-driven over [`mpsim::Mailboxes`] on the
 //! switched [`protosim::multinode`] fabric, all in one world. The driver
 //! is the layer bound above the fabric, and every hop of every message,
 //! every round start and every timed fault is a typed [`MultiEvent`],
@@ -33,8 +33,8 @@ use std::rc::Rc;
 
 use faultlab::{DegradeWindow, FaultPlan};
 use hwmodel::ClusterSpec;
-use mpsim::multirank::Mailboxes;
 use mpsim::LibProfile;
+use mpsim::Mailboxes;
 use protosim::multinode::{MultiEngine, MultiEvent, MultiNet};
 use protosim::Slots;
 use protosim::Upper;
@@ -52,7 +52,7 @@ use crate::state::CollOutput;
 
 /// Trace track carrying rank `rank`'s collective-round spans, disjoint
 /// from the per-resource hardware tracks.
-pub fn coll_track(rank: usize) -> u32 {
+pub(crate) fn coll_track(rank: usize) -> u32 {
     (1 << 16) + rank as u32
 }
 
@@ -76,7 +76,7 @@ pub enum RankFault {
 #[derive(Default)]
 pub struct SimOptions {
     /// Emit per-round spans (stage [`stages::COLL_ROUND`], track
-    /// [`coll_track`]) to this sink.
+    /// `coll_track`) to this sink.
     pub trace: Option<SharedSink>,
     /// Rank faults to inject; any number, so multi-failure scenarios
     /// are expressible.
@@ -87,7 +87,7 @@ pub struct SimOptions {
     /// not modelled on the multi-rank fabric.
     pub plan: Option<FaultPlan>,
     /// Arm the self-healing cycle: detect stalls, evict dead ranks,
-    /// replan over survivors (see [`crate::recovery`]).
+    /// replan over survivors (see `crate::recovery`).
     pub recovery: Option<RecoveryPolicy>,
 }
 

@@ -2,9 +2,9 @@
 //! send/recv steps read and write.
 //!
 //! Both data executors ([`crate::run_local`] and [`crate::run_blocking`])
-//! hold one [`RankState`] per participating rank and drive it through
-//! exactly the same calls — [`RankState::payload`] to materialize
-//! outgoing bytes and [`RankState::apply`] to fold in arrivals — so the
+//! hold one `RankState` per participating rank and drive it through
+//! exactly the same calls — `RankState::payload` to materialize
+//! outgoing bytes and `RankState::apply` to fold in arrivals — so the
 //! data path is backend-independent by construction.
 
 use crate::op::{combine_bytes, pack_blocks, unpack_blocks, CollOp, Dtype, ReduceOp};
@@ -32,7 +32,7 @@ pub struct CollOutput {
 
 /// One rank's mutable data state while a schedule executes.
 #[derive(Debug, Clone, Default)]
-pub struct RankState {
+pub(crate) struct RankState {
     acc: Vec<u8>,
     blocks: Vec<Option<Vec<u8>>>,
 }
@@ -41,7 +41,7 @@ impl RankState {
     /// Initial state for virtual rank `vrank` of an `op` over `n` ranks,
     /// seeded with this rank's `contribution` (ignored where the op
     /// takes none, e.g. barrier or a non-root bcast rank).
-    pub fn init(op: CollOp, n: usize, vrank: usize, contribution: &[u8]) -> RankState {
+    pub(crate) fn init(op: CollOp, n: usize, vrank: usize, contribution: &[u8]) -> RankState {
         match op {
             CollOp::Barrier => RankState::default(),
             CollOp::Bcast => {
@@ -74,7 +74,7 @@ impl RankState {
     /// [`crate::op::send_len`] gives the same length without the bytes.
     /// A range wraps at the block table's length: the rank count for an
     /// allgather, and its one slot for a bcast.
-    pub fn payload(&self, what: SendWhat) -> Vec<u8> {
+    pub(crate) fn payload(&self, what: SendWhat) -> Vec<u8> {
         match what {
             SendWhat::Token => Vec::new(),
             SendWhat::Acc => self.acc.clone(),
@@ -88,7 +88,7 @@ impl RankState {
 
     /// Fold arriving `bytes` into this rank's state per the recv step.
     /// `reduction` must be `Some` whenever the step is `CombineAcc`.
-    pub fn apply(&mut self, what: RecvWhat, bytes: &[u8], reduction: Option<Reduction>) {
+    pub(crate) fn apply(&mut self, what: RecvWhat, bytes: &[u8], reduction: Option<Reduction>) {
         match what {
             RecvWhat::Token => {
                 assert!(
@@ -124,7 +124,7 @@ impl RankState {
     /// Consume the state into the rank's final output. `vrank` selects
     /// what this rank is entitled to (only the reduce root keeps an
     /// accumulator, for instance).
-    pub fn into_output(self, op: CollOp, vrank: usize) -> CollOutput {
+    pub(crate) fn into_output(self, op: CollOp, vrank: usize) -> CollOutput {
         match op {
             CollOp::Barrier => CollOutput::default(),
             CollOp::Bcast => {

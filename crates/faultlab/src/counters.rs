@@ -13,9 +13,9 @@ pub struct FaultCounters {
     /// Segments dropped on the wire.
     pub dropped: u64,
     /// Segments duplicated on the wire.
-    pub duplicated: u64,
+    pub(crate) duplicated: u64,
     /// Segments delayed (jitter, reorder hold-back, degradation window).
-    pub delayed: u64,
+    pub(crate) delayed: u64,
     /// TCP retransmissions performed.
     pub retransmits: u64,
     /// Connections declared dead after exhausting retransmissions.

@@ -48,13 +48,13 @@
 // `disallowed-methods`) bind library code; tests may wait on sockets.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-pub mod counters;
+mod counters;
 pub mod io;
-pub mod lifecycle;
-pub mod lottery;
-pub mod plan;
+mod lifecycle;
+mod lottery;
+mod plan;
 pub mod proxy;
-pub mod retry;
+mod retry;
 mod sockopt;
 
 pub use counters::FaultCounters;

@@ -36,23 +36,23 @@ impl DegradeWindow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionWindow {
     /// One side of the cut.
-    pub a: Vec<usize>,
+    pub(crate) a: Vec<usize>,
     /// The other side of the cut.
-    pub b: Vec<usize>,
+    pub(crate) b: Vec<usize>,
     /// Window start, microseconds.
-    pub start_us: f64,
+    pub(crate) start_us: f64,
     /// Window end, microseconds.
-    pub end_us: f64,
+    pub(crate) end_us: f64,
 }
 
 impl PartitionWindow {
     /// Is the partition active at `now_us`?
-    pub fn active(&self, now_us: f64) -> bool {
+    pub(crate) fn active(&self, now_us: f64) -> bool {
         now_us >= self.start_us && now_us < self.end_us
     }
 
     /// Does a frame between ranks `x` and `y` cross the cut?
-    pub fn crosses(&self, x: usize, y: usize) -> bool {
+    pub(crate) fn crosses(&self, x: usize, y: usize) -> bool {
         (self.a.contains(&x) && self.b.contains(&y)) || (self.a.contains(&y) && self.b.contains(&x))
     }
 }
@@ -166,9 +166,9 @@ impl Default for FaultPlan {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanError {
     /// The token that failed.
-    pub token: String,
+    pub(crate) token: String,
     /// What was wrong with it.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl fmt::Display for PlanError {
@@ -400,13 +400,6 @@ impl FaultPlan {
             && self.degrade.is_empty()
     }
 
-    /// Does the plan schedule any rank deaths? Kills are endpoint
-    /// faults, so they are deliberately *not* part of
-    /// [`FaultPlan::is_lossless`] — surviving traffic is unperturbed.
-    pub fn has_rank_kills(&self) -> bool {
-        !self.kills.is_empty()
-    }
-
     /// Does the plan ask for byte-level wire chaos? These clauses only
     /// take effect through [`crate::proxy::ChaosProxy`]; the sim lottery
     /// and the real-mode endpoint knobs ignore them, so they do not
@@ -593,7 +586,6 @@ mod tests {
                 },
             ]
         );
-        assert!(p.has_rank_kills());
         // Kills are endpoint faults: the wire is still lossless.
         assert!(p.is_lossless());
         let again = FaultPlan::parse(&p.to_string()).expect("round-trip parses");

@@ -21,7 +21,7 @@
 //! Determinism is the whole point: every pump direction owns a
 //! [`SimRng`] derived from `(plan.seed, a, b, direction, connection)`,
 //! the partition clock is a virtual per-direction frame counter (one
-//! frame = [`FRAME_TICK_US`]), and the draw order per frame is fixed
+//! frame = `FRAME_TICK_US`), and the draw order per frame is fixed
 //! (partition → corrupt → truncate → stall → reorder). Two runs of the
 //! same workload under the same seed therefore produce byte-identical
 //! fault counters and fault logs — a failing chaos run is its own
@@ -50,7 +50,7 @@ use crate::retry::RetryPolicy;
 /// microseconds. Partition windows in a plan are expressed against this
 /// clock, so `partition=0|1@1ms..4ms` means "frames 10..40 of each
 /// direction are inside the window" — wall time never enters into it.
-pub const FRAME_TICK_US: f64 = 100.0;
+pub(crate) const FRAME_TICK_US: f64 = 100.0;
 
 /// How often an idle pump re-checks the shutdown flag.
 const IDLE_POLL: Duration = Duration::from_millis(20);
@@ -59,13 +59,13 @@ const IDLE_POLL: Duration = Duration::from_millis(20);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameFormat {
     /// Fixed header size in bytes.
-    pub header_len: usize,
+    pub(crate) header_len: usize,
     /// Offset of the u64 little-endian payload length inside the header.
-    pub len_at: usize,
+    pub(crate) len_at: usize,
     /// Declared payloads above this stream through unfaulted (and
     /// unbuffered) — the proxy refuses to allocate on a peer's say-so,
     /// same as the receivers it fronts.
-    pub max_frame: u64,
+    pub(crate) max_frame: u64,
 }
 
 impl FrameFormat {
@@ -83,15 +83,15 @@ impl FrameFormat {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultEvent {
     /// Source rank of the injured direction.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Destination rank of the injured direction.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Connection index between the pair (0 for the first accept).
-    pub conn: u64,
+    pub(crate) conn: u64,
     /// Frame index within the direction when the fault fired.
-    pub frame: u64,
+    pub(crate) frame: u64,
     /// What happened (`corrupt bit 13`, `truncate to 7 of 31 bytes`…).
-    pub what: String,
+    pub(crate) what: String,
 }
 
 impl std::fmt::Display for FaultEvent {

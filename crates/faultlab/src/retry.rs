@@ -35,7 +35,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Backoff to sleep after failed attempt `attempt` (0-based).
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let exp = self.factor.powi(attempt.min(62) as i32);
         let nanos = self.base.as_secs_f64() * exp;
         // A saturating conversion: overflow clamps at the cap.

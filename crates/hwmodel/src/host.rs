@@ -3,7 +3,7 @@
 //! PCs (32-bit 33 MHz PCI, PC133 memory) and Compaq DS20 Alphas (64-bit
 //! 33 MHz PCI).
 
-use simcore::units::{bus_bytes_per_sec, mbytes_to_bytes_per_sec};
+use simcore::units::mbytes_to_bytes_per_sec;
 
 /// CPU + memory system costs for protocol processing.
 ///
@@ -19,8 +19,6 @@ use simcore::units::{bus_bytes_per_sec, mbytes_to_bytes_per_sec};
 ///   25–30 % MPICH/PVM large-message loss (§7).
 #[derive(Debug, Clone)]
 pub struct CpuModel {
-    /// Human-readable description.
-    pub name: &'static str,
     /// Kernel TCP/IP transmit cost per packet, microseconds.
     pub kernel_pkt_tx_us: f64,
     /// Kernel TCP/IP receive cost per packet (softirq), microseconds.
@@ -37,55 +35,28 @@ pub struct CpuModel {
 #[derive(Debug, Clone, Copy)]
 pub struct PciModel {
     /// Bus width in bits (32 or 64).
-    pub width_bits: u32,
+    pub(crate) width_bits: u32,
     /// Bus clock in MHz (33 or 66).
-    pub mhz: f64,
-    /// Fraction of the theoretical burst rate achieved by real DMA
-    /// (arbitration, retries, latency timers). ~0.68 for the 2002-era
-    /// chipsets in the paper's machines.
-    pub efficiency: f64,
+    pub(crate) mhz: f64,
     /// Per-transaction setup cost, microseconds.
     pub per_txn_us: f64,
 }
 
 impl PciModel {
-    /// Theoretical burst rate, bytes/second.
-    pub fn raw_bps(&self) -> f64 {
-        bus_bytes_per_sec(self.width_bits, self.mhz)
-    }
-
-    /// Effective sustained DMA rate, bytes/second.
-    pub fn effective_bps(&self) -> f64 {
-        self.raw_bps() * self.efficiency
-    }
-
     /// The classic 32-bit 33 MHz slot of commodity PCs.
-    pub fn pci32_33() -> PciModel {
+    pub(crate) fn pci32_33() -> PciModel {
         PciModel {
             width_bits: 32,
             mhz: 33.0,
-            efficiency: 0.68,
             per_txn_us: 1.0,
         }
     }
 
     /// The 64-bit 33 MHz slots of the Compaq DS20s.
-    pub fn pci64_33() -> PciModel {
+    pub(crate) fn pci64_33() -> PciModel {
         PciModel {
             width_bits: 64,
             mhz: 33.0,
-            efficiency: 0.68,
-            per_txn_us: 1.0,
-        }
-    }
-
-    /// 64-bit 66 MHz (supported by the SysKonnect and Myrinet cards,
-    /// though neither test machine had such a slot).
-    pub fn pci64_66() -> PciModel {
-        PciModel {
-            width_bits: 64,
-            mhz: 66.0,
-            efficiency: 0.68,
             per_txn_us: 1.0,
         }
     }
@@ -100,17 +71,14 @@ pub struct HostModel {
     pub cpu: CpuModel,
     /// The PCI slot the NIC occupies.
     pub pci: PciModel,
-    /// Approximate 2002 price, USD (the paper: "costing around $1500 each").
-    pub price_usd: u32,
 }
 
 /// The paper's commodity node: 1.8 GHz Pentium 4, 768 MB PC133, 32-bit
 /// 33 MHz PCI, ~$1500.
-pub fn pc_pentium4() -> HostModel {
+pub(crate) fn pc_pentium4() -> HostModel {
     HostModel {
         name: "1.8 GHz Pentium 4 PC (PC133, 32-bit PCI)",
         cpu: CpuModel {
-            name: "Pentium 4 1.8 GHz / PC133",
             kernel_pkt_tx_us: 7.0,
             kernel_pkt_rx_us: 7.0,
             syscall_us: 3.0,
@@ -118,17 +86,15 @@ pub fn pc_pentium4() -> HostModel {
             kernel_copy_bps: mbytes_to_bytes_per_sec(420.0),
         },
         pci: PciModel::pci32_33(),
-        price_usd: 1500,
     }
 }
 
 /// The paper's comparison machine: dual 500 MHz Alpha 21264 Compaq DS20,
 /// 64-bit 33 MHz PCI ("offering greater PCI performance").
-pub fn compaq_ds20() -> HostModel {
+pub(crate) fn compaq_ds20() -> HostModel {
     HostModel {
         name: "Compaq DS20 (Alpha 21264, 64-bit PCI)",
         cpu: CpuModel {
-            name: "Alpha 21264 500 MHz",
             kernel_pkt_tx_us: 6.0,
             kernel_pkt_rx_us: 6.0,
             syscall_us: 2.0,
@@ -136,41 +102,12 @@ pub fn compaq_ds20() -> HostModel {
             kernel_copy_bps: mbytes_to_bytes_per_sec(600.0),
         },
         pci: PciModel::pci64_33(),
-        price_usd: 12000,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::units::bytes_per_sec_to_mbps;
-
-    #[test]
-    fn pci_rates_match_spec() {
-        assert_eq!(PciModel::pci32_33().raw_bps(), 132e6);
-        assert_eq!(PciModel::pci64_33().raw_bps(), 264e6);
-        assert_eq!(PciModel::pci64_66().raw_bps(), 528e6);
-    }
-
-    #[test]
-    fn pci_effective_below_raw() {
-        for pci in [PciModel::pci32_33(), PciModel::pci64_33()] {
-            assert!(pci.effective_bps() < pci.raw_bps());
-            assert!(pci.effective_bps() > 0.5 * pci.raw_bps());
-        }
-    }
-
-    #[test]
-    fn pc_pci_limits_below_jumbo_wire_rate() {
-        // §4: "On the PCs, the 32-bit PCI bus limits the bandwidth of these
-        // SysKonnect cards to a maximum of ~710 Mbps".
-        let pc = pc_pentium4();
-        let mbps = bytes_per_sec_to_mbps(pc.pci.effective_bps());
-        assert!((650.0..780.0).contains(&mbps), "PC PCI = {mbps} Mbps");
-        // The DS20's 64-bit slot must clear 1 Gb/s.
-        let ds20 = compaq_ds20();
-        assert!(bytes_per_sec_to_mbps(ds20.pci.effective_bps()) > 1000.0);
-    }
 
     #[test]
     fn serial_memcpy_slower_than_kernel_copy() {

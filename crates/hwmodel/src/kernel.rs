@@ -77,7 +77,7 @@ pub fn linux_2_2() -> KernelModel {
 
 /// Linux 2.4.2 — required by the M-VIA beta (§2). TCP-path behaviour is
 /// that of 2.4.
-pub fn linux_2_4_2_mvia() -> KernelModel {
+pub(crate) fn linux_2_4_2_mvia() -> KernelModel {
     KernelModel {
         name: "Linux 2.4.2 (M-VIA)",
         ..linux_2_4()

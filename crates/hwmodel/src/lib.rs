@@ -27,15 +27,14 @@
     clippy::print_stderr
 )]
 
-pub mod cluster;
-pub mod host;
+mod cluster;
+mod host;
 pub mod kernel;
 pub mod nic;
 
 pub use cluster::ClusterSpec;
 pub use host::{CpuModel, HostModel, PciModel};
 pub use kernel::KernelModel;
-pub use nic::{LinkKind, NicModel};
 
 /// Convenience namespace mirroring the paper's testbeds.
 pub mod presets {
@@ -44,10 +43,6 @@ pub mod presets {
         pcs_ga620_dual, pcs_giganet, pcs_mvia_syskonnect, pcs_myrinet, pcs_syskonnect,
         pcs_syskonnect_jumbo, pcs_trendnet,
     };
-    pub use crate::host::{compaq_ds20, pc_pentium4};
-    pub use crate::kernel::{linux_2_2, linux_2_4, linux_2_4_2_mvia};
-    pub use crate::nic::{
-        all_ethernet, fast_ethernet, giganet_clan, myrinet_pci64a, netgear_ga620, netgear_ga622,
-        netgear_ga622_new_driver, syskonnect_sk9843, syskonnect_sk9843_jumbo, trendnet_teg_pcitx,
-    };
+    pub use crate::kernel::{linux_2_2, linux_2_4};
+    pub use crate::nic::{all_ethernet, netgear_ga622_new_driver};
 }

@@ -20,31 +20,18 @@
 
 use simcore::units::{gbps_to_bytes_per_sec, mbps_to_bytes_per_sec, mbytes_to_bytes_per_sec};
 
-/// Physical-layer family of a NIC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkKind {
-    /// IEEE 802.3 Ethernet (Fast or Gigabit).
-    Ethernet,
-    /// Myricom Myrinet (source-routed, cut-through).
-    Myrinet,
-    /// Giganet cLAN (hardware VIA).
-    Giganet,
-}
-
 /// A network interface card plus its driver, as a set of pipeline-stage
 /// costs. All rates are bytes/second; all times are microseconds.
 #[derive(Debug, Clone)]
 pub struct NicModel {
     /// Marketing name as used in the paper.
     pub name: &'static str,
-    /// Link family.
-    pub kind: LinkKind,
     /// Raw signalling rate of the wire in bytes/second.
     pub wire_bps: f64,
     /// Maximum transmission unit (payload bytes per frame). For Ethernet
     /// this is the IP MTU (1500, or 9000 with jumbo frames); message-based
     /// fabrics (GM, VIA) use their native packet size.
-    pub mtu: u32,
+    pub(crate) mtu: u32,
     /// Per-frame wire overhead outside the MTU: preamble + interframe gap
     /// + MAC header + FCS for Ethernet.
     pub framing_bytes: u32,
@@ -62,26 +49,16 @@ pub struct NicModel {
     /// Hard throughput ceiling from an immature driver, bytes/second.
     pub driver_cap_bps: Option<f64>,
     /// Whether the card can use a 64-bit PCI slot.
-    pub pci_64bit: bool,
+    pub(crate) pci_64bit: bool,
     /// Fraction of the PCI bus's theoretical burst rate this card's DMA
     /// engine sustains. The Myrinet/Giganet engines use long bursts
     /// (~0.80); the 2002 GigE cards manage ~0.68 — which is why raw GM
     /// reaches 800 Mbps on the same 32-bit slot that caps SysKonnect
     /// jumbo-frame TCP at ~710 Mbps (§4, §5).
     pub dma_eff: f64,
-    /// Approximate 2002 street price per card, USD (the paper quotes these
-    /// to frame the price/performance discussion).
-    pub price_usd: u32,
 }
 
 impl NicModel {
-    /// Total bytes a frame with `payload` bytes of user data occupies on
-    /// the wire, including protocol headers carried in-band (`headers`)
-    /// and out-of-band framing.
-    pub fn wire_bytes(&self, payload: u32, headers: u32) -> u32 {
-        payload + headers + self.framing_bytes
-    }
-
     /// Maximum user payload per frame when `headers` bytes of protocol
     /// headers ride inside the MTU (the TCP MSS for Ethernet).
     pub fn mss(&self, headers: u32) -> u32 {
@@ -98,7 +75,7 @@ impl NicModel {
 }
 
 /// Ethernet framing overhead: preamble(8) + IFG(12) + MAC header(14) + FCS(4).
-pub const ETH_FRAMING: u32 = 38;
+pub(crate) const ETH_FRAMING: u32 = 38;
 /// TCP/IP header bytes carried inside each frame (20 + 20 + 12 bytes of
 /// timestamp options — Linux 2.4 enables timestamps by default, giving the
 /// classic 1448-byte MSS).
@@ -108,10 +85,9 @@ pub const TCPIP_HEADERS: u32 = 52;
 ///
 /// The paper's "mature hardware and drivers at a modest price" (fig. 1
 /// testbed). Firmware-based NIC: moderate per-frame cost, high coalescing.
-pub fn netgear_ga620() -> NicModel {
+pub(crate) fn netgear_ga620() -> NicModel {
     NicModel {
         name: "Netgear GA620 fiber GigE",
-        kind: LinkKind::Ethernet,
         wire_bps: gbps_to_bytes_per_sec(1.0),
         mtu: 1500,
         framing_bytes: ETH_FRAMING,
@@ -122,7 +98,6 @@ pub fn netgear_ga620() -> NicModel {
         driver_cap_bps: None,
         pci_64bit: true,
         dma_eff: 0.68,
-        price_usd: 220,
     }
 }
 
@@ -131,10 +106,9 @@ pub fn netgear_ga620() -> NicModel {
 /// "The new wave of low cost GigE NICs" (fig. 2 testbed). Same wire speed
 /// as the GA620 but a slow descriptor/ack recycle: it *needs* 512 kB
 /// socket buffers, flattening at ~290 Mbps with the kernel defaults.
-pub fn trendnet_teg_pcitx() -> NicModel {
+pub(crate) fn trendnet_teg_pcitx() -> NicModel {
     NicModel {
         name: "TrendNet TEG-PCITX copper GigE",
-        kind: LinkKind::Ethernet,
         wire_bps: gbps_to_bytes_per_sec(1.0),
         mtu: 1500,
         framing_bytes: ETH_FRAMING,
@@ -145,7 +119,6 @@ pub fn trendnet_teg_pcitx() -> NicModel {
         driver_cap_bps: None,
         pci_64bit: false,
         dma_eff: 0.68,
-        price_usd: 55,
     }
 }
 
@@ -155,10 +128,9 @@ pub fn trendnet_teg_pcitx() -> NicModel {
 /// found it "poor even for raw TCP" with the contemporary ns83820 driver
 /// (§7), improving with the pre-2.4.13 drivers — modeled as a raw driver
 /// ceiling that the `newer_driver` variant lifts.
-pub fn netgear_ga622() -> NicModel {
+pub(crate) fn netgear_ga622() -> NicModel {
     NicModel {
         name: "Netgear GA622 copper GigE",
-        kind: LinkKind::Ethernet,
         wire_bps: gbps_to_bytes_per_sec(1.0),
         mtu: 1500,
         framing_bytes: ETH_FRAMING,
@@ -169,7 +141,6 @@ pub fn netgear_ga622() -> NicModel {
         driver_cap_bps: Some(mbps_to_bytes_per_sec(300.0)),
         pci_64bit: true,
         dma_eff: 0.68,
-        price_usd: 90,
     }
 }
 
@@ -186,10 +157,9 @@ pub fn netgear_ga622_new_driver() -> NicModel {
 
 /// SysKonnect SK-9843 Gigabit Ethernet (sk98lin driver, $565), standard
 /// 1500-byte MTU.
-pub fn syskonnect_sk9843() -> NicModel {
+pub(crate) fn syskonnect_sk9843() -> NicModel {
     NicModel {
         name: "SysKonnect SK-9843 GigE",
-        kind: LinkKind::Ethernet,
         wire_bps: gbps_to_bytes_per_sec(1.0),
         mtu: 1500,
         framing_bytes: ETH_FRAMING,
@@ -200,14 +170,13 @@ pub fn syskonnect_sk9843() -> NicModel {
         driver_cap_bps: None,
         pci_64bit: true,
         dma_eff: 0.68,
-        price_usd: 565,
     }
 }
 
 /// SysKonnect SK-9843 with 9000-byte jumbo frames enabled — the paper's
 /// high-bandwidth configuration (fig. 3): "very low latency and … high
 /// bandwidth when jumbo frames of 9000 byte MTU size are enabled".
-pub fn syskonnect_sk9843_jumbo() -> NicModel {
+pub(crate) fn syskonnect_sk9843_jumbo() -> NicModel {
     NicModel {
         name: "SysKonnect SK-9843 GigE (9000 MTU)",
         mtu: 9000,
@@ -219,10 +188,9 @@ pub fn syskonnect_sk9843_jumbo() -> NicModel {
 ///
 /// OS-bypass message fabric (fig. 4): the slower 66 MHz LANai caps the
 /// card around 800 Mbps; GM latency is 16 µs in polling mode.
-pub fn myrinet_pci64a() -> NicModel {
+pub(crate) fn myrinet_pci64a() -> NicModel {
     NicModel {
         name: "Myrinet PCI64A-2",
-        kind: LinkKind::Myrinet,
         wire_bps: gbps_to_bytes_per_sec(1.28),
         mtu: 4096,
         framing_bytes: 16,
@@ -233,7 +201,6 @@ pub fn myrinet_pci64a() -> NicModel {
         driver_cap_bps: None,
         pci_64bit: true,
         dma_eff: 0.80,
-        price_usd: 1000,
     }
 }
 
@@ -241,10 +208,9 @@ pub fn myrinet_pci64a() -> NicModel {
 ///
 /// Fig. 5: ~800 Mbps through an 8-port cLAN switch with ~10 µs latency for
 /// the lean libraries.
-pub fn giganet_clan() -> NicModel {
+pub(crate) fn giganet_clan() -> NicModel {
     NicModel {
         name: "Giganet cLAN",
-        kind: LinkKind::Giganet,
         wire_bps: gbps_to_bytes_per_sec(1.25),
         mtu: 4096,
         framing_bytes: 16,
@@ -255,17 +221,15 @@ pub fn giganet_clan() -> NicModel {
         driver_cap_bps: None,
         pci_64bit: false,
         dma_eff: 0.80,
-        price_usd: 650,
     }
 }
 
 /// 100 Mb/s Fast Ethernet — the "established technology" reference the
 /// paper contrasts with GigE ("you cannot just slap in a Gigabit Ethernet
 /// card and expect decent performance like you can with … Fast Ethernet").
-pub fn fast_ethernet() -> NicModel {
+pub(crate) fn fast_ethernet() -> NicModel {
     NicModel {
         name: "Fast Ethernet 100BASE-TX",
-        kind: LinkKind::Ethernet,
         wire_bps: mbps_to_bytes_per_sec(100.0),
         mtu: 1500,
         framing_bytes: ETH_FRAMING,
@@ -276,7 +240,6 @@ pub fn fast_ethernet() -> NicModel {
         driver_cap_bps: None,
         pci_64bit: false,
         dma_eff: 0.68,
-        price_usd: 15,
     }
 }
 
@@ -299,9 +262,8 @@ mod tests {
     use simcore::units::bytes_per_sec_to_mbps;
 
     #[test]
-    fn wire_bytes_includes_framing_and_headers() {
+    fn mss_leaves_room_for_the_headers() {
         let nic = netgear_ga620();
-        assert_eq!(nic.wire_bytes(1448, TCPIP_HEADERS), 1448 + 52 + 38);
         assert_eq!(nic.mss(TCPIP_HEADERS), 1448);
     }
 
@@ -363,6 +325,5 @@ mod tests {
         let sk = syskonnect_sk9843();
         let tn = trendnet_teg_pcitx();
         assert!(sk.rx_coalesce_us < tn.rx_coalesce_us);
-        assert!(sk.price_usd > 10 * tn.price_usd);
     }
 }

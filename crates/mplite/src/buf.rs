@@ -29,23 +29,18 @@ pub struct Bytes {
 
 impl Bytes {
     /// An empty buffer.
-    pub fn new() -> Bytes {
+    pub(crate) fn new() -> Bytes {
         Bytes::default()
     }
 
     /// Copy a slice into a fresh buffer.
-    pub fn copy_from_slice(data: &[u8]) -> Bytes {
+    pub(crate) fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes::from(data.to_vec())
     }
 
     /// Length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Whether this handle is the only one to its allocation — how the
@@ -125,7 +120,7 @@ mod tests {
     fn conversions() {
         assert_eq!(&Bytes::from("hi")[..], b"hi");
         assert_eq!(Bytes::new().len(), 0);
-        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::new().len(), 0);
         assert_eq!(&Bytes::copy_from_slice(&[9])[..], &[9]);
     }
 }

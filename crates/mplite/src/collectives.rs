@@ -6,7 +6,7 @@
 //!
 //! The algorithms themselves live in the `collectives` crate as data —
 //! a [`Schedule`](::collectives::Schedule) of per-rank rounds built by
-//! [`::collectives::plan::build`] — and run here through
+//! [`::collectives::build`] — and run here through
 //! [`run_blocking`] over [`Comm`]'s tagged point-to-point layer. The
 //! same schedules drive the simulated N-rank backend, so the real and
 //! simulated collectives are byte-identical by construction. Every
@@ -27,9 +27,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ::collectives::exec::{run_blocking, CollTransport, ExecCtx};
-use ::collectives::plan::{auto_algorithm, build, PlanError};
-use ::collectives::state::{CollOutput, Reduction};
+use ::collectives::{
+    auto_algorithm, build, run_blocking, CollOutput, CollTransport, ExecCtx, PlanError, Reduction,
+};
 use ::collectives::{CollOp, Dtype};
 
 use crate::buf::Bytes;
@@ -281,15 +281,6 @@ impl Comm {
         self.allreduce_with(Algorithm::Tree, data, op)
     }
 
-    /// Allreduce by recursive doubling: log₂ n rounds of pairwise
-    /// exchange, each rank combining as it goes — half the rounds of
-    /// reduce+bcast for latency-bound sizes. Non-power-of-two jobs fold
-    /// the excess ranks into the power-of-two core first (the standard
-    /// construction).
-    pub fn allreduce_rd<T: ReduceElem>(&self, data: &[T], op: ReduceOp) -> Result<Vec<T>> {
-        self.allreduce_with(Algorithm::RecursiveDoubling, data, op)
-    }
-
     /// [`Comm::allreduce`] with an explicit algorithm.
     pub fn allreduce_with<T: ReduceElem>(
         &self,
@@ -316,13 +307,6 @@ impl Comm {
     /// to bottleneck; both produce identical results.
     pub fn allgather(&self, data: &[u8]) -> Result<Vec<Vec<u8>>> {
         self.allgather_with(auto_algorithm(CollOp::Allgather, self.nprocs()), data)
-    }
-
-    /// Ring allgather: n−1 rounds, each rank forwarding the block it just
-    /// received — bandwidth-optimal for large payloads where the
-    /// gather+bcast tree retransmits everything through rank 0.
-    pub fn allgather_ring(&self, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-        self.allgather_with(Algorithm::Ring, data)
     }
 
     /// [`Comm::allgather`] with an explicit algorithm.
@@ -593,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_rd_matches_tree_allreduce() {
+    fn recursive_doubling_allreduce_matches_tree_allreduce() {
         // Both algorithms must produce identical results for every job
         // size, including non-powers-of-two.
         for n in [1, 2, 3, 4, 5, 6, 8] {
@@ -602,12 +586,16 @@ mod tests {
                     .map(|i| (comm.rank() * 31 + i * 7) as f64 * 0.5)
                     .collect();
                 let tree = comm.allreduce(&mine, ReduceOp::Sum).unwrap();
-                let rd = comm.allreduce_rd(&mine, ReduceOp::Sum).unwrap();
+                let rd = comm
+                    .allreduce_with(Algorithm::RecursiveDoubling, &mine, ReduceOp::Sum)
+                    .unwrap();
                 for (a, b) in tree.iter().zip(&rd) {
                     assert!((a - b).abs() < 1e-9, "n={n}: {a} vs {b}");
                 }
                 let tree_max = comm.allreduce(&mine, ReduceOp::Max).unwrap();
-                let rd_max = comm.allreduce_rd(&mine, ReduceOp::Max).unwrap();
+                let rd_max = comm
+                    .allreduce_with(Algorithm::RecursiveDoubling, &mine, ReduceOp::Max)
+                    .unwrap();
                 assert_eq!(tree_max, rd_max, "n={n}");
             })
             .unwrap();
@@ -615,14 +603,16 @@ mod tests {
     }
 
     #[test]
-    fn allgather_ring_matches_tree_allgather() {
+    fn ring_allgather_matches_tree_allgather() {
         for n in [1, 2, 3, 5, 7] {
             Universe::run(n, move |comm| {
                 let mine = format!("payload-from-rank-{}", comm.rank());
                 let tree = comm
                     .allgather_with(Algorithm::Tree, mine.as_bytes())
                     .unwrap();
-                let ring = comm.allgather_ring(mine.as_bytes()).unwrap();
+                let ring = comm
+                    .allgather_with(Algorithm::Ring, mine.as_bytes())
+                    .unwrap();
                 assert_eq!(tree, ring, "n={n}");
                 for (r, p) in ring.iter().enumerate() {
                     assert_eq!(p, format!("payload-from-rank-{r}").as_bytes());
@@ -640,7 +630,7 @@ mod tests {
                 let bruck = comm
                     .allgather_with(Algorithm::Dissemination, &mine)
                     .unwrap();
-                let ring = comm.allgather_ring(&mine).unwrap();
+                let ring = comm.allgather_with(Algorithm::Ring, &mine).unwrap();
                 assert_eq!(bruck, ring, "n={n}");
             })
             .unwrap();
@@ -654,9 +644,13 @@ mod tests {
         Universe::run(4, |comm| {
             for round in 0..10i64 {
                 let a = comm.allreduce(&[round], ReduceOp::Sum).unwrap();
-                let b = comm.allreduce_rd(&[round], ReduceOp::Sum).unwrap();
+                let b = comm
+                    .allreduce_with(Algorithm::RecursiveDoubling, &[round], ReduceOp::Sum)
+                    .unwrap();
                 assert_eq!(a, b);
-                let g = comm.allgather_ring(&round.to_le_bytes()).unwrap();
+                let g = comm
+                    .allgather_with(Algorithm::Ring, &round.to_le_bytes())
+                    .unwrap();
                 assert_eq!(g.len(), 4);
                 comm.barrier().unwrap();
             }

@@ -50,12 +50,12 @@ pub struct Status {
     /// Message tag.
     pub tag: i32,
     /// Payload length in bytes.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 /// Completion state shared between an `isend` and the writer thread.
 #[derive(Debug)]
-pub struct SendSlot {
+pub(crate) struct SendSlot {
     state: Mutex<SendState>,
     cv: Condvar,
 }
@@ -265,7 +265,7 @@ pub struct Comm {
 impl Comm {
     /// Assemble a communicator from an established full mesh:
     /// `streams[p]` is the socket to peer `p` (`None` at index `rank`).
-    pub fn from_mesh(rank: usize, streams: Vec<Option<TcpStream>>) -> Result<Comm> {
+    pub(crate) fn from_mesh(rank: usize, streams: Vec<Option<TcpStream>>) -> Result<Comm> {
         Comm::from_mesh_with_deadline(rank, streams, io_deadline())
     }
 
@@ -424,12 +424,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Largest payload this communicator will send or accept
-    /// (`MPLITE_MAX_MSG_BYTES`, frozen at construction).
-    pub fn max_message(&self) -> u64 {
-        self.max_msg
-    }
-
     /// Asynchronous tagged send. The returned request completes once the
     /// writer thread has handed the bytes to the kernel.
     pub fn isend(&self, dst: usize, tag: i32, data: impl Into<Bytes>) -> Result<SendRequest> {
@@ -501,7 +495,7 @@ impl Comm {
     }
 
     /// The per-round receive deadline collectives run under.
-    pub fn coll_deadline(&self) -> Duration {
+    pub(crate) fn coll_deadline(&self) -> Duration {
         Duration::from_nanos(self.coll_deadline_ns.load(Ordering::Relaxed))
     }
 
@@ -514,7 +508,7 @@ impl Comm {
     }
 
     /// Ranks that have been declared dead, in rank order.
-    pub fn dead_ranks(&self) -> Vec<usize> {
+    pub(crate) fn dead_ranks(&self) -> Vec<usize> {
         (0..self.nprocs)
             .filter(|&r| self.health.dead[r].load(Ordering::Acquire))
             .collect()
@@ -544,8 +538,9 @@ impl Comm {
 
     /// Simulate a crash of this rank: no FIN handshake, sockets
     /// hard-closed. Peers observe an unannounced death — exactly what a
-    /// killed process looks like from the outside. Chaos/test hook.
-    pub fn sever(&self) {
+    /// killed process looks like from the outside. Test hook.
+    #[cfg(test)]
+    pub(crate) fn sever(&self) {
         self.severed.store(true, Ordering::Release);
         self.shutting_down.store(true, Ordering::Release);
         for s in self.streams.iter().flatten() {
@@ -882,7 +877,7 @@ mod tests {
         let comm =
             Comm::from_mesh_with_deadline(0, vec![None, Some(client)], Duration::from_secs(1))
                 .expect("mesh");
-        let too_big = (comm.max_message() + 1) as usize;
+        let too_big = (comm.max_msg + 1) as usize;
         let err = match comm.isend(1, 0, vec![0u8; too_big]) {
             Err(e) => e,
             Ok(_) => panic!("oversized payload must be refused"),

@@ -58,7 +58,7 @@ pub enum MpError {
 impl MpError {
     /// Wrap an I/O error from operation `op`, keeping the kind so
     /// timeout/disconnect classification still works upstream.
-    pub fn from_io(op: &'static str, e: io::Error) -> MpError {
+    pub(crate) fn from_io(op: &'static str, e: io::Error) -> MpError {
         MpError::Io(io::Error::new(e.kind(), format!("{op}: {e}")))
     }
 }

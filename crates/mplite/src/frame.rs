@@ -17,7 +17,7 @@
 //!
 //! Every decode failure is a typed [`FrameError`], so survivors can name
 //! the malformed peer instead of hanging or OOMing. There is no
-//! negotiation: [`check_prologue`] runs on every header, so a peer
+//! negotiation: `check_prologue` runs on every header, so a peer
 //! speaking any other version is a [`FrameError::VersionMismatch`] and
 //! a non-mplite peer is a [`FrameError::BadMagic`], on its first frame.
 //!
@@ -32,7 +32,7 @@ use std::fmt;
 use crate::message;
 
 /// First two bytes of every v2 frame.
-pub const MAGIC: [u8; 2] = *b"MP";
+pub(crate) const MAGIC: [u8; 2] = *b"MP";
 
 /// The framed format described in the module docs.
 pub const WIRE_V2: u8 = 2;
@@ -235,20 +235,20 @@ fn update_hw(s: u32, data: &[u8]) -> Option<u32> {
 /// Incremental CRC32C state, so header and payload can be chained
 /// without concatenating them in memory.
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32c {
+pub(crate) struct Crc32c {
     state: u32,
 }
 
 impl Crc32c {
     /// Fresh state.
-    pub fn new() -> Crc32c {
+    pub(crate) fn new() -> Crc32c {
         Crc32c { state: 0xFFFF_FFFF }
     }
 
     /// Fold `data` into the running checksum: on the hardware kernel
     /// where the CPU has one, on slice-by-8 everywhere else. Every
     /// kernel computes the same function, bit for bit.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.state = match update_hw(self.state, data) {
             Some(s) => s,
             None => update_slice8(self.state, data),
@@ -256,7 +256,7 @@ impl Crc32c {
     }
 
     /// The final checksum value.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         !self.state
     }
 }
@@ -280,7 +280,7 @@ pub fn crc32c(data: &[u8]) -> u32 {
 /// variant is `Copy` so verdicts travel through shared health tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
-    /// The first two bytes were not [`MAGIC`] — the stream is not
+    /// The first two bytes were not `MAGIC` — the stream is not
     /// speaking this protocol (or has lost sync).
     BadMagic {
         /// The bytes found where the magic should be.
@@ -361,7 +361,7 @@ impl std::error::Error for FrameError {}
 /// fault summaries.
 impl FrameError {
     /// The variant's stable name.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             FrameError::BadMagic { .. } => "bad-magic",
             FrameError::VersionMismatch { .. } => "version-mismatch",
@@ -402,7 +402,7 @@ pub fn build_header(
 // ------------------------------------------------------------- decoding
 
 /// Validate the 4-byte v2 prologue (magic, version, flags).
-pub fn check_prologue(p: &[u8]) -> Result<(), FrameError> {
+pub(crate) fn check_prologue(p: &[u8]) -> Result<(), FrameError> {
     if p.len() < 4 {
         return Err(FrameError::Truncated {
             got: p.len(),
@@ -494,7 +494,7 @@ impl PendingFrame {
 
 /// The frame-decode lifecycle as a protocol machine, in its own module
 /// because `protocol!` emits one ZST per state name.
-pub mod decoder_spec {
+pub(crate) mod decoder_spec {
     protospec::protocol! {
         /// One v2 frame's trip through the decoder: prologue validated,
         /// fixed fields validated (length bounded), payload checksummed,
@@ -546,11 +546,6 @@ impl FrameDecoder {
             state: FrameDecodeState::initial(),
             pending: None,
         }
-    }
-
-    /// Current protocol state (spec of record: `mplite.frame_decoder`).
-    pub fn state(&self) -> FrameDecodeState {
-        self.state
     }
 
     /// Feed a chunk; returns every frame completed by it. The first
@@ -803,7 +798,7 @@ mod tests {
         );
         assert_eq!(got[1].payload.len(), 0);
         assert_eq!(got[2].payload, vec![7u8; 300]);
-        assert!(matches!(dec.state(), FrameDecodeState::Magic(_)));
+        assert!(matches!(dec.state, FrameDecodeState::Magic(_)));
     }
 
     #[test]

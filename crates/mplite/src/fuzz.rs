@@ -4,7 +4,7 @@
 //! mutates a corpus of valid frames (bit flips, splices, truncations,
 //! length tampering, garbage) and pushes the bytes through
 //! [`FrameDecoder`] in randomly sized chunks, plus every decoded control
-//! frame through [`crate::comm`]'s FIN/POISON parser. The contract under
+//! frame through `crate::comm`'s FIN/POISON parser. The contract under
 //! test is the one the reader threads rely on:
 //!
 //! * every input yields verified frames or a typed [`FrameError`] —
@@ -48,7 +48,7 @@ pub struct FuzzReport {
     /// Verified control frames the control parser ignored (unusable
     /// payload) — allowed, as long as it returns.
     pub control_ignored: u64,
-    /// Rejections by [`FrameError::kind`].
+    /// Rejections by `FrameError::kind`.
     pub by_error: BTreeMap<&'static str, u64>,
     /// Contract violations: payloads returned over the cap. Always 0 on
     /// a passing run; counted instead of asserted so the caller owns

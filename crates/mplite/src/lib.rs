@@ -45,17 +45,17 @@
 // `disallowed-methods`) bind library code; tests may wait on sockets.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-pub mod buf;
-pub mod collectives;
-pub mod comm;
-pub mod error;
+mod buf;
+mod collectives;
+mod comm;
+mod error;
 pub mod frame;
 pub mod fuzz;
-pub mod lifecycle;
+mod lifecycle;
 pub mod message;
-pub mod sync;
+mod sync;
 pub mod trace;
-pub mod universe;
+mod universe;
 
 pub use crate::collectives::{Algorithm, ReduceElem, ReduceOp};
 pub use buf::Bytes;

@@ -61,14 +61,14 @@ impl RecvSlot {
     }
 
     /// Fulfil the slot with a message.
-    pub fn fulfil(&self, msg: InMsg) {
+    pub(crate) fn fulfil(&self, msg: InMsg) {
         let mut st = self.state.lock();
         *st = SlotState::Done(msg);
         self.cv.notify_all();
     }
 
     /// Fail the slot (peer disconnected, shutdown).
-    pub fn fail(&self, why: String) {
+    pub(crate) fn fail(&self, why: String) {
         let mut st = self.state.lock();
         if matches!(*st, SlotState::Waiting) {
             *st = SlotState::Failed(why);
@@ -90,7 +90,7 @@ impl RecvSlot {
     /// means the deadline expired with the receive still outstanding —
     /// the caller decides what that implies (the collective executor
     /// declares the awaited peer dead).
-    pub fn wait_deadline(&self, deadline: std::time::Duration) -> Option<Result<InMsg>> {
+    pub(crate) fn wait_deadline(&self, deadline: std::time::Duration) -> Option<Result<InMsg>> {
         #[expect(
             clippy::disallowed_methods,
             reason = "real-mode deadline primitive: the slot owns its wait clock"
@@ -240,7 +240,7 @@ impl MatchEngine {
     /// Boot complete: the mesh is connected and the service threads are
     /// up. A no-op if a reader already poisoned the engine — poison must
     /// not be papered over by a late `ready`.
-    pub fn ready(&self) {
+    pub(crate) fn ready(&self) {
         let mut inner = self.inner.lock();
         inner.life = match inner.life {
             ConnLifeState::Booting(s) => s.ready().into(),
@@ -251,7 +251,7 @@ impl MatchEngine {
     /// Fail every posted receive and refuse future posts (peer-death
     /// path). The engine stays usable for draining already-queued
     /// unexpected messages until [`MatchEngine::finalize`].
-    pub fn poison(&self, why: &str) {
+    pub(crate) fn poison(&self, why: &str) {
         let posted: Vec<Arc<RecvSlot>> = {
             let mut inner = self.inner.lock();
             inner.life = match inner.life {
@@ -268,7 +268,7 @@ impl MatchEngine {
 
     /// Retire the engine for good (communicator drop). Terminal: every
     /// prior state finalizes, and nothing leaves `Finalized`.
-    pub fn finalize(&self, why: &str) {
+    pub(crate) fn finalize(&self, why: &str) {
         let posted: Vec<Arc<RecvSlot>> = {
             let mut inner = self.inner.lock();
             inner.life = match inner.life {

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 /// A mutex whose `lock` recovers from poisoning instead of panicking.
 #[derive(Debug, Default)]
-pub struct Mutex<T> {
+pub(crate) struct Mutex<T> {
     inner: sync::Mutex<T>,
 }
 
@@ -22,20 +22,20 @@ pub struct Mutex<T> {
 /// only so [`Condvar::wait`] can move the std guard out and back in
 /// through a `&mut` borrow.
 #[derive(Debug)]
-pub struct MutexGuard<'a, T> {
+pub(crate) struct MutexGuard<'a, T> {
     inner: Option<sync::MutexGuard<'a, T>>,
 }
 
 impl<T> Mutex<T> {
     /// Wrap a value.
-    pub fn new(value: T) -> Mutex<T> {
+    pub(crate) fn new(value: T) -> Mutex<T> {
         Mutex {
             inner: sync::Mutex::new(value),
         }
     }
 
     /// Acquire the lock, recovering the data if a holder panicked.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             inner: Some(
                 self.inner
@@ -78,20 +78,20 @@ impl<T> DerefMut for MutexGuard<'_, T> {
 
 /// A condition variable paired with [`Mutex`].
 #[derive(Debug, Default)]
-pub struct Condvar {
+pub(crate) struct Condvar {
     inner: sync::Condvar,
 }
 
 impl Condvar {
     /// A fresh condition variable.
-    pub fn new() -> Condvar {
+    pub(crate) fn new() -> Condvar {
         Condvar {
             inner: sync::Condvar::new(),
         }
     }
 
     /// Atomically release the guard's lock and block until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+    pub(crate) fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         if let Some(g) = guard.inner.take() {
             guard.inner = Some(
                 self.inner
@@ -105,7 +105,7 @@ impl Condvar {
     /// `dur` elapses. Returns `true` if the wait timed out (the caller
     /// must still re-check its predicate either way — wakes can race
     /// with the timeout).
-    pub fn wait_timeout<T>(&self, guard: &mut MutexGuard<'_, T>, dur: Duration) -> bool {
+    pub(crate) fn wait_timeout<T>(&self, guard: &mut MutexGuard<'_, T>, dur: Duration) -> bool {
         let mut timed_out = false;
         if let Some(g) = guard.inner.take() {
             let (g, res) = self
@@ -119,13 +119,8 @@ impl Condvar {
     }
 
     /// Wake every waiter.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         self.inner.notify_all();
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
     }
 }
 

@@ -17,11 +17,11 @@ use std::sync::{Arc, OnceLock};
 use tracelab::WallTracer;
 
 /// Application-thread role for [`track`].
-pub const ROLE_APP: u32 = 0;
+pub(crate) const ROLE_APP: u32 = 0;
 /// Writer-thread role for [`track`].
-pub const ROLE_WRITER: u32 = 1;
+pub(crate) const ROLE_WRITER: u32 = 1;
 /// Reader-(progress-)thread role for [`track`].
-pub const ROLE_READER: u32 = 2;
+pub(crate) const ROLE_READER: u32 = 2;
 
 static TRACER: OnceLock<Arc<WallTracer>> = OnceLock::new();
 
@@ -33,7 +33,7 @@ pub fn install(tracer: Arc<WallTracer>) -> bool {
 }
 
 /// The installed tracer, if any. Cheap enough for per-message paths.
-pub fn installed() -> Option<&'static Arc<WallTracer>> {
+pub(crate) fn installed() -> Option<&'static Arc<WallTracer>> {
     TRACER.get()
 }
 
@@ -41,16 +41,16 @@ static NEXT_MSG: AtomicU64 = AtomicU64::new(0);
 
 /// Allocate the next message-correlation id (1-based, process-global so
 /// loopback jobs running several ranks in one process never collide).
-pub fn next_msg() -> u64 {
+pub(crate) fn next_msg() -> u64 {
     NEXT_MSG.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 /// The trace track (timeline) for `role` of rank `rank`.
-pub fn track(rank: usize, role: u32) -> u32 {
+pub(crate) fn track(rank: usize, role: u32) -> u32 {
     rank as u32 * 4 + role
 }
 
-/// Human label for a track id produced by [`track`].
+/// Human label for a track id produced by `track`.
 pub fn track_label(t: u32) -> String {
     let rank = t / 4;
     match t % 4 {

@@ -26,11 +26,11 @@
 )]
 
 pub mod libs;
-pub mod multirank;
-pub mod profile;
-pub mod rendezvous;
-pub mod session;
+mod multirank;
+mod profile;
+mod rendezvous;
+mod session;
 
-pub use multirank::MultiSession;
-pub use profile::{FragmentCfg, LibProfile, MpLib, Progress, Routing, Transport};
+pub use multirank::{Mailboxes, MultiSession};
+pub use profile::{FragmentCfg, LibProfile, MpLib, Routing, Transport};
 pub use session::{pingpong, Session};

@@ -52,10 +52,10 @@ pub fn ip_over_gm(bufs: u64) -> MpLib {
 pub struct MpichConfig {
     /// `P4_SOCKBUFSIZE` — *the* vital parameter: default 32 kB collapses
     /// to ~75 Mbps; 256 kB recovers a five-fold improvement.
-    pub p4_sockbufsize: u64,
+    pub(crate) p4_sockbufsize: u64,
     /// The rendezvous cutoff, 128 kB unless the source is edited
     /// (`mpid/ch2/chinit.c`).
-    pub rendezvous: u64,
+    pub(crate) rendezvous: u64,
 }
 
 impl Default for MpichConfig {
@@ -184,7 +184,7 @@ pub fn lammpi(cfg: LamConfig) -> MpLib {
 pub struct MpiProConfig {
     /// `tcp_long`: the TCP rendezvous threshold; default 32 kB dips,
     /// 128 kB "removes much of the dip".
-    pub tcp_long: u64,
+    pub(crate) tcp_long: u64,
 }
 
 impl Default for MpiProConfig {
@@ -420,10 +420,10 @@ pub struct MvichConfig {
     /// `VIADEV_RPUT_SUPPORT`: RDMA-put for large messages — "vital … to
     /// get good performance"; without it every byte is copied through
     /// pre-registered bounce buffers.
-    pub rput_support: bool,
+    pub(crate) rput_support: bool,
     /// `via_long`: the RDMA/rendezvous threshold. Default 16 kB dips;
     /// 64 kB removes the dip (higher froze the system).
-    pub via_long: u64,
+    pub(crate) via_long: u64,
 }
 
 impl Default for MvichConfig {

@@ -31,10 +31,10 @@ use crate::profile::LibProfile;
 
 /// A message body handed to [`MultiSession::send`]; only its length is
 /// simulated.
-pub type Payload = Rc<Vec<u8>>;
+pub(crate) type Payload = Rc<Vec<u8>>;
 
 /// Completion callback for a posted receive, handed the message length.
-pub type RecvContinuation = Box<dyn FnOnce(&mut MultiEngine, u64)>;
+pub(crate) type RecvContinuation = Box<dyn FnOnce(&mut MultiEngine, u64)>;
 
 /// Where a message is on its way.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -109,7 +109,7 @@ impl<C> Mailboxes<C> {
     }
 
     /// Number of ranks.
-    pub fn nranks(&self) -> usize {
+    pub(crate) fn nranks(&self) -> usize {
         self.n
     }
 
@@ -343,17 +343,6 @@ impl MultiSession {
         self.inner.boxes.borrow().nranks()
     }
 
-    /// Add `us` microseconds of CPU work to every send `rank` issues.
-    pub fn set_rank_overhead_us(&self, rank: usize, us: f64) {
-        self.inner.boxes.borrow_mut().set_rank_overhead_us(rank, us);
-    }
-
-    /// Install a fault plan's timed degradation windows (see
-    /// [`Mailboxes::set_degrade_windows`]).
-    pub fn set_degrade_windows(&self, windows: Vec<DegradeWindow>) {
-        self.inner.boxes.borrow_mut().set_degrade_windows(windows);
-    }
-
     fn bind(&self, eng: &mut MultiEngine) {
         eng.world.bind(self.inner.clone());
     }
@@ -490,7 +479,7 @@ mod tests {
         let time_with = |extra: f64| {
             let mut eng = engine(2);
             let sess = MultiSession::new(crate::libs::mpich(Default::default()).profile, 2);
-            sess.set_rank_overhead_us(0, extra);
+            sess.inner.boxes.borrow_mut().set_rank_overhead_us(0, extra);
             sess.send(&mut eng, 0, 1, 1, Rc::new(vec![0u8; 1024]));
             sess.post_recv(&mut eng, 1, 0, 1, Box::new(|_, _| {}));
             eng.run().as_secs_f64()
@@ -503,7 +492,7 @@ mod tests {
         let time_with = |windows: Vec<DegradeWindow>| {
             let mut eng = engine(2);
             let sess = MultiSession::new(crate::libs::mpich(Default::default()).profile, 2);
-            sess.set_degrade_windows(windows);
+            sess.inner.boxes.borrow_mut().set_degrade_windows(windows);
             sess.send(&mut eng, 0, 1, 1, Rc::new(vec![0u8; 4096]));
             sess.post_recv(&mut eng, 1, 0, 1, Box::new(|_, _| {}));
             eng.run().as_secs_f64()

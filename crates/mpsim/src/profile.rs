@@ -2,7 +2,7 @@
 //!
 //! Every message-passing library in the paper is characterized by a small
 //! set of architectural mechanisms (§3, §7). A [`LibProfile`] captures
-//! them as data; the executor in [`crate::session`] turns a profile plus a
+//! them as data; the executor in `crate::session` turns a profile plus a
 //! transport binding into simulated message transfers. Keeping behaviour
 //! declarative makes each library's model auditable against the paper and
 //! lets the ablation benches switch individual mechanisms off.
@@ -35,7 +35,7 @@ pub enum Routing {
 /// MPI/Pro that has a message progress thread, or MP_Lite that is SIGIO
 /// interrupt driven, will keep data flowing more readily").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Progress {
+pub(crate) enum Progress {
     /// Progress only inside library calls (MPICH/p4, PVM, TCGMSG): a busy
     /// receiver cannot answer rendezvous handshakes or drain its buffers.
     InCall,
@@ -53,9 +53,9 @@ pub enum Progress {
 #[derive(Debug, Clone, Copy)]
 pub struct FragmentCfg {
     /// Fragment payload size (PVM: 4080 bytes).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Per-fragment library overhead at each traversal, µs.
-    pub per_frag_us: f64,
+    pub(crate) per_frag_us: f64,
     /// Stop-and-wait acknowledgement per fragment (the pvmd↔pvmd UDP
     /// reliability protocol) — the mechanism that caps daemon-routed PVM
     /// near 90 Mbps (§4.5).
@@ -69,12 +69,12 @@ pub struct LibProfile {
     pub name: String,
     /// Fixed per-message cost on the sending side, µs (argument checking,
     /// queue management, progress-thread handoff).
-    pub send_overhead_us: f64,
+    pub(crate) send_overhead_us: f64,
     /// Fixed per-message cost on the receiving side, µs.
-    pub recv_overhead_us: f64,
+    pub(crate) recv_overhead_us: f64,
     /// Serial bulk copies *before* the transport send (PVM packing
     /// without `PvmDataInPlace`).
-    pub send_copies: u32,
+    pub(crate) send_copies: u32,
     /// Serial bulk copies *after* delivery (MPICH/p4 draining its receive
     /// buffer; PVM unpacking). Charged at the host's cold `memcpy` rate —
     /// the paper's §7 explanation for the 25–30 % large-message loss.
@@ -82,20 +82,20 @@ pub struct LibProfile {
     /// Per-byte data inspection serialized with receive (LAM/MPI without
     /// `-O` checks every element for heterogeneous conversion), bytes/sec;
     /// `f64::INFINITY` disables it.
-    pub byte_check_bps: f64,
+    pub(crate) byte_check_bps: f64,
     /// Eager→rendezvous threshold: messages above it pay a
     /// request-to-send / clear-to-send handshake (two extra one-way
     /// latencies) before the data moves — the dip every library shows at
     /// its threshold.
     pub rendezvous_bytes: Option<u64>,
     /// Size of a handshake control message.
-    pub ctrl_bytes: u64,
+    pub(crate) ctrl_bytes: u64,
     /// Library-level fragmentation, if any.
     pub fragment: Option<FragmentCfg>,
     /// Direct or daemon-relayed routing.
     pub routing: Routing,
     /// Progress model while the application computes.
-    pub progress: Progress,
+    pub(crate) progress: Progress,
     /// Parallel NIC channels to stripe large messages across (MP_Lite's
     /// channel-bonding feature; 1 = normal operation). Requires a cluster
     /// with at least this many cards installed.
@@ -105,7 +105,7 @@ pub struct LibProfile {
 impl LibProfile {
     /// A neutral profile: no overheads, no copies, no handshakes — used
     /// for the raw-transport reference curves ("raw TCP", "raw GM").
-    pub fn raw(name: &str) -> LibProfile {
+    pub(crate) fn raw(name: &str) -> LibProfile {
         LibProfile {
             name: name.to_string(),
             send_overhead_us: 0.0,
@@ -125,7 +125,7 @@ impl LibProfile {
     /// Serial sender-side CPU work for one message of `bytes`: the fixed
     /// overhead plus `extra_us` (a degraded rank's surcharge), then the
     /// packing copies at the host's `memcpy_bps`.
-    pub fn send_work(&self, bytes: u64, memcpy_bps: f64, extra_us: f64) -> SimDuration {
+    pub(crate) fn send_work(&self, bytes: u64, memcpy_bps: f64, extra_us: f64) -> SimDuration {
         SimDuration::from_micros_f64(self.send_overhead_us + extra_us)
             + SimDuration::for_bytes(bytes * u64::from(self.send_copies), memcpy_bps)
     }
@@ -133,7 +133,7 @@ impl LibProfile {
     /// Serial receiver-side CPU work for one delivered message of
     /// `bytes`: the fixed overhead, the unpacking copies at `memcpy_bps`,
     /// then the per-byte check.
-    pub fn recv_work(&self, bytes: u64, memcpy_bps: f64) -> SimDuration {
+    pub(crate) fn recv_work(&self, bytes: u64, memcpy_bps: f64) -> SimDuration {
         SimDuration::from_micros_f64(self.recv_overhead_us)
             + SimDuration::for_bytes(bytes * u64::from(self.recv_copies), memcpy_bps)
             + SimDuration::for_bytes(bytes, self.byte_check_bps)

@@ -14,10 +14,10 @@
 //! other receives, or the crate does not build.
 
 /// Sender role of the rendezvous handshake.
-pub mod sender {
+pub(crate) mod sender {
     protospec::protocol! {
         /// Sender: emit RTS, wait for CTS, then stream the payload.
-        pub RndvSendState of rendezvous.sender dual super::receiver::RndvRecvState;
+        pub(crate) RndvSendState of rendezvous.sender dual super::receiver::RndvRecvState;
         states Idle, AwaitCts, Streaming;
         terminal Idle;
         Idle --rts!--> AwaitCts;
@@ -27,11 +27,11 @@ pub mod sender {
 }
 
 /// Receiver role of the rendezvous handshake.
-pub mod receiver {
+pub(crate) mod receiver {
     protospec::protocol! {
         /// Receiver: take the RTS, answer CTS once the library is
         /// entered, then drain the payload.
-        pub RndvRecvState of rendezvous.receiver dual super::sender::RndvSendState;
+        pub(crate) RndvRecvState of rendezvous.receiver dual super::sender::RndvSendState;
         states Idle, CtsDue, Draining;
         terminal Idle;
         Idle --rts?--> CtsDue;

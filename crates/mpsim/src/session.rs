@@ -23,8 +23,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use protosim::fabric::{Continuation, Net};
 use protosim::{local, raw, tcp, transmit, transmit_train, ConnId, Fabric, NetEvent, Slots, Upper};
+use protosim::{Continuation, Net};
 use simcore::{SimDuration, SimTime};
 
 use crate::profile::{FragmentCfg, LibProfile, MpLib, Progress, Routing, Transport};
@@ -54,20 +54,20 @@ struct Layer {
 /// steps come first: each indexes its count in [`Relay::passed`].
 mod step {
     /// A fragment reached the sending daemon (relay hop 1).
-    pub const TO_DAEMON: u8 = 0;
+    pub(crate) const TO_DAEMON: u8 = 0;
     /// The sending daemon is done with a fragment.
-    pub const DAEMON_OUT: u8 = 1;
+    pub(crate) const DAEMON_OUT: u8 = 1;
     /// A fragment crossed between the daemons.
-    pub const ACROSS: u8 = 2;
+    pub(crate) const ACROSS: u8 = 2;
     /// The receiving daemon is done with a fragment.
-    pub const DAEMON_IN: u8 = 3;
+    pub(crate) const DAEMON_IN: u8 = 3;
     /// A fragment reached the receiving application (relay hop 3), or,
     /// under stop-and-wait, its acknowledgement the sending daemon.
-    pub const RELAYED: u8 = 4;
+    pub(crate) const RELAYED: u8 = 4;
     /// The message's current phase is over (see [`super::Phase`]).
-    pub const NEXT: u8 = 5;
+    pub(crate) const NEXT: u8 = 5;
     /// A crossing whose landing completes nothing.
-    pub const IGNORED: u8 = 6;
+    pub(crate) const IGNORED: u8 = 6;
 }
 
 /// The event that moves message `msg` on by `step`.
@@ -220,7 +220,7 @@ impl Session {
     /// discussion, made measurable.
     ///
     /// What can proceed during the computation depends on the library's
-    /// [`Progress`] model:
+    /// `Progress` model:
     ///
     /// * `Kernel`/`Thread`/`Sigio` — the transfer proceeds in full; only
     ///   the final hand-off waits for the application (full overlap).
@@ -565,7 +565,7 @@ impl Layer {
 
 /// Completion callback for [`pingpong`]: receives the engine and the
 /// total elapsed simulated seconds.
-pub type PingpongDone = Box<dyn FnOnce(&mut Net, f64)>;
+pub(crate) type PingpongDone = Box<dyn FnOnce(&mut Net, f64)>;
 
 /// Run `reps` ping-pong round trips of `bytes` and pass the total elapsed
 /// simulated seconds to `done`.

@@ -14,8 +14,6 @@ use crate::runner::Signature;
 /// Derived metrics for one signature.
 #[derive(Debug, Clone)]
 pub struct SignatureAnalysis {
-    /// Driver name.
-    pub name: String,
     /// Half-performance length n½, bytes (first size reaching half the
     /// peak rate).
     pub n_half: u64,
@@ -28,7 +26,7 @@ pub struct SignatureAnalysis {
 }
 
 /// First message size whose throughput reaches `frac` of the peak.
-pub fn size_reaching(sig: &Signature, frac: f64) -> Option<u64> {
+pub(crate) fn size_reaching(sig: &Signature, frac: f64) -> Option<u64> {
     let target = sig.max_mbps * frac;
     sig.points
         .iter()
@@ -40,7 +38,7 @@ pub fn size_reaching(sig: &Signature, frac: f64) -> Option<u64> {
 ///
 /// Returns `(t0_seconds, r_inf_bytes_per_second)`. With fewer than two
 /// points the fit degenerates to `(t, ∞)`.
-pub fn fit_hockney(sig: &Signature) -> (f64, f64) {
+pub(crate) fn fit_hockney(sig: &Signature) -> (f64, f64) {
     let n = sig.points.len() as f64;
     if sig.points.len() < 2 {
         return (sig.points.first().map_or(0.0, |p| p.seconds), f64::INFINITY);
@@ -68,7 +66,6 @@ pub fn fit_hockney(sig: &Signature) -> (f64, f64) {
 pub fn analyze(sig: &Signature) -> SignatureAnalysis {
     let (t0_s, r_inf_bps) = fit_hockney(sig);
     SignatureAnalysis {
-        name: sig.name.clone(),
         n_half: size_reaching(sig, 0.5).unwrap_or(u64::MAX),
         saturation_bytes: size_reaching(sig, 0.9).unwrap_or(u64::MAX),
         t0_s,

@@ -61,7 +61,7 @@ pub type DriverError = NetpipeError;
 impl NetpipeError {
     /// Classify an I/O error from operation `op` into timeout /
     /// disconnect / other.
-    pub fn from_io(op: &'static str, e: std::io::Error) -> NetpipeError {
+    pub(crate) fn from_io(op: &'static str, e: std::io::Error) -> NetpipeError {
         if faultlab::io::is_timeout(&e) {
             NetpipeError::Timeout { op, source: e }
         } else if faultlab::io::is_disconnect(&e) {
@@ -184,11 +184,6 @@ impl SimDriver {
             trace: None,
             faults: None,
         }
-    }
-
-    /// The cluster configuration being simulated.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
     }
 
     /// Install a trace sink; every subsequent measurement instruments its

@@ -38,15 +38,15 @@
 // `disallowed-methods`) bind library code; tests may wait on sockets.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-pub mod analysis;
-pub mod driver;
-pub mod mplite_driver;
-pub mod real_tcp;
-pub mod report;
-pub mod runner;
-pub mod schedule;
+mod analysis;
+mod driver;
+mod mplite_driver;
+mod real_tcp;
+mod report;
+mod runner;
+mod schedule;
 
-pub use analysis::{analyze, fit_hockney, size_reaching, SignatureAnalysis};
+pub use analysis::{analyze, SignatureAnalysis};
 pub use driver::{Driver, DriverError, NetpipeError, SimDriver};
 pub use mplite_driver::MpliteDriver;
 pub use real_tcp::{RealTcpDriver, RealTcpOptions};

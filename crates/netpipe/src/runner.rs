@@ -86,7 +86,7 @@ pub enum PointStatus {
 
 impl PointStatus {
     /// Did this point produce a usable timing?
-    pub fn is_measured(&self) -> bool {
+    pub(crate) fn is_measured(&self) -> bool {
         !matches!(self, PointStatus::Failed { .. })
     }
 }
@@ -99,7 +99,7 @@ pub struct Point {
     /// One-way transfer time, seconds (best trial).
     pub seconds: f64,
     /// Throughput, decimal megabits per second.
-    pub mbps: f64,
+    pub(crate) mbps: f64,
     /// Relative spread across trials (max/min − 1); 0 for deterministic
     /// drivers.
     pub jitter: f64,

@@ -54,21 +54,8 @@ pub fn wire_track(ch: usize, dir: usize) -> u32 {
 /// window stalls, wakeups) of messages sent by endpoint `from`. These
 /// spans may overlap each other (segments pipeline), so they get their
 /// own timeline instead of a hardware resource's.
-pub fn flow_track(from: usize) -> u32 {
+pub(crate) fn flow_track(from: usize) -> u32 {
     48 + from as u32
-}
-
-/// Track for message-passing-library phase spans (pack, handshake,
-/// memcpy, daemon hops) on host `h`.
-pub fn lib_track(h: usize) -> u32 {
-    56 + h as u32
-}
-
-/// Is `track` a serially-occupied hardware resource (CPU/PCI/NIC/wire)?
-/// Only these contribute to bottleneck accounting; flow and library
-/// tracks hold possibly-overlapping protocol spans.
-pub fn is_hw_track(track: u32) -> bool {
-    track < 48
 }
 
 /// Human-readable name for a track id, matching the historical stage
@@ -141,13 +128,13 @@ pub struct Fabric {
     pub conns: Vec<Conn>,
     /// Installed trace sink, if any (see [`instrument`]). Write-only:
     /// transports record spans here but never read it for decisions.
-    pub tracer: Option<SharedSink>,
+    pub(crate) tracer: Option<SharedSink>,
     /// Installed fault-injection lottery, if any (see
     /// [`Fabric::install_faults`]). Unlike the tracer this *is* consulted
     /// by the transport — that is its purpose — but every decision is a
     /// pure function of the plan's seed and the call order, so runs stay
     /// reproducible.
-    pub faults: Option<Box<FaultLottery>>,
+    pub(crate) faults: Option<Box<FaultLottery>>,
     /// Monotonic message-id allocator (advances identically whether or
     /// not a tracer is installed, preserving determinism).
     next_msg: u64,
@@ -165,15 +152,15 @@ pub struct Fabric {
 /// A fabric borrowed apart for one direction of one connection: what a
 /// transport touches while it moves that direction's segments.
 pub(crate) struct Leg<'a> {
-    pub spec: &'a ClusterSpec,
+    pub(crate) spec: &'a ClusterSpec,
     /// The sending host.
-    pub tx: &'a mut HostRt,
+    pub(crate) tx: &'a mut HostRt,
     /// The receiving host.
-    pub rx: &'a mut HostRt,
-    pub wires: &'a mut [[Resource; 2]],
-    pub tracer: Option<&'a SharedSink>,
-    pub faults: Option<&'a mut FaultLottery>,
-    pub cursor: &'a mut Cursor,
+    pub(crate) rx: &'a mut HostRt,
+    pub(crate) wires: &'a mut [[Resource; 2]],
+    pub(crate) tracer: Option<&'a SharedSink>,
+    pub(crate) faults: Option<&'a mut FaultLottery>,
+    pub(crate) cursor: &'a mut Cursor,
 }
 
 impl Leg<'_> {
@@ -181,7 +168,7 @@ impl Leg<'_> {
     /// advanced in closed form: no tracer, and no fault plan that could
     /// touch a segment.
     #[inline]
-    pub fn closed_form(&self) -> bool {
+    pub(crate) fn closed_form(&self) -> bool {
         self.tracer.is_none() && self.faults.as_ref().is_none_or(|f| f.plan().is_lossless())
     }
 
@@ -189,7 +176,7 @@ impl Leg<'_> {
     /// `channel`: the sender's CPU, PCI bus and NIC, the wire, and the
     /// receiver's PCI bus and CPU.
     #[inline]
-    pub fn stages(&mut self, channel: usize, dir: usize) -> [&mut Resource; 6] {
+    pub(crate) fn stages(&mut self, channel: usize, dir: usize) -> [&mut Resource; 6] {
         [
             &mut self.tx.cpu,
             &mut self.tx.pci,
@@ -368,7 +355,7 @@ pub(crate) enum Done {
 
 impl Done {
     #[inline]
-    pub fn is_silent(&self) -> bool {
+    pub(crate) fn is_silent(&self) -> bool {
         matches!(self, Done::Silent)
     }
 }
@@ -726,10 +713,6 @@ mod tests {
         assert_eq!(track_label(wire_track(0, 0)), "wire0 ->");
         assert_eq!(track_label(wire_track(1, 1)), "wire1 <-");
         assert_eq!(track_label(flow_track(0)), "flow 0->1");
-        assert_eq!(track_label(lib_track(1)), "host1 lib");
-        assert!(is_hw_track(wire_track(3, 1)));
-        assert!(!is_hw_track(flow_track(0)));
-        assert!(!is_hw_track(lib_track(0)));
     }
 
     #[test]
@@ -741,7 +724,6 @@ mod tests {
             for ch in 0..4 {
                 assert!(seen.insert(nic_track(h, ch)));
             }
-            assert!(seen.insert(lib_track(h)));
             assert!(seen.insert(flow_track(h)));
         }
         for ch in 0..4 {

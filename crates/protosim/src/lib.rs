@@ -10,8 +10,8 @@
 //! * [`raw`] — OS-bypass fabrics: Myrinet GM (polling/blocking/hybrid
 //!   receive), Giganet cLAN hardware VIA, and the M-VIA software VIA.
 //! * [`local`] — same-host pipes used by daemon-routed modes.
-//! * [`fabric`] — the shared world: host CPU / PCI / NIC resources and
-//!   the wire, with [`fabric::send`] dispatching over connection types.
+//! * [`Fabric`] — the shared world: host CPU / PCI / NIC resources and
+//!   the wire, with [`send`] dispatching over connection types.
 //!
 //! A transport completes a message by handing an event to the layer bound
 //! above its fabric ([`Upper`]), or by running a caller's continuation, so
@@ -32,7 +32,7 @@
     clippy::print_stderr
 )]
 
-pub mod fabric;
+mod fabric;
 pub mod local;
 pub mod multinode;
 pub mod raw;
@@ -44,8 +44,8 @@ use std::rc::Rc;
 use simcore::Engine;
 
 pub use fabric::{
-    cpu_track, flow_track, instrument, is_hw_track, lib_track, nic_track, pci_track, send,
-    track_label, transmit, wire_track, Conn, ConnId, Continuation, Fabric, Net, NetEvent, Slots,
+    cpu_track, instrument, nic_track, pci_track, send, track_label, transmit, wire_track, Conn,
+    ConnId, Continuation, Fabric, Net, NetEvent, Slots,
 };
 pub use multinode::{ring_halo_steps, MultiEngine, MultiEvent, MultiNet};
 pub use raw::{RawParams, RecvMode};
@@ -75,7 +75,7 @@ impl<W, E> Default for Bound<W, E> {
 impl<W, E> Bound<W, E> {
     /// Bind `layer`. Binding the layer already bound is a no-op; one
     /// engine carries one layer.
-    pub fn bind(&mut self, layer: Rc<dyn Upper<W, E>>) {
+    pub(crate) fn bind(&mut self, layer: Rc<dyn Upper<W, E>>) {
         match &self.0 {
             Some(bound) => assert!(
                 std::ptr::addr_eq(Rc::as_ptr(bound), Rc::as_ptr(&layer)),
@@ -86,7 +86,7 @@ impl<W, E> Bound<W, E> {
     }
 
     /// The bound layer, counted once more for the call it runs.
-    pub fn layer(&self) -> Rc<dyn Upper<W, E>> {
+    pub(crate) fn layer(&self) -> Rc<dyn Upper<W, E>> {
         #[expect(
             clippy::expect_used,
             reason = "only a bound layer schedules its own events or transmits its messages"

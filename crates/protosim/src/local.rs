@@ -15,11 +15,11 @@ use crate::fabric::{complete_at, Conn, ConnId, Done, Fabric, Net};
 /// A same-host IPC channel (Unix pipe / loopback socket).
 pub struct LocalConn {
     /// Host both endpoints live on.
-    pub host: usize,
+    pub(crate) host: usize,
     /// Fixed per-message cost: two syscalls + a scheduler wakeup, µs.
-    pub per_msg_us: f64,
+    pub(crate) per_msg_us: f64,
     /// Number of memory copies per traversal (user→kernel→user = 2).
-    pub copies: u32,
+    pub(crate) copies: u32,
     /// Total bytes delivered.
     pub bytes_delivered: u64,
     /// The last `(bytes, hop cost)`: a relay moves one fragment size.
@@ -28,7 +28,7 @@ pub struct LocalConn {
 
 impl LocalConn {
     /// A standard loopback channel on `host`.
-    pub fn loopback(host: usize) -> LocalConn {
+    pub(crate) fn loopback(host: usize) -> LocalConn {
         LocalConn {
             host,
             per_msg_us: 10.0,

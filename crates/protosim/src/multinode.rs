@@ -24,11 +24,11 @@ pub struct Node {
     /// Protocol CPU (kernel per-packet + copies).
     pub cpu: Resource,
     /// NIC/driver per-frame engine (the GA620's firmware stage).
-    pub nic: Resource,
+    pub(crate) nic: Resource,
     /// Transmit wire of the node's switch port.
-    pub tx: Resource,
+    pub(crate) tx: Resource,
     /// Receive wire of the node's switch port.
-    pub rx: Resource,
+    pub(crate) rx: Resource,
 }
 
 /// The N-node world: nodes around a non-blocking switch, the messages
@@ -39,7 +39,7 @@ pub struct MultiNet {
     /// All nodes.
     pub nodes: Vec<Node>,
     /// Messages delivered so far (diagnostics).
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Messages crossing the switch.
     flights: Slots<Flight>,
     /// Completions of the messages [`send`] carries.
@@ -52,7 +52,7 @@ pub struct MultiNet {
 pub type MultiEngine = Engine<MultiNet, MultiEvent>;
 
 /// Completion callback.
-pub type MultiContinuation = Box<dyn FnOnce(&mut MultiEngine)>;
+pub(crate) type MultiContinuation = Box<dyn FnOnce(&mut MultiEngine)>;
 
 /// The N-rank world's one event vocabulary, held in the engine's queue
 /// as plain data (8 bytes). The fabric runs `Segment` and `Resume`
@@ -159,7 +159,7 @@ impl Event<MultiNet> for MultiEvent {
 
 impl MultiNet {
     /// Build an `n`-node cluster of `spec` nodes joined by a switch.
-    pub fn new(spec: ClusterSpec, n: usize) -> MultiNet {
+    pub(crate) fn new(spec: ClusterSpec, n: usize) -> MultiNet {
         assert!(n >= 2, "a cluster needs at least two nodes");
         let mk = || {
             let wire_rate = spec

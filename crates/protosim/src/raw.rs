@@ -41,7 +41,7 @@ pub enum RecvMode {
 
 impl RecvMode {
     /// Per-message completion cost, µs.
-    pub fn completion_us(self) -> f64 {
+    pub(crate) fn completion_us(self) -> f64 {
         match self {
             RecvMode::Polling | RecvMode::Hybrid => 2.0,
             RecvMode::Blocking => 20.0,
@@ -53,16 +53,16 @@ impl RecvMode {
 #[derive(Debug, Clone)]
 pub struct RawParams {
     /// Fabric packet (fragment) size, bytes.
-    pub pkt_bytes: u32,
+    pub(crate) pkt_bytes: u32,
     /// Per-packet host software cost, µs (tiny for GM/Giganet; the
     /// dominant term for the software M-VIA).
-    pub sw_pkt_us: f64,
+    pub(crate) sw_pkt_us: f64,
     /// Fixed per-message library send overhead, µs.
-    pub send_overhead_us: f64,
+    pub(crate) send_overhead_us: f64,
     /// Completion notification mode.
-    pub recv_mode: RecvMode,
+    pub(crate) recv_mode: RecvMode,
     /// Per-packet header bytes on the wire.
-    pub header_bytes: u32,
+    pub(crate) header_bytes: u32,
 }
 
 impl RawParams {
@@ -113,9 +113,9 @@ struct RawJob {
 /// An open OS-bypass connection.
 pub struct RawConn {
     /// Transport parameters.
-    pub params: RawParams,
+    pub(crate) params: RawParams,
     /// Which NIC/wire pair this connection uses.
-    pub channel: usize,
+    pub(crate) channel: usize,
     dirs: [VecDeque<RawJob>; 2],
     /// Total bytes delivered (both directions).
     pub bytes_delivered: u64,

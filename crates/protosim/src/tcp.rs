@@ -124,17 +124,15 @@ struct SegCosts {
 
 /// A TCP connection between host 0 and host 1.
 pub struct TcpConn {
-    /// Effective (kernel-clamped) parameters.
-    pub params: TcpParams,
     /// Effective window: `min(sndbuf, rcvbuf)` after clamping.
     pub window: u64,
     /// Whether acking is *smooth* for this window (see [`open`]): smooth
     /// connections recycle window space continuously (ack every other
     /// segment); rough ones batch-stall on every window fill.
-    pub smooth: bool,
+    pub(crate) smooth: bool,
     /// Which NIC/wire pair this connection is routed over (channel
     /// bonding installs one connection per card).
-    pub channel: usize,
+    pub(crate) channel: usize,
     costs: SegCosts,
     dirs: [TcpDir; 2],
     /// Total bytes delivered on this connection (both directions).
@@ -144,7 +142,7 @@ pub struct TcpConn {
     /// fire, so the engine runs dry — the simulated analogue of the
     /// paper's runs that "simply die" under load. Queried by drivers to
     /// distinguish a dead connection from a deadlocked model.
-    pub dead: bool,
+    pub(crate) dead: bool,
 }
 
 /// Open a TCP connection between the two hosts. Requested buffer sizes are
@@ -206,7 +204,6 @@ pub fn open_on_channel(fabric: &mut Fabric, mut params: TcpParams, channel: usiz
         }),
     };
     fabric.push_conn(Conn::Tcp(TcpConn {
-        params,
         window,
         smooth,
         channel,

@@ -62,16 +62,16 @@ use crate::tcp::TcpConn;
 /// under sequence number `seq0 + k`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Run {
-    pub t0: SimTime,
-    pub step: SimDuration,
-    pub seq0: u64,
-    pub count: u64,
-    pub seg: u32,
+    pub(crate) t0: SimTime,
+    pub(crate) step: SimDuration,
+    pub(crate) seq0: u64,
+    pub(crate) count: u64,
+    pub(crate) seg: u32,
 }
 
 impl Run {
     /// A single delivery.
-    pub fn one(at: SimTime, seq: u64, seg: u32) -> Run {
+    pub(crate) fn one(at: SimTime, seq: u64, seg: u32) -> Run {
         Run {
             t0: at,
             step: SimDuration::ZERO,
@@ -83,7 +83,7 @@ impl Run {
 
     /// When the `k`-th delivery lands.
     #[inline]
-    pub fn at(&self, k: u64) -> SimTime {
+    pub(crate) fn at(&self, k: u64) -> SimTime {
         self.t0 + self.step * k
     }
 
@@ -126,35 +126,35 @@ pub(crate) struct Cursor {
     rest: VecDeque<Run>,
     /// An event for the front delivery is queued under its reserved key,
     /// or the front's own delivery loop is running and will queue it.
-    pub armed: bool,
+    pub(crate) armed: bool,
     /// Keys of the queued completions of this direction's silent train
     /// parts ([`Done::Silent`]), in key order.
-    pub silent: VecDeque<(SimTime, u64)>,
+    pub(crate) silent: VecDeque<(SimTime, u64)>,
     /// Key of the queued window reopen, if any.
-    pub reopen: Option<(SimTime, u64)>,
+    pub(crate) reopen: Option<(SimTime, u64)>,
     /// Events this direction has executed: deliveries, silent
     /// completions and reopens.
-    pub own: u64,
+    pub(crate) own: u64,
     /// Fingerprints at its last part completions (see [`period`]).
-    pub periods: Option<Box<Periods>>,
+    pub(crate) periods: Option<Box<Periods>>,
 }
 
 impl Cursor {
     /// The front run, if any delivery is pending.
     #[inline]
-    pub fn front(&self) -> Option<&Run> {
+    pub(crate) fn front(&self) -> Option<&Run> {
         (self.head.count > 0).then_some(&self.head)
     }
 
     /// Whether no delivery is pending.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.head.count == 0
     }
 
     /// Append deliveries, later than every pending one.
     #[inline]
-    pub fn push(&mut self, run: Run) {
+    pub(crate) fn push(&mut self, run: Run) {
         debug_assert!(run.count > 0);
         if self.head.count == 0 {
             self.head = run;
@@ -172,7 +172,7 @@ impl Cursor {
 
     /// Take the front delivery: its segment length and sequence number.
     #[inline]
-    pub fn pop(&mut self) -> Option<(u32, u64)> {
+    pub(crate) fn pop(&mut self) -> Option<(u32, u64)> {
         if self.head.count == 0 {
             return None;
         }
@@ -184,7 +184,7 @@ impl Cursor {
     /// The front run, when nothing holds it yet: the caller queues its
     /// first delivery, and the cursor counts as armed from now on.
     #[inline]
-    pub fn arm(&mut self) -> Option<Run> {
+    pub(crate) fn arm(&mut self) -> Option<Run> {
         if self.armed || self.head.count == 0 {
             return None;
         }
@@ -194,7 +194,7 @@ impl Cursor {
 
     /// Drop the first `n` deliveries, all of the front run.
     #[inline]
-    pub fn skip(&mut self, n: u64) {
+    pub(crate) fn skip(&mut self, n: u64) {
         self.head.skip(n);
         if self.head.count == 0 {
             if let Some(next) = self.rest.pop_front() {
@@ -300,11 +300,11 @@ pub(crate) const MIN_TRAIN: u64 = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Hop {
     /// When it reached the stage.
-    pub arrival: SimTime,
+    pub(crate) arrival: SimTime,
     /// When the stage finished it: the stage's busy-until now.
-    pub done: SimTime,
+    pub(crate) done: SimTime,
     /// Its service time at the stage.
-    pub dur: SimDuration,
+    pub(crate) dur: SimDuration,
 }
 
 /// How many more segments, identical to the one that crossed `hops` and

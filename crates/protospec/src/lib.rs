@@ -481,7 +481,7 @@ mod tests {
     mod sender {
         crate::protocol! {
             /// Sender half of a toy rendezvous.
-            pub RndvSendState of rendezvous.sender dual super::receiver::RndvRecvState;
+            pub(crate) RndvSendState of rendezvous.sender dual super::receiver::RndvRecvState;
             states Idle, AwaitCts, Streaming;
             terminal Idle;
             Idle --rts!--> AwaitCts;
@@ -493,7 +493,7 @@ mod tests {
     mod receiver {
         crate::protocol! {
             /// Receiver half of a toy rendezvous.
-            pub RndvRecvState of rendezvous.receiver dual super::sender::RndvSendState;
+            pub(crate) RndvRecvState of rendezvous.receiver dual super::sender::RndvSendState;
             states Idle, CtsSent;
             terminal Idle;
             Idle --rts?--> CtsSent;

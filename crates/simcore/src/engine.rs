@@ -69,7 +69,7 @@ impl<W> Event<W> for NoEvent {
 }
 
 /// A one-shot event callback.
-pub type EventFn<W, E = NoEvent> = Box<dyn FnOnce(&mut Engine<W, E>)>;
+pub(crate) type EventFn<W, E = NoEvent> = Box<dyn FnOnce(&mut Engine<W, E>)>;
 
 /// One period of a model's own events (see the module docs): how far the
 /// clock moves, how many sequence numbers are reserved and how many events
@@ -247,11 +247,6 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// the sink cannot influence ordering or timing.
     pub fn set_trace_sink(&mut self, sink: SharedSink) {
         self.trace = Some(sink);
-    }
-
-    /// Detach any installed trace sink.
-    pub fn clear_trace_sink(&mut self) {
-        self.trace = None;
     }
 
     /// The current simulated instant.

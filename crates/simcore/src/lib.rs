@@ -12,8 +12,8 @@
 //!   is bit-for-bit reproducible.
 //! * [`Resource`] — non-preemptive FIFO rate server used to model wires,
 //!   PCI buses, memory buses, NIC processors, and protocol CPUs.
-//! * [`OnlineStats`] / [`Histogram`] — measurement accumulators.
-//! * [`SimRng`] — splittable deterministic RNG (xoshiro256**), used for the
+//! * [`OnlineStats`] — the measurement accumulator.
+//! * [`SimRng`] — seeded deterministic RNG (xoshiro256**), used for the
 //!   NetPIPE size-schedule perturbations and synthetic workload jitter.
 //! * [`units`] — Mbps/bytes-per-second/kB conversions kept in one place.
 //! * [`trace`] — observability hooks: a [`TraceSink`] installed on
@@ -60,9 +60,9 @@ mod time;
 pub mod trace;
 pub mod units;
 
-pub use engine::{Engine, Event, EventFn, NoEvent, Period};
+pub use engine::{Engine, Event, NoEvent, Period};
 pub use resource::{Resource, Served};
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats};
+pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SharedSink, SpanRec, TraceSink};

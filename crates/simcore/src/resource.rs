@@ -28,9 +28,9 @@ pub struct Served {
     /// Reservations served.
     pub items: u64,
     /// Bytes accounted.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Service time accounted.
-    pub busy: SimDuration,
+    pub(crate) busy: SimDuration,
 }
 
 impl Served {
@@ -59,7 +59,7 @@ pub struct Resource {
     /// The last two `(bytes, service_time(bytes))` [`cost`](Resource::cost)
     /// computed, newest first: a message's full segments and its shorter
     /// tail. The rate and per-item cost never change after construction,
-    /// so the entries stay valid across `reset()` and `clone()`.
+    /// so the entries stay valid across `clone()`.
     memo: [(u64, SimDuration); 2],
     // --- accounting ---
     items_served: u64,
@@ -115,11 +115,6 @@ impl Resource {
         }
     }
 
-    /// A resource that is never a bottleneck (zero cost).
-    pub fn unlimited(name: &'static str) -> Self {
-        Resource::new(name, f64::INFINITY)
-    }
-
     /// The resource's diagnostic name.
     pub fn name(&self) -> &'static str {
         self.name
@@ -146,16 +141,6 @@ impl Resource {
     pub fn set_trace(&mut self, sink: SharedSink, track: u32) {
         self.sink = Some(sink);
         self.track = track;
-    }
-
-    /// Detach any installed trace sink.
-    pub fn clear_trace(&mut self) {
-        self.sink = None;
-    }
-
-    /// The timeline id given to [`set_trace`](Resource::set_trace).
-    pub fn track(&self) -> u32 {
-        self.track
     }
 
     #[inline]
@@ -192,12 +177,6 @@ impl Resource {
                 dur
             }
         }
-    }
-
-    /// Like [`serve`](Resource::serve) but only charges the per-item
-    /// overhead (e.g. a CPU handling an interrupt).
-    pub fn serve_item(&mut self, now: SimTime) -> SimTime {
-        self.serve(now, 0)
     }
 
     /// Reserve the resource for an explicit, caller-computed duration
@@ -284,15 +263,6 @@ impl Resource {
         }
         self.busy_time.as_secs_f64() / horizon.as_secs_f64()
     }
-
-    /// Reset the clock state but keep the configuration. Used when the same
-    /// hardware description is reused across independent measurements.
-    pub fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.items_served = 0;
-        self.bytes_served = 0;
-        self.busy_time = SimDuration::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +282,7 @@ mod tests {
 
     #[test]
     fn per_item_overhead_added() {
-        let r = Resource::with_overhead("pci", GBPS, SimDuration::from_micros(2));
+        let r = Resource::with_overhead("pci", GBPS, SimDuration(2_000));
         assert_eq!(r.service_time(125).as_nanos(), 3_000);
         assert_eq!(r.service_time(0).as_nanos(), 2_000);
     }
@@ -331,7 +301,7 @@ mod tests {
 
     #[test]
     fn unlimited_resource_costs_nothing() {
-        let mut r = Resource::unlimited("noop");
+        let mut r = Resource::new("noop", f64::INFINITY);
         assert_eq!(r.serve(SimTime(77), 1 << 30), SimTime(77));
     }
 
@@ -348,27 +318,17 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_clock_state() {
-        let mut r = Resource::new("wire", GBPS);
-        r.serve(SimTime(0), 1000);
-        r.reset();
-        assert_eq!(r.busy_until(), SimTime::ZERO);
-        assert_eq!(r.items_served(), 0);
-        assert_eq!(r.serve(SimTime(0), 125), SimTime(1_000));
-    }
-
-    #[test]
     fn memoised_serve_equals_service_time_recomputed() {
         // Interleaved sizes (repeats, 0, a jumbo frame), a finite and an
         // infinite rate, with and without a per-item cost: every `serve`
-        // must advance by exactly `service_time`, through `reset()` and
-        // on a `clone()` taken with a warm memo.
+        // must advance by exactly `service_time`, also on a `clone()`
+        // taken with a warm memo.
         let sizes = [1500u64, 1500, 0, 1500, 9000, 0, 0, 64, 1500, 9000, 9000, 1];
         for rate in [GBPS, 33e6, f64::INFINITY] {
             for per_item in [SimDuration::ZERO, SimDuration(700)] {
                 let mut r = Resource::with_overhead("probe", rate, per_item);
                 let mut now = SimTime::ZERO;
-                for round in 0..3 {
+                for _ in 0..3 {
                     for &b in &sizes {
                         let want = now + r.service_time(b);
                         now = r.serve(now, b);
@@ -378,10 +338,6 @@ mod tests {
                     for &b in &[1u64, 1, 1500] {
                         let want = twin.busy_until() + twin.service_time(b);
                         assert_eq!(twin.serve(SimTime::ZERO, b), want);
-                    }
-                    if round == 1 {
-                        r.reset();
-                        now = SimTime::ZERO;
                     }
                 }
             }
@@ -394,8 +350,8 @@ mod tests {
 
     #[test]
     fn serve_item_charges_overhead_only() {
-        let mut r = Resource::with_overhead("cpu", GBPS, SimDuration::from_micros(5));
-        assert_eq!(r.serve_item(SimTime(0)), SimTime(5_000));
+        let mut r = Resource::with_overhead("cpu", GBPS, SimDuration(5_000));
+        assert_eq!(r.serve(SimTime(0), 0), SimTime(5_000));
     }
 
     #[test]
@@ -434,10 +390,5 @@ mod tests {
         assert_eq!(spans[1].end, SimTime(2_000));
         assert_eq!(spans[1].track, 42);
         assert_eq!(spans[1].stage, "wire");
-
-        drop(spans);
-        traced.clear_trace();
-        traced.serve(SimTime(10_000), 125);
-        assert_eq!(log.0.borrow().len(), 2, "cleared sink records nothing");
     }
 }

@@ -1,15 +1,13 @@
-//! A small, dependency-free, splittable deterministic RNG.
+//! A small, dependency-free deterministic RNG.
 //!
-//! The simulator needs (a) exact reproducibility across runs and
-//! platforms, and (b) the ability to hand independent substreams to
-//! components created in any order (splitting), so that adding one model
-//! component never perturbs another's random sequence.
+//! The simulator needs exact reproducibility across runs and platforms:
+//! the same seed gives the same stream everywhere.
 //!
 //! The generator is xoshiro256** seeded through splitmix64 — the standard
 //! public-domain construction (Blackman & Vigna). Not cryptographic; used
 //! only for size-schedule perturbations and synthetic workload jitter.
 
-/// Splittable xoshiro256** PRNG.
+/// Seeded xoshiro256** PRNG.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     s: [u64; 4],
@@ -78,14 +76,6 @@ impl SimRng {
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
     }
-
-    /// Derive an independent child generator. The parent advances by one
-    /// output; the child's stream is decorrelated by re-seeding through
-    /// splitmix64 with a stream constant.
-    pub fn split(&mut self) -> SimRng {
-        let seed = self.next_u64() ^ 0xA5A5_A5A5_DEAD_BEEF;
-        SimRng::new(seed)
-    }
 }
 
 #[cfg(test)]
@@ -153,23 +143,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean {mean} too far from 2.0");
-    }
-
-    #[test]
-    fn split_streams_are_decorrelated_and_deterministic() {
-        let mut p1 = SimRng::new(99);
-        let mut p2 = SimRng::new(99);
-        let mut c1 = p1.split();
-        let mut c2 = p2.split();
-        for _ in 0..100 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
-        }
-        // Parent and child streams should not coincide.
-        let mut parent = SimRng::new(99);
-        let mut child = parent.split();
-        let coincide = (0..64)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
-        assert_eq!(coincide, 0);
     }
 }

@@ -83,11 +83,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`NaN` when empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {
@@ -127,70 +122,6 @@ impl OnlineStats {
     }
 }
 
-/// A fixed-bucket histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    /// Buckets per unit of `x`, precomputed so `push` multiplies
-    /// instead of dividing (it sits on per-span tracing hot paths).
-    scale: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `n` equal-width buckets covering `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            scale: n as f64 / (hi - lo),
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = (((x - self.lo) * self.scale) as usize).min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Counts per bucket.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,7 +135,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -253,27 +183,5 @@ mod tests {
         e.merge(&a);
         assert_eq!(e.mean(), before);
         assert_eq!(e.count(), 1);
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(-0.1);
-        h.push(0.0);
-        h.push(9.999);
-        h.push(10.0);
-        h.push(5.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[9], 1);
-        assert_eq!(h.buckets()[5], 1);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
     }
 }

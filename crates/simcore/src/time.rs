@@ -21,7 +21,7 @@ impl SimTime {
     /// The start of every simulation run.
     pub const ZERO: SimTime = SimTime(0);
     /// The largest representable instant (used as an "infinitely far" sentinel).
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Nanoseconds since the start of the run.
     #[inline]
@@ -50,7 +50,7 @@ impl SimTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
         } else {
@@ -86,22 +86,10 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Build a duration from whole microseconds.
-    #[inline]
-    pub const fn from_micros(us: u64) -> SimDuration {
-        SimDuration(us * 1_000)
-    }
-
     /// Build a duration from whole milliseconds.
     #[inline]
     pub const fn from_millis(ms: u64) -> SimDuration {
         SimDuration(ms * 1_000_000)
-    }
-
-    /// Build a duration from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> SimDuration {
-        SimDuration(s * 1_000_000_000)
     }
 
     /// Build a duration from fractional microseconds, rounding to the
@@ -153,14 +141,8 @@ impl SimDuration {
 
     /// True for the zero-length span.
     #[inline]
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction of two spans.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -264,7 +246,6 @@ mod tests {
 
     #[test]
     fn duration_from_micros() {
-        assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
     }
 
@@ -389,18 +370,14 @@ mod tests {
 
     #[test]
     fn saturating_behaviour() {
-        assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
-        assert_eq!(
-            SimDuration(5).saturating_sub(SimDuration(9)),
-            SimDuration::ZERO
-        );
+        assert_eq!(SimTime::MAX + SimDuration(1_000_000_000), SimTime::MAX);
         assert_eq!(SimTime(5).saturating_since(SimTime(9)), SimDuration::ZERO);
     }
 
     #[test]
     fn display_formats_microseconds() {
         assert_eq!(format!("{}", SimTime(1_500)), "1.500us");
-        assert_eq!(format!("{}", SimDuration::from_micros(2)), "2.000us");
+        assert_eq!(format!("{}", SimDuration(2_000)), "2.000us");
     }
 
     #[test]

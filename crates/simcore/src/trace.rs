@@ -5,7 +5,7 @@
 //! [`crate::Engine`] receives *structured trace records* — spans with
 //! exact [`SimTime`] boundaries and instant events — as the simulation
 //! executes. The `tracelab` crate provides the standard sink (ring
-//! buffer + counters/histograms + exporters); models can also install
+//! buffer + per-stage totals + exporters); models can also install
 //! bespoke sinks in tests.
 //!
 //! Design constraints, shared with the engine's determinism contract:
@@ -29,18 +29,6 @@ use crate::time::SimTime;
 /// Hardware pipeline stages reuse the resource names chosen at
 /// construction time (`"cpu"`, `"pci"`, `"nic"`, `"wire->"`, `"wire<-"`).
 pub mod stages {
-    /// Application-level buffer copy (user space, outside the library).
-    pub const APP_COPY: &str = "app-copy";
-    /// Library packing/marshalling copies before the transport send.
-    pub const PACK: &str = "pack";
-    /// Rendezvous handshake (request-to-send → clear-to-send) interval.
-    pub const HANDSHAKE: &str = "handshake";
-    /// Kernel protocol work (alias for the `"cpu"` resource spans).
-    pub const KERNEL: &str = "kernel";
-    /// Library unpacking/drain copies after delivery.
-    pub const MEMCPY: &str = "memcpy";
-    /// One application→daemon or daemon→application relay hop.
-    pub const DAEMON_HOP: &str = "daemon-hop";
     /// Progress-thread activity (reader/writer threads in real mode).
     pub const PROGRESS_THREAD: &str = "progress-thread";
     /// Wire propagation + switching latency (the gap between the last
@@ -168,7 +156,7 @@ mod tests {
         let log = Rc::new(Log::default());
         let sink: SharedSink = log.clone();
         sink.span(SpanRec {
-            stage: stages::KERNEL,
+            stage: "cpu",
             track: 3,
             start: SimTime(10),
             end: SimTime(25),

@@ -38,12 +38,6 @@ pub fn throughput_mbps(bytes: u64, seconds: f64) -> f64 {
     bytes as f64 * 8.0 / seconds / 1e6
 }
 
-/// MB/s (decimal) for a byte rate — reporting form for memory benches.
-#[inline]
-pub fn bytes_per_sec_to_mbytes(bps: f64) -> f64 {
-    bps / 1e6
-}
-
 /// Seconds → microseconds (reporting form for latencies).
 #[inline]
 pub fn secs_to_us(s: f64) -> f64 {
@@ -60,18 +54,6 @@ pub fn secs_to_ms(s: f64) -> f64 {
 #[inline]
 pub fn us_to_secs(us: f64) -> f64 {
     us * 1e-6
-}
-
-/// Nanoseconds → seconds.
-#[inline]
-pub fn ns_to_secs(ns: f64) -> f64 {
-    ns / 1e9
-}
-
-/// Nanoseconds → milliseconds.
-#[inline]
-pub fn ns_to_ms(ns: f64) -> f64 {
-    ns / 1e6
 }
 
 /// Nanoseconds → microseconds.
@@ -144,7 +126,6 @@ mod tests {
     #[test]
     fn mbytes_conversion() {
         assert_eq!(mbytes_to_bytes_per_sec(300.0), 3e8);
-        assert_eq!(bytes_per_sec_to_mbytes(3e8), 300.0);
     }
 
     #[test]
@@ -152,8 +133,6 @@ mod tests {
         assert_eq!(secs_to_us(0.01), 10_000.0);
         assert_eq!(secs_to_ms(0.25), 250.0);
         assert_eq!(us_to_secs(10_000.0), 0.01);
-        assert_eq!(ns_to_secs(2_000_000_000.0), 2.0);
-        assert_eq!(ns_to_ms(1_500_000.0), 1.5);
         assert_eq!(ns_to_us(2_500.0), 2.5);
     }
 

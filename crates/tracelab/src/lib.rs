@@ -11,8 +11,7 @@
 //! * [`Tracer`] — deterministic recorder for simulated runs. Implements
 //!   [`simcore::trace::TraceSink`]; spans carry exact [`simcore::SimTime`]
 //!   boundaries, land in a bounded ring buffer, and feed an always-exact
-//!   per-stage registry built on [`simcore::OnlineStats`] /
-//!   [`simcore::Histogram`].
+//!   per-stage registry built on [`simcore::OnlineStats`].
 //! * [`WallTracer`] — the wall-clock counterpart for the real `mplite`
 //!   library (monotonic stamps, mutex-protected for progress threads).
 //! * [`export`] — Chrome trace-event JSON (loadable in

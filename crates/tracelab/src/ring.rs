@@ -1,15 +1,13 @@
 //! Bounded ring buffer backing the trace recorders.
 
 /// Fixed-capacity ring: pushes beyond capacity overwrite the oldest
-/// entry (flight-recorder semantics) and bump a dropped counter, so
-/// recording cost stays O(1) and memory stays bounded no matter how
+/// entry (flight-recorder semantics), so recording cost stays O(1) and memory stays bounded no matter how
 /// long tracing stays enabled. Storage grows lazily up to the cap.
 pub(crate) struct Ring<T> {
     buf: Vec<T>,
     cap: usize,
     /// Index of the oldest entry once the buffer has wrapped.
     head: usize,
-    dropped: u64,
 }
 
 impl<T> Ring<T> {
@@ -18,7 +16,6 @@ impl<T> Ring<T> {
             buf: Vec::new(),
             cap: cap.max(1),
             head: 0,
-            dropped: 0,
         }
     }
 
@@ -31,16 +28,7 @@ impl<T> Ring<T> {
             if self.head == self.cap {
                 self.head = 0;
             }
-            self.dropped += 1;
         }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Iterate oldest → newest.
@@ -53,7 +41,6 @@ impl<T> Ring<T> {
     pub(crate) fn clear(&mut self) {
         self.buf.clear();
         self.head = 0;
-        self.dropped = 0;
     }
 }
 
@@ -67,8 +54,7 @@ mod tests {
         for i in 0..5 {
             r.push(i);
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
+        assert_eq!(r.buf.len(), 3);
         let got: Vec<i32> = r.iter().copied().collect();
         assert_eq!(got, vec![2, 3, 4]);
     }
@@ -79,7 +65,6 @@ mod tests {
         for i in 0..4 {
             r.push(i);
         }
-        assert_eq!(r.dropped(), 0);
         let got: Vec<i32> = r.iter().copied().collect();
         assert_eq!(got, vec![0, 1, 2, 3]);
     }
@@ -89,7 +74,7 @@ mod tests {
         let mut r = Ring::new(0);
         r.push(1);
         r.push(2);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.buf.len(), 1);
         assert_eq!(r.iter().copied().collect::<Vec<i32>>(), vec![2]);
     }
 
@@ -100,8 +85,7 @@ mod tests {
             r.push(i);
         }
         r.clear();
-        assert_eq!(r.len(), 0);
-        assert_eq!(r.dropped(), 0);
+        assert!(r.buf.is_empty());
         r.push(9);
         assert_eq!(r.iter().copied().collect::<Vec<i32>>(), vec![9]);
     }

@@ -8,8 +8,7 @@
 //! * a bounded ring buffer of raw events (for timelines and the Chrome
 //!   exporter) — oldest events are overwritten when it fills;
 //! * an always-exact registry of per-`(track, stage)` totals built on
-//!   [`simcore::OnlineStats`] plus a global span-duration
-//!   [`simcore::Histogram`] — these never drop, so stage accounting is
+//!   [`simcore::OnlineStats`] — these never drop, so stage accounting is
 //!   correct even when the ring wraps.
 //!
 //! All timestamps are integer nanoseconds of simulated time; recording
@@ -20,7 +19,7 @@ use std::rc::Rc;
 
 use simcore::trace::{SpanRec, TraceSink};
 use simcore::units::ns_to_us;
-use simcore::{Histogram, OnlineStats, SimTime};
+use simcore::{OnlineStats, SimTime};
 
 use crate::ring::Ring;
 
@@ -43,22 +42,22 @@ pub struct TraceEvent {
     /// Span or instant.
     pub kind: TraceKind,
     /// Stage name (see [`crate::stages`]).
-    pub stage: &'static str,
+    pub(crate) stage: &'static str,
     /// Timeline id (exporters render one row per track).
-    pub track: u32,
+    pub(crate) track: u32,
     /// Start instant in nanoseconds.
     pub start_ns: u64,
     /// End instant in nanoseconds (`>= start_ns`).
     pub end_ns: u64,
     /// Payload bytes attributed to the event.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Message-correlation id (`0` = not tied to one message).
     pub msg: u64,
 }
 
 impl TraceEvent {
     /// Span duration in nanoseconds (zero for instants).
-    pub fn dur_ns(&self) -> u64 {
+    pub(crate) fn dur_ns(&self) -> u64 {
         self.end_ns - self.start_ns
     }
 }
@@ -67,17 +66,17 @@ impl TraceEvent {
 #[derive(Debug, Clone)]
 pub struct StageTotal {
     /// Stage name.
-    pub stage: &'static str,
+    pub(crate) stage: &'static str,
     /// Timeline the spans were recorded on.
     pub track: u32,
     /// Number of spans.
-    pub spans: u64,
+    pub(crate) spans: u64,
     /// Total payload bytes.
     pub bytes: u64,
     /// Total busy time in nanoseconds.
     pub busy_ns: u64,
     /// Per-span duration statistics, in microseconds.
-    pub per_span_us: OnlineStats,
+    pub(crate) per_span_us: OnlineStats,
 }
 
 /// Raw per-`(track, stage)` sums. Kept as plain `Σx` / `Σx²` so the
@@ -117,10 +116,6 @@ impl Acc {
     }
 }
 
-/// Histogram range for span durations: 100 buckets over [0, 10 ms).
-const HIST_HI_US: f64 = 10_000.0;
-const HIST_BUCKETS: usize = 100;
-
 /// Sentinel marking an empty probe-table slot (a string can never live
 /// at address `usize::MAX`).
 const EMPTY_SLOT: usize = usize::MAX;
@@ -152,7 +147,6 @@ pub(crate) struct Core {
     table: Vec<(usize, u32, u32)>,
     table_used: usize,
     accs: Vec<(u32, &'static str, Acc)>,
-    hist: Histogram,
     dispatched: u64,
     spans: u64,
     instants: u64,
@@ -165,7 +159,6 @@ impl Core {
             table: vec![(EMPTY_SLOT, 0, 0); INITIAL_SLOTS],
             table_used: 0,
             accs: Vec::new(),
-            hist: Histogram::new(0.0, HIST_HI_US, HIST_BUCKETS),
             dispatched: 0,
             spans: 0,
             instants: 0,
@@ -260,7 +253,6 @@ impl Core {
         acc.sumsq_us += dur_us * dur_us;
         acc.min_us = acc.min_us.min(dur_us);
         acc.max_us = acc.max_us.max(dur_us);
-        self.hist.push(dur_us);
     }
 
     pub(crate) fn record_instant(
@@ -308,10 +300,6 @@ impl Core {
         totals
     }
 
-    pub(crate) fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
     pub(crate) fn span_count(&self) -> u64 {
         self.spans
     }
@@ -324,20 +312,11 @@ impl Core {
         self.dispatched
     }
 
-    pub(crate) fn hist(&self) -> Histogram {
-        self.hist.clone()
-    }
-
-    pub(crate) fn retained(&self) -> usize {
-        self.ring.len()
-    }
-
     pub(crate) fn clear(&mut self) {
         self.ring.clear();
         self.table.iter_mut().for_each(|s| *s = (EMPTY_SLOT, 0, 0));
         self.table_used = 0;
         self.accs.clear();
-        self.hist = Histogram::new(0.0, HIST_HI_US, HIST_BUCKETS);
         self.dispatched = 0;
         self.spans = 0;
         self.instants = 0;
@@ -357,7 +336,7 @@ pub struct Tracer {
 
 impl Tracer {
     /// Default ring capacity (events): enough for a full NetPIPE sweep.
-    pub const DEFAULT_CAPACITY: usize = 1 << 18;
+    pub(crate) const DEFAULT_CAPACITY: usize = 1 << 18;
 
     /// A tracer with the default ring capacity.
     pub fn new() -> Rc<Self> {
@@ -366,7 +345,7 @@ impl Tracer {
 
     /// A tracer retaining at most `capacity` raw events (totals are
     /// always exact regardless).
-    pub fn with_capacity(capacity: usize) -> Rc<Self> {
+    pub(crate) fn with_capacity(capacity: usize) -> Rc<Self> {
         Rc::new(Tracer {
             core: RefCell::new(Core::new(capacity)),
             cur_msg: Cell::new(0),
@@ -393,29 +372,9 @@ impl Tracer {
         self.core.borrow().instant_count()
     }
 
-    /// Events overwritten after the ring filled.
-    pub fn dropped(&self) -> u64 {
-        self.core.borrow().dropped()
-    }
-
-    /// Raw events currently held in the ring.
-    pub fn retained(&self) -> usize {
-        self.core.borrow().retained()
-    }
-
     /// Engine events dispatched while this sink was installed.
     pub fn events_dispatched(&self) -> u64 {
         self.core.borrow().dispatched()
-    }
-
-    /// Histogram of span durations in microseconds.
-    pub fn span_duration_histogram(&self) -> Histogram {
-        self.core.borrow().hist()
-    }
-
-    /// The message id currently stamped onto `msg == 0` records.
-    pub fn current_msg(&self) -> u64 {
-        self.cur_msg.get()
     }
 
     /// Drop all recorded data but keep the configuration.
@@ -519,8 +478,7 @@ mod tests {
         for i in 0..10u64 {
             span(&t, "cpu", 0, i * 10, i * 10 + 5, 1);
         }
-        assert_eq!(t.retained(), 4);
-        assert_eq!(t.dropped(), 6);
+        assert_eq!(t.events().len(), 4);
         assert_eq!(t.span_count(), 10);
         let totals = t.stage_totals();
         assert_eq!(totals[0].spans, 10);
@@ -551,16 +509,7 @@ mod tests {
         t.clear();
         assert_eq!(t.span_count(), 0);
         assert_eq!(t.events_dispatched(), 0);
-        assert_eq!(t.current_msg(), 0);
+        assert_eq!(t.cur_msg.get(), 0);
         assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn histogram_counts_every_span() {
-        let t = Tracer::new();
-        for i in 0..5u64 {
-            span(&t, "cpu", 0, 0, i * 1_000, 1);
-        }
-        assert_eq!(t.span_duration_histogram().total(), 5);
     }
 }

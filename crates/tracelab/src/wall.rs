@@ -42,7 +42,7 @@ impl WallTracer {
     }
 
     /// A tracer retaining at most `capacity` raw events.
-    pub fn with_capacity(capacity: usize) -> Arc<Self> {
+    pub(crate) fn with_capacity(capacity: usize) -> Arc<Self> {
         Arc::new(WallTracer {
             origin: Instant::now(),
             core: Mutex::new(Core::new(capacity)),
@@ -92,21 +92,6 @@ impl WallTracer {
     pub fn stage_totals(&self) -> Vec<StageTotal> {
         self.lock().stage_totals()
     }
-
-    /// Spans recorded so far (including any no longer in the ring).
-    pub fn span_count(&self) -> u64 {
-        self.lock().span_count()
-    }
-
-    /// Events overwritten after the ring filled.
-    pub fn dropped(&self) -> u64 {
-        self.lock().dropped()
-    }
-
-    /// Drop all recorded data but keep the configuration and origin.
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +109,7 @@ mod tests {
         let s = tr.now_wall();
         tr.span_wall("recv", 0, s, 32, 1);
         h.join().expect("worker thread");
-        assert_eq!(tr.span_count(), 2);
+        assert_eq!(tr.events().len(), 2);
         let totals = tr.stage_totals();
         assert_eq!(totals.len(), 2);
         let ev = tr.events();
@@ -141,12 +126,9 @@ mod tests {
     }
 
     #[test]
-    fn instants_and_clear() {
+    fn instants_are_recorded() {
         let tr = WallTracer::with_capacity(8);
         tr.instant_wall("send", 0, 10, 1);
         assert_eq!(tr.events().len(), 1);
-        tr.clear();
-        assert!(tr.events().is_empty());
-        assert_eq!(tr.dropped(), 0);
     }
 }

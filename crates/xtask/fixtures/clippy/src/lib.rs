@@ -1,10 +1,12 @@
 //! One violation per rule clippy took over from `xtask analyze`, under
-//! the crate-root scope the library crates use. Each line that must
-//! fire names its lint in a trailing `fires:` marker.
+//! the crate-root scope the library crates use, plus rustc's
+//! `unreachable_pub`, which the workspace's lints table turns on. Each
+//! line that must fire names its lint in a trailing `fires:` marker.
 #![deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used)]
 #![deny(clippy::expect_used, clippy::panic, clippy::unreachable, clippy::unimplemented)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![deny(clippy::iter_over_hash_type)]
+#![deny(unreachable_pub)]
 
 pub mod clean;
 
@@ -53,4 +55,12 @@ pub fn print(x: u8) -> u8 {
     println!("x"); // fires: clippy::print_stdout
     eprintln!("x"); // fires: clippy::print_stderr
     dbg!(x) // fires: clippy::dbg_macro
+}
+mod unexported {
+    pub fn answer() -> u8 { // fires: unreachable_pub
+        42
+    }
+}
+pub fn reexported() -> u8 {
+    unexported::answer()
 }
